@@ -1,6 +1,7 @@
 #include "core/grid_search.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -82,16 +83,6 @@ constexpr AcceptanceRatios untrainable_ratios() {
   return {.acc_self = 0.0, .acc_other = 100.0};
 }
 
-/// Stage-2 cells solve tighter than the production default and score with a
-/// small acceptance slack.  Free support vectors sit exactly on the decision
-/// boundary, so at slack 0 their accept/reject sign — and therefore ACC —
-/// depends on which near-optimal point a solve happened to stop at.  Solver
-/// noise at kGridCellEps is orders of magnitude below kGridAcceptSlack while
-/// genuine rejections clear the slack by a real margin, making warm-path and
-/// cold per-cell scores (and the selected argmax) identical.
-constexpr double kGridCellEps = 1e-6;
-constexpr double kGridAcceptSlack = 1e-4;
-
 bool is_trainable(const AcceptanceRatios& ratios) {
   return !(ratios.acc_self == 0.0 && ratios.acc_other == 100.0);
 }
@@ -134,16 +125,94 @@ AcceptanceRatios grid_cell_ratios(const std::string& user,
   }
 }
 
-/// One kernel's regularizer column for one user, trained as a single
-/// warm-started fit_path sweep: the QMatrix (and its kernel-row cache) is
-/// built once, each cell's solve seeded from the previous alpha.  `gram`
-/// (may be null) shares the raw dot-product rows across every kernel column
-/// of the same user, so concurrent columns pay only the scalar kernel
-/// transform after the first one computes a row.  Scores are identical to
-/// per-cell cold fits (same converged QP, same decision thresholding); only
-/// the route there is cheaper.  Failures mark the whole column untrainable —
-/// feasibility depends on the shared training matrix, not on the
-/// regularizer value.
+/// Query rows per kernel_block in column_acceptance: the per-thread block is
+/// kColumnTile x l doubles (64 x 150 at paper shape, ~75 KB).
+constexpr std::size_t kColumnTile = 64;
+
+/// The column scorer behind regularizer_path_entries: ratios of every model
+/// of one fit_path column (`path` is that sweep's PathStats).  Each query
+/// tile gets one kernel_block over all training rows; cell r reduces its
+/// support rows out of it, in SV order, through the model's own
+/// decision_from_kernels — the values decision_values would compute from a
+/// block over the model's SV copy, hence the same bits.
+template <class Model>
+std::vector<AcceptanceRatios> column_acceptance(
+    const std::string& user, std::span<const Model> models,
+    const svm::PathStats& path, const MatrixByUser& train_windows,
+    double slack) {
+  const std::size_t cells = models.size();
+  std::vector<AcceptanceRatios> ratios(cells);
+  if (cells == 0) return ratios;
+  const obs::TraceSpan span{"grid.column_score", "grid",
+                            static_cast<std::uint64_t>(cells)};
+  const util::FeatureMatrix& own_windows = *train_windows.at(user);
+  const svm::KernelParams& kernel = models.front().kernel();
+  const std::size_t l = own_windows.rows();
+  std::vector<std::size_t> accepted(cells);
+  std::vector<double> other_sum(cells, 0.0);
+  std::size_t other_count = 0;
+  thread_local std::vector<double> block;
+  // Mirrors profile_acceptance: users in map order, ratio = accepted/rows
+  // (0 for an empty matrix) times 100, macro-averaged over the others.
+  for (const auto& [name, matrix] : train_windows) {
+    const std::size_t nq = matrix->rows();
+    std::fill(accepted.begin(), accepted.end(), std::size_t{0});
+    for (std::size_t q0 = 0; q0 < nq; q0 += kColumnTile) {
+      const std::size_t tile = std::min(kColumnTile, nq - q0);
+      if (block.size() < tile * l) block.resize(tile * l);
+      svm::kernel_block(kernel, own_windows, *matrix, q0, tile,
+                        std::span<double>{block.data(), tile * l});
+      for (std::size_t r = 0; r < cells; ++r) {
+        const std::uint32_t* rows = path.support_rows[r].data();
+        for (std::size_t t = 0; t < tile; ++t) {
+          const double* k = block.data() + t * l;
+          const double value = models[r].decision_from_kernels(
+              [k, rows](std::size_t i) { return k[rows[i]]; },
+              matrix->sq_norm(q0 + t));
+          if (value >= -slack) ++accepted[r];
+        }
+      }
+    }
+    for (std::size_t r = 0; r < cells; ++r) {
+      const double share =
+          nq == 0 ? 0.0
+                  : static_cast<double>(accepted[r]) / static_cast<double>(nq);
+      if (name == user) {
+        ratios[r].acc_self = share * 100.0;
+      } else {
+        other_sum[r] += share * 100.0;
+      }
+    }
+    if (name != user) ++other_count;
+  }
+  if (other_count > 0) {
+    for (std::size_t r = 0; r < cells; ++r) {
+      ratios[r].acc_other = other_sum[r] / static_cast<double>(other_count);
+    }
+  }
+  return ratios;
+}
+
+/// Each (window, user) pair is windowed into a CSR matrix exactly once: the
+/// dataset's matrix cache hands out shared matrices, so every grid point of
+/// a kernel x nu sweep at this window configuration reuses the same rows.
+MatrixByUser all_train_matrices(const ProfilingDataset& dataset,
+                                const features::WindowConfig& window,
+                                util::ThreadPool& pool) {
+  const auto& users = dataset.user_ids();
+  std::vector<std::shared_ptr<const util::FeatureMatrix>> per_user(users.size());
+  util::parallel_for(pool, users.size(), [&](std::size_t u) {
+    per_user[u] = dataset.train_matrix(users[u], window);
+  });
+  MatrixByUser matrices;
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    matrices.emplace(users[u], std::move(per_user[u]));
+  }
+  return matrices;
+}
+
+}  // namespace
+
 std::vector<ParamGridEntry> regularizer_path_entries(
     const std::string& user, ClassifierType type,
     const svm::KernelParams& kernel, std::span<const double> regularizers,
@@ -172,33 +241,30 @@ std::vector<ParamGridEntry> regularizer_path_entries(
     return entries;
   }
   try {
-    const auto score = [&](std::size_t r, svm::AnySvmModel model) {
-      const UserProfile profile = UserProfile::from_model(
-          user, entries[r].params, std::move(model));
-      entries[r].ratios =
-          profile_acceptance(profile, train_windows, kGridAcceptSlack);
-      entries[r].trainable = is_trainable(entries[r].ratios);
-    };
+    svm::PathStats path;
+    std::vector<AcceptanceRatios> ratios;
     if (type == ClassifierType::kOcSvm) {
       svm::OneClassSvmConfig config;
       config.kernel = kernel;
       config.eps = kGridCellEps;
       config.gram_cache = gram;
-      auto models = svm::OneClassSvmModel::fit_path(own_windows, config,
-                                                    regularizers, dimension);
-      for (std::size_t r = 0; r < models.size(); ++r) {
-        score(r, std::move(models[r]));
-      }
+      const auto models = svm::OneClassSvmModel::fit_path(
+          own_windows, config, regularizers, dimension, &path);
+      ratios = column_acceptance(user, std::span{models}, path,
+                                 train_windows, kGridAcceptSlack);
     } else {
       svm::SvddConfig config;
       config.kernel = kernel;
       config.eps = kGridCellEps;
       config.gram_cache = gram;
-      auto models =
-          svm::SvddModel::fit_path(own_windows, config, regularizers, dimension);
-      for (std::size_t r = 0; r < models.size(); ++r) {
-        score(r, std::move(models[r]));
-      }
+      const auto models = svm::SvddModel::fit_path(own_windows, config,
+                                                   regularizers, dimension, &path);
+      ratios = column_acceptance(user, std::span{models}, path,
+                                 train_windows, kGridAcceptSlack);
+    }
+    for (std::size_t r = 0; r < entries.size(); ++r) {
+      entries[r].ratios = ratios[r];
+      entries[r].trainable = is_trainable(ratios[r]);
     }
   } catch (const std::invalid_argument&) {
     mark_untrainable();
@@ -208,26 +274,6 @@ std::vector<ParamGridEntry> regularizer_path_entries(
   }
   return entries;
 }
-
-/// Each (window, user) pair is windowed into a CSR matrix exactly once: the
-/// dataset's matrix cache hands out shared matrices, so every grid point of
-/// a kernel x nu sweep at this window configuration reuses the same rows.
-MatrixByUser all_train_matrices(const ProfilingDataset& dataset,
-                                const features::WindowConfig& window,
-                                util::ThreadPool& pool) {
-  const auto& users = dataset.user_ids();
-  std::vector<std::shared_ptr<const util::FeatureMatrix>> per_user(users.size());
-  util::parallel_for(pool, users.size(), [&](std::size_t u) {
-    per_user[u] = dataset.train_matrix(users[u], window);
-  });
-  MatrixByUser matrices;
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    matrices.emplace(users[u], std::move(per_user[u]));
-  }
-  return matrices;
-}
-
-}  // namespace
 
 std::vector<WindowGridEntry> window_grid_search(
     const ProfilingDataset& dataset,

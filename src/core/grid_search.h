@@ -10,7 +10,9 @@
 //      kernel and nu/C are chosen to maximize ACC = ACC_self - ACC_other.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
@@ -58,14 +60,49 @@ struct ParamGridEntry {
   bool trainable = true;  ///< false when training failed (infeasible config)
 };
 
-/// How stage 2 trains the cells of one kernel's regularizer column.
+/// How stage 2 trains and scores the cells of one kernel's regularizer
+/// column.
 ///   kWarmPath:    one fit_path sweep per (user, kernel) — a shared QMatrix
 ///                 and kernel cache across the column, each solve seeded
-///                 from the previous cell (the production path).
-///   kColdPerCell: every cell trains from scratch (the seed behaviour);
-///                 kept as the reference the determinism regression test
-///                 compares the warm path against.
+///                 from the previous cell — scored in one pass by
+///                 column_acceptance (the production path).
+///   kColdPerCell: every cell trains from scratch and is scored on its own
+///                 through profile_acceptance; kept as the per-cell oracle.
+///
+/// Both modes solve each cell's QP to kGridCellEps and count acceptances at
+/// kGridAcceptSlack, but they reach different near-optimal points, so a
+/// window whose decision value lies within solver noise of -kGridAcceptSlack
+/// can flip.  What is enforced: the two modes select the same parameters
+/// (optimize_all_users tests, and the layer ledger's train25 RBF check);
+/// their full grids agree on the test dataset (param_grid_search test).
+/// Individual ratios may differ by a window: the ledger saw ACC_other move
+/// by one window at nu = 0.001 for two of its trace seeds.
 enum class GridSearchMode : std::uint8_t { kWarmPath, kColdPerCell };
+
+/// Stage-2 cells solve tighter than the production default (kGridCellEps)
+/// and count a window as accepted when its decision value is
+/// >= -kGridAcceptSlack.  Free support vectors sit exactly on the decision
+/// boundary, so at slack 0 their accept/reject sign — and therefore ACC —
+/// would depend on which near-optimal point a solve happened to stop at.
+inline constexpr double kGridCellEps = 1e-6;
+inline constexpr double kGridAcceptSlack = 1e-4;
+
+/// One kernel's regularizer column for `user` (the kWarmPath unit): one
+/// fit_path sweep over `*train_windows.at(user)` at kGridCellEps, then one
+/// scoring pass over every user's windows.  Per query tile the pass makes a
+/// single kernel_block call over all l training rows and each cell reads its
+/// support rows out of it, so kernel work per column is l x Q rather than
+/// sum_r |SV_r| x Q.  Each entry's ratios are bitwise equal to
+/// profile_acceptance(UserProfile::from_model(user, ..., model_r),
+/// train_windows, kGridAcceptSlack) on the same fit_path models.  An empty
+/// own-window matrix or a failed fit marks the whole column untrainable
+/// ({0, 100}).  `gram` (may be null) is the user's dot-row cache shared
+/// across kernel columns.  Entries are aligned with `regularizers`.
+[[nodiscard]] std::vector<ParamGridEntry> regularizer_path_entries(
+    const std::string& user, ClassifierType type,
+    const svm::KernelParams& kernel, std::span<const double> regularizers,
+    const MatrixByUser& train_windows, std::size_t dimension,
+    const std::shared_ptr<svm::GramCache>& gram);
 
 /// Stage 2 (Tab. III): full kernel x regularizer grid for one user at a
 /// fixed window configuration.  Ratios are computed on training windows, as

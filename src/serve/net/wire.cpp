@@ -484,15 +484,20 @@ void FrameDecoder::drain(const std::function<void(WireMessage&&)>& on_message) {
     }
     return;
   }
-  while (buffer_.size() >= kFrameHeaderBytes) {
-    if (static_cast<std::uint8_t>(buffer_[0]) != kFrameMarker) {
+  // Frames are consumed by advancing `begin`; the buffer is compacted once
+  // per feed, so a read carrying many frames costs O(bytes), not
+  // O(frames x bytes).
+  std::size_t begin = 0;
+  while (buffer_.size() - begin >= kFrameHeaderBytes) {
+    const char* frame = buffer_.data() + begin;
+    if (static_cast<std::uint8_t>(frame[0]) != kFrameMarker) {
       throw WireError{"binary stream lost frame sync (bad marker)"};
     }
-    const auto raw_type = static_cast<std::uint8_t>(buffer_[1]);
+    const auto raw_type = static_cast<std::uint8_t>(frame[1]);
     std::uint32_t length = 0;
     for (int byte = 0; byte < 4; ++byte) {
       length |= static_cast<std::uint32_t>(
-                    static_cast<std::uint8_t>(buffer_[2 + byte]))
+                    static_cast<std::uint8_t>(frame[2 + byte]))
                 << (8 * byte);
     }
     if (length > max_message_bytes_) {
@@ -500,8 +505,8 @@ void FrameDecoder::drain(const std::function<void(WireMessage&&)>& on_message) {
                       " bytes exceeds the " +
                       std::to_string(max_message_bytes_) + "-byte limit"};
     }
-    if (buffer_.size() < kFrameHeaderBytes + length) break;
-    const std::string_view payload{buffer_.data() + kFrameHeaderBytes, length};
+    if (buffer_.size() - begin < kFrameHeaderBytes + length) break;
+    const std::string_view payload{frame + kFrameHeaderBytes, length};
     WireMessage message;
     switch (raw_type) {
       case static_cast<std::uint8_t>(FrameType::kTransaction):
@@ -518,9 +523,10 @@ void FrameDecoder::drain(const std::function<void(WireMessage&&)>& on_message) {
       default:
         throw WireError{"unknown frame type " + std::to_string(raw_type)};
     }
-    buffer_.erase(0, kFrameHeaderBytes + length);
+    begin += kFrameHeaderBytes + length;
     on_message(std::move(message));
   }
+  buffer_.erase(0, begin);
 }
 
 }  // namespace wtp::serve::net

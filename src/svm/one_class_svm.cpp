@@ -35,9 +35,9 @@ double compute_rho(std::span<const double> alpha, std::span<const double> gradie
   return 0.5 * (upper_limit + lower_limit);
 }
 
-OneClassSvmModel OneClassSvmModel::from_solution(const util::FeatureMatrix& data,
-                                                 const KernelParams& kernel,
-                                                 const SolverResult& solved) {
+OneClassSvmModel OneClassSvmModel::from_solution(
+    const util::FeatureMatrix& data, const KernelParams& kernel,
+    const SolverResult& solved, std::vector<std::uint32_t>* support_rows) {
   const std::size_t l = data.rows();
   OneClassSvmModel model;
   model.kernel_ = kernel;
@@ -49,6 +49,9 @@ OneClassSvmModel OneClassSvmModel::from_solution(const util::FeatureMatrix& data
     if (solved.alpha[i] > 1e-12) {
       svs.add_row(data, i);
       model.coefficients_.push_back(solved.alpha[i]);
+      if (support_rows != nullptr) {
+        support_rows->push_back(static_cast<std::uint32_t>(i));
+      }
       if (solved.alpha[i] >= 1.0 - 1e-12) ++bounded;
     }
   }
@@ -106,8 +109,12 @@ std::vector<OneClassSvmModel> OneClassSvmModel::fit_path(
             : solve_smo(q, p, /*upper_bound=*/1.0, delta, solver_config,
                         WarmSeed{previous.alpha, previous.gradient,
                                  previous.g_bar, /*upper_bound=*/1.0});
-    if (stats != nullptr) stats->cells.push_back(solved.stats);
-    models.push_back(from_solution(data, kernel, solved));
+    std::vector<std::uint32_t>* support_rows = nullptr;
+    if (stats != nullptr) {
+      stats->cells.push_back(solved.stats);
+      support_rows = &stats->support_rows.emplace_back();
+    }
+    models.push_back(from_solution(data, kernel, solved, support_rows));
     previous = std::move(solved);
   }
   if (stats != nullptr) {
@@ -166,9 +173,7 @@ double OneClassSvmModel::decision_value(const util::SparseVector& x,
                                         double x_sqnorm) const {
   const auto k = kernel_row_scratch(support_vectors_.rows());
   kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients_[i] * k[i];
-  return sum - rho_;
+  return decision_from_kernels([&](std::size_t i) { return k[i]; }, x_sqnorm);
 }
 
 void OneClassSvmModel::decision_values(const util::FeatureMatrix& queries,
@@ -188,9 +193,9 @@ void OneClassSvmModel::decision_values(const util::FeatureMatrix& queries,
     const std::span<double> k{block.data(), tile * n};
     kernel_block(kernel_, support_vectors_, queries, q0, tile, k);
     for (std::size_t t = 0; t < tile; ++t) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sum += coefficients_[i] * k[t * n + i];
-      out[q0 + t] = sum - rho_;
+      const double* row = k.data() + t * n;
+      out[q0 + t] = decision_from_kernels(
+          [row](std::size_t i) { return row[i]; }, queries.sq_norm(q0 + t));
     }
   }
 }

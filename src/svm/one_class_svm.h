@@ -59,8 +59,8 @@ class OneClassSvmModel {
   /// QMatrix — and therefore one hot kernel-row cache — across the whole
   /// sweep, and seeding each solve from the previous cell's alpha projected
   /// onto the new feasible set (sum nu*l).  Returns models aligned with
-  /// `nus`; `config.nu` is ignored.  Per-cell solver statistics and the
-  /// shared cache totals land in `*stats` when given.
+  /// `nus`; `config.nu` is ignored.  Per-cell solver statistics, support
+  /// rows and the shared cache totals land in `*stats` when given.
   [[nodiscard]] static std::vector<OneClassSvmModel> fit_path(
       const util::FeatureMatrix& data, const OneClassSvmConfig& config,
       std::span<const double> nus, std::size_t dimension,
@@ -86,6 +86,21 @@ class OneClassSvmModel {
     return decision_value(x) >= 0.0;
   }
 
+  /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
+  /// support vector i.  The one place the decision arithmetic lives —
+  /// decision_value(s) and the grid's column scorer all reduce through it,
+  /// so they agree bit for bit given the same kernel values.  `x_sqnorm` is
+  /// unused; it keeps the signature uniform with SvddModel's.
+  template <class KernelAt>
+  [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
+                                             double /*x_sqnorm*/) const {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < coefficients_.size(); ++i) {
+      sum += coefficients_[i] * k_at(i);
+    }
+    return sum - rho_;
+  }
+
   /// The support-vector set as an owned CSR block.
   [[nodiscard]] const util::FeatureMatrix& support_vectors() const noexcept {
     return support_vectors_;
@@ -107,9 +122,11 @@ class OneClassSvmModel {
  private:
   OneClassSvmModel() = default;
 
-  static OneClassSvmModel from_solution(const util::FeatureMatrix& data,
-                                        const KernelParams& kernel,
-                                        const SolverResult& solved);
+  /// Keeps the rows with alpha > 1e-12 as support vectors; their training
+  /// row indices are appended to `support_rows` when non-null.
+  static OneClassSvmModel from_solution(
+      const util::FeatureMatrix& data, const KernelParams& kernel,
+      const SolverResult& solved, std::vector<std::uint32_t>* support_rows);
 
   KernelParams kernel_;
   util::FeatureMatrix support_vectors_;

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -137,8 +138,13 @@ struct WarmSeed {
 /// SolverStats per grid cell, in sweep order, plus the lifetime totals of
 /// the QMatrix row cache shared by every cell.  hits > 0 across a sweep is
 /// the observable proof the path actually reused the kernel work.
+/// `support_rows[r]` lists, in support-vector order, the training-matrix
+/// rows that cell r's model kept as support vectors (alpha > 1e-12): a
+/// column scorer can then read every cell's kernel values out of one kernel
+/// block over the training matrix instead of one block per model.
 struct PathStats {
   std::vector<SolverStats> cells;
+  std::vector<std::vector<std::uint32_t>> support_rows;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 };

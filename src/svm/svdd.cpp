@@ -58,8 +58,13 @@ std::vector<SvddModel> SvddModel::fit_path(const util::FeatureMatrix& data,
             : solve_smo(q, p, effective_c, /*alpha_sum=*/1.0, solver_config,
                         WarmSeed{previous.alpha, previous.gradient,
                                  previous.g_bar, previous_c});
-    if (stats != nullptr) stats->cells.push_back(solved.stats);
-    models.push_back(from_solution(data, kernel, effective_c, q, solved));
+    std::vector<std::uint32_t>* support_rows = nullptr;
+    if (stats != nullptr) {
+      stats->cells.push_back(solved.stats);
+      support_rows = &stats->support_rows.emplace_back();
+    }
+    models.push_back(
+        from_solution(data, kernel, effective_c, q, solved, support_rows));
     previous = std::move(solved);
     previous_c = effective_c;
   }
@@ -85,7 +90,8 @@ SvddModel SvddModel::train(const util::FeatureMatrix& data,
 SvddModel SvddModel::from_solution(const util::FeatureMatrix& data,
                                    const KernelParams& kernel,
                                    double effective_c, const QMatrix& q,
-                                   const SolverResult& solved) {
+                                   const SolverResult& solved,
+                                   std::vector<std::uint32_t>* support_rows) {
   const std::size_t l = data.rows();
   // Geometry terms.  With G_i = 2 (K alpha)_i - K_ii:
   //   alpha^T K alpha = sum_i alpha_i (G_i + K_ii) / 2
@@ -137,6 +143,9 @@ SvddModel SvddModel::from_solution(const util::FeatureMatrix& data,
     if (solved.alpha[i] > 1e-12) {
       svs.add_row(data, i);
       model.coefficients_.push_back(solved.alpha[i]);
+      if (support_rows != nullptr) {
+        support_rows->push_back(static_cast<std::uint32_t>(i));
+      }
     }
   }
   model.support_vectors_ = svs.build(data.cols());
@@ -192,12 +201,14 @@ double SvddModel::squared_distance_to_center(const util::SparseVector& x,
 }
 
 double SvddModel::decision_value(const util::SparseVector& x) const {
-  return r_squared_ - squared_distance_to_center(x);
+  return decision_value(x, x.squared_norm());
 }
 
 double SvddModel::decision_value(const util::SparseVector& x,
                                  double x_sqnorm) const {
-  return r_squared_ - squared_distance_to_center(x, x_sqnorm);
+  const auto k = kernel_row_scratch(support_vectors_.rows());
+  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
+  return decision_from_kernels([&](std::size_t i) { return k[i]; }, x_sqnorm);
 }
 
 void SvddModel::decision_values(const util::FeatureMatrix& queries,
@@ -216,10 +227,9 @@ void SvddModel::decision_values(const util::FeatureMatrix& queries,
     const std::span<double> k{block.data(), tile * n};
     kernel_block(kernel_, support_vectors_, queries, q0, tile, k);
     for (std::size_t t = 0; t < tile; ++t) {
-      double cross = 0.0;
-      for (std::size_t i = 0; i < n; ++i) cross += coefficients_[i] * k[t * n + i];
-      const double k_xx = kernel_self(kernel_, queries.sq_norm(q0 + t));
-      out[q0 + t] = r_squared_ - (k_xx - 2.0 * cross + alpha_k_alpha_);
+      const double* row = k.data() + t * n;
+      out[q0 + t] = decision_from_kernels(
+          [row](std::size_t i) { return row[i]; }, queries.sq_norm(q0 + t));
     }
   }
 }

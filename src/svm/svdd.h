@@ -57,7 +57,8 @@ class SvddModel {
   /// hot kernel-row cache) across the sweep and seeding each solve from the
   /// previous alpha projected onto the new box [0, max(C, 1/l)].  Returns
   /// models aligned with `cs`; `config.c` is ignored.  Per-cell solver
-  /// statistics and the shared cache totals land in `*stats` when given.
+  /// statistics, support rows and the shared cache totals land in `*stats`
+  /// when given.
   [[nodiscard]] static std::vector<SvddModel> fit_path(
       const util::FeatureMatrix& data, const SvddConfig& config,
       std::span<const double> cs, std::size_t dimension,
@@ -82,6 +83,22 @@ class SvddModel {
                        std::span<double> out) const;
   [[nodiscard]] bool accepts(const util::SparseVector& x) const {
     return decision_value(x) >= 0.0;
+  }
+
+  /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
+  /// support vector i, `x_sqnorm` is ||x||^2 (for k(x, x)).  The one place
+  /// the decision arithmetic lives — decision_value(s) and the grid's
+  /// column scorer all reduce through it, so they agree bit for bit given
+  /// the same kernel values.
+  template <class KernelAt>
+  [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
+                                             double x_sqnorm) const {
+    double cross = 0.0;
+    for (std::size_t i = 0; i < coefficients_.size(); ++i) {
+      cross += coefficients_[i] * k_at(i);
+    }
+    const double k_xx = kernel_self(kernel_, x_sqnorm);
+    return r_squared_ - (k_xx - 2.0 * cross + alpha_k_alpha_);
   }
 
   /// Squared distance ||Phi(x) - a||^2 (for diagnostics).
@@ -110,9 +127,12 @@ class SvddModel {
  private:
   SvddModel() = default;
 
+  /// Keeps the rows with alpha > 1e-12 as support vectors; their training
+  /// row indices are appended to `support_rows` when non-null.
   static SvddModel from_solution(const util::FeatureMatrix& data,
                                  const KernelParams& kernel, double effective_c,
-                                 const QMatrix& q, const SolverResult& solved);
+                                 const QMatrix& q, const SolverResult& solved,
+                                 std::vector<std::uint32_t>* support_rows);
 
   KernelParams kernel_;
   util::FeatureMatrix support_vectors_;

@@ -37,6 +37,7 @@
 //            every AVX-512 host we target has both).
 #include "svm/kernel_backends.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -233,12 +234,23 @@ WTP_TX2_RELAXED inline __m256d avx2_tanh4(__m256d x) {
   return _mm256_or_pd(result, sign);
 }
 
+/// Padded tail: the last n - j < 4 elements go through the same vector
+/// stamp as the body (dead lanes hold 0.0), so a value's relaxed result does
+/// not depend on where it sits in the array — the AVX-512 masked tail's
+/// property — by construction, rather than by the compiler contracting an
+/// inlined scalar stamp into the same FMAs, which an unoptimized build does
+/// not do.
 WTP_TX2_RELAXED void avx2_exp_inplace(double* inout, size_t n) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     _mm256_storeu_pd(inout + j, avx2_exp4(_mm256_loadu_pd(inout + j)));
   }
-  for (; j < n; ++j) inout[j] = relaxed_exp(inout[j]);
+  if (j < n) {
+    alignas(32) double tail[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy(inout + j, inout + n, tail);
+    _mm256_store_pd(tail, avx2_exp4(_mm256_load_pd(tail)));
+    std::copy(tail, tail + (n - j), inout + j);
+  }
 }
 
 WTP_TX2_RELAXED void avx2_tanh_inplace(double* inout, size_t n) {
@@ -246,7 +258,12 @@ WTP_TX2_RELAXED void avx2_tanh_inplace(double* inout, size_t n) {
   for (; j + 4 <= n; j += 4) {
     _mm256_storeu_pd(inout + j, avx2_tanh4(_mm256_loadu_pd(inout + j)));
   }
-  for (; j < n; ++j) inout[j] = relaxed_tanh(inout[j]);
+  if (j < n) {
+    alignas(32) double tail[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy(inout + j, inout + n, tail);
+    _mm256_store_pd(tail, avx2_tanh4(_mm256_load_pd(tail)));
+    std::copy(tail, tail + (n - j), inout + j);
+  }
 }
 
 bool avx2_transform_supported() {

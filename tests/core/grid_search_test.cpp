@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <thread>
 
 #include "core/test_trace.h"
@@ -181,6 +183,142 @@ TEST(ParamGridSearch, WarmPathGridMatchesColdReference) {
         << "cell " << i;
   }
 }
+
+// The warm path's column scorer reads every cell's kernel values out of one
+// kernel block over the training matrix; its ratios must be bitwise equal to
+// scoring each fit_path model on its own through profile_acceptance.
+class ColumnScorer : public ::testing::TestWithParam<svm::TransformMode> {
+ protected:
+  void SetUp() override { svm::set_transform_mode(GetParam()); }
+  void TearDown() override {
+    svm::set_transform_mode(svm::TransformMode::kDefault);
+  }
+
+  /// Every dataset user's training windows at (60, 30), plus a user with no
+  /// windows at all.
+  static MatrixByUser windows_with_empty_user() {
+    const ProfilingDataset& dataset = testing::tiny_dataset();
+    MatrixByUser windows;
+    for (const auto& user : dataset.user_ids()) {
+      windows.emplace(user, dataset.train_matrix(user, {60, 30}));
+    }
+    windows.emplace(
+        kEmptyUser, std::make_shared<const util::FeatureMatrix>(
+                        util::FeatureMatrixBuilder{}.build(
+                            dataset.schema().dimension())));
+    return windows;
+  }
+
+  static constexpr const char* kEmptyUser = "~no-windows";
+};
+
+/// profile_acceptance per cell on fit_path models: the scorer's oracle.
+template <class Model>
+std::vector<AcceptanceRatios> per_cell_ratios(
+    const std::string& user, ClassifierType type, std::span<const double> regs,
+    std::vector<Model> models, const MatrixByUser& windows) {
+  std::vector<AcceptanceRatios> ratios;
+  for (std::size_t r = 0; r < models.size(); ++r) {
+    ProfileParams params;
+    params.type = type;
+    params.kernel = models[r].kernel();
+    params.regularizer = regs[r];
+    ratios.push_back(profile_acceptance(
+        UserProfile::from_model(user, params, std::move(models[r])), windows,
+        kGridAcceptSlack));
+  }
+  return ratios;
+}
+
+TEST_P(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const MatrixByUser windows = windows_with_empty_user();
+  const std::string& user = dataset.user_ids().front();
+  const util::FeatureMatrix& own = *windows.at(user);
+  const std::size_t dim = dataset.schema().dimension();
+  // nu = 0.999 keeps almost every row as a support vector, nu = 0.001 only
+  // a handful.
+  const std::vector<double> regs{0.999, 0.5, 0.05, 0.001};
+  const auto gram = std::make_shared<svm::GramCache>(own);
+
+  for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
+    for (const auto& kernel : paper_kernel_grid()) {
+      const std::string cell = std::string{to_string(type)} + "/" +
+                               std::string{svm::to_string(kernel.type)};
+      const auto entries = regularizer_path_entries(user, type, kernel, regs,
+                                                    windows, dim, gram);
+      svm::PathStats path;
+      std::vector<AcceptanceRatios> expected;
+      if (type == ClassifierType::kOcSvm) {
+        svm::OneClassSvmConfig config;
+        config.kernel = kernel;
+        config.eps = kGridCellEps;
+        expected = per_cell_ratios(
+            user, type, regs,
+            svm::OneClassSvmModel::fit_path(own, config, regs, dim, &path),
+            windows);
+        EXPECT_GE(path.support_rows.front().size(),
+                  static_cast<std::size_t>(0.999 * static_cast<double>(own.rows())))
+            << cell;
+        EXPECT_LE(path.support_rows.back().size(), own.rows() / 10) << cell;
+      } else {
+        svm::SvddConfig config;
+        config.kernel = kernel;
+        config.eps = kGridCellEps;
+        expected = per_cell_ratios(
+            user, type, regs,
+            svm::SvddModel::fit_path(own, config, regs, dim, &path), windows);
+      }
+      ASSERT_EQ(path.support_rows.size(), regs.size()) << cell;
+      ASSERT_EQ(entries.size(), regs.size()) << cell;
+      for (std::size_t r = 0; r < regs.size(); ++r) {
+        EXPECT_TRUE(std::is_sorted(path.support_rows[r].begin(),
+                                   path.support_rows[r].end()));
+        EXPECT_TRUE(entries[r].trainable) << cell << " nu=" << regs[r];
+        EXPECT_EQ(entries[r].ratios.acc_self, expected[r].acc_self)
+            << cell << " nu=" << regs[r];
+        EXPECT_EQ(entries[r].ratios.acc_other, expected[r].acc_other)
+            << cell << " nu=" << regs[r];
+      }
+    }
+  }
+}
+
+TEST_P(ColumnScorer, UntrainableColumnsGetTheSentinel) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const MatrixByUser windows = windows_with_empty_user();
+  const std::size_t dim = dataset.schema().dimension();
+  const svm::KernelParams rbf{svm::KernelType::kRbf, 0.0, 0.0, 3};
+  const auto expect_untrainable = [](const std::vector<ParamGridEntry>& column,
+                                     std::size_t cells) {
+    ASSERT_EQ(column.size(), cells);
+    for (const auto& entry : column) {
+      EXPECT_FALSE(entry.trainable);
+      EXPECT_EQ(entry.ratios.acc_self, 0.0);
+      EXPECT_EQ(entry.ratios.acc_other, 100.0);
+    }
+  };
+  const std::vector<double> regs{0.5, 0.1};
+  // No own windows: nothing to fit.
+  expect_untrainable(regularizer_path_entries(kEmptyUser, ClassifierType::kOcSvm,
+                                              rbf, regs, windows, dim, nullptr),
+                     regs.size());
+  // An out-of-range regularizer fails the fit_path, so the whole column.
+  const std::vector<double> bad{0.5, 1.5};
+  for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
+    expect_untrainable(
+        regularizer_path_entries(dataset.user_ids().front(), type, rbf, bad,
+                                 windows, dim, nullptr),
+        bad.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TransformModes, ColumnScorer,
+                         ::testing::Values(svm::TransformMode::kExact,
+                                           svm::TransformMode::kRelaxed),
+                         [](const auto& info) {
+                           return std::string{svm::to_string(info.param)};
+                         });
 
 TEST(TrainProfilesAndEvaluate, TestEvaluationHasSaneShape) {
   const ProfilingDataset& dataset = testing::tiny_dataset();

@@ -314,6 +314,44 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
   }
 }
 
+/// A relaxed result depends on the value only, not on where it sits in the
+/// transformed row: a lane of the vector body and a lane of the tail give
+/// the same bits on every backend.  Scoring that gathers kernel values out
+/// of one block over a larger matrix (the grid's column scorer) relies on
+/// this to match scoring over a row subset.
+TEST(Transform, RelaxedResultIndependentOfPosition) {
+  TransformGuard guard;
+  util::Rng rng{80};
+  const std::size_t n = 1027;  // a full tile, then a 3-element tail
+  std::vector<double> dots(n);
+  std::vector<double> sq_norms(n);
+  const std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    dots[j] = (rng.uniform() - 0.3) * 30.0;
+    sq_norms[j] = rng.uniform() * 40.0;
+  }
+  const util::CsrView view{843, {}, {}, offsets, sq_norms};
+  KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
+  rbf.transform = TransformMode::kRelaxed;
+  KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
+  sig.transform = TransformMode::kRelaxed;
+  const std::vector<std::size_t> one_offsets(2, 0);
+  for (const auto backend : supported_kernel_backends()) {
+    set_kernel_backend_for_testing(backend);
+    for (const KernelParams& params : {rbf, sig}) {
+      std::vector<double> out = dots;
+      kernel_transform(params, view, 17.25, out);
+      for (std::size_t j = 0; j < n; ++j) {
+        const util::CsrView single{843, {}, {}, one_offsets, {&sq_norms[j], 1}};
+        double alone = dots[j];
+        kernel_transform(params, single, 17.25, {&alone, 1});
+        ASSERT_EQ(bits(alone), bits(out[j]))
+            << describe(params) << " backend=" << backend << " j=" << j;
+      }
+    }
+  }
+}
+
 /// Relaxed is opt-in only: the default mode is exact, the env/setter and
 /// per-params override plumbing resolves as documented.
 TEST(Transform, RelaxedModeIsOptIn) {
