@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace wtp::synthetic {
 namespace {
@@ -143,6 +146,57 @@ TEST(TraceGenerator, RejectsInvalidConfig) {
   config = tiny_config();
   config.enterprise.num_users = 5;  // mismatch with population.num_users
   EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
+}
+
+/// FNV-1a over every field of every transaction, in order.  Strings are
+/// hashed with their length so adjacent fields cannot trade bytes.
+std::uint64_t digest(const std::vector<log::WebTransaction>& txns) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto bytes = [&hash](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= p[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto integer = [&bytes](std::uint64_t value) { bytes(&value, sizeof value); };
+  const auto text = [&](const std::string& s) {
+    integer(s.size());
+    bytes(s.data(), s.size());
+  };
+  for (const auto& txn : txns) {
+    integer(static_cast<std::uint64_t>(txn.timestamp));
+    text(txn.url);
+    integer(static_cast<std::uint64_t>(txn.scheme));
+    integer(static_cast<std::uint64_t>(txn.action));
+    text(txn.user_id);
+    text(txn.device_id);
+    text(txn.category);
+    text(txn.media_type);
+    text(txn.application_type);
+    integer(static_cast<std::uint64_t>(txn.reputation));
+    integer(txn.private_destination ? 1 : 0);
+  }
+  return hash;
+}
+
+// Pins the generator's output bytes: any rewrite of generate_trace or
+// generate_session must reproduce these traces exactly, field for field.
+TEST(TraceGenerator, OutputDigestIsPinned) {
+  const EnterpriseTrace trace = generate_trace(tiny_config());
+  EXPECT_EQ(trace.transactions.size(), 44848u);
+  EXPECT_EQ(digest(trace.transactions), 12779769134768854019ULL);
+
+  util::Rng rng{77};
+  SessionSpec spec;
+  spec.user_index = 2;
+  spec.device_index = 1;
+  spec.start = trace.config.start_time + util::kSecondsPerDay;
+  spec.duration_minutes = 30.0;
+  std::vector<log::WebTransaction> session;
+  generate_session(trace, spec, rng, session);
+  EXPECT_EQ(session.size(), 570u);
+  EXPECT_EQ(digest(session), 9606354323979487760ULL);
 }
 
 TEST(ScriptedSession, EmitsTransactionsForRequestedUserAndDevice) {
