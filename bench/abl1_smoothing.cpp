@@ -7,6 +7,7 @@
 #include "bench_common.h"
 #include "core/grid_search.h"
 #include "core/identification.h"
+#include "features/split.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -27,14 +28,15 @@ int main(int argc, char** argv) {
   const core::UserIdentifier identifier{profiles, dataset.schema(), window};
 
   // Concatenate events from every multi-user device in the trace.
+  const auto by_device = features::group_by_device(trace.transactions);
   std::vector<core::IdentificationEvent> events;
-  for (const auto& [device, txns] : dataset.by_device()) {
+  for (const auto& [device, txns] : by_device) {
     (void)device;
     const auto device_events = identifier.monitor(txns);
     events.insert(events.end(), device_events.begin(), device_events.end());
   }
   std::printf("# monitored %zu windows across %zu devices\n", events.size(),
-              dataset.by_device().size());
+              by_device.size());
 
   const std::vector<std::size_t> run_lengths{1, 2, 3, 5, 10};
   const auto sweep = core::smoothing_sweep(events, run_lengths);

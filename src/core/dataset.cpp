@@ -13,15 +13,15 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
   }
   // The schema is built over the full dataset, as in the paper (§IV-A).
   schema_ = features::FeatureSchema::from_transactions(transactions);
-  by_device_ = features::group_by_device(transactions);
 
-  auto by_user = features::group_by_user(transactions);
+  std::map<std::string, std::size_t> counts;
+  for (const auto& txn : transactions) ++counts[txn.user_id];
 
   // Filter users below the transaction threshold, then keep the most active
   // `max_users`.
   std::vector<std::pair<std::string, std::size_t>> eligible;
-  for (const auto& [user, txns] : by_user) {
-    if (txns.size() >= config.min_transactions) eligible.emplace_back(user, txns.size());
+  for (const auto& [user, count] : counts) {
+    if (count >= config.min_transactions) eligible.emplace_back(user, count);
   }
   std::sort(eligible.begin(), eligible.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -33,11 +33,19 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
 
   for (auto& [user, count] : eligible) {
     UserData data;
-    data.transactions = std::move(by_user[user]);
+    data.transactions.reserve(count);
     data.train_count = static_cast<std::size_t>(
         config.train_fraction * static_cast<double>(count));
     users_.emplace(user, std::move(data));
   }
+  // Kept users' rows move out of the log in log order; the log, with the
+  // dropped users' rows, is freed before the constructor returns.
+  for (auto& txn : transactions) {
+    const auto it = users_.find(txn.user_id);
+    if (it != users_.end()) it->second.transactions.push_back(std::move(txn));
+  }
+  std::vector<log::WebTransaction>{}.swap(transactions);
+
   for (const auto& [user, data] : users_) {
     (void)data;
     user_ids_.push_back(user);

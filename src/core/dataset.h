@@ -36,7 +36,12 @@ struct DatasetConfig {
 
 class ProfilingDataset {
  public:
-  /// Takes ownership of the (time-sorted) transaction log.
+  /// Takes ownership of the (time-sorted) transaction log.  Each kept
+  /// user's rows are moved, in log order, into that user's time-sorted
+  /// vector; the log itself, with the dropped users' rows, is freed before
+  /// the constructor returns.  Pass the log with std::move to hold it once.
+  /// The dataset keeps no per-device view: for host-specific windowing,
+  /// group the trace with features::group_by_device before handing it over.
   ProfilingDataset(std::vector<log::WebTransaction> transactions,
                    DatasetConfig config = {});
 
@@ -77,12 +82,6 @@ class ProfilingDataset {
   [[nodiscard]] std::shared_ptr<const util::FeatureMatrix> test_matrix(
       const std::string& user, const features::WindowConfig& window) const;
 
-  /// Full trace grouped by device (for host-specific windowing).
-  [[nodiscard]] const std::map<std::string, std::vector<log::WebTransaction>>&
-  by_device() const noexcept {
-    return by_device_;
-  }
-
   /// Per-user transaction counts of the *kept* users.
   [[nodiscard]] std::map<std::string, std::size_t> transaction_counts() const;
 
@@ -116,7 +115,6 @@ class ProfilingDataset {
   features::FeatureSchema schema_{{}, {}, {}, {}};
   std::vector<std::string> user_ids_;
   std::map<std::string, UserData> users_;
-  std::map<std::string, std::vector<log::WebTransaction>> by_device_;
   mutable std::unique_ptr<MatrixCache> matrix_cache_ = std::make_unique<MatrixCache>();
 };
 

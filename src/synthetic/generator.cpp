@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 
 namespace wtp::synthetic {
 
@@ -64,47 +66,72 @@ log::HttpAction sample_action(const Site& site, util::Rng& rng) {
   }
 }
 
+/// One generated transaction before its strings exist: indices into the
+/// trace's users, devices and sites plus the sampled per-transaction fields.
+/// Sessions emit these 32-byte records; generate_trace sorts them and only
+/// then builds each WebTransaction, once.
+struct Draft {
+  util::UnixSeconds timestamp = 0;
+  std::uint32_t user = 0;
+  std::uint32_t device = 0;
+  std::uint32_t site = 0;
+  std::uint32_t media = 0;
+  log::HttpAction action = log::HttpAction::kGet;
+  bool https = false;
+};
+
+log::WebTransaction materialize(const EnterpriseTrace& trace, const Draft& draft) {
+  const Site& site = trace.sites[draft.site];
+  return log::WebTransaction{
+      .timestamp = draft.timestamp,
+      .url = site.url,
+      .scheme = draft.https ? log::UriScheme::kHttps : log::UriScheme::kHttp,
+      .action = draft.action,
+      .user_id = trace.users[draft.user].user_id,
+      .device_id = trace.topology.device_ids[draft.device],
+      .category = site.category,
+      .media_type = site.media_types[draft.media],
+      .application_type = site.application_type,
+      .reputation = site.reputation,
+      .private_destination = site.is_private,
+  };
+}
+
 /// Emits the 1 + resources transactions of a single page view.
 void emit_page_view(const EnterpriseTrace& trace, std::size_t user_index,
                     std::size_t device_index, std::size_t site_index,
                     util::UnixSeconds when, util::Rng& rng,
-                    std::vector<log::WebTransaction>& out) {
+                    std::vector<Draft>& out) {
   const Site& site = trace.sites[site_index];
-  const auto& user = trace.users[user_index];
   const bool https = rng.bernoulli(site.https_probability);
 
   const std::uint64_t resources = rng.poisson(site.resources_per_page);
   util::UnixSeconds ts = when;
   for (std::uint64_t r = 0; r <= resources; ++r) {
-    log::WebTransaction txn;
-    txn.timestamp = ts;
-    txn.url = site.url;
-    txn.scheme = https ? log::UriScheme::kHttps : log::UriScheme::kHttp;
+    Draft draft;
+    draft.timestamp = ts;
+    draft.user = static_cast<std::uint32_t>(user_index);
+    draft.device = static_cast<std::uint32_t>(device_index);
+    draft.site = static_cast<std::uint32_t>(site_index);
+    draft.https = https;
     // The first transaction of a page view fetches the page itself; follow-up
     // resource fetches are GETs (or CONNECT tunnels under HTTPS).
     if (r == 0) {
-      txn.action = sample_action(site, rng);
+      draft.action = sample_action(site, rng);
     } else {
-      txn.action = https && rng.bernoulli(0.2) ? log::HttpAction::kConnect
-                                               : log::HttpAction::kGet;
+      draft.action = https && rng.bernoulli(0.2) ? log::HttpAction::kConnect
+                                                 : log::HttpAction::kGet;
     }
-    txn.user_id = user.user_id;
-    txn.device_id = trace.topology.device_ids[device_index];
-    txn.category = site.category;
-    txn.media_type = site.media_types[rng.weighted_index(site.media_weights)];
-    txn.application_type = site.application_type;
-    txn.reputation = site.reputation;
-    txn.private_destination = site.is_private;
-    out.push_back(std::move(txn));
+    draft.media = static_cast<std::uint32_t>(rng.weighted_index(site.media_weights));
+    out.push_back(draft);
     // Resources arrive in a sub-second to few-second burst.
     ts += static_cast<util::UnixSeconds>(rng.exponential(1.5));
   }
 }
 
-}  // namespace
-
-void generate_session(const EnterpriseTrace& trace, const SessionSpec& spec,
-                      util::Rng& rng, std::vector<log::WebTransaction>& out) {
+/// Emits one session's page views as drafts, time-ordered.
+void emit_session(const EnterpriseTrace& trace, const SessionSpec& spec,
+                  util::Rng& rng, std::vector<Draft>& out) {
   const auto& user = trace.users.at(spec.user_index);
   const auto session_end = spec.start + static_cast<util::UnixSeconds>(
                                             spec.duration_minutes * 60.0);
@@ -117,6 +144,31 @@ void generate_session(const EnterpriseTrace& trace, const SessionSpec& spec,
     now += 1 + static_cast<util::UnixSeconds>(
                    rng.exponential(1.0 / user.mean_page_gap_seconds));
   }
+}
+
+/// Dense rank of each user's id in lexicographic order (equal ids share a
+/// rank), so drafts sort by (timestamp, user_id) without string compares.
+std::vector<std::uint32_t> user_id_ranks(
+    const std::vector<UserBehaviorProfile>& users) {
+  std::vector<std::string_view> ids;
+  for (const auto& user : users) ids.push_back(user.user_id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<std::uint32_t> rank;
+  for (const auto& user : users) {
+    rank.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), user.user_id) - ids.begin()));
+  }
+  return rank;
+}
+
+}  // namespace
+
+void generate_session(const EnterpriseTrace& trace, const SessionSpec& spec,
+                      util::Rng& rng, std::vector<log::WebTransaction>& out) {
+  std::vector<Draft> drafts;
+  emit_session(trace, spec, rng, drafts);
+  for (const Draft& draft : drafts) out.push_back(materialize(trace, draft));
 }
 
 EnterpriseTrace generate_trace(const GeneratorConfig& config) {
@@ -143,6 +195,7 @@ EnterpriseTrace generate_trace(const GeneratorConfig& config) {
   }
 
   const int days = config.duration_weeks * 7;
+  std::vector<Draft> drafts;
   for (std::size_t u = 0; u < trace.users.size(); ++u) {
     util::Rng user_rng = master.fork();
     const auto& user = trace.users[u];
@@ -162,16 +215,23 @@ EnterpriseTrace generate_trace(const GeneratorConfig& config) {
         spec.duration_minutes =
             std::max(1.0, user_rng.normal(user.mean_session_minutes,
                                           user.mean_session_minutes * 0.4));
-        generate_session(trace, spec, user_rng, trace.transactions);
+        emit_session(trace, spec, user_rng, drafts);
       }
     }
   }
 
-  std::sort(trace.transactions.begin(), trace.transactions.end(),
-            [](const log::WebTransaction& a, const log::WebTransaction& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.user_id < b.user_id;
-            });
+  // The same (timestamp, user_id) order the transactions themselves would
+  // sort into: every comparison answers alike, so std::sort applies the same
+  // permutation to the drafts.
+  const std::vector<std::uint32_t> rank = user_id_ranks(trace.users);
+  std::sort(drafts.begin(), drafts.end(), [&rank](const Draft& a, const Draft& b) {
+    if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+    return rank[a.user] < rank[b.user];
+  });
+  trace.transactions.reserve(drafts.size());
+  for (const Draft& draft : drafts) {
+    trace.transactions.push_back(materialize(trace, draft));
+  }
   return trace;
 }
 

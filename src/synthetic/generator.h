@@ -45,7 +45,12 @@ struct EnterpriseTrace {
 };
 
 /// Generates the full trace.  Deterministic: equal configs (including seed)
-/// produce identical traces.
+/// produce identical traces.  Sessions emit compact draft records (indices
+/// into the trace's users, devices and sites), which are sorted by
+/// (timestamp, user_id) and only then materialized, once each, into
+/// `transactions`.  The order of rows that tie on (timestamp, user_id)
+/// follows the standard library's std::sort, so it may differ between
+/// standard library implementations.
 [[nodiscard]] EnterpriseTrace generate_trace(const GeneratorConfig& config);
 
 /// Session-level generation interface, exposed for the identification
@@ -58,8 +63,9 @@ struct SessionSpec {
 };
 
 /// Generates the transactions of one scripted session for `user` on
-/// `device`.  Appends to `out`; transactions are time-ordered within the
-/// session.  `current_week` gates site adoption.
+/// `device`, through the same draft emitter as generate_trace.  Appends to
+/// `out`; transactions are time-ordered within the session.  `current_week`
+/// gates site adoption.
 void generate_session(const EnterpriseTrace& trace, const SessionSpec& spec,
                       util::Rng& rng, std::vector<log::WebTransaction>& out);
 

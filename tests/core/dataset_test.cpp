@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/test_trace.h"
+#include "features/split.h"
 
 namespace wtp::core {
 namespace {
@@ -115,14 +116,51 @@ TEST(ProfilingDataset, SubsampleNoopWhenUnderCap) {
   EXPECT_EQ(ProfilingDataset::subsample(vectors, 0).size(), 1u);  // 0 = no cap
 }
 
-TEST(ProfilingDataset, DeviceGroupingCoversAllTransactions) {
+TEST(ProfilingDataset, KeptUsersHoldTheirGroupedRowsInLogOrder) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  std::size_t device_total = 0;
-  for (const auto& [device, txns] : dataset.by_device()) {
-    EXPECT_FALSE(device.empty());
-    device_total += txns.size();
+  const auto by_user = features::group_by_user(testing::tiny_trace().transactions);
+  ASSERT_FALSE(dataset.user_ids().empty());
+  for (const auto& user : dataset.user_ids()) {
+    const auto& expected = by_user.at(user);
+    const auto rows = dataset.all_transactions(user);
+    ASSERT_EQ(rows.size(), expected.size()) << user;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(rows[i], expected[i]) << user << " row " << i;
+    }
+    const auto train_count = static_cast<std::size_t>(
+        testing::tiny_dataset_config().train_fraction *
+        static_cast<double>(expected.size()));
+    EXPECT_EQ(dataset.train_transactions(user).size(), train_count) << user;
+    EXPECT_EQ(dataset.test_transactions(user).size(), expected.size() - train_count)
+        << user;
   }
-  EXPECT_EQ(device_total, testing::tiny_trace().transactions.size());
+}
+
+TEST(ProfilingDataset, MovesRowsInsteadOfCopying) {
+  // URLs longer than any short-string buffer live on the heap, so a moved
+  // row keeps its buffer and a copied one would not.
+  const std::string long_url(64, 'x');
+  std::vector<log::WebTransaction> txns;
+  for (int i = 0; i < 40; ++i) {
+    auto txn = make_txn(i, i % 4 == 0 ? "rare" : "busy");
+    txn.url = long_url + std::to_string(i);
+    txns.push_back(std::move(txn));
+  }
+  std::vector<const char*> busy_urls;
+  for (const auto& txn : txns) {
+    if (txn.user_id == "busy") busy_urls.push_back(txn.url.data());
+  }
+  DatasetConfig config;
+  config.min_transactions = 20;
+  const ProfilingDataset dataset{std::move(txns), config};
+  ASSERT_EQ(dataset.user_ids(), (std::vector<std::string>{"busy"}));
+  const auto rows = dataset.all_transactions("busy");
+  ASSERT_EQ(rows.size(), busy_urls.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(static_cast<const void*>(rows[i].url.data()),
+              static_cast<const void*>(busy_urls[i]))
+        << "row " << i;
+  }
 }
 
 TEST(ProfilingDataset, TransactionCountsMatchSpans) {

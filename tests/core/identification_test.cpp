@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/test_trace.h"
+#include "features/split.h"
 
 namespace wtp::core {
 namespace {
@@ -108,7 +109,7 @@ TEST(UserIdentifier, MonitorProducesGroundTruthAndAcceptance) {
   const UserIdentifier identifier{profiles, dataset.schema(), window};
 
   // Monitor the busiest device.
-  const auto& by_device = dataset.by_device();
+  const auto by_device = features::group_by_device(testing::tiny_trace().transactions);
   const auto busiest = std::max_element(
       by_device.begin(), by_device.end(), [](const auto& a, const auto& b) {
         return a.second.size() < b.second.size();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/test_trace.h"
+
 namespace wtp::features {
 namespace {
 
@@ -36,6 +38,16 @@ TEST(GroupBy, DeviceGroups) {
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups.at("d1").size(), 3u);
   EXPECT_EQ(groups.at("d2").size(), 2u);
+}
+
+TEST(GroupBy, DeviceGroupingCoversAllTransactions) {
+  const auto& trace = core::testing::tiny_trace();
+  std::size_t device_total = 0;
+  for (const auto& [device, txns] : group_by_device(trace.transactions)) {
+    EXPECT_FALSE(device.empty());
+    device_total += txns.size();
+  }
+  EXPECT_EQ(device_total, trace.transactions.size());
 }
 
 TEST(GroupBy, EmptyInput) {

@@ -122,7 +122,7 @@ TEST_F(PipelineTest, IdentificationFindsTrueUserOnSharedDevice) {
   const core::UserIdentifier identifier{profiles, dataset_->schema(), window};
 
   // Monitor the device with the most distinct users.
-  const auto& by_device = dataset_->by_device();
+  const auto by_device = features::group_by_device(trace_->transactions);
   std::string target_device;
   std::size_t best_users = 0;
   for (const auto& [device, txns] : by_device) {
