@@ -1,5 +1,7 @@
 #include "index/mapped_store.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -17,6 +19,16 @@ constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; 
   throw std::runtime_error{"MappedProfileStore: " + what + " in '" + path + "'"};
 }
 
+core::ProfileParams record_params(const UserRecord& r,
+                                  const svm::KernelParams& kernel) {
+  core::ProfileParams params;
+  params.type = r.classifier == kClassifierSvdd ? core::ClassifierType::kSvdd
+                                                : core::ClassifierType::kOcSvm;
+  params.kernel = kernel;
+  params.regularizer = r.regularizer;
+  return params;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -24,6 +36,7 @@ constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; 
 
 struct MappedStoreWriter::Impl {
   std::string path;
+  std::string temp_path;      ///< written first, renamed over path by finish()
   std::ofstream out;
   std::string pool;           ///< user-id string pool, appended as users come
   std::string schema_text;
@@ -35,7 +48,8 @@ struct MappedStoreWriter::Impl {
   void write(const void* data, std::size_t size) {
     out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
     if (!out) {
-      throw std::runtime_error{"MappedStoreWriter: write failed on '" + path + "'"};
+      throw std::runtime_error{"MappedStoreWriter: write failed on '" + temp_path +
+                               "'"};
     }
     offset += size;
   }
@@ -45,6 +59,12 @@ struct MappedStoreWriter::Impl {
     const std::size_t padded = align8(offset);
     if (padded != offset) write(zeros, padded - offset);
   }
+
+  /// Drops the unfinished temp file; `path` is never touched.
+  void discard() noexcept {
+    out.close();
+    std::remove(temp_path.c_str());
+  }
 };
 
 MappedStoreWriter::MappedStoreWriter(const std::string& path,
@@ -52,11 +72,13 @@ MappedStoreWriter::MappedStoreWriter(const std::string& path,
                                      const features::FeatureSchema& schema)
     : impl_{std::make_unique<Impl>()} {
   impl_->path = path;
+  impl_->temp_path = path + ".tmp";
   impl_->window = window;
   impl_->dimension = schema.dimension();
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
+  impl_->out.open(impl_->temp_path, std::ios::binary | std::ios::trunc);
   if (!impl_->out) {
-    throw std::runtime_error{"MappedStoreWriter: cannot open '" + path + "'"};
+    throw std::runtime_error{"MappedStoreWriter: cannot open '" +
+                             impl_->temp_path + "'"};
   }
   const StoreHeader placeholder{};
   impl_->write(&placeholder, sizeof(placeholder));
@@ -68,10 +90,7 @@ MappedStoreWriter::MappedStoreWriter(const std::string& path,
 }
 
 MappedStoreWriter::~MappedStoreWriter() {
-  try {
-    finish();
-  } catch (...) {  // destructor must not throw; call finish() to see errors
-  }
+  if (!impl_->finished) impl_->discard();
 }
 
 void MappedStoreWriter::add(std::string_view user_id,
@@ -103,34 +122,45 @@ void MappedStoreWriter::add(std::string_view user_id,
 void MappedStoreWriter::finish() {
   if (impl_->finished) return;
   impl_->finished = true;
+  try {
+    StoreHeader header{};
+    std::memcpy(header.magic, kStoreMagic, sizeof(kStoreMagic));
+    header.version = kStoreVersion;
+    header.endian = kStoreEndianGuard;
+    header.user_count = records_.size();
+    header.dimension = impl_->dimension;
+    header.window_duration = impl_->window.duration_s;
+    header.window_shift = impl_->window.shift_s;
+    header.schema_off = sizeof(StoreHeader);
+    header.schema_size = impl_->schema_text.size();
 
-  StoreHeader header{};
-  std::memcpy(header.magic, kStoreMagic, sizeof(kStoreMagic));
-  header.version = kStoreVersion;
-  header.endian = kStoreEndianGuard;
-  header.user_count = records_.size();
-  header.dimension = impl_->dimension;
-  header.window_duration = impl_->window.duration_s;
-  header.window_shift = impl_->window.shift_s;
-  header.schema_off = sizeof(StoreHeader);
-  header.schema_size = impl_->schema_text.size();
+    header.pool_off = impl_->offset;
+    header.pool_size = impl_->pool.size();
+    impl_->write(impl_->pool.data(), impl_->pool.size());
+    impl_->pad_to_8();
 
-  header.pool_off = impl_->offset;
-  header.pool_size = impl_->pool.size();
-  impl_->write(impl_->pool.data(), impl_->pool.size());
-  impl_->pad_to_8();
+    header.table_off = impl_->offset;
+    header.table_size = records_.size() * sizeof(UserRecord);
+    impl_->write(records_.data(), header.table_size);
+    header.file_size = impl_->offset;
 
-  header.table_off = impl_->offset;
-  header.table_size = records_.size() * sizeof(UserRecord);
-  impl_->write(records_.data(), header.table_size);
-  header.file_size = impl_->offset;
-
-  impl_->out.seekp(0);
-  impl_->out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  impl_->out.close();
-  if (!impl_->out) {
-    throw std::runtime_error{"MappedStoreWriter: finish failed on '" +
-                             impl_->path + "'"};
+    impl_->out.seekp(0);
+    impl_->out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    impl_->out.close();
+    if (!impl_->out) {
+      throw std::runtime_error{"MappedStoreWriter: finish failed on '" +
+                               impl_->temp_path + "'"};
+    }
+    // A new inode replaces the old one, so mappings of the old file keep
+    // their bytes.
+    if (std::rename(impl_->temp_path.c_str(), impl_->path.c_str()) != 0) {
+      throw std::runtime_error{"MappedStoreWriter: cannot rename '" +
+                               impl_->temp_path + "' over '" + impl_->path +
+                               "': " + std::strerror(errno)};
+    }
+  } catch (...) {
+    impl_->discard();
+    throw;
   }
 }
 
@@ -144,8 +174,8 @@ void write_mapped_store(const core::ProfileStore& store, const std::string& path
 // Reader.
 
 MappedProfileStore MappedProfileStore::open(const std::string& path) {
-  MappedFile file{path};
-  const auto bytes = file.bytes();
+  auto file = std::make_shared<const MappedFile>(path);
+  const auto bytes = file->bytes();
   if (bytes.size() < sizeof(StoreHeader)) {
     store_error(path, "truncated header (" + std::to_string(bytes.size()) +
                           " bytes)");
@@ -230,7 +260,7 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
                             pool};
 }
 
-MappedProfileStore::MappedProfileStore(MappedFile file,
+MappedProfileStore::MappedProfileStore(std::shared_ptr<const MappedFile> file,
                                        features::WindowConfig window,
                                        features::FeatureSchema schema,
                                        std::span<const UserRecord> records,
@@ -249,26 +279,22 @@ std::string_view MappedProfileStore::user_id(std::size_t i) const {
 svm::ModelView MappedProfileStore::model(std::size_t i) const {
   const UserRecord& r = records_[i];
   try {
-    return svm::view_model_blob(file_.bytes().subspan(r.blob_off, r.blob_size));
+    return svm::view_model_blob(file_->bytes().subspan(r.blob_off, r.blob_size));
   } catch (const std::exception& e) {
-    store_error(file_.path(),
+    store_error(file_->path(),
                 "user '" + std::string{user_id(i)} + "': " + e.what());
   }
 }
 
 core::ProfileParams MappedProfileStore::params(std::size_t i) const {
-  const UserRecord& r = records_[i];
-  core::ProfileParams params;
-  params.type = r.classifier == kClassifierSvdd ? core::ClassifierType::kSvdd
-                                                : core::ClassifierType::kOcSvm;
-  params.kernel = model(i).kernel;
-  params.regularizer = r.regularizer;
-  return params;
+  return record_params(records_[i], model(i).kernel);
 }
 
 core::UserProfile MappedProfileStore::materialize_profile(std::size_t i) const {
-  return core::UserProfile::from_model(std::string{user_id(i)}, params(i),
-                                       svm::materialize(model(i)));
+  const svm::ModelView view = model(i);
+  return core::UserProfile::from_model(std::string{user_id(i)},
+                                       record_params(records_[i], view.kernel),
+                                       svm::materialize(view, file_));
 }
 
 }  // namespace wtp::index

@@ -68,11 +68,15 @@ class HeapProfileCatalog final : public ProfileCatalog {
 
 /// Streaming writer for the mapped store format.  Profiles are appended one
 /// at a time (the million-user bench never holds them all in memory); the
-/// header is patched on finish().
+/// header is patched on finish().  The file is written as `path + ".tmp"`
+/// and renamed over `path` only by a successful finish(), so a store that
+/// is mapped at `path` — and every profile borrowing its pages — keeps its
+/// bytes while a new one is written there.
 class MappedStoreWriter {
  public:
-  /// Opens `path` for writing and emits header placeholder + schema.
-  /// Throws std::runtime_error (message includes the path) on I/O errors.
+  /// Opens `path + ".tmp"` for writing and emits header placeholder +
+  /// schema.  Throws std::runtime_error (message includes the path) on I/O
+  /// errors.
   MappedStoreWriter(const std::string& path, const features::WindowConfig& window,
                     const features::FeatureSchema& schema);
   ~MappedStoreWriter();
@@ -87,9 +91,11 @@ class MappedStoreWriter {
     add(profile.user_id(), profile.params(), profile.model());
   }
 
-  /// Writes string pool + user table, patches the header, closes the file.
-  /// Idempotent; called by the destructor if not called explicitly (errors
-  /// are swallowed there — call finish() directly to observe them).
+  /// Writes string pool + user table, patches the header, closes the file
+  /// and renames it over `path`.  On failure it removes the temp file,
+  /// leaves `path` as it was, and throws std::runtime_error.  Idempotent.
+  /// A writer destroyed before finish() removes its temp file and leaves
+  /// `path` untouched.
   void finish();
 
   [[nodiscard]] std::size_t user_count() const noexcept { return records_.size(); }
@@ -125,22 +131,27 @@ class MappedProfileStore final : public ProfileCatalog {
 
   /// Stored learning parameters of user i (kernel read from the blob).
   [[nodiscard]] core::ProfileParams params(std::size_t i) const;
-  /// Deep-copies user i back into an owning profile (round-trip tests).
+  /// User i as a heap profile whose support vectors borrow the mapping
+  /// (svm::materialize); only the coefficients are copied.  The profile
+  /// shares ownership of the mapping, so it stays valid after this store
+  /// is destroyed or the file is removed.
   [[nodiscard]] core::UserProfile materialize_profile(std::size_t i) const;
 
   /// Size of the backing file — the resident-memory budget of the whole
   /// profile set (everything else this class owns is the parsed schema and
   /// one span per user).
-  [[nodiscard]] std::size_t mapped_bytes() const noexcept { return file_.size(); }
-  [[nodiscard]] const std::string& path() const noexcept { return file_.path(); }
+  [[nodiscard]] std::size_t mapped_bytes() const noexcept { return file_->size(); }
+  [[nodiscard]] const std::string& path() const noexcept { return file_->path(); }
 
  private:
-  MappedProfileStore(MappedFile file, features::WindowConfig window,
+  MappedProfileStore(std::shared_ptr<const MappedFile> file,
+                     features::WindowConfig window,
                      features::FeatureSchema schema,
                      std::span<const UserRecord> records,
                      std::span<const char> pool);
 
-  MappedFile file_;
+  /// Shared with every materialized profile, which borrows its pages.
+  std::shared_ptr<const MappedFile> file_;
   features::WindowConfig window_;
   features::FeatureSchema schema_;
   std::span<const UserRecord> records_;  ///< into the mapping

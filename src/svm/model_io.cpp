@@ -1,5 +1,6 @@
 #include "svm/model_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -232,6 +233,10 @@ static_assert(offsetof(BlobHeader, blob_size) == 88);
 
 constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
+/// Indices per pass of view_model_blob's descent count: small enough for a
+/// 32-bit counter, large enough that one pass covers a typical blob.
+constexpr std::size_t kDescentChunk = std::size_t{1} << 20;
+
 /// Section offsets within one blob (relative to the blob start).  The
 /// bitset sections exist only in v2 blobs (words_per_row > 0 there).
 struct BlobLayout {
@@ -445,11 +450,44 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
     blob_error("row_offsets end " + std::to_string(row_offsets[header.sv_count]) +
                " != nnz " + std::to_string(header.nnz));
   }
-  for (std::size_t k = 0; k < header.nnz; ++k) {
-    if (indices[k] >= header.cols) {
-      blob_error("column index " + std::to_string(indices[k]) + " >= cols " +
-                 std::to_string(header.cols));
+  // Rows must meet FeatureMatrix's row rule, strictly ascending column
+  // indices, since materialize() adopts these arrays as they are; an
+  // ascending row is in bounds when its last index is.  The cascade
+  // re-validates every blob it scores, so the per-index work is one
+  // branch-free count of descents over the whole array, which vectorizes.
+  // The step into a non-empty row from the row before it may descend, so
+  // those steps are taken back out.  Only a failing blob is scanned row by
+  // row, to name the row.
+  std::size_t descents = 0;
+  for (std::size_t begin = 1; begin < header.nnz; begin += kDescentChunk) {
+    const std::size_t end = std::min<std::size_t>(header.nnz, begin + kDescentChunk);
+    std::uint32_t chunk = 0;  // 32-bit lanes keep the loop vectorized
+    for (std::size_t k = begin; k < end; ++k) {
+      chunk += indices[k] <= indices[k - 1];
     }
+    descents += chunk;
+  }
+  std::uint32_t max_last = 0;
+  for (std::size_t i = 0; i < header.sv_count; ++i) {
+    const std::size_t begin = row_offsets[i];
+    const std::size_t end = row_offsets[i + 1];
+    if (begin == end) continue;
+    if (begin > 0) descents -= indices[begin] <= indices[begin - 1];
+    max_last = std::max(max_last, indices[end - 1]);
+  }
+  if (descents != 0) {
+    for (std::size_t i = 0; i < header.sv_count; ++i) {
+      for (std::size_t k = row_offsets[i] + 1; k < row_offsets[i + 1]; ++k) {
+        if (indices[k] <= indices[k - 1]) {
+          blob_error("column indices of row " + std::to_string(i) +
+                     " not strictly ascending");
+        }
+      }
+    }
+  }
+  if (header.nnz > 0 && max_last >= header.cols) {
+    blob_error("column index " + std::to_string(max_last) + " >= cols " +
+               std::to_string(header.cols));
   }
 
   ModelView view;
@@ -612,18 +650,9 @@ ModelView view_of(const AnySvmModel& model) {
   return std::visit([](const auto& m) { return view_of(m); }, model);
 }
 
-AnySvmModel materialize(const ModelView& view) {
-  util::FeatureMatrixBuilder builder;
-  const auto& svs = view.support_vectors;
-  for (std::size_t i = 0; i < svs.rows(); ++i) {
-    const auto indices = svs.row_indices(i);
-    const auto values = svs.row_values(i);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      builder.add(indices[k], values[k]);
-    }
-    builder.finish_row();
-  }
-  util::FeatureMatrix matrix = builder.build(svs.cols);
+AnySvmModel materialize(const ModelView& view, std::shared_ptr<const void> owner) {
+  util::FeatureMatrix matrix =
+      util::FeatureMatrix::borrow(view.support_vectors, std::move(owner));
   std::vector<double> coefficients{view.coefficients.begin(),
                                    view.coefficients.end()};
   if (view.model_type == kBlobModelOneClass) {

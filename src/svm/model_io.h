@@ -61,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <variant>
@@ -140,7 +141,9 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& mode
 std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model);
 
 /// Validates a blob (magic, version, endianness guard, size/offset and
-/// index-bound consistency) and returns a zero-copy view into it.  `blob`
+/// index-bound consistency, and strictly ascending column indices in every
+/// row — FeatureMatrix's row rule, so materialize() can adopt the arrays)
+/// and returns a zero-copy view into it.  `blob`
 /// must start 8-byte aligned (mmap pages and append_model_blob both
 /// guarantee this).  Throws std::runtime_error on any malformation.
 [[nodiscard]] ModelView view_model_blob(std::span<const std::byte> blob);
@@ -151,8 +154,12 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 [[nodiscard]] ModelView view_of(const SvddModel& model);
 [[nodiscard]] ModelView view_of(const AnySvmModel& model);
 
-/// Deep-copies a view back into an owning heap model (round-trip tests,
-/// migration off a mapped store).
-[[nodiscard]] AnySvmModel materialize(const ModelView& view);
+/// Turns a view back into a heap model whose support-vector block borrows
+/// the view's arrays (util::FeatureMatrix::borrow); only the coefficients
+/// are copied.  `owner` must keep the arrays alive and unchanged — the
+/// mapping or the blob buffer the view was taken from — and the model and
+/// its copies hold it for as long as they live.
+[[nodiscard]] AnySvmModel materialize(const ModelView& view,
+                                      std::shared_ptr<const void> owner);
 
 }  // namespace wtp::svm

@@ -97,7 +97,12 @@ std::vector<std::uint32_t> ScalePopulation::footprint(std::size_t u) const {
 
 util::SparseVector ScalePopulation::sample_window(std::size_t u,
                                                   std::uint64_t salt) const {
-  const std::vector<std::uint32_t> identity = footprint(u);
+  return sample_window(u, salt, footprint(u));
+}
+
+util::SparseVector ScalePopulation::sample_window(
+    std::size_t u, std::uint64_t salt,
+    std::span<const std::uint32_t> identity) const {
   util::Rng user_rng{mix(config_.seed, u, 0x7261697473ULL)};  // stable traits
   const double private_base = user_rng.uniform(0.05, 0.95);
   const double risk_base = user_rng.uniform(0.0, 0.5);
@@ -160,10 +165,11 @@ util::SparseVector ScalePopulation::sample_window(std::size_t u,
 
 svm::OneClassSvmModel ScalePopulation::make_model(std::size_t u) const {
   const std::size_t m = std::max<std::size_t>(config_.svs_per_user, 1);
+  const std::vector<std::uint32_t> identity = footprint(u);
   std::vector<util::SparseVector> windows;
   windows.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    windows.push_back(sample_window(u, 0x10000 + i));
+    windows.push_back(sample_window(u, 0x10000 + i, identity));
   }
   util::FeatureMatrix svs =
       util::FeatureMatrix::from_rows(windows, schema_.dimension());

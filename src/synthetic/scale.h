@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,12 @@ class ScalePopulation {
   [[nodiscard]] svm::OneClassSvmModel make_model(std::size_t u) const;
 
  private:
+  /// sample_window over a footprint the caller already computed, so
+  /// make_model builds it once for all of a model's windows.
+  [[nodiscard]] util::SparseVector sample_window(
+      std::size_t u, std::uint64_t salt,
+      std::span<const std::uint32_t> identity) const;
+
   ScaleConfig config_;
   features::FeatureSchema schema_;
   util::ZipfDistribution category_rank_;

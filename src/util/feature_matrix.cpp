@@ -39,34 +39,29 @@ FeatureMatrix FeatureMatrix::from_rows(std::span<const SparseVector> rows,
   return builder.build(cols);
 }
 
+FeatureMatrix FeatureMatrix::borrow(CsrView view,
+                                    std::shared_ptr<const void> owner) {
+  FeatureMatrix matrix;
+  if (!view.row_offsets.empty()) matrix.view_ = view;
+  matrix.storage_ = std::move(owner);
+  return matrix;
+}
+
 FeatureMatrix::FeatureMatrix(const FeatureMatrix& other)
-    : cols_{other.cols_},
-      indices_{other.indices_},
-      values_{other.values_},
-      row_offsets_{other.row_offsets_},
-      sq_norms_{other.sq_norms_} {
+    : view_{other.view_}, storage_{other.storage_} {
   const std::scoped_lock lock{other.bitset_mutex_};
   bitset_ = other.bitset_;  // the slot is immutable once set — share it
 }
 
 FeatureMatrix::FeatureMatrix(FeatureMatrix&& other) noexcept
-    : cols_{other.cols_},
-      indices_{std::move(other.indices_)},
-      values_{std::move(other.values_)},
-      row_offsets_{std::move(other.row_offsets_)},
-      sq_norms_{std::move(other.sq_norms_)},
-      bitset_{std::move(other.bitset_)} {
-  other.cols_ = 0;
-  other.row_offsets_ = {0};
-}
+    : view_{std::exchange(other.view_, kEmptyView)},
+      storage_{std::move(other.storage_)},
+      bitset_{std::move(other.bitset_)} {}
 
 FeatureMatrix& FeatureMatrix::operator=(const FeatureMatrix& other) {
   if (this == &other) return *this;
-  cols_ = other.cols_;
-  indices_ = other.indices_;
-  values_ = other.values_;
-  row_offsets_ = other.row_offsets_;
-  sq_norms_ = other.sq_norms_;
+  view_ = other.view_;
+  storage_ = other.storage_;
   std::shared_ptr<const BitsetSlot> shared;
   {
     const std::scoped_lock lock{other.bitset_mutex_};
@@ -79,15 +74,19 @@ FeatureMatrix& FeatureMatrix::operator=(const FeatureMatrix& other) {
 
 FeatureMatrix& FeatureMatrix::operator=(FeatureMatrix&& other) noexcept {
   if (this == &other) return *this;
-  cols_ = other.cols_;
-  indices_ = std::move(other.indices_);
-  values_ = std::move(other.values_);
-  row_offsets_ = std::move(other.row_offsets_);
-  sq_norms_ = std::move(other.sq_norms_);
+  view_ = std::exchange(other.view_, kEmptyView);
+  storage_ = std::move(other.storage_);
   bitset_ = std::move(other.bitset_);
-  other.cols_ = 0;
-  other.row_offsets_ = {0};
   return *this;
+}
+
+bool operator==(const FeatureMatrix& a, const FeatureMatrix& b) {
+  const CsrView& x = a.view_;
+  const CsrView& y = b.view_;
+  return x.cols == y.cols && std::ranges::equal(x.indices, y.indices) &&
+         std::ranges::equal(x.values, y.values) &&
+         std::ranges::equal(x.row_offsets, y.row_offsets) &&
+         std::ranges::equal(x.sq_norms, y.sq_norms);
 }
 
 const BitsetStorage* FeatureMatrix::bitset() const {
@@ -119,10 +118,10 @@ SparseVector FeatureMatrix::row_vector(std::size_t i) const {
 }
 
 void FeatureMatrix::copy_row_dense(std::size_t i, std::span<double> out) const {
-  if (out.size() < cols_) {
+  if (out.size() < cols()) {
     throw std::invalid_argument{"FeatureMatrix::copy_row_dense: buffer holds " +
                                 std::to_string(out.size()) + " < cols " +
-                                std::to_string(cols_)};
+                                std::to_string(cols())};
   }
   std::fill(out.begin(), out.end(), 0.0);
   const auto indices = row_indices(i);
@@ -170,16 +169,6 @@ void CsrView::dot_all(const SparseVector& query, std::span<double> out) const {
   }
 }
 
-void FeatureMatrix::dot_all(std::span<const std::uint32_t> query_indices,
-                            std::span<const double> query_values,
-                            std::span<double> out) const {
-  view().dot_all(query_indices, query_values, out);
-}
-
-void FeatureMatrix::dot_all(const SparseVector& query, std::span<double> out) const {
-  view().dot_all(query, out);
-}
-
 void FeatureMatrixBuilder::add(std::size_t index, double value) {
   if (index > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument{"FeatureMatrixBuilder: index exceeds 32-bit range"};
@@ -199,38 +188,39 @@ void FeatureMatrixBuilder::add_row(const SparseVector& row) {
     if (entry.index > std::numeric_limits<std::uint32_t>::max()) {
       throw std::invalid_argument{"FeatureMatrixBuilder: index exceeds 32-bit range"};
     }
-    matrix_.indices_.push_back(static_cast<std::uint32_t>(entry.index));
-    matrix_.values_.push_back(entry.value);
+    storage_.indices.push_back(static_cast<std::uint32_t>(entry.index));
+    storage_.values.push_back(entry.value);
     sq_norm += entry.value * entry.value;
   }
-  matrix_.row_offsets_.push_back(matrix_.indices_.size());
-  matrix_.sq_norms_.push_back(sq_norm);
+  storage_.row_offsets.push_back(storage_.indices.size());
+  storage_.sq_norms.push_back(sq_norm);
 }
 
 void FeatureMatrixBuilder::add_row(const FeatureMatrix& src, std::size_t row) {
   const auto indices = src.row_indices(row);
   const auto values = src.row_values(row);
-  matrix_.indices_.insert(matrix_.indices_.end(), indices.begin(), indices.end());
-  matrix_.values_.insert(matrix_.values_.end(), values.begin(), values.end());
-  matrix_.row_offsets_.push_back(matrix_.indices_.size());
-  matrix_.sq_norms_.push_back(src.sq_norm(row));
+  storage_.indices.insert(storage_.indices.end(), indices.begin(), indices.end());
+  storage_.values.insert(storage_.values.end(), values.begin(), values.end());
+  storage_.row_offsets.push_back(storage_.indices.size());
+  storage_.sq_norms.push_back(src.sq_norm(row));
 }
 
 FeatureMatrix FeatureMatrixBuilder::build(std::size_t cols) {
   if (!pending_.empty()) finish_row();
   std::size_t max_index_plus_one = 0;
-  for (const std::uint32_t index : matrix_.indices_) {
+  for (const std::uint32_t index : storage_.indices) {
     max_index_plus_one = std::max(max_index_plus_one, std::size_t{index} + 1);
   }
   if (cols == 0) {
-    matrix_.cols_ = max_index_plus_one;
-  } else {
-    if (max_index_plus_one > cols) check_index(max_index_plus_one - 1, cols);
-    matrix_.cols_ = cols;
+    cols = max_index_plus_one;
+  } else if (max_index_plus_one > cols) {
+    check_index(max_index_plus_one - 1, cols);
   }
-  FeatureMatrix result = std::move(matrix_);
-  matrix_ = {};
-  return result;
+  auto storage = std::make_shared<const FeatureMatrix::Storage>(
+      std::exchange(storage_, FeatureMatrix::Storage{}));
+  const CsrView view{cols, storage->indices, storage->values,
+                     storage->row_offsets, storage->sq_norms};
+  return FeatureMatrix::borrow(view, std::move(storage));
 }
 
 }  // namespace wtp::util

@@ -9,6 +9,13 @@
 // Rows keep SparseVector's invariants (sorted indices, no duplicates, no
 // explicit zeros), which makes row-wise dot products bit-identical to
 // SparseVector::dot's merge join.
+//
+// Storage is owned or borrowed, behind one CsrView either way.  An owned
+// matrix (FeatureMatrixBuilder, from_rows) keeps its arrays in a heap block;
+// a borrowed one (FeatureMatrix::borrow) reads arrays that live elsewhere —
+// a memory-mapped profile store — and holds a handle that keeps them
+// alive.  The arrays never change after construction, so copies share the
+// storage instead of duplicating it.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +32,8 @@ namespace wtp::util {
 
 /// Non-owning CSR view: the storage contract of FeatureMatrix (sorted
 /// per-row indices, cached squared norms) over memory owned elsewhere — a
-/// FeatureMatrix, or a memory-mapped profile file (svm/model_io blob path).
+/// FeatureMatrix's storage, or a memory-mapped profile file (svm/model_io
+/// blob path).
 /// Copyable/trivial; row accessors mirror FeatureMatrix exactly, and
 /// dot_all shares the same implementation so kernel rows computed through a
 /// view are bit-identical to the owning path.
@@ -76,26 +84,34 @@ class FeatureMatrix {
   [[nodiscard]] static FeatureMatrix from_rows(
       std::span<const SparseVector> rows, std::size_t cols = 0);
 
-  [[nodiscard]] std::size_t rows() const noexcept {
-    return row_offsets_.empty() ? 0 : row_offsets_.size() - 1;
-  }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::size_t nnz() const noexcept { return values_.size(); }
+  /// A matrix over storage it does not own: `view`'s arrays, kept alive by
+  /// `owner` (e.g. the mapping a blob was viewed from).  No copy is made;
+  /// the caller guarantees the arrays meet the row rules above and never
+  /// change while `owner` lives.  The returned matrix and its copies keep
+  /// `owner` alive.
+  [[nodiscard]] static FeatureMatrix borrow(CsrView view,
+                                            std::shared_ptr<const void> owner);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return view_.rows(); }
+  [[nodiscard]] std::size_t cols() const noexcept { return view_.cols; }
+  [[nodiscard]] std::size_t nnz() const noexcept { return view_.nnz(); }
   [[nodiscard]] bool empty() const noexcept { return rows() == 0; }
 
   [[nodiscard]] std::span<const std::uint32_t> row_indices(std::size_t i) const noexcept {
-    return {indices_.data() + row_offsets_[i], row_offsets_[i + 1] - row_offsets_[i]};
+    return view_.row_indices(i);
   }
   [[nodiscard]] std::span<const double> row_values(std::size_t i) const noexcept {
-    return {values_.data() + row_offsets_[i], row_offsets_[i + 1] - row_offsets_[i]};
+    return view_.row_values(i);
   }
   [[nodiscard]] std::size_t row_nnz(std::size_t i) const noexcept {
-    return row_offsets_[i + 1] - row_offsets_[i];
+    return view_.row_offsets[i + 1] - view_.row_offsets[i];
   }
 
   /// Cached ||row_i||^2.
-  [[nodiscard]] double sq_norm(std::size_t i) const noexcept { return sq_norms_[i]; }
-  [[nodiscard]] std::span<const double> sq_norms() const noexcept { return sq_norms_; }
+  [[nodiscard]] double sq_norm(std::size_t i) const noexcept { return view_.sq_norm(i); }
+  [[nodiscard]] std::span<const double> sq_norms() const noexcept {
+    return view_.sq_norms;
+  }
 
   /// Materializes row i as a SparseVector (persistence, tests).
   [[nodiscard]] SparseVector row_vector(std::size_t i) const;
@@ -111,18 +127,21 @@ class FeatureMatrix {
   /// its own entries — bit-identical to SparseVector::dot per row (adding
   /// the zero products of unmatched indices cannot change an IEEE sum).
   /// Query indices beyond cols() cannot match any row and are skipped.
-  void dot_all(const SparseVector& query, std::span<double> out) const;
+  void dot_all(const SparseVector& query, std::span<double> out) const {
+    view_.dot_all(query, out);
+  }
   void dot_all(std::span<const std::uint32_t> query_indices,
-               std::span<const double> query_values, std::span<double> out) const;
+               std::span<const double> query_values, std::span<double> out) const {
+    view_.dot_all(query_indices, query_values, out);
+  }
   /// Row `i` of this matrix as the query.
   void dot_all(std::size_t i, std::span<double> out) const {
     dot_all(row_indices(i), row_values(i), out);
   }
 
-  /// Non-owning view of this matrix's storage (valid while the matrix is).
-  [[nodiscard]] CsrView view() const noexcept {
-    return CsrView{cols_, indices_, values_, row_offsets_, sq_norms_};
-  }
+  /// Non-owning view of this matrix's storage (valid while the matrix, or
+  /// any copy of it, is).
+  [[nodiscard]] CsrView view() const noexcept { return view_; }
 
   /// Bitset companion of the CSR rows (DESIGN §11), built lazily on first
   /// use with an auto-detected layout and cached for the matrix's lifetime.
@@ -137,27 +156,34 @@ class FeatureMatrix {
   /// scoring threads; a later bitset() returns this layout.
   void ensure_bitset(std::span<const std::uint32_t> numeric_cols);
 
+  /// Copies share the CSR storage and the bitset slot; moves leave the
+  /// source an empty matrix.
   FeatureMatrix(const FeatureMatrix& other);
   FeatureMatrix(FeatureMatrix&& other) noexcept;
   FeatureMatrix& operator=(const FeatureMatrix& other);
   FeatureMatrix& operator=(FeatureMatrix&& other) noexcept;
   ~FeatureMatrix() = default;
 
-  /// Equality is over the CSR contents only (the bitset is derived state).
-  friend bool operator==(const FeatureMatrix& a, const FeatureMatrix& b) {
-    return a.cols_ == b.cols_ && a.indices_ == b.indices_ &&
-           a.values_ == b.values_ && a.row_offsets_ == b.row_offsets_ &&
-           a.sq_norms_ == b.sq_norms_;
-  }
+  /// Equality is over the CSR contents only, whoever owns them (the bitset
+  /// is derived state).
+  friend bool operator==(const FeatureMatrix& a, const FeatureMatrix& b);
 
  private:
   friend class FeatureMatrixBuilder;
 
-  std::size_t cols_ = 0;
-  std::vector<std::uint32_t> indices_;
-  std::vector<double> values_;
-  std::vector<std::size_t> row_offsets_{0};
-  std::vector<double> sq_norms_;
+  /// The heap block behind an owned matrix.
+  struct Storage {
+    std::vector<std::uint32_t> indices;
+    std::vector<double> values;
+    std::vector<std::size_t> row_offsets{0};
+    std::vector<double> sq_norms;
+  };
+
+  static constexpr std::size_t kZeroOffset[1] = {0};
+  static constexpr CsrView kEmptyView{0, {}, {}, kZeroOffset, {}};
+
+  CsrView view_ = kEmptyView;
+  std::shared_ptr<const void> storage_;  ///< keeps view_'s arrays alive
 
   struct BitsetSlot {
     std::optional<BitsetStorage> storage;
@@ -190,7 +216,7 @@ class FeatureMatrixBuilder {
   [[nodiscard]] FeatureMatrix build(std::size_t cols = 0);
 
  private:
-  FeatureMatrix matrix_;
+  FeatureMatrix::Storage storage_;
   std::vector<SparseVector::Entry> pending_;
 };
 

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/profiler.h"
@@ -89,6 +92,107 @@ TEST(MappedStore, MappedDecisionsBitIdenticalToHeap) {
       ASSERT_EQ(materialized.decision_value(x), from_heap);
     }
   }
+}
+
+TEST(MappedStore, MaterializedProfileOutlivesStore) {
+  const auto population = small_population();
+  const std::string path = write_population(population, "outlives.wtpstore");
+  std::vector<core::UserProfile> profiles;
+  {
+    const MappedProfileStore store = MappedProfileStore::open(path);
+    for (std::size_t u = 0; u < store.size(); ++u) {
+      profiles.push_back(store.materialize_profile(u));
+    }
+  }
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+
+  for (std::size_t u = 0; u < profiles.size(); ++u) {
+    const svm::OneClassSvmModel heap_model = population.make_model(u);
+    const auto& model = std::get<svm::OneClassSvmModel>(profiles[u].model());
+    EXPECT_EQ(model.support_vectors(), heap_model.support_vectors());
+    EXPECT_EQ(model.coefficients(), heap_model.coefficients());
+    EXPECT_EQ(model.rho(), heap_model.rho());
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      const util::SparseVector x = population.sample_window(u, 0xd00d + salt);
+      ASSERT_EQ(profiles[u].decision_value(x), heap_model.decision_value(x));
+    }
+  }
+}
+
+TEST(MappedStore, MaterializedProfileBorrowsMapping) {
+  const auto population = small_population(6);
+  const std::string path = write_population(population, "borrows.wtpstore");
+  const MappedProfileStore store = MappedProfileStore::open(path);
+  // The first user's name opens the string pool, which lies in the mapping;
+  // every blob sits between the header and the pool.
+  const auto* pool = reinterpret_cast<const std::byte*>(store.user_id(0).data());
+  for (std::size_t u = 0; u < store.size(); ++u) {
+    const core::UserProfile profile = store.materialize_profile(u);
+    const util::CsrView svs =
+        std::get<svm::OneClassSvmModel>(profile.model()).support_vectors().view();
+    const util::CsrView mapped = store.model(u).support_vectors;
+    EXPECT_EQ(svs.values.data(), mapped.values.data());
+    EXPECT_EQ(svs.indices.data(), mapped.indices.data());
+    EXPECT_EQ(svs.row_offsets.data(), mapped.row_offsets.data());
+    EXPECT_EQ(svs.sq_norms.data(), mapped.sq_norms.data());
+    const auto* values = reinterpret_cast<const std::byte*>(svs.values.data());
+    EXPECT_LT(values, pool);
+    EXPECT_GT(values + store.mapped_bytes(), pool);
+  }
+}
+
+TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {
+  const auto first = small_population(8);
+  const std::string path = write_population(first, "rewrite.wtpstore");
+  const MappedProfileStore store = MappedProfileStore::open(path);
+  std::vector<core::UserProfile> profiles;
+  for (std::size_t u = 0; u < store.size(); ++u) {
+    profiles.push_back(store.materialize_profile(u));
+  }
+
+  synthetic::ScaleConfig config;
+  config.seed = 99;
+  config.users = 3;
+  const synthetic::ScalePopulation second{config};
+  ASSERT_EQ(write_population(second, "rewrite.wtpstore"), path);
+
+  for (std::size_t u = 0; u < profiles.size(); ++u) {
+    const svm::OneClassSvmModel heap_model = first.make_model(u);
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      const util::SparseVector x = first.sample_window(u, 0xbeef + salt);
+      ASSERT_EQ(profiles[u].decision_value(x), heap_model.decision_value(x));
+      ASSERT_EQ(store.model(u).decision_value(x), heap_model.decision_value(x));
+    }
+  }
+  const MappedProfileStore rewritten = MappedProfileStore::open(path);
+  ASSERT_EQ(rewritten.size(), second.size());
+  EXPECT_EQ(rewritten.user_id(2), second.user_id(2));
+}
+
+TEST(MappedStore, FailedFinishLeavesPathUntouched) {
+  const auto population = small_population(2);
+  // A directory at the target path makes the final rename fail.
+  const std::string path = ::testing::TempDir() + "/occupied.wtpstore";
+  std::filesystem::create_directories(path);
+  MappedStoreWriter writer{path, population.window(), population.schema()};
+  writer.add(population.user_id(0), population_params(population.config()),
+             svm::AnySvmModel{population.make_model(0)});
+  EXPECT_THROW(writer.finish(), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+}
+
+TEST(MappedStore, AbandonedWriterLeavesPathUntouched) {
+  const auto population = small_population(4);
+  const std::string path = write_population(population, "abandoned.wtpstore");
+  const auto before = read_bytes(path);
+  {
+    MappedStoreWriter writer{path, population.window(), population.schema()};
+    writer.add(population.user_id(1), population_params(population.config()),
+               svm::AnySvmModel{population.make_model(1)});
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(read_bytes(path), before);
 }
 
 TEST(MappedStore, WriteMappedStoreMirrorsHeapStore) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -101,9 +103,9 @@ TEST(ModelBlob, HeapViewMatchesBlobView) {
 
 TEST(ModelBlob, MaterializedRoundTripIsBitIdentical) {
   const auto model = make_svdd(17);
-  std::vector<std::byte> blob;
-  append_model_blob(blob, model);
-  const AnySvmModel round_trip = materialize(view_model_blob(blob));
+  auto blob = std::make_shared<std::vector<std::byte>>();
+  append_model_blob(*blob, model);
+  const AnySvmModel round_trip = materialize(view_model_blob(*blob), blob);
   ASSERT_TRUE(std::holds_alternative<SvddModel>(round_trip));
   const auto& typed = std::get<SvddModel>(round_trip);
   EXPECT_EQ(typed.r_squared(), model.r_squared());
@@ -207,6 +209,37 @@ TEST(ModelBlob, RejectsOutOfRangeColumnIndex) {
   const std::size_t indices_off = 96 + (model.support_vectors().rows() + 1) * 8;
   patch(blob, indices_off, std::uint32_t{1u << 30});
   EXPECT_THROW((void)view_model_blob(blob), std::runtime_error);
+}
+
+TEST(ModelBlob, RejectsUnsortedRowAndNamesIt) {
+  const auto model = make_one_class(29);
+  const auto& svs = model.support_vectors();
+  std::size_t row = 0;
+  while (row < svs.rows() && svs.row_nnz(row) < 2) ++row;
+  ASSERT_LT(row, svs.rows()) << "no support vector with two entries";
+  std::vector<std::byte> blob;
+  append_model_blob(blob, model);
+  const std::size_t indices_off = 96 + (svs.rows() + 1) * 8;
+  const std::size_t first = indices_off + svs.view().row_offsets[row] * 4;
+  // Swap the row's first two column indices: descending.
+  const std::uint32_t a = svs.row_indices(row)[0];
+  const std::uint32_t b = svs.row_indices(row)[1];
+  auto descending = blob;
+  patch(descending, first, b);
+  patch(descending, first + 4, a);
+  // Repeat the first index: a duplicate.
+  auto duplicate = blob;
+  patch(duplicate, first + 4, a);
+  for (const auto* bad : {&descending, &duplicate}) {
+    try {
+      (void)view_model_blob(*bad);
+      FAIL() << "unsorted row accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("row " + std::to_string(row)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

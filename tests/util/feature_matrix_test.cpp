@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -148,6 +151,53 @@ TEST(FeatureMatrix, EqualityComparesFullLayout) {
   EXPECT_EQ(a, b);
   const auto wider = FeatureMatrix::from_rows(rows, 10);
   EXPECT_NE(a, wider);
+}
+
+/// Every row of `rows` as a query against `m`, one dot_all per row.
+std::vector<double> all_dots(const FeatureMatrix& m,
+                             const std::vector<SparseVector>& rows) {
+  std::vector<double> dots(rows.size() * m.rows());
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    m.dot_all(rows[q], std::span{dots}.subspan(q * m.rows(), m.rows()));
+  }
+  return dots;
+}
+
+TEST(FeatureMatrix, BorrowedMatchesOwned) {
+  const auto rows = sample_rows();
+  const FeatureMatrix expected = FeatureMatrix::from_rows(rows);
+  auto original = std::make_shared<const FeatureMatrix>(FeatureMatrix::from_rows(rows));
+  const std::weak_ptr<const FeatureMatrix> watch = original;
+
+  auto borrowed = std::make_unique<FeatureMatrix>(
+      FeatureMatrix::borrow(original->view(), original));
+  EXPECT_EQ(*borrowed, *original);
+  EXPECT_EQ(borrowed->view().values.data(), original->view().values.data());
+  EXPECT_EQ(all_dots(*borrowed, rows), all_dots(*original, rows));
+  const BitsetStorage* owned_bits = original->bitset();
+  const BitsetStorage* borrowed_bits = borrowed->bitset();
+  ASSERT_NE(owned_bits, nullptr);
+  ASSERT_NE(borrowed_bits, nullptr);
+  EXPECT_TRUE(std::ranges::equal(borrowed_bits->view().words,
+                                 owned_bits->view().words));
+  EXPECT_TRUE(std::ranges::equal(borrowed_bits->view().numeric_values,
+                                 owned_bits->view().numeric_values));
+
+  // Copies and moves keep the borrowed storage alive on their own.
+  FeatureMatrix copy = *borrowed;
+  FeatureMatrix moved = std::move(*borrowed);
+  EXPECT_TRUE(borrowed->empty());
+  borrowed.reset();
+  original.reset();
+  EXPECT_FALSE(watch.expired());
+  for (const FeatureMatrix* m : {&copy, &moved}) {
+    EXPECT_EQ(*m, expected);
+    EXPECT_EQ(all_dots(*m, rows), all_dots(expected, rows));
+    ASSERT_NE(m->bitset(), nullptr);
+  }
+  copy = FeatureMatrix{};
+  moved = FeatureMatrix{};
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(FeatureMatrixBuilder, SumsDuplicateIndicesPerRow) {
