@@ -7,14 +7,24 @@
 // comparison below is exact (EXPECT_EQ on doubles), not approximate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/grid_search.h"
+#include "core/profile_store.h"
 #include "core/profiler.h"
+#include "index/cascade.h"
+#include "index/mapped_store.h"
 #include "oneclass/svm_adapter.h"
 #include "svm/kernel.h"
+#include "svm/kernel_cache.h"
+#include "svm/model_io.h"
 #include "svm/one_class_svm.h"
 #include "svm/svdd.h"
+#include "synthetic/scale.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
@@ -273,6 +283,173 @@ TEST(ProfileEquivalence, AcceptanceRatioSpanVsMatrixIdentical) {
                 from_matrix.decision_value(x, x.squared_norm()));
     }
   }
+}
+
+/// FNV-1a over the bit patterns of every scoring output, in call order.
+class DecisionDigest {
+ public:
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(std::span<const double> values) {
+    for (const double v : values) add(v);
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Pins the exact transform tier for the test's duration (so a relaxed CI
+/// leg cannot skew the pinned bits) and restores the environment's choice.
+struct ExactTierGuard {
+  ExactTierGuard() { svm::set_transform_mode(svm::TransformMode::kExact); }
+  ~ExactTierGuard() { svm::set_transform_mode(svm::TransformMode::kDefault); }
+};
+
+std::vector<svm::KernelParams> paper_shaped_kernels() {
+  return {
+      {svm::KernelType::kLinear, 0.05, 0.0, 3},
+      {svm::KernelType::kPolynomial, 0.05, 1.0, 3},
+      {svm::KernelType::kRbf, 0.05, 0.0, 3},
+      {svm::KernelType::kSigmoid, 0.01, 0.5, 3},
+  };
+}
+
+/// Paper-schema windows (binary-dominant, three numeric columns), so the
+/// bitset plane engages where a backend provides it.  The last probe has a
+/// binary column at 2.0: it does not conform to any bitset layout and takes
+/// the CSR fallback on every backend.
+std::vector<util::SparseVector> digest_probes(
+    const synthetic::ScalePopulation& population) {
+  std::vector<util::SparseVector> probes;
+  for (std::size_t u = 0; u < 6; ++u) {
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      probes.push_back(population.sample_window(u, 0xd1e5 + salt));
+    }
+  }
+  std::vector<util::SparseVector::Entry> entries{
+      probes.front().entries().begin(), probes.front().entries().end()};
+  entries.front().value = 2.0;
+  probes.emplace_back(std::move(entries));
+  return probes;
+}
+
+// Every scoring path, pinned by one digest: a refactor of the kernel entry
+// points or of the decision arithmetic must reproduce these bits exactly.
+// The constant holds on every kernel backend (WTP_KERNEL_BACKEND) because
+// all of them are bit-identical to the CSR oracle.
+TEST(DecisionDigest, EveryScoringPathIsPinned) {
+  const ExactTierGuard guard;
+  synthetic::ScaleConfig scale;
+  scale.seed = 5;
+  scale.users = 24;
+  const synthetic::ScalePopulation population{scale};
+  const std::size_t dim = population.schema().dimension();
+  const auto probes = digest_probes(population);
+  const auto probe_matrix = util::FeatureMatrix::from_rows(probes, dim);
+
+  core::MatrixByUser train_windows;
+  for (std::size_t u = 0; u < 4; ++u) {
+    std::vector<util::SparseVector> rows;
+    for (std::uint64_t salt = 0; salt < 40; ++salt) {
+      rows.push_back(population.sample_window(u, salt));
+    }
+    train_windows.emplace(population.user_id(u),
+                          std::make_shared<const util::FeatureMatrix>(
+                              util::FeatureMatrix::from_rows(rows, dim)));
+  }
+  const std::string user = population.user_id(0);
+  const util::FeatureMatrix& train = *train_windows.at(user);
+
+  DecisionDigest digest;
+  std::vector<double> batch(probe_matrix.rows());
+  std::vector<double> row(train.rows());
+  std::vector<std::byte> blobs;
+  for (const auto& kernel : paper_shaped_kernels()) {
+    // Raw kernel rows of the training matrix, as the SMO solver sees them.
+    for (std::size_t i = 0; i < train.rows(); ++i) {
+      svm::kernel_row(kernel, train, i, row);
+      digest.add(row);
+    }
+    svm::OneClassSvmConfig oc;
+    oc.nu = 0.3;
+    oc.kernel = kernel;
+    svm::SvddConfig sv;
+    sv.c = 0.1;
+    sv.kernel = kernel;
+    const std::vector<svm::AnySvmModel> models{
+        svm::OneClassSvmModel::train(train, oc, dim),
+        svm::SvddModel::train(train, sv, dim)};
+    for (const auto& any : models) {
+      std::visit(
+          [&](const auto& model) {
+            for (const auto& x : probes) digest.add(model.decision_value(x));
+            model.decision_values(probe_matrix, batch);
+            digest.add(batch);
+          },
+          any);
+      const std::size_t offset = svm::append_model_blob(blobs, any);
+      const svm::ModelView view =
+          svm::view_model_blob(std::span{blobs}.subspan(offset));
+      for (std::size_t q = 0; q < probe_matrix.rows(); ++q) {
+        digest.add(view.decision_value(probe_matrix.row_indices(q),
+                                       probe_matrix.row_values(q),
+                                       probe_matrix.sq_norm(q)));
+        svm::EncodedQueryCache cache{probe_matrix.row_indices(q),
+                                     probe_matrix.row_values(q)};
+        digest.add(view.decision_value(probe_matrix.row_indices(q),
+                                       probe_matrix.row_values(q),
+                                       probe_matrix.sq_norm(q), &cache));
+      }
+    }
+  }
+
+  // One Tab. III regularizer column per classifier through the grid's
+  // column scorer (polynomial: the kernel whose ratios are not saturated on
+  // this data).
+  const std::vector<double> regularizers{0.1, 0.3, 0.5};
+  for (const auto type :
+       {core::ClassifierType::kOcSvm, core::ClassifierType::kSvdd}) {
+    const auto column = core::regularizer_path_entries(
+        user, type, paper_shaped_kernels()[1], regularizers, train_windows,
+        dim, std::make_shared<svm::GramCache>(train));
+    for (const auto& entry : column) {
+      digest.add(entry.ratios.acc_self);
+      digest.add(entry.ratios.acc_other);
+    }
+  }
+
+  // The identification plane over a heap catalog: argmax and accept set.
+  std::vector<core::UserProfile> profiles;
+  const core::ProfileParams params{core::ClassifierType::kOcSvm,
+                                   population.config().kernel, 0.5};
+  for (std::size_t u = 0; u < population.size(); ++u) {
+    profiles.push_back(core::UserProfile::from_model(
+        population.user_id(u), params,
+        svm::AnySvmModel{population.make_model(u)}));
+  }
+  const core::ProfileStore store{population.window(), population.schema(),
+                                 std::move(profiles)};
+  const index::HeapProfileCatalog catalog{store};
+  index::CascadeConfig config;
+  config.final_keep = 8;
+  const index::IdentificationPlane plane{catalog, config};
+  for (const auto& x : probes) {
+    for (const auto& result : {plane.identify(x), plane.identify_exhaustive(x)}) {
+      digest.add(static_cast<std::uint64_t>(result.best));
+      digest.add(result.best_decision);
+      digest.add(static_cast<std::uint64_t>(result.accepted.size()));
+      for (const std::uint32_t u : result.accepted) digest.add(std::uint64_t{u});
+    }
+  }
+
+  EXPECT_EQ(digest.value(), 11490220996100638224ULL);
 }
 
 }  // namespace
