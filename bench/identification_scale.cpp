@@ -1,6 +1,6 @@
 // Million-user identification bench: proves the candidate-pruning cascade
 // (src/index/cascade.h) never changes the identification argmax while
-// cutting kernel_row work by an order of magnitude, and that the mmap
+// cutting kernel-row work by an order of magnitude, and that the mmap
 // profile store keeps the resident heap flat as the population grows.
 //
 // Per scale n (default 10^3..10^5; --million adds 10^6):
@@ -13,7 +13,7 @@
 //
 // Hard assertions (exit 1 on violation):
 //   * cascade argmax == exhaustive argmax on every query, every scale;
-//   * >= 10x reduction in kernel_row invocations per window at n >= 10^5;
+//   * >= 10x reduction in kernel rows per window at n >= 10^5;
 //   * resident heap delta at n >= 10^5 is < 1/10 of the mapped file
 //     (profile storage lives in the mapping, not the heap);
 //   * mmap-loaded decision values bit-identical to heap-built models.
@@ -247,7 +247,8 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
       const util::SparseVector x =
           population.sample_window(u, 0xfeed00 + probe);
       const double from_heap = heap_model.decision_value(x);
-      const double from_view = store.model(u).decision_value(x);
+      const double from_view = store.model(u).decision_value(
+          svm::KernelQueries::row(x, x.squared_norm()));
       const double from_round_trip = round_trip.decision_value(x);
       ++identity_checks;
       if (from_heap != from_view || from_heap != from_round_trip) {
@@ -267,7 +268,7 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
   if (assert_scale && reduction < 10.0) {
     report.ok = false;
     std::fprintf(stderr,
-                 "FAIL n=%zu: kernel_row reduction %.1fx < required 10x\n",
+                 "FAIL n=%zu: kernel-row reduction %.1fx < required 10x\n",
                  users, reduction);
   }
   const bool heap_measured = heap_resident_bytes() != 0;
@@ -289,7 +290,7 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
       static_cast<double>(heap_delta) / 1e6);
   std::printf(
       "           %zu queries in %.2fs  argmax %zu/%zu  survivors "
-      "%.0f->%.0f->%.0f->%.0f  kernel_row/window %.1f vs %.0f (%.1fx)\n",
+      "%.0f->%.0f->%.0f->%.0f  kernel rows/window %.1f vs %.0f (%.1fx)\n",
       queries, query_s, argmax_matches, queries,
       sum_overlap / static_cast<double>(queries),
       sum_centroid / static_cast<double>(queries),

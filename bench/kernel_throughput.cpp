@@ -1,10 +1,11 @@
 // Kernel-row throughput: per-pair SparseVector kernel_eval (the pre-CSR
-// path) vs the batch kernel_row over a FeatureMatrix (the CSR data plane).
+// path) vs a one-query kernel_block over a FeatureMatrix (the CSR data
+// plane).
 //
 // The workload mirrors the paper's scale: 843 feature columns (Tab. I) with
 // ~25 non-zeros per window vector, and a support-vector set of a few hundred
 // rows — the shape every decision function and SMO iteration evaluates.
-// kernel_row scatters the query into a dense scratch once and streams the
+// The block scatters the query into a dense scratch once and streams the
 // matrix's contiguous CSR arrays, so it must beat the per-pair merge-join
 // loop by >= 2x on RBF while producing bit-identical values.
 #include <benchmark/benchmark.h>
@@ -142,6 +143,24 @@ svm::KernelParams kernel_params(svm::KernelType type) {
   return {type, 1.0, 0.0, 3};
 }
 
+/// One query's kernel row through the entry point: a block of one.
+void score_row(const svm::KernelParams& params, const util::FeatureMatrix& matrix,
+                const util::SparseVector& x, double x_sqnorm,
+                std::span<double> out) {
+  svm::kernel_block(params, svm::kernel_matrix(matrix),
+                    svm::KernelQueries::row(x, x_sqnorm), out);
+}
+
+/// Every query row of `queries` against `matrix` in one block.
+void score_block(const svm::KernelParams& params,
+                 const util::FeatureMatrix& matrix,
+                 const util::FeatureMatrix& queries, std::span<double> out) {
+  svm::kernel_block(
+      params, svm::kernel_matrix(matrix),
+      svm::KernelQueries::rows(svm::kernel_matrix(queries), 0, queries.rows()),
+      out);
+}
+
 /// Before: one merge-join kernel_eval per (query, row) pair, norms cached.
 void per_pair_rows(const svm::KernelParams& params, const Fixture& f,
                    std::size_t q, std::span<double> out) {
@@ -173,7 +192,7 @@ void BM_BatchKernelRow(benchmark::State& state) {
   std::size_t q = 0;
   for (auto _ : state) {
     const std::size_t i = q % kQueries;
-    svm::kernel_row(params, f.matrix, f.queries[i], f.query_sqnorms[i], out);
+    score_row(params, f.matrix, f.queries[i], f.query_sqnorms[i], out);
     benchmark::DoNotOptimize(out.data());
     ++q;
   }
@@ -200,9 +219,9 @@ ReportRow report(svm::KernelType type) {
   std::vector<double> after(f.rows.size());
   for (std::size_t q = 0; q < kQueries; ++q) {
     per_pair_rows(params, f, q, before);
-    svm::kernel_row(params, f.matrix, f.queries[q], f.query_sqnorms[q], after);
+    score_row(params, f.matrix, f.queries[q], f.query_sqnorms[q], after);
     if (before != after) {
-      std::fprintf(stderr, "FATAL: %s kernel_row diverges from kernel_eval\n",
+      std::fprintf(stderr, "FATAL: %s kernel row diverges from kernel_eval\n",
                    svm::describe(params).c_str());
       std::exit(1);
     }
@@ -220,13 +239,13 @@ ReportRow report(svm::KernelType type) {
   const util::Stopwatch after_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
     for (std::size_t q = 0; q < kQueries; ++q) {
-      svm::kernel_row(params, f.matrix, f.queries[q], f.query_sqnorms[q], after);
+      score_row(params, f.matrix, f.queries[q], f.query_sqnorms[q], after);
       benchmark::DoNotOptimize(after.data());
     }
   }
   const double after_s = after_watch.elapsed_micros() * 1e-6;
   const double evals = static_cast<double>(kPasses * kQueries * kRows);
-  std::printf("%-28s per-pair %8.1f Mevals/s   kernel_row %8.1f Mevals/s   "
+  std::printf("%-28s per-pair %8.1f Mevals/s   row block %8.1f Mevals/s   "
               "speedup %.2fx\n",
               svm::describe(params).c_str(), evals / before_s * 1e-6,
               evals / after_s * 1e-6, before_s / after_s);
@@ -255,14 +274,14 @@ BitsetReportRow report_bitset(svm::KernelType type) {
 
   svm::set_kernel_backend_for_testing("csr");
   for (std::size_t q = 0; q < kQueries; ++q) {
-    svm::kernel_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
+    score_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
                     csr);
     svm::set_kernel_backend_for_testing("");  // fastest supported
-    svm::kernel_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
+    score_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
                     bitset);
     svm::set_kernel_backend_for_testing("csr");
     if (csr != bitset) {
-      std::fprintf(stderr, "FATAL: %s bitset kernel_row diverges from CSR\n",
+      std::fprintf(stderr, "FATAL: %s bitset kernel row diverges from CSR\n",
                    svm::describe(params).c_str());
       std::exit(1);
     }
@@ -272,7 +291,7 @@ BitsetReportRow report_bitset(svm::KernelType type) {
   const util::Stopwatch csr_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
     for (std::size_t q = 0; q < kQueries; ++q) {
-      svm::kernel_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
+      score_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
                       csr);
       benchmark::DoNotOptimize(csr.data());
     }
@@ -283,7 +302,7 @@ BitsetReportRow report_bitset(svm::KernelType type) {
   const util::Stopwatch bitset_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
     for (std::size_t q = 0; q < kQueries; ++q) {
-      svm::kernel_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
+      score_row(params, f.matrix, f.query_vectors[q], f.query_sqnorms[q],
                       bitset);
       benchmark::DoNotOptimize(bitset.data());
     }
@@ -292,7 +311,7 @@ BitsetReportRow report_bitset(svm::KernelType type) {
 
   const util::Stopwatch block_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
-    svm::kernel_block(params, f.matrix, f.queries, block);
+    score_block(params, f.matrix, f.queries, block);
     benchmark::DoNotOptimize(block.data());
   }
   const double block_s = block_watch.elapsed_micros() * 1e-6;
@@ -329,8 +348,9 @@ TransformSplitRow report_transform_split(svm::KernelType type) {
   // Per-query raw dots, computed once: the transform loop replays these.
   std::vector<double> dots(kQueries * rows);
   for (std::size_t q = 0; q < kQueries; ++q) {
-    svm::dot_rows(f.matrix, f.query_vectors[q],
-                  std::span{dots}.subspan(q * rows, rows));
+    svm::dot_block(svm::kernel_matrix(f.matrix),
+                   svm::KernelQueries::row(f.query_vectors[q], f.query_sqnorms[q]),
+                   std::span{dots}.subspan(q * rows, rows));
   }
 
   constexpr std::size_t kPasses = 200;
@@ -338,7 +358,10 @@ TransformSplitRow report_transform_split(svm::KernelType type) {
   std::vector<double> scratch(rows);
   for (std::size_t p = 0; p < kPasses; ++p) {
     for (std::size_t q = 0; q < kQueries; ++q) {
-      svm::dot_rows(f.matrix, f.query_vectors[q], scratch);
+      svm::dot_block(svm::kernel_matrix(f.matrix),
+                     svm::KernelQueries::row(f.query_vectors[q],
+                                             f.query_sqnorms[q]),
+                     scratch);
       benchmark::DoNotOptimize(scratch.data());
     }
   }
@@ -414,9 +437,9 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   std::vector<double> relaxed_block(kQueries * rows);
 
   svm::set_transform_mode(svm::TransformMode::kExact);
-  svm::kernel_block(params, f.matrix, f.queries, exact_block);
+  score_block(params, f.matrix, f.queries, exact_block);
   svm::set_transform_mode(svm::TransformMode::kRelaxed);
-  svm::kernel_block(params, f.matrix, f.queries, relaxed_block);
+  score_block(params, f.matrix, f.queries, relaxed_block);
 
   RelaxedReportRow row;
   row.kernel = svm::describe(params);
@@ -483,7 +506,7 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   svm::set_transform_mode(svm::TransformMode::kExact);
   const util::Stopwatch exact_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
-    svm::kernel_block(params, f.matrix, f.queries, exact_block);
+    score_block(params, f.matrix, f.queries, exact_block);
     benchmark::DoNotOptimize(exact_block.data());
   }
   const double exact_s = exact_watch.elapsed_micros() * 1e-6;
@@ -491,7 +514,7 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   svm::set_transform_mode(svm::TransformMode::kRelaxed);
   const util::Stopwatch relaxed_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
-    svm::kernel_block(params, f.matrix, f.queries, relaxed_block);
+    score_block(params, f.matrix, f.queries, relaxed_block);
     benchmark::DoNotOptimize(relaxed_block.data());
   }
   const double relaxed_s = relaxed_watch.elapsed_micros() * 1e-6;

@@ -132,9 +132,11 @@ constexpr std::size_t kColumnTile = 64;
 /// The column scorer behind regularizer_path_entries: ratios of every model
 /// of one fit_path column (`path` is that sweep's PathStats).  Each query
 /// tile gets one kernel_block over all training rows; cell r reduces its
-/// support rows out of it, in SV order, through the model's own
+/// support rows out of it, in SV order, through its view's
 /// decision_from_kernels — the values decision_values would compute from a
-/// block over the model's SV copy, hence the same bits.
+/// block over the model's SV copy, hence the same bits.  view_of builds no
+/// bitset here: fit_path gives each model's SV block one in the training
+/// matrix's layout when it makes the model, whenever that matrix has one.
 template <class Model>
 std::vector<AcceptanceRatios> column_acceptance(
     const std::string& user, std::span<const Model> models,
@@ -146,8 +148,12 @@ std::vector<AcceptanceRatios> column_acceptance(
   const obs::TraceSpan span{"grid.column_score", "grid",
                             static_cast<std::uint64_t>(cells)};
   const util::FeatureMatrix& own_windows = *train_windows.at(user);
+  const svm::KernelMatrix own = svm::kernel_matrix(own_windows);
   const svm::KernelParams& kernel = models.front().kernel();
   const std::size_t l = own_windows.rows();
+  std::vector<svm::ModelView> views;
+  views.reserve(cells);
+  for (const Model& model : models) views.push_back(svm::view_of(model));
   std::vector<std::size_t> accepted(cells);
   std::vector<double> other_sum(cells, 0.0);
   std::size_t other_count = 0;
@@ -156,17 +162,18 @@ std::vector<AcceptanceRatios> column_acceptance(
   // (0 for an empty matrix) times 100, macro-averaged over the others.
   for (const auto& [name, matrix] : train_windows) {
     const std::size_t nq = matrix->rows();
+    const svm::KernelMatrix queries = svm::kernel_matrix(*matrix);
     std::fill(accepted.begin(), accepted.end(), std::size_t{0});
     for (std::size_t q0 = 0; q0 < nq; q0 += kColumnTile) {
       const std::size_t tile = std::min(kColumnTile, nq - q0);
       if (block.size() < tile * l) block.resize(tile * l);
-      svm::kernel_block(kernel, own_windows, *matrix, q0, tile,
+      svm::kernel_block(kernel, own, svm::KernelQueries::rows(queries, q0, tile),
                         std::span<double>{block.data(), tile * l});
       for (std::size_t r = 0; r < cells; ++r) {
         const std::uint32_t* rows = path.support_rows[r].data();
         for (std::size_t t = 0; t < tile; ++t) {
           const double* k = block.data() + t * l;
-          const double value = models[r].decision_from_kernels(
+          const double value = views[r].decision_from_kernels(
               [k, rows](std::size_t i) { return k[rows[i]]; },
               matrix->sq_norm(q0 + t));
           if (value >= -slack) ++accepted[r];

@@ -215,11 +215,11 @@ IdentificationResult IdentificationPlane::score_survivors(
   // One bitset encoding of the query serves every survivor whose SV block
   // shares the schema layout (all of them, for same-store catalogs) — the
   // encode cost is paid once per window, not once per scored user.
-  svm::EncodedQueryCache query_cache{query_indices, query_values};
+  svm::EncodedQueryCache query_cache;
+  const auto query = svm::KernelQueries::row(query_indices, query_values,
+                                             query_sqnorm, &query_cache);
   for (const std::uint32_t u : survivors) {
-    const double decision =
-        catalog_->model(u).decision_value(query_indices, query_values,
-                                          query_sqnorm, &query_cache);
+    const double decision = catalog_->model(u).decision_value(query);
     if (decision > result.best_decision) {
       result.best_decision = decision;
       result.best = u;
@@ -364,16 +364,9 @@ IdentificationResult IdentificationPlane::identify(
 
 IdentificationResult IdentificationPlane::identify(
     const util::SparseVector& x) const {
-  const auto& entries = x.entries();
-  std::vector<std::uint32_t> indices;
-  std::vector<double> values;
-  indices.reserve(entries.size());
-  values.reserve(entries.size());
-  for (const auto& entry : entries) {
-    indices.push_back(static_cast<std::uint32_t>(entry.index));
-    values.push_back(entry.value);
-  }
-  return identify(indices, values, x.squared_norm());
+  const auto query = svm::KernelQueries::row(x, x.squared_norm());
+  const util::CsrView row = query.csr();
+  return identify(row.row_indices(0), row.row_values(0), row.sq_norm(0));
 }
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
@@ -398,16 +391,10 @@ IdentificationResult IdentificationPlane::identify_exhaustive(
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
     const util::SparseVector& x) const {
-  const auto& entries = x.entries();
-  std::vector<std::uint32_t> indices;
-  std::vector<double> values;
-  indices.reserve(entries.size());
-  values.reserve(entries.size());
-  for (const auto& entry : entries) {
-    indices.push_back(static_cast<std::uint32_t>(entry.index));
-    values.push_back(entry.value);
-  }
-  return identify_exhaustive(indices, values, x.squared_norm());
+  const auto query = svm::KernelQueries::row(x, x.squared_norm());
+  const util::CsrView row = query.csr();
+  return identify_exhaustive(row.row_indices(0), row.row_values(0),
+                             row.sq_norm(0));
 }
 
 }  // namespace wtp::index

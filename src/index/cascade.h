@@ -2,7 +2,7 @@
 // per-user SVM scorers (DESIGN §10).
 //
 // The paper identifies a window by fanning it out to every user's one-class
-// model — O(users) kernel_row work per window.  Its own sparsity
+// model — O(users) kernel rows per window.  Its own sparsity
 // observation (users touch ≈18/105 categories, ≈17/257 subtypes) makes
 // support overlap a strong prune signal, so the plane runs four stages of
 // strictly increasing cost and strictly decreasing candidate count:
@@ -15,7 +15,7 @@
 //                  oneclass centroid gate (query-constant terms dropped).
 //   3. gaussian  — diagonal-covariance Mahalanobis distance over the user's
 //                  SV block, sparse form of the oneclass gaussian gate.
-//   4. svm       — full kernel_row decisions for the survivors only;
+//   4. svm       — full SVM decisions for the survivors only;
 //                  argmax over those decisions.
 //
 // Stages 1-3 are rank-only: they choose WHICH users reach the SVMs, never
@@ -57,7 +57,8 @@ struct IdentificationResult {
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
   std::size_t best = npos;
   double best_decision = -std::numeric_limits<double>::infinity();
-  /// Survivor counts after each stage (stage 4 'scored' = kernel_row calls).
+  /// Survivor counts after each stage (stage 4 'scored' = models scored,
+  /// one kernel row each).
   std::size_t overlap_survivors = 0;
   std::size_t centroid_survivors = 0;
   std::size_t gaussian_survivors = 0;

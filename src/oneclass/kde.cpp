@@ -28,8 +28,9 @@ void KdeModel::fit(const util::FeatureMatrix& data, std::size_t dimension) {
   std::vector<double> scores;
   scores.reserve(points_.rows());
   std::vector<double> dots(points_.rows());
+  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
   for (std::size_t i = 0; i < points_.rows(); ++i) {
-    svm::dot_rows(points_, i, dots);
+    svm::dot_block(matrix, svm::KernelQueries::rows(matrix, i, 1), dots);
     scores.push_back(density_from_dots(dots, points_.sq_norm(i)));
   }
   threshold_ = quantile_threshold(scores, outlier_fraction_);
@@ -50,8 +51,10 @@ double KdeModel::density(const util::SparseVector& x) const {
   if (!fitted_) throw std::logic_error{"KdeModel: density before fit"};
   thread_local std::vector<double> dots;
   dots.resize(points_.rows());
-  svm::dot_rows(points_, x, dots);
-  return density_from_dots(dots, x.squared_norm());
+  const double x_sqnorm = x.squared_norm();
+  svm::dot_block(svm::kernel_matrix(points_), svm::KernelQueries::row(x, x_sqnorm),
+                 dots);
+  return density_from_dots(dots, x_sqnorm);
 }
 
 double KdeModel::decision_value(const util::SparseVector& x) const {

@@ -30,8 +30,9 @@ void KnnModel::fit(const util::FeatureMatrix& data, std::size_t dimension) {
   std::vector<double> scores;
   scores.reserve(points_.rows());
   std::vector<double> sq_dists(points_.rows());
+  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
   for (std::size_t i = 0; i < points_.rows(); ++i) {
-    svm::dot_rows(points_, i, sq_dists);
+    svm::dot_block(matrix, svm::KernelQueries::rows(matrix, i, 1), sq_dists);
     const double x_sqnorm = points_.sq_norm(i);
     for (std::size_t j = 0; j < points_.rows(); ++j) {
       sq_dists[j] = std::max(0.0, points_.sq_norm(j) + x_sqnorm - 2.0 * sq_dists[j]);
@@ -43,8 +44,9 @@ void KnnModel::fit(const util::FeatureMatrix& data, std::size_t dimension) {
 
 void KnnModel::sq_dists_to_all(const util::SparseVector& x,
                                std::span<double> out) const {
-  svm::dot_rows(points_, x, out);
   const double x_sqnorm = x.squared_norm();
+  svm::dot_block(svm::kernel_matrix(points_), svm::KernelQueries::row(x, x_sqnorm),
+                 out);
   for (std::size_t i = 0; i < points_.rows(); ++i) {
     out[i] = std::max(0.0, points_.sq_norm(i) + x_sqnorm - 2.0 * out[i]);
   }

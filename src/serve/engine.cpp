@@ -128,7 +128,7 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
                                  index::IdentificationResult* cascade_out) const {
   flags.assign(profiles.size(), 0);
   if (config_.plane != nullptr) {
-    // Candidate-pruning cascade: only survivors reach kernel_row; accepted
+    // Candidate-pruning cascade: only survivors reach the SVMs; accepted
     // survivors arrive as ascending catalog indices (= store order).
     index::IdentificationResult result = config_.plane->identify(features);
     for (const std::uint32_t i : result.accepted) flags[i] = 1;

@@ -59,7 +59,7 @@ struct EngineConfig {
   /// snapshots.  Must outlive the engine.
   obs::Registry* registry = nullptr;
   /// Optional candidate-pruning cascade.  When set, per-window scoring
-  /// routes through the plane (only cascade survivors reach kernel_row, and
+  /// routes through the plane (only cascade survivors reach the SVMs, and
   /// `accepted_by` holds the survivors that accepted) instead of the full
   /// profile fan-out.  The plane's catalog must hold the same users in the
   /// same order as the store (checked at construction) and must outlive the

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -213,44 +214,6 @@ void transform_phase_end(const KernelMetrics* metrics, KernelType type,
   const std::int64_t now = phase_begin(metrics);
   metrics->transform[kernel_index(type)]->record_ns(
       static_cast<double>(now - start));
-}
-
-// ------------------------------------------------------- bitset row paths --
-
-/// Raw dots of (query_indices, query_values) against every matrix row via
-/// the bitset plane.  Returns false (caller uses the CSR oracle) when the
-/// plane is disabled, the matrix has no bitset, or the query does not
-/// conform to its layout.
-bool bitset_dots(const util::BitsetView* bits,
-                 std::span<const std::uint32_t> query_indices,
-                 std::span<const double> query_values, std::span<double> out) {
-  if (bits == nullptr) return false;
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  if (ops == nullptr) return false;
-  thread_local util::BitsetQuery query;
-  if (!query.encode(*bits, query_indices, query_values)) return false;
-  util::bitset_dot_rows(*bits, query, out, *ops);
-  return true;
-}
-
-bool bitset_dots(const util::BitsetView* bits, const util::SparseVector& x,
-                 std::span<double> out) {
-  if (bits == nullptr) return false;
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  if (ops == nullptr) return false;
-  thread_local util::BitsetQuery query;
-  if (!query.encode(*bits, x)) return false;
-  util::bitset_dot_rows(*bits, query, out, *ops);
-  return true;
-}
-
-const util::BitsetView* matrix_bitset_view(const util::FeatureMatrix& matrix,
-                                           util::BitsetView* storage) {
-  if (kernel_dispatch() == nullptr) return nullptr;  // skip the lazy build
-  const util::BitsetStorage* bits = matrix.bitset();
-  if (bits == nullptr) return nullptr;
-  *storage = bits->view();
-  return storage;
 }
 
 }  // namespace
@@ -476,12 +439,13 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
 
 }  // namespace
 
-/// Shared tail of the kernel_row overloads: `inout` holds raw dot products
-/// of the query with every row; transform them in place.  Bit-identical to
-/// per-pair kernel_eval in exact mode (the default); see TransformMode for
-/// the relaxed tier.
 void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
                       double x_sqnorm, std::span<double> out) {
+  if (out.size() != matrix.rows()) {
+    throw std::invalid_argument{"kernel_transform: out holds " +
+                                std::to_string(out.size()) + " values for " +
+                                std::to_string(matrix.rows()) + " rows"};
+  }
   if (params.type == KernelType::kLinear) return;
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
@@ -489,112 +453,18 @@ void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
   transform_phase_end(metrics, params.type, start);
 }
 
-void kernel_transform(const KernelParams& params,
-                      const util::FeatureMatrix& matrix, double x_sqnorm,
-                      std::span<double> out) {
-  kernel_transform(params, matrix.view(), x_sqnorm, out);
-}
-
-void dot_rows(const util::FeatureMatrix& matrix, const util::SparseVector& x,
-              std::span<double> out) {
-  util::BitsetView view_storage;
-  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, x, out)) matrix.dot_all(x, out);
-}
-
-void dot_rows(const util::FeatureMatrix& matrix, std::size_t i,
-              std::span<double> out) {
-  util::BitsetView view_storage;
-  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (bits != nullptr) {
-    // Rows conform to their own layout by construction: the row IS its
-    // encoding, so this path never falls back.
-    util::bitset_dot_rows(*bits, i, out, *kernel_dispatch());
-    return;
+KernelMatrix kernel_matrix(const util::FeatureMatrix& matrix) {
+  KernelMatrix operand{matrix.view(), std::nullopt};
+  if (kernel_dispatch() == nullptr) return operand;  // skip the lazy build
+  if (const util::BitsetStorage* bits = matrix.bitset()) {
+    operand.bitset = bits->view();
   }
-  matrix.dot_all(i, out);
+  return operand;
 }
 
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::size_t i, std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  dot_rows(matrix, i, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix.view(), matrix.sq_norm(i), out);
-}
-
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  dot_rows(matrix, x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix.view(), x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  util::BitsetView view_storage;
-  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, query_indices, query_values, out)) {
-    matrix.dot_all(query_indices, query_values, out);
-  }
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix.view(), x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  matrix.dot_all(query_indices, query_values, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  matrix.dot_all(x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  if (!bitset_dots(bitset, query_indices, query_values, out)) {
-    matrix.dot_all(query_indices, query_values, out);
-  }
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset, const util::SparseVector& x,
-                double x_sqnorm, std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  if (!bitset_dots(bitset, x, out)) matrix.dot_all(x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-const util::BitsetQuery* EncodedQueryCache::get(const util::BitsetView& layout) {
+const util::BitsetQuery* EncodedQueryCache::get(
+    const util::BitsetView& layout, std::span<const std::uint32_t> indices,
+    std::span<const double> values) {
   for (const Entry& entry : entries_) {
     if (entry.cols == layout.cols &&
         entry.numeric_cols.size() == layout.numeric_cols.size() &&
@@ -606,105 +476,125 @@ const util::BitsetQuery* EncodedQueryCache::get(const util::BitsetView& layout) 
   Entry& entry = entries_.emplace_back();
   entry.cols = layout.cols;
   entry.numeric_cols.assign(layout.numeric_cols.begin(), layout.numeric_cols.end());
-  entry.ok = entry.query.encode(layout, indices_, values_);
+  entry.ok = entry.query.encode(layout, indices, values);
   return entry.ok ? &entry.query : nullptr;
 }
 
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out, EncodedQueryCache* cache) {
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  if (bitset != nullptr && ops != nullptr && cache != nullptr) {
-    if (const util::BitsetQuery* query = cache->get(*bitset)) {
-      const KernelMetrics* metrics = kernel_metrics();
-      const std::int64_t start = phase_begin(metrics);
-      util::bitset_dot_rows(*bitset, *query, out, *ops);
-      dot_phase_end(metrics, params.type, start);
-      kernel_transform(params, matrix, x_sqnorm, out);
-      return;
-    }
-  }
-  kernel_row(params, matrix, bitset, query_indices, query_values, x_sqnorm, out);
+KernelQueries KernelQueries::rows(const KernelMatrix& source, std::size_t begin,
+                                  std::size_t count) {
+  KernelQueries queries;
+  queries.csr_ = source.csr.rows_slice(begin, count);
+  if (source.bitset) queries.bitset_ = source.bitset->rows_slice(begin, count);
+  return queries;
 }
 
-namespace {
+KernelQueries KernelQueries::row(std::span<const std::uint32_t> indices,
+                                 std::span<const double> values, double sq_norm,
+                                 EncodedQueryCache* cache) {
+  KernelQueries queries;
+  queries.csr_.indices = indices;
+  queries.csr_.values = values;
+  queries.single_ = true;
+  queries.row_offsets_ = {0, indices.size()};
+  queries.sq_norm_ = sq_norm;
+  queries.cache_ = cache;
+  return queries;
+}
 
-/// Shared core of the kernel_block overloads.
-void kernel_block_impl(const KernelParams& params, const util::CsrView& matrix,
-                       const util::BitsetView* matrix_bitset,
-                       const util::CsrView& queries,
-                       const util::BitsetView* queries_bitset,
-                       std::span<double> out) {
-  const std::size_t n = matrix.rows();
-  const std::size_t nq = queries.rows();
-  if (nq == 0) return;
-  if (out.size() < n * nq) {
-    throw std::invalid_argument{"kernel_block: out holds " +
-                                std::to_string(out.size()) + " < " +
-                                std::to_string(n * nq) + " results"};
+KernelQueries KernelQueries::row(const util::SparseVector& x, double sq_norm) {
+  thread_local std::vector<std::uint32_t> indices;
+  thread_local std::vector<double> values;
+  indices.clear();
+  values.clear();
+  for (const auto& entry : x.entries()) {
+    // An index past 32 bits matches no column; saturating keeps it past
+    // every matrix's bounds guard.
+    indices.push_back(static_cast<std::uint32_t>(std::min<std::size_t>(
+        entry.index, std::numeric_limits<std::uint32_t>::max())));
+    values.push_back(entry.value);
   }
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  // Dot phase: the blocked bitset mini-GEMM plus CSR fallbacks for queries
-  // that did not conform, all before any transform — so the transform
-  // phase below streams over finished dots tile by tile (and the obs
-  // registry sees a clean dot/transform split).
+  return row(indices, values, sq_norm);
+}
+
+util::CsrView KernelQueries::csr() const noexcept {
+  if (!single_) return csr_;
+  return util::CsrView{0, csr_.indices, csr_.values, row_offsets_, {&sq_norm_, 1}};
+}
+
+/// Raw dots of every query against every matrix row — also kernel_block's
+/// dot phase — through the bitset plane where the matrix has a companion
+/// and the query conforms, through the CSR oracle otherwise.
+void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
+               std::span<double> out) {
+  const std::size_t n = matrix.rows();
+  const std::size_t nq = queries.count();
+  if (out.size() != n * nq) {
+    throw std::invalid_argument{"kernel block: out holds " +
+                                std::to_string(out.size()) + " values for " +
+                                std::to_string(nq) + " x " +
+                                std::to_string(n) + " results"};
+  }
+  if (n == 0 || nq == 0) return;
+  const util::CsrView rows = queries.csr();
+  const util::BitsetDotOps* ops = matrix.bitset ? kernel_dispatch() : nullptr;
+  const auto csr_dots = [&](std::size_t q) {
+    matrix.csr.dot_all(rows.row_indices(q), rows.row_values(q),
+                       out.subspan(q * n, n));
+  };
+  if (ops == nullptr) {
+    for (std::size_t q = 0; q < nq; ++q) csr_dots(q);
+    return;
+  }
+  const util::BitsetView& bits = *matrix.bitset;
+  const std::optional<util::BitsetView>& own = queries.bitset();
+  if (nq == 1) {
+    // One query: the fused dot_rows route, no block staging.  A row whose
+    // source shares the layout IS its encoding; otherwise the shared cache
+    // or a per-thread encode supplies one.
+    if (own && own->same_layout(bits)) {
+      ops->dot_rows(bits, own->row_words(0), own->row_numeric(0), out.data());
+      return;
+    }
+    const util::BitsetQuery* encoded = nullptr;
+    thread_local util::BitsetQuery scratch;
+    if (EncodedQueryCache* cache = queries.cache()) {
+      encoded = cache->get(bits, rows.row_indices(0), rows.row_values(0));
+    } else if (scratch.encode(bits, rows.row_indices(0), rows.row_values(0))) {
+      encoded = &scratch;
+    }
+    if (encoded == nullptr) {
+      csr_dots(0);
+    } else {
+      ops->dot_rows(bits, encoded->words.data(), encoded->numeric.data(),
+                    out.data());
+    }
+    return;
+  }
+  // The blocked mini-popcount-GEMM, then CSR dots for the queries that did
+  // not conform — all before any transform, so the obs registry sees a
+  // clean dot/transform split.
+  thread_local util::BitsetQueryBlock block;
+  block.encode(bits, rows, own ? &*own : nullptr);
+  util::bitset_dot_block(bits, block, out, *ops);
+  if (block.all_ok()) return;
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (!block.ok(q)) csr_dots(q);
+  }
+}
+
+void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
+                  const KernelQueries& queries, std::span<double> out) {
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
-  bool need_fallback = true;
-  thread_local util::BitsetQueryBlock block;
-  if (matrix_bitset != nullptr && ops != nullptr && n != 0) {
-    block.encode(*matrix_bitset, queries, queries_bitset);
-    util::bitset_dot_block(*matrix_bitset, block, out, *ops);
-    need_fallback = !block.all_ok();
-  }
-  if (need_fallback) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      if (matrix_bitset == nullptr || ops == nullptr || n == 0 ||
-          !block.ok(q)) {
-        matrix.dot_all(queries.row_indices(q), queries.row_values(q),
-                       out.subspan(q * n, n));
-      }
-    }
-  }
+  dot_block(matrix, queries, out);
   dot_phase_end(metrics, params.type, start);
   // Transform phase: per-query tiled SIMD transform (kernel_transform
   // records its own per-kernel timer).
-  for (std::size_t q = 0; q < nq; ++q) {
-    kernel_transform(params, matrix, queries.sq_norm(q), out.subspan(q * n, n));
+  const std::size_t n = matrix.rows();
+  const util::CsrView rows = queries.csr();
+  for (std::size_t q = 0; q < queries.count(); ++q) {
+    kernel_transform(params, matrix.csr, rows.sq_norm(q), out.subspan(q * n, n));
   }
-}
-
-}  // namespace
-
-void kernel_block(const KernelParams& params, const util::CsrView& matrix,
-                  const util::BitsetView* matrix_bitset,
-                  const util::CsrView& queries,
-                  const util::BitsetView* queries_bitset, std::span<double> out) {
-  kernel_block_impl(params, matrix, matrix_bitset, queries, queries_bitset, out);
-}
-
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::size_t query_begin,
-                  std::size_t query_count, std::span<double> out) {
-  util::BitsetView matrix_storage;
-  const util::BitsetView* matrix_bits = matrix_bitset_view(matrix, &matrix_storage);
-  util::BitsetView query_storage;
-  const util::BitsetView* query_bits = nullptr;
-  if (matrix_bits != nullptr &&
-      matrix_bitset_view(queries, &query_storage) != nullptr) {
-    query_storage = query_storage.rows_slice(query_begin, query_count);
-    query_bits = &query_storage;
-  }
-  kernel_block_impl(params, matrix.view(), matrix_bits,
-                    queries.view().rows_slice(query_begin, query_count),
-                    query_bits, out);
-}
-
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::span<double> out) {
-  kernel_block(params, matrix, queries, 0, queries.rows(), out);
 }
 
 std::string describe(const KernelParams& params) {

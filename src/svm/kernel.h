@@ -5,9 +5,20 @@
 //   polynomial  k(x,y) = (gamma x.y + coef0)^degree
 //   rbf         k(x,y) = exp(-gamma ||x-y||^2)      [paper: gamma = 1/C]
 //   sigmoid     k(x,y) = tanh(gamma x.y + coef0)
+//
+// Every kernel value the system computes goes through one entry point,
+// kernel_block(params, matrix, queries, out): a matrix descriptor (the rows
+// scored against: CSR plus an optional bitset companion) times a query
+// descriptor (CSR rows plus whatever encodings the bitset plane can reuse).
+// A single row — a scored window, an SMO Q-matrix row — is a block of one.
+// dot_block is its raw-dot twin (no transform) for the non-kernel consumers,
+// and kernel_transform is the tail the SMO solver applies to cached Gram
+// rows.  kernel_eval and kernel_self stay as the per-pair oracles.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -83,47 +94,11 @@ struct KernelParams {
 /// k(x, x) from a cached squared norm (FeatureMatrix rows, scored queries).
 [[nodiscard]] double kernel_self(const KernelParams& params, double sq_norm);
 
-/// Batch kernel evaluation: one row of K against *all* rows of a
-/// FeatureMatrix in a single pass.  The query is scattered into a dense
-/// scratch once, every matrix row then streams contiguous CSR entries, and
-/// the kernel transform is applied kernel-hoisted over the whole row.
-/// Results are bit-identical to per-pair kernel_eval with cached norms.
-/// `out` must hold matrix.rows() elements.
-///
-/// Query = row i of the matrix itself:
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::size_t i, std::span<double> out);
-/// Query = an external vector with its squared norm precomputed (decision
-/// functions: compute the query norm once per scored vector, not once per
-/// kernel call):
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out);
-/// Query = a CSR row borrowed from another matrix (batch scoring):
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-
-/// Non-owning variants over a util::CsrView — the zero-copy path used by
-/// memory-mapped support-vector blocks (model_io's blob plane).  Same
-/// implementation as the FeatureMatrix overloads (which forward here), so
-/// results are bit-identical regardless of who owns the rows.
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out);
-void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> inout);
-
 // ----------------------------------------------------------------------
 // kernel_dispatch seam (DESIGN §11).
 //
 // When a matrix carries a bitset companion (util::BitsetStorage) and the
-// query conforms to its layout, kernel_row/kernel_block compute the raw
+// query conforms to its layout, kernel_block and dot_block compute the raw
 // dots as AND+popcount through the backend selected here; otherwise they
 // fall back to the scalar CSR path.  Both paths are bit-identical by
 // construction (the combine replays the oracle's summation order), which
@@ -154,7 +129,7 @@ void set_kernel_backend_for_testing(std::string_view name);
 // ----------------------------------------------------------------------
 // Transform plane (DESIGN §14).
 //
-// kernel_transform (and therefore every kernel_row/kernel_block tail) runs
+// kernel_transform (and therefore every kernel_block tail) runs
 // in cache-sized tiles through a SIMD backend selected alongside the bitset
 // backend (same WTP_KERNEL_BACKEND override, same fastest-supported
 // default).  The exact tier vectorizes everything around the libm call —
@@ -179,7 +154,7 @@ void set_transform_mode(TransformMode mode);
 [[nodiscard]] std::string_view transform_backend_name();
 
 /// Installs per-kernel transform observability into `registry`:
-///   kernel.dot_ns{kernel=...}       — time per dot phase (kernel_row/block)
+///   kernel.dot_ns{kernel=...}       — time per dot phase (kernel_block)
 ///   kernel.transform_ns{kernel=...} — time per transform tail
 ///   kernel.transform_relaxed        — gauge, 1 when the process-wide mode
 ///                                     is relaxed
@@ -188,60 +163,37 @@ void set_transform_mode(TransformMode mode);
 /// is a no-op when uninstalled.
 void set_kernel_metrics(obs::Registry* registry);
 
-/// Multi-query batch: out[q * matrix.rows() + r] = k(query_q, row_r) for
-/// every row of `queries` — the blocked mini-popcount-GEMM behind batched
-/// decision functions.  Bit-identical to per-query kernel_row.  When both
-/// matrices share a bitset layout (e.g. schema-derived via
-/// FeatureMatrix::ensure_bitset) the query encodings are borrowed
-/// zero-copy.  `out` must hold queries.rows() * matrix.rows() elements.
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::span<double> out);
-/// Query rows [query_begin, query_begin + query_count) only — lets callers
-/// tile large query sets to bound the out-block (out needs query_count *
-/// matrix.rows() elements).
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::size_t query_begin,
-                  std::size_t query_count, std::span<double> out);
-/// Non-owning variant (mmap'd SV blocks): `matrix_bitset` may be null.
-void kernel_block(const KernelParams& params, const util::CsrView& matrix,
-                  const util::BitsetView* matrix_bitset,
-                  const util::CsrView& queries,
-                  const util::BitsetView* queries_bitset, std::span<double> out);
+// ----------------------------------------------------------------------
+// The kernel entry point.
+// ----------------------------------------------------------------------
 
-/// Bitset-aware variants of kernel_row over a raw CsrView (the mmap'd model
-/// path): when `bitset` is non-null and the query conforms, dots go through
-/// the dispatched backend.
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset, const util::SparseVector& x,
-                double x_sqnorm, std::span<double> out);
+/// Matrix descriptor: the rows a kernel block scores against.  `bitset`,
+/// when set, routes dots through the dispatched AND+popcount backend; the
+/// CSR rows are always the fallback (and the oracle).
+struct KernelMatrix {
+  util::CsrView csr;
+  std::optional<util::BitsetView> bitset;
 
-/// Raw dots (no kernel transform) of every matrix row with a query, routed
-/// through the bitset plane when possible.  Bit-identical to
-/// FeatureMatrix::dot_all — the entry point for non-kernel consumers (kde
-/// densities, knn distances, GramCache rows).
-void dot_rows(const util::FeatureMatrix& matrix, const util::SparseVector& x,
-              std::span<double> out);
-void dot_rows(const util::FeatureMatrix& matrix, std::size_t i,
-              std::span<double> out);
+  [[nodiscard]] std::size_t rows() const noexcept { return csr.rows(); }
+};
+
+/// The one way a FeatureMatrix becomes a kernel operand: its CSR view plus
+/// its cached bitset, built on first use.  While the bitset plane is
+/// disabled (WTP_KERNEL_BACKEND=csr) no bitset is built or attached.
+[[nodiscard]] KernelMatrix kernel_matrix(const util::FeatureMatrix& matrix);
 
 /// Reuses one query's bitset encoding across many matrices that share a
 /// layout — the cascade's stage-4 survivors and exhaustive fan-outs score
 /// one window against hundreds of per-user SV blocks whose layouts are
 /// schema-identical, so the encode work is paid once, not per user.
+/// One cache serves one query row: kernel_block passes it that row.
 class EncodedQueryCache {
  public:
-  EncodedQueryCache(std::span<const std::uint32_t> query_indices,
-                    std::span<const double> query_values) noexcept
-      : indices_{query_indices}, values_{query_values} {}
-
-  /// Encoding of the query against `layout`, or nullptr when the query does
-  /// not conform (callers fall back to the CSR path).
-  [[nodiscard]] const util::BitsetQuery* get(const util::BitsetView& layout);
+  /// Encoding of the query (indices, values) against `layout`, or nullptr
+  /// when the query does not conform (callers fall back to the CSR path).
+  [[nodiscard]] const util::BitsetQuery* get(
+      const util::BitsetView& layout, std::span<const std::uint32_t> indices,
+      std::span<const double> values);
 
  private:
   struct Entry {
@@ -250,26 +202,73 @@ class EncodedQueryCache {
     util::BitsetQuery query;
     bool ok;
   };
-  std::span<const std::uint32_t> indices_;
-  std::span<const double> values_;
   std::vector<Entry> entries_;
 };
 
-/// kernel_row with a shared encode cache (see EncodedQueryCache).
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out, EncodedQueryCache* cache);
+/// Query descriptor: the rows a kernel block scores, as CSR rows with their
+/// squared norms, plus the encodings the bitset plane may reuse.
+class KernelQueries {
+ public:
+  /// Rows [begin, begin + count) of `source`.  Where the source's bitset
+  /// shares the scored matrix's layout, its rows are the queries' encodings
+  /// — so a matrix's own row borrows its own encoding (the SMO path).
+  [[nodiscard]] static KernelQueries rows(const KernelMatrix& source,
+                                          std::size_t begin, std::size_t count);
+  /// One row.  `cache`, when set, shares the row's bitset encoding across
+  /// every matrix of the same layout it is scored against.
+  [[nodiscard]] static KernelQueries row(std::span<const std::uint32_t> indices,
+                                         std::span<const double> values,
+                                         double sq_norm,
+                                         EncodedQueryCache* cache = nullptr);
+  /// One SparseVector row, converted once into a per-thread SoA scratch:
+  /// the descriptor is valid until the same thread's next conversion.
+  [[nodiscard]] static KernelQueries row(const util::SparseVector& x,
+                                         double sq_norm);
 
-/// In-place kernel transform of a raw dot-product row: `inout[j]` holds
-/// x . row_j on entry and k(x, row_j) on return.  This is the cheap scalar
-/// tail of kernel_row — every grid-search kernel is such a transform of the
-/// same Gram row, which is what lets a sweep share dot products across
-/// kernels (GramCache).  Bit-identical to kernel_row given the same dots.
-void kernel_transform(const KernelParams& params,
-                      const util::FeatureMatrix& matrix, double x_sqnorm,
-                      std::span<double> inout);
+  [[nodiscard]] std::size_t count() const noexcept {
+    return single_ ? 1 : csr_.rows();
+  }
+  /// The query rows.  Points into this descriptor for a single row, so it
+  /// is valid while the descriptor is.
+  [[nodiscard]] util::CsrView csr() const noexcept;
+  [[nodiscard]] const std::optional<util::BitsetView>& bitset() const noexcept {
+    return bitset_;
+  }
+  [[nodiscard]] EncodedQueryCache* cache() const noexcept { return cache_; }
+
+ private:
+  KernelQueries() = default;
+
+  util::CsrView csr_;
+  bool single_ = false;
+  std::array<std::size_t, 2> row_offsets_{};  ///< single row: {0, nnz}
+  double sq_norm_ = 0.0;                      ///< single row
+  std::optional<util::BitsetView> bitset_;
+  EncodedQueryCache* cache_ = nullptr;
+};
+
+/// out[q * matrix.rows() + r] = k(query_q, row_r) for every query and row.
+/// Bit-identical to per-pair kernel_eval with cached norms in the exact
+/// transform tier, on every backend.  Throws std::invalid_argument, before
+/// writing anything, unless out.size() == queries.count() * matrix.rows().
+void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
+                  const KernelQueries& queries, std::span<double> out);
+
+/// Raw dots (no kernel transform): out[q * matrix.rows() + r] =
+/// query_q . row_r, bit-identical to CsrView::dot_all — the entry point for
+/// non-kernel consumers (kde densities, knn distances, GramCache rows).
+/// Same shape check as kernel_block.
+void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
+               std::span<double> out);
+
+/// In-place kernel transform of one query's raw dots: `inout[j]` holds
+/// x . row_j on entry and k(x, row_j) on return.  Every grid-search kernel
+/// is such a transform of the same Gram row, which is what lets a sweep
+/// share dot products across kernels (GramCache).  Bit-identical to
+/// kernel_block given the same dots.  Throws std::invalid_argument unless
+/// inout.size() == matrix.rows().
+void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
+                      double x_sqnorm, std::span<double> inout);
 
 /// Thread-local scratch sized for one kernel row (one value per matrix
 /// row), reused across decision-function calls on the same thread.

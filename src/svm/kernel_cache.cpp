@@ -74,7 +74,8 @@ void GramCache::row(std::size_t i, std::span<double> out) {
   ++misses_;
   if (cached_count_ >= max_cached_rows_) evict_one();
   slot.data.resize(data_->rows());
-  dot_rows(*data_, i, slot.data);
+  const KernelMatrix matrix = kernel_matrix(*data_);
+  dot_block(matrix, KernelQueries::rows(matrix, i, 1), slot.data);
   slot.cached = true;
   ++cached_count_;
   lru_.push_front(i);

@@ -285,20 +285,19 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
                              std::span<const double> coefficients) {
   while (out.size() % 8 != 0) out.push_back(std::byte{0});
   const std::size_t start = out.size();
-  const auto view = svs.view();
   // v2 when the SV block carries a bitset companion (skipped entirely when
   // the plane is disabled via WTP_KERNEL_BACKEND=csr).
-  const util::BitsetStorage* bitset =
-      kernel_dispatch() != nullptr ? svs.bitset() : nullptr;
-  const util::BitsetView bits =
-      bitset != nullptr ? bitset->view() : util::BitsetView{};
+  const KernelMatrix operand = kernel_matrix(svs);
+  const util::CsrView& view = operand.csr;
+  const bool has_bitset = operand.bitset.has_value();
+  const util::BitsetView bits = operand.bitset.value_or(util::BitsetView{});
   const BlobLayout layout =
       blob_layout(view.rows(), view.nnz(), bits.words_per_row,
-                  bits.numeric_cols.size(), bitset != nullptr);
+                  bits.numeric_cols.size(), has_bitset);
 
   BlobHeader header{};
   std::memcpy(header.magic, kBlobMagic, sizeof(kBlobMagic));
-  header.version = bitset != nullptr ? kBlobVersionBitset : kBlobVersion;
+  header.version = has_bitset ? kBlobVersionBitset : kBlobVersion;
   header.endian = kEndianGuard;
   header.model_type = model_type;
   header.kernel_type = static_cast<std::uint32_t>(kernel.type);
@@ -322,7 +321,7 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   append_bytes(out, view.values.data(), view.values.size() * sizeof(double));
   append_bytes(out, view.sq_norms.data(), view.sq_norms.size() * sizeof(double));
   append_bytes(out, coefficients.data(), coefficients.size() * sizeof(double));
-  if (bitset != nullptr) {
+  if (has_bitset) {
     const std::uint64_t words_per_row = bits.words_per_row;
     const std::uint64_t numeric_count = bits.numeric_cols.size();
     append_bytes(out, &words_per_row, sizeof(words_per_row));
@@ -517,7 +516,6 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
         blob_error("bitset numeric columns not strictly ascending");
       }
     }
-    view.has_bitset = true;
     view.sv_bitset = util::BitsetView{
         header.cols,
         header.sv_count,
@@ -531,106 +529,49 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
   return view;
 }
 
-double ModelView::decision_value(std::span<const std::uint32_t> query_indices,
-                                 std::span<const double> query_values,
-                                 double x_sqnorm) const {
-  return decision_value(query_indices, query_values, x_sqnorm, nullptr);
-}
-
-double ModelView::decision_value(std::span<const std::uint32_t> query_indices,
-                                 std::span<const double> query_values,
-                                 double x_sqnorm, EncodedQueryCache* cache) const {
-  const auto k = kernel_row_scratch(support_vectors.rows());
-  kernel_row(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr,
-             query_indices, query_values, x_sqnorm, k, cache);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients[i] * k[i];
-  if (model_type == kBlobModelOneClass) return sum - scalar0;
-  const double k_xx = kernel_self(kernel, x_sqnorm);
-  return scalar0 - (k_xx - 2.0 * sum + scalar1);
-}
-
-double ModelView::decision_value(const util::SparseVector& x,
-                                 double x_sqnorm) const {
-  const auto k = kernel_row_scratch(support_vectors.rows());
-  kernel_row(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr, x,
-             x_sqnorm, k);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients[i] * k[i];
-  if (model_type == kBlobModelOneClass) return sum - scalar0;
-  const double k_xx = kernel_self(kernel, x_sqnorm);
-  return scalar0 - (k_xx - 2.0 * sum + scalar1);
-}
-
-double ModelView::decision_value(const util::SparseVector& x) const {
-  return decision_value(x, x.squared_norm());
+double ModelView::decision_value(const KernelQueries& query) const {
+  if (query.count() != 1) {
+    throw std::invalid_argument{"ModelView::decision_value: " +
+                                std::to_string(query.count()) +
+                                " query rows, want 1"};
+  }
+  const auto k = kernel_row_scratch(sv_count());
+  kernel_block(kernel, KernelMatrix{support_vectors, sv_bitset}, query, k);
+  return decision_from_kernels([k](std::size_t i) { return k[i]; },
+                               query.csr().sq_norm(0));
 }
 
 void ModelView::decision_values(const util::FeatureMatrix& queries,
                                 std::span<double> out) const {
-  const std::size_t n = support_vectors.rows();
+  const std::size_t n = sv_count();
   const std::size_t nq = queries.rows();
   constexpr std::size_t kQueryTile = 64;
   thread_local std::vector<double> block;
   if (block.size() < std::min(kQueryTile, nq) * n) {
     block.resize(std::min(kQueryTile, nq) * n);
   }
-  util::BitsetView query_storage;
-  const util::BitsetView* query_bits = nullptr;
-  if (has_bitset && kernel_dispatch() != nullptr) {
-    if (const util::BitsetStorage* qb = queries.bitset()) {
-      query_storage = qb->view();
-      query_bits = &query_storage;
-    }
-  }
+  const KernelMatrix svs{support_vectors, sv_bitset};
+  const KernelMatrix rows = kernel_matrix(queries);
   for (std::size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
     const std::size_t tile = std::min(kQueryTile, nq - q0);
     const std::span<double> k{block.data(), tile * n};
-    util::BitsetView query_slice;
-    const util::BitsetView* slice_bits = nullptr;
-    if (query_bits != nullptr) {
-      query_slice = query_bits->rows_slice(q0, tile);
-      slice_bits = &query_slice;
-    }
-    kernel_block(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr,
-                 queries.view().rows_slice(q0, tile), slice_bits, k);
+    kernel_block(kernel, svs, KernelQueries::rows(rows, q0, tile), k);
     for (std::size_t t = 0; t < tile; ++t) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sum += coefficients[i] * k[t * n + i];
-      if (model_type == kBlobModelOneClass) {
-        out[q0 + t] = sum - scalar0;
-      } else {
-        const double k_xx = kernel_self(kernel, queries.sq_norm(q0 + t));
-        out[q0 + t] = scalar0 - (k_xx - 2.0 * sum + scalar1);
-      }
+      const double* row = k.data() + t * n;
+      out[q0 + t] = decision_from_kernels(
+          [row](std::size_t i) { return row[i]; }, queries.sq_norm(q0 + t));
     }
   }
 }
-
-namespace {
-
-/// The heap matrix's cached bitset, attached so views score through the
-/// same AND+popcount plane as mmap'd blobs.  Skips the (lazy) build when
-/// the plane is disabled.
-void attach_bitset(ModelView& view, const util::FeatureMatrix& svs) {
-  if (kernel_dispatch() == nullptr) return;
-  if (const util::BitsetStorage* bits = svs.bitset()) {
-    view.has_bitset = true;
-    view.sv_bitset = bits->view();
-  }
-}
-
-}  // namespace
 
 ModelView view_of(const OneClassSvmModel& model) {
   ModelView view;
   view.model_type = kBlobModelOneClass;
   view.kernel = model.kernel();
   view.scalar0 = model.rho();
-  view.scalar1 = 0.0;
   view.support_vectors = model.support_vectors().view();
   view.coefficients = model.coefficients();
-  attach_bitset(view, model.support_vectors());
+  view.sv_bitset = kernel_matrix(model.support_vectors()).bitset;
   return view;
 }
 
@@ -642,7 +583,7 @@ ModelView view_of(const SvddModel& model) {
   view.scalar1 = model.alpha_k_alpha();
   view.support_vectors = model.support_vectors().view();
   view.coefficients = model.coefficients();
-  attach_bitset(view, model.support_vectors());
+  view.sv_bitset = kernel_matrix(model.support_vectors()).bitset;
   return view;
 }
 

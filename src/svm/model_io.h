@@ -62,6 +62,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -93,9 +94,10 @@ constexpr std::uint32_t kBlobModelOneClass = 0;
 constexpr std::uint32_t kBlobModelSvdd = 1;
 
 /// Non-owning decision-capable view of one model, either over a binary blob
-/// (mmap) or borrowed from a heap model (view_of).  Scoring goes through the
-/// same CsrView kernel_row path in both cases, so decision values are
-/// bit-identical regardless of who owns the support vectors.
+/// (mmap) or borrowed from a heap model (view_of).  It holds the only copy
+/// of the decision arithmetic of both model kinds, and heap models score by
+/// forwarding here, so decision values are bit-identical regardless of who
+/// owns the support vectors.
 struct ModelView {
   std::uint32_t model_type = kBlobModelOneClass;
   KernelParams kernel;
@@ -106,28 +108,37 @@ struct ModelView {
   /// Bitset companion of the SV block (blob v2, or the heap matrix's cached
   /// bitset via view_of); scoring routes dots through the dispatched
   /// AND+popcount backend when set.  Absent => pure CSR scoring.
-  bool has_bitset = false;
-  util::BitsetView sv_bitset;
+  std::optional<util::BitsetView> sv_bitset;
 
   [[nodiscard]] std::size_t sv_count() const noexcept {
     return support_vectors.rows();
   }
-  /// Same arithmetic (same expressions, same order) as the heap models'
-  /// decision_value, replicated over the view.
-  [[nodiscard]] double decision_value(std::span<const std::uint32_t> query_indices,
-                                      std::span<const double> query_values,
-                                      double x_sqnorm) const;
-  [[nodiscard]] double decision_value(const util::SparseVector& x,
-                                      double x_sqnorm) const;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const;
-  /// As above with a shared query-encoding cache (cascade fan-outs score
-  /// one window against many same-layout SV blocks); `cache` may be null.
-  [[nodiscard]] double decision_value(std::span<const std::uint32_t> query_indices,
-                                      std::span<const double> query_values,
-                                      double x_sqnorm,
-                                      EncodedQueryCache* cache) const;
-  /// Batched decisions over every row of `queries` (kernel_block path),
-  /// bit-identical to per-row decision_value.  `out` needs queries.rows().
+
+  /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
+  /// support vector i, `x_sqnorm` is ||x||^2 (for SVDD's k(x, x)).
+  ///   one_class_svm  f(x) = sum_i alpha_i k(sv_i, x) - rho         (eq. 6)
+  ///   svdd           f(x) = R^2 - (k(x, x) - 2 sum_i alpha_i k(sv_i, x)
+  ///                                + alpha^T K alpha)                (eq. 12)
+  /// decision_value(s) and the grid's column scorer all reduce through it,
+  /// so they agree bit for bit given the same kernel values.
+  template <class KernelAt>
+  [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
+                                             double x_sqnorm) const {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < coefficients.size(); ++i) {
+      sum += coefficients[i] * k_at(i);
+    }
+    if (model_type == kBlobModelOneClass) return sum - scalar0;
+    const double k_xx = kernel_self(kernel, x_sqnorm);
+    return scalar0 - (k_xx - 2.0 * sum + scalar1);
+  }
+
+  /// Decision value of a one-row query (KernelQueries::row); throws
+  /// std::invalid_argument for any other row count.
+  [[nodiscard]] double decision_value(const KernelQueries& query) const;
+  /// Decisions of every row of `queries`, one kernel_block per bounded
+  /// query tile — bit-identical to per-row decision_value.  `out` needs
+  /// queries.rows().  The heap models' decision_values forward here.
   void decision_values(const util::FeatureMatrix& queries,
                        std::span<double> out) const;
 };
@@ -149,7 +160,8 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 [[nodiscard]] ModelView view_model_blob(std::span<const std::byte> blob);
 
 /// Borrowed views of heap models — the bridge that lets one scoring path
-/// serve both storage backends.  Valid while the model is.
+/// serve both storage backends.  Valid while the model is.  The SV block's
+/// bitset companion is attached through kernel_matrix (built on first use).
 [[nodiscard]] ModelView view_of(const OneClassSvmModel& model);
 [[nodiscard]] ModelView view_of(const SvddModel& model);
 [[nodiscard]] ModelView view_of(const AnySvmModel& model);

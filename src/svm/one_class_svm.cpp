@@ -6,6 +6,7 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "svm/model_io.h"
 #include "svm/smo_solver.h"
 
 namespace wtp::svm {
@@ -171,33 +172,12 @@ double OneClassSvmModel::decision_value(const util::SparseVector& x) const {
 
 double OneClassSvmModel::decision_value(const util::SparseVector& x,
                                         double x_sqnorm) const {
-  const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
-  return decision_from_kernels([&](std::size_t i) { return k[i]; }, x_sqnorm);
+  return view_of(*this).decision_value(KernelQueries::row(x, x_sqnorm));
 }
 
 void OneClassSvmModel::decision_values(const util::FeatureMatrix& queries,
                                        std::span<double> out) const {
-  // Batched through kernel_block in bounded query tiles; the coefficient
-  // reduction per query is unchanged, so results stay bit-identical to the
-  // per-query kernel_row path.
-  const std::size_t n = support_vectors_.rows();
-  const std::size_t nq = queries.rows();
-  constexpr std::size_t kQueryTile = 64;
-  thread_local std::vector<double> block;
-  if (block.size() < std::min(kQueryTile, nq) * n) {
-    block.resize(std::min(kQueryTile, nq) * n);
-  }
-  for (std::size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
-    const std::size_t tile = std::min(kQueryTile, nq - q0);
-    const std::span<double> k{block.data(), tile * n};
-    kernel_block(kernel_, support_vectors_, queries, q0, tile, k);
-    for (std::size_t t = 0; t < tile; ++t) {
-      const double* row = k.data() + t * n;
-      out[q0 + t] = decision_from_kernels(
-          [row](std::size_t i) { return row[i]; }, queries.sq_norm(q0 + t));
-    }
-  }
+  view_of(*this).decision_values(queries, out);
 }
 
 }  // namespace wtp::svm

@@ -74,6 +74,8 @@ class OneClassSvmModel {
       KernelParams kernel, std::vector<util::SparseVector> support_vectors,
       std::vector<double> coefficients, double rho);
 
+  /// Decision values, forwarded through view_of (svm/model_io.h), where the
+  /// decision arithmetic lives.
   [[nodiscard]] double decision_value(const util::SparseVector& x) const;
   /// Variant with the query's squared norm precomputed by the caller (it is
   /// needed once per scored vector, not once per kernel evaluation).
@@ -84,21 +86,6 @@ class OneClassSvmModel {
                        std::span<double> out) const;
   [[nodiscard]] bool accepts(const util::SparseVector& x) const {
     return decision_value(x) >= 0.0;
-  }
-
-  /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
-  /// support vector i.  The one place the decision arithmetic lives —
-  /// decision_value(s) and the grid's column scorer all reduce through it,
-  /// so they agree bit for bit given the same kernel values.  `x_sqnorm` is
-  /// unused; it keeps the signature uniform with SvddModel's.
-  template <class KernelAt>
-  [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
-                                             double /*x_sqnorm*/) const {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < coefficients_.size(); ++i) {
-      sum += coefficients_[i] * k_at(i);
-    }
-    return sum - rho_;
   }
 
   /// The support-vector set as an owned CSR block.

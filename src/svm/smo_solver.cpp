@@ -99,9 +99,11 @@ std::span<const float> QMatrix::row(std::size_t i) {
   return cache_.get(i, [this](std::size_t r, std::span<float> out) {
     if (gram_ != nullptr) {
       gram_->row(r, row_scratch_);
-      kernel_transform(params_, *data_, data_->sq_norm(r), row_scratch_);
+      kernel_transform(params_, data_->view(), data_->sq_norm(r), row_scratch_);
     } else {
-      kernel_row(params_, *data_, r, row_scratch_);
+      const KernelMatrix matrix = kernel_matrix(*data_);
+      kernel_block(params_, matrix, KernelQueries::rows(matrix, r, 1),
+                   row_scratch_);
     }
     for (std::size_t j = 0; j < row_scratch_.size(); ++j) {
       out[j] = static_cast<float>(scale_ * row_scratch_[j]);

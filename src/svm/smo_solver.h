@@ -39,9 +39,9 @@ namespace wtp::svm {
 
 /// Lazily evaluated, cached kernel/Q matrix over a CSR training set.
 /// `scale` multiplies every entry (1 for OC-SVM's K, 2 for SVDD's 2K).
-/// Rows are produced by the batch kernel_row path, streaming the training
-/// matrix contiguously; the matrix's cached squared norms serve every RBF
-/// evaluation.  The matrix must outlive the QMatrix.
+/// Row i is a one-query kernel_block of the training matrix against its own
+/// row i, streaming the matrix contiguously; the matrix's cached squared
+/// norms serve every RBF evaluation.  The matrix must outlive the QMatrix.
 class QMatrix {
  public:
   QMatrix(const util::FeatureMatrix& data, KernelParams params, double scale,

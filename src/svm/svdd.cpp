@@ -7,6 +7,7 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "svm/model_io.h"
 #include "svm/smo_solver.h"
 
 namespace wtp::svm {
@@ -192,12 +193,7 @@ double SvddModel::squared_distance_to_center(const util::SparseVector& x) const 
 
 double SvddModel::squared_distance_to_center(const util::SparseVector& x,
                                              double x_sqnorm) const {
-  const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
-  double cross = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) cross += coefficients_[i] * k[i];
-  const double k_xx = kernel_self(kernel_, x_sqnorm);
-  return k_xx - 2.0 * cross + alpha_k_alpha_;
+  return r_squared_ - decision_value(x, x_sqnorm);
 }
 
 double SvddModel::decision_value(const util::SparseVector& x) const {
@@ -206,32 +202,12 @@ double SvddModel::decision_value(const util::SparseVector& x) const {
 
 double SvddModel::decision_value(const util::SparseVector& x,
                                  double x_sqnorm) const {
-  const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
-  return decision_from_kernels([&](std::size_t i) { return k[i]; }, x_sqnorm);
+  return view_of(*this).decision_value(KernelQueries::row(x, x_sqnorm));
 }
 
 void SvddModel::decision_values(const util::FeatureMatrix& queries,
                                 std::span<double> out) const {
-  // Batched through kernel_block (see OneClassSvmModel::decision_values);
-  // the per-query arithmetic is unchanged, so results are bit-identical.
-  const std::size_t n = support_vectors_.rows();
-  const std::size_t nq = queries.rows();
-  constexpr std::size_t kQueryTile = 64;
-  thread_local std::vector<double> block;
-  if (block.size() < std::min(kQueryTile, nq) * n) {
-    block.resize(std::min(kQueryTile, nq) * n);
-  }
-  for (std::size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
-    const std::size_t tile = std::min(kQueryTile, nq - q0);
-    const std::span<double> k{block.data(), tile * n};
-    kernel_block(kernel_, support_vectors_, queries, q0, tile, k);
-    for (std::size_t t = 0; t < tile; ++t) {
-      const double* row = k.data() + t * n;
-      out[q0 + t] = decision_from_kernels(
-          [row](std::size_t i) { return row[i]; }, queries.sq_norm(q0 + t));
-    }
-  }
+  view_of(*this).decision_values(queries, out);
 }
 
 }  // namespace wtp::svm

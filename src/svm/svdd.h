@@ -73,7 +73,8 @@ class SvddModel {
       KernelParams kernel, std::vector<util::SparseVector> support_vectors,
       std::vector<double> coefficients, double r_squared, double alpha_k_alpha);
 
-  /// f(x) = R^2 - squared distance of Phi(x) to the center.
+  /// f(x) = R^2 - squared distance of Phi(x) to the center.  Forwarded
+  /// through view_of (svm/model_io.h), where the decision arithmetic lives.
   [[nodiscard]] double decision_value(const util::SparseVector& x) const;
   /// Variant with the query's squared norm precomputed by the caller.
   [[nodiscard]] double decision_value(const util::SparseVector& x,
@@ -85,23 +86,7 @@ class SvddModel {
     return decision_value(x) >= 0.0;
   }
 
-  /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
-  /// support vector i, `x_sqnorm` is ||x||^2 (for k(x, x)).  The one place
-  /// the decision arithmetic lives — decision_value(s) and the grid's
-  /// column scorer all reduce through it, so they agree bit for bit given
-  /// the same kernel values.
-  template <class KernelAt>
-  [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
-                                             double x_sqnorm) const {
-    double cross = 0.0;
-    for (std::size_t i = 0; i < coefficients_.size(); ++i) {
-      cross += coefficients_[i] * k_at(i);
-    }
-    const double k_xx = kernel_self(kernel_, x_sqnorm);
-    return r_squared_ - (k_xx - 2.0 * cross + alpha_k_alpha_);
-  }
-
-  /// Squared distance ||Phi(x) - a||^2 (for diagnostics).
+  /// Squared distance ||Phi(x) - a||^2 = R^2 - f(x) (for diagnostics).
   [[nodiscard]] double squared_distance_to_center(const util::SparseVector& x) const;
   [[nodiscard]] double squared_distance_to_center(const util::SparseVector& x,
                                                   double x_sqnorm) const;

@@ -181,8 +181,10 @@ svm::OneClassSvmModel ScalePopulation::make_model(std::size_t u) const {
   std::vector<double> coefficients(m, alpha);
   std::vector<double> self_scores(m, 0.0);
   const auto row = svm::kernel_row_scratch(m);
+  const svm::KernelMatrix matrix = svm::kernel_matrix(svs);
   for (std::size_t i = 0; i < m; ++i) {
-    svm::kernel_row(config_.kernel, svs, i, row);
+    svm::kernel_block(config_.kernel, matrix, svm::KernelQueries::rows(matrix, i, 1),
+                      row);
     double score = 0.0;
     for (std::size_t j = 0; j < m; ++j) score += coefficients[j] * row[j];
     self_scores[i] = score;

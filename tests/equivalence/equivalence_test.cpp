@@ -65,11 +65,13 @@ TEST(KernelEquivalence, KernelRowMatchesPerPairKernelEval) {
   const auto matrix = util::FeatureMatrix::from_rows(rows, kDim);
   const auto queries = synthetic_windows(12, 10, 0.5);
   std::vector<double> out(matrix.rows());
+  const svm::KernelMatrix operand = svm::kernel_matrix(matrix);
   for (const auto& params : all_kernels()) {
     // External-query overload vs per-pair kernel_eval with cached norms.
     for (const auto& x : queries) {
       const double x_sqnorm = x.squared_norm();
-      svm::kernel_row(params, matrix, x, x_sqnorm, out);
+      svm::kernel_block(params, operand, svm::KernelQueries::row(x, x_sqnorm),
+                        out);
       for (std::size_t j = 0; j < rows.size(); ++j) {
         EXPECT_EQ(out[j], svm::kernel_eval(params, x, rows[j], x_sqnorm,
                                            rows[j].squared_norm()))
@@ -78,7 +80,8 @@ TEST(KernelEquivalence, KernelRowMatchesPerPairKernelEval) {
     }
     // Row-query overload (SMO's Q-matrix path).
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      svm::kernel_row(params, matrix, i, out);
+      svm::kernel_block(params, operand, svm::KernelQueries::rows(operand, i, 1),
+                        out);
       for (std::size_t j = 0; j < rows.size(); ++j) {
         EXPECT_EQ(out[j],
                   svm::kernel_eval(params, rows[i], rows[j],
@@ -89,8 +92,11 @@ TEST(KernelEquivalence, KernelRowMatchesPerPairKernelEval) {
     // Borrowed-CSR-row overload (batch scoring path).
     const auto query_matrix = util::FeatureMatrix::from_rows(queries, kDim);
     for (std::size_t q = 0; q < query_matrix.rows(); ++q) {
-      svm::kernel_row(params, matrix, query_matrix.row_indices(q),
-                      query_matrix.row_values(q), query_matrix.sq_norm(q), out);
+      svm::kernel_block(params, operand,
+                        svm::KernelQueries::row(query_matrix.row_indices(q),
+                                                query_matrix.row_values(q),
+                                                query_matrix.sq_norm(q)),
+                        out);
       for (std::size_t j = 0; j < rows.size(); ++j) {
         EXPECT_EQ(out[j], svm::kernel_eval(params, queries[q], rows[j],
                                            queries[q].squared_norm(),
@@ -371,10 +377,12 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   std::vector<double> batch(probe_matrix.rows());
   std::vector<double> row(train.rows());
   std::vector<std::byte> blobs;
+  const svm::KernelMatrix train_operand = svm::kernel_matrix(train);
   for (const auto& kernel : paper_shaped_kernels()) {
     // Raw kernel rows of the training matrix, as the SMO solver sees them.
     for (std::size_t i = 0; i < train.rows(); ++i) {
-      svm::kernel_row(kernel, train, i, row);
+      svm::kernel_block(kernel, train_operand,
+                        svm::KernelQueries::rows(train_operand, i, 1), row);
       digest.add(row);
     }
     svm::OneClassSvmConfig oc;
@@ -398,14 +406,13 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
       const svm::ModelView view =
           svm::view_model_blob(std::span{blobs}.subspan(offset));
       for (std::size_t q = 0; q < probe_matrix.rows(); ++q) {
-        digest.add(view.decision_value(probe_matrix.row_indices(q),
-                                       probe_matrix.row_values(q),
-                                       probe_matrix.sq_norm(q)));
-        svm::EncodedQueryCache cache{probe_matrix.row_indices(q),
-                                     probe_matrix.row_values(q)};
-        digest.add(view.decision_value(probe_matrix.row_indices(q),
-                                       probe_matrix.row_values(q),
-                                       probe_matrix.sq_norm(q), &cache));
+        digest.add(view.decision_value(svm::KernelQueries::row(
+            probe_matrix.row_indices(q), probe_matrix.row_values(q),
+            probe_matrix.sq_norm(q))));
+        svm::EncodedQueryCache cache;
+        digest.add(view.decision_value(svm::KernelQueries::row(
+            probe_matrix.row_indices(q), probe_matrix.row_values(q),
+            probe_matrix.sq_norm(q), &cache)));
       }
     }
   }

@@ -88,7 +88,9 @@ TEST(MappedStore, MappedDecisionsBitIdenticalToHeap) {
     for (std::uint64_t salt = 0; salt < 6; ++salt) {
       const util::SparseVector x = population.sample_window(u, 0xabc0 + salt);
       const double from_heap = heap_model.decision_value(x);
-      ASSERT_EQ(store.model(u).decision_value(x), from_heap);
+      ASSERT_EQ(store.model(u).decision_value(
+                    svm::KernelQueries::row(x, x.squared_norm())),
+                from_heap);
       ASSERT_EQ(materialized.decision_value(x), from_heap);
     }
   }
@@ -161,7 +163,9 @@ TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
       const util::SparseVector x = first.sample_window(u, 0xbeef + salt);
       ASSERT_EQ(profiles[u].decision_value(x), heap_model.decision_value(x));
-      ASSERT_EQ(store.model(u).decision_value(x), heap_model.decision_value(x));
+      ASSERT_EQ(store.model(u).decision_value(
+                    svm::KernelQueries::row(x, x.squared_norm())),
+                heap_model.decision_value(x));
     }
   }
   const MappedProfileStore rewritten = MappedProfileStore::open(path);
@@ -214,7 +218,8 @@ TEST(MappedStore, WriteMappedStoreMirrorsHeapStore) {
   for (std::size_t u = 0; u < mapped.size(); ++u) {
     EXPECT_EQ(mapped.user_id(u), heap_store.profiles()[u].user_id());
     const util::SparseVector x = population.sample_window(u, 0x5a17);
-    ASSERT_EQ(mapped.model(u).decision_value(x),
+    ASSERT_EQ(mapped.model(u).decision_value(
+                  svm::KernelQueries::row(x, x.squared_norm())),
               heap_store.profiles()[u].decision_value(x));
   }
 }

@@ -141,7 +141,9 @@ TEST(Prometheus, KernelTransformMetricsExpose) {
         std::span<const util::SparseVector>{rows}, 4);
     const svm::KernelParams params{svm::KernelType::kRbf, 0.5, 0.0, 3};
     std::vector<double> scores(rows.size());
-    kernel_row(params, matrix, rows[0], rows[0].squared_norm(), scores);
+    svm::kernel_block(params, svm::kernel_matrix(matrix),
+                      svm::KernelQueries::row(rows[0], rows[0].squared_norm()),
+                      scores);
     out = to_prometheus(registry.snapshot(false));
   }
   // Exact mode by default: the gauge reads 0.

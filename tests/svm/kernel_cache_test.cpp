@@ -153,7 +153,7 @@ TEST(GramCache, SharedAcrossKernelsComputesDotsOnce) {
 }
 
 TEST(GramCache, QMatrixRowsIdenticalWithAndWithoutGram) {
-  // The gram-backed fill must be bit-identical to the direct kernel_row
+  // The gram-backed fill must be bit-identical to the direct kernel_block
   // path for every kernel type (double dots + same scalar transform).
   const auto matrix = gram_test_matrix();
   for (const auto type : {KernelType::kLinear, KernelType::kPolynomial,

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svm/kernel.h"
@@ -120,12 +122,17 @@ TEST(KernelDispatch, CsrSentinelDisablesBitsetPlane) {
   EXPECT_EQ(kernel_dispatch(), nullptr);
   EXPECT_EQ(kernel_backend_name(), "csr");
   set_kernel_backend_for_testing("");
-  EXPECT_NE(kernel_dispatch(), nullptr);
+  // Back to the environment's choice, which may itself be csr.
+  const char* env = std::getenv("WTP_KERNEL_BACKEND");
+  const std::string_view requested = env == nullptr ? "" : env;
+  const bool env_disables = requested == "csr" || requested == "none" ||
+                            requested == "off";
+  EXPECT_EQ(kernel_dispatch() == nullptr, env_disables);
 }
 
 /// Every supported backend vs the CSR oracle, bit for bit, on every layout
-/// and kernel type.  The oracle rows come from the same kernel_row call with
-/// the bitset plane disabled.
+/// and kernel type.  The oracle rows come from the same kernel_block call
+/// with the bitset plane disabled.
 TEST(KernelDispatch, AllBackendsBitIdenticalToCsrOracle) {
   BackendGuard guard;
   util::Rng rng{271};
@@ -145,9 +152,11 @@ TEST(KernelDispatch, AllBackendsBitIdenticalToCsrOracle) {
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const double sqn = queries[q].squared_norm();
         set_kernel_backend_for_testing("csr");
-        kernel_row(params, matrix, queries[q], sqn, oracle);
+        kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(queries[q], sqn), oracle);
         set_kernel_backend_for_testing(backend);
-        kernel_row(params, matrix, queries[q], sqn, got);
+        kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(queries[q], sqn), got);
         for (std::size_t r = 0; r < rows.size(); ++r) {
           ASSERT_EQ(bits(oracle[r]), bits(got[r]))
               << shape.name << " backend=" << backend << " q=" << q
@@ -183,9 +192,11 @@ TEST(KernelDispatch, TransformedKernelsBitIdenticalAcrossBackends) {
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const double sqn = queries[q].squared_norm();
         set_kernel_backend_for_testing("scalar");
-        kernel_row(params, matrix, queries[q], sqn, scalar_out);
+        kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(queries[q], sqn), scalar_out);
         set_kernel_backend_for_testing(backend);
-        kernel_row(params, matrix, queries[q], sqn, backend_out);
+        kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(queries[q], sqn), backend_out);
         for (std::size_t r = 0; r < rows.size(); ++r) {
           ASSERT_EQ(bits(scalar_out[r]), bits(backend_out[r]))
               << describe(params) << " backend=" << backend << " q=" << q
@@ -196,7 +207,8 @@ TEST(KernelDispatch, TransformedKernelsBitIdenticalAcrossBackends) {
   }
 }
 
-/// kernel_block must equal per-query kernel_row exactly on every backend —
+/// A block of queries must equal per-query blocks of one exactly on every
+/// backend —
 /// the batched path is a routing change, never a numeric one.
 TEST(KernelDispatch, KernelBlockMatchesPerQueryRows) {
   BackendGuard guard;
@@ -214,15 +226,50 @@ TEST(KernelDispatch, KernelBlockMatchesPerQueryRows) {
   std::vector<double> row_out(rows.size());
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
-    kernel_block(params, matrix, queries, block);
+    const KernelMatrix operand = kernel_matrix(matrix);
+    kernel_block(params, operand,
+                 KernelQueries::rows(kernel_matrix(queries), 0, queries.rows()),
+                 block);
     for (std::size_t q = 0; q < query_rows.size(); ++q) {
-      kernel_row(params, matrix, query_rows[q], query_rows[q].squared_norm(),
-                 row_out);
+      kernel_block(params, operand,
+                   KernelQueries::row(query_rows[q], query_rows[q].squared_norm()),
+                   row_out);
       for (std::size_t r = 0; r < rows.size(); ++r) {
         ASSERT_EQ(bits(block[q * rows.size() + r]), bits(row_out[r]))
             << "backend=" << backend << " q=" << q << " row=" << r;
       }
     }
+  }
+}
+
+/// The entry point checks the out shape before it writes: a one-query block
+/// into a span one short must throw and leave every element untouched, on
+/// every backend and with the bitset plane disabled.
+TEST(KernelDispatch, OneQueryBlockRejectsShortOutBeforeWriting) {
+  BackendGuard guard;
+  util::Rng rng{4242};
+  const std::vector<std::uint32_t> ncols{6, 7, 8};
+  auto rows = make_rows(rng, 24, 843, 25, ncols, 1.0);
+  const auto query = make_rows(rng, 1, 843, 25, ncols, 1.0).front();
+  auto matrix = util::FeatureMatrix::from_rows(rows, 843);
+  matrix.ensure_bitset(ncols);
+  const KernelParams params{KernelType::kRbf, 1.0 / 843.0, 0.0, 3};
+  constexpr double kSentinel = -12345.0;
+  std::vector<std::string_view> backends = supported_kernel_backends();
+  backends.push_back("csr");
+  for (const auto backend : backends) {
+    set_kernel_backend_for_testing(backend);
+    const KernelMatrix operand = kernel_matrix(matrix);
+    std::vector<double> out(rows.size() - 1, kSentinel);
+    EXPECT_THROW(kernel_block(params, operand,
+                              KernelQueries::row(query, query.squared_norm()),
+                              out),
+                 std::invalid_argument)
+        << backend;
+    EXPECT_THROW(dot_block(operand, KernelQueries::rows(operand, 0, 1), out),
+                 std::invalid_argument)
+        << backend;
+    for (const double v : out) ASSERT_EQ(v, kSentinel) << backend;
   }
 }
 
@@ -330,9 +377,11 @@ TEST(KernelDispatch, AddOnesEscalationMatchesOracle) {
     for (const auto& query : queries) {
       const double sqn = query.squared_norm();
       set_kernel_backend_for_testing("csr");
-      kernel_row(params, matrix, query, sqn, oracle);
+      kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(query, sqn), oracle);
       set_kernel_backend_for_testing(backend);
-      kernel_row(params, matrix, query, sqn, got);
+      kernel_block(params, kernel_matrix(matrix),
+                     KernelQueries::row(query, sqn), got);
       for (std::size_t r = 0; r < rows.size(); ++r) {
         ASSERT_EQ(bits(oracle[r]), bits(got[r]))
             << "backend=" << backend << " row=" << r << " oracle=" << oracle[r]

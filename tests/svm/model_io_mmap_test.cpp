@@ -72,7 +72,8 @@ TEST(ModelBlob, OneClassViewIsBitIdentical) {
   EXPECT_EQ(view.sv_count(), model.support_vectors().rows());
   for (const auto& x : probes(12)) {
     // EXPECT_EQ, not DOUBLE_EQ: the contract is bit-identity, not closeness.
-    ASSERT_EQ(view.decision_value(x), model.decision_value(x));
+    ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
+              model.decision_value(x));
   }
 }
 
@@ -86,7 +87,8 @@ TEST(ModelBlob, SvddViewIsBitIdentical) {
   EXPECT_EQ(view.scalar0, model.r_squared());
   EXPECT_EQ(view.scalar1, model.alpha_k_alpha());
   for (const auto& x : probes(14)) {
-    ASSERT_EQ(view.decision_value(x), model.decision_value(x));
+    ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
+              model.decision_value(x));
   }
 }
 
@@ -97,7 +99,8 @@ TEST(ModelBlob, HeapViewMatchesBlobView) {
   const ModelView from_blob = view_model_blob(blob);
   const ModelView from_heap = view_of(model);
   for (const auto& x : probes(16)) {
-    ASSERT_EQ(from_blob.decision_value(x), from_heap.decision_value(x));
+    ASSERT_EQ(from_blob.decision_value(KernelQueries::row(x, x.squared_norm())),
+              from_heap.decision_value(KernelQueries::row(x, x.squared_norm())));
   }
 }
 
@@ -127,8 +130,10 @@ TEST(ModelBlob, SecondBlobInOneBufferViewsCleanly) {
       std::span{buffer}.subspan(first_off, second_off - first_off));
   const ModelView v2 = view_model_blob(std::span{buffer}.subspan(second_off));
   const auto x = probes(21).front();
-  EXPECT_EQ(v1.decision_value(x), first.decision_value(x));
-  EXPECT_EQ(v2.decision_value(x), second.decision_value(x));
+  EXPECT_EQ(v1.decision_value(KernelQueries::row(x, x.squared_norm())),
+            first.decision_value(x));
+  EXPECT_EQ(v2.decision_value(KernelQueries::row(x, x.squared_norm())),
+            second.decision_value(x));
 }
 
 TEST(ModelBlob, RejectsWrongMagic) {

@@ -77,7 +77,8 @@ void expect_transform_matches_eval(std::span<const util::SparseVector> rows,
       set_kernel_backend_for_testing(backend);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const double sqn = queries[q].squared_norm();
-        kernel_row(params, matrix, queries[q], sqn, out);
+        kernel_block(params, kernel_matrix(matrix), KernelQueries::row(queries[q], sqn),
+                     out);
         for (std::size_t r = 0; r < rows.size(); ++r) {
           const double oracle =
               kernel_eval(params, queries[q], rows[r], sqn,
@@ -132,7 +133,8 @@ TEST(Transform, RbfClampCancellationEdgeBitwise) {
   std::vector<double> out(rows.size());
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
-    kernel_row(kernels[0], matrix, queries[0], queries[0].squared_norm(), out);
+    kernel_block(kernels[0], kernel_matrix(matrix),
+                 KernelQueries::row(queries[0], queries[0].squared_norm()), out);
     EXPECT_EQ(out[0], 1.0) << backend;
   }
 }
