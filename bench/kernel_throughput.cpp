@@ -154,11 +154,12 @@ void score_row(const svm::KernelParams& params, const util::FeatureMatrix& matri
 /// Every query row of `queries` against `matrix` in one block.
 void score_block(const svm::KernelParams& params,
                  const util::FeatureMatrix& matrix,
-                 const util::FeatureMatrix& queries, std::span<double> out) {
+                 const util::FeatureMatrix& queries, std::span<double> out,
+                 svm::TransformMode tier = svm::TransformMode::kExact) {
   svm::kernel_block(
       params, svm::kernel_matrix(matrix),
       svm::KernelQueries::rows(svm::kernel_matrix(queries), 0, queries.rows()),
-      out);
+      out, tier);
 }
 
 /// Before: one merge-join kernel_eval per (query, row) pair, norms cached.
@@ -436,10 +437,9 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   std::vector<double> exact_block(kQueries * rows);
   std::vector<double> relaxed_block(kQueries * rows);
 
-  svm::set_transform_mode(svm::TransformMode::kExact);
   score_block(params, f.matrix, f.queries, exact_block);
-  svm::set_transform_mode(svm::TransformMode::kRelaxed);
-  score_block(params, f.matrix, f.queries, relaxed_block);
+  score_block(params, f.matrix, f.queries, relaxed_block,
+              svm::TransformMode::kRelaxed);
 
   RelaxedReportRow row;
   row.kernel = svm::describe(params);
@@ -481,12 +481,11 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
     double exact_top = -1e300;
     double relaxed_top = -1e300;
     for (std::size_t m = 0; m < kModels; ++m) {
-      svm::set_transform_mode(svm::TransformMode::kExact);
       const double exact_d =
           models[m].decision_value(f.query_vectors[q], f.query_sqnorms[q]);
-      svm::set_transform_mode(svm::TransformMode::kRelaxed);
       const double relaxed_d =
-          models[m].decision_value(f.query_vectors[q], f.query_sqnorms[q]);
+          models[m].decision_value(f.query_vectors[q], f.query_sqnorms[q],
+                                   svm::TransformMode::kRelaxed);
       row.max_decision_delta =
           std::max(row.max_decision_delta, std::abs(exact_d - relaxed_d));
       if (exact_d > exact_top) { exact_top = exact_d; exact_best = m; }
@@ -503,7 +502,6 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   }
 
   constexpr std::size_t kPasses = 200;
-  svm::set_transform_mode(svm::TransformMode::kExact);
   const util::Stopwatch exact_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
     score_block(params, f.matrix, f.queries, exact_block);
@@ -511,14 +509,13 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   }
   const double exact_s = exact_watch.elapsed_micros() * 1e-6;
 
-  svm::set_transform_mode(svm::TransformMode::kRelaxed);
   const util::Stopwatch relaxed_watch;
   for (std::size_t p = 0; p < kPasses; ++p) {
-    score_block(params, f.matrix, f.queries, relaxed_block);
+    score_block(params, f.matrix, f.queries, relaxed_block,
+                svm::TransformMode::kRelaxed);
     benchmark::DoNotOptimize(relaxed_block.data());
   }
   const double relaxed_s = relaxed_watch.elapsed_micros() * 1e-6;
-  svm::set_transform_mode(svm::TransformMode::kDefault);
 
   const double evals = static_cast<double>(kPasses * kQueries * rows);
   row.exact_block_mevals = evals / exact_s * 1e-6;

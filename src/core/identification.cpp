@@ -15,8 +15,9 @@ bool IdentificationEvent::accepted(const std::string& user) const {
 
 UserIdentifier::UserIdentifier(std::span<const UserProfile> profiles,
                                const features::FeatureSchema& schema,
-                               features::WindowConfig window)
-    : profiles_{profiles}, schema_{&schema}, window_{window} {
+                               features::WindowConfig window,
+                               svm::TransformMode tier)
+    : profiles_{profiles}, schema_{&schema}, window_{window}, tier_{tier} {
   if (profiles.empty()) {
     throw std::invalid_argument{"UserIdentifier: no profiles"};
   }
@@ -57,8 +58,9 @@ std::vector<IdentificationEvent> UserIdentifier::monitor(
       }
     }
 
+    const double sqnorm = window.features.squared_norm();
     for (const auto& profile : profiles_) {
-      if (profile.accepts(window.features)) {
+      if (profile.decision_value(window.features, sqnorm, tier_) >= 0.0) {
         event.accepted_by.push_back(profile.user_id());
       }
     }

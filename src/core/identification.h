@@ -33,10 +33,12 @@ struct IdentificationEvent {
 
 class UserIdentifier {
  public:
-  /// Profiles must outlive the identifier.
+  /// Profiles must outlive the identifier.  `tier` is the transform
+  /// precision every window is scored in (svm/kernel.h).
   UserIdentifier(std::span<const UserProfile> profiles,
                  const features::FeatureSchema& schema,
-                 features::WindowConfig window);
+                 features::WindowConfig window,
+                 svm::TransformMode tier = svm::TransformMode::kExact);
 
   /// Runs every profile over the device's (time-sorted) transaction stream.
   [[nodiscard]] std::vector<IdentificationEvent> monitor(
@@ -55,6 +57,7 @@ class UserIdentifier {
   std::span<const UserProfile> profiles_;
   const features::FeatureSchema* schema_;
   features::WindowConfig window_;
+  svm::TransformMode tier_;
 };
 
 /// Argmax identification: the profile with the highest decision value for

@@ -77,7 +77,8 @@ AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,
 }
 
 ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
-                                  const WindowsByUser& windows) {
+                                  const WindowsByUser& windows,
+                                  svm::TransformMode tier) {
   ConfusionMatrix matrix;
   for (const auto& [user, user_windows] : windows) {
     (void)user_windows;
@@ -90,7 +91,7 @@ ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
     matrix.cells[j].reserve(matrix.users.size());
     for (const auto& user : matrix.users) {
       matrix.cells[j].push_back(
-          profiles[j].acceptance_ratio(windows.at(user)) * 100.0);
+          profiles[j].acceptance_ratio(windows.at(user), tier) * 100.0);
     }
   }
   return matrix;

@@ -65,8 +65,10 @@ struct ConfusionMatrix {
   [[nodiscard]] double off_diagonal_below(double percent) const;
 };
 
-[[nodiscard]] ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
-                                                const WindowsByUser& windows);
+/// `tier` is the transform precision the profiles score in (svm/kernel.h).
+[[nodiscard]] ConfusionMatrix compute_confusion(
+    std::span<const UserProfile> profiles, const WindowsByUser& windows,
+    svm::TransformMode tier = svm::TransformMode::kExact);
 [[nodiscard]] ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
                                                 const MatrixByUser& windows);
 

@@ -46,24 +46,29 @@ double UserProfile::decision_value(const util::SparseVector& window) const {
 }
 
 double UserProfile::decision_value(const util::SparseVector& window,
-                                   double window_sqnorm) const {
+                                   double window_sqnorm,
+                                   svm::TransformMode tier) const {
   return std::visit(
-      [&](const auto& model) { return model.decision_value(window, window_sqnorm); },
+      [&](const auto& model) {
+        return model.decision_value(window, window_sqnorm, tier);
+      },
       model_);
 }
 
 void UserProfile::decision_values(const util::FeatureMatrix& windows,
-                                  std::span<double> out) const {
-  std::visit([&](const auto& model) { model.decision_values(windows, out); },
-             model_);
+                                  std::span<double> out,
+                                  svm::TransformMode tier) const {
+  std::visit(
+      [&](const auto& model) { model.decision_values(windows, out, tier); },
+      model_);
 }
 
-double UserProfile::acceptance_ratio(
-    std::span<const util::SparseVector> windows) const {
+double UserProfile::acceptance_ratio(std::span<const util::SparseVector> windows,
+                                     svm::TransformMode tier) const {
   if (windows.empty()) return 0.0;
   std::size_t accepted = 0;
   for (const auto& window : windows) {
-    if (accepts(window)) ++accepted;
+    if (decision_value(window, window.squared_norm(), tier) >= 0.0) ++accepted;
   }
   return static_cast<double>(accepted) / static_cast<double>(windows.size());
 }

@@ -58,26 +58,26 @@ class UserProfile {
 
   [[nodiscard]] double decision_value(const util::SparseVector& window) const;
   /// Same, with the query's squared norm precomputed by the caller (serving:
-  /// one norm per scored window shared across all profiles).
-  [[nodiscard]] double decision_value(const util::SparseVector& window,
-                                      double window_sqnorm) const;
+  /// one norm per scored window shared across all profiles), in transform
+  /// tier `tier` (svm/kernel.h).
+  [[nodiscard]] double decision_value(
+      const util::SparseVector& window, double window_sqnorm,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
   [[nodiscard]] bool accepts(const util::SparseVector& window) const {
     return decision_value(window) >= 0.0;
-  }
-  [[nodiscard]] bool accepts(const util::SparseVector& window,
-                             double window_sqnorm) const {
-    return decision_value(window, window_sqnorm) >= 0.0;
   }
 
   /// Batched decisions over every row of `windows` (the kernel_block path),
   /// bit-identical to per-row decision_value.  `out` needs windows.rows()
   /// elements.
-  void decision_values(const util::FeatureMatrix& windows,
-                       std::span<double> out) const;
+  void decision_values(
+      const util::FeatureMatrix& windows, std::span<double> out,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
 
   /// Fraction of `windows` accepted by the profile, in [0, 1].
   [[nodiscard]] double acceptance_ratio(
-      std::span<const util::SparseVector> windows) const;
+      std::span<const util::SparseVector> windows,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
   /// Batch form over a window matrix: one kernel-row pass per window.
   /// `slack` widens the acceptance test to decision >= -slack; grid scoring
   /// uses it so training windows that are free support vectors (decision

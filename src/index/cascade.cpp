@@ -209,7 +209,8 @@ void IdentificationPlane::build(const ProfileCatalog& catalog) {
 IdentificationResult IdentificationPlane::score_survivors(
     std::span<const std::uint32_t> survivors,
     std::span<const std::uint32_t> query_indices,
-    std::span<const double> query_values, double query_sqnorm) const {
+    std::span<const double> query_values, double query_sqnorm,
+    svm::TransformMode tier) const {
   IdentificationResult result;
   result.scored = survivors.size();
   // One bitset encoding of the query serves every survivor whose SV block
@@ -219,7 +220,7 @@ IdentificationResult IdentificationPlane::score_survivors(
   const auto query = svm::KernelQueries::row(query_indices, query_values,
                                              query_sqnorm, &query_cache);
   for (const std::uint32_t u : survivors) {
-    const double decision = catalog_->model(u).decision_value(query);
+    const double decision = catalog_->model(u).decision_value(query, tier);
     if (decision > result.best_decision) {
       result.best_decision = decision;
       result.best = u;
@@ -231,7 +232,8 @@ IdentificationResult IdentificationPlane::score_survivors(
 
 IdentificationResult IdentificationPlane::identify(
     std::span<const std::uint32_t> query_indices,
-    std::span<const double> query_values, double query_sqnorm) const {
+    std::span<const double> query_values, double query_sqnorm,
+    svm::TransformMode tier) const {
   const auto total_start = Clock::now();
   const std::size_t n = catalog_->size();
   Scratch& scratch = scratch_for(n, dimension_);
@@ -347,8 +349,8 @@ IdentificationResult IdentificationPlane::identify(
   // the first-max tie-break matches exhaustive fan-out exactly.
   stage_start = Clock::now();
   std::sort(survivors.begin(), survivors.end());
-  IdentificationResult scored =
-      score_survivors(survivors, query_indices, query_values, query_sqnorm);
+  IdentificationResult scored = score_survivors(
+      survivors, query_indices, query_values, query_sqnorm, tier);
   result.stage_ns[3] = static_cast<std::int64_t>(elapsed_ns(stage_start));
   metrics_->stage_svm->record_ns(static_cast<double>(result.stage_ns[3]));
   metrics_->kernel_row_calls->add(scored.scored);
@@ -363,15 +365,16 @@ IdentificationResult IdentificationPlane::identify(
 }
 
 IdentificationResult IdentificationPlane::identify(
-    const util::SparseVector& x) const {
+    const util::SparseVector& x, svm::TransformMode tier) const {
   const auto query = svm::KernelQueries::row(x, x.squared_norm());
   const util::CsrView row = query.csr();
-  return identify(row.row_indices(0), row.row_values(0), row.sq_norm(0));
+  return identify(row.row_indices(0), row.row_values(0), row.sq_norm(0), tier);
 }
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
     std::span<const std::uint32_t> query_indices,
-    std::span<const double> query_values, double query_sqnorm) const {
+    std::span<const double> query_values, double query_sqnorm,
+    svm::TransformMode tier) const {
   const std::size_t n = catalog_->size();
   Scratch& scratch = scratch_for(n, dimension_);
   auto& survivors = scratch.survivors;
@@ -380,8 +383,8 @@ IdentificationResult IdentificationPlane::identify_exhaustive(
     survivors[u] = static_cast<std::uint32_t>(u);
   }
   metrics_->exhaustive_windows->add();
-  IdentificationResult result =
-      score_survivors(survivors, query_indices, query_values, query_sqnorm);
+  IdentificationResult result = score_survivors(
+      survivors, query_indices, query_values, query_sqnorm, tier);
   result.overlap_survivors = n;
   result.centroid_survivors = n;
   result.gaussian_survivors = n;
@@ -390,11 +393,11 @@ IdentificationResult IdentificationPlane::identify_exhaustive(
 }
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
-    const util::SparseVector& x) const {
+    const util::SparseVector& x, svm::TransformMode tier) const {
   const auto query = svm::KernelQueries::row(x, x.squared_norm());
   const util::CsrView row = query.csr();
   return identify_exhaustive(row.row_indices(0), row.row_values(0),
-                             row.sq_norm(0));
+                             row.sq_norm(0), tier);
 }
 
 }  // namespace wtp::index

@@ -80,19 +80,25 @@ class IdentificationPlane {
   ~IdentificationPlane();  // out-of-line: Metrics is incomplete here
 
   /// Full cascade.  Thread-safe (per-thread scratch); the query's squared
-  /// norm is the caller's (serve computes it once per window).
+  /// norm is the caller's (serve computes it once per window).  `tier` is
+  /// the transform precision of the stage-4 decisions (svm/kernel.h).
   [[nodiscard]] IdentificationResult identify(
       std::span<const std::uint32_t> query_indices,
-      std::span<const double> query_values, double query_sqnorm) const;
-  [[nodiscard]] IdentificationResult identify(const util::SparseVector& x) const;
+      std::span<const double> query_values, double query_sqnorm,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
+  [[nodiscard]] IdentificationResult identify(
+      const util::SparseVector& x,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
 
   /// Exhaustive fan-out over the same catalog and scoring path — the ground
   /// truth the cascade is equivalence-checked against.
   [[nodiscard]] IdentificationResult identify_exhaustive(
       std::span<const std::uint32_t> query_indices,
-      std::span<const double> query_values, double query_sqnorm) const;
+      std::span<const double> query_values, double query_sqnorm,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
   [[nodiscard]] IdentificationResult identify_exhaustive(
-      const util::SparseVector& x) const;
+      const util::SparseVector& x,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
 
   [[nodiscard]] const ProfileCatalog& catalog() const noexcept { return *catalog_; }
   [[nodiscard]] const CascadeConfig& config() const noexcept { return config_; }
@@ -105,7 +111,8 @@ class IdentificationPlane {
   [[nodiscard]] IdentificationResult score_survivors(
       std::span<const std::uint32_t> survivors,
       std::span<const std::uint32_t> query_indices,
-      std::span<const double> query_values, double query_sqnorm) const;
+      std::span<const double> query_values, double query_sqnorm,
+      svm::TransformMode tier) const;
 
   const ProfileCatalog* catalog_;
   CascadeConfig config_;

@@ -58,12 +58,9 @@ ScoringEngine::ScoringEngine(const core::ProfileStore& store,
   if (config_.score_threads > 0) {
     pool_ = std::make_unique<util::ThreadPool>(config_.score_threads);
   }
-  if (config_.transform != svm::TransformMode::kDefault) {
-    // Process-global (see EngineConfig::transform); the decision sweeps,
-    // cascade SVM stage, and mmap ModelView scoring all route through
-    // kernel_transform, so this one switch covers every scoring path.
-    svm::set_transform_mode(config_.transform);
-  }
+  (config.registry != nullptr ? *config.registry : *owned_registry_)
+      .gauge("kernel.transform_relaxed")
+      .set(config_.transform == svm::TransformMode::kRelaxed ? 1.0 : 0.0);
   if (config_.plane != nullptr) {
     const auto& catalog = config_.plane->catalog();
     const auto& profiles = store.profiles();
@@ -130,7 +127,8 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
   if (config_.plane != nullptr) {
     // Candidate-pruning cascade: only survivors reach the SVMs; accepted
     // survivors arrive as ascending catalog indices (= store order).
-    index::IdentificationResult result = config_.plane->identify(features);
+    index::IdentificationResult result =
+        config_.plane->identify(features, config_.transform);
     for (const std::uint32_t i : result.accepted) flags[i] = 1;
     if (cascade_out != nullptr) *cascade_out = std::move(result);
     return;
@@ -138,10 +136,12 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
   // One query norm per scored window, shared across every profile's kernel
   // rows (the RBF path otherwise recomputes it once per profile).
   const double sqnorm = features.squared_norm();
+  const svm::TransformMode tier = config_.transform;
+  const auto accepts = [&](std::size_t i) -> char {
+    return profiles[i].decision_value(features, sqnorm, tier) >= 0.0 ? 1 : 0;
+  };
   if (!pool_ || profiles.size() < 2) {
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      flags[i] = profiles[i].accepts(features, sqnorm) ? 1 : 0;
-    }
+    for (std::size_t i = 0; i < profiles.size(); ++i) flags[i] = accepts(i);
     return;
   }
   // Chunked fan-out with a per-call latch: unlike parallel_for's
@@ -155,10 +155,8 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
   for (std::size_t t = 0; t < tasks; ++t) {
     const std::size_t begin = t * chunk;
     const std::size_t end = std::min(profiles.size(), begin + chunk);
-    pool_->submit([&profiles, &features, &flags, &done, sqnorm, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        flags[i] = profiles[i].accepts(features, sqnorm) ? 1 : 0;
-      }
+    pool_->submit([&accepts, &flags, &done, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) flags[i] = accepts(i);
       done.count_down();
     });
   }
@@ -311,7 +309,7 @@ void ScoringEngine::score_and_emit_batch(DeviceSession& session,
   const auto score_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       profiles[i].decision_values(
-          windows, std::span{decisions}.subspan(i * w, w));
+          windows, std::span{decisions}.subspan(i * w, w), config_.transform);
     }
   };
   if (!pool_ || profiles.size() < 2) {

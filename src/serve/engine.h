@@ -76,14 +76,12 @@ struct EngineConfig {
   /// per-cascade-stage splits when a plane is set) and recorded when its
   /// total crosses the log's threshold.  Must outlive the engine.
   obs::SlowLog* slow_log = nullptr;
-  /// Kernel-transform precision tier for this process's scoring sweeps
-  /// (DESIGN §14).  kDefault keeps whatever the process mode already is
-  /// (WTP_TRANSFORM_MODE, exact when unset); kExact / kRelaxed call
-  /// svm::set_transform_mode at engine construction.  NOTE: the transform
-  /// mode is process-global, not per-engine — the last engine constructed
-  /// with a non-default value wins.  Training is unaffected either way
-  /// (the solver pins the exact tier).
-  svm::TransformMode transform = svm::TransformMode::kDefault;
+  /// Kernel-transform precision tier of this engine's scoring (DESIGN §14):
+  /// passed to every decision the engine computes — the batch sweep, the
+  /// per-window fan-out and the cascade plane.  Published as the
+  /// kernel.transform_relaxed gauge (1 when relaxed).  Other engines in the
+  /// process keep their own tier; training is always exact.
+  svm::TransformMode transform = svm::TransformMode::kExact;
 };
 
 class ScoringEngine {
@@ -196,7 +194,7 @@ class ScoringEngine {
                             EventSource source, const ProfileVector& profiles,
                             const DecisionTrace* trace = nullptr);
 
-  /// accepts() of every profile over the vector, in store order; fans out
+  /// Acceptance of every profile over the vector, in store order; fans out
   /// across the pool when one is configured.  When a cascade plane is set
   /// and `cascade_out` is non-null, the plane's full result (survivor
   /// counts, per-stage timings) lands there.

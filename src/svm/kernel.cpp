@@ -53,7 +53,6 @@ KernelType parse_kernel_type(std::string_view text) {
 
 std::string_view to_string(TransformMode mode) noexcept {
   switch (mode) {
-    case TransformMode::kDefault: return "default";
     case TransformMode::kExact: return "exact";
     case TransformMode::kRelaxed: return "relaxed";
   }
@@ -62,7 +61,6 @@ std::string_view to_string(TransformMode mode) noexcept {
 
 TransformMode parse_transform_mode(std::string_view text) {
   const std::string lowered = util::to_lower(text);
-  if (lowered == "default") return TransformMode::kDefault;
   if (lowered == "exact") return TransformMode::kExact;
   if (lowered == "relaxed") return TransformMode::kRelaxed;
   throw std::runtime_error{"parse_transform_mode: unknown mode '" +
@@ -73,115 +71,104 @@ namespace {
 
 // ------------------------------------------------------ backend selection --
 
-/// Sentinel for "bitset plane disabled" so the atomic can distinguish
-/// "not yet selected" (nullptr) from "selected: csr".
-const util::BitsetDotOps kCsrSentinel{"csr", nullptr, nullptr, nullptr,
-                                      nullptr};
-const util::BitsetDotOps* const kCsrOnly = &kCsrSentinel;
+/// One selection of both SIMD planes.  Records are immutable once published
+/// and never freed, so a reader holding one sees a consistent pair.
+struct Dispatch {
+  std::string_view name;                  ///< "csr" when `dot` is null
+  const util::BitsetDotOps* dot;          ///< null: bitset plane disabled
+  const detail::TransformOps* transform;
 
-std::atomic<const util::BitsetDotOps*> g_backend{nullptr};
+  friend bool operator==(const Dispatch&, const Dispatch&) = default;
+};
 
-const util::BitsetDotOps* find_backend(std::string_view name, bool* supported) {
-  for (const auto& backend : detail::kernel_backends()) {
-    if (name == backend.ops->name) {
-      *supported = backend.supported();
-      return backend.ops;
-    }
-  }
-  return nullptr;
-}
+std::atomic<const Dispatch*> g_dispatch{nullptr};
+std::mutex g_select_mutex;  ///< serializes selection and publication
 
-const util::BitsetDotOps* select_backend(std::string_view requested) {
-  if (requested == "csr" || requested == "none" || requested == "off") {
-    return kCsrOnly;
-  }
-  if (!requested.empty()) {
-    bool supported = false;
-    const util::BitsetDotOps* ops = find_backend(requested, &supported);
-    if (ops == nullptr) {
-      throw std::runtime_error{"WTP_KERNEL_BACKEND: unknown backend '" +
-                               std::string{requested} + "'"};
-    }
-    if (!supported) {
-      std::fprintf(stderr,
-                   "wtp: kernel backend '%s' not supported by this CPU; "
-                   "falling back to scalar\n",
-                   ops->name);
-      return &util::scalar_bitset_ops();
-    }
-    return ops;
-  }
-  for (const auto& backend : detail::kernel_backends()) {
+/// First supported entry of a fastest-first backend list (both lists end
+/// with an always-supported scalar entry).
+template <class Backends>
+auto fastest(const Backends& backends) {
+  for (const auto& backend : backends) {
     if (backend.supported()) return backend.ops;
   }
-  return &util::scalar_bitset_ops();
+  return backends.back().ops;
 }
 
-// ------------------------------------------- transform backend selection --
-
-std::atomic<const detail::TransformOps*> g_transform_ops{nullptr};
-
-/// Maps a WTP_KERNEL_BACKEND name onto the transform set: "avx512"/"avx2"
-/// pick the same-named transform backend (scalar if the CPU lacks it —
-/// select_backend already warned); names with no transform counterpart
-/// ("popcnt", "csr", "none", "off") and the empty request's
-/// fastest-supported default resolve here too.  Never throws: the bitset
-/// selection already validated the name.
-const detail::TransformOps* select_transform_backend(std::string_view requested) {
-  if (requested.empty()) {
-    for (const auto& backend : detail::transform_backends()) {
-      if (backend.supported()) return backend.ops;
-    }
-    return &detail::scalar_transform_ops();
-  }
+/// The transform backend of the same name where one exists and the CPU
+/// supports it; the scalar transform for every other name ("popcnt",
+/// "scalar", "csr", unsupported ones).
+const detail::TransformOps* transform_named(std::string_view name) {
   for (const auto& backend : detail::transform_backends()) {
-    if (requested == backend.ops->name) {
-      return backend.supported() ? backend.ops
-                                 : &detail::scalar_transform_ops();
-    }
+    if (name == backend.ops->name && backend.supported()) return backend.ops;
   }
   return &detail::scalar_transform_ops();
 }
 
-const util::BitsetDotOps* active_backend() {
-  const util::BitsetDotOps* ops = g_backend.load(std::memory_order_acquire);
-  if (ops != nullptr) return ops;
-  static std::mutex init_mutex;
-  const std::scoped_lock lock{init_mutex};
-  ops = g_backend.load(std::memory_order_acquire);
-  if (ops == nullptr) {
-    const char* env = std::getenv("WTP_KERNEL_BACKEND");
-    const std::string_view requested = env == nullptr ? std::string_view{} : env;
-    ops = select_backend(requested);
-    // Transform ops are published before g_backend (the release fence), so
-    // any thread that observes the bitset selection also observes the
-    // transform selection.
-    g_transform_ops.store(select_transform_backend(requested),
-                          std::memory_order_release);
-    g_backend.store(ops, std::memory_order_release);
+/// Selects both planes for `requested` (empty = the fastest each plane
+/// supports).  `source` names the request in errors.  An unknown name
+/// throws; an unsupported one throws when `strict`, else warns and falls
+/// back to the scalar dots.
+Dispatch select_dispatch(std::string_view requested, const char* source,
+                         bool strict) {
+  if (requested.empty()) {
+    const util::BitsetDotOps* dot = fastest(detail::kernel_backends());
+    return {dot->name, dot, fastest(detail::transform_backends())};
   }
-  return ops;
+  if (requested == "csr" || requested == "none" || requested == "off") {
+    return {"csr", nullptr, &detail::scalar_transform_ops()};
+  }
+  for (const auto& backend : detail::kernel_backends()) {
+    if (requested != backend.ops->name) continue;
+    if (backend.supported()) {
+      return {backend.ops->name, backend.ops, transform_named(requested)};
+    }
+    if (strict) {
+      throw std::runtime_error{std::string{source} + ": backend '" +
+                               std::string{requested} +
+                               "' not supported by this CPU"};
+    }
+    std::fprintf(stderr,
+                 "wtp: kernel backend '%s' not supported by this CPU; "
+                 "falling back to scalar\n",
+                 backend.ops->name);
+    const util::BitsetDotOps* scalar = &util::scalar_bitset_ops();
+    return {scalar->name, scalar, transform_named(requested)};
+  }
+  throw std::runtime_error{std::string{source} + ": unknown backend '" +
+                           std::string{requested} + "'"};
 }
 
-const detail::TransformOps& transform_dispatch() {
-  const detail::TransformOps* ops =
-      g_transform_ops.load(std::memory_order_acquire);
-  if (ops != nullptr) return *ops;
-  active_backend();  // selects both planes under one lock
-  return *g_transform_ops.load(std::memory_order_acquire);
+/// Interns `selected` (a handful of distinct records exist per process) and
+/// publishes it as the active dispatch.  Caller holds g_select_mutex.
+const Dispatch& publish(const Dispatch& selected) {
+  static std::deque<Dispatch> records;
+  const auto found = std::find(records.begin(), records.end(), selected);
+  const Dispatch& record =
+      found != records.end() ? *found : records.emplace_back(selected);
+  g_dispatch.store(&record, std::memory_order_release);
+  return record;
 }
 
-// ----------------------------------------------------------- mode + obs --
+const Dispatch& active_dispatch() {
+  if (const Dispatch* dispatch = g_dispatch.load(std::memory_order_acquire)) {
+    return *dispatch;
+  }
+  const std::scoped_lock lock{g_select_mutex};
+  if (const Dispatch* dispatch = g_dispatch.load(std::memory_order_acquire)) {
+    return *dispatch;
+  }
+  const char* env = std::getenv("WTP_KERNEL_BACKEND");
+  return publish(select_dispatch(env == nullptr ? std::string_view{} : env,
+                                 "WTP_KERNEL_BACKEND", false));
+}
 
-constexpr int kModeUnset = -1;
-std::atomic<int> g_transform_mode{kModeUnset};
+// ------------------------------------------------------------------ obs --
 
-/// Per-kernel dot/transform timers + the relaxed-mode gauge; resolved once
-/// per set_kernel_metrics install, lock-free on the hot path.
+/// Per-kernel dot/transform timers; resolved once per set_kernel_metrics
+/// install, lock-free on the hot path.
 struct KernelMetrics {
   std::array<obs::Timer*, 4> dot{};
   std::array<obs::Timer*, 4> transform{};
-  obs::Gauge* relaxed_active = nullptr;
 };
 
 std::atomic<const KernelMetrics*> g_metrics{nullptr};
@@ -218,14 +205,12 @@ void transform_phase_end(const KernelMetrics* metrics, KernelType type,
 
 }  // namespace
 
-const util::BitsetDotOps* kernel_dispatch() {
-  const util::BitsetDotOps* ops = active_backend();
-  return ops == kCsrOnly ? nullptr : ops;
-}
+const util::BitsetDotOps* kernel_dispatch() { return active_dispatch().dot; }
 
-std::string_view kernel_backend_name() {
-  const util::BitsetDotOps* ops = active_backend();
-  return ops == kCsrOnly ? std::string_view{"csr"} : ops->name;
+std::string_view kernel_backend_name() { return active_dispatch().name; }
+
+std::string_view transform_backend_name() {
+  return active_dispatch().transform->name;
 }
 
 std::vector<std::string_view> supported_kernel_backends() {
@@ -237,66 +222,12 @@ std::vector<std::string_view> supported_kernel_backends() {
 }
 
 void set_kernel_backend_for_testing(std::string_view name) {
+  const std::scoped_lock lock{g_select_mutex};
   if (name.empty()) {
-    g_transform_ops.store(nullptr, std::memory_order_release);
-    g_backend.store(nullptr, std::memory_order_release);
+    g_dispatch.store(nullptr, std::memory_order_release);
     return;
   }
-  if (name == "csr" || name == "none" || name == "off") {
-    g_transform_ops.store(&detail::scalar_transform_ops(),
-                          std::memory_order_release);
-    g_backend.store(kCsrOnly, std::memory_order_release);
-    return;
-  }
-  bool supported = false;
-  const util::BitsetDotOps* ops = find_backend(name, &supported);
-  if (ops == nullptr) {
-    throw std::runtime_error{"set_kernel_backend_for_testing: unknown backend '" +
-                             std::string{name} + "'"};
-  }
-  if (!supported) {
-    throw std::runtime_error{"set_kernel_backend_for_testing: backend '" +
-                             std::string{name} + "' not supported by this CPU"};
-  }
-  g_transform_ops.store(select_transform_backend(name),
-                        std::memory_order_release);
-  g_backend.store(ops, std::memory_order_release);
-}
-
-TransformMode transform_mode() {
-  int mode = g_transform_mode.load(std::memory_order_acquire);
-  if (mode == kModeUnset) {
-    const char* env = std::getenv("WTP_TRANSFORM_MODE");
-    TransformMode parsed = TransformMode::kExact;
-    if (env != nullptr && *env != '\0') {
-      parsed = parse_transform_mode(env);
-      if (parsed == TransformMode::kDefault) parsed = TransformMode::kExact;
-    }
-    mode = static_cast<int>(parsed);
-    // Benign race: concurrent first-callers parse the same environment and
-    // store the same value.
-    g_transform_mode.store(mode, std::memory_order_release);
-  }
-  return static_cast<TransformMode>(mode);
-}
-
-void set_transform_mode(TransformMode mode) {
-  g_transform_mode.store(
-      mode == TransformMode::kDefault ? kModeUnset : static_cast<int>(mode),
-      std::memory_order_release);
-  if (const KernelMetrics* metrics = kernel_metrics()) {
-    metrics->relaxed_active->set(
-        transform_mode() == TransformMode::kRelaxed ? 1.0 : 0.0);
-  }
-}
-
-TransformMode effective_transform_mode(const KernelParams& params) {
-  return params.transform == TransformMode::kDefault ? transform_mode()
-                                                     : params.transform;
-}
-
-std::string_view transform_backend_name() {
-  return transform_dispatch().name;
+  publish(select_dispatch(name, "set_kernel_backend_for_testing", true));
 }
 
 void set_kernel_metrics(obs::Registry* registry) {
@@ -322,9 +253,6 @@ void set_kernel_metrics(obs::Registry* registry) {
     metrics.transform[kernel_index(type)] =
         &registry->timer("kernel.transform_ns", labels);
   }
-  metrics.relaxed_active = &registry->gauge("kernel.transform_relaxed");
-  metrics.relaxed_active->set(
-      transform_mode() == TransformMode::kRelaxed ? 1.0 : 0.0);
   bundles.push_back(metrics);
   g_metrics.store(&bundles.back(), std::memory_order_release);
 }
@@ -391,9 +319,9 @@ constexpr std::size_t kTransformTile = 1024;
 /// Exact tier then applies std::exp/std::tanh per element; relaxed tier
 /// applies the backend's vectorized stamps instead.
 void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
-                     double x_sqnorm, std::span<double> out) {
+                     double x_sqnorm, std::span<double> out, bool relaxed) {
   const std::size_t n = matrix.rows();
-  const detail::TransformOps& ops = transform_dispatch();
+  const detail::TransformOps& ops = *active_dispatch().transform;
   switch (params.type) {
     case KernelType::kLinear:
       return;
@@ -403,8 +331,6 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
                          n);
       return;
     case KernelType::kRbf: {
-      const bool relaxed =
-          effective_transform_mode(params) == TransformMode::kRelaxed;
       const double* sq_norms = matrix.sq_norms.data();
       for (std::size_t j = 0; j < n; j += kTransformTile) {
         const std::size_t len = std::min(kTransformTile, n - j);
@@ -419,8 +345,6 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
       return;
     }
     case KernelType::kSigmoid: {
-      const bool relaxed =
-          effective_transform_mode(params) == TransformMode::kRelaxed;
       for (std::size_t j = 0; j < n; j += kTransformTile) {
         const std::size_t len = std::min(kTransformTile, n - j);
         double* tile = out.data() + j;
@@ -440,7 +364,8 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
 }  // namespace
 
 void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> out) {
+                      double x_sqnorm, std::span<double> out,
+                      TransformMode tier) {
   if (out.size() != matrix.rows()) {
     throw std::invalid_argument{"kernel_transform: out holds " +
                                 std::to_string(out.size()) + " values for " +
@@ -449,7 +374,8 @@ void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
   if (params.type == KernelType::kLinear) return;
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
-  transform_tiles(params, matrix, x_sqnorm, out);
+  transform_tiles(params, matrix, x_sqnorm, out,
+                  tier == TransformMode::kRelaxed);
   transform_phase_end(metrics, params.type, start);
 }
 
@@ -583,7 +509,8 @@ void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
 }
 
 void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
-                  const KernelQueries& queries, std::span<double> out) {
+                  const KernelQueries& queries, std::span<double> out,
+                  TransformMode tier) {
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
   dot_block(matrix, queries, out);
@@ -593,7 +520,8 @@ void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
   const std::size_t n = matrix.rows();
   const util::CsrView rows = queries.csr();
   for (std::size_t q = 0; q < queries.count(); ++q) {
-    kernel_transform(params, matrix.csr, rows.sq_norm(q), out.subspan(q * n, n));
+    kernel_transform(params, matrix.csr, rows.sq_norm(q), out.subspan(q * n, n),
+                     tier);
   }
 }
 

@@ -40,24 +40,21 @@ enum class KernelType : std::uint8_t { kLinear, kPolynomial, kRbf, kSigmoid };
 /// Throws std::runtime_error on unknown names.
 [[nodiscard]] KernelType parse_kernel_type(std::string_view text);
 
-/// Precision tier of the batched kernel transform (DESIGN §14).
+/// Precision tier of the batched kernel transform (DESIGN §14), chosen by
+/// the caller per kernel_block / kernel_transform call.
 ///
 ///   kExact   — std::exp/std::tanh per element in the oracle's expression
-///              order; every output bit-identical to kernel_eval.  This is
-///              the process default.
+///              order; every output bit-identical to kernel_eval.  The
+///              default of every entry point, and the only tier training
+///              runs.
 ///   kRelaxed — in-repo vectorized exp/tanh (svm/relaxed_math.h) with a
-///              documented max-ULP bound (exp <= 4, tanh <= 8).  Explicit
-///              opt-in only: WTP_TRANSFORM_MODE=relaxed, EngineConfig, or
-///              KernelParams::transform.  Scoring-tier only — training
-///              (the SMO solver) always pins kExact so models are
-///              reproducible regardless of mode.
-///   kDefault — follow the process-wide mode (KernelParams::transform's
-///              "no override" value).
-enum class TransformMode : std::uint8_t { kDefault, kExact, kRelaxed };
+///              documented max-ULP bound (exp <= 4, tanh <= 8).  A scoring
+///              caller opts in by passing it (serve::EngineConfig::transform).
+enum class TransformMode : std::uint8_t { kExact, kRelaxed };
 
 [[nodiscard]] std::string_view to_string(TransformMode mode) noexcept;
-/// Parses "exact" / "relaxed" ("default" is also accepted for kDefault).
-/// Throws std::runtime_error on unknown names.
+/// Parses "exact" / "relaxed" (case-insensitive).  Throws std::runtime_error
+/// on unknown names.
 [[nodiscard]] TransformMode parse_transform_mode(std::string_view text);
 
 struct KernelParams {
@@ -66,16 +63,8 @@ struct KernelParams {
   double gamma = 0.0;
   double coef0 = 0.0;
   int degree = 3;
-  /// Per-model transform-precision override.  kDefault follows the
-  /// process-wide mode (transform_mode() below).  Execution hint only —
-  /// NOT part of the kernel's identity, so it is excluded from equality
-  /// and never serialized (model_io writes the four math fields).
-  TransformMode transform = TransformMode::kDefault;
 
-  friend bool operator==(const KernelParams& a, const KernelParams& b) {
-    return a.type == b.type && a.gamma == b.gamma && a.coef0 == b.coef0 &&
-           a.degree == b.degree;
-  }
+  friend bool operator==(const KernelParams&, const KernelParams&) = default;
 };
 
 /// Evaluates k(x, y).  For RBF, the squared norms of x and y may be passed
@@ -95,69 +84,46 @@ struct KernelParams {
 [[nodiscard]] double kernel_self(const KernelParams& params, double sq_norm);
 
 // ----------------------------------------------------------------------
-// kernel_dispatch seam (DESIGN §11).
+// Backend dispatch (DESIGN §11, §14).
 //
-// When a matrix carries a bitset companion (util::BitsetStorage) and the
-// query conforms to its layout, kernel_block and dot_block compute the raw
-// dots as AND+popcount through the backend selected here; otherwise they
-// fall back to the scalar CSR path.  Both paths are bit-identical by
-// construction (the combine replays the oracle's summation order), which
-// the equivalence suites enforce.
+// Two SIMD planes run under one selection: the bitset dot backend
+// (AND+popcount over a matrix's bitset companion; the scalar CSR path is the
+// fallback) and the transform backend (the tiled tail that turns raw dots
+// into kernel values).  Both are bit-identical to the scalar oracle in the
+// exact tier, so the selection changes speed, never decisions: the exact
+// transform vectorizes everything around the libm call (the RBF
+// squared-distance assembly with its clamp, the gamma*dot+coef0 pre-scale,
+// lane-parallel powi) and keeps exp/tanh libm per element.
 //
-// The backend is chosen once, at first use: the fastest of the compiled-in
-// set the CPU supports (avx512 > avx2 > popcnt > scalar), overridable with
-// WTP_KERNEL_BACKEND=<name>.  WTP_KERNEL_BACKEND=csr disables the bitset
-// plane entirely (pure scalar CSR).  An unknown name throws at first
-// dispatch; a known but unsupported name warns on stderr and falls back to
-// the portable scalar backend.
+// The selection is made once, at first use: the fastest of each plane's
+// compiled-in set the CPU supports (avx512 > avx2 > popcnt > scalar for
+// dots, avx512 > avx2 > scalar for transforms), overridable with
+// WTP_KERNEL_BACKEND=<name>.  The two planes check CPU support separately:
+// the avx512 transform needs only avx512f, the avx512 dot also vpopcntdq.
+// A named backend picks the same-named transform where one exists and the
+// scalar transform otherwise ("popcnt", "csr").  WTP_KERNEL_BACKEND=csr
+// disables the bitset plane entirely (pure scalar CSR).  An unknown name
+// throws std::runtime_error at first use; a known but unsupported name
+// warns on stderr and falls back to the portable scalar backends.
 // ----------------------------------------------------------------------
 
 /// Active bitset backend, or nullptr when the bitset plane is disabled.
 [[nodiscard]] const util::BitsetDotOps* kernel_dispatch();
 /// Name of the active backend ("csr" when disabled).
 [[nodiscard]] std::string_view kernel_backend_name();
-/// Backend names this host can actually run (always contains "scalar").
-[[nodiscard]] std::vector<std::string_view> supported_kernel_backends();
-/// Forces a backend by name ("csr" disables the bitset plane; "" re-selects
-/// from the environment).  Throws std::runtime_error on unknown or
-/// unsupported names.  Also re-selects the transform backend below: the
-/// bitset names map onto the transform set ("avx512" -> avx512,
-/// "avx2" -> avx2, "popcnt"/"scalar"/"csr" -> scalar).  Test/bench hook —
-/// not thread-safe against concurrent kernel calls.
-void set_kernel_backend_for_testing(std::string_view name);
-
-// ----------------------------------------------------------------------
-// Transform plane (DESIGN §14).
-//
-// kernel_transform (and therefore every kernel_block tail) runs
-// in cache-sized tiles through a SIMD backend selected alongside the bitset
-// backend (same WTP_KERNEL_BACKEND override, same fastest-supported
-// default).  The exact tier vectorizes everything around the libm call —
-// RBF squared-distance assembly with its clamp, the gamma*dot+coef0
-// pre-scale, lane-parallel powi — while exp/tanh stay libm per element, so
-// outputs remain bit-identical to kernel_eval on every backend.  The
-// relaxed tier swaps in the in-repo vectorized exp/tanh (bounded-ULP, see
-// svm/relaxed_math.h) and must be explicitly opted into.
-// ----------------------------------------------------------------------
-
-/// The process-wide transform mode: kExact unless WTP_TRANSFORM_MODE=relaxed
-/// was set at first use or set_transform_mode(kRelaxed) was called.  Never
-/// returns kDefault.
-[[nodiscard]] TransformMode transform_mode();
-/// Overrides the process-wide mode (kDefault re-reads the environment at
-/// next use).  Not thread-safe against concurrent kernel calls.
-void set_transform_mode(TransformMode mode);
-/// The mode kernel_transform will actually use for `params`:
-/// params.transform unless kDefault, else transform_mode().
-[[nodiscard]] TransformMode effective_transform_mode(const KernelParams& params);
 /// Name of the active transform backend ("avx512", "avx2", "scalar").
 [[nodiscard]] std::string_view transform_backend_name();
+/// Backend names this host can actually run (always contains "scalar").
+[[nodiscard]] std::vector<std::string_view> supported_kernel_backends();
+/// Forces a backend by name, for both planes ("csr" disables the bitset
+/// plane; "" re-selects from the environment).  Throws std::runtime_error on
+/// unknown or unsupported names.  Test/bench hook — not thread-safe against
+/// concurrent kernel calls.
+void set_kernel_backend_for_testing(std::string_view name);
 
-/// Installs per-kernel transform observability into `registry`:
+/// Installs per-kernel timing into `registry`:
 ///   kernel.dot_ns{kernel=...}       — time per dot phase (kernel_block)
 ///   kernel.transform_ns{kernel=...} — time per transform tail
-///   kernel.transform_relaxed        — gauge, 1 when the process-wide mode
-///                                     is relaxed
 /// Process-global seam: the registry must outlive all subsequent kernel
 /// calls (tools pass obs::Registry::global()).  nullptr uninstalls; timing
 /// is a no-op when uninstalled.
@@ -249,10 +215,11 @@ class KernelQueries {
 
 /// out[q * matrix.rows() + r] = k(query_q, row_r) for every query and row.
 /// Bit-identical to per-pair kernel_eval with cached norms in the exact
-/// transform tier, on every backend.  Throws std::invalid_argument, before
-/// writing anything, unless out.size() == queries.count() * matrix.rows().
+/// tier, on every backend.  Throws std::invalid_argument, before writing
+/// anything, unless out.size() == queries.count() * matrix.rows().
 void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
-                  const KernelQueries& queries, std::span<double> out);
+                  const KernelQueries& queries, std::span<double> out,
+                  TransformMode tier = TransformMode::kExact);
 
 /// Raw dots (no kernel transform): out[q * matrix.rows() + r] =
 /// query_q . row_r, bit-identical to CsrView::dot_all — the entry point for
@@ -265,10 +232,11 @@ void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
 /// x . row_j on entry and k(x, row_j) on return.  Every grid-search kernel
 /// is such a transform of the same Gram row, which is what lets a sweep
 /// share dot products across kernels (GramCache).  Bit-identical to
-/// kernel_block given the same dots.  Throws std::invalid_argument unless
-/// inout.size() == matrix.rows().
+/// kernel_block given the same dots and tier.  Throws std::invalid_argument
+/// unless inout.size() == matrix.rows().
 void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> inout);
+                      double x_sqnorm, std::span<double> inout,
+                      TransformMode tier = TransformMode::kExact);
 
 /// Thread-local scratch sized for one kernel row (one value per matrix
 /// row), reused across decision-function calls on the same thread.

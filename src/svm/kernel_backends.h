@@ -7,8 +7,9 @@
 //                          tail that turns raw dots into kernel values
 //                          (DESIGN §14).
 //
-// kernel.cpp's dispatch seam selects from these lists; tests iterate them
-// to run every host-supported backend against the scalar oracle.
+// kernel.cpp selects one entry of each list into its dispatch record; tests
+// iterate them to run every host-supported backend against the scalar
+// oracle.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,8 @@ struct KernelBackend {
 /// stamped from svm/kernel_scalar_body.h with fp-contract pinned off, so
 /// every backend is bit-identical to the scalar expressions in kernel_eval.
 /// The last two are the RELAXED tier: vectorized exp/tanh stamped from
-/// svm/relaxed_math.h, only ever invoked when the effective TransformMode
-/// is kRelaxed (the exact tier calls libm per element instead).
+/// svm/relaxed_math.h, only ever invoked when the caller passes
+/// TransformMode::kRelaxed (the exact tier calls libm per element instead).
 struct TransformOps {
   const char* name;
   /// inout[j] = -gamma * max(x_sqnorm + sq_norms[j] - 2*inout[j], 0) —

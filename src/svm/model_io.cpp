@@ -17,10 +17,6 @@ namespace {
 constexpr const char* kMagic = "wtp_svm_model v1";
 
 void write_kernel(std::ostream& out, const KernelParams& kernel) {
-  // Only the four math fields are serialized.  KernelParams::transform is
-  // an execution hint (which precision tier scores the model), not part of
-  // the kernel's identity — a loaded model always starts at kDefault and
-  // follows the loading process's transform mode.
   out << "kernel " << to_string(kernel.type) << '\n';
   // max_digits10 round-trips doubles exactly through text.
   out.precision(17);
@@ -529,20 +525,23 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
   return view;
 }
 
-double ModelView::decision_value(const KernelQueries& query) const {
+double ModelView::decision_value(const KernelQueries& query,
+                                 TransformMode tier) const {
   if (query.count() != 1) {
     throw std::invalid_argument{"ModelView::decision_value: " +
                                 std::to_string(query.count()) +
                                 " query rows, want 1"};
   }
   const auto k = kernel_row_scratch(sv_count());
-  kernel_block(kernel, KernelMatrix{support_vectors, sv_bitset}, query, k);
+  kernel_block(kernel, KernelMatrix{support_vectors, sv_bitset}, query, k,
+               tier);
   return decision_from_kernels([k](std::size_t i) { return k[i]; },
                                query.csr().sq_norm(0));
 }
 
 void ModelView::decision_values(const util::FeatureMatrix& queries,
-                                std::span<double> out) const {
+                                std::span<double> out,
+                                TransformMode tier) const {
   const std::size_t n = sv_count();
   const std::size_t nq = queries.rows();
   constexpr std::size_t kQueryTile = 64;
@@ -555,7 +554,7 @@ void ModelView::decision_values(const util::FeatureMatrix& queries,
   for (std::size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
     const std::size_t tile = std::min(kQueryTile, nq - q0);
     const std::span<double> k{block.data(), tile * n};
-    kernel_block(kernel, svs, KernelQueries::rows(rows, q0, tile), k);
+    kernel_block(kernel, svs, KernelQueries::rows(rows, q0, tile), k, tier);
     for (std::size_t t = 0; t < tile; ++t) {
       const double* row = k.data() + t * n;
       out[q0 + t] = decision_from_kernels(

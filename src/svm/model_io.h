@@ -133,14 +133,17 @@ struct ModelView {
     return scalar0 - (k_xx - 2.0 * sum + scalar1);
   }
 
-  /// Decision value of a one-row query (KernelQueries::row); throws
-  /// std::invalid_argument for any other row count.
-  [[nodiscard]] double decision_value(const KernelQueries& query) const;
+  /// Decision value of a one-row query (KernelQueries::row) in transform
+  /// tier `tier`; throws std::invalid_argument for any other row count.
+  [[nodiscard]] double decision_value(
+      const KernelQueries& query,
+      TransformMode tier = TransformMode::kExact) const;
   /// Decisions of every row of `queries`, one kernel_block per bounded
   /// query tile — bit-identical to per-row decision_value.  `out` needs
   /// queries.rows().  The heap models' decision_values forward here.
   void decision_values(const util::FeatureMatrix& queries,
-                       std::span<double> out) const;
+                       std::span<double> out,
+                       TransformMode tier = TransformMode::kExact) const;
 };
 
 /// Serializes a model as a binary blob appended to `out`.  Pads `out` to

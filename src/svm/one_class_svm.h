@@ -79,11 +79,14 @@ class OneClassSvmModel {
   [[nodiscard]] double decision_value(const util::SparseVector& x) const;
   /// Variant with the query's squared norm precomputed by the caller (it is
   /// needed once per scored vector, not once per kernel evaluation).
-  [[nodiscard]] double decision_value(const util::SparseVector& x,
-                                      double x_sqnorm) const;
+  /// `tier` selects the transform precision (svm/kernel.h).
+  [[nodiscard]] double decision_value(
+      const util::SparseVector& x, double x_sqnorm,
+      TransformMode tier = TransformMode::kExact) const;
   /// Batch: decision value of every row of `queries`, written to `out`.
   void decision_values(const util::FeatureMatrix& queries,
-                       std::span<double> out) const;
+                       std::span<double> out,
+                       TransformMode tier = TransformMode::kExact) const;
   [[nodiscard]] bool accepts(const util::SparseVector& x) const {
     return decision_value(x) >= 0.0;
   }

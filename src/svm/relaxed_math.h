@@ -1,5 +1,5 @@
 // Relaxed-precision exp/tanh (DESIGN §14): the in-repo approximations
-// behind WTP_TRANSFORM_MODE=relaxed.  These trade the libm bit-identity
+// behind TransformMode::kRelaxed.  These trade the libm bit-identity
 // contract for vectorizability; the SIMD stamps in transform_backends.cpp
 // run the same algorithm eight (or four) lanes at a time with FMA.
 //

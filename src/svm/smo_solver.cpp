@@ -77,10 +77,6 @@ QMatrix::QMatrix(const util::FeatureMatrix& data, KernelParams params,
       scale_{scale},
       cache_{std::max<std::size_t>(1, data.rows()), cache_bytes},
       gram_{std::move(gram)} {
-  // Training always runs the exact transform tier: a relaxed-precision
-  // process mode (WTP_TRANSFORM_MODE) must not change which support vectors
-  // the solver converges to — relaxed is a scoring-time trade only.
-  params_.transform = TransformMode::kExact;
   if (data.empty()) throw std::invalid_argument{"QMatrix: empty training set"};
   if (gram_ != nullptr && &gram_->data() != &data) {
     throw std::invalid_argument{"QMatrix: gram cache built over another matrix"};

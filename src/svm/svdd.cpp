@@ -200,14 +200,15 @@ double SvddModel::decision_value(const util::SparseVector& x) const {
   return decision_value(x, x.squared_norm());
 }
 
-double SvddModel::decision_value(const util::SparseVector& x,
-                                 double x_sqnorm) const {
-  return view_of(*this).decision_value(KernelQueries::row(x, x_sqnorm));
+double SvddModel::decision_value(const util::SparseVector& x, double x_sqnorm,
+                                 TransformMode tier) const {
+  return view_of(*this).decision_value(KernelQueries::row(x, x_sqnorm), tier);
 }
 
 void SvddModel::decision_values(const util::FeatureMatrix& queries,
-                                std::span<double> out) const {
-  view_of(*this).decision_values(queries, out);
+                                std::span<double> out,
+                                TransformMode tier) const {
+  view_of(*this).decision_values(queries, out, tier);
 }
 
 }  // namespace wtp::svm

@@ -187,13 +187,8 @@ TEST(ParamGridSearch, WarmPathGridMatchesColdReference) {
 // The warm path's column scorer reads every cell's kernel values out of one
 // kernel block over the training matrix; its ratios must be bitwise equal to
 // scoring each fit_path model on its own through profile_acceptance.
-class ColumnScorer : public ::testing::TestWithParam<svm::TransformMode> {
+class ColumnScorer : public ::testing::Test {
  protected:
-  void SetUp() override { svm::set_transform_mode(GetParam()); }
-  void TearDown() override {
-    svm::set_transform_mode(svm::TransformMode::kDefault);
-  }
-
   /// Every dataset user's training windows at (60, 30), plus a user with no
   /// windows at all.
   static MatrixByUser windows_with_empty_user() {
@@ -230,7 +225,7 @@ std::vector<AcceptanceRatios> per_cell_ratios(
   return ratios;
 }
 
-TEST_P(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
+TEST_F(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const MatrixByUser windows = windows_with_empty_user();
   const std::string& user = dataset.user_ids().front();
@@ -284,7 +279,7 @@ TEST_P(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
   }
 }
 
-TEST_P(ColumnScorer, UntrainableColumnsGetTheSentinel) {
+TEST_F(ColumnScorer, UntrainableColumnsGetTheSentinel) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const MatrixByUser windows = windows_with_empty_user();
   const std::size_t dim = dataset.schema().dimension();
@@ -312,13 +307,6 @@ TEST_P(ColumnScorer, UntrainableColumnsGetTheSentinel) {
         bad.size());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(TransformModes, ColumnScorer,
-                         ::testing::Values(svm::TransformMode::kExact,
-                                           svm::TransformMode::kRelaxed),
-                         [](const auto& info) {
-                           return std::string{svm::to_string(info.param)};
-                         });
 
 TEST(TrainProfilesAndEvaluate, TestEvaluationHasSaneShape) {
   const ProfilingDataset& dataset = testing::tiny_dataset();

@@ -311,13 +311,6 @@ class DecisionDigest {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-/// Pins the exact transform tier for the test's duration (so a relaxed CI
-/// leg cannot skew the pinned bits) and restores the environment's choice.
-struct ExactTierGuard {
-  ExactTierGuard() { svm::set_transform_mode(svm::TransformMode::kExact); }
-  ~ExactTierGuard() { svm::set_transform_mode(svm::TransformMode::kDefault); }
-};
-
 std::vector<svm::KernelParams> paper_shaped_kernels() {
   return {
       {svm::KernelType::kLinear, 0.05, 0.0, 3},
@@ -351,7 +344,6 @@ std::vector<util::SparseVector> digest_probes(
 // The constant holds on every kernel backend (WTP_KERNEL_BACKEND) because
 // all of them are bit-identical to the CSR oracle.
 TEST(DecisionDigest, EveryScoringPathIsPinned) {
-  const ExactTierGuard guard;
   synthetic::ScaleConfig scale;
   scale.seed = 5;
   scale.users = 24;

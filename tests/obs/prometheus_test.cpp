@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "core/profile_store.h"
 #include "obs/registry.h"
+#include "serve/engine.h"
 #include "svm/kernel.h"
 #include "util/feature_matrix.h"
 #include "util/sparse_vector.h"
@@ -121,33 +123,25 @@ TEST(Prometheus, DistinctNamesCollidingAfterManglingBothExport) {
 }
 
 TEST(Prometheus, KernelTransformMetricsExpose) {
-  // The transform plane's observability seam (DESIGN §14): installing a
-  // registry creates per-kernel dot/transform timers plus the relaxed-mode
-  // gauge, and a scored kernel row records into them.  The registry must
-  // outlive kernel calls, so the seam is uninstalled before it dies.
+  // The transform plane's observability (DESIGN §14): installing a registry
+  // creates per-kernel dot/transform timers, and a scored kernel row
+  // records into them.  The registry must outlive kernel calls, so the seam
+  // is uninstalled before it dies.
   Registry registry;
   svm::set_kernel_metrics(&registry);
-  const auto cleanup = [] {
-    svm::set_kernel_metrics(nullptr);
-    svm::set_transform_mode(svm::TransformMode::kDefault);
+  const std::vector<util::SparseVector> rows{
+      util::SparseVector{{{0, 1.0}, {2, 0.5}}},
+      util::SparseVector{{{1, 2.0}}},
   };
-  std::string out;
-  {
-    const std::vector<util::SparseVector> rows{
-        util::SparseVector{{{0, 1.0}, {2, 0.5}}},
-        util::SparseVector{{{1, 2.0}}},
-    };
-    const auto matrix = util::FeatureMatrix::from_rows(
-        std::span<const util::SparseVector>{rows}, 4);
-    const svm::KernelParams params{svm::KernelType::kRbf, 0.5, 0.0, 3};
-    std::vector<double> scores(rows.size());
-    svm::kernel_block(params, svm::kernel_matrix(matrix),
-                      svm::KernelQueries::row(rows[0], rows[0].squared_norm()),
-                      scores);
-    out = to_prometheus(registry.snapshot(false));
-  }
-  // Exact mode by default: the gauge reads 0.
-  EXPECT_NE(out.find("wtp_kernel_transform_relaxed 0"), std::string::npos);
+  const auto matrix = util::FeatureMatrix::from_rows(
+      std::span<const util::SparseVector>{rows}, 4);
+  const svm::KernelParams params{svm::KernelType::kRbf, 0.5, 0.0, 3};
+  std::vector<double> scores(rows.size());
+  svm::kernel_block(params, svm::kernel_matrix(matrix),
+                    svm::KernelQueries::row(rows[0], rows[0].squared_norm()),
+                    scores);
+  svm::set_kernel_metrics(nullptr);
+  const std::string out = to_prometheus(registry.snapshot(false));
   // The scored row recorded one dot phase and one transform phase under the
   // rbf label; other kernels' series exist but stay empty (still exposed).
   EXPECT_NE(out.find("wtp_kernel_dot_ns_seconds_count{kernel=\"rbf\"} 1"),
@@ -159,11 +153,29 @@ TEST(Prometheus, KernelTransformMetricsExpose) {
       out.find("wtp_kernel_transform_ns_seconds_count{kernel=\"sigmoid\"} 0"),
       std::string::npos);
   expect_well_formed(out);
-  // Switching the process mode flips the gauge in place.
-  svm::set_transform_mode(svm::TransformMode::kRelaxed);
-  const std::string relaxed = to_prometheus(registry.snapshot(false));
-  EXPECT_NE(relaxed.find("wtp_kernel_transform_relaxed 1"), std::string::npos);
-  cleanup();
+
+  // The tier gauge belongs to the engine: each publishes its own tier into
+  // its own registry.
+  std::vector<core::UserProfile> profiles;
+  profiles.push_back(core::UserProfile::train(
+      "u", matrix, 4, core::ProfileParams{core::ClassifierType::kOcSvm, params}));
+  const core::ProfileStore store{features::WindowConfig{60, 30},
+                                 features::FeatureSchema{{}, {}, {}, {}},
+                                 std::move(profiles)};
+  for (const auto& [tier, expected] :
+       {std::pair{svm::TransformMode::kExact, "wtp_kernel_transform_relaxed 0"},
+        std::pair{svm::TransformMode::kRelaxed,
+                  "wtp_kernel_transform_relaxed 1"}}) {
+    Registry engine_registry;
+    serve::EngineConfig config;
+    config.registry = &engine_registry;
+    config.transform = tier;
+    const serve::ScoringEngine engine{store, config,
+                                      [](const serve::DecisionEvent&) {}};
+    const std::string text = to_prometheus(engine_registry.snapshot(false));
+    EXPECT_NE(text.find(expected), std::string::npos) << text;
+    expect_well_formed(text);
+  }
 }
 
 TEST(Prometheus, LabelKeysAreMangledToo) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/identification.h"
@@ -39,9 +42,10 @@ const core::ProfileStore& tiny_store() {
 /// UserIdentifier::monitor + wtp_identify's smoothing policy.
 std::vector<DecisionEvent> reference_events(
     const core::ProfileStore& store,
-    std::span<const log::WebTransaction> device_txns, std::size_t smooth) {
+    std::span<const log::WebTransaction> device_txns, std::size_t smooth,
+    svm::TransformMode tier = svm::TransformMode::kExact) {
   const core::UserIdentifier identifier{store.profiles(), store.schema(),
-                                        store.window()};
+                                        store.window(), tier};
   const auto events = identifier.monitor(device_txns);
   std::vector<DecisionEvent> reference;
   reference.reserve(events.size());
@@ -164,6 +168,103 @@ TEST(ScoringEngine, PlaneRoutedScoringMatchesDirectFanOut) {
   for (const auto& [device, events] : a) {
     expect_equivalent(b.at(device), events, device);
   }
+}
+
+/// Two engines in one process keep their own transform tier: building an
+/// exact engine after a relaxed one must not switch the relaxed one to
+/// exact.  The store's one RBF profile has its rho on the larger of one
+/// window's two tier sums, so that window's acceptance depends on the last
+/// bits of its decision: the exact and relaxed tiers accept it differently.
+TEST(ScoringEngine, TwoEnginesKeepTheirOwnTier) {
+  const core::ProfilingDataset& dataset = core::testing::tiny_dataset();
+  const features::WindowConfig window{60, 30};
+  const auto by_device =
+      features::group_by_device(core::testing::tiny_trace().transactions);
+  const auto busiest = std::max_element(
+      by_device.begin(), by_device.end(), [](const auto& a, const auto& b) {
+        return a.second.size() < b.second.size();
+      });
+  const std::string& device = busiest->first;
+  const auto& txns = busiest->second;
+
+  core::ProfileParams params;
+  params.type = core::ClassifierType::kOcSvm;
+  params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
+  params.regularizer = 0.3;
+  const std::string user = dataset.user_ids().front();
+  const auto trained = core::UserProfile::train(
+      user, dataset.train_windows(user, window), dataset.schema().dimension(),
+      params);
+  const auto& model = std::get<svm::OneClassSvmModel>(trained.model());
+  const auto with_rho = [&model](double rho) {
+    return svm::OneClassSvmModel::from_parts(
+        model.kernel(), model.support_vectors(), model.coefficients(), rho);
+  };
+  // With rho = 0 a decision is the tier's raw kernel sum.
+  const auto unbiased = with_rho(0.0);
+  double edge = std::numeric_limits<double>::quiet_NaN();
+  const features::WindowAggregator aggregator{dataset.schema(), window};
+  for (const auto& w : aggregator.aggregate(txns)) {
+    const double sqnorm = w.features.squared_norm();
+    const double exact =
+        unbiased.decision_value(w.features, sqnorm, svm::TransformMode::kExact);
+    const double relaxed = unbiased.decision_value(
+        w.features, sqnorm, svm::TransformMode::kRelaxed);
+    if (exact != relaxed) {
+      edge = std::max(exact, relaxed);
+      break;
+    }
+  }
+  ASSERT_FALSE(std::isnan(edge)) << "no window separates the two tiers";
+  std::vector<core::UserProfile> profiles;
+  profiles.push_back(
+      core::UserProfile::from_model(user, params, with_rho(edge)));
+  const core::ProfileStore store{window, dataset.schema(), std::move(profiles)};
+
+  std::vector<DecisionEvent> relaxed_events;
+  std::vector<DecisionEvent> exact_events;
+  EngineConfig relaxed_config;
+  relaxed_config.transform = svm::TransformMode::kRelaxed;
+  ScoringEngine relaxed_engine{
+      store, relaxed_config,
+      [&relaxed_events](const DecisionEvent& e) { relaxed_events.push_back(e); }};
+  EngineConfig exact_config;
+  exact_config.transform = svm::TransformMode::kExact;
+  ScoringEngine exact_engine{
+      store, exact_config,
+      [&exact_events](const DecisionEvent& e) { exact_events.push_back(e); }};
+  for (const auto& txn : txns) {
+    relaxed_engine.ingest(txn);
+    exact_engine.ingest(txn);
+  }
+  relaxed_engine.flush();
+  exact_engine.flush();
+
+  const auto relaxed_reference =
+      reference_events(store, txns, 1, svm::TransformMode::kRelaxed);
+  expect_equivalent(exact_events, reference_events(store, txns, 1), device);
+  expect_equivalent(relaxed_events, relaxed_reference, device);
+  // The cascade plane scores in its engine's tier too (wide-open budgets:
+  // every user reaches the SVM stage).
+  const index::HeapProfileCatalog catalog{store};
+  index::CascadeConfig open;
+  open.overlap_keep = 0;
+  open.centroid_keep = 0;
+  open.final_keep = 0;
+  open.min_overlap = 0;
+  const index::IdentificationPlane plane{catalog, open};
+  EngineConfig routed = relaxed_config;
+  routed.plane = &plane;
+  expect_equivalent(run_engine(store, routed, txns).at(device),
+                    relaxed_reference, device);
+  ASSERT_EQ(relaxed_events.size(), exact_events.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < exact_events.size(); ++i) {
+    if (relaxed_events[i].accepted_by != exact_events[i].accepted_by) {
+      ++differing;
+    }
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 TEST(ScoringEngine, RejectsPlaneWithMismatchedCatalog) {

@@ -24,17 +24,9 @@
 namespace wtp::svm {
 namespace {
 
-// Restores the env-selected backend no matter how a test exits.  Also pins
-// the exact transform tier for the test's duration: every suite here
-// asserts bitwise identity against a scalar oracle, which is the exact
-// tier's contract — a CI leg exporting WTP_TRANSFORM_MODE=relaxed must not
-// skew it.
+// Restores the env-selected backend no matter how a test exits.
 struct BackendGuard {
-  BackendGuard() { set_transform_mode(TransformMode::kExact); }
-  ~BackendGuard() {
-    set_kernel_backend_for_testing("");
-    set_transform_mode(TransformMode::kDefault);
-  }
+  ~BackendGuard() { set_kernel_backend_for_testing(""); }
 };
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }

@@ -6,10 +6,10 @@
 // fp-contract pinning exist for — catastrophic cancellation around
 // sq_dist == 0, denormal dots, and ±inf/NaN propagation.
 //
-// Relaxed tier: opt-in only (mode plumbing tested here), documented
-// max-ULP bounds (exp <= 4, tanh <= 8 — see svm/relaxed_math.h) verified
-// against libm on every backend, specials preserved, and training pinned
-// to the exact tier regardless of the process mode.
+// Relaxed tier: opt-in only, by argument (an exported WTP_TRANSFORM_MODE
+// changes nothing in library code), documented max-ULP bounds (exp <= 4,
+// tanh <= 8 — see svm/relaxed_math.h) verified against libm on every
+// backend, specials preserved, and training always exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "svm/kernel.h"
@@ -34,12 +36,29 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-// Restores the env-selected backend and transform mode however a test exits.
+// Restores the env-selected backend however a test exits.
 struct TransformGuard {
-  ~TransformGuard() {
-    set_kernel_backend_for_testing("");
-    set_transform_mode(TransformMode::kDefault);
+  ~TransformGuard() { set_kernel_backend_for_testing(""); }
+};
+
+// Exports WTP_TRANSFORM_MODE=relaxed for a scope, restoring the prior value.
+class RelaxedEnv {
+ public:
+  RelaxedEnv() {
+    if (const char* old = std::getenv(kName)) old_ = old;
+    ::setenv(kName, "relaxed", 1);
   }
+  ~RelaxedEnv() {
+    if (old_) {
+      ::setenv(kName, old_->c_str(), 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+
+ private:
+  static constexpr const char* kName = "WTP_TRANSFORM_MODE";
+  std::optional<std::string> old_;
 };
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -67,9 +86,6 @@ void expect_transform_matches_eval(std::span<const util::SparseVector> rows,
                                    std::span<const util::SparseVector> queries,
                                    std::span<const KernelParams> kernels,
                                    std::size_t dim, const char* tag) {
-  // Bitwise identity is the EXACT tier's contract; pin it so the suite
-  // stays green when CI exports WTP_TRANSFORM_MODE=relaxed.
-  set_transform_mode(TransformMode::kExact);
   auto matrix = util::FeatureMatrix::from_rows(rows, dim);
   std::vector<double> out(rows.size());
   for (const auto& params : kernels) {
@@ -291,15 +307,13 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
   }
   const util::CsrView view{843, {}, {}, offsets, sq_norms};
   const double x_sqnorm = 17.25;
-  KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
-  rbf.transform = TransformMode::kRelaxed;
-  KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
-  sig.transform = TransformMode::kRelaxed;
+  const KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
+  const KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
   std::vector<double> out(n);
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
     std::copy(dots.begin(), dots.end(), out.begin());
-    kernel_transform(rbf, view, x_sqnorm, out);
+    kernel_transform(rbf, view, x_sqnorm, out, TransformMode::kRelaxed);
     for (std::size_t j = 0; j < n; ++j) {
       const double arg = detail::rbf_exp_arg(rbf.gamma, x_sqnorm, sq_norms[j],
                                              dots[j]);
@@ -307,7 +321,7 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
           << "backend=" << backend << " j=" << j;
     }
     std::copy(dots.begin(), dots.end(), out.begin());
-    kernel_transform(sig, view, x_sqnorm, out);
+    kernel_transform(sig, view, x_sqnorm, out, TransformMode::kRelaxed);
     for (std::size_t j = 0; j < n; ++j) {
       const double arg = detail::affine_arg(sig.gamma, sig.coef0, dots[j]);
       ASSERT_LE(ulp_distance(std::tanh(arg), out[j]), 8u)
@@ -333,20 +347,19 @@ TEST(Transform, RelaxedResultIndependentOfPosition) {
     sq_norms[j] = rng.uniform() * 40.0;
   }
   const util::CsrView view{843, {}, {}, offsets, sq_norms};
-  KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
-  rbf.transform = TransformMode::kRelaxed;
-  KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
-  sig.transform = TransformMode::kRelaxed;
+  const KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
+  const KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
   const std::vector<std::size_t> one_offsets(2, 0);
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
     for (const KernelParams& params : {rbf, sig}) {
       std::vector<double> out = dots;
-      kernel_transform(params, view, 17.25, out);
+      kernel_transform(params, view, 17.25, out, TransformMode::kRelaxed);
       for (std::size_t j = 0; j < n; ++j) {
         const util::CsrView single{843, {}, {}, one_offsets, {&sq_norms[j], 1}};
         double alone = dots[j];
-        kernel_transform(params, single, 17.25, {&alone, 1});
+        kernel_transform(params, single, 17.25, {&alone, 1},
+                         TransformMode::kRelaxed);
         ASSERT_EQ(bits(alone), bits(out[j]))
             << describe(params) << " backend=" << backend << " j=" << j;
       }
@@ -354,51 +367,67 @@ TEST(Transform, RelaxedResultIndependentOfPosition) {
   }
 }
 
-/// Relaxed is opt-in only: the default mode is exact, the env/setter and
-/// per-params override plumbing resolves as documented.
+/// Relaxed is opt-in only, by argument: every entry point defaults to the
+/// exact tier, and an exported WTP_TRANSFORM_MODE=relaxed does not reach
+/// library code (only the tools read it).
 TEST(Transform, RelaxedModeIsOptIn) {
-  TransformGuard guard;
-  if (std::getenv("WTP_TRANSFORM_MODE") != nullptr) {
-    GTEST_SKIP() << "WTP_TRANSFORM_MODE is exported; the default-resolution "
-                    "assertions below would read the override, not the "
-                    "built-in default";
+  const RelaxedEnv env;
+  util::Rng rng{97};
+  std::vector<util::SparseVector> rows;
+  for (std::size_t i = 0; i < 40; ++i) {
+    rows.push_back(vec2(rng.uniform() * 3.0, rng.uniform() * 3.0));
   }
-  set_transform_mode(TransformMode::kDefault);
-  // No WTP_TRANSFORM_MODE in the test environment: default resolves exact.
-  EXPECT_EQ(transform_mode(), TransformMode::kExact);
-  KernelParams params{KernelType::kRbf, 0.25, 0.0, 3};
-  EXPECT_EQ(effective_transform_mode(params), TransformMode::kExact);
-  params.transform = TransformMode::kRelaxed;
-  EXPECT_EQ(effective_transform_mode(params), TransformMode::kRelaxed);
-  params.transform = TransformMode::kDefault;
-  set_transform_mode(TransformMode::kRelaxed);
-  EXPECT_EQ(transform_mode(), TransformMode::kRelaxed);
-  EXPECT_EQ(effective_transform_mode(params), TransformMode::kRelaxed);
-  // A per-model exact override wins over a relaxed process mode.
-  params.transform = TransformMode::kExact;
-  EXPECT_EQ(effective_transform_mode(params), TransformMode::kExact);
+  const auto matrix = util::FeatureMatrix::from_rows(
+      std::span<const util::SparseVector>{rows}, 2);
+  const util::SparseVector& x = rows.front();
+  const auto query = KernelQueries::row(x, x.squared_norm());
+  std::vector<double> by_default(rows.size());
+  std::vector<double> exact(rows.size());
+  std::vector<double> relaxed(rows.size());
+  for (const KernelParams& params : all_kernels()) {
+    kernel_block(params, kernel_matrix(matrix), query, by_default);
+    kernel_block(params, kernel_matrix(matrix), query, exact,
+                 TransformMode::kExact);
+    kernel_block(params, kernel_matrix(matrix), query, relaxed,
+                 TransformMode::kRelaxed);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const double oracle = kernel_eval(params, x, rows[r]);
+      EXPECT_EQ(bits(oracle), bits(by_default[r])) << describe(params);
+      EXPECT_EQ(bits(oracle), bits(exact[r])) << describe(params);
+      EXPECT_LE(ulp_distance(oracle, relaxed[r]), 8u) << describe(params);
+    }
+  }
   EXPECT_EQ(to_string(TransformMode::kRelaxed), "relaxed");
   EXPECT_EQ(parse_transform_mode("relaxed"), TransformMode::kRelaxed);
   EXPECT_EQ(parse_transform_mode("EXACT"), TransformMode::kExact);
   EXPECT_THROW((void)parse_transform_mode("fast"), std::runtime_error);
+  EXPECT_THROW((void)parse_transform_mode("default"), std::runtime_error);
 }
 
-/// The transform field is an execution hint: it does not participate in
-/// KernelParams equality (grid-search dedup, model identity).
+/// The tier is not part of the kernel's identity: KernelParams holds
+/// exactly the four math fields (the structured binding only compiles for
+/// four), and equality covers each of them.
 TEST(Transform, ModeExcludedFromParamsEquality) {
-  KernelParams a{KernelType::kRbf, 0.25, 0.0, 3};
+  const KernelParams a{KernelType::kRbf, 0.25, 1.0, 3};
+  const auto [type, gamma, coef0, degree] = a;
+  EXPECT_EQ(a, (KernelParams{type, gamma, coef0, degree}));
   KernelParams b = a;
-  b.transform = TransformMode::kRelaxed;
-  EXPECT_EQ(a, b);
+  b.type = KernelType::kSigmoid;
+  EXPECT_NE(a, b);
+  b = a;
   b.gamma = 0.5;
-  EXPECT_FALSE(a == b);
+  EXPECT_NE(a, b);
+  b = a;
+  b.coef0 = 0.0;
+  EXPECT_NE(a, b);
+  b = a;
+  b.degree = 2;
+  EXPECT_NE(a, b);
 }
 
-/// Training under a relaxed process mode must produce the exact-mode model:
-/// the solver pins the exact tier, so support vectors, coefficients, and
-/// rho are bit-identical across modes.
+/// Training has no tier input: an exported WTP_TRANSFORM_MODE=relaxed
+/// leaves support vectors, coefficients and rho bit-identical.
 TEST(Transform, TrainingPinnedToExactTier) {
-  TransformGuard guard;
   util::Rng rng{31337};
   std::vector<util::SparseVector> data;
   for (std::size_t i = 0; i < 60; ++i) {
@@ -413,16 +442,17 @@ TEST(Transform, TrainingPinnedToExactTier) {
   OneClassSvmConfig config;
   config.nu = 0.3;
   config.kernel = {KernelType::kRbf, 0.1, 0.0, 3};
-  set_transform_mode(TransformMode::kExact);
   const auto exact = OneClassSvmModel::train(data, config, 22);
-  set_transform_mode(TransformMode::kRelaxed);
-  const auto relaxed = OneClassSvmModel::train(data, config, 22);
-  ASSERT_EQ(exact.coefficients().size(), relaxed.coefficients().size());
+  const auto under_env = [&] {
+    const RelaxedEnv env;
+    return OneClassSvmModel::train(data, config, 22);
+  }();
+  ASSERT_EQ(exact.coefficients().size(), under_env.coefficients().size());
   for (std::size_t i = 0; i < exact.coefficients().size(); ++i) {
-    EXPECT_EQ(bits(exact.coefficients()[i]), bits(relaxed.coefficients()[i]));
+    EXPECT_EQ(bits(exact.coefficients()[i]), bits(under_env.coefficients()[i]));
   }
-  EXPECT_EQ(bits(exact.rho()), bits(relaxed.rho()));
-  EXPECT_EQ(exact.support_vectors().rows(), relaxed.support_vectors().rows());
+  EXPECT_EQ(bits(exact.rho()), bits(under_env.rho()));
+  EXPECT_EQ(exact.support_vectors().rows(), under_env.support_vectors().rows());
 }
 
 /// End-to-end sanity for the relaxed tier on decision functions: values
@@ -430,7 +460,6 @@ TEST(Transform, TrainingPinnedToExactTier) {
 /// windows.  (The bench asserts the stronger zero-argmax-flip property on
 /// the paper-shape replay.)
 TEST(Transform, RelaxedDecisionValuesStayClose) {
-  TransformGuard guard;
   util::Rng rng{424242};
   std::vector<util::SparseVector> data;
   for (std::size_t i = 0; i < 50; ++i) {
@@ -449,10 +478,8 @@ TEST(Transform, RelaxedDecisionValuesStayClose) {
       std::span<const util::SparseVector>{data}, 31);
   std::vector<double> exact_out(data.size());
   std::vector<double> relaxed_out(data.size());
-  set_transform_mode(TransformMode::kExact);
   model.decision_values(queries, exact_out);
-  set_transform_mode(TransformMode::kRelaxed);
-  model.decision_values(queries, relaxed_out);
+  model.decision_values(queries, relaxed_out, TransformMode::kRelaxed);
   for (std::size_t i = 0; i < data.size(); ++i) {
     // Coefficients sum to nu*l; 4 ULP of each kernel value keeps the
     // decision within ~1e-14 of exact at this scale.

@@ -61,6 +61,29 @@ if(found EQUAL -1)
   message(FATAL_ERROR "wtp_serve printed no metrics object:\n${last_output}")
 endif()
 
+# An unknown kernel environment value is a usage error (exit 2, message
+# naming the variable and the value), not a crash at the first kernel call.
+foreach(variable WTP_TRANSFORM_MODE WTP_KERNEL_BACKEND)
+  foreach(tool ${CLASSIFY} ${IDENTIFY} ${SERVE})
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env ${variable}=bogus
+                            ${tool} --log ${trace} --store ${store}
+                    RESULT_VARIABLE status
+                    OUTPUT_VARIABLE output
+                    ERROR_VARIABLE output)
+    if(NOT status EQUAL 2)
+      message(FATAL_ERROR
+              "${variable}=bogus ${tool}: exit ${status}, want 2:\n${output}")
+    endif()
+    string(FIND "${output}" "${variable}" named_variable)
+    string(FIND "${output}" "'bogus'" named_value)
+    if(named_variable EQUAL -1 OR named_value EQUAL -1)
+      message(FATAL_ERROR
+              "${variable}=bogus ${tool}: message must name the variable and "
+              "the value:\n${output}")
+    endif()
+  endforeach()
+endforeach()
+
 # Second configuration: build the serving tool and the FeatureMatrix
 # equivalence suite with -DWTP_SANITIZE=ON and re-run both on the same trace
 # and profile store.  ASan/UBSan guard the CSR scatter/gather hot paths

@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "svm/kernel.h"
 
 namespace wtp::tools {
 
@@ -69,5 +72,30 @@ class Args {
   std::string usage_;
   std::map<std::string, std::string> values_;
 };
+
+/// Selects the kernel backend now, so a bad WTP_KERNEL_BACKEND is reported
+/// with the usage text (exit 2) instead of failing the first kernel call.
+inline void check_kernel_backend(const Args& args) {
+  try {
+    (void)svm::kernel_backend_name();
+  } catch (const std::runtime_error& error) {
+    args.die(error.what());
+  }
+}
+
+/// The scoring tier from WTP_TRANSFORM_MODE ("exact" | "relaxed"; exact
+/// when unset or empty) — the one place the variable is read.  Also checks
+/// WTP_KERNEL_BACKEND.  An unknown value exits 2 with the usage text.
+inline svm::TransformMode scoring_tier(const Args& args) {
+  check_kernel_backend(args);
+  const char* env = std::getenv("WTP_TRANSFORM_MODE");
+  if (env == nullptr || *env == '\0') return svm::TransformMode::kExact;
+  try {
+    return svm::parse_transform_mode(env);
+  } catch (const std::runtime_error&) {
+    args.die("WTP_TRANSFORM_MODE: unknown mode '" + std::string{env} +
+             "' (want exact|relaxed)");
+  }
+}
 
 }  // namespace wtp::tools

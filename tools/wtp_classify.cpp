@@ -11,6 +11,10 @@
 // Telemetry matches wtp_serve: --metrics-out exports the global registry as
 // a periodically-refreshed JSON snapshot (plus a stderr summary table),
 // --trace-out captures Chrome trace_event JSON of the run.
+//
+// WTP_TRANSFORM_MODE=exact|relaxed selects the scoring tier (DESIGN §14;
+// exact when unset) and WTP_KERNEL_BACKEND pins the kernel backend; an
+// unknown value of either exits 2.
 #include <cstdio>
 #include <memory>
 
@@ -31,6 +35,7 @@ int main(int argc, char** argv) {
                          "--log FILE --store FILE [--user USER] "
                          "[--metrics-out FILE] [--metrics-interval S] "
                          "[--trace-out FILE]"};
+  const svm::TransformMode tier = tools::scoring_tier(args);
   obs::Registry& registry = obs::Registry::global();
   obs::register_common_metrics(registry);
   svm::set_kernel_metrics(&registry);
@@ -78,14 +83,15 @@ int main(int argc, char** argv) {
     util::TextTable table;
     table.set_header({"log user", "windows", "accepted by " + user});
     for (const auto& [log_user, vectors] : windows) {
+      const double ratio = profile->acceptance_ratio(vectors, tier);
       table.add_row({log_user, std::to_string(vectors.size()),
-                     util::format_double(100.0 * profile->acceptance_ratio(vectors), 1) + "%"});
+                     util::format_double(100.0 * ratio, 1) + "%"});
     }
     std::printf("%s", table.render().c_str());
     return finish(0);
   }
 
-  const auto confusion = core::compute_confusion(store.profiles(), windows);
+  const auto confusion = core::compute_confusion(store.profiles(), windows, tier);
   util::TextTable table;
   std::vector<std::string> header{"model\\log user"};
   for (const auto& user : confusion.users) header.push_back(user);

@@ -13,6 +13,10 @@
 // Telemetry matches wtp_serve: --metrics-out exports the global registry as
 // a periodically-refreshed JSON snapshot (plus a stderr summary table),
 // --trace-out captures Chrome trace_event JSON of the run.
+//
+// WTP_TRANSFORM_MODE=exact|relaxed selects the scoring tier (DESIGN §14;
+// exact when unset) and WTP_KERNEL_BACKEND pins the kernel backend; an
+// unknown value of either exits 2.
 #include <cstdio>
 #include <memory>
 
@@ -32,6 +36,7 @@ int main(int argc, char** argv) {
                          "--log FILE --store FILE [--device D] [--smooth K] "
                          "[--metrics-out FILE] [--metrics-interval S] "
                          "[--trace-out FILE]"};
+  const svm::TransformMode tier = tools::scoring_tier(args);
   obs::Registry& registry = obs::Registry::global();
   obs::register_common_metrics(registry);
   svm::set_kernel_metrics(&registry);
@@ -66,7 +71,7 @@ int main(int argc, char** argv) {
   const auto smooth = static_cast<std::size_t>(args.get_int("smooth", 1));
 
   const core::UserIdentifier identifier{store.profiles(), store.schema(),
-                                        store.window()};
+                                        store.window(), tier};
   const auto events = identifier.monitor(by_device.at(device));
   std::printf("device %s: %zu windows monitored\n", device.c_str(), events.size());
 

@@ -51,6 +51,10 @@
 // bound port).  --slow-log FILE records the worst decisions whose
 // decode+queue+ingest+score total exceeds --slow-threshold-us (default
 // 1000) as JSON lines with a per-stage breakdown, written at exit.
+//
+// WTP_TRANSFORM_MODE=exact|relaxed selects the scoring tier (DESIGN §14;
+// exact when unset) and WTP_KERNEL_BACKEND pins the kernel backend; an
+// unknown value of either exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -109,9 +113,10 @@ int main(int argc, char** argv) {
                          "[--retrain-interval S] [--retrain-min-windows N] "
                          "[--drift-threshold X] [--drift-warmup N] "
                          "[--retrain-max-rate N]"};
+  serve::EngineConfig config;
+  config.transform = tools::scoring_tier(args);
   const auto store = core::ProfileStore::load_file(args.require("store"));
 
-  serve::EngineConfig config;
   config.shards = static_cast<std::size_t>(args.get_int("shards", 8));
   config.smooth = static_cast<std::size_t>(args.get_int("smooth", 1));
   config.session_ttl_s = args.get_int("ttl", 0);
@@ -125,8 +130,8 @@ int main(int argc, char** argv) {
   obs::Registry& registry = obs::Registry::global();
   obs::register_common_metrics(registry);
   config.registry = &registry;
-  // Per-kernel dot/transform split + the relaxed-mode gauge (DESIGN §14),
-  // visible on /metrics and in --metrics-out snapshots.
+  // Per-kernel dot/transform split (DESIGN §14), visible on /metrics and in
+  // --metrics-out snapshots; the engine adds its relaxed-tier gauge.
   svm::set_kernel_metrics(&registry);
   const bool telemetry = args.has("metrics-out") || args.has("trace-out");
   std::unique_ptr<obs::MetricsFileWriter> metrics_writer;

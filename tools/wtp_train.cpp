@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
                          "[--max-users N] [--optimize] [--nu F] [--kernel K] "
                          "[--threads N] [--metrics-out FILE] "
                          "[--metrics-interval S] [--trace-out FILE]"};
+  // Training is always exact; only the backend choice applies here.
+  tools::check_kernel_backend(args);
   const std::string log_path = args.require("log");
   const std::string out_path = args.require("out");
 
