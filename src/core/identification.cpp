@@ -27,14 +27,25 @@ std::vector<IdentificationEvent> UserIdentifier::monitor(
     std::span<const log::WebTransaction> device_txns) const {
   const features::WindowAggregator aggregator{*schema_, window_};
   const std::vector<features::Window> windows = aggregator.aggregate(device_txns);
+  const std::size_t w = windows.size();
+
+  // decisions[i * w + t]: profile i on window t.
+  std::vector<double> decisions(profiles_.size() * w);
+  if (w > 0) {
+    const obs::TraceSpan span{"identify.score", "identify",
+                              static_cast<std::uint64_t>(w)};
+    util::FeatureMatrixBuilder builder;
+    for (const auto& window : windows) builder.add_row(window.features);
+    util::FeatureMatrix matrix = builder.build(schema_->dimension());
+    matrix.ensure_bitset(schema_->numeric_columns());
+    score_windows(profiles_, matrix, decisions, tier_);
+  }
 
   std::vector<IdentificationEvent> events;
-  events.reserve(windows.size());
+  events.reserve(w);
   std::size_t cursor = 0;  // first txn not yet before the current window
-  for (const auto& window : windows) {
-    const obs::TraceSpan span{
-        "identify.window", "identify",
-        static_cast<std::uint64_t>(window.transaction_count)};
+  for (std::size_t t = 0; t < w; ++t) {
+    const features::Window& window = windows[t];
     IdentificationEvent event;
     event.window_start = window.start;
     event.window_end = window.end;
@@ -58,10 +69,9 @@ std::vector<IdentificationEvent> UserIdentifier::monitor(
       }
     }
 
-    const double sqnorm = window.features.squared_norm();
-    for (const auto& profile : profiles_) {
-      if (profile.decision_value(window.features, sqnorm, tier_) >= 0.0) {
-        event.accepted_by.push_back(profile.user_id());
+    for (std::size_t i = 0; i < profiles_.size(); ++i) {
+      if (decisions[i * w + t] >= 0.0) {
+        event.accepted_by.push_back(profiles_[i].user_id());
       }
     }
     events.push_back(std::move(event));
@@ -128,27 +138,6 @@ std::vector<SmoothingPoint> smoothing_sweep(
     points.push_back(point);
   }
   return points;
-}
-
-ArgmaxDecision argmax_decision(std::span<const UserProfile> profiles,
-                               const util::SparseVector& window,
-                               double window_sqnorm) {
-  ArgmaxDecision best;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const double value = profiles[i].decision_value(window, window_sqnorm);
-    // Strictly-greater keeps the first of tied profiles, matching the
-    // cascade's ascending-order scoring (index/cascade.cpp).
-    if (best.index == ArgmaxDecision::npos || value > best.value) {
-      best.index = i;
-      best.value = value;
-    }
-  }
-  return best;
-}
-
-ArgmaxDecision argmax_decision(std::span<const UserProfile> profiles,
-                               const util::SparseVector& window) {
-  return argmax_decision(profiles, window, window.squared_norm());
 }
 
 }  // namespace wtp::core

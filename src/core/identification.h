@@ -40,7 +40,8 @@ class UserIdentifier {
                  features::WindowConfig window,
                  svm::TransformMode tier = svm::TransformMode::kExact);
 
-  /// Runs every profile over the device's (time-sorted) transaction stream.
+  /// Runs every profile over the device's (time-sorted) transaction stream:
+  /// its windows are scored as one block through score_windows.
   [[nodiscard]] std::vector<IdentificationEvent> monitor(
       std::span<const log::WebTransaction> device_txns) const;
 
@@ -59,21 +60,6 @@ class UserIdentifier {
   features::WindowConfig window_;
   svm::TransformMode tier_;
 };
-
-/// Argmax identification: the profile with the highest decision value for
-/// one window (the identification plane's ground-truth decision rule; ties
-/// go to the first profile in store order).
-struct ArgmaxDecision {
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t index = npos;  ///< into `profiles`, npos when empty
-  double value = 0.0;
-};
-
-[[nodiscard]] ArgmaxDecision argmax_decision(std::span<const UserProfile> profiles,
-                                             const util::SparseVector& window,
-                                             double window_sqnorm);
-[[nodiscard]] ArgmaxDecision argmax_decision(std::span<const UserProfile> profiles,
-                                             const util::SparseVector& window);
 
 /// Accuracy summary of an identification run.
 struct IdentificationMetrics {

@@ -77,7 +77,7 @@ AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,
 }
 
 ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
-                                  const WindowsByUser& windows,
+                                  const MatrixByUser& windows,
                                   svm::TransformMode tier) {
   ConfusionMatrix matrix;
   for (const auto& [user, user_windows] : windows) {
@@ -91,27 +91,7 @@ ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
     matrix.cells[j].reserve(matrix.users.size());
     for (const auto& user : matrix.users) {
       matrix.cells[j].push_back(
-          profiles[j].acceptance_ratio(windows.at(user), tier) * 100.0);
-    }
-  }
-  return matrix;
-}
-
-ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
-                                  const MatrixByUser& windows) {
-  ConfusionMatrix matrix;
-  for (const auto& [user, user_windows] : windows) {
-    (void)user_windows;
-    matrix.users.push_back(user);
-  }
-  matrix.cells.resize(profiles.size());
-  for (std::size_t j = 0; j < profiles.size(); ++j) {
-    const obs::TraceSpan span{"classify.profile_row", "classify",
-                              static_cast<std::uint64_t>(j)};
-    matrix.cells[j].reserve(matrix.users.size());
-    for (const auto& user : matrix.users) {
-      matrix.cells[j].push_back(
-          profiles[j].acceptance_ratio(*windows.at(user)) * 100.0);
+          profiles[j].acceptance_ratio(*windows.at(user), 0.0, tier) * 100.0);
     }
   }
   return matrix;

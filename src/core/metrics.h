@@ -67,9 +67,7 @@ struct ConfusionMatrix {
 
 /// `tier` is the transform precision the profiles score in (svm/kernel.h).
 [[nodiscard]] ConfusionMatrix compute_confusion(
-    std::span<const UserProfile> profiles, const WindowsByUser& windows,
+    std::span<const UserProfile> profiles, const MatrixByUser& windows,
     svm::TransformMode tier = svm::TransformMode::kExact);
-[[nodiscard]] ConfusionMatrix compute_confusion(std::span<const UserProfile> profiles,
-                                                const MatrixByUser& windows);
 
 }  // namespace wtp::core

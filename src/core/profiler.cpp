@@ -1,6 +1,8 @@
 #include "core/profiler.h"
 
+#include <algorithm>
 #include <istream>
+#include <latch>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -63,28 +65,65 @@ void UserProfile::decision_values(const util::FeatureMatrix& windows,
       model_);
 }
 
-double UserProfile::acceptance_ratio(std::span<const util::SparseVector> windows,
-                                     svm::TransformMode tier) const {
+double UserProfile::acceptance_ratio(
+    std::span<const util::SparseVector> windows) const {
   if (windows.empty()) return 0.0;
   std::size_t accepted = 0;
   for (const auto& window : windows) {
-    if (decision_value(window, window.squared_norm(), tier) >= 0.0) ++accepted;
+    if (accepts(window)) ++accepted;
   }
   return static_cast<double>(accepted) / static_cast<double>(windows.size());
 }
 
 double UserProfile::acceptance_ratio(const util::FeatureMatrix& windows,
-                                     double slack) const {
+                                     double slack,
+                                     svm::TransformMode tier) const {
   if (windows.empty()) return 0.0;
   thread_local std::vector<double> values;
   values.resize(windows.rows());
-  std::visit([&](const auto& model) { model.decision_values(windows, values); },
-             model_);
+  decision_values(windows, values, tier);
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < windows.rows(); ++i) {
     if (values[i] >= -slack) ++accepted;
   }
   return static_cast<double>(accepted) / static_cast<double>(windows.rows());
+}
+
+void score_windows(std::span<const UserProfile> profiles,
+                   const util::FeatureMatrix& windows, std::span<double> out,
+                   svm::TransformMode tier, util::ThreadPool* pool) {
+  const std::size_t w = windows.rows();
+  if (out.size() != profiles.size() * w) {
+    throw std::invalid_argument{
+        "score_windows: out holds " + std::to_string(out.size()) +
+        " values for " + std::to_string(profiles.size()) + " x " +
+        std::to_string(w) + " decisions"};
+  }
+  if (w == 0) return;
+  const auto score_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      profiles[i].decision_values(windows, out.subspan(i * w, w), tier);
+    }
+  };
+  if (pool == nullptr || profiles.size() < 2) {
+    score_range(0, profiles.size());
+    return;
+  }
+  // Unlike parallel_for's wait_idle(), a per-call latch stays correct when
+  // several threads score concurrently on the shared pool.
+  const std::size_t chunk_count = std::min(profiles.size(), pool->thread_count());
+  const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
+  const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;
+  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t begin = t * chunk;
+    const std::size_t end = std::min(profiles.size(), begin + chunk);
+    pool->submit([&score_range, &done, begin, end] {
+      score_range(begin, end);
+      done.count_down();
+    });
+  }
+  done.wait();
 }
 
 std::size_t UserProfile::support_vector_count() const {

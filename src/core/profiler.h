@@ -12,6 +12,7 @@
 #include "svm/svdd.h"
 #include "util/feature_matrix.h"
 #include "util/sparse_vector.h"
+#include "util/thread_pool.h"
 
 namespace wtp::core {
 
@@ -76,15 +77,15 @@ class UserProfile {
 
   /// Fraction of `windows` accepted by the profile, in [0, 1].
   [[nodiscard]] double acceptance_ratio(
-      std::span<const util::SparseVector> windows,
-      svm::TransformMode tier = svm::TransformMode::kExact) const;
+      std::span<const util::SparseVector> windows) const;
   /// Batch form over a window matrix: one kernel-row pass per window.
   /// `slack` widens the acceptance test to decision >= -slack; grid scoring
   /// uses it so training windows that are free support vectors (decision
   /// exactly 0 at the optimum) count as accepted regardless of which
-  /// near-optimal point the solver stopped at.
-  [[nodiscard]] double acceptance_ratio(const util::FeatureMatrix& windows,
-                                        double slack = 0.0) const;
+  /// near-optimal point the solver stopped at.  `tier` as in decision_value.
+  [[nodiscard]] double acceptance_ratio(
+      const util::FeatureMatrix& windows, double slack = 0.0,
+      svm::TransformMode tier = svm::TransformMode::kExact) const;
 
   [[nodiscard]] const std::string& user_id() const noexcept { return user_id_; }
   [[nodiscard]] const ProfileParams& params() const noexcept { return params_; }
@@ -105,5 +106,17 @@ class UserProfile {
   ProfileParams params_;
   svm::AnySvmModel model_;
 };
+
+/// The exhaustive window scorer (paper §V-B: every user model applied to
+/// every window): out[i * windows.rows() + t] is profile i's decision on
+/// window row t in tier `tier`, each profile scoring the whole block with
+/// one decision_values sweep — bit-identical to per-row decision_value.
+/// With a pool, profiles fan out in contiguous chunks under a per-call
+/// latch, so concurrent callers may share one pool.  Throws
+/// std::invalid_argument when `out` does not hold profiles × rows values.
+void score_windows(std::span<const UserProfile> profiles,
+                   const util::FeatureMatrix& windows, std::span<double> out,
+                   svm::TransformMode tier = svm::TransformMode::kExact,
+                   util::ThreadPool* pool = nullptr);
 
 }  // namespace wtp::core

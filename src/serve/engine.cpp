@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <istream>
-#include <latch>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "core/profiler.h"
 #include "obs/trace.h"
 #include "serve/retrain/collector.h"
 #include "util/stopwatch.h"
@@ -119,50 +119,6 @@ ScoringEngine::Shard& ScoringEngine::shard_for(const std::string& device_id) {
   return *shards_[std::hash<std::string>{}(device_id) % shards_.size()];
 }
 
-void ScoringEngine::accept_flags(const util::SparseVector& features,
-                                 std::vector<char>& flags,
-                                 const ProfileVector& profiles,
-                                 index::IdentificationResult* cascade_out) const {
-  flags.assign(profiles.size(), 0);
-  if (config_.plane != nullptr) {
-    // Candidate-pruning cascade: only survivors reach the SVMs; accepted
-    // survivors arrive as ascending catalog indices (= store order).
-    index::IdentificationResult result =
-        config_.plane->identify(features, config_.transform);
-    for (const std::uint32_t i : result.accepted) flags[i] = 1;
-    if (cascade_out != nullptr) *cascade_out = std::move(result);
-    return;
-  }
-  // One query norm per scored window, shared across every profile's kernel
-  // rows (the RBF path otherwise recomputes it once per profile).
-  const double sqnorm = features.squared_norm();
-  const svm::TransformMode tier = config_.transform;
-  const auto accepts = [&](std::size_t i) -> char {
-    return profiles[i].decision_value(features, sqnorm, tier) >= 0.0 ? 1 : 0;
-  };
-  if (!pool_ || profiles.size() < 2) {
-    for (std::size_t i = 0; i < profiles.size(); ++i) flags[i] = accepts(i);
-    return;
-  }
-  // Chunked fan-out with a per-call latch: unlike parallel_for's
-  // wait_idle(), this stays correct when several ingest threads score
-  // concurrently on the shared pool.
-  const std::size_t chunk_count =
-      std::min(profiles.size(), pool_->thread_count());
-  const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
-  const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;
-  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
-  for (std::size_t t = 0; t < tasks; ++t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(profiles.size(), begin + chunk);
-    pool_->submit([&accepts, &flags, &done, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) flags[i] = accepts(i);
-      done.count_down();
-    });
-  }
-  done.wait();
-}
-
 void ScoringEngine::observe_decision(
     const DecisionTrace& trace, const DecisionEvent& event,
     std::int64_t score_ns, const index::IdentificationResult* cascade) const {
@@ -219,122 +175,56 @@ void ScoringEngine::observe_decision(
   }
 }
 
-void ScoringEngine::score_and_emit(DeviceSession& session,
-                                   const PendingWindow& pending,
-                                   EventSource source,
-                                   const ProfileVector& profiles,
-                                   const DecisionTrace* trace) {
-  const obs::TraceSpan span{
-      "serve.score", "serve",
-      static_cast<std::uint64_t>(pending.window.transaction_count)};
-  const util::Stopwatch stopwatch;
-  core::IdentificationEvent event;
-  event.window_start = pending.window.start;
-  event.window_end = pending.window.end;
-  event.transaction_count = pending.window.transaction_count;
-  event.true_user = pending.true_user;
-
-  std::vector<char> flags;
-  index::IdentificationResult cascade;
-  const bool want_cascade = trace != nullptr && config_.plane != nullptr;
-  accept_flags(pending.window.features, flags, profiles,
-               want_cascade ? &cascade : nullptr);
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (flags[i]) event.accepted_by.push_back(profiles[i].user_id());
-  }
-  if (config_.collector != nullptr && !event.true_user.empty()) {
-    config_.collector->observe(event.true_user, pending.window.features,
-                               event.accepted(event.true_user));
-  }
-
-  DecisionEvent out;
-  out.device_id = session.device_id();
-  out.window_start = event.window_start;
-  out.window_end = event.window_end;
-  out.transaction_count = event.transaction_count;
-  out.true_user = event.true_user;
-  out.identity = session.decide(event);
-  out.accepted_by = std::move(event.accepted_by);
-  out.source = source;
-  if (trace != nullptr) {
-    out.trace_id = trace->id;
-    out.trace_flow = trace->flow;
-  }
-
-  metrics_.windows.add(1);
-  if (out.decided()) {
-    metrics_.decisions.add(1);
-    if (out.correct()) metrics_.correct.add(1);
-  }
-  const double score_ns = stopwatch.elapsed_micros() * kNanosPerMicro;
-  metrics_.score_ns.record_ns(score_ns);
-  if (trace != nullptr) {
-    observe_decision(*trace, out, static_cast<std::int64_t>(score_ns),
-                     want_cascade ? &cascade : nullptr);
-  }
-  sink_(out);
-}
-
-void ScoringEngine::score_and_emit_batch(DeviceSession& session,
-                                         std::span<const PendingWindow> pending,
-                                         EventSource source,
-                                         const ProfileVector& profiles,
-                                         const DecisionTrace* trace) {
+void ScoringEngine::score_burst(DeviceSession& session,
+                                std::span<const PendingWindow> pending,
+                                EventSource source, const ProfileVector& profiles,
+                                const DecisionTrace* trace) {
   if (pending.empty()) return;
-  // The cascade plane prunes per window (its stages are query-local), and a
-  // single window gains nothing from the block path.
-  if (pending.size() == 1 || config_.plane != nullptr) {
-    for (const auto& p : pending) {
-      score_and_emit(session, p, source, profiles, trace);
-    }
-    return;
-  }
-  const obs::TraceSpan span{"serve.score", "serve",
-                            static_cast<std::uint64_t>(pending.size())};
-  const util::Stopwatch stopwatch;
   const std::size_t w = pending.size();
+  const obs::TraceSpan span{"serve.score", "serve", static_cast<std::uint64_t>(w)};
+  const util::Stopwatch stopwatch;
 
-  // One window-block matrix for the whole burst: each profile then scores
-  // it with a single batched decision_values sweep (kernel_block), instead
-  // of w independent kernel rows.  Decisions are bit-identical to the
-  // per-window path, so smoothing and event contents cannot diverge.
-  std::vector<util::SparseVector> rows;
-  rows.reserve(w);
-  for (const auto& p : pending) rows.push_back(p.window.features);
-  util::FeatureMatrix windows =
-      util::FeatureMatrix::from_rows(rows, store_->schema().dimension());
-  windows.ensure_bitset(store_->schema().numeric_columns());
+  util::FeatureMatrixBuilder builder;
+  for (const auto& p : pending) builder.add_row(p.window.features);
+  util::FeatureMatrix windows = builder.build(store_->schema().dimension());
 
-  std::vector<double> decisions(profiles.size() * w);
-  const auto score_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      profiles[i].decision_values(
-          windows, std::span{decisions}.subspan(i * w, w), config_.transform);
+  // accepts[i * w + t]: profile i accepted window t.
+  std::vector<char> accepts(profiles.size() * w, 0);
+  std::vector<index::IdentificationResult> cascades;  // one per window
+  if (config_.plane != nullptr) {
+    // The cascade prunes per window (its stages are query-local); accepted
+    // survivors arrive as ascending catalog indices (= store order).
+    cascades.reserve(w);
+    for (std::size_t t = 0; t < w; ++t) {
+      cascades.push_back(config_.plane->identify(
+          windows.row_indices(t), windows.row_values(t), windows.sq_norm(t),
+          config_.transform));
+      for (const std::uint32_t i : cascades.back().accepted) {
+        accepts[i * w + t] = 1;
+      }
     }
-  };
-  if (!pool_ || profiles.size() < 2) {
-    score_range(0, profiles.size());
   } else {
-    const std::size_t chunk_count =
-        std::min(profiles.size(), pool_->thread_count());
-    const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
-    const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;
-    std::latch done{static_cast<std::ptrdiff_t>(tasks)};
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(profiles.size(), begin + chunk);
-      pool_->submit([&score_range, &done, begin, end] {
-        score_range(begin, end);
-        done.count_down();
-      });
+    windows.ensure_bitset(store_->schema().numeric_columns());
+    std::vector<double> decisions(profiles.size() * w);
+    core::score_windows(profiles, windows, decisions, config_.transform,
+                        pool_.get());
+    for (std::size_t k = 0; k < decisions.size(); ++k) {
+      accepts[k] = decisions[k] >= 0.0 ? 1 : 0;
     }
-    done.wait();
   }
+
+  // Each window is charged its own identify() time (zero without a plane)
+  // plus an equal share of the rest of the burst's scoring time.
+  const double burst_ns = stopwatch.elapsed_micros() * kNanosPerMicro;
+  double own_ns = 0.0;
+  for (const auto& cascade : cascades) {
+    own_ns += static_cast<double>(cascade.total_ns);
+  }
+  const double shared_ns =
+      std::max(0.0, burst_ns - own_ns) / static_cast<double>(w);
 
   // Emit in window order — the session's K-consecutive smoothing is
   // order-dependent.
-  const double per_window_ns =
-      stopwatch.elapsed_micros() * kNanosPerMicro / static_cast<double>(w);
   for (std::size_t t = 0; t < w; ++t) {
     core::IdentificationEvent event;
     event.window_start = pending[t].window.start;
@@ -342,9 +232,7 @@ void ScoringEngine::score_and_emit_batch(DeviceSession& session,
     event.transaction_count = pending[t].window.transaction_count;
     event.true_user = pending[t].true_user;
     for (std::size_t i = 0; i < profiles.size(); ++i) {
-      if (decisions[i * w + t] >= 0.0) {
-        event.accepted_by.push_back(profiles[i].user_id());
-      }
+      if (accepts[i * w + t]) event.accepted_by.push_back(profiles[i].user_id());
     }
     if (config_.collector != nullptr && !event.true_user.empty()) {
       config_.collector->observe(event.true_user, pending[t].window.features,
@@ -370,10 +258,15 @@ void ScoringEngine::score_and_emit_batch(DeviceSession& session,
       metrics_.decisions.add(1);
       if (out.correct()) metrics_.correct.add(1);
     }
-    metrics_.score_ns.record_ns(per_window_ns);
+    const index::IdentificationResult* cascade =
+        cascades.empty() ? nullptr : &cascades[t];
+    const double score_ns =
+        shared_ns +
+        (cascade != nullptr ? static_cast<double>(cascade->total_ns) : 0.0);
+    metrics_.score_ns.record_ns(score_ns);
     if (trace != nullptr) {
-      observe_decision(*trace, out, static_cast<std::int64_t>(per_window_ns),
-                       nullptr);
+      observe_decision(*trace, out, static_cast<std::int64_t>(score_ns),
+                       cascade);
     }
     sink_(out);
   }
@@ -383,7 +276,7 @@ void ScoringEngine::evict(Shard& shard, const std::string& device_id,
                           const ProfileVector& profiles) {
   const auto it = shard.sessions.find(device_id);
   if (it == shard.sessions.end()) return;
-  score_and_emit_batch(it->second.session, it->second.session.flush(),
+  score_burst(it->second.session, it->second.session.flush(),
                        EventSource::kEviction, profiles);
   shard.lru.erase(it->second.lru_position);
   shard.sessions.erase(it);
@@ -465,7 +358,7 @@ void ScoringEngine::ingest_impl(const log::WebTransaction& txn,
     }
   }
 
-  score_and_emit_batch(it->second.session, completed, EventSource::kStream,
+  score_burst(it->second.session, completed, EventSource::kStream,
                        *profiles, trace != nullptr ? &local : nullptr);
   evict_expired(shard, txn.timestamp, *profiles);
   enforce_capacity(shard, *profiles);
@@ -482,7 +375,7 @@ void ScoringEngine::flush() {
     std::sort(devices.begin(), devices.end());
     for (const auto& device : devices) {
       Entry& entry = shard.sessions.at(device);
-      score_and_emit_batch(entry.session, entry.session.flush(),
+      score_burst(entry.session, entry.session.flush(),
                            EventSource::kFlush, *profiles);
     }
     metrics_.sessions_active.add(

@@ -4,10 +4,14 @@
 //
 // Per-device session state is sharded by device-id hash; each shard has its
 // own lock, so streams of distinct devices make progress concurrently.
-// Every window a session completes is fanned out to all profiles in the
-// ProfileStore (optionally across a util::ThreadPool), the session's
-// K-consecutive smoothing turns the votes into an identity decision, and
-// the resulting DecisionEvent is handed to the sink.  Idle sessions are
+// The windows one arrival (or a flush or eviction) completes form a burst:
+// its window matrix is scored by core::score_windows — every profile over
+// every window, fanned out over an optional util::ThreadPool — or, with a
+// cascade plane configured, window by window through
+// IdentificationPlane::identify.  Either way the burst yields one
+// profiles × windows acceptance block, and one emit loop turns it into
+// DecisionEvents in window order: K-consecutive smoothing, collector
+// reports, metrics, and trace/slow-log attribution.  Idle sessions are
 // evicted under a TTL (event time) and an LRU cap, flushing their open
 // windows first so no traffic is silently dropped.
 #pragma once
@@ -50,16 +54,16 @@ struct EngineConfig {
   /// Upper bound on resident sessions, split evenly across shards; the
   /// least-recently-active session of a full shard is evicted.  0 = unbounded.
   std::size_t max_sessions = 0;
-  /// Worker threads for the per-window profile fan-out.  0 = score serially
-  /// on the ingesting thread.
+  /// Worker threads for the profile fan-out of each burst.  0 = score
+  /// serially on the ingesting thread.
   std::size_t score_threads = 0;
   /// Where serve.* metrics are published.  nullptr (default) gives the
   /// engine a private registry, so metrics() stays exact per engine; tools
   /// pass &obs::Registry::global() to fold the engine into their exported
   /// snapshots.  Must outlive the engine.
   obs::Registry* registry = nullptr;
-  /// Optional candidate-pruning cascade.  When set, per-window scoring
-  /// routes through the plane (only cascade survivors reach the SVMs, and
+  /// Optional candidate-pruning cascade.  When set, each window routes
+  /// through the plane (only cascade survivors reach the SVMs, and
   /// `accepted_by` holds the survivors that accepted) instead of the full
   /// profile fan-out.  The plane's catalog must hold the same users in the
   /// same order as the store (checked at construction) and must outlive the
@@ -77,8 +81,8 @@ struct EngineConfig {
   /// total crosses the log's threshold.  Must outlive the engine.
   obs::SlowLog* slow_log = nullptr;
   /// Kernel-transform precision tier of this engine's scoring (DESIGN §14):
-  /// passed to every decision the engine computes — the batch sweep, the
-  /// per-window fan-out and the cascade plane.  Published as the
+  /// passed to every decision the engine computes — the window-block
+  /// scorer and the cascade plane.  Published as the
   /// kernel.transform_relaxed gauge (1 when relaxed).  Other engines in the
   /// process keep their own tier; training is always exact.
   svm::TransformMode transform = svm::TransformMode::kExact;
@@ -178,29 +182,12 @@ class ScoringEngine {
 
   void ingest_impl(const log::WebTransaction& txn, const DecisionTrace* trace);
 
-  /// Scores one pending window and emits its event.  Caller holds the
-  /// shard lock and keeps the profile snapshot alive.
-  void score_and_emit(DeviceSession& session, const PendingWindow& pending,
-                      EventSource source, const ProfileVector& profiles,
-                      const DecisionTrace* trace = nullptr);
-
-  /// Scores a burst of completed windows and emits their events in order.
-  /// With >= 2 windows and no cascade plane, the burst becomes one window
-  /// FeatureMatrix and each profile scores it with a single batched
-  /// decision_values sweep (the kernel_block path) — bit-identical to the
-  /// per-window path.  Caller holds the shard lock.
-  void score_and_emit_batch(DeviceSession& session,
-                            std::span<const PendingWindow> pending,
-                            EventSource source, const ProfileVector& profiles,
-                            const DecisionTrace* trace = nullptr);
-
-  /// Acceptance of every profile over the vector, in store order; fans out
-  /// across the pool when one is configured.  When a cascade plane is set
-  /// and `cascade_out` is non-null, the plane's full result (survivor
-  /// counts, per-stage timings) lands there.
-  void accept_flags(const util::SparseVector& features,
-                    std::vector<char>& flags, const ProfileVector& profiles,
-                    index::IdentificationResult* cascade_out = nullptr) const;
+  /// Scores a burst of completed windows and emits their events in window
+  /// order.  Caller holds the shard lock and keeps the profile snapshot
+  /// alive.
+  void score_burst(DeviceSession& session, std::span<const PendingWindow> pending,
+                   EventSource source, const ProfileVector& profiles,
+                   const DecisionTrace* trace = nullptr);
 
   /// Sampled decision.* span emission plus slow-log attribution for one
   /// scored window.  `cascade` is null when no plane ran.

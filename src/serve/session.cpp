@@ -50,7 +50,8 @@ std::string DeviceSession::majority_producer(util::UnixSeconds start,
     ++counts[user];
   }
   // Strict > over the lexicographically ordered map: ties go to the
-  // lexicographically smallest user, exactly as UserIdentifier::monitor.
+  // lexicographically smallest user, as in UserIdentifier::monitor's
+  // ground truth.
   std::string majority;
   std::size_t best = 0;
   for (const auto& [user, count] : counts) {

@@ -4,9 +4,11 @@
 // device: the incremental window aggregator, the producer buffer that yields
 // each window's ground-truth user, and the K-consecutive smoothing history
 // (paper §V-B).  Fed the same transactions, a session produces exactly the
-// windows, ground truths, and decisions the offline
-// core::UserIdentifier::monitor + decide_* path does — the equivalence the
-// engine tests assert byte for byte.
+// windows, ground truths, and smoothed decisions of the offline
+// core::UserIdentifier::monitor + decide_* path — the equivalence the
+// engine tests assert byte for byte.  Both sides score windows through
+// core::score_windows, so that test pins windowing, truth and smoothing;
+// the scorer itself is checked against per-row decision_value.
 #pragma once
 
 #include <deque>
@@ -70,7 +72,8 @@ class DeviceSession {
 
  private:
   /// Majority producer of [start, end), pruning producers no future window
-  /// can contain.  Mirrors UserIdentifier::monitor's cursor + count rule.
+  /// can contain.  The ground-truth rule of UserIdentifier::monitor
+  /// (strict majority count, lexicographic tie-break), kept incrementally.
   [[nodiscard]] std::string majority_producer(util::UnixSeconds start,
                                               util::UnixSeconds end);
 

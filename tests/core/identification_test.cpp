@@ -128,44 +128,6 @@ TEST(UserIdentifier, MonitorProducesGroundTruthAndAcceptance) {
   EXPECT_GT(metrics.true_acceptance(), 0.4);
 }
 
-TEST(ArgmaxDecision, PicksHighestDecisionValueAndKeepsFirstTie) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  const features::WindowConfig window{60, 30};
-  std::vector<UserProfile> profiles;
-  for (const auto& user : dataset.user_ids()) {
-    ProfileParams params;
-    params.type = ClassifierType::kOcSvm;
-    params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
-    params.regularizer = 0.2;
-    profiles.push_back(UserProfile::train(user,
-                                          dataset.train_windows(user, window),
-                                          dataset.schema().dimension(), params));
-  }
-
-  const auto query =
-      dataset.test_windows(dataset.user_ids().front(), window).front();
-  const ArgmaxDecision decision = argmax_decision(profiles, query);
-  ASSERT_NE(decision.index, ArgmaxDecision::npos);
-  // The reported value must be the profile's own decision value, and no
-  // profile may beat it (earlier profiles win exact ties).
-  EXPECT_EQ(decision.value, profiles[decision.index].decision_value(query));
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const double value = profiles[i].decision_value(query);
-    if (i < decision.index) {
-      EXPECT_LT(value, decision.value);
-    } else {
-      EXPECT_LE(value, decision.value);
-    }
-  }
-
-  // Duplicate the winner at the end: an exact tie must keep the first.
-  profiles.push_back(profiles[decision.index]);
-  const ArgmaxDecision with_dup = argmax_decision(profiles, query);
-  EXPECT_EQ(with_dup.index, decision.index);
-
-  EXPECT_EQ(argmax_decision({}, query).index, ArgmaxDecision::npos);
-}
-
 TEST(UserIdentifier, RejectsEmptyProfileSet) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   EXPECT_THROW(

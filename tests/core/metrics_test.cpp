@@ -25,6 +25,14 @@ WindowsByUser train_windows_by_user(const ProfilingDataset& dataset) {
   return windows;
 }
 
+MatrixByUser train_matrices_by_user(const ProfilingDataset& dataset) {
+  MatrixByUser windows;
+  for (const auto& user : dataset.user_ids()) {
+    windows.emplace(user, dataset.train_matrix(user, kWindow));
+  }
+  return windows;
+}
+
 std::vector<UserProfile> train_all(const ProfilingDataset& dataset,
                                    const WindowsByUser& windows) {
   std::vector<UserProfile> profiles;
@@ -80,9 +88,9 @@ TEST(MeanAcceptance, RejectsEmptyProfileSet) {
 
 TEST(Confusion, MatrixShapeMatchesUsers) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
-  const auto profiles = train_all(dataset, windows);
-  const ConfusionMatrix matrix = compute_confusion(profiles, windows);
+  const auto profiles = train_all(dataset, train_windows_by_user(dataset));
+  const ConfusionMatrix matrix =
+      compute_confusion(profiles, train_matrices_by_user(dataset));
   ASSERT_EQ(matrix.users.size(), dataset.user_count());
   ASSERT_EQ(matrix.cells.size(), profiles.size());
   for (const auto& row : matrix.cells) {
@@ -96,10 +104,48 @@ TEST(Confusion, MatrixShapeMatchesUsers) {
 
 TEST(Confusion, DiagonalDominatesOffDiagonal) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
-  const auto profiles = train_all(dataset, windows);
-  const ConfusionMatrix matrix = compute_confusion(profiles, windows);
+  const auto profiles = train_all(dataset, train_windows_by_user(dataset));
+  const ConfusionMatrix matrix =
+      compute_confusion(profiles, train_matrices_by_user(dataset));
   EXPECT_GT(matrix.diagonal_mean(), matrix.off_diagonal_mean());
+}
+
+// Every cell is the profile's per-window acceptance percentage, bit for bit,
+// in either tier (RBF profiles, so the relaxed tier has a transform to
+// approximate).
+TEST(Confusion, CellsAreProfileAcceptanceRatios) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const auto windows = train_windows_by_user(dataset);
+  ProfileParams params;
+  params.type = ClassifierType::kOcSvm;
+  params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
+  params.regularizer = 0.2;
+  std::vector<UserProfile> profiles;
+  for (const auto& user : dataset.user_ids()) {
+    profiles.push_back(UserProfile::train(user, windows.at(user),
+                                          dataset.schema().dimension(), params));
+  }
+  const auto matrices = train_matrices_by_user(dataset);
+  for (const auto tier :
+       {svm::TransformMode::kExact, svm::TransformMode::kRelaxed}) {
+    const ConfusionMatrix matrix = compute_confusion(profiles, matrices, tier);
+    ASSERT_EQ(matrix.users.size(), windows.size());
+    for (std::size_t j = 0; j < profiles.size(); ++j) {
+      for (std::size_t u = 0; u < matrix.users.size(); ++u) {
+        const auto& rows = windows.at(matrix.users[u]);
+        std::size_t accepted = 0;
+        for (const auto& x : rows) {
+          if (profiles[j].decision_value(x, x.squared_norm(), tier) >= 0.0) {
+            ++accepted;
+          }
+        }
+        EXPECT_EQ(matrix.cells[j][u],
+                  static_cast<double>(accepted) /
+                      static_cast<double>(rows.size()) * 100.0)
+            << profiles[j].user_id() << " on " << matrix.users[u];
+      }
+    }
+  }
 }
 
 TEST(Confusion, HandBuiltMatrixStatistics) {

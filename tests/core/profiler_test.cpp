@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "core/test_trace.h"
 
@@ -121,6 +125,79 @@ TEST(UserProfile, TrainRejectsEmptyWindows) {
 TEST(ClassifierTypeNames, Stable) {
   EXPECT_EQ(to_string(ClassifierType::kOcSvm), "oc-svm");
   EXPECT_EQ(to_string(ClassifierType::kSvdd), "svdd");
+}
+
+// The exhaustive scorer against the independent per-row oracle: every cell
+// bit-identical to UserProfile::decision_value(x, sqnorm, tier), for both
+// classifiers and both tiers, serial and pooled, on both sides of
+// ModelView::decision_values' 64-query tile.
+TEST(ScoreWindows, BitIdenticalToPerRowDecisionValue) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const std::size_t dim = dataset.schema().dimension();
+  std::vector<util::SparseVector> queries;
+  for (const auto& user : dataset.user_ids()) {
+    for (auto& x : dataset.test_windows(user, kWindow)) {
+      queries.push_back(std::move(x));
+    }
+  }
+  ASSERT_FALSE(queries.empty());
+  for (std::size_t k = 0; queries.size() < 130; ++k) {
+    util::SparseVector copy = queries[k];
+    queries.push_back(std::move(copy));
+  }
+
+  ProfileParams rbf_svdd = svdd_params();
+  rbf_svdd.kernel = ocsvm_params().kernel;
+  util::ThreadPool pool{4};
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+  for (const ProfileParams& params : {ocsvm_params(), rbf_svdd}) {
+    std::vector<UserProfile> profiles;
+    for (const auto& user : dataset.user_ids()) {
+      profiles.push_back(UserProfile::train(
+          user, dataset.train_windows(user, kWindow), dim, params));
+    }
+    for (const auto tier :
+         {svm::TransformMode::kExact, svm::TransformMode::kRelaxed}) {
+      for (const std::size_t w : {1, 63, 64, 65, 130}) {
+        const auto rows = std::span{queries}.first(w);
+        util::FeatureMatrix windows = util::FeatureMatrix::from_rows(rows, dim);
+        windows.ensure_bitset(dataset.schema().numeric_columns());
+        for (util::ThreadPool* scorer_pool : pools) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(params.type)
+                       << (tier == svm::TransformMode::kRelaxed ? " relaxed"
+                                                                : " exact")
+                       << " windows " << w
+                       << (scorer_pool != nullptr ? " pooled" : " serial"));
+          std::vector<double> out(profiles.size() * w);
+          score_windows(profiles, windows, out, tier, scorer_pool);
+          std::size_t differing = 0;
+          for (std::size_t i = 0; i < profiles.size(); ++i) {
+            for (std::size_t t = 0; t < w; ++t) {
+              const double oracle = profiles[i].decision_value(
+                  rows[t], rows[t].squared_norm(), tier);
+              if (std::bit_cast<std::uint64_t>(out[i * w + t]) !=
+                  std::bit_cast<std::uint64_t>(oracle)) {
+                ++differing;
+              }
+            }
+          }
+          EXPECT_EQ(differing, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScoreWindows, RejectsMisSizedOutput) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const std::string user = dataset.user_ids().front();
+  const std::vector<UserProfile> profiles{UserProfile::train(
+      user, dataset.train_windows(user, kWindow), dataset.schema().dimension(),
+      svdd_params())};
+  const auto windows = dataset.test_matrix(user, kWindow);
+  std::vector<double> out(windows->rows() + 1);
+  EXPECT_THROW(score_windows(profiles, *windows, out), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // IdentificationPlane: the cascade must never change the identification
-// argmax (no-false-prune invariant vs exhaustive fan-out), must behave
-// identically over heap and mmap catalogs, and must publish per-stage
-// survivor counts through its registry.
+// argmax (no-false-prune invariant vs exhaustive fan-out), whose exact
+// ties go to the first profile in store order, must behave identically over
+// heap and mmap catalogs, and must publish per-stage survivor counts
+// through its registry.
 #include "index/cascade.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/profiler.h"
+#include "core/test_trace.h"
 #include "index/mapped_store.h"
 #include "obs/registry.h"
 #include "synthetic/scale.h"
@@ -172,6 +174,52 @@ TEST(Cascade, ThreadSafeIdentify) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(got, expected);
+}
+
+/// The plane's first-max rule on trace-trained RBF profiles: the reported
+/// decision is the winner's own, no profile beats it, and an exact tie
+/// keeps the profile that comes first in store order.
+TEST(IdentifyExhaustive, PicksHighestDecisionValueAndKeepsFirstTie) {
+  const core::ProfilingDataset& dataset = core::testing::tiny_dataset();
+  const features::WindowConfig window{60, 30};
+  const core::ProfileParams params{
+      core::ClassifierType::kOcSvm, {svm::KernelType::kRbf, 0.0, 0.0, 3}, 0.2};
+  std::vector<core::UserProfile> profiles;
+  for (const auto& user : dataset.user_ids()) {
+    profiles.push_back(core::UserProfile::train(
+        user, dataset.train_windows(user, window),
+        dataset.schema().dimension(), params));
+  }
+  const auto query =
+      dataset.test_windows(dataset.user_ids().front(), window).front();
+
+  const core::ProfileStore store{window, dataset.schema(), profiles};
+  const HeapProfileCatalog catalog{store};
+  const IdentificationPlane plane{catalog};
+  const IdentificationResult result = plane.identify_exhaustive(query);
+  ASSERT_NE(result.best, IdentificationResult::npos);
+  EXPECT_EQ(result.best_decision, profiles[result.best].decision_value(query));
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const double value = profiles[i].decision_value(query);
+    if (i < result.best) {
+      EXPECT_LT(value, result.best_decision) << profiles[i].user_id();
+    } else {
+      EXPECT_LE(value, result.best_decision) << profiles[i].user_id();
+    }
+  }
+
+  // The winner's model again, last, under a new user id: the exact tie
+  // must keep the first copy.
+  profiles.push_back(core::UserProfile::from_model(
+      "duplicate", params, profiles[result.best].model()));
+  const core::ProfileStore with_dup_store{window, dataset.schema(),
+                                          std::move(profiles)};
+  const HeapProfileCatalog with_dup_catalog{with_dup_store};
+  const IdentificationPlane with_dup_plane{with_dup_catalog};
+  const IdentificationResult with_dup =
+      with_dup_plane.identify_exhaustive(query);
+  EXPECT_EQ(with_dup.best, result.best);
+  EXPECT_EQ(with_dup.best_decision, result.best_decision);
 }
 
 }  // namespace

@@ -69,11 +69,17 @@ int main(int argc, char** argv) {
               static_cast<long>(store.window().duration_s),
               static_cast<long>(store.window().shift_s), transactions.size());
 
-  // User-specific windowing of the evaluated log.
+  // User-specific windowing of the evaluated log: one window matrix per
+  // log user, scored by both the --user table and the full matrix.
   const features::WindowAggregator aggregator{store.schema(), store.window()};
-  core::WindowsByUser windows;
+  core::MatrixByUser windows;
   for (const auto& [user, txns] : features::group_by_user(transactions)) {
-    windows.emplace(user, features::window_vectors(aggregator.aggregate(txns)));
+    util::FeatureMatrixBuilder builder;
+    for (const auto& window : aggregator.aggregate(txns)) {
+      builder.add_row(window.features);
+    }
+    windows.emplace(user, std::make_shared<const util::FeatureMatrix>(
+                              builder.build(store.schema().dimension())));
   }
 
   if (args.has("user")) {
@@ -82,9 +88,9 @@ int main(int argc, char** argv) {
     if (profile == nullptr) args.die("no profile for user '" + user + "'");
     util::TextTable table;
     table.set_header({"log user", "windows", "accepted by " + user});
-    for (const auto& [log_user, vectors] : windows) {
-      const double ratio = profile->acceptance_ratio(vectors, tier);
-      table.add_row({log_user, std::to_string(vectors.size()),
+    for (const auto& [log_user, matrix] : windows) {
+      const double ratio = profile->acceptance_ratio(*matrix, 0.0, tier);
+      table.add_row({log_user, std::to_string(matrix->rows()),
                      util::format_double(100.0 * ratio, 1) + "%"});
     }
     std::printf("%s", table.render().c_str());
