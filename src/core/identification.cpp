@@ -13,6 +13,32 @@ bool IdentificationEvent::accepted(const std::string& user) const {
          accepted_by.end();
 }
 
+void ProducerTally::add(util::UnixSeconds timestamp, std::string user) {
+  producers_.emplace_back(timestamp, std::move(user));
+}
+
+std::string ProducerTally::majority(util::UnixSeconds start,
+                                    util::UnixSeconds end) {
+  while (!producers_.empty() && producers_.front().first < start) {
+    producers_.pop_front();
+  }
+  std::map<std::string, std::size_t> counts;
+  for (const auto& [timestamp, user] : producers_) {
+    if (timestamp >= end) break;
+    ++counts[user];
+  }
+  // Strict > over the ordered map: ties keep the smallest user.
+  std::string majority;
+  std::size_t best = 0;
+  for (const auto& [user, count] : counts) {
+    if (count > best) {
+      best = count;
+      majority = user;
+    }
+  }
+  return majority;
+}
+
 UserIdentifier::UserIdentifier(std::span<const UserProfile> profiles,
                                const features::FeatureSchema& schema,
                                features::WindowConfig window,
@@ -43,31 +69,20 @@ std::vector<IdentificationEvent> UserIdentifier::monitor(
 
   std::vector<IdentificationEvent> events;
   events.reserve(w);
-  std::size_t cursor = 0;  // first txn not yet before the current window
+  ProducerTally truth;
+  std::size_t next_txn = 0;  // first txn not yet in the tally
   for (std::size_t t = 0; t < w; ++t) {
     const features::Window& window = windows[t];
     IdentificationEvent event;
     event.window_start = window.start;
     event.window_end = window.end;
     event.transaction_count = window.transaction_count;
-
-    // Ground truth: the user with the most transactions in the window.
-    while (cursor < device_txns.size() &&
-           device_txns[cursor].timestamp < window.start) {
-      ++cursor;
+    for (; next_txn < device_txns.size() &&
+           device_txns[next_txn].timestamp < window.end;
+         ++next_txn) {
+      truth.add(device_txns[next_txn].timestamp, device_txns[next_txn].user_id);
     }
-    std::map<std::string, std::size_t> producers;
-    for (std::size_t i = cursor;
-         i < device_txns.size() && device_txns[i].timestamp < window.end; ++i) {
-      ++producers[device_txns[i].user_id];
-    }
-    std::size_t best_count = 0;
-    for (const auto& [user, count] : producers) {
-      if (count > best_count) {
-        best_count = count;
-        event.true_user = user;
-      }
-    }
+    event.true_user = truth.majority(window.start, window.end);
 
     for (std::size_t i = 0; i < profiles_.size(); ++i) {
       if (decisions[i * w + t] >= 0.0) {

@@ -4,12 +4,15 @@
 // sliding windows regardless of which user produced them; every user model
 // is then applied to each window.  The model(s) that accept a window are
 // that window's candidate identities; ground truth is the user who produced
-// the majority of the window's transactions.  The consecutive-run smoothing
+// the majority of the window's transactions (ProducerTally, which the
+// serving sessions hold too).  The consecutive-run smoothing
 // the paper suggests (§V-B) is implemented as an optional decision rule.
 #pragma once
 
+#include <deque>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/profiler.h"
@@ -31,6 +34,32 @@ struct IdentificationEvent {
   [[nodiscard]] bool accepted(const std::string& user) const;
 };
 
+/// The identification ground truth, kept incrementally: the user who
+/// produced the most transactions of a window.  Producers are added in time
+/// order and windows are asked for in non-decreasing start order.
+class ProducerTally {
+ public:
+  /// Records one transaction of `user` at `timestamp`.
+  void add(util::UnixSeconds timestamp, std::string user);
+
+  /// Majority producer of [start, end): strict count, ties go to the
+  /// lexicographically smallest user, empty when nobody produced in it.
+  /// Prunes the producers before `start`, which no later window contains.
+  [[nodiscard]] std::string majority(util::UnixSeconds start,
+                                     util::UnixSeconds end);
+
+  void clear() noexcept { producers_.clear(); }
+
+  /// The producers still held, oldest first.
+  [[nodiscard]] const std::deque<std::pair<util::UnixSeconds, std::string>>&
+  producers() const noexcept {
+    return producers_;
+  }
+
+ private:
+  std::deque<std::pair<util::UnixSeconds, std::string>> producers_;
+};
+
 class UserIdentifier {
  public:
   /// Profiles must outlive the identifier.  `tier` is the transform
@@ -41,7 +70,9 @@ class UserIdentifier {
                  svm::TransformMode tier = svm::TransformMode::kExact);
 
   /// Runs every profile over the device's (time-sorted) transaction stream:
-  /// its windows are scored as one block through score_windows.
+  /// its windows are scored as one block through score_windows and labelled
+  /// through a ProducerTally.  Throws std::invalid_argument on out-of-order
+  /// input.
   [[nodiscard]] std::vector<IdentificationEvent> monitor(
       std::span<const log::WebTransaction> device_txns) const;
 

@@ -78,6 +78,11 @@ ProfileStore ProfileStore::load(std::istream& in) {
     if (!(fields >> key >> window.duration_s >> window.shift_s) || key != "window") {
       throw std::runtime_error{"ProfileStore::load: malformed window line '" + line + "'"};
     }
+    try {
+      features::check_window_config(window);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error{"ProfileStore::load: " + std::string{e.what()}};
+    }
   }
   features::FeatureSchema schema = features::load_schema(in);
   std::size_t count = 0;

@@ -4,18 +4,16 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <ranges>
 #include <stdexcept>
+#include <string>
 
 namespace wtp::features {
 
 StreamingWindowAggregator::StreamingWindowAggregator(const FeatureSchema& schema,
                                                      WindowConfig config)
     : schema_{&schema}, encoder_{schema}, config_{config} {
-  if (config.shift_s <= 0 || config.duration_s <= 0 ||
-      config.shift_s > config.duration_s) {
-    throw std::invalid_argument{
-        "StreamingWindowAggregator: require 0 < shift <= duration"};
-  }
+  check_window_config(config);
 }
 
 void StreamingWindowAggregator::reset() {
@@ -28,30 +26,17 @@ void StreamingWindowAggregator::reset() {
 
 Window StreamingWindowAggregator::build_window(util::UnixSeconds start,
                                                util::UnixSeconds end) const {
+  const auto last = std::find_if(
+      buffer_.begin(), buffer_.end(),
+      [end](const Buffered& item) { return item.timestamp >= end; });
   Window window;
   window.start = start;
   window.end = end;
-  util::SparseAccumulator acc;
-  std::size_t count = 0;
-  for (const auto& item : buffer_) {
-    if (item.timestamp < start) continue;
-    if (item.timestamp >= end) break;
-    ++count;
-  }
-  window.transaction_count = count;
-  const double inverse_count = count ? 1.0 / static_cast<double>(count) : 0.0;
-  for (const auto& item : buffer_) {
-    if (item.timestamp < start) continue;
-    if (item.timestamp >= end) break;
-    for (const auto& entry : item.encoded.entries()) {
-      if (schema_->is_numeric_column(entry.index)) {
-        acc.add(entry.index, entry.value * inverse_count);
-      } else {
-        acc.max(entry.index, entry.value);
-      }
-    }
-  }
-  window.features = acc.build();
+  window.transaction_count = static_cast<std::size_t>(last - buffer_.begin());
+  window.features = merge_window(
+      std::ranges::subrange(buffer_.begin(), last) |
+          std::views::transform(&Buffered::encoded),
+      *schema_);
   return window;
 }
 
@@ -71,7 +56,8 @@ void StreamingWindowAggregator::emit_ready(util::UnixSeconds horizon,
     const util::UnixSeconds next_txn = buffer_.front().timestamp;
     if (next_txn >= end) {
       // Empty window: jump to the first index whose window contains the
-      // next buffered transaction (mirrors the batch aggregator).
+      // next buffered transaction, i.e. the smallest k with
+      // start > next_txn - duration.
       const std::int64_t jump =
           (next_txn - config_.duration_s - origin_) / config_.shift_s + 1;
       next_k_ = std::max(next_k_ + 1, jump);
@@ -85,7 +71,9 @@ void StreamingWindowAggregator::emit_ready(util::UnixSeconds horizon,
 std::vector<Window> StreamingWindowAggregator::push(const log::WebTransaction& txn) {
   if (started_ && txn.timestamp < last_timestamp_) {
     throw std::invalid_argument{
-        "StreamingWindowAggregator::push: transactions must be time-ordered"};
+        "StreamingWindowAggregator::push: transactions must be time-ordered (" +
+        std::to_string(txn.timestamp) + " after " +
+        std::to_string(last_timestamp_) + ")"};
   }
   if (!started_) {
     started_ = true;

@@ -1,11 +1,12 @@
-// Incremental (online) window aggregation.
+// Incremental (online) window aggregation: the repository's one window fold.
 //
-// The batch WindowAggregator needs the whole transaction sequence up front;
-// a monitoring deployment sees transactions one at a time and must emit each
+// A monitoring deployment sees transactions one at a time and must emit each
 // window as soon as its period has elapsed (a new feature vector every S
-// seconds, paper §IV-C).  StreamingWindowAggregator produces *exactly* the
-// same windows as the batch aggregator over the same input (a property the
-// tests assert), but with O(window span) memory.
+// seconds, paper §IV-C).  StreamingWindowAggregator does that with
+// O(window span) memory.  It is also the batch path:
+// WindowAggregator::aggregate pushes a whole sequence and flushes, so batch
+// and streaming windows are the same by construction.  Tests check the fold
+// against a brute-force reference (tests/features/window_reference.h).
 #pragma once
 
 #include <deque>
@@ -60,7 +61,8 @@ class StreamingWindowAggregator {
   void emit_ready(util::UnixSeconds horizon, bool flushing,
                   std::vector<Window>& out);
 
-  /// Builds window k from the buffer (assumes non-empty intersection).
+  /// Builds the window [start, end) from the buffer, whose front has
+  /// already been pruned to `start` and lies before `end`.
   [[nodiscard]] Window build_window(util::UnixSeconds start,
                                     util::UnixSeconds end) const;
 

@@ -1,100 +1,44 @@
 #include "features/window.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "features/streaming.h"
 
 namespace wtp::features {
 
-WindowAggregator::WindowAggregator(const FeatureSchema& schema, WindowConfig config)
-    : schema_{&schema}, config_{config} {
+void check_window_config(const WindowConfig& config) {
   if (config.shift_s <= 0 || config.duration_s <= 0 ||
       config.shift_s > config.duration_s) {
     throw std::invalid_argument{
-        "WindowAggregator: require 0 < shift <= duration (got S=" +
+        "window: require 0 < shift <= duration (got S=" +
         std::to_string(config.shift_s) + ", D=" + std::to_string(config.duration_s) + ")"};
   }
 }
 
-namespace {
-
-/// Merges per-transaction encodings into one window vector: disjunction for
-/// bag-of-words columns, average (over the transaction count) for numeric
-/// columns.
-util::SparseVector merge_encoded(std::span<const util::SparseVector> encoded,
-                                 const FeatureSchema& schema) {
-  if (encoded.empty()) return {};
-  util::SparseAccumulator acc;
-  const double inverse_count = 1.0 / static_cast<double>(encoded.size());
-  for (const auto& vector : encoded) {
-    for (const auto& entry : vector.entries()) {
-      if (schema.is_numeric_column(entry.index)) {
-        acc.add(entry.index, entry.value * inverse_count);
-      } else {
-        acc.max(entry.index, entry.value);
-      }
-    }
-  }
-  return acc.build();
+WindowAggregator::WindowAggregator(const FeatureSchema& schema, WindowConfig config)
+    : schema_{&schema}, config_{config} {
+  check_window_config(config);
 }
-
-}  // namespace
 
 util::SparseVector WindowAggregator::aggregate_single(
     std::span<const log::WebTransaction> txns) const {
   const TransactionEncoder encoder{*schema_};
-  std::vector<util::SparseVector> encoded;
-  encoded.reserve(txns.size());
-  for (const auto& txn : txns) encoded.push_back(encoder.encode(txn));
-  return merge_encoded(encoded, *schema_);
+  return merge_window(
+      txns | std::views::transform([&encoder](const log::WebTransaction& txn) {
+        return encoder.encode(txn);
+      }),
+      *schema_);
 }
 
 std::vector<Window> WindowAggregator::aggregate(
     std::span<const log::WebTransaction> txns) const {
+  StreamingWindowAggregator fold{*schema_, config_};
   std::vector<Window> windows;
-  if (txns.empty()) return windows;
-
-  // Encode each transaction exactly once: overlapping windows (S < D) would
-  // otherwise re-encode the same transaction D/S times.
-  const TransactionEncoder encoder{*schema_};
-  std::vector<util::SparseVector> encoded;
-  encoded.reserve(txns.size());
-  for (const auto& txn : txns) encoded.push_back(encoder.encode(txn));
-
-  const util::UnixSeconds origin = txns.front().timestamp;
-  const util::UnixSeconds duration = config_.duration_s;
-  const util::UnixSeconds shift = config_.shift_s;
-
-  std::size_t begin_index = 0;  // first txn with timestamp >= window start
-  std::int64_t k = 0;
-  while (true) {
-    const util::UnixSeconds window_start = origin + k * shift;
-    const util::UnixSeconds window_end = window_start + duration;
-    while (begin_index < txns.size() &&
-           txns[begin_index].timestamp < window_start) {
-      ++begin_index;
-    }
-    if (begin_index >= txns.size()) break;
-    const util::UnixSeconds next_txn = txns[begin_index].timestamp;
-    if (next_txn >= window_end) {
-      // Window empty: jump to the first window index containing next_txn,
-      // i.e. the smallest k with window_start > next_txn - duration.
-      const std::int64_t jump = (next_txn - duration - origin) / shift + 1;
-      k = std::max(k + 1, jump);
-      continue;
-    }
-    std::size_t end_index = begin_index;
-    while (end_index < txns.size() && txns[end_index].timestamp < window_end) {
-      ++end_index;
-    }
-    Window window;
-    window.start = window_start;
-    window.end = window_end;
-    window.transaction_count = end_index - begin_index;
-    window.features = merge_encoded(
-        std::span{encoded}.subspan(begin_index, end_index - begin_index), *schema_);
-    windows.push_back(std::move(window));
-    ++k;
+  for (const auto& txn : txns) {
+    for (auto& window : fold.push(txn)) windows.push_back(std::move(window));
   }
+  for (auto& window : fold.flush()) windows.push_back(std::move(window));
   return windows;
 }
 

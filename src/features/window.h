@@ -8,8 +8,14 @@
 // vector: bag-of-words columns by logical disjunction, numeric columns
 // (private flag, reputation risk, reputation verified) by averaging over the
 // window's transactions.  Empty windows produce no vector.
+//
+// There is one window fold, StreamingWindowAggregator (features/streaming.h):
+// WindowAggregator::aggregate runs it over a whole sequence, and the serving
+// sessions run it one transaction at a time.  Every window vector comes from
+// merge_window below.
 #pragma once
 
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -28,6 +34,10 @@ struct WindowConfig {
   friend bool operator==(const WindowConfig&, const WindowConfig&) = default;
 };
 
+/// Throws std::invalid_argument unless 0 < S <= D.  The one geometry check:
+/// both aggregators and both profile store readers call it.
+void check_window_config(const WindowConfig& config);
+
 /// One aggregated transaction window.
 struct Window {
   util::UnixSeconds start = 0;  ///< inclusive
@@ -36,6 +46,28 @@ struct Window {
   util::SparseVector features;
 };
 
+/// Merges the encoded transactions of one window into its vector:
+/// disjunction (max) for bag-of-words columns, the mean over the window's
+/// transactions for numeric columns.  An empty range gives an empty vector.
+template <std::ranges::forward_range Encoded>
+[[nodiscard]] util::SparseVector merge_window(Encoded&& encoded,
+                                              const FeatureSchema& schema) {
+  const auto count = std::ranges::distance(encoded);
+  if (count == 0) return {};
+  util::SparseAccumulator acc;
+  const double inverse_count = 1.0 / static_cast<double>(count);
+  for (const util::SparseVector& vector : encoded) {
+    for (const auto& entry : vector.entries()) {
+      if (schema.is_numeric_column(entry.index)) {
+        acc.add(entry.index, entry.value * inverse_count);
+      } else {
+        acc.max(entry.index, entry.value);
+      }
+    }
+  }
+  return acc.build();
+}
+
 class WindowAggregator {
  public:
   /// Throws std::invalid_argument unless 0 < S <= D.  The schema must
@@ -43,14 +75,16 @@ class WindowAggregator {
   WindowAggregator(const FeatureSchema& schema, WindowConfig config);
 
   /// Aggregates a time-sorted transaction sequence belonging to a single
-  /// user or host.  Window 0 starts at the first transaction's timestamp;
-  /// empty windows are skipped.
+  /// user or host: pushes every transaction through a fresh
+  /// StreamingWindowAggregator, then flushes it.  Window 0 starts at the
+  /// first transaction's timestamp; empty windows are skipped.  Throws
+  /// std::invalid_argument on out-of-order input.
   [[nodiscard]] std::vector<Window> aggregate(
       std::span<const log::WebTransaction> txns) const;
 
   /// Aggregates one explicit set of transactions into a single feature
-  /// vector (used by tests mirroring the paper's worked example, and by the
-  /// composition-time benchmark, Fig. 5).
+  /// vector, whatever their timestamps (used by tests mirroring the paper's
+  /// worked example, and by the composition-time benchmark, Fig. 5).
   [[nodiscard]] util::SparseVector aggregate_single(
       std::span<const log::WebTransaction> txns) const;
 

@@ -219,6 +219,11 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
   features::WindowConfig window;
   window.duration_s = header.window_duration;
   window.shift_s = header.window_shift;
+  try {
+    features::check_window_config(window);
+  } catch (const std::invalid_argument& e) {
+    store_error(path, e.what());
+  }
 
   std::istringstream schema_stream{std::string{
       reinterpret_cast<const char*>(bytes.data() + header.schema_off),

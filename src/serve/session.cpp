@@ -1,7 +1,6 @@
 #include "serve/session.h"
 
 #include <istream>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -37,39 +36,13 @@ DeviceSession::DeviceSession(std::string device_id,
       aggregator_{schema, window},
       smooth_{smooth} {}
 
-std::string DeviceSession::majority_producer(util::UnixSeconds start,
-                                             util::UnixSeconds end) {
-  // Windows are emitted with non-decreasing starts, so producers before
-  // `start` can never fall into a later window.
-  while (!producers_.empty() && producers_.front().first < start) {
-    producers_.pop_front();
-  }
-  std::map<std::string, std::size_t> counts;
-  for (const auto& [timestamp, user] : producers_) {
-    if (timestamp >= end) break;
-    ++counts[user];
-  }
-  // Strict > over the lexicographically ordered map: ties go to the
-  // lexicographically smallest user, as in UserIdentifier::monitor's
-  // ground truth.
-  std::string majority;
-  std::size_t best = 0;
-  for (const auto& [user, count] : counts) {
-    if (count > best) {
-      best = count;
-      majority = user;
-    }
-  }
-  return majority;
-}
-
 std::vector<PendingWindow> DeviceSession::attach_truth(
     std::vector<features::Window> windows) {
   std::vector<PendingWindow> pending;
   pending.reserve(windows.size());
   for (auto& window : windows) {
     PendingWindow item;
-    item.true_user = majority_producer(window.start, window.end);
+    item.true_user = truth_.majority(window.start, window.end);
     item.window = std::move(window);
     pending.push_back(std::move(item));
   }
@@ -78,14 +51,14 @@ std::vector<PendingWindow> DeviceSession::attach_truth(
 
 std::vector<PendingWindow> DeviceSession::push(const log::WebTransaction& txn) {
   auto completed = aggregator_.push(txn);  // throws before any state change
-  producers_.emplace_back(txn.timestamp, txn.user_id);
+  truth_.add(txn.timestamp, txn.user_id);
   last_seen_ = txn.timestamp;
   return attach_truth(std::move(completed));
 }
 
 std::vector<PendingWindow> DeviceSession::flush() {
   auto pending = attach_truth(aggregator_.flush());
-  producers_.clear();
+  truth_.clear();
   return pending;
 }
 
@@ -105,9 +78,9 @@ std::string DeviceSession::decide(const core::IdentificationEvent& event) {
 void DeviceSession::save(std::ostream& out) const {
   out << "session ";
   write_string(out, device_id_);
-  out << ' ' << last_seen_ << ' ' << producers_.size() << ' '
+  out << ' ' << last_seen_ << ' ' << truth_.producers().size() << ' '
       << history_.size() << '\n';
-  for (const auto& [timestamp, user] : producers_) {
+  for (const auto& [timestamp, user] : truth_.producers()) {
     out << 'p' << ' ' << timestamp << ' ';
     write_string(out, user);
     out << '\n';
@@ -151,7 +124,7 @@ DeviceSession DeviceSession::restore(std::istream& in,
       throw fail("bad producer record");
     }
     std::string user = read_string(in);
-    session.producers_.emplace_back(timestamp, std::move(user));
+    session.truth_.add(timestamp, std::move(user));
   }
   for (std::size_t i = 0; i < history_count; ++i) {
     char kind = 0;

@@ -1,20 +1,19 @@
 // Per-device streaming identification state.
 //
 // A session owns everything that must survive between transactions of one
-// device: the incremental window aggregator, the producer buffer that yields
-// each window's ground-truth user, and the K-consecutive smoothing history
-// (paper §V-B).  Fed the same transactions, a session produces exactly the
-// windows, ground truths, and smoothed decisions of the offline
-// core::UserIdentifier::monitor + decide_* path — the equivalence the
-// engine tests assert byte for byte.  Both sides score windows through
-// core::score_windows, so that test pins windowing, truth and smoothing;
-// the scorer itself is checked against per-row decision_value.
+// device: the window fold (features::StreamingWindowAggregator), the
+// core::ProducerTally that labels each window with its ground-truth user,
+// and the K-consecutive smoothing history (paper §V-B).  The offline
+// core::UserIdentifier::monitor path runs the same fold and the same tally,
+// so a session fed the same transactions yields the same windows and ground
+// truths; the engine tests assert that byte for byte, smoothing included.
+// Both sides score windows through core::score_windows, which is checked
+// against per-row decision_value.
 #pragma once
 
 #include <deque>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/identification.h"
@@ -56,7 +55,7 @@ class DeviceSession {
   /// Timestamp of the most recent transaction (event time; drives TTL).
   [[nodiscard]] util::UnixSeconds last_seen() const noexcept { return last_seen_; }
 
-  /// Serializes the full session (aggregator, producer buffer, smoothing
+  /// Serializes the full session (aggregator, producer tally, smoothing
   /// history) so a restored session continues the device's stream
   /// byte-identically.  Strings are length-prefixed, so arbitrary device and
   /// user ids round-trip.
@@ -71,18 +70,12 @@ class DeviceSession {
                                              std::size_t smooth);
 
  private:
-  /// Majority producer of [start, end), pruning producers no future window
-  /// can contain.  The ground-truth rule of UserIdentifier::monitor
-  /// (strict majority count, lexicographic tie-break), kept incrementally.
-  [[nodiscard]] std::string majority_producer(util::UnixSeconds start,
-                                              util::UnixSeconds end);
-
   [[nodiscard]] std::vector<PendingWindow> attach_truth(
       std::vector<features::Window> windows);
 
   std::string device_id_;
   features::StreamingWindowAggregator aggregator_;
-  std::deque<std::pair<util::UnixSeconds, std::string>> producers_;
+  core::ProducerTally truth_;
   std::deque<core::IdentificationEvent> history_;  ///< last `smooth` events
   std::size_t smooth_;
   util::UnixSeconds last_seen_ = 0;

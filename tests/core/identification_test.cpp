@@ -91,6 +91,20 @@ TEST(SmoothingSweep, LongerRunsAreMoreSelective) {
   EXPECT_DOUBLE_EQ(points[1].accuracy(), 1.0);
 }
 
+TEST(ProducerTally, StrictCountSmallestUserOnTieAndPruning) {
+  ProducerTally tally;
+  tally.add(0, "bob");
+  tally.add(10, "carol");
+  tally.add(40, "alice");
+  tally.add(45, "carol");
+  EXPECT_EQ(tally.majority(0, 30), "bob");     // bob 1, carol 1: tie
+  EXPECT_EQ(tally.majority(0, 60), "carol");   // carol 2: strict
+  EXPECT_EQ(tally.majority(30, 90), "alice");  // alice 1, carol 1: tie
+  EXPECT_EQ(tally.producers().size(), 2u);     // t=0 and t=10 pruned
+  EXPECT_EQ(tally.majority(60, 120), "");
+  EXPECT_TRUE(tally.producers().empty());
+}
+
 TEST(UserIdentifier, MonitorProducesGroundTruthAndAcceptance) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const features::WindowConfig window{60, 30};

@@ -139,6 +139,29 @@ TEST(ProfileStore, LoadFailureNamesOffendingPath) {
   }
 }
 
+TEST(ProfileStore, LoadRejectsInvalidWindowAndNamesPath) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  std::stringstream saved;
+  ProfileStore{kWindow, dataset.schema(), {}}.save(saved);
+  std::string text = saved.str();
+  const std::string line = "window 60 30\n";
+  ASSERT_NE(text.find(line), std::string::npos);
+  text.replace(text.find(line), line.size(), "window 60 0\n");
+  const std::string path = ::testing::TempDir() + "/bad_window_store.wtp";
+  {
+    std::ofstream out{path};
+    out << text;
+  }
+  try {
+    (void)ProfileStore::load_file(path);
+    FAIL() << "store with shift 0 accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shift"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
 TEST(ProfileStore, EmptyStoreRoundTrips) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const ProfileStore store{kWindow, dataset.schema(), {}};

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "features/window_reference.h"
 #include "util/rng.h"
 
 namespace wtp::features {
@@ -36,24 +37,24 @@ std::vector<Window> stream_all(StreamingWindowAggregator& aggregator,
   return all;
 }
 
-TEST(StreamingAggregator, MatchesBatchOnSimpleStream) {
+TEST(StreamingAggregator, MatchesReferenceOnSimpleStream) {
   const FeatureSchema schema = test_schema();
   const WindowConfig config{60, 30};
   std::vector<log::WebTransaction> txns;
   for (int i = 0; i < 50; ++i) txns.push_back(txn_at(i * 13));
-  const auto batch = WindowAggregator{schema, config}.aggregate(txns);
+  const auto reference = testing::reference_aggregate(schema, config, txns);
   StreamingWindowAggregator streaming{schema, config};
   const auto streamed = stream_all(streaming, txns);
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(streamed[i].start, batch[i].start);
-    EXPECT_EQ(streamed[i].end, batch[i].end);
-    EXPECT_EQ(streamed[i].transaction_count, batch[i].transaction_count);
-    EXPECT_EQ(streamed[i].features, batch[i].features);
+  ASSERT_EQ(streamed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(streamed[i].start, reference[i].start);
+    EXPECT_EQ(streamed[i].end, reference[i].end);
+    EXPECT_EQ(streamed[i].transaction_count, reference[i].transaction_count);
+    EXPECT_EQ(streamed[i].features, reference[i].features);
   }
 }
 
-TEST(StreamingAggregator, MatchesBatchOnRandomGappyStreams) {
+TEST(StreamingAggregator, MatchesReferenceOnRandomGappyStreams) {
   const FeatureSchema schema = test_schema();
   util::Rng rng{2024};
   for (int trial = 0; trial < 20; ++trial) {
@@ -68,13 +69,15 @@ TEST(StreamingAggregator, MatchesBatchOnRandomGappyStreams) {
                                  : static_cast<long>(rng.uniform_index(20));
       txns.push_back(txn_at(now, rng.bernoulli(0.5) ? "Games" : "News"));
     }
-    const auto batch = WindowAggregator{schema, config}.aggregate(txns);
+    const auto reference = testing::reference_aggregate(schema, config, txns);
     StreamingWindowAggregator streaming{schema, config};
     const auto streamed = stream_all(streaming, txns);
-    ASSERT_EQ(streamed.size(), batch.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(streamed[i].start, batch[i].start) << "trial " << trial;
-      ASSERT_EQ(streamed[i].features, batch[i].features) << "trial " << trial;
+    ASSERT_EQ(streamed.size(), reference.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(streamed[i].start, reference[i].start) << "trial " << trial;
+      ASSERT_EQ(streamed[i].transaction_count, reference[i].transaction_count)
+          << "trial " << trial;
+      ASSERT_EQ(streamed[i].features, reference[i].features) << "trial " << trial;
     }
   }
 }

@@ -1,12 +1,14 @@
 // Property test: WindowAggregator against a brute-force reference.
 //
-// The production aggregator skips empty windows with index jumps and merges
-// pre-encoded vectors; the reference below does neither — it walks every
-// candidate window index and re-aggregates raw transactions.  On random
-// gappy streams both must produce identical windows.
+// The window fold skips empty windows with index jumps and merges
+// pre-encoded vectors from a pruned buffer; the reference
+// (features/window_reference.h) does neither — it walks every candidate
+// window index and re-aggregates raw transactions.  On random gappy streams
+// both must produce identical windows.
 #include <gtest/gtest.h>
 
 #include "features/window.h"
+#include "features/window_reference.h"
 #include "util/rng.h"
 
 namespace wtp::features {
@@ -17,34 +19,6 @@ FeatureSchema test_schema() {
                        {"text", "video"},
                        {"html", "mp4", "css"},
                        {"YouTube", "Slack"}};
-}
-
-/// O(windows x transactions) reference implementation.
-std::vector<Window> reference_aggregate(const FeatureSchema& schema,
-                                        const WindowConfig& config,
-                                        std::span<const log::WebTransaction> txns) {
-  std::vector<Window> windows;
-  if (txns.empty()) return windows;
-  const WindowAggregator single{schema, config};
-  const util::UnixSeconds origin = txns.front().timestamp;
-  const util::UnixSeconds last = txns.back().timestamp;
-  for (std::int64_t k = 0;; ++k) {
-    const util::UnixSeconds start = origin + k * config.shift_s;
-    if (start > last) break;
-    const util::UnixSeconds end = start + config.duration_s;
-    std::vector<log::WebTransaction> inside;
-    for (const auto& txn : txns) {
-      if (txn.timestamp >= start && txn.timestamp < end) inside.push_back(txn);
-    }
-    if (inside.empty()) continue;
-    Window window;
-    window.start = start;
-    window.end = end;
-    window.transaction_count = inside.size();
-    window.features = single.aggregate_single(inside);
-    windows.push_back(std::move(window));
-  }
-  return windows;
 }
 
 log::WebTransaction random_txn(util::UnixSeconds ts, util::Rng& rng) {
@@ -84,7 +58,7 @@ TEST(WindowAggregatorProperty, MatchesBruteForceOnRandomStreams) {
 
     const WindowAggregator aggregator{schema, config};
     const auto fast = aggregator.aggregate(txns);
-    const auto slow = reference_aggregate(schema, config, txns);
+    const auto slow = testing::reference_aggregate(schema, config, txns);
     ASSERT_EQ(fast.size(), slow.size()) << "trial " << trial;
     for (std::size_t i = 0; i < fast.size(); ++i) {
       ASSERT_EQ(fast[i].start, slow[i].start) << "trial " << trial;

@@ -32,6 +32,13 @@ TEST(WindowAggregator, RejectsInvalidConfig) {
   EXPECT_NO_THROW((WindowAggregator{schema, {60, 60}}));
 }
 
+TEST(WindowAggregator, RejectsOutOfOrderTransactions) {
+  const FeatureSchema schema = test_schema();
+  const WindowAggregator aggregator{schema, {60, 30}};
+  const std::vector<log::WebTransaction> txns{txn_at(0), txn_at(100), txn_at(40)};
+  EXPECT_THROW((void)aggregator.aggregate(txns), std::invalid_argument);
+}
+
 TEST(WindowAggregator, PaperWorkedExample) {
   // Paper §III-C: three transactions with features
   //   CONNECT | HTTP | reputation | verified | Messaging

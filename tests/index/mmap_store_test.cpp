@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -248,6 +249,21 @@ TEST(MappedStore, RejectsWrongVersion) {
   const std::string path = write_population(population, "bad_version.wtpstore");
   write_bytes(path, patched(read_bytes(path), 8, std::uint32_t{99}));
   EXPECT_THROW((void)MappedProfileStore::open(path), std::runtime_error);
+}
+
+TEST(MappedStore, RejectsInvalidWindowAndNamesPath) {
+  const auto population = small_population(4);
+  const std::string path = write_population(population, "bad_window.wtpstore");
+  write_bytes(path, patched(read_bytes(path), offsetof(StoreHeader, window_shift),
+                            std::int64_t{0}));
+  try {
+    (void)MappedProfileStore::open(path);
+    FAIL() << "store with shift 0 accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shift"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
 }
 
 TEST(MappedStore, ForeignEndianErrorNamesByteOrderAndPath) {

@@ -84,6 +84,66 @@ foreach(variable WTP_TRANSFORM_MODE WTP_KERNEL_BACKEND)
   endforeach()
 endforeach()
 
+# Library errors are reported, not crashes: each tool prints
+# `<tool>: <message>` and exits 1 on a missing store, on a store whose
+# window breaks 0 < S <= D (the message names the file), and on a log whose
+# rows are out of time order.
+function(expect_failure)
+  cmake_parse_arguments(ARG "" "" "COMMAND;EXPECT" ${ARGN})
+  execute_process(COMMAND ${ARG_COMMAND}
+                  RESULT_VARIABLE status
+                  OUTPUT_VARIABLE output
+                  ERROR_VARIABLE output)
+  list(GET ARG_COMMAND 0 tool_path)
+  get_filename_component(tool ${tool_path} NAME)
+  if(NOT status EQUAL 1)
+    message(FATAL_ERROR "${ARG_COMMAND}: exit ${status}, want 1:\n${output}")
+  endif()
+  foreach(fragment "${tool}: " ${ARG_EXPECT})
+    string(FIND "${output}" "${fragment}" found)
+    if(found EQUAL -1)
+      message(FATAL_ERROR
+              "${ARG_COMMAND}: message lacks '${fragment}':\n${output}")
+    endif()
+  endforeach()
+endfunction()
+
+set(missing_store "${WORK}/no_such_store.wtp")
+file(REMOVE ${missing_store})
+set(bad_window_store "${WORK}/bad_window_store.wtp")
+file(READ ${store} store_text)
+string(REPLACE "\nwindow 60 30\n" "\nwindow 60 0\n" bad_text "${store_text}")
+if(bad_text STREQUAL store_text)
+  message(FATAL_ERROR "store has no 'window 60 30' line to patch")
+endif()
+file(WRITE ${bad_window_store} "${bad_text}")
+foreach(tool ${CLASSIFY} ${IDENTIFY} ${SERVE})
+  expect_failure(COMMAND ${tool} --log ${trace} --store ${missing_store}
+                 EXPECT "cannot open" "${missing_store}")
+endforeach()
+foreach(tool ${CLASSIFY} ${IDENTIFY})
+  expect_failure(COMMAND ${tool} --log ${trace} --store ${bad_window_store}
+                 EXPECT "shift" "${bad_window_store}")
+endforeach()
+
+# A one-user log whose first two rows are swapped; they fall in the user's
+# training share, so wtp_train windows them too.
+set(swapped_log "${WORK}/swapped_rows.csv")
+set(row_tail "HTTPS,GET,user_1,device_1,News,text/html,OneDrive,Minimal,0")
+file(WRITE ${swapped_log}
+  "timestamp,url,scheme,action,user_id,device_id,category,media_type,"
+  "application_type,reputation,private_flag\n"
+  "2015-01-05 05:07:19,www.site-2.example.com,${row_tail}\n"
+  "2015-01-05 05:07:03,www.site-1.example.com,${row_tail}\n"
+  "2015-01-05 05:08:00,www.site-3.example.com,${row_tail}\n")
+expect_failure(COMMAND ${CLASSIFY} --log ${swapped_log} --store ${store}
+               EXPECT "time-ordered")
+expect_failure(COMMAND ${IDENTIFY} --log ${swapped_log} --store ${store}
+               EXPECT "time-ordered")
+expect_failure(COMMAND ${TRAIN} --log ${swapped_log}
+                       --out ${WORK}/swapped_profiles.wtp --min-transactions 1
+               EXPECT "time-ordered")
+
 # Second configuration: build the serving tool and the FeatureMatrix
 # equivalence suite with -DWTP_SANITIZE=ON and re-run both on the same trace
 # and profile store.  ASan/UBSan guard the CSR scatter/gather hot paths

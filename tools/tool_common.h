@@ -98,4 +98,16 @@ inline svm::TransformMode scoring_tier(const Args& args) {
   }
 }
 
+/// Runs a tool's body and turns a library exception into `<tool>: <message>`
+/// on stderr and exit 1, instead of std::terminate.
+inline int run_tool(const char* tool, int (*body)(int, char**), int argc,
+                    char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s: %s\n", tool, error.what());
+    return 1;
+  }
+}
+
 }  // namespace wtp::tools

@@ -30,7 +30,9 @@
 
 using namespace wtp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const tools::Args args{argc, argv,
                          "--log FILE --store FILE [--user USER] "
                          "[--metrics-out FILE] [--metrics-interval S] "
@@ -113,4 +115,10 @@ int main(int argc, char** argv) {
   std::printf("diagonal mean %.1f%%, off-diagonal mean %.1f%%\n",
               confusion.diagonal_mean(), confusion.off_diagonal_mean());
   return finish(0);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_tool("wtp_classify", run, argc, argv);
 }

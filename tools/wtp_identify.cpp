@@ -31,7 +31,9 @@
 
 using namespace wtp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const tools::Args args{argc, argv,
                          "--log FILE --store FILE [--device D] [--smooth K] "
                          "[--metrics-out FILE] [--metrics-interval S] "
@@ -116,4 +118,10 @@ int main(int argc, char** argv) {
                  obs::summary_table(registry.snapshot(false)).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_tool("wtp_identify", run, argc, argv);
 }

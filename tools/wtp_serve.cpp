@@ -97,9 +97,7 @@ bool snapshot_to_file(serve::ScoringEngine& engine, const std::string& path) {
   return out.good();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const tools::Args args{argc, argv,
                          "--store FILE [--log FILE] [--smooth K] [--shards N] "
                          "[--threads N] [--ttl SECONDS] [--max-sessions N] "
@@ -323,4 +321,10 @@ int main(int argc, char** argv) {
     engine.flush();
   }
   return finish(engine);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_tool("wtp_serve", run, argc, argv);
 }

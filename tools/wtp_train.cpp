@@ -27,7 +27,9 @@
 
 using namespace wtp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const tools::Args args{argc, argv,
                          "--log FILE --out FILE [--classifier oc-svm|svdd] "
                          "[--duration S] [--shift S] [--min-transactions N] "
@@ -121,4 +123,10 @@ int main(int argc, char** argv) {
                  obs::summary_table(registry.snapshot(false)).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_tool("wtp_train", run, argc, argv);
 }
