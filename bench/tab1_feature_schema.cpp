@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   // (a) Pool-defined schema at exactly the paper's vocabulary sizes.
   std::vector<std::string> sub_types;
   for (const auto& media : synthetic::media_type_pool(synthetic::kPaperSubTypeCount)) {
-    sub_types.push_back(log::split_media_type(media).sub_type);
+    sub_types.emplace_back(log::split_media_type(media).sub_type);
   }
   const features::FeatureSchema pool_schema{
       synthetic::category_pool(synthetic::kPaperCategoryCount),

@@ -1,9 +1,48 @@
 #include "core/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+
+#include "util/pages.h"
 
 namespace wtp::core {
+
+namespace {
+
+/// Reorders rows so that row i ends up at position i of the gather map
+/// (rows[i] <- rows[from[i]]), walking the permutation's cycles: every row
+/// moves once, and one row per cycle goes through a temporary.  `from` is
+/// consumed (each visited position is set to itself).
+void gather_in_place(std::vector<log::WebTransaction>& rows,
+                     std::vector<std::size_t>& from) {
+  // A row spans four cache lines; fetching the next source while the
+  // current one moves hides most of the random access's latency.
+  const auto prefetch = [&rows](std::size_t i) {
+    const char* row = reinterpret_cast<const char*>(&rows[i]);
+    for (std::size_t line = 0; line < 4; ++line) __builtin_prefetch(row + 64 * line);
+  };
+  for (std::size_t start = 0; start < rows.size(); ++start) {
+    if (from[start] == start) continue;
+    log::WebTransaction carried = std::move(rows[start]);
+    std::size_t at = start;
+    for (;;) {
+      const std::size_t source = std::exchange(from[at], at);
+      if (source == start) {
+        rows[at] = std::move(carried);
+        break;
+      }
+      prefetch(from[source]);
+      rows[at] = std::move(rows[source]);
+      at = source;
+    }
+  }
+}
+
+}  // namespace
 
 ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions,
                                    DatasetConfig config)
@@ -14,68 +53,98 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
   // The schema is built over the full dataset, as in the paper (§IV-A).
   schema_ = features::FeatureSchema::from_transactions(transactions);
 
-  std::map<std::string, std::size_t> counts;
-  for (const auto& txn : transactions) ++counts[txn.user_id];
+  // One pass gives every row a dense user id.  The keys view the rows'
+  // user_id strings, so they are valid only until the first row moves.
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::vector<std::string_view> names;
+  std::vector<std::size_t> counts;
+  std::vector<std::uint32_t> row_user(transactions.size());
+  for (std::size_t i = 0; i < transactions.size(); ++i) {
+    const auto [it, inserted] = ids.try_emplace(
+        transactions[i].user_id, static_cast<std::uint32_t>(names.size()));
+    if (inserted) {
+      names.push_back(it->first);
+      counts.push_back(0);
+    }
+    ++counts[it->second];
+    row_user[i] = it->second;
+  }
 
   // Filter users below the transaction threshold, then keep the most active
   // `max_users`.
-  std::vector<std::pair<std::string, std::size_t>> eligible;
-  for (const auto& [user, count] : counts) {
-    if (count >= config.min_transactions) eligible.emplace_back(user, count);
+  std::vector<std::uint32_t> kept;
+  for (std::uint32_t id = 0; id < names.size(); ++id) {
+    if (counts[id] >= config.min_transactions) kept.push_back(id);
   }
-  std::sort(eligible.begin(), eligible.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
+  std::sort(kept.begin(), kept.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (counts[a] != counts[b]) return counts[a] > counts[b];
+    return names[a] < names[b];
   });
-  if (config.max_users > 0 && eligible.size() > config.max_users) {
-    eligible.resize(config.max_users);
+  if (config.max_users > 0 && kept.size() > config.max_users) {
+    kept.resize(config.max_users);
   }
+  std::sort(kept.begin(), kept.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return names[a] < names[b]; });
+  // Copy the kept names before any row moves: a moved-from short string is
+  // emptied in place, which would change the bytes a view still points at.
+  for (const std::uint32_t id : kept) user_ids_.emplace_back(names[id]);
 
-  for (auto& [user, count] : eligible) {
-    UserData data;
-    data.transactions.reserve(count);
-    data.train_count = static_cast<std::size_t>(
-        config.train_fraction * static_cast<double>(count));
-    users_.emplace(user, std::move(data));
+  // Each user's block starts where the previous one ends; every dropped row
+  // shares the last block, after the kept ones.
+  const auto dropped = static_cast<std::uint32_t>(kept.size());
+  std::vector<std::uint32_t> block(counts.size(), dropped);
+  std::vector<std::size_t> cursor(kept.size() + 1);
+  std::size_t kept_rows = 0;
+  for (std::uint32_t k = 0; k < kept.size(); ++k) {
+    block[kept[k]] = k;
+    cursor[k] = kept_rows;
+    kept_rows += counts[kept[k]];
   }
-  // Kept users' rows move out of the log in log order; the log, with the
-  // dropped users' rows, is freed before the constructor returns.
-  for (auto& txn : transactions) {
-    const auto it = users_.find(txn.user_id);
-    if (it != users_.end()) it->second.transactions.push_back(std::move(txn));
+  cursor[dropped] = kept_rows;
+  std::vector<std::size_t> from(transactions.size());
+  for (std::size_t i = 0; i < transactions.size(); ++i) {
+    from[cursor[block[row_user[i]]]++] = i;
   }
-  std::vector<log::WebTransaction>{}.swap(transactions);
+  gather_in_place(transactions, from);
+  transactions.erase(transactions.begin() + static_cast<std::ptrdiff_t>(kept_rows),
+                     transactions.end());
+  util::release_spare_capacity(transactions);
+  rows_ = std::move(transactions);
 
-  for (const auto& [user, data] : users_) {
-    (void)data;
-    user_ids_.push_back(user);
+  std::span<const log::WebTransaction> rest{rows_};
+  for (const std::uint32_t id : kept) {
+    const std::size_t count = counts[id];
+    users_.push_back({rest.first(count),
+                      static_cast<std::size_t>(config.train_fraction *
+                                               static_cast<double>(count))});
+    rest = rest.subspan(count);
   }
 }
 
 const ProfilingDataset::UserData& ProfilingDataset::user_data(
     const std::string& user) const {
-  const auto it = users_.find(user);
-  if (it == users_.end()) {
+  const auto it = std::lower_bound(user_ids_.begin(), user_ids_.end(), user);
+  if (it == user_ids_.end() || *it != user) {
     throw std::out_of_range{"ProfilingDataset: unknown user '" + user + "'"};
   }
-  return it->second;
+  return users_[static_cast<std::size_t>(it - user_ids_.begin())];
 }
 
 std::span<const log::WebTransaction> ProfilingDataset::train_transactions(
     const std::string& user) const {
   const UserData& data = user_data(user);
-  return std::span{data.transactions}.first(data.train_count);
+  return data.rows.first(data.train_count);
 }
 
 std::span<const log::WebTransaction> ProfilingDataset::test_transactions(
     const std::string& user) const {
   const UserData& data = user_data(user);
-  return std::span{data.transactions}.subspan(data.train_count);
+  return data.rows.subspan(data.train_count);
 }
 
 std::span<const log::WebTransaction> ProfilingDataset::all_transactions(
     const std::string& user) const {
-  return user_data(user).transactions;
+  return user_data(user).rows;
 }
 
 std::vector<util::SparseVector> ProfilingDataset::subsample(
@@ -139,7 +208,9 @@ std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::test_matrix(
 
 std::map<std::string, std::size_t> ProfilingDataset::transaction_counts() const {
   std::map<std::string, std::size_t> counts;
-  for (const auto& [user, data] : users_) counts[user] = data.transactions.size();
+  for (std::size_t u = 0; u < user_ids_.size(); ++u) {
+    counts.emplace(user_ids_[u], users_[u].rows.size());
+  }
   return counts;
 }
 

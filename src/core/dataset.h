@@ -6,6 +6,11 @@
 // paper scale), splits each user's transactions chronologically 75/25 into
 // train/test, and materializes transaction windows for any window
 // configuration on demand.
+//
+// The log is held once (DESIGN §7, "One transaction log"): the dataset
+// groups the kept users' rows inside the vector it is handed, erases the
+// dropped users' rows, and returns the pages of the unused capacity to the
+// operating system.  Each user's rows are a span into that one vector.
 #pragma once
 
 #include <map>
@@ -36,10 +41,12 @@ struct DatasetConfig {
 
 class ProfilingDataset {
  public:
-  /// Takes ownership of the (time-sorted) transaction log.  Each kept
-  /// user's rows are moved, in log order, into that user's time-sorted
-  /// vector; the log itself, with the dropped users' rows, is freed before
-  /// the constructor returns.  Pass the log with std::move to hold it once.
+  /// Takes ownership of the (time-sorted) transaction log and groups it in
+  /// place: the kept users' rows end up contiguous, user after user in
+  /// user_ids() order and each user's rows in log order, and every other
+  /// row is erased.  Each row is moved once, never copied, and the pages of
+  /// the vector's spare capacity are returned to the operating system.
+  /// Pass the log with std::move to hold it once.
   /// The dataset keeps no per-device view: for host-specific windowing,
   /// group the trace with features::group_by_device before handing it over.
   ProfilingDataset(std::vector<log::WebTransaction> transactions,
@@ -93,8 +100,8 @@ class ProfilingDataset {
 
  private:
   struct UserData {
-    std::vector<log::WebTransaction> transactions;  // time-sorted
-    std::size_t train_count = 0;                    // prefix length
+    std::span<const log::WebTransaction> rows;  // time-sorted, into rows_
+    std::size_t train_count = 0;                // prefix length
   };
 
   /// Cache key: (duration, shift, train/test, user).
@@ -113,8 +120,11 @@ class ProfilingDataset {
 
   DatasetConfig config_;
   features::FeatureSchema schema_{{}, {}, {}, {}};
+  /// The kept users' rows, grouped by user.  Moving the dataset moves the
+  /// vector's buffer, so the spans in users_ stay valid.
+  std::vector<log::WebTransaction> rows_;
   std::vector<std::string> user_ids_;
-  std::map<std::string, UserData> users_;
+  std::vector<UserData> users_;  ///< parallel to user_ids_
   mutable std::unique_ptr<MatrixCache> matrix_cache_ = std::make_unique<MatrixCache>();
 };
 

@@ -122,12 +122,15 @@ FootprintStats user_footprints(
   if (by_user.empty()) return stats;
   for (const auto& [user, txns] : by_user) {
     (void)user;
-    std::set<std::string> categories;
-    std::set<std::string> sub_types;
-    std::set<std::string> applications;
+    std::set<std::string_view> categories;
+    std::set<std::string_view> sub_types;
+    std::set<std::string_view> applications;
     for (const auto& txn : txns) {
       categories.insert(txn.category);
-      sub_types.insert(log::split_media_type(txn.media_type).sub_type);
+      // A slash-less media type ("-" in a real proxy log) has no sub-type,
+      // and the schema gives it no column either.
+      const auto sub_type = log::split_media_type(txn.media_type).sub_type;
+      if (!sub_type.empty()) sub_types.insert(sub_type);
       applications.insert(txn.application_type);
     }
     stats.mean_categories += static_cast<double>(categories.size());

@@ -1,8 +1,8 @@
 #include "features/schema.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace wtp::features {
 
@@ -14,18 +14,18 @@ std::vector<std::string> sorted_unique(std::vector<std::string> values) {
   return values;
 }
 
-std::unordered_map<std::string, std::size_t> index_of(
-    const std::vector<std::string>& values) {
-  std::unordered_map<std::string, std::size_t> index;
+template <typename Index>
+Index index_of(const std::vector<std::string>& values) {
+  Index index;
   index.reserve(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) index.emplace(values[i], i);
   return index;
 }
 
-template <typename Map>
-std::optional<std::size_t> lookup(const Map& map, std::string_view value,
+template <typename Index>
+std::optional<std::size_t> lookup(const Index& map, std::string_view value,
                                   std::size_t offset) {
-  const auto it = map.find(std::string{value});
+  const auto it = map.find(value);
   if (it == map.end()) return std::nullopt;
   return offset + it->second;
 }
@@ -55,19 +55,20 @@ FeatureSchema::FeatureSchema(std::vector<std::string> categories,
       super_types_{sorted_unique(std::move(super_types))},
       sub_types_{sorted_unique(std::move(sub_types))},
       application_types_{sorted_unique(std::move(application_types))} {
-  category_index_ = index_of(categories_);
-  super_type_index_ = index_of(super_types_);
-  sub_type_index_ = index_of(sub_types_);
-  application_type_index_ = index_of(application_types_);
+  category_index_ = index_of<VocabularyIndex>(categories_);
+  super_type_index_ = index_of<VocabularyIndex>(super_types_);
+  sub_type_index_ = index_of<VocabularyIndex>(sub_types_);
+  application_type_index_ = index_of<VocabularyIndex>(application_types_);
   build_layout();
 }
 
 FeatureSchema FeatureSchema::from_transactions(
     std::span<const log::WebTransaction> txns) {
-  std::set<std::string> categories;
-  std::set<std::string> super_types;
-  std::set<std::string> sub_types;
-  std::set<std::string> application_types;
+  // The sets view the rows' strings; the constructor copies and sorts them.
+  std::unordered_set<std::string_view> categories;
+  std::unordered_set<std::string_view> super_types;
+  std::unordered_set<std::string_view> sub_types;
+  std::unordered_set<std::string_view> application_types;
   for (const auto& txn : txns) {
     categories.insert(txn.category);
     const auto media = log::split_media_type(txn.media_type);
@@ -75,11 +76,11 @@ FeatureSchema FeatureSchema::from_transactions(
     if (!media.sub_type.empty()) sub_types.insert(media.sub_type);
     application_types.insert(txn.application_type);
   }
-  return FeatureSchema{
-      {categories.begin(), categories.end()},
-      {super_types.begin(), super_types.end()},
-      {sub_types.begin(), sub_types.end()},
-      {application_types.begin(), application_types.end()}};
+  const auto strings = [](const std::unordered_set<std::string_view>& values) {
+    return std::vector<std::string>(values.begin(), values.end());
+  };
+  return FeatureSchema{strings(categories), strings(super_types), strings(sub_types),
+                       strings(application_types)};
 }
 
 void FeatureSchema::build_layout() {

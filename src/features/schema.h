@@ -19,10 +19,16 @@
 // Vocabularies are learned from training data; values unseen at schema-build
 // time have no column and are ignored at encode time (standard bag-of-words
 // behaviour on out-of-vocabulary test values).
+//
+// Lookups run once per transaction on every encode, so they allocate
+// nothing: the vocabulary maps hash string_views directly, and any view
+// works, including a substring that is not null-terminated (the halves of a
+// media type).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -58,7 +64,9 @@ class FeatureSchema {
                 std::vector<std::string> sub_types,
                 std::vector<std::string> application_types);
 
-  /// Scans transactions and collects the observed vocabularies.
+  /// Scans transactions and collects the observed vocabularies.  A media
+  /// type without a '/' contributes its whole text as a super-type and no
+  /// sub-type.
   [[nodiscard]] static FeatureSchema from_transactions(
       std::span<const log::WebTransaction> txns);
 
@@ -104,16 +112,28 @@ class FeatureSchema {
   [[nodiscard]] const std::vector<std::string>& application_types() const noexcept { return application_types_; }
 
  private:
+  /// Transparent hash: with std::equal_to<>, a VocabularyIndex finds a
+  /// string_view without building a std::string.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view value) const noexcept {
+      return std::hash<std::string_view>{}(value);
+    }
+  };
+  /// Vocabulary value -> index within its group.
+  using VocabularyIndex =
+      std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>;
+
   void build_layout();
 
   std::vector<std::string> categories_;
   std::vector<std::string> super_types_;
   std::vector<std::string> sub_types_;
   std::vector<std::string> application_types_;
-  std::unordered_map<std::string, std::size_t> category_index_;
-  std::unordered_map<std::string, std::size_t> super_type_index_;
-  std::unordered_map<std::string, std::size_t> sub_type_index_;
-  std::unordered_map<std::string, std::size_t> application_type_index_;
+  VocabularyIndex category_index_;
+  VocabularyIndex super_type_index_;
+  VocabularyIndex sub_type_index_;
+  VocabularyIndex application_type_index_;
   std::size_t offsets_[kFeatureGroupCount] = {};
   std::size_t sizes_[kFeatureGroupCount] = {};
   std::size_t dimension_ = 0;

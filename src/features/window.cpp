@@ -42,10 +42,10 @@ std::vector<Window> WindowAggregator::aggregate(
   return windows;
 }
 
-std::vector<util::SparseVector> window_vectors(const std::vector<Window>& windows) {
+std::vector<util::SparseVector> window_vectors(std::vector<Window> windows) {
   std::vector<util::SparseVector> vectors;
   vectors.reserve(windows.size());
-  for (const auto& window : windows) vectors.push_back(window.features);
+  for (auto& window : windows) vectors.push_back(std::move(window.features));
   return vectors;
 }
 

@@ -96,8 +96,7 @@ class WindowAggregator {
   WindowConfig config_;
 };
 
-/// Convenience: strips the timing metadata, returning just the vectors.
-[[nodiscard]] std::vector<util::SparseVector> window_vectors(
-    const std::vector<Window>& windows);
+/// Convenience: strips the timing metadata, moving out just the vectors.
+[[nodiscard]] std::vector<util::SparseVector> window_vectors(std::vector<Window> windows);
 
 }  // namespace wtp::features

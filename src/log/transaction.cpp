@@ -75,11 +75,8 @@ bool reputation_verified(Reputation reputation) noexcept {
 
 MediaTypeParts split_media_type(std::string_view media_type) {
   const std::size_t slash = media_type.find('/');
-  if (slash == std::string_view::npos) {
-    return {std::string{media_type}, std::string{}};
-  }
-  return {std::string{media_type.substr(0, slash)},
-          std::string{media_type.substr(slash + 1)}};
+  if (slash == std::string_view::npos) return {media_type, {}};
+  return {media_type.substr(0, slash), media_type.substr(slash + 1)};
 }
 
 }  // namespace wtp::log

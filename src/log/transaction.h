@@ -6,6 +6,11 @@
 // line:
 //   2015-05-29 05:05:04, www.inlinegames.com, HTTP/1.0, GET, user_9,
 //   Games, text/html, ...
+//
+// A row is 216 bytes plus its strings' heap buffers, so set-up builds each
+// row once and afterwards only moves it (DESIGN §7, "One transaction log").
+// A moved-from std::string with a short value is emptied in place: a
+// string_view into a row's field is valid only until that row moves.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +78,12 @@ struct WebTransaction {
 };
 
 /// Splits "video/mp4" into {"video", "mp4"}.  A missing '/' yields the whole
-/// string as super-type and an empty sub-type (paper §III-B's split).
+/// string as super-type and an empty sub-type (paper §III-B's split).  The
+/// parts view the argument's bytes and allocate nothing, so they are valid
+/// only while it is: never split a temporary string and keep the parts.
 struct MediaTypeParts {
-  std::string super_type;
-  std::string sub_type;
+  std::string_view super_type;
+  std::string_view sub_type;
 };
 [[nodiscard]] MediaTypeParts split_media_type(std::string_view media_type);
 

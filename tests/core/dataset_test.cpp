@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/test_trace.h"
 #include "features/split.h"
 
@@ -42,6 +44,25 @@ TEST(ProfilingDataset, KeepsMostActiveUsersUpToMaxUsers) {
   // user_4 (50 txns) and user_3 (40 txns) survive.
   EXPECT_EQ(dataset.user_count(), 2u);
   EXPECT_EQ(dataset.user_ids(), (std::vector<std::string>{"user_3", "user_4"}));
+}
+
+TEST(ProfilingDataset, EqualCountsAtTheMaxUsersCutKeepTheSmallerId) {
+  // "top" is kept on count; "beta" and "alpha" tie for the last place, and
+  // the lexicographically smaller id wins whatever the log order.
+  std::vector<log::WebTransaction> txns;
+  for (int i = 0; i < 20; ++i) {
+    txns.push_back(make_txn(i, "beta"));
+    txns.push_back(make_txn(i, "top"));
+    txns.push_back(make_txn(i, "alpha"));
+    txns.push_back(make_txn(i, "top"));
+  }
+  DatasetConfig config;
+  config.min_transactions = 1;
+  config.max_users = 2;
+  const ProfilingDataset dataset{txns, config};
+  EXPECT_EQ(dataset.user_ids(), (std::vector<std::string>{"alpha", "top"}));
+  EXPECT_EQ(dataset.all_transactions("alpha").size(), 20u);
+  EXPECT_EQ(dataset.all_transactions("top").size(), 40u);
 }
 
 TEST(ProfilingDataset, ChronologicalSplitUsesOldestForTraining) {
@@ -160,6 +181,52 @@ TEST(ProfilingDataset, MovesRowsInsteadOfCopying) {
     EXPECT_EQ(static_cast<const void*>(rows[i].url.data()),
               static_cast<const void*>(busy_urls[i]))
         << "row " << i;
+  }
+}
+
+TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
+  // A log with spare capacity whose kept and dropped users interleave at
+  // random: short user ids (emptied in place when moved from), long URLs
+  // (whose heap buffers must move with their rows), one user dropped by the
+  // threshold and one by max_users.
+  std::mt19937 rng{7};
+  const std::vector<std::string> users{"u0", "u1", "u2", "u3", "rare", "cut"};
+  const std::vector<int> weights{30, 25, 20, 15, 2, 10};
+  std::discrete_distribution<std::size_t> pick{weights.begin(), weights.end()};
+  std::vector<log::WebTransaction> txns;
+  txns.reserve(3000);
+  for (int i = 0; i < 1200; ++i) {
+    auto txn = make_txn(i, users[pick(rng)]);
+    txn.url = std::string(48, 'x') + std::to_string(i);
+    txn.device_id = "device_" + std::to_string(i % 7);
+    txns.push_back(std::move(txn));
+  }
+  ASSERT_GT(txns.capacity(), txns.size());
+  const auto by_user = features::group_by_user(txns);
+  std::map<std::string, std::vector<const char*>> urls;
+  for (const auto& txn : txns) urls[txn.user_id].push_back(txn.url.data());
+
+  DatasetConfig config;
+  config.min_transactions = 50;
+  config.max_users = 4;
+  ProfilingDataset dataset{std::move(txns), config};
+  ASSERT_EQ(dataset.user_ids(), (std::vector<std::string>{"u0", "u1", "u2", "u3"}));
+  for (const auto& user : dataset.user_ids()) {
+    const auto& expected = by_user.at(user);
+    const auto rows = dataset.all_transactions(user);
+    ASSERT_EQ(rows.size(), expected.size()) << user;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(rows[i], expected[i]) << user << " row " << i;
+      EXPECT_EQ(static_cast<const void*>(rows[i].url.data()),
+                static_cast<const void*>(urls.at(user)[i]))
+          << user << " row " << i;
+    }
+  }
+  // The dataset stays movable: the spans follow the moved buffer.
+  const ProfilingDataset moved{std::move(dataset)};
+  for (const auto& user : moved.user_ids()) {
+    ASSERT_EQ(moved.all_transactions(user).size(), by_user.at(user).size());
+    EXPECT_EQ(moved.all_transactions(user).front(), by_user.at(user).front());
   }
 }
 

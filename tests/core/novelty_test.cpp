@@ -135,6 +135,19 @@ TEST(Footprints, CountsDistinctValuesPerUser) {
   EXPECT_DOUBLE_EQ(stats.mean_sub_types, 1.5);           // (html,css | html)
 }
 
+TEST(Footprints, MediaTypeWithoutSubTypeAddsNoSubType) {
+  // A real proxy log writes "-" for a missing media type: it has no
+  // sub-type, and the schema gives it no sub-type column.
+  std::map<std::string, std::vector<log::WebTransaction>> by_user;
+  by_user["a"] = {txn(0, "a", "C1", "A1", "text/html"),
+                  txn(1, "a", "C1", "A1", "-"),
+                  txn(2, "a", "C1", "A1", "video/")};
+  const FootprintStats stats = user_footprints(by_user);
+  EXPECT_DOUBLE_EQ(stats.mean_sub_types, 1.0);  // html only
+  const auto schema = features::FeatureSchema::from_transactions(by_user["a"]);
+  EXPECT_EQ(schema.group_size(features::FeatureGroup::kSubType), 1u);
+}
+
 TEST(Footprints, SyntheticUsersHaveSmallFootprints) {
   // Paper §IV-B: users cover a small fraction of each vocabulary.
   const auto& trace = testing::tiny_trace();

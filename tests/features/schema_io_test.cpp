@@ -36,7 +36,7 @@ TEST(SchemaIo, RoundTripPreservesLayout) {
 TEST(SchemaIo, RoundTripAtPaperScale) {
   std::vector<std::string> sub_types;
   for (const auto& media : synthetic::media_type_pool(257)) {
-    sub_types.push_back(log::split_media_type(media).sub_type);
+    sub_types.emplace_back(log::split_media_type(media).sub_type);
   }
   const FeatureSchema schema{synthetic::category_pool(105),
                              synthetic::media_super_type_pool(), sub_types,

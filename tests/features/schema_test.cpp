@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 #include "synthetic/pools.h"
@@ -26,7 +27,7 @@ TEST(FeatureSchema, PaperScaleDimensionIs843) {
   // Tab. I: 4 + 2 + 1 + 1 + 1 + 105 + 8 + 257 + 464 = 843 columns.
   std::vector<std::string> sub_types;
   for (const auto& media : synthetic::media_type_pool(257)) {
-    sub_types.push_back(log::split_media_type(media).sub_type);
+    sub_types.emplace_back(log::split_media_type(media).sub_type);
   }
   const FeatureSchema schema{synthetic::category_pool(105),
                              synthetic::media_super_type_pool(), sub_types,
@@ -149,6 +150,78 @@ TEST(FeatureSchema, FromTransactionsCollectsObservedVocabulary) {
   EXPECT_EQ(schema.group_size(FeatureGroup::kSubType), 3u);     // html, mp4, css
   EXPECT_EQ(schema.group_size(FeatureGroup::kApplicationType), 2u);
   EXPECT_TRUE(schema.category_column("Games").has_value());
+}
+
+/// The vocabularies from_transactions must collect, built the plain way.
+FeatureSchema reference_schema(const std::vector<log::WebTransaction>& txns) {
+  std::set<std::string> categories;
+  std::set<std::string> super_types;
+  std::set<std::string> sub_types;
+  std::set<std::string> application_types;
+  for (const auto& txn : txns) {
+    categories.insert(txn.category);
+    const std::size_t slash = txn.media_type.find('/');
+    super_types.insert(txn.media_type.substr(0, slash));
+    if (slash != std::string::npos && slash + 1 < txn.media_type.size()) {
+      sub_types.insert(txn.media_type.substr(slash + 1));
+    }
+    application_types.insert(txn.application_type);
+  }
+  return FeatureSchema{{categories.begin(), categories.end()},
+                       {super_types.begin(), super_types.end()},
+                       {sub_types.begin(), sub_types.end()},
+                       {application_types.begin(), application_types.end()}};
+}
+
+TEST(FeatureSchema, FromTransactionsMatchesSetReferenceOnRandomLogs) {
+  // Media types without a '/', with an empty sub-type and with an empty
+  // super-type ride along with ordinary ones.
+  const std::vector<std::string> media{"-",          "video/", "/x",
+                                       "text/html",  "text/css", "video/mp4",
+                                       "application/json", "", "image/png"};
+  const std::vector<std::string> words{"", "Games", "News", "a", "ab", "b",
+                                       "A longer value past any short-string buffer"};
+  std::mt19937 rng{11};
+  const auto any = [&rng](const std::vector<std::string>& pool) {
+    return pool[std::uniform_int_distribution<std::size_t>{0, pool.size() - 1}(rng)];
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<log::WebTransaction> txns(
+        std::uniform_int_distribution<std::size_t>{0, 60}(rng));
+    for (auto& txn : txns) {
+      txn.category = any(words);
+      txn.media_type = any(media);
+      txn.application_type = any(words);
+    }
+    const FeatureSchema schema = FeatureSchema::from_transactions(txns);
+    const FeatureSchema expected = reference_schema(txns);
+    ASSERT_EQ(schema.categories(), expected.categories()) << "trial " << trial;
+    ASSERT_EQ(schema.super_types(), expected.super_types()) << "trial " << trial;
+    ASSERT_EQ(schema.sub_types(), expected.sub_types()) << "trial " << trial;
+    ASSERT_EQ(schema.application_types(), expected.application_types())
+        << "trial " << trial;
+    ASSERT_EQ(schema.dimension(), expected.dimension()) << "trial " << trial;
+  }
+}
+
+TEST(FeatureSchema, LookupsAcceptNonNullTerminatedSubstrings) {
+  const FeatureSchema schema = tiny_schema();
+  // Every lookup key below is a view into a longer buffer, with more
+  // characters right after it.
+  const std::string_view buffer{"video/mp4;codecs=avc1 GamesX YouTubes"};
+  const std::string_view video = buffer.substr(0, 5);
+  const std::string_view mp4 = buffer.substr(6, 3);
+  const std::string_view games = buffer.substr(22, 5);
+  const std::string_view youtube = buffer.substr(29, 7);
+  EXPECT_EQ(schema.super_type_column(video), schema.super_type_column("video"));
+  EXPECT_EQ(schema.sub_type_column(mp4), schema.sub_type_column("mp4"));
+  EXPECT_EQ(schema.category_column(games), schema.category_column("Games"));
+  EXPECT_EQ(schema.application_type_column(youtube),
+            schema.application_type_column("YouTube"));
+  ASSERT_TRUE(schema.sub_type_column(mp4).has_value());
+  // One character more is a different value.
+  EXPECT_FALSE(schema.category_column(buffer.substr(22, 6)).has_value());
+  EXPECT_FALSE(schema.application_type_column(buffer.substr(29, 8)).has_value());
 }
 
 TEST(FeatureSchema, CompositionMatchesTabIRowOrder) {

@@ -61,9 +61,9 @@ TEST(MediaTypePool, PaperScaleSubTypeCount) {
   std::set<std::string> distinct_subtypes;
   for (const auto& media : pool) {
     const auto parts = log::split_media_type(media);
-    ASSERT_TRUE(supers.contains(parts.super_type)) << media;
+    ASSERT_TRUE(supers.contains(std::string{parts.super_type})) << media;
     ASSERT_FALSE(parts.sub_type.empty()) << media;
-    distinct_subtypes.insert(parts.sub_type);
+    distinct_subtypes.emplace(parts.sub_type);
   }
   EXPECT_EQ(distinct_subtypes.size(), 257u);
 }
