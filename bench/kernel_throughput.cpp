@@ -458,21 +458,14 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   std::vector<svm::OneClassSvmModel> models;
   const auto& all_rows = f.matrix;
   for (std::size_t m = 0; m < kModels; ++m) {
-    std::vector<util::SparseVector> svs;
+    util::FeatureMatrixBuilder svs;
     std::vector<double> coeffs;
     for (std::size_t k = 0; k < kSvPerModel; ++k) {
-      const std::size_t r = (m * kSvPerModel + k) % all_rows.rows();
-      std::vector<util::SparseVector::Entry> entries;
-      const auto idx = all_rows.row_indices(r);
-      const auto val = all_rows.row_values(r);
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        entries.push_back({idx[j], val[j]});
-      }
-      svs.emplace_back(std::move(entries));
+      svs.add_row(all_rows, (m * kSvPerModel + k) % all_rows.rows());
       coeffs.push_back(rng.uniform(0.05, 1.0));
     }
     models.push_back(svm::OneClassSvmModel::from_parts(
-        params, std::move(svs), std::move(coeffs), rng.uniform(0.1, 0.9)));
+        params, svs.build(), std::move(coeffs), rng.uniform(0.1, 0.9)));
   }
   std::size_t argmax_flips = 0;
   for (std::size_t q = 0; q < kQueries; ++q) {

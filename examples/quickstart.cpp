@@ -6,15 +6,15 @@
 //      chronological split.
 //   3. Train a one-class profile (OC-SVM) for one user on 60s/30s windows.
 //   4. Classify held-out windows of that user and of another user.
-//   5. Persist the profile and load it back.
+//   5. Persist the profile in a profile store and load it back.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 
 #include "core/dataset.h"
 #include "core/profiler.h"
+#include "index/mapped_store.h"
 #include "synthetic/generator.h"
 
 using namespace wtp;
@@ -63,12 +63,16 @@ int main() {
   std::printf("acceptance of %s's windows:        %.1f%%\n", other_user.c_str(),
               100.0 * profile.acceptance_ratio(other_test));
 
-  // 5. Persist and reload.
-  std::stringstream stored;
-  profile.save(stored);
-  const core::UserProfile loaded = core::UserProfile::load(stored);
+  // 5. Persist the profile as a mapped profile store (window + schema +
+  //    models) and reload it; the reloaded model borrows the mapping.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "wtp_quickstart.wtpstore").string();
+  index::write_mapped_store(
+      core::ProfileStore{window, dataset.schema(), {profile}}, path);
+  const core::ProfileStore loaded = index::read_mapped_store(path);
+  std::filesystem::remove(path);
   std::printf("reloaded profile decides identically: %s\n",
-              loaded.acceptance_ratio(own_test) ==
+              loaded.find(user)->acceptance_ratio(own_test) ==
                       profile.acceptance_ratio(own_test)
                   ? "yes"
                   : "no");

@@ -1,13 +1,14 @@
-// ProfileStore: the deployable artifact of the training pipeline.
+// ProfileStore: the deployable artifact of the training pipeline, in memory.
 //
 // A set of trained user profiles is only usable together with (a) the
 // feature schema that defined their columns and (b) the window
-// configuration they were trained at.  The store bundles all three into one
-// file so the monitoring side (wtp_classify / wtp_identify, or an embedding
-// application) can encode fresh proxy logs identically.
+// configuration they were trained at.  The store bundles all three so the
+// monitoring side (wtp_classify / wtp_identify / wtp_serve, or an embedding
+// application) can encode fresh proxy logs identically.  On disk it is the
+// mapped profile store: index::write_mapped_store writes one and
+// index::read_mapped_store loads it back (index/mapped_store.h).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,6 @@ class ProfileStore {
   /// over an index built once at construction, so per-window lookups in the
   /// serving engine don't degrade with user count.
   [[nodiscard]] const UserProfile* find(const std::string& user) const;
-
-  void save(std::ostream& out) const;
-  void save_file(const std::string& path) const;
-  /// Throws std::runtime_error on malformed input.
-  [[nodiscard]] static ProfileStore load(std::istream& in);
-  [[nodiscard]] static ProfileStore load_file(const std::string& path);
 
  private:
   features::WindowConfig window_;

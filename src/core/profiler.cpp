@@ -1,10 +1,7 @@
 #include "core/profiler.h"
 
 #include <algorithm>
-#include <istream>
 #include <latch>
-#include <limits>
-#include <ostream>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -129,44 +126,6 @@ void score_windows(std::span<const UserProfile> profiles,
 std::size_t UserProfile::support_vector_count() const {
   return std::visit(
       [](const auto& model) { return model.support_vectors().rows(); }, model_);
-}
-
-void UserProfile::save(std::ostream& out) const {
-  out << "user " << user_id_ << '\n';
-  out << "classifier " << to_string(params_.type) << '\n';
-  out.precision(17);
-  out << "regularizer " << params_.regularizer << '\n';
-  std::visit([&out](const auto& model) { svm::save_model(out, model); }, model_);
-}
-
-UserProfile UserProfile::load(std::istream& in) {
-  std::string key;
-  std::string user_id;
-  std::string classifier;
-  double regularizer = 0.0;
-  if (!(in >> key >> user_id) || key != "user") {
-    throw std::runtime_error{"UserProfile::load: expected 'user <id>' line"};
-  }
-  if (!(in >> key >> classifier) || key != "classifier") {
-    throw std::runtime_error{"UserProfile::load: expected 'classifier <type>' line"};
-  }
-  if (!(in >> key >> regularizer) || key != "regularizer") {
-    throw std::runtime_error{"UserProfile::load: expected 'regularizer <v>' line"};
-  }
-  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-
-  svm::AnySvmModel model = svm::load_model(in);
-  ProfileParams params;
-  if (classifier == "oc-svm") {
-    params.type = ClassifierType::kOcSvm;
-  } else if (classifier == "svdd") {
-    params.type = ClassifierType::kSvdd;
-  } else {
-    throw std::runtime_error{"UserProfile::load: unknown classifier '" + classifier + "'"};
-  }
-  params.regularizer = regularizer;
-  params.kernel = std::visit([](const auto& m) { return m.kernel(); }, model);
-  return UserProfile{std::move(user_id), params, std::move(model)};
 }
 
 }  // namespace wtp::core

@@ -2,7 +2,6 @@
 // §III-D usage of feature vectors with OC-SVM / SVDD).
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -90,10 +89,6 @@ class UserProfile {
   [[nodiscard]] const std::string& user_id() const noexcept { return user_id_; }
   [[nodiscard]] const ProfileParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t support_vector_count() const;
-
-  /// Persistence: profile header (user id + params) followed by the model.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static UserProfile load(std::istream& in);
 
   /// Access the underlying model (for timing benchmarks).
   [[nodiscard]] const svm::AnySvmModel& model() const noexcept { return model_; }

@@ -28,8 +28,7 @@ std::vector<std::string> read_vocabulary(std::istream& in, const std::string& ke
                              line + "'"};
   }
   const std::size_t count = std::stoul(line.substr(space + 1));
-  std::vector<std::string> values;
-  values.reserve(count);
+  std::vector<std::string> values;  // no reserve: `count` is untrusted
   for (std::size_t i = 0; i < count; ++i) {
     if (!std::getline(in, line)) {
       throw std::runtime_error{"load_schema: truncated '" + key + "' section"};

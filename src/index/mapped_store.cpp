@@ -15,8 +15,10 @@ namespace {
 
 constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
+/// The path leads: the message may go on to quote a user id from the file,
+/// which can hold any bytes, a NUL included.
 [[noreturn]] void store_error(const std::string& path, const std::string& what) {
-  throw std::runtime_error{"MappedProfileStore: " + what + " in '" + path + "'"};
+  throw std::runtime_error{"MappedProfileStore '" + path + "': " + what};
 }
 
 core::ProfileParams record_params(const UserRecord& r,
@@ -170,6 +172,16 @@ void write_mapped_store(const core::ProfileStore& store, const std::string& path
   writer.finish();
 }
 
+core::ProfileStore read_mapped_store(const std::string& path) {
+  const MappedProfileStore mapped = MappedProfileStore::open(path);
+  std::vector<core::UserProfile> profiles;
+  profiles.reserve(mapped.size());
+  for (std::size_t i = 0; i < mapped.size(); ++i) {
+    profiles.push_back(mapped.materialize_profile(i));
+  }
+  return core::ProfileStore{mapped.window(), mapped.schema(), std::move(profiles)};
+}
+
 // ---------------------------------------------------------------------------
 // Reader.
 
@@ -210,7 +222,10 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
   if (header.table_off % 8 != 0) {
     store_error(path, "misaligned user table");
   }
-  if (header.table_size != header.user_count * sizeof(UserRecord)) {
+  // Division, not user_count * sizeof(UserRecord): a crafted count would
+  // wrap the product back onto table_size.
+  if (header.table_size % sizeof(UserRecord) != 0 ||
+      header.table_size / sizeof(UserRecord) != header.user_count) {
     store_error(path, "user table size " + std::to_string(header.table_size) +
                           " does not match user count " +
                           std::to_string(header.user_count));
@@ -283,12 +298,23 @@ std::string_view MappedProfileStore::user_id(std::size_t i) const {
 
 svm::ModelView MappedProfileStore::model(std::size_t i) const {
   const UserRecord& r = records_[i];
+  svm::ModelView view;
   try {
-    return svm::view_model_blob(file_->bytes().subspan(r.blob_off, r.blob_size));
+    view = svm::view_model_blob(file_->bytes().subspan(r.blob_off, r.blob_size));
   } catch (const std::exception& e) {
     store_error(file_->path(),
                 "user '" + std::string{user_id(i)} + "': " + e.what());
   }
+  // Scoring expands each query densely over the model's columns, so the
+  // schema bounds them.
+  if (view.support_vectors.cols > schema_.dimension()) {
+    store_error(file_->path(),
+                "user '" + std::string{user_id(i)} + "' has " +
+                    std::to_string(view.support_vectors.cols) +
+                    " columns, schema has " +
+                    std::to_string(schema_.dimension()));
+  }
+  return view;
 }
 
 core::ProfileParams MappedProfileStore::params(std::size_t i) const {

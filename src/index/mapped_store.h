@@ -3,8 +3,8 @@
 // A ProfileCatalog is an ordered set of (user id, one-class model) pairs
 // sharing one feature schema and window configuration.  Two backends:
 //
-//   HeapProfileCatalog  — borrows a core::ProfileStore (the text-format,
-//                         fully materialized store).
+//   HeapProfileCatalog  — borrows a core::ProfileStore (the in-memory,
+//                         fully materialized bundle).
 //   MappedProfileStore  — the zero-copy backend: a single memory-mapped
 //                         file (store_format.h) whose support-vector blocks
 //                         are scored in place through svm::ModelView, so one
@@ -106,8 +106,14 @@ class MappedStoreWriter {
   std::vector<UserRecord> records_;
 };
 
-/// Convenience: serializes a whole heap store into one mapped-store file.
+/// Serializes a whole heap store into one mapped-store file.
 void write_mapped_store(const core::ProfileStore& store, const std::string& path);
+
+/// Opens the mapped store at `path` and materializes every profile, in
+/// store order; the profiles' support vectors borrow the mapping, which
+/// they keep alive.  Throws std::runtime_error naming `path` on a malformed
+/// store or model (MappedProfileStore::open and model()).
+[[nodiscard]] core::ProfileStore read_mapped_store(const std::string& path);
 
 /// The zero-copy catalog: opens a store_format.h file, validates its
 /// geometry, and serves models as views into the mapping.
@@ -120,7 +126,8 @@ class MappedProfileStore final : public ProfileCatalog {
 
   [[nodiscard]] std::size_t size() const noexcept override { return records_.size(); }
   [[nodiscard]] std::string_view user_id(std::size_t i) const override;
-  /// Validates and views the blob in place (no allocation, no copies).
+  /// Validates and views the blob in place (no allocation, no copies);
+  /// a model with more columns than the schema is refused too.
   [[nodiscard]] svm::ModelView model(std::size_t i) const override;
   [[nodiscard]] const features::FeatureSchema& schema() const noexcept override {
     return schema_;

@@ -2,191 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace wtp::svm {
-
-namespace {
-
-constexpr const char* kMagic = "wtp_svm_model v1";
-
-void write_kernel(std::ostream& out, const KernelParams& kernel) {
-  out << "kernel " << to_string(kernel.type) << '\n';
-  // max_digits10 round-trips doubles exactly through text.
-  out.precision(17);
-  out << "gamma " << kernel.gamma << '\n';
-  out << "coef0 " << kernel.coef0 << '\n';
-  out << "degree " << kernel.degree << '\n';
-}
-
-void write_svs(std::ostream& out, const util::FeatureMatrix& svs,
-               const std::vector<double>& coefficients) {
-  out << "nr_sv " << svs.rows() << '\n';
-  out << "SV\n";
-  for (std::size_t i = 0; i < svs.rows(); ++i) {
-    out << coefficients[i];
-    const auto indices = svs.row_indices(i);
-    const auto values = svs.row_values(i);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      out << ' ' << indices[k] << ':' << values[k];
-    }
-    out << '\n';
-  }
-}
-
-struct Header {
-  std::string type;
-  KernelParams kernel;
-  std::map<std::string, double> scalars;
-  std::size_t nr_sv = 0;
-};
-
-Header read_header(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || util::trim(line) != kMagic) {
-    throw std::runtime_error{"load_model: missing magic line '" + std::string{kMagic} + "'"};
-  }
-  Header header;
-  while (std::getline(in, line)) {
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed == "SV") return header;
-    std::istringstream fields{std::string{trimmed}};
-    std::string key;
-    fields >> key;
-    if (key == "type") {
-      fields >> header.type;
-    } else if (key == "kernel") {
-      std::string name;
-      fields >> name;
-      header.kernel.type = parse_kernel_type(name);
-    } else if (key == "gamma") {
-      fields >> header.kernel.gamma;
-    } else if (key == "coef0") {
-      fields >> header.kernel.coef0;
-    } else if (key == "degree") {
-      fields >> header.kernel.degree;
-    } else if (key == "nr_sv") {
-      fields >> header.nr_sv;
-    } else {
-      double value = 0.0;
-      fields >> value;
-      header.scalars[key] = value;
-    }
-    if (fields.fail()) {
-      throw std::runtime_error{"load_model: malformed header line '" + line + "'"};
-    }
-  }
-  throw std::runtime_error{"load_model: missing SV section"};
-}
-
-void read_svs(std::istream& in, std::size_t count,
-              std::vector<util::SparseVector>& svs, std::vector<double>& coefficients) {
-  std::string line;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
-      throw std::runtime_error{"load_model: expected " + std::to_string(count) +
-                               " SV lines, got " + std::to_string(i)};
-    }
-    std::istringstream fields{line};
-    double alpha = 0.0;
-    if (!(fields >> alpha)) {
-      throw std::runtime_error{"load_model: malformed SV line '" + line + "'"};
-    }
-    std::vector<util::SparseVector::Entry> entries;
-    std::string pair;
-    while (fields >> pair) {
-      const std::size_t colon = pair.find(':');
-      if (colon == std::string::npos) {
-        throw std::runtime_error{"load_model: malformed index:value pair '" + pair + "'"};
-      }
-      entries.push_back({std::stoul(pair.substr(0, colon)),
-                         std::stod(pair.substr(colon + 1))});
-    }
-    coefficients.push_back(alpha);
-    svs.emplace_back(std::move(entries));
-  }
-}
-
-double require_scalar(const Header& header, const std::string& key) {
-  const auto it = header.scalars.find(key);
-  if (it == header.scalars.end()) {
-    throw std::runtime_error{"load_model: missing '" + key + "' field"};
-  }
-  return it->second;
-}
-
-}  // namespace
-
-void save_model(std::ostream& out, const OneClassSvmModel& model) {
-  out << kMagic << '\n';
-  out << "type one_class_svm\n";
-  write_kernel(out, model.kernel());
-  out.precision(17);
-  out << "rho " << model.rho() << '\n';
-  write_svs(out, model.support_vectors(), model.coefficients());
-}
-
-void save_model(std::ostream& out, const SvddModel& model) {
-  out << kMagic << '\n';
-  out << "type svdd\n";
-  write_kernel(out, model.kernel());
-  out.precision(17);
-  out << "r_squared " << model.r_squared() << '\n';
-  out << "alpha_k_alpha " << model.alpha_k_alpha() << '\n';
-  write_svs(out, model.support_vectors(), model.coefficients());
-}
-
-void save_model_file(const std::string& path, const AnySvmModel& model) {
-  std::ofstream out{path};
-  if (!out) throw std::runtime_error{"save_model_file: cannot open '" + path + "'"};
-  std::visit([&out](const auto& m) { save_model(out, m); }, model);
-}
-
-AnySvmModel load_model(std::istream& in) {
-  const Header header = read_header(in);
-  std::vector<util::SparseVector> svs;
-  std::vector<double> coefficients;
-  read_svs(in, header.nr_sv, svs, coefficients);
-  if (header.type == "one_class_svm") {
-    return OneClassSvmModel::from_parts(header.kernel, std::move(svs),
-                                        std::move(coefficients),
-                                        require_scalar(header, "rho"));
-  }
-  if (header.type == "svdd") {
-    return SvddModel::from_parts(header.kernel, std::move(svs),
-                                 std::move(coefficients),
-                                 require_scalar(header, "r_squared"),
-                                 require_scalar(header, "alpha_k_alpha"));
-  }
-  throw std::runtime_error{"load_model: unknown model type '" + header.type + "'"};
-}
-
-AnySvmModel load_model_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error{"load_model_file: cannot open '" + path + "'"};
-  return load_model(in);
-}
-
-OneClassSvmModel load_one_class_model(std::istream& in) {
-  AnySvmModel model = load_model(in);
-  if (auto* typed = std::get_if<OneClassSvmModel>(&model)) return std::move(*typed);
-  throw std::runtime_error{"load_one_class_model: stored model is not one_class_svm"};
-}
-
-SvddModel load_svdd_model(std::istream& in) {
-  AnySvmModel model = load_model(in);
-  if (auto* typed = std::get_if<SvddModel>(&model)) return std::move(*typed);
-  throw std::runtime_error{"load_svdd_model: stored model is not svdd"};
-}
-
-// ---------------------------------------------------------------------------
-// Binary blob plane.
 
 namespace {
 
@@ -391,6 +209,21 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
     blob_error("unsupported value format " + std::to_string(header.value_format));
   }
   if (header.sv_count == 0) blob_error("zero support vectors");
+  // Every count is bounded by the bytes present, by division, before any
+  // offset is computed from it, so no layout sum or product wraps size_t.
+  // An SV row costs at least 24 bytes (offset, norm, coefficient) and a
+  // nonzero 12 (index, value); column indices are u32.
+  const std::size_t body = blob.size() - sizeof(BlobHeader);
+  const auto check_count = [](std::uint64_t count, std::uint64_t limit,
+                              const char* what) {
+    if (count > limit) {
+      blob_error(std::string{what} + " " + std::to_string(count) +
+                 " exceeds what the blob can hold");
+    }
+  };
+  check_count(header.sv_count, body / 24, "sv_count");
+  check_count(header.nnz, body / 12, "nnz");
+  check_count(header.cols, std::uint64_t{1} << 32, "cols");
   const bool has_bitset = header.version == kBlobVersionBitset;
   std::uint64_t words_per_row = 0;
   std::uint64_t numeric_count = 0;
@@ -412,6 +245,8 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
       blob_error("bitset numeric column count " + std::to_string(numeric_count) +
                  " exceeds limit");
     }
+    // numeric_count's cap above bounds numeric_count x sv_count the same way.
+    check_count(words_per_row, body / 8 / header.sv_count, "bitset words_per_row");
   }
   const BlobLayout layout =
       blob_layout(header.sv_count, header.nnz, words_per_row, numeric_count,

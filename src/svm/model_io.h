@@ -1,25 +1,9 @@
-// Persistence for trained one-class models.
+// Persistence for trained one-class models: the binary blob, one per user
+// in the mapped profile store (index/store_format.h).
 //
-// Two formats live here:
-//
-// 1. Text (libsvm-inspired), one file per model:
-//   wtp_svm_model v1
-//   type one_class_svm | svdd
-//   kernel <linear|polynomial|rbf|sigmoid>
-//   gamma <g>
-//   coef0 <c>
-//   degree <d>
-//   rho <r>                      (one_class_svm)
-//   r_squared <r2>               (svdd)
-//   alpha_k_alpha <aka>          (svdd)
-//   nr_sv <n>
-//   SV
-//   <alpha> <index>:<value> <index>:<value> ...     (n lines)
-//
-// 2. Binary blob (the mmap path): a self-contained little-endian block that
-//    can be viewed in place from a memory-mapped file with zero copies.
-//    All sections sit at their natural alignment provided the blob itself
-//    starts 8-byte aligned:
+//    A self-contained little-endian block that can be viewed in place from
+//    a memory-mapped file with zero copies.  All sections sit at their
+//    natural alignment provided the blob itself starts 8-byte aligned:
 //
 //      offset  size  field
 //      0       8     magic "WTPSVMB1"
@@ -60,11 +44,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -74,21 +56,6 @@
 namespace wtp::svm {
 
 using AnySvmModel = std::variant<OneClassSvmModel, SvddModel>;
-
-void save_model(std::ostream& out, const OneClassSvmModel& model);
-void save_model(std::ostream& out, const SvddModel& model);
-void save_model_file(const std::string& path, const AnySvmModel& model);
-
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] AnySvmModel load_model(std::istream& in);
-[[nodiscard]] AnySvmModel load_model_file(const std::string& path);
-
-/// Typed loads; throw std::runtime_error when the stored type differs.
-[[nodiscard]] OneClassSvmModel load_one_class_model(std::istream& in);
-[[nodiscard]] SvddModel load_svdd_model(std::istream& in);
-
-// ---------------------------------------------------------------------------
-// Binary blob plane (the mmap path).
 
 constexpr std::uint32_t kBlobModelOneClass = 0;
 constexpr std::uint32_t kBlobModelSvdd = 1;

@@ -159,13 +159,6 @@ OneClassSvmModel OneClassSvmModel::from_parts(KernelParams kernel,
   return model;
 }
 
-OneClassSvmModel OneClassSvmModel::from_parts(
-    KernelParams kernel, std::vector<util::SparseVector> support_vectors,
-    std::vector<double> coefficients, double rho) {
-  return from_parts(kernel, util::FeatureMatrix::from_rows(support_vectors),
-                    std::move(coefficients), rho);
-}
-
 double OneClassSvmModel::decision_value(const util::SparseVector& x) const {
   return decision_value(x, x.squared_norm());
 }

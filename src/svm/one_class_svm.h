@@ -70,9 +70,6 @@ class OneClassSvmModel {
   [[nodiscard]] static OneClassSvmModel from_parts(
       KernelParams kernel, util::FeatureMatrix support_vectors,
       std::vector<double> coefficients, double rho);
-  [[nodiscard]] static OneClassSvmModel from_parts(
-      KernelParams kernel, std::vector<util::SparseVector> support_vectors,
-      std::vector<double> coefficients, double rho);
 
   /// Decision values, forwarded through view_of (svm/model_io.h), where the
   /// decision arithmetic lives.

@@ -179,14 +179,6 @@ SvddModel SvddModel::from_parts(KernelParams kernel,
   return model;
 }
 
-SvddModel SvddModel::from_parts(KernelParams kernel,
-                                std::vector<util::SparseVector> support_vectors,
-                                std::vector<double> coefficients,
-                                double r_squared, double alpha_k_alpha) {
-  return from_parts(kernel, util::FeatureMatrix::from_rows(support_vectors),
-                    std::move(coefficients), r_squared, alpha_k_alpha);
-}
-
 double SvddModel::squared_distance_to_center(const util::SparseVector& x) const {
   return squared_distance_to_center(x, x.squared_norm());
 }

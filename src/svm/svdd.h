@@ -69,9 +69,6 @@ class SvddModel {
   [[nodiscard]] static SvddModel from_parts(
       KernelParams kernel, util::FeatureMatrix support_vectors,
       std::vector<double> coefficients, double r_squared, double alpha_k_alpha);
-  [[nodiscard]] static SvddModel from_parts(
-      KernelParams kernel, std::vector<util::SparseVector> support_vectors,
-      std::vector<double> coefficients, double r_squared, double alpha_k_alpha);
 
   /// f(x) = R^2 - squared distance of Phi(x) to the center.  Forwarded
   /// through view_of (svm/model_io.h), where the decision arithmetic lives.

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "core/test_trace.h"
 
@@ -79,96 +77,6 @@ TEST(ProfileStore, FindResolvesDuplicateUserIds) {
   for (const auto& user : base.user_ids()) {
     ASSERT_NE(store.find(user), nullptr) << user;
   }
-}
-
-TEST(ProfileStore, RoundTripPreservesEverything) {
-  const ProfileStore store = make_store();
-  std::stringstream stream;
-  store.save(stream);
-  const ProfileStore loaded = ProfileStore::load(stream);
-
-  EXPECT_EQ(loaded.window(), store.window());
-  EXPECT_EQ(loaded.schema().dimension(), store.schema().dimension());
-  EXPECT_EQ(loaded.user_ids(), store.user_ids());
-
-  // Decisions must be bit-identical through the round trip.
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  for (const auto& user : store.user_ids()) {
-    const auto windows = dataset.test_windows(user, kWindow);
-    ASSERT_DOUBLE_EQ(loaded.find(user)->acceptance_ratio(windows),
-                     store.find(user)->acceptance_ratio(windows));
-  }
-}
-
-TEST(ProfileStore, FileRoundTrip) {
-  const ProfileStore store = make_store();
-  const std::string path = ::testing::TempDir() + "/wtp_profile_store_test.wtp";
-  store.save_file(path);
-  const ProfileStore loaded = ProfileStore::load_file(path);
-  EXPECT_EQ(loaded.profiles().size(), store.profiles().size());
-  EXPECT_THROW((void)ProfileStore::load_file(path + ".missing"), std::runtime_error);
-}
-
-TEST(ProfileStore, RejectsMalformedInput) {
-  std::stringstream missing_magic{"window 60 30\n"};
-  EXPECT_THROW((void)ProfileStore::load(missing_magic), std::runtime_error);
-
-  std::stringstream bad_window{"wtp_profile_store v1\nwindow sixty thirty\n"};
-  EXPECT_THROW((void)ProfileStore::load(bad_window), std::runtime_error);
-
-  std::stringstream truncated;
-  make_store().save(truncated);
-  std::string text = truncated.str();
-  text.resize(text.size() / 2);
-  std::stringstream half{text};
-  EXPECT_THROW((void)ProfileStore::load(half), std::runtime_error);
-}
-
-TEST(ProfileStore, LoadFailureNamesOffendingPath) {
-  const std::string path = ::testing::TempDir() + "/malformed_store.wtp";
-  {
-    std::ofstream out{path};
-    out << "wtp_profile_store v1\nwindow sixty thirty\n";
-  }
-  try {
-    (void)ProfileStore::load_file(path);
-    FAIL() << "malformed store accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos)
-        << "error does not name the file: " << e.what();
-  }
-}
-
-TEST(ProfileStore, LoadRejectsInvalidWindowAndNamesPath) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  std::stringstream saved;
-  ProfileStore{kWindow, dataset.schema(), {}}.save(saved);
-  std::string text = saved.str();
-  const std::string line = "window 60 30\n";
-  ASSERT_NE(text.find(line), std::string::npos);
-  text.replace(text.find(line), line.size(), "window 60 0\n");
-  const std::string path = ::testing::TempDir() + "/bad_window_store.wtp";
-  {
-    std::ofstream out{path};
-    out << text;
-  }
-  try {
-    (void)ProfileStore::load_file(path);
-    FAIL() << "store with shift 0 accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("shift"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-  }
-}
-
-TEST(ProfileStore, EmptyStoreRoundTrips) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  const ProfileStore store{kWindow, dataset.schema(), {}};
-  std::stringstream stream;
-  store.save(stream);
-  const ProfileStore loaded = ProfileStore::load(stream);
-  EXPECT_TRUE(loaded.profiles().empty());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <sstream>
 #include <vector>
 
 #include "core/test_trace.h"
@@ -77,42 +76,6 @@ TEST(UserProfile, DecisionValueConsistentWithAccepts) {
   for (const auto& w : dataset.test_windows(user, kWindow)) {
     EXPECT_EQ(profile.accepts(w), profile.decision_value(w) >= 0.0);
   }
-}
-
-class ProfileRoundTripTest : public ::testing::TestWithParam<ClassifierType> {};
-
-TEST_P(ProfileRoundTripTest, SaveLoadPreservesDecisions) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  const std::string user = dataset.user_ids().front();
-  const auto windows = dataset.train_windows(user, kWindow);
-  ProfileParams params =
-      GetParam() == ClassifierType::kOcSvm ? ocsvm_params() : svdd_params();
-  const UserProfile profile =
-      UserProfile::train(user, windows, dataset.schema().dimension(), params);
-
-  std::stringstream stream;
-  profile.save(stream);
-  const UserProfile loaded = UserProfile::load(stream);
-
-  EXPECT_EQ(loaded.user_id(), profile.user_id());
-  EXPECT_EQ(loaded.params().type, profile.params().type);
-  EXPECT_DOUBLE_EQ(loaded.params().regularizer, profile.params().regularizer);
-  for (const auto& w : dataset.test_windows(user, kWindow)) {
-    ASSERT_DOUBLE_EQ(loaded.decision_value(w), profile.decision_value(w));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothClassifiers, ProfileRoundTripTest,
-                         ::testing::Values(ClassifierType::kOcSvm,
-                                           ClassifierType::kSvdd),
-                         [](const ::testing::TestParamInfo<ClassifierType>& info) {
-                           return info.param == ClassifierType::kOcSvm ? "OcSvm"
-                                                                       : "Svdd";
-                         });
-
-TEST(UserProfile, LoadRejectsMalformedHeader) {
-  std::stringstream stream{"bogus content"};
-  EXPECT_THROW((void)UserProfile::load(stream), std::runtime_error);
 }
 
 TEST(UserProfile, TrainRejectsEmptyWindows) {

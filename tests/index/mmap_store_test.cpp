@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -290,6 +291,45 @@ TEST(MappedStore, RejectsTruncatedFile) {
     write_bytes(path, {bytes.begin(), bytes.begin() + static_cast<long>(keep)});
     EXPECT_THROW((void)MappedProfileStore::open(path), std::runtime_error)
         << "accepted a " << keep << "-byte truncation of " << bytes.size();
+  }
+}
+
+TEST(MappedStore, RejectsUserCountThatWrapsTableSize) {
+  // (user_count + 2^61) * sizeof(UserRecord) wraps back onto table_size.
+  // The count check must refuse it: a record loop that ran past the table
+  // would read beyond the mapping and fail, if at all, on whatever it found.
+  const auto population = small_population(4);
+  const std::string path = write_population(population, "wrapped_count.wtpstore");
+  write_bytes(path, patched(read_bytes(path), offsetof(StoreHeader, user_count),
+                            std::uint64_t{4} + (std::uint64_t{1} << 61)));
+  try {
+    (void)MappedProfileStore::open(path);
+    FAIL() << "wrapped user count accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("user count"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
+TEST(MappedStore, RejectsHugeSchemaCountAndNamesPath) {
+  // The embedded schema's vocabulary counts are file input: a count of
+  // 10^15 must fail as a truncated section, not size an allocation.
+  const auto population = small_population(4);
+  const std::string path = write_population(population, "huge_count.wtpstore");
+  auto bytes = read_bytes(path);
+  const std::string key = "categories ";
+  const auto at = std::search(bytes.begin() + sizeof(StoreHeader), bytes.end(),
+                              key.begin(), key.end());
+  ASSERT_NE(at, bytes.end());
+  const std::string huge = "1000000000000000";
+  std::copy(huge.begin(), huge.end(), at + static_cast<long>(key.size()));
+  write_bytes(path, bytes);
+  try {
+    (void)MappedProfileStore::open(path);
+    FAIL() << "schema with a 10^15-entry vocabulary accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
   }
 }
 

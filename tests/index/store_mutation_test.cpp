@@ -1,0 +1,252 @@
+// Deterministic mutation sweep of the profile-store reader.  A small store
+// mixing OC-SVM and SVDD profiles is mutated three ways: truncated at every
+// 8-byte boundary; each integer field of the store header, the first user
+// record and the first model-blob header set to 0, 1, all ones and its
+// value plus a high bit, in the store as written and in one whose first
+// blob body reads back as zeros; and a fixed budget of util::Rng-seeded
+// bit flips.
+// The property, for every mutant: read_mapped_store either returns a store
+// whose every profile scores one fixed window, or throws a
+// std::runtime_error naming the file; and the first user's blob, copied
+// into a heap buffer of exactly its size, is either viewed by
+// svm::view_model_blob or refused with a std::runtime_error.  Nothing
+// crashes; the sanitized build runs the sweep under ASan/UBSan, which
+// bounds the heap copy (a read past a blob inside the mapping lands on the
+// store's next section, where no sanitizer sees it).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/profile_store.h"
+#include "core/test_trace.h"
+#include "index/mapped_store.h"
+#include "index/store_format.h"
+#include "svm/model_io.h"
+#include "util/rng.h"
+
+namespace wtp::index {
+namespace {
+
+const features::WindowConfig kWindow{60, 30};
+constexpr std::size_t kTrainingRows = 24;
+constexpr std::size_t kBitFlips = 1500;
+
+/// A file of the running test's own: ctest runs tests as parallel
+/// processes, and rewriting a file another process has mapped would raise
+/// SIGBUS there.
+std::string test_path(const std::string& suffix) {
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         suffix;
+}
+
+struct Corpus {
+  std::vector<char> bytes;
+  std::size_t blob_off = 0;  ///< the first user's blob, as written
+  std::size_t blob_size = 0;
+  util::SparseVector window;  ///< the window every loaded profile scores
+};
+
+/// Two small profiles, so the store can be swept exhaustively: an OC-SVM
+/// (RBF) over rows with more than 16 non-binary columns, whose blob is v1
+/// on every kernel backend, then an SVDD (polynomial) over a user's
+/// windows, whose blob carries the bitset companion (v2) unless the plane
+/// is off.
+const Corpus& corpus() {
+  static const Corpus built = [] {
+    const core::ProfilingDataset& dataset = core::testing::tiny_dataset();
+    const std::size_t dimension = dataset.schema().dimension();
+    util::Rng rng{0xc0de};
+    util::FeatureMatrixBuilder dense;
+    for (std::size_t row = 0; row < kTrainingRows; ++row) {
+      for (std::size_t col = 0; col < 20; ++col) {
+        dense.add(col * 3, rng.uniform(0.1, 0.9));
+      }
+      dense.finish_row();
+    }
+    auto windows = dataset.train_windows(dataset.user_ids()[1], kWindow);
+    windows.resize(std::min(windows.size(), kTrainingRows));
+    std::vector<core::UserProfile> profiles;
+    profiles.push_back(core::UserProfile::train(
+        dataset.user_ids()[0], dense.build(dimension), dimension,
+        {core::ClassifierType::kOcSvm, {svm::KernelType::kRbf, 0.05, 0.0, 3},
+         0.2}));
+    profiles.push_back(core::UserProfile::train(
+        dataset.user_ids()[1], windows, dimension,
+        {core::ClassifierType::kSvdd,
+         {svm::KernelType::kPolynomial, 0.125, 1.0, 3}, 0.5}));
+    const std::string path = test_path("_corpus.wtpstore");
+    write_mapped_store(
+        core::ProfileStore{kWindow, dataset.schema(), std::move(profiles)}, path);
+    std::ifstream in{path, std::ios::binary};
+    Corpus corpus;
+    corpus.bytes.assign(std::istreambuf_iterator<char>{in},
+                        std::istreambuf_iterator<char>{});
+    StoreHeader header;
+    std::memcpy(&header, corpus.bytes.data(), sizeof header);
+    UserRecord record;
+    std::memcpy(&record, corpus.bytes.data() + header.table_off, sizeof record);
+    corpus.blob_off = record.blob_off;
+    corpus.blob_size = record.blob_size;
+    corpus.window =
+        dataset.test_windows(dataset.user_ids().front(), kWindow).front();
+    return corpus;
+  }();
+  return built;
+}
+
+std::string mutant_path() { return test_path("_mutant.wtpstore"); }
+
+::testing::AssertionResult survives(std::span<const char> bytes,
+                                    const std::string& mutant) {
+  const Corpus& c = corpus();
+  if (c.blob_off + c.blob_size <= bytes.size()) {
+    std::vector<std::byte> blob(c.blob_size);
+    std::memcpy(blob.data(), bytes.data() + c.blob_off, c.blob_size);
+    try {
+      (void)svm::view_model_blob(blob);
+    } catch (const std::runtime_error&) {
+      // refused: fine
+    } catch (const std::exception& e) {
+      return ::testing::AssertionFailure()
+             << mutant << ": blob not refused with a std::runtime_error: "
+             << e.what();
+    }
+  }
+  const std::string path = mutant_path();
+  {
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    const core::ProfileStore store = read_mapped_store(path);
+    for (const auto& profile : store.profiles()) {
+      (void)profile.decision_value(c.window);
+    }
+    return ::testing::AssertionSuccess();
+  } catch (const std::runtime_error& e) {
+    if (std::string{e.what()}.find(path) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << mutant << ": error does not name the file: " << e.what();
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure()
+           << mutant << ": not a std::runtime_error: " << e.what();
+  }
+}
+
+struct Field {
+  const char* name;
+  std::size_t offset;  ///< absolute, in the corpus file
+  std::size_t width;   ///< 4 or 8 bytes
+};
+
+/// Integer fields of the store header, of the first UserRecord and of the
+/// first model blob's header (svm/model_io.h layout).
+std::vector<Field> integer_fields(const Corpus& c) {
+  StoreHeader header;
+  std::memcpy(&header, c.bytes.data(), sizeof header);
+  const std::size_t table = header.table_off;
+  const std::size_t blob = c.blob_off;
+  return {
+      {"store.version", offsetof(StoreHeader, version), 4},
+      {"store.endian", offsetof(StoreHeader, endian), 4},
+      {"store.user_count", offsetof(StoreHeader, user_count), 8},
+      {"store.dimension", offsetof(StoreHeader, dimension), 8},
+      {"store.window_duration", offsetof(StoreHeader, window_duration), 8},
+      {"store.window_shift", offsetof(StoreHeader, window_shift), 8},
+      {"store.schema_off", offsetof(StoreHeader, schema_off), 8},
+      {"store.schema_size", offsetof(StoreHeader, schema_size), 8},
+      {"store.table_off", offsetof(StoreHeader, table_off), 8},
+      {"store.table_size", offsetof(StoreHeader, table_size), 8},
+      {"store.pool_off", offsetof(StoreHeader, pool_off), 8},
+      {"store.pool_size", offsetof(StoreHeader, pool_size), 8},
+      {"store.file_size", offsetof(StoreHeader, file_size), 8},
+      {"record.name_off", table + offsetof(UserRecord, name_off), 8},
+      {"record.name_len", table + offsetof(UserRecord, name_len), 4},
+      {"record.classifier", table + offsetof(UserRecord, classifier), 4},
+      {"record.blob_off", table + offsetof(UserRecord, blob_off), 8},
+      {"record.blob_size", table + offsetof(UserRecord, blob_size), 8},
+      {"blob.version", blob + 8, 4},
+      {"blob.endian", blob + 12, 4},
+      {"blob.model_type", blob + 16, 4},
+      {"blob.kernel_type", blob + 20, 4},
+      {"blob.degree", blob + 40, 4},
+      {"blob.value_format", blob + 44, 4},
+      {"blob.sv_count", blob + 64, 8},
+      {"blob.nnz", blob + 72, 8},
+      {"blob.cols", blob + 80, 8},
+      {"blob.blob_size", blob + 88, 8},
+  };
+}
+
+TEST(StoreMutation, CorpusLoadsAndScores) {
+  const Corpus& c = corpus();
+  EXPECT_TRUE(survives(c.bytes, "unmutated"));
+  EXPECT_EQ(read_mapped_store(mutant_path()).profiles().size(), 2u);
+}
+
+TEST(StoreMutation, EveryEightByteTruncation) {
+  const Corpus& c = corpus();
+  for (std::size_t size = 0; size < c.bytes.size(); size += 8) {
+    ASSERT_TRUE(survives(std::span{c.bytes}.first(size),
+                         "truncated to " + std::to_string(size)));
+  }
+}
+
+TEST(StoreMutation, EveryIntegerFieldAtItsExtremes) {
+  const Corpus& c = corpus();
+  // The first blob's body (everything after its 96-byte header) zeroed, as
+  // a hole in a preallocated file reads back.  Real sections stop a wrapped
+  // count's scans early (row offsets stop ascending); all-zero ones do not.
+  const std::vector<char> hole = [&c] {
+    std::vector<char> bytes = c.bytes;
+    std::fill(bytes.begin() + static_cast<long>(c.blob_off + 96),
+              bytes.begin() + static_cast<long>(c.blob_off + c.blob_size), 0);
+    return bytes;
+  }();
+  for (const auto& [base, label] :
+       {std::pair{&c.bytes, ""}, std::pair{&hole, " (zeroed blob body)"}}) {
+    for (const Field& field : integer_fields(c)) {
+      std::uint64_t value = 0;
+      std::memcpy(&value, base->data() + field.offset, field.width);
+      // "+ high bit" is 2^61 on u64 fields, whose products with a record
+      // or element size wrap size_t back onto the original; 2^31 on u32.
+      const std::uint64_t high = field.width == 8 ? std::uint64_t{1} << 61
+                                                  : std::uint64_t{1} << 31;
+      for (const std::uint64_t mutated : {std::uint64_t{0}, std::uint64_t{1},
+                                          ~std::uint64_t{0}, value + high}) {
+        std::vector<char> bytes = *base;
+        std::memcpy(bytes.data() + field.offset, &mutated, field.width);
+        ASSERT_TRUE(survives(bytes, std::string{field.name} + " = " +
+                                        std::to_string(mutated) + label));
+      }
+    }
+  }
+}
+
+TEST(StoreMutation, SeededBitFlips) {
+  const Corpus& c = corpus();
+  util::Rng rng{0x5707e};
+  for (std::size_t i = 0; i < kBitFlips; ++i) {
+    std::vector<char> bytes = c.bytes;
+    const std::size_t offset = rng.uniform_index(bytes.size());
+    const int bit = static_cast<int>(rng.uniform_index(8));
+    bytes[offset] = static_cast<char>(bytes[offset] ^ (1 << bit));
+    ASSERT_TRUE(survives(bytes, "bit " + std::to_string(bit) + " of byte " +
+                                    std::to_string(offset)));
+  }
+}
+
+}  // namespace
+}  // namespace wtp::index

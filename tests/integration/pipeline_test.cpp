@@ -12,6 +12,7 @@
 #include "core/identification.h"
 #include "core/novelty.h"
 #include "features/split.h"
+#include "index/mapped_store.h"
 #include "log/log_io.h"
 #include "synthetic/generator.h"
 #include "util/thread_pool.h"
@@ -156,12 +157,14 @@ TEST_F(PipelineTest, ProfilePersistenceSurvivesPipeline) {
   const auto profile = core::UserProfile::train(
       user, dataset_->train_windows(user, window),
       dataset_->schema().dimension(), params);
-  std::stringstream stream;
-  profile.save(stream);
-  const auto loaded = core::UserProfile::load(stream);
+  const std::string path = ::testing::TempDir() + "/pipeline_profile.wtpstore";
+  index::write_mapped_store(
+      core::ProfileStore{window, dataset_->schema(), {profile}}, path);
+  const core::ProfileStore loaded = index::read_mapped_store(path);
+  ASSERT_NE(loaded.find(user), nullptr);
   const auto test_windows = dataset_->test_windows(user, window);
-  EXPECT_DOUBLE_EQ(loaded.acceptance_ratio(test_windows),
-                   profile.acceptance_ratio(test_windows));
+  EXPECT_EQ(loaded.find(user)->acceptance_ratio(test_windows),
+            profile.acceptance_ratio(test_windows));
 }
 
 }  // namespace

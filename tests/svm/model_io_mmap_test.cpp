@@ -206,6 +206,33 @@ TEST(ModelBlob, RejectsCorruptGeometry) {
   EXPECT_THROW((void)view_model_blob(bad_offsets), std::runtime_error);
 }
 
+TEST(ModelBlob, RejectsCountsWhoseSizesWrap) {
+  // A 128-byte v1 blob whose sv_count makes every per-row section size wrap
+  // size_t: (2^61 + 2) * 8 and (2^61 + 1) * 8 add up to exactly 128 bytes,
+  // so blob_size agrees with the wrapped layout.
+  std::vector<std::byte> blob(128);
+  std::memcpy(blob.data(), "WTPSVMB1", 8);
+  patch(blob, 8, std::uint32_t{1});            // version
+  patch(blob, 12, std::uint32_t{0x01020304});  // endianness guard
+  patch(blob, 64, (std::uint64_t{1} << 61) + 1);  // sv_count
+  patch(blob, 72, std::uint64_t{0});              // nnz
+  patch(blob, 80, std::uint64_t{1});              // cols
+  patch(blob, 88, std::uint64_t{128});            // blob_size
+  EXPECT_THROW((void)view_model_blob(blob), std::runtime_error);
+
+  // The same wrap through nnz and through cols on a real blob.
+  std::vector<std::byte> real;
+  append_model_blob(real, make_one_class(30));
+  std::uint64_t nnz = 0;
+  std::memcpy(&nnz, real.data() + 72, sizeof nnz);
+  auto wrapped_nnz = real;
+  patch(wrapped_nnz, 72, nnz + (std::uint64_t{1} << 62));
+  EXPECT_THROW((void)view_model_blob(wrapped_nnz), std::runtime_error);
+  auto wide = real;
+  patch(wide, 80, (std::uint64_t{1} << 32) + 1);  // cols past u32 indices
+  EXPECT_THROW((void)view_model_blob(wide), std::runtime_error);
+}
+
 TEST(ModelBlob, RejectsOutOfRangeColumnIndex) {
   const auto model = make_one_class(28);
   std::vector<std::byte> blob;

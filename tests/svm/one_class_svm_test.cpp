@@ -170,9 +170,10 @@ TEST(OneClassSvm, FromPartsReproducesDecisions) {
 }
 
 TEST(OneClassSvm, FromPartsValidatesSizes) {
+  const std::vector<util::SparseVector> one_row{util::SparseVector{{0, 1.0}}};
   EXPECT_THROW((void)OneClassSvmModel::from_parts(
                    {KernelType::kLinear, 1.0, 0.0, 3},
-                   {util::SparseVector{{0, 1.0}}}, {0.5, 0.5}, 0.0),
+                   util::FeatureMatrix::from_rows(one_row), {0.5, 0.5}, 0.0),
                std::invalid_argument);
 }
 

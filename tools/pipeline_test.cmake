@@ -15,7 +15,7 @@ function(run_step)
 endfunction()
 
 set(trace "${WORK}/pipeline_trace.csv")
-set(store "${WORK}/pipeline_profiles.wtp")
+set(store "${WORK}/pipeline_profiles.wtpstore")
 
 run_step(${GEN} --out ${trace} --weeks 2 --scale 0.3 --users 8 --devices 5 --seed 5)
 if(NOT EXISTS ${trace})
@@ -86,8 +86,8 @@ endforeach()
 
 # Library errors are reported, not crashes: each tool prints
 # `<tool>: <message>` and exits 1 on a missing store, on a store whose
-# window breaks 0 < S <= D (the message names the file), and on a log whose
-# rows are out of time order.
+# window breaks 0 < S <= D, on a file in the retired text store format (the
+# message names the file), and on a log whose rows are out of time order.
 function(expect_failure)
   cmake_parse_arguments(ARG "" "" "COMMAND;EXPECT" ${ARGN})
   execute_process(COMMAND ${ARG_COMMAND}
@@ -108,18 +108,24 @@ function(expect_failure)
   endforeach()
 endfunction()
 
-set(missing_store "${WORK}/no_such_store.wtp")
+set(missing_store "${WORK}/no_such_store.wtpstore")
 file(REMOVE ${missing_store})
-set(bad_window_store "${WORK}/bad_window_store.wtp")
-file(READ ${store} store_text)
-string(REPLACE "\nwindow 60 30\n" "\nwindow 60 0\n" bad_text "${store_text}")
-if(bad_text STREQUAL store_text)
-  message(FATAL_ERROR "store has no 'window 60 30' line to patch")
+# window_shift is the little-endian i64 at byte 40 of the store header
+# (src/index/store_format.h); zeroing its low byte turns S = 30 into 0.
+set(bad_window_store "${WORK}/bad_window_store.wtpstore")
+file(READ ${store} shift_low_byte OFFSET 40 LIMIT 1 HEX)
+if(NOT shift_low_byte STREQUAL "1e")
+  message(FATAL_ERROR "store window_shift low byte is '${shift_low_byte}', want 1e (30)")
 endif()
-file(WRITE ${bad_window_store} "${bad_text}")
+file(COPY_FILE ${store} ${bad_window_store})
+run_step(dd if=/dev/zero of=${bad_window_store} bs=1 seek=40 count=1 conv=notrunc)
+set(text_store "${WORK}/text_format_store.wtp")
+file(WRITE ${text_store} "window 60 30\nprofiles 0\n")
 foreach(tool ${CLASSIFY} ${IDENTIFY} ${SERVE})
   expect_failure(COMMAND ${tool} --log ${trace} --store ${missing_store}
                  EXPECT "cannot open" "${missing_store}")
+  expect_failure(COMMAND ${tool} --log ${trace} --store ${text_store}
+                 EXPECT "${text_store}")
 endforeach()
 foreach(tool ${CLASSIFY} ${IDENTIFY})
   expect_failure(COMMAND ${tool} --log ${trace} --store ${bad_window_store}
@@ -141,7 +147,7 @@ expect_failure(COMMAND ${CLASSIFY} --log ${swapped_log} --store ${store}
 expect_failure(COMMAND ${IDENTIFY} --log ${swapped_log} --store ${store}
                EXPECT "time-ordered")
 expect_failure(COMMAND ${TRAIN} --log ${swapped_log}
-                       --out ${WORK}/swapped_profiles.wtp --min-transactions 1
+                       --out ${WORK}/swapped_profiles.wtpstore --min-transactions 1
                EXPECT "time-ordered")
 
 # Second configuration: build the serving tool and the FeatureMatrix

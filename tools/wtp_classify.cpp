@@ -1,7 +1,7 @@
 // wtp_classify — score a proxy log against a trained profile store: prints
 // the acceptance matrix (which profiles accept which users' windows).
 //
-//   wtp_classify --log test.csv --store profiles.wtp [--user USER]
+//   wtp_classify --log test.csv --store profiles.wtpstore [--user USER]
 //                [--metrics-out FILE] [--metrics-interval S]
 //                [--trace-out FILE]
 //
@@ -19,9 +19,9 @@
 #include <memory>
 
 #include "core/metrics.h"
-#include "core/profile_store.h"
 #include "features/split.h"
 #include "features/window.h"
+#include "index/mapped_store.h"
 #include "log/log_io.h"
 #include "obs/telemetry.h"
 #include "tool_common.h"
@@ -64,7 +64,7 @@ int run(int argc, char** argv) {
     }
     return code;
   };
-  const auto store = core::ProfileStore::load_file(args.require("store"));
+  const auto store = index::read_mapped_store(args.require("store"));
   const auto transactions = log::read_log_file(args.require("log"));
   std::printf("store: %zu profiles, window D=%lds S=%lds; log: %zu transactions\n",
               store.profiles().size(),

@@ -1,7 +1,7 @@
 // wtp_identify — online user identification on a device's traffic (the
 // paper's Fig. 3 scenario as a tool).
 //
-//   wtp_identify --log monitored.csv --store profiles.wtp
+//   wtp_identify --log monitored.csv --store profiles.wtpstore
 //                [--device DEVICE] [--smooth K]
 //                [--metrics-out FILE] [--metrics-interval S]
 //                [--trace-out FILE]
@@ -21,8 +21,8 @@
 #include <memory>
 
 #include "core/identification.h"
-#include "core/profile_store.h"
 #include "features/split.h"
+#include "index/mapped_store.h"
 #include "log/log_io.h"
 #include "obs/telemetry.h"
 #include "tool_common.h"
@@ -50,7 +50,7 @@ int run(int argc, char** argv) {
         args.get_double("metrics-interval", 1.0));
   }
   if (args.has("trace-out")) obs::TraceRecorder::global().enable();
-  const auto store = core::ProfileStore::load_file(args.require("store"));
+  const auto store = index::read_mapped_store(args.require("store"));
   const auto transactions = log::read_log_file(args.require("log"));
   const auto by_device = features::group_by_device(transactions);
   if (by_device.empty()) args.die("log contains no transactions");

@@ -3,7 +3,7 @@
 // device in the log concurrently instead of replaying one like
 // wtp_identify).
 //
-//   wtp_serve --store profiles.wtp [--log monitored.csv]
+//   wtp_serve --store profiles.wtpstore [--log monitored.csv]
 //             [--smooth K] [--shards N] [--threads N]
 //             [--ttl SECONDS] [--max-sessions N] [--replay-speed X]
 //             [--metrics-out FILE] [--metrics-interval S] [--trace-out FILE]
@@ -64,7 +64,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/profile_store.h"
+#include "index/mapped_store.h"
 #include "log/log_io.h"
 #include "obs/telemetry.h"
 #include "serve/engine.h"
@@ -113,7 +113,7 @@ int run(int argc, char** argv) {
                          "[--retrain-max-rate N]"};
   serve::EngineConfig config;
   config.transform = tools::scoring_tier(args);
-  const auto store = core::ProfileStore::load_file(args.require("store"));
+  const auto store = index::read_mapped_store(args.require("store"));
 
   config.shards = static_cast<std::size_t>(args.get_int("shards", 8));
   config.smooth = static_cast<std::size_t>(args.get_int("smooth", 1));

@@ -1,7 +1,7 @@
 // wtp_train — train per-user one-class profiles from a proxy log and write
 // a deployable profile store (schema + window config + models).
 //
-//   wtp_train --log trace.csv --out profiles.wtp
+//   wtp_train --log trace.csv --out profiles.wtpstore
 //             [--classifier oc-svm|svdd] [--duration 60] [--shift 30]
 //             [--min-transactions 200] [--max-users 25] [--optimize]
 //             [--nu 0.1] [--kernel rbf] [--threads 0]
@@ -18,7 +18,7 @@
 #include <memory>
 
 #include "core/grid_search.h"
-#include "core/profile_store.h"
+#include "index/mapped_store.h"
 #include "log/log_io.h"
 #include "obs/telemetry.h"
 #include "tool_common.h"
@@ -108,8 +108,8 @@ int run(int argc, char** argv) {
                 profile.params().regularizer, profile.support_vector_count());
   }
 
-  const core::ProfileStore store{window, dataset.schema(), std::move(profiles)};
-  store.save_file(out_path);
+  index::write_mapped_store(
+      core::ProfileStore{window, dataset.schema(), std::move(profiles)}, out_path);
   std::printf("profile store written to %s\n", out_path.c_str());
 
   if (metrics_writer != nullptr) metrics_writer->stop();
