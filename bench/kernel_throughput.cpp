@@ -344,7 +344,7 @@ TransformSplitRow report_transform_split(svm::KernelType type) {
   const auto& f = BinaryFixture::get();
   const auto params = kernel_params(type);
   const std::size_t rows = f.matrix.rows();
-  const util::CsrView view = f.matrix.view();
+  const std::span<const double> sq_norms = f.matrix.sq_norms();
 
   // Per-query raw dots, computed once: the transform loop replays these.
   std::vector<double> dots(kQueries * rows);
@@ -383,7 +383,7 @@ TransformSplitRow report_transform_split(svm::KernelType type) {
     for (std::size_t q = 0; q < kQueries; ++q) {
       std::memcpy(scratch.data(), dots.data() + q * rows,
                   rows * sizeof(double));
-      svm::kernel_transform(params, view, f.query_sqnorms[q], scratch);
+      svm::kernel_transform(params, sq_norms, f.query_sqnorms[q], scratch);
       benchmark::DoNotOptimize(scratch.data());
     }
   }

@@ -1,6 +1,7 @@
 #include "index/cascade.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 
@@ -133,22 +134,51 @@ void IdentificationPlane::build(const ProfileCatalog& catalog) {
   std::vector<char> seen(dimension_, 0);
   std::vector<std::uint32_t> touched;
 
+  // Per-column sums over the SV rows, in row order per column.
+  const auto add = [&](std::uint32_t col, double value, double square) {
+    if (col >= dimension_) return;  // blob validated against its own cols
+    if (!seen[col]) {
+      seen[col] = 1;
+      touched.push_back(col);
+    }
+    sum[col] += value;
+    sum_sq[col] += square;
+  };
   for (std::size_t u = 0; u < n; ++u) {
     const svm::ModelView view = catalog.model(u);
-    const util::CsrView& svs = view.support_vectors;
+    const svm::KernelMatrix& svs = view.support_vectors;
     const std::size_t m = svs.rows();
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto indices = svs.row_indices(r);
-      const auto values = svs.row_values(r);
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        const std::uint32_t col = indices[k];
-        if (col >= dimension_) continue;  // blob validated against its own cols
-        if (!seen[col]) {
-          seen[col] = 1;
-          touched.push_back(col);
+    if (svs.has_rows()) {
+      for (std::size_t r = 0; r < m; ++r) {
+        const auto indices = svs.csr.row_indices(r);
+        const auto values = svs.csr.row_values(r);
+        for (std::size_t k = 0; k < indices.size(); ++k) {
+          add(indices[k], values[k], values[k] * values[k]);
         }
-        sum[col] += values[k];
-        sum_sq[col] += values[k] * values[k];
+      }
+    } else {
+      // A bit is a 1.0 entry, and 1.0 added k times from 0 is exactly k, so
+      // a binary column's sums are its count of rows setting the bit — what
+      // the CSR walk's adds give.  Numeric columns add their values in row
+      // order.
+      const util::BitsetView& bits = *svs.bitset;
+      for (std::size_t w = 0; w < bits.words_per_row; ++w) {
+        std::uint64_t any = 0;
+        for (std::size_t r = 0; r < m; ++r) any |= bits.row_words(r)[w];
+        for (; any != 0; any &= any - 1) {
+          const int bit = std::countr_zero(any);
+          std::uint32_t count = 0;
+          for (std::size_t r = 0; r < m; ++r) {
+            count += static_cast<std::uint32_t>(bits.row_words(r)[w] >> bit) & 1U;
+          }
+          add(static_cast<std::uint32_t>(w * 64 + bit), count, count);
+        }
+      }
+      for (std::size_t k = 0; k < bits.numeric_cols.size(); ++k) {
+        for (std::size_t r = 0; r < m; ++r) {
+          const double value = bits.row_numeric(r)[k];
+          if (value != 0.0) add(bits.numeric_cols[k], value, value * value);
+        }
       }
     }
     std::sort(touched.begin(), touched.end());

@@ -29,11 +29,11 @@ MappedFile::MappedFile(const std::string& path) : path_{path} {
     ::close(fd);
     fail(path, "cannot stat");
   }
-  if (st.st_size == 0) {
-    ::close(fd);
-    throw std::runtime_error{"MappedFile: empty file '" + path + "'"};
-  }
   size_ = static_cast<std::size_t>(st.st_size);
+  if (size_ == 0) {  // mmap refuses a zero length
+    ::close(fd);
+    return;
+  }
   data_ = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd, 0);
   ::close(fd);  // the mapping keeps its own reference
   if (data_ == MAP_FAILED) {

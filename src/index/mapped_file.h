@@ -14,9 +14,10 @@ namespace wtp::index {
 class MappedFile {
  public:
   MappedFile() = default;
-  /// Maps `path` read-only in whole.  Throws std::runtime_error (message
-  /// includes the path) when the file cannot be opened, stat'ed, or mapped,
-  /// or when it is empty.
+  /// Maps `path` read-only in whole; an empty file maps to no bytes, which
+  /// the reader then refuses as truncated.  Throws std::runtime_error
+  /// (message includes the path) when the file cannot be opened, stat'ed,
+  /// or mapped.
   explicit MappedFile(const std::string& path);
   ~MappedFile();
 

@@ -1,6 +1,7 @@
 #include "index/mapped_store.h"
 
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,9 +17,12 @@ namespace {
 constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 /// The path leads: the message may go on to quote a user id from the file,
-/// which can hold any bytes, a NUL included.
-[[noreturn]] void store_error(const std::string& path, const std::string& what) {
-  throw std::runtime_error{"MappedProfileStore '" + path + "': " + what};
+/// which can hold any bytes, a NUL included.  `offset` is the absolute file
+/// offset of the field at fault.
+[[noreturn]] void store_error(const std::string& path, const std::string& what,
+                              std::uint64_t offset) {
+  throw std::runtime_error{"MappedProfileStore '" + path + "': " + what +
+                           " (file offset " + std::to_string(offset) + ")"};
 }
 
 core::ProfileParams record_params(const UserRecord& r,
@@ -189,46 +193,58 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
   auto file = std::make_shared<const MappedFile>(path);
   const auto bytes = file->bytes();
   if (bytes.size() < sizeof(StoreHeader)) {
-    store_error(path, "truncated header (" + std::to_string(bytes.size()) +
-                          " bytes)");
+    store_error(path,
+                "truncated header (" + std::to_string(bytes.size()) + " bytes)",
+                bytes.size());
   }
   StoreHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   if (std::memcmp(header.magic, kStoreMagic, sizeof(kStoreMagic)) != 0) {
-    store_error(path, "bad magic (not a wtp profile store)");
+    store_error(path, "bad magic (not a wtp profile store)",
+                offsetof(StoreHeader, magic));
   }
   if (header.endian != kStoreEndianGuard) {
     if (header.endian == 0x04030201u) {
-      store_error(path, "endianness guard mismatch (foreign-endian writer)");
+      store_error(path, "endianness guard mismatch (foreign-endian writer)",
+                  offsetof(StoreHeader, endian));
     }
-    store_error(path, "corrupt endianness guard");
+    store_error(path, "corrupt endianness guard", offsetof(StoreHeader, endian));
   }
   if (header.version != kStoreVersion) {
-    store_error(path, "unsupported version " + std::to_string(header.version));
+    store_error(path, "unsupported version " + std::to_string(header.version),
+                offsetof(StoreHeader, version));
   }
   if (header.file_size != bytes.size()) {
-    store_error(path, "file size " + std::to_string(bytes.size()) +
-                          " does not match header file_size " +
-                          std::to_string(header.file_size));
+    store_error(path,
+                "file size " + std::to_string(bytes.size()) +
+                    " does not match header file_size " +
+                    std::to_string(header.file_size),
+                offsetof(StoreHeader, file_size));
   }
-  const auto section_ok = [&](std::uint64_t off, std::uint64_t size) {
-    return off <= bytes.size() && size <= bytes.size() - off;
+  const auto check_section = [&](std::uint64_t off, std::uint64_t size,
+                                 std::size_t field, const char* name) {
+    if (off > bytes.size() || size > bytes.size() - off) {
+      store_error(path, std::string{name} + " section out of file bounds", field);
+    }
   };
-  if (!section_ok(header.schema_off, header.schema_size) ||
-      !section_ok(header.table_off, header.table_size) ||
-      !section_ok(header.pool_off, header.pool_size)) {
-    store_error(path, "section out of file bounds");
-  }
+  check_section(header.schema_off, header.schema_size,
+                offsetof(StoreHeader, schema_off), "schema");
+  check_section(header.table_off, header.table_size,
+                offsetof(StoreHeader, table_off), "user table");
+  check_section(header.pool_off, header.pool_size,
+                offsetof(StoreHeader, pool_off), "string pool");
   if (header.table_off % 8 != 0) {
-    store_error(path, "misaligned user table");
+    store_error(path, "misaligned user table", offsetof(StoreHeader, table_off));
   }
   // Division, not user_count * sizeof(UserRecord): a crafted count would
   // wrap the product back onto table_size.
   if (header.table_size % sizeof(UserRecord) != 0 ||
       header.table_size / sizeof(UserRecord) != header.user_count) {
-    store_error(path, "user table size " + std::to_string(header.table_size) +
-                          " does not match user count " +
-                          std::to_string(header.user_count));
+    store_error(path,
+                "user table size " + std::to_string(header.table_size) +
+                    " does not match user count " +
+                    std::to_string(header.user_count),
+                offsetof(StoreHeader, table_size));
   }
 
   features::WindowConfig window;
@@ -237,7 +253,7 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
   try {
     features::check_window_config(window);
   } catch (const std::invalid_argument& e) {
-    store_error(path, e.what());
+    store_error(path, e.what(), offsetof(StoreHeader, window_duration));
   }
 
   std::istringstream schema_stream{std::string{
@@ -247,13 +263,16 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
     try {
       return features::load_schema(schema_stream);
     } catch (const std::exception& e) {
-      store_error(path, std::string{"embedded schema is malformed: "} + e.what());
+      store_error(path, std::string{"embedded schema is malformed: "} + e.what(),
+                  header.schema_off);
     }
   }();
   if (schema.dimension() != header.dimension) {
-    store_error(path, "schema dimension " + std::to_string(schema.dimension()) +
-                          " does not match header dimension " +
-                          std::to_string(header.dimension));
+    store_error(path,
+                "schema dimension " + std::to_string(schema.dimension()) +
+                    " does not match header dimension " +
+                    std::to_string(header.dimension),
+                offsetof(StoreHeader, dimension));
   }
 
   const std::span<const UserRecord> records{
@@ -264,15 +283,21 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
       header.pool_size};
   for (std::size_t i = 0; i < records.size(); ++i) {
     const UserRecord& r = records[i];
+    const std::uint64_t record_off = header.table_off + i * sizeof(UserRecord);
     if (r.name_off > pool.size() || r.name_len > pool.size() - r.name_off) {
-      store_error(path, "user " + std::to_string(i) + " name out of pool bounds");
+      store_error(path, "user " + std::to_string(i) + " name out of pool bounds",
+                  record_off + offsetof(UserRecord, name_off));
     }
-    if (!section_ok(r.blob_off, r.blob_size) || r.blob_off % 8 != 0) {
-      store_error(path, "user " + std::to_string(i) + " blob out of bounds");
+    if (r.blob_off > bytes.size() || r.blob_size > bytes.size() - r.blob_off ||
+        r.blob_off % 8 != 0) {
+      store_error(path, "user " + std::to_string(i) + " blob out of bounds",
+                  record_off + offsetof(UserRecord, blob_off));
     }
     if (r.classifier != kClassifierOcSvm && r.classifier != kClassifierSvdd) {
-      store_error(path, "user " + std::to_string(i) + " has unknown classifier " +
-                            std::to_string(r.classifier));
+      store_error(path,
+                  "user " + std::to_string(i) + " has unknown classifier " +
+                      std::to_string(r.classifier),
+                  record_off + offsetof(UserRecord, classifier));
     }
   }
 
@@ -303,16 +328,18 @@ svm::ModelView MappedProfileStore::model(std::size_t i) const {
     view = svm::view_model_blob(file_->bytes().subspan(r.blob_off, r.blob_size));
   } catch (const std::exception& e) {
     store_error(file_->path(),
-                "user '" + std::string{user_id(i)} + "': " + e.what());
+                "user '" + std::string{user_id(i)} + "': " + e.what(),
+                r.blob_off);
   }
   // Scoring expands each query densely over the model's columns, so the
   // schema bounds them.
-  if (view.support_vectors.cols > schema_.dimension()) {
+  if (view.support_vectors.csr.cols > schema_.dimension()) {
     store_error(file_->path(),
                 "user '" + std::string{user_id(i)} + "' has " +
-                    std::to_string(view.support_vectors.cols) +
+                    std::to_string(view.support_vectors.csr.cols) +
                     " columns, schema has " +
-                    std::to_string(schema_.dimension()));
+                    std::to_string(schema_.dimension()),
+                r.blob_off);
   }
   return view;
 }

@@ -318,9 +318,10 @@ constexpr std::size_t kTransformTile = 1024;
 /// powi — all bit-identical to kernel_eval's expressions by construction.
 /// Exact tier then applies std::exp/std::tanh per element; relaxed tier
 /// applies the backend's vectorized stamps instead.
-void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
-                     double x_sqnorm, std::span<double> out, bool relaxed) {
-  const std::size_t n = matrix.rows();
+void transform_tiles(const KernelParams& params,
+                     std::span<const double> row_sq_norms, double x_sqnorm,
+                     std::span<double> out, bool relaxed) {
+  const std::size_t n = row_sq_norms.size();
   const detail::TransformOps& ops = *active_dispatch().transform;
   switch (params.type) {
     case KernelType::kLinear:
@@ -331,7 +332,7 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
                          n);
       return;
     case KernelType::kRbf: {
-      const double* sq_norms = matrix.sq_norms.data();
+      const double* sq_norms = row_sq_norms.data();
       for (std::size_t j = 0; j < n; j += kTransformTile) {
         const std::size_t len = std::min(kTransformTile, n - j);
         double* tile = out.data() + j;
@@ -363,29 +364,31 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
 
 }  // namespace
 
-void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> out,
-                      TransformMode tier) {
-  if (out.size() != matrix.rows()) {
+void kernel_transform(const KernelParams& params,
+                      std::span<const double> sq_norms, double x_sqnorm,
+                      std::span<double> out, TransformMode tier) {
+  if (out.size() != sq_norms.size()) {
     throw std::invalid_argument{"kernel_transform: out holds " +
                                 std::to_string(out.size()) + " values for " +
-                                std::to_string(matrix.rows()) + " rows"};
+                                std::to_string(sq_norms.size()) + " rows"};
   }
   if (params.type == KernelType::kLinear) return;
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
-  transform_tiles(params, matrix, x_sqnorm, out,
+  transform_tiles(params, sq_norms, x_sqnorm, out,
                   tier == TransformMode::kRelaxed);
   transform_phase_end(metrics, params.type, start);
 }
 
 KernelMatrix kernel_matrix(const util::FeatureMatrix& matrix) {
-  KernelMatrix operand{matrix.view(), std::nullopt};
-  if (kernel_dispatch() == nullptr) return operand;  // skip the lazy build
-  if (const util::BitsetStorage* bits = matrix.bitset()) {
-    operand.bitset = bits->view();
+  // Plane disabled: skip the lazy build, and score CSR rows (decoded once,
+  // and kept, for a bitset-stored matrix).
+  if (kernel_dispatch() == nullptr) return {matrix.view(), std::nullopt};
+  if (matrix.bitset_stored()) {
+    return {util::CsrView{matrix.cols(), {}, {}, {}, matrix.sq_norms()},
+            matrix.bitset()};
   }
-  return operand;
+  return {matrix.view(), matrix.bitset()};
 }
 
 const util::BitsetQuery* EncodedQueryCache::get(
@@ -408,6 +411,10 @@ const util::BitsetQuery* EncodedQueryCache::get(
 
 KernelQueries KernelQueries::rows(const KernelMatrix& source, std::size_t begin,
                                   std::size_t count) {
+  if (!source.has_rows()) {
+    throw std::invalid_argument{
+        "KernelQueries::rows: the source carries no CSR rows"};
+  }
   KernelQueries queries;
   queries.csr_ = source.csr.rows_slice(begin, count);
   if (source.bitset) queries.bitset_ = source.bitset->rows_slice(begin, count);
@@ -463,9 +470,17 @@ void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
   if (n == 0 || nq == 0) return;
   const util::CsrView rows = queries.csr();
   const util::BitsetDotOps* ops = matrix.bitset ? kernel_dispatch() : nullptr;
+  // The matrix's CSR rows, decoded from its bitset on first need when it
+  // carries none.
+  util::CsrView matrix_rows = matrix.csr;
   const auto csr_dots = [&](std::size_t q) {
-    matrix.csr.dot_all(rows.row_indices(q), rows.row_values(q),
-                       out.subspan(q * n, n));
+    if (matrix_rows.row_offsets.empty()) {
+      thread_local util::DecodedRows decoded;
+      decoded.decode(*matrix.bitset);
+      matrix_rows = decoded.view(matrix.csr.cols, matrix.csr.sq_norms);
+    }
+    matrix_rows.dot_all(rows.row_indices(q), rows.row_values(q),
+                        out.subspan(q * n, n));
   };
   if (ops == nullptr) {
     for (std::size_t q = 0; q < nq; ++q) csr_dots(q);
@@ -520,8 +535,8 @@ void kernel_block(const KernelParams& params, const KernelMatrix& matrix,
   const std::size_t n = matrix.rows();
   const util::CsrView rows = queries.csr();
   for (std::size_t q = 0; q < queries.count(); ++q) {
-    kernel_transform(params, matrix.csr, rows.sq_norm(q), out.subspan(q * n, n),
-                     tier);
+    kernel_transform(params, matrix.csr.sq_norms, rows.sq_norm(q),
+                     out.subspan(q * n, n), tier);
   }
 }
 

@@ -135,17 +135,24 @@ void set_kernel_metrics(obs::Registry* registry);
 
 /// Matrix descriptor: the rows a kernel block scores against.  `bitset`,
 /// when set, routes dots through the dispatched AND+popcount backend; the
-/// CSR rows are always the fallback (and the oracle).
+/// CSR rows are the fallback (and the oracle).  `csr.cols` and
+/// `csr.sq_norms` (one per row) are always set, but the CSR rows themselves
+/// may be absent (has_rows() false) when `bitset` holds them — a
+/// bitset-stored SV block (svm/model_io.h v3).  A CSR path then decodes them
+/// from the bitset (util::DecodedRows) into per-thread scratch.
 struct KernelMatrix {
   util::CsrView csr;
   std::optional<util::BitsetView> bitset;
 
-  [[nodiscard]] std::size_t rows() const noexcept { return csr.rows(); }
+  [[nodiscard]] std::size_t rows() const noexcept { return csr.sq_norms.size(); }
+  [[nodiscard]] bool has_rows() const noexcept { return !csr.row_offsets.empty(); }
 };
 
 /// The one way a FeatureMatrix becomes a kernel operand: its CSR view plus
-/// its cached bitset, built on first use.  While the bitset plane is
-/// disabled (WTP_KERNEL_BACKEND=csr) no bitset is built or attached.
+/// its bitset — the cached companion, built on first use, or the stored
+/// block of a bitset-stored matrix, which then attaches no CSR rows.  While
+/// the bitset plane is disabled (WTP_KERNEL_BACKEND=csr) no bitset is built
+/// or attached, and a bitset-stored matrix attaches its decoded rows.
 [[nodiscard]] KernelMatrix kernel_matrix(const util::FeatureMatrix& matrix);
 
 /// Reuses one query's bitset encoding across many matrices that share a
@@ -175,7 +182,8 @@ class EncodedQueryCache {
 /// squared norms, plus the encodings the bitset plane may reuse.
 class KernelQueries {
  public:
-  /// Rows [begin, begin + count) of `source`.  Where the source's bitset
+  /// Rows [begin, begin + count) of `source`, which must carry its CSR rows
+  /// (throws std::invalid_argument otherwise).  Where the source's bitset
   /// shares the scored matrix's layout, its rows are the queries' encodings
   /// — so a matrix's own row borrows its own encoding (the SMO path).
   [[nodiscard]] static KernelQueries rows(const KernelMatrix& source,
@@ -229,13 +237,14 @@ void dot_block(const KernelMatrix& matrix, const KernelQueries& queries,
                std::span<double> out);
 
 /// In-place kernel transform of one query's raw dots: `inout[j]` holds
-/// x . row_j on entry and k(x, row_j) on return.  Every grid-search kernel
-/// is such a transform of the same Gram row, which is what lets a sweep
-/// share dot products across kernels (GramCache).  Bit-identical to
-/// kernel_block given the same dots and tier.  Throws std::invalid_argument
-/// unless inout.size() == matrix.rows().
-void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> inout,
+/// x . row_j on entry and k(x, row_j) on return, where `sq_norms[j]` is
+/// ||row_j||^2.  Every grid-search kernel is such a transform of the same
+/// Gram row, which is what lets a sweep share dot products across kernels
+/// (GramCache).  Bit-identical to kernel_block given the same dots and tier.
+/// Throws std::invalid_argument unless inout.size() == sq_norms.size().
+void kernel_transform(const KernelParams& params,
+                      std::span<const double> sq_norms, double x_sqnorm,
+                      std::span<double> inout,
                       TransformMode tier = TransformMode::kExact);
 
 /// Thread-local scratch sized for one kernel row (one value per matrix

@@ -3,11 +3,12 @@
 //
 //    A self-contained little-endian block that can be viewed in place from
 //    a memory-mapped file with zero copies.  All sections sit at their
-//    natural alignment provided the blob itself starts 8-byte aligned:
+//    natural alignment provided the blob itself starts 8-byte aligned.  Two
+//    versions share one 96-byte header:
 //
 //      offset  size  field
 //      0       8     magic "WTPSVMB1"
-//      8       4     u32 version (= 1)
+//      8       4     u32 version (1 = CSR rows, 3 = bitset rows)
 //      12      4     u32 endianness guard (= 0x01020304 as written)
 //      16      4     u32 model type (0 = one_class_svm, 1 = svdd)
 //      20      4     u32 kernel type (KernelType enum value)
@@ -18,34 +19,41 @@
 //      48      8     f64 scalar0 (rho | r_squared)
 //      56      8     f64 scalar1 (0  | alpha_k_alpha)
 //      64      8     u64 sv_count
-//      72      8     u64 nnz
+//      72      8     u64 nnz (v1: CSR nonzeros; v3: 0)
 //      80      8     u64 cols
 //      88      8     u64 blob_size (whole blob, header included)
+//
+//    Version 3 holds a support-vector block util::BitsetStorage::build can
+//    represent (DESIGN §10, §11) once, as its bitset; CSR rows are derived
+//    from it (util::DecodedRows) only where a CSR path needs them:
+//
+//      96      8     u64 numeric column count (<= 16)
+//      104           u32 numeric_cols[count], strictly ascending, < cols,
+//                    padded to 8
+//      ...           f64 sq_norms[sv_count]
+//      ...           f64 coefficients[sv_count]
+//      ...           u64 words[sv_count * ceil(cols / 64)]: bit c of a row
+//                    set <=> the row holds 1.0 at column c; no bit at or
+//                    past cols, none at a numeric column
+//      ...           f64 numeric_values[sv_count * count]: finite, 0.0 where
+//                    the row has no entry
+//
+//    cols is 1..16384.  Version 1 holds any other block as CSR rows:
+//
 //      96            u64 row_offsets[sv_count + 1]
 //      ...           u32 indices[nnz], padded to 8
 //      ...           f64 values[nnz]
 //      ...           f64 sq_norms[sv_count]
 //      ...           f64 coefficients[sv_count]
 //
-//    Version 2 (written when the SV block is bitset-representable, DESIGN
-//    §11) appends the bitset companion after the v1 sections, so mapped
-//    stores score through the AND+popcount plane zero-copy:
-//
-//      ...           u64 bitset words_per_row (= ceil(cols / 64))
-//      ...           u64 numeric column count
-//      ...           u32 numeric_cols[count], ascending, padded to 8
-//      ...           u64 words[sv_count * words_per_row]
-//      ...           f64 numeric_values[sv_count * count]
-//
-//    Values stay f64 so mmap-viewed decisions are bit-identical to the heap
-//    models they were serialized from; compactness comes from u32 indices,
-//    the shared store-level schema, and the absence of per-model heap churn.
+//    Version 2, which held a bitset-representable block twice (CSR rows and
+//    the bitset), is refused.  Values stay f64 so mmap-viewed decisions are
+//    bit-identical to the heap models they were serialized from.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -70,12 +78,12 @@ struct ModelView {
   KernelParams kernel;
   double scalar0 = 0.0;  ///< rho (one_class) | r_squared (svdd)
   double scalar1 = 0.0;  ///< 0               | alpha_k_alpha (svdd)
-  util::CsrView support_vectors;
+  /// The SV block as a kernel operand: CSR rows only (blob v1), the bitset
+  /// only (blob v3), or both (a heap matrix via view_of).  Scoring routes
+  /// dots through the dispatched AND+popcount backend when the bitset is
+  /// set.
+  KernelMatrix support_vectors;
   std::span<const double> coefficients;  ///< aligned with SV rows
-  /// Bitset companion of the SV block (blob v2, or the heap matrix's cached
-  /// bitset via view_of); scoring routes dots through the dispatched
-  /// AND+popcount backend when set.  Absent => pure CSR scoring.
-  std::optional<util::BitsetView> sv_bitset;
 
   [[nodiscard]] std::size_t sv_count() const noexcept {
     return support_vectors.rows();
@@ -113,20 +121,25 @@ struct ModelView {
                        TransformMode tier = TransformMode::kExact) const;
 };
 
-/// Serializes a model as a binary blob appended to `out`.  Pads `out` to
-/// 8-byte alignment first; returns the offset where the blob starts (its
-/// size is out.size() - offset afterwards, also recorded in the header).
+/// Serializes a model as a binary blob appended to `out`: v3 when
+/// util::BitsetStorage::build can represent its SV rows, v1 otherwise — a
+/// property of the rows alone, so the bytes do not depend on the kernel
+/// backend.  Pads `out` to 8-byte alignment first; returns the offset where
+/// the blob starts (its size is out.size() - offset afterwards, also
+/// recorded in the header).
 std::size_t append_model_blob(std::vector<std::byte>& out,
                               const OneClassSvmModel& model);
 std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model);
 std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model);
 
-/// Validates a blob (magic, version, endianness guard, size/offset and
-/// index-bound consistency, and strictly ascending column indices in every
-/// row — FeatureMatrix's row rule, so materialize() can adopt the arrays)
-/// and returns a zero-copy view into it.  `blob`
-/// must start 8-byte aligned (mmap pages and append_model_blob both
-/// guarantee this).  Throws std::runtime_error on any malformation.
+/// Validates a blob (magic, version, endianness guard, size/offset
+/// consistency; v1: strictly ascending, in-bounds column indices in every
+/// row — FeatureMatrix's row rule, so materialize() can adopt the arrays;
+/// v3: the bitset rules of the layout above) and returns a zero-copy view
+/// into it.  `blob` must start 8-byte aligned (mmap pages and
+/// append_model_blob both guarantee this).  Throws std::runtime_error on
+/// any malformation, naming the offset within the blob of the field at
+/// fault.
 [[nodiscard]] ModelView view_model_blob(std::span<const std::byte> blob);
 
 /// Borrowed views of heap models — the bridge that lets one scoring path
@@ -137,8 +150,10 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 [[nodiscard]] ModelView view_of(const AnySvmModel& model);
 
 /// Turns a view back into a heap model whose support-vector block borrows
-/// the view's arrays (util::FeatureMatrix::borrow); only the coefficients
-/// are copied.  `owner` must keep the arrays alive and unchanged — the
+/// the view's arrays (util::FeatureMatrix::borrow): its CSR rows, or its
+/// bitset and norms alone when it carries no rows (blob v3), in which case
+/// the model decodes CSR rows only on a first CSR access.  Only the
+/// coefficients are copied.  `owner` must keep the arrays alive and unchanged — the
 /// mapping or the blob buffer the view was taken from — and the model and
 /// its copies hold it for as long as they live.
 [[nodiscard]] AnySvmModel materialize(const ModelView& view,

@@ -61,8 +61,8 @@ OneClassSvmModel OneClassSvmModel::from_solution(
   // caller used ensure_bitset) so decision-time query encodings can be
   // borrowed zero-copy across same-layout matrices.
   if (kernel_dispatch() != nullptr) {
-    if (const auto* bitset = data.bitset()) {
-      model.support_vectors_.ensure_bitset(bitset->view().numeric_cols);
+    if (const auto bitset = data.bitset()) {
+      model.support_vectors_.ensure_bitset(bitset->numeric_cols);
     }
   }
   model.bounded_fraction_ = static_cast<double>(bounded) / static_cast<double>(l);

@@ -95,7 +95,8 @@ std::span<const float> QMatrix::row(std::size_t i) {
   return cache_.get(i, [this](std::size_t r, std::span<float> out) {
     if (gram_ != nullptr) {
       gram_->row(r, row_scratch_);
-      kernel_transform(params_, data_->view(), data_->sq_norm(r), row_scratch_);
+      kernel_transform(params_, data_->sq_norms(), data_->sq_norm(r),
+                       row_scratch_);
     } else {
       const KernelMatrix matrix = kernel_matrix(*data_);
       kernel_block(params_, matrix, KernelQueries::rows(matrix, r, 1),

@@ -151,8 +151,8 @@ SvddModel SvddModel::from_solution(const util::FeatureMatrix& data,
   }
   model.support_vectors_ = svs.build(data.cols());
   if (kernel_dispatch() != nullptr) {
-    if (const auto* bitset = data.bitset()) {
-      model.support_vectors_.ensure_bitset(bitset->view().numeric_cols);
+    if (const auto bitset = data.bitset()) {
+      model.support_vectors_.ensure_bitset(bitset->numeric_cols);
     }
   }
   return model;

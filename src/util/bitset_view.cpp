@@ -104,8 +104,7 @@ std::optional<BitsetStorage> BitsetStorage::build(
   const std::size_t cols = matrix.cols;
   if (cols == 0) return std::nullopt;
   const std::size_t words_per_row = (cols + 63) / 64;
-  // Past ~16K columns the words block stops being a win for sparse rows.
-  if (words_per_row > 256) return std::nullopt;
+  if (words_per_row > kMaxWordsPerRow) return std::nullopt;
 
   // Per-column numeric marks: hinted, or auto-detected (a column is numeric
   // iff any stored value differs from exactly 1.0).
@@ -156,6 +155,41 @@ std::optional<BitsetStorage> BitsetStorage::build(
     }
   }
   return storage;
+}
+
+void DecodedRows::decode(const BitsetView& bits) {
+  indices.clear();
+  values.clear();
+  row_offsets.assign(1, 0);
+  const std::size_t numeric_count = bits.numeric_cols.size();
+  const auto add_numeric = [&](const double* numeric, std::size_t k) {
+    if (numeric[k] == 0.0) return;
+    indices.push_back(bits.numeric_cols[k]);
+    values.push_back(numeric[k]);
+  };
+  for (std::size_t r = 0; r < bits.row_count; ++r) {
+    const std::uint64_t* words = bits.row_words(r);
+    const double* numeric = bits.row_numeric(r);
+    std::size_t k = 0;  // next numeric column, merged in by column
+    for (std::size_t w = 0; w < bits.words_per_row; ++w) {
+      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+        const auto col =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(word));
+        for (; k < numeric_count && bits.numeric_cols[k] < col; ++k) {
+          add_numeric(numeric, k);
+        }
+        indices.push_back(col);
+        values.push_back(1.0);
+      }
+    }
+    for (; k < numeric_count; ++k) add_numeric(numeric, k);
+    row_offsets.push_back(indices.size());
+  }
+}
+
+CsrView DecodedRows::view(std::size_t cols,
+                          std::span<const double> sq_norms) const {
+  return CsrView{cols, indices, values, row_offsets, sq_norms};
 }
 
 void bitset_dot_rows(const BitsetView& matrix, const BitsetQuery& query,

@@ -3,10 +3,12 @@
 //
 // The paper's feature space is ~840 binary bag-of-words columns plus 3
 // numeric ones (Tab. I), so a CSR row is almost entirely "these columns are
-// exactly 1.0".  The bitset plane stores each row twice: the binary columns
-// as fixed-width 64-bit words (bit c set ⇔ row has value 1.0 at column c)
-// and the few numeric columns densely alongside.  A sparse dot then becomes
-// AND+popcount over the words plus a tiny numeric correction.
+// exactly 1.0".  The bitset plane holds each row as the binary columns in
+// fixed-width 64-bit words (bit c set ⇔ row has value 1.0 at column c) and
+// the few numeric columns densely alongside.  A sparse dot then becomes
+// AND+popcount over the words plus a tiny numeric correction.  A heap matrix
+// keeps the bitset as a companion of its CSR rows; a mapped model blob
+// stores the bitset alone, and DecodedRows rebuilds the CSR rows from it.
 //
 // Bit-exactness contract.  Every dot computed through this plane is
 // REQUIRED to be bit-identical to CsrView::dot_all (the scalar oracle),
@@ -55,7 +57,8 @@ struct CsrView;
 
 /// Non-owning view of a bitset block: `row_count * words_per_row` words plus
 /// `row_count * numeric_cols.size()` dense numeric values.  Valid over a
-/// BitsetStorage or over memory-mapped model blobs (svm/model_io v2).
+/// BitsetStorage or over memory-mapped model blobs (svm/model_io v3), where
+/// the bitset is the only stored form of the rows.
 struct BitsetView {
   std::size_t cols = 0;
   std::size_t row_count = 0;
@@ -85,6 +88,27 @@ struct BitsetView {
                       numeric_values.subspan(begin * numeric_cols.size(),
                                              count * numeric_cols.size())};
   }
+};
+
+/// CSR rows decoded from a bitset block: the one decoder behind every CSR
+/// read of a bitset-stored matrix (the csr backend, queries that do not
+/// conform to the layout, FeatureMatrix's CSR accessors).  A row's entries
+/// are 1.0 at each set bit and each nonzero numeric value at its column, in
+/// ascending column order — exactly the CSR row the block was built from
+/// (BitsetStorage::build), since CSR rows hold no explicit zeros.  The
+/// order needs no bit at a numeric column; view_model_blob refuses one.
+/// Reusable scratch: decode() keeps capacity across calls.
+struct DecodedRows {
+  std::vector<std::uint32_t> indices;
+  std::vector<double> values;
+  std::vector<std::size_t> row_offsets;
+
+  /// Replaces the contents with every row of `bits`.
+  void decode(const BitsetView& bits);
+  /// The decoded rows as CSR over `cols` columns, with the block's cached
+  /// squared norms (one per row).  Valid until the next decode().
+  [[nodiscard]] CsrView view(std::size_t cols,
+                             std::span<const double> sq_norms) const;
 };
 
 /// A query encoded against a specific layout: words + dense numeric values
@@ -137,14 +161,17 @@ class BitsetStorage {
   /// More numeric columns than this and the dense side defeats the point;
   /// build() refuses and the matrix stays CSR-only.
   static constexpr std::size_t kMaxNumericColumns = 16;
+  /// Past this many words per row (~16K columns) the words block stops
+  /// being a win for sparse rows; build() refuses.
+  static constexpr std::size_t kMaxWordsPerRow = 256;
 
   /// Builds the dual representation of `matrix`.  With an empty
   /// `numeric_cols` hint the numeric set is auto-detected (a column is
   /// numeric iff any stored value != 1.0); a non-empty hint fixes the set
   /// (ascending, schema-derived) and rows must conform to it.  Returns
-  /// nullopt when the matrix is not representable: cols == 0, too many
-  /// numeric columns, non-finite numeric values, or (hinted) a non-1.0
-  /// value at a binary column.
+  /// nullopt when the matrix is not representable: cols == 0, more than
+  /// kMaxWordsPerRow words per row, too many numeric columns, non-finite
+  /// numeric values, or (hinted) a non-1.0 value at a binary column.
   [[nodiscard]] static std::optional<BitsetStorage> build(
       const CsrView& matrix, std::span<const std::uint32_t> numeric_cols = {});
 

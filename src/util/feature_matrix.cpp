@@ -42,68 +42,141 @@ FeatureMatrix FeatureMatrix::from_rows(std::span<const SparseVector> rows,
 FeatureMatrix FeatureMatrix::borrow(CsrView view,
                                     std::shared_ptr<const void> owner) {
   FeatureMatrix matrix;
-  if (!view.row_offsets.empty()) matrix.view_ = view;
+  if (!view.row_offsets.empty()) {
+    matrix.cols_ = view.cols;
+    matrix.sq_norms_ = view.sq_norms;
+    matrix.rows_ = CsrRows{view.indices.data(), view.values.data(),
+                           view.row_offsets.data(), view.nnz()};
+  }
+  matrix.storage_ = std::move(owner);
+  return matrix;
+}
+
+FeatureMatrix FeatureMatrix::borrow(const BitsetView& bits,
+                                    std::span<const double> sq_norms,
+                                    std::shared_ptr<const void> owner) {
+  if (sq_norms.size() != bits.row_count) {
+    throw std::invalid_argument{"FeatureMatrix::borrow: " +
+                                std::to_string(sq_norms.size()) +
+                                " norms for " + std::to_string(bits.row_count) +
+                                " bitset rows"};
+  }
+  if (bits.row_count == 0) return borrow(CsrView{}, std::move(owner));
+  FeatureMatrix matrix;
+  matrix.cols_ = bits.cols;
+  matrix.sq_norms_ = sq_norms;
+  matrix.rows_ = StoredBitset{bits.words.data(), bits.numeric_cols.data(),
+                              bits.numeric_values.data(),
+                              bits.numeric_cols.size()};
   matrix.storage_ = std::move(owner);
   return matrix;
 }
 
 FeatureMatrix::FeatureMatrix(const FeatureMatrix& other)
-    : view_{other.view_}, storage_{other.storage_} {
-  const std::scoped_lock lock{other.bitset_mutex_};
-  bitset_ = other.bitset_;  // the slot is immutable once set — share it
+    : cols_{other.cols_},
+      sq_norms_{other.sq_norms_},
+      rows_{other.rows_},
+      storage_{other.storage_} {
+  const std::scoped_lock lock{other.derived_mutex_};
+  derived_ = other.derived_;  // immutable once set — share it
 }
 
 FeatureMatrix::FeatureMatrix(FeatureMatrix&& other) noexcept
-    : view_{std::exchange(other.view_, kEmptyView)},
+    : cols_{std::exchange(other.cols_, 0)},
+      sq_norms_{std::exchange(other.sq_norms_, {})},
+      rows_{std::exchange(other.rows_, kNoRows)},
       storage_{std::move(other.storage_)},
-      bitset_{std::move(other.bitset_)} {}
+      derived_{std::move(other.derived_)} {}
 
 FeatureMatrix& FeatureMatrix::operator=(const FeatureMatrix& other) {
   if (this == &other) return *this;
-  view_ = other.view_;
+  cols_ = other.cols_;
+  sq_norms_ = other.sq_norms_;
+  rows_ = other.rows_;
   storage_ = other.storage_;
-  std::shared_ptr<const BitsetSlot> shared;
+  std::shared_ptr<const Derived> shared;
   {
-    const std::scoped_lock lock{other.bitset_mutex_};
-    shared = other.bitset_;
+    const std::scoped_lock lock{other.derived_mutex_};
+    shared = other.derived_;
   }
-  const std::scoped_lock lock{bitset_mutex_};
-  bitset_ = std::move(shared);
+  const std::scoped_lock lock{derived_mutex_};
+  derived_ = std::move(shared);
   return *this;
 }
 
 FeatureMatrix& FeatureMatrix::operator=(FeatureMatrix&& other) noexcept {
   if (this == &other) return *this;
-  view_ = std::exchange(other.view_, kEmptyView);
+  cols_ = std::exchange(other.cols_, 0);
+  sq_norms_ = std::exchange(other.sq_norms_, {});
+  rows_ = std::exchange(other.rows_, kNoRows);
   storage_ = std::move(other.storage_);
-  bitset_ = std::move(other.bitset_);
+  derived_ = std::move(other.derived_);
   return *this;
 }
 
 bool operator==(const FeatureMatrix& a, const FeatureMatrix& b) {
-  const CsrView& x = a.view_;
-  const CsrView& y = b.view_;
+  const CsrView x = a.csr();
+  const CsrView y = b.csr();
   return x.cols == y.cols && std::ranges::equal(x.indices, y.indices) &&
          std::ranges::equal(x.values, y.values) &&
          std::ranges::equal(x.row_offsets, y.row_offsets) &&
          std::ranges::equal(x.sq_norms, y.sq_norms);
 }
 
-const BitsetStorage* FeatureMatrix::bitset() const {
-  const std::scoped_lock lock{bitset_mutex_};
-  if (!bitset_) {
-    auto slot = std::make_shared<BitsetSlot>();
-    slot->storage = BitsetStorage::build(view());
-    bitset_ = std::move(slot);
-  }
-  return bitset_->storage ? &*bitset_->storage : nullptr;
+template <class Make>
+std::shared_ptr<const FeatureMatrix::Derived> FeatureMatrix::derive(
+    Make&& make) const {
+  const std::scoped_lock lock{derived_mutex_};
+  if (!derived_) derived_ = make();
+  return derived_;
+}
+
+BitsetView FeatureMatrix::stored_bitset() const noexcept {
+  const StoredBitset& stored = *std::get_if<StoredBitset>(&rows_);
+  const std::size_t n = rows();
+  const std::size_t words_per_row = (cols_ + 63) / 64;
+  return BitsetView{cols_,
+                    n,
+                    words_per_row,
+                    {stored.words, n * words_per_row},
+                    {stored.numeric_cols, stored.numeric_count},
+                    {stored.numeric_values, n * stored.numeric_count}};
+}
+
+const CsrView& FeatureMatrix::decoded_csr() const {
+  // derived_ holds the state for the matrix's lifetime, so the reference
+  // outlives the local handle.
+  return derive([this] {
+           auto state = std::make_shared<Derived>();
+           state->decoded.decode(stored_bitset());
+           state->decoded_view = state->decoded.view(cols_, sq_norms_);
+           return std::shared_ptr<const Derived>{std::move(state)};
+         })
+      ->decoded_view;
+}
+
+std::optional<BitsetView> FeatureMatrix::bitset() const {
+  if (bitset_stored()) return stored_bitset();
+  const std::shared_ptr<const Derived> state = derive([this] {
+    auto built = std::make_shared<Derived>();
+    built->bitset = BitsetStorage::build(csr());
+    return std::shared_ptr<const Derived>{std::move(built)};
+  });
+  if (!state->bitset) return std::nullopt;
+  return state->bitset->view();
 }
 
 void FeatureMatrix::ensure_bitset(std::span<const std::uint32_t> numeric_cols) {
-  auto slot = std::make_shared<BitsetSlot>();
-  slot->storage = BitsetStorage::build(view(), numeric_cols);
-  const std::scoped_lock lock{bitset_mutex_};
-  bitset_ = std::move(slot);
+  if (bitset_stored()) {
+    if (std::ranges::equal(stored_bitset().numeric_cols, numeric_cols)) return;
+    FeatureMatrixBuilder owned;
+    for (std::size_t r = 0; r < rows(); ++r) owned.add_row(*this, r);
+    *this = owned.build(cols());
+  }
+  auto built = std::make_shared<Derived>();
+  built->bitset = BitsetStorage::build(csr(), numeric_cols);
+  const std::scoped_lock lock{derived_mutex_};
+  derived_ = std::move(built);
 }
 
 SparseVector FeatureMatrix::row_vector(std::size_t i) const {

@@ -10,19 +10,24 @@
 // explicit zeros), which makes row-wise dot products bit-identical to
 // SparseVector::dot's merge join.
 //
-// Storage is owned or borrowed, behind one CsrView either way.  An owned
-// matrix (FeatureMatrixBuilder, from_rows) keeps its arrays in a heap block;
-// a borrowed one (FeatureMatrix::borrow) reads arrays that live elsewhere —
-// a memory-mapped profile store — and holds a handle that keeps them
-// alive.  The arrays never change after construction, so copies share the
-// storage instead of duplicating it.
+// Storage is owned or borrowed.  An owned matrix (FeatureMatrixBuilder,
+// from_rows) keeps its CSR arrays in a heap block; a borrowed one
+// (FeatureMatrix::borrow) reads arrays that live elsewhere — a
+// memory-mapped profile store — and holds a handle that keeps them alive.
+// A borrowed matrix may be stored as a bitset block only (a v3 model
+// blob's support vectors, DESIGN §10): rows(), cols(), sq_norms() and
+// bitset() read the block directly, and the CSR accessors decode the rows
+// once, on first use.  The arrays never change after construction, so
+// copies share the storage instead of duplicating it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "util/bitset_view.h"
@@ -91,26 +96,35 @@ class FeatureMatrix {
   /// `owner` alive.
   [[nodiscard]] static FeatureMatrix borrow(CsrView view,
                                             std::shared_ptr<const void> owner);
+  /// A matrix stored as the bitset block `bits` alone, with `sq_norms` (one
+  /// per row) cached alongside — both borrowed like borrow(CsrView) does.
+  /// The caller guarantees the block is well formed: no bit at or past
+  /// `bits.cols` or at a numeric column, finite numeric values
+  /// (svm::view_model_blob checks all of it).
+  [[nodiscard]] static FeatureMatrix borrow(const BitsetView& bits,
+                                            std::span<const double> sq_norms,
+                                            std::shared_ptr<const void> owner);
 
-  [[nodiscard]] std::size_t rows() const noexcept { return view_.rows(); }
-  [[nodiscard]] std::size_t cols() const noexcept { return view_.cols; }
-  [[nodiscard]] std::size_t nnz() const noexcept { return view_.nnz(); }
+  [[nodiscard]] std::size_t rows() const noexcept { return sq_norms_.size(); }
+  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+  [[nodiscard]] std::size_t nnz() const { return csr().nnz(); }
   [[nodiscard]] bool empty() const noexcept { return rows() == 0; }
 
-  [[nodiscard]] std::span<const std::uint32_t> row_indices(std::size_t i) const noexcept {
-    return view_.row_indices(i);
+  [[nodiscard]] std::span<const std::uint32_t> row_indices(std::size_t i) const {
+    return csr().row_indices(i);
   }
-  [[nodiscard]] std::span<const double> row_values(std::size_t i) const noexcept {
-    return view_.row_values(i);
+  [[nodiscard]] std::span<const double> row_values(std::size_t i) const {
+    return csr().row_values(i);
   }
-  [[nodiscard]] std::size_t row_nnz(std::size_t i) const noexcept {
-    return view_.row_offsets[i + 1] - view_.row_offsets[i];
+  [[nodiscard]] std::size_t row_nnz(std::size_t i) const {
+    const CsrView rows_view = csr();
+    return rows_view.row_offsets[i + 1] - rows_view.row_offsets[i];
   }
 
   /// Cached ||row_i||^2.
-  [[nodiscard]] double sq_norm(std::size_t i) const noexcept { return view_.sq_norm(i); }
+  [[nodiscard]] double sq_norm(std::size_t i) const noexcept { return sq_norms_[i]; }
   [[nodiscard]] std::span<const double> sq_norms() const noexcept {
-    return view_.sq_norms;
+    return sq_norms_;
   }
 
   /// Materializes row i as a SparseVector (persistence, tests).
@@ -128,44 +142,54 @@ class FeatureMatrix {
   /// the zero products of unmatched indices cannot change an IEEE sum).
   /// Query indices beyond cols() cannot match any row and are skipped.
   void dot_all(const SparseVector& query, std::span<double> out) const {
-    view_.dot_all(query, out);
+    csr().dot_all(query, out);
   }
   void dot_all(std::span<const std::uint32_t> query_indices,
                std::span<const double> query_values, std::span<double> out) const {
-    view_.dot_all(query_indices, query_values, out);
+    csr().dot_all(query_indices, query_values, out);
   }
   /// Row `i` of this matrix as the query.
   void dot_all(std::size_t i, std::span<double> out) const {
     dot_all(row_indices(i), row_values(i), out);
   }
 
-  /// Non-owning view of this matrix's storage (valid while the matrix, or
-  /// any copy of it, is).
-  [[nodiscard]] CsrView view() const noexcept { return view_; }
+  /// Non-owning CSR view of this matrix's rows (valid while the matrix, or
+  /// any copy of it, is).  A bitset-stored matrix decodes them here on the
+  /// first call.
+  [[nodiscard]] CsrView view() const { return csr(); }
 
-  /// Bitset companion of the CSR rows (DESIGN §11), built lazily on first
-  /// use with an auto-detected layout and cached for the matrix's lifetime.
-  /// Returns nullptr when the matrix is not representable (see
+  /// True for a matrix stored as a bitset block only
+  /// (borrow(BitsetView, ...)), whose CSR rows are decoded on demand.
+  [[nodiscard]] bool bitset_stored() const noexcept {
+    return std::holds_alternative<StoredBitset>(rows_);
+  }
+
+  /// The rows as a bitset block (DESIGN §11): the stored block of a
+  /// bitset-stored matrix; otherwise a companion built from the CSR rows on
+  /// first use, with an auto-detected layout, and cached for the matrix's
+  /// lifetime.  nullopt when the rows are not representable (see
   /// BitsetStorage::build) — consumers then stay on the CSR path.
-  /// Thread-safe; the pointer stays valid while the matrix is alive.
-  [[nodiscard]] const BitsetStorage* bitset() const;
+  /// Thread-safe; the view stays valid while the matrix is alive.
+  [[nodiscard]] std::optional<BitsetView> bitset() const;
 
   /// Builds (or rebuilds) the bitset with an explicit numeric-column layout
   /// — e.g. schema-derived, so matrices across users share one layout and
   /// encoded queries can be reused.  Call before sharing the matrix across
-  /// scoring threads; a later bitset() returns this layout.
+  /// scoring threads; a later bitset() returns this layout.  A
+  /// bitset-stored matrix whose layout differs becomes an owned CSR matrix
+  /// first.
   void ensure_bitset(std::span<const std::uint32_t> numeric_cols);
 
-  /// Copies share the CSR storage and the bitset slot; moves leave the
-  /// source an empty matrix.
+  /// Copies share the storage and the derived state; moves leave the source
+  /// an empty matrix.
   FeatureMatrix(const FeatureMatrix& other);
   FeatureMatrix(FeatureMatrix&& other) noexcept;
   FeatureMatrix& operator=(const FeatureMatrix& other);
   FeatureMatrix& operator=(FeatureMatrix&& other) noexcept;
   ~FeatureMatrix() = default;
 
-  /// Equality is over the CSR contents only, whoever owns them (the bitset
-  /// is derived state).
+  /// Equality is over the CSR contents only, whoever owns them and however
+  /// they are stored.
   friend bool operator==(const FeatureMatrix& a, const FeatureMatrix& b);
 
  private:
@@ -180,18 +204,61 @@ class FeatureMatrix {
   };
 
   static constexpr std::size_t kZeroOffset[1] = {0};
-  static constexpr CsrView kEmptyView{0, {}, {}, kZeroOffset, {}};
 
-  CsrView view_ = kEmptyView;
-  std::shared_ptr<const void> storage_;  ///< keeps view_'s arrays alive
-
-  struct BitsetSlot {
-    std::optional<BitsetStorage> storage;
+  /// The CSR row arrays of a CSR-stored matrix (owned or borrowed);
+  /// `row_offsets` holds rows() + 1 entries.
+  struct CsrRows {
+    const std::uint32_t* indices;
+    const double* values;
+    const std::size_t* row_offsets;
+    std::size_t nnz;
   };
-  /// Set-once cache guarded by bitset_mutex_ (copies share the immutable
-  /// slot; the mutex itself is never copied).
-  mutable std::mutex bitset_mutex_;
-  mutable std::shared_ptr<const BitsetSlot> bitset_;
+  static constexpr CsrRows kNoRows{nullptr, nullptr, kZeroOffset, 0};
+
+  /// The block of a bitset-stored matrix, less the geometry the matrix
+  /// holds anyway (cols, and the row count as sq_norms' length): a
+  /// materialized store keeps one matrix per profile, so it stays small.
+  struct StoredBitset {
+    const std::uint64_t* words;
+    const std::uint32_t* numeric_cols;
+    const double* numeric_values;
+    std::size_t numeric_count;
+  };
+
+  /// State derived on first use and then shared, immutable, by copies: the
+  /// bitset built from the CSR rows of a CSR-stored matrix, or the CSR rows
+  /// decoded from the block of a bitset-stored one.
+  struct Derived {
+    std::optional<BitsetStorage> bitset;
+    DecodedRows decoded;
+    CsrView decoded_view;
+  };
+
+  /// The CSR rows; a bitset-stored matrix decodes them on first use.
+  [[nodiscard]] CsrView csr() const {
+    if (const CsrRows* r = std::get_if<CsrRows>(&rows_)) {
+      return CsrView{cols_,
+                     {r->indices, r->nnz},
+                     {r->values, r->nnz},
+                     {r->row_offsets, rows() + 1},
+                     sq_norms_};
+    }
+    return decoded_csr();
+  }
+  [[nodiscard]] const CsrView& decoded_csr() const;
+  [[nodiscard]] BitsetView stored_bitset() const noexcept;
+  /// derived_, set to `make()` first if empty.
+  template <class Make>
+  [[nodiscard]] std::shared_ptr<const Derived> derive(Make&& make) const;
+
+  std::size_t cols_ = 0;
+  std::span<const double> sq_norms_;  ///< one per row
+  std::variant<CsrRows, StoredBitset> rows_{kNoRows};
+  std::shared_ptr<const void> storage_;  ///< keeps the borrowed arrays alive
+  /// Set-once slot guarded by derived_mutex_ (copies share the immutable
+  /// state; the mutex itself is never copied).
+  mutable std::mutex derived_mutex_;
+  mutable std::shared_ptr<const Derived> derived_;
 };
 
 /// Incremental CSR builder for producers that stream (index, value) entries

@@ -12,12 +12,19 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "core/profiler.h"
+#include "core/test_trace.h"
 #include "index/store_format.h"
+#include "svm/kernel.h"
 #include "synthetic/scale.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace wtp::index {
 namespace {
@@ -130,19 +137,119 @@ TEST(MappedStore, MaterializedProfileBorrowsMapping) {
   // The first user's name opens the string pool, which lies in the mapping;
   // every blob sits between the header and the pool.
   const auto* pool = reinterpret_cast<const std::byte*>(store.user_id(0).data());
+  const auto in_mapping = [&](const void* p) {
+    const auto* byte = static_cast<const std::byte*>(p);
+    return byte < pool && byte + store.mapped_bytes() > pool;
+  };
   for (std::size_t u = 0; u < store.size(); ++u) {
     const core::UserProfile profile = store.materialize_profile(u);
-    const util::CsrView svs =
-        std::get<svm::OneClassSvmModel>(profile.model()).support_vectors().view();
-    const util::CsrView mapped = store.model(u).support_vectors;
-    EXPECT_EQ(svs.values.data(), mapped.values.data());
-    EXPECT_EQ(svs.indices.data(), mapped.indices.data());
-    EXPECT_EQ(svs.row_offsets.data(), mapped.row_offsets.data());
-    EXPECT_EQ(svs.sq_norms.data(), mapped.sq_norms.data());
-    const auto* values = reinterpret_cast<const std::byte*>(svs.values.data());
-    EXPECT_LT(values, pool);
-    EXPECT_GT(values + store.mapped_bytes(), pool);
+    const util::FeatureMatrix& svs =
+        std::get<svm::OneClassSvmModel>(profile.model()).support_vectors();
+    const svm::KernelMatrix mapped = store.model(u).support_vectors;
+    ASSERT_TRUE(mapped.bitset) << "population blobs are bitset-stored (v3)";
+    ASSERT_TRUE(svs.bitset_stored());
+    // The kernel operand scores the mapped words and norms in place; with
+    // the bitset plane off it carries the decoded rows instead.
+    const svm::KernelMatrix operand = svm::kernel_matrix(svs);
+    if (svm::kernel_dispatch() != nullptr) {
+      ASSERT_TRUE(operand.bitset);
+      EXPECT_FALSE(operand.has_rows());
+      EXPECT_EQ(operand.bitset->words.data(), mapped.bitset->words.data());
+      EXPECT_EQ(operand.bitset->numeric_values.data(),
+                mapped.bitset->numeric_values.data());
+      EXPECT_TRUE(in_mapping(operand.bitset->words.data()));
+    }
+    EXPECT_EQ(operand.csr.sq_norms.data(), mapped.csr.sq_norms.data());
+    EXPECT_TRUE(in_mapping(operand.csr.sq_norms.data()));
+    EXPECT_EQ(svs.bitset()->words.data(), mapped.bitset->words.data());
   }
+}
+
+/// Materializing a store and scoring every profile adds the coefficients
+/// to the heap, and per profile only the profile object and allocator
+/// bookkeeping: no copy of the support vectors, as CSR rows or as a bitset.
+TEST(MappedStore, MaterializingAndScoringGrowsHeapByCoefficientsOnly) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "heap accounting reads glibc's mallinfo2";
+#else
+  // A bitset backend: with the plane off (csr), scoring decodes CSR rows
+  // by design.
+  struct BackendGuard {
+    ~BackendGuard() { svm::set_kernel_backend_for_testing(""); }
+  } guard;
+  svm::set_kernel_backend_for_testing("scalar");
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const auto population = small_population(32);
+  const std::string path = write_population(population, "heap.wtpstore");
+  const MappedProfileStore store = MappedProfileStore::open(path);
+  const util::SparseVector x = population.sample_window(0, 0xfeed);
+  // Warms the per-thread scoring scratch, which is not per profile.
+  (void)store.materialize_profile(0).decision_value(x);
+
+  const std::size_t before = heap_bytes();
+  std::vector<core::UserProfile> profiles;
+  profiles.reserve(store.size());
+  for (std::size_t u = 0; u < store.size(); ++u) {
+    profiles.push_back(store.materialize_profile(u));
+  }
+  for (const auto& profile : profiles) (void)profile.decision_value(x);
+  const std::size_t after = heap_bytes();
+  const std::size_t grown = after > before ? after - before : 0;
+
+  std::size_t coefficient_bytes = 0;
+  std::size_t word_bytes = 0;
+  for (const auto& profile : profiles) {
+    const auto& model = std::get<svm::OneClassSvmModel>(profile.model());
+    coefficient_bytes += model.coefficients().size() * sizeof(double);
+    word_bytes += model.support_vectors().bitset()->words.size_bytes();
+  }
+  // Slack per profile for its user id and the allocator's chunk headers —
+  // far below one SV block's words.
+  const std::size_t slack = 128;
+  ASSERT_GT(word_bytes, store.size() * slack);
+  EXPECT_LE(grown, store.size() * (sizeof(core::UserProfile) + slack) +
+                       coefficient_bytes)
+      << "coefficients " << coefficient_bytes << " B, SV words " << word_bytes
+      << " B";
+#endif
+}
+
+/// A store's bytes are a function of its profiles alone: trained and
+/// written with the bitset plane off (csr) and on (the default backend),
+/// the file is the same byte for byte.
+TEST(MappedStore, BytesIndependentOfKernelBackend) {
+  struct BackendGuard {
+    ~BackendGuard() { svm::set_kernel_backend_for_testing(""); }
+  } guard;
+  const core::ProfilingDataset& dataset = core::testing::tiny_dataset();
+  const features::WindowConfig window{60, 30};
+  const std::size_t dimension = dataset.schema().dimension();
+  const auto write = [&](std::string_view backend, const std::string& name) {
+    svm::set_kernel_backend_for_testing(backend);
+    std::vector<core::UserProfile> profiles;
+    const core::ProfileParams oc{core::ClassifierType::kOcSvm,
+                                 {svm::KernelType::kRbf, 0.05, 0.0, 3}, 0.3};
+    const core::ProfileParams svdd{core::ClassifierType::kSvdd,
+                                   {svm::KernelType::kPolynomial, 0.125, 1.0, 3},
+                                   0.5};
+    for (std::size_t u = 0; u < 3; ++u) {
+      const auto& user = dataset.user_ids()[u];
+      profiles.push_back(core::UserProfile::train(
+          user, *dataset.train_matrix(user, window), dimension,
+          u % 2 == 0 ? oc : svdd));
+    }
+    const std::string path = ::testing::TempDir() + "/" + name;
+    write_mapped_store(
+        core::ProfileStore{window, dataset.schema(), std::move(profiles)}, path);
+    return read_bytes(path);
+  };
+  const std::vector<char> csr = write("csr", "backend_csr.wtpstore");
+  const std::vector<char> default_backend = write("", "backend_default.wtpstore");
+  ASSERT_FALSE(csr.empty());
+  EXPECT_TRUE(csr == default_backend) << "store bytes depend on the backend";
 }
 
 TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {

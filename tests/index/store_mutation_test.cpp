@@ -1,21 +1,23 @@
 // Deterministic mutation sweep of the profile-store reader.  A small store
-// mixing OC-SVM and SVDD profiles is mutated three ways: truncated at every
-// 8-byte boundary; each integer field of the store header, the first user
-// record and the first model-blob header set to 0, 1, all ones and its
-// value plus a high bit, in the store as written and in one whose first
-// blob body reads back as zeros; and a fixed budget of util::Rng-seeded
-// bit flips.
+// mixing OC-SVM and SVDD profiles, one model blob of each layout (v1 CSR
+// rows, v3 bitset rows), is mutated three ways: truncated at every 8-byte
+// boundary; each integer field of the store header, the first user record
+// and both model blobs' headers (plus the v3 blob's numeric columns) set to
+// 0, 1, all ones and its value plus a high bit, in the store as written and
+// in one whose blob bodies read back as zeros; and a fixed budget of
+// util::Rng-seeded bit flips.
 // The property, for every mutant: read_mapped_store either returns a store
 // whose every profile scores one fixed window, or throws a
-// std::runtime_error naming the file; and the first user's blob, copied
-// into a heap buffer of exactly its size, is either viewed by
-// svm::view_model_blob or refused with a std::runtime_error.  Nothing
-// crashes; the sanitized build runs the sweep under ASan/UBSan, which
-// bounds the heap copy (a read past a blob inside the mapping lands on the
-// store's next section, where no sanitizer sees it).
+// std::runtime_error naming the file and a file offset; and each user's
+// blob, copied into a heap buffer of exactly its size, is either viewed by
+// svm::view_model_blob or refused with a std::runtime_error naming a blob
+// offset.  Nothing crashes; the sanitized build runs the sweep under
+// ASan/UBSan, which bounds the heap copies (a read past a blob inside the
+// mapping lands on the store's next section, where no sanitizer sees it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -49,18 +51,22 @@ std::string test_path(const std::string& suffix) {
          suffix;
 }
 
+struct Blob {
+  std::size_t off = 0;  ///< as written
+  std::size_t size = 0;
+};
+
 struct Corpus {
   std::vector<char> bytes;
-  std::size_t blob_off = 0;  ///< the first user's blob, as written
-  std::size_t blob_size = 0;
+  Blob csr_blob;     ///< the first user's: v1
+  Blob bitset_blob;  ///< the second user's: v3
   util::SparseVector window;  ///< the window every loaded profile scores
 };
 
 /// Two small profiles, so the store can be swept exhaustively: an OC-SVM
-/// (RBF) over rows with more than 16 non-binary columns, whose blob is v1
-/// on every kernel backend, then an SVDD (polynomial) over a user's
-/// windows, whose blob carries the bitset companion (v2) unless the plane
-/// is off.
+/// (RBF) over rows with more than 16 non-binary columns, whose blob holds
+/// CSR rows (v1), then an SVDD (polynomial) over a user's windows, whose
+/// blob holds bitset rows (v3).
 const Corpus& corpus() {
   static const Corpus built = [] {
     const core::ProfilingDataset& dataset = core::testing::tiny_dataset();
@@ -93,10 +99,15 @@ const Corpus& corpus() {
                         std::istreambuf_iterator<char>{});
     StoreHeader header;
     std::memcpy(&header, corpus.bytes.data(), sizeof header);
-    UserRecord record;
-    std::memcpy(&record, corpus.bytes.data() + header.table_off, sizeof record);
-    corpus.blob_off = record.blob_off;
-    corpus.blob_size = record.blob_size;
+    UserRecord records[2];
+    std::memcpy(records, corpus.bytes.data() + header.table_off, sizeof records);
+    corpus.csr_blob = {records[0].blob_off, records[0].blob_size};
+    corpus.bitset_blob = {records[1].blob_off, records[1].blob_size};
+    std::uint32_t versions[2];
+    std::memcpy(&versions[0], corpus.bytes.data() + corpus.csr_blob.off + 8, 4);
+    std::memcpy(&versions[1], corpus.bytes.data() + corpus.bitset_blob.off + 8, 4);
+    EXPECT_EQ(versions[0], 1u);
+    EXPECT_EQ(versions[1], 3u);
     corpus.window =
         dataset.test_windows(dataset.user_ids().front(), kWindow).front();
     return corpus;
@@ -106,16 +117,28 @@ const Corpus& corpus() {
 
 std::string mutant_path() { return test_path("_mutant.wtpstore"); }
 
+/// Whether `message` names a byte offset (`"<kind> offset <n>"`).
+bool names_offset(const std::string& message, const std::string& kind) {
+  const std::size_t at = message.find(kind + " offset ");
+  return at != std::string::npos &&
+         std::isdigit(static_cast<unsigned char>(
+             message[at + kind.size() + std::strlen(" offset ")]));
+}
+
 ::testing::AssertionResult survives(std::span<const char> bytes,
                                     const std::string& mutant) {
   const Corpus& c = corpus();
-  if (c.blob_off + c.blob_size <= bytes.size()) {
-    std::vector<std::byte> blob(c.blob_size);
-    std::memcpy(blob.data(), bytes.data() + c.blob_off, c.blob_size);
+  for (const Blob& b : {c.csr_blob, c.bitset_blob}) {
+    if (b.off + b.size > bytes.size()) continue;
+    std::vector<std::byte> blob(b.size);
+    std::memcpy(blob.data(), bytes.data() + b.off, b.size);
     try {
       (void)svm::view_model_blob(blob);
-    } catch (const std::runtime_error&) {
-      // refused: fine
+    } catch (const std::runtime_error& e) {
+      if (!names_offset(e.what(), "blob")) {
+        return ::testing::AssertionFailure()
+               << mutant << ": blob refusal names no offset: " << e.what();
+      }
     } catch (const std::exception& e) {
       return ::testing::AssertionFailure()
              << mutant << ": blob not refused with a std::runtime_error: "
@@ -134,11 +157,15 @@ std::string mutant_path() { return test_path("_mutant.wtpstore"); }
     }
     return ::testing::AssertionSuccess();
   } catch (const std::runtime_error& e) {
-    if (std::string{e.what()}.find(path) != std::string::npos) {
-      return ::testing::AssertionSuccess();
+    if (std::string{e.what()}.find(path) == std::string::npos) {
+      return ::testing::AssertionFailure()
+             << mutant << ": error does not name the file: " << e.what();
     }
-    return ::testing::AssertionFailure()
-           << mutant << ": error does not name the file: " << e.what();
+    if (!names_offset(e.what(), "file")) {
+      return ::testing::AssertionFailure()
+             << mutant << ": error names no file offset: " << e.what();
+    }
+    return ::testing::AssertionSuccess();
   } catch (const std::exception& e) {
     return ::testing::AssertionFailure()
            << mutant << ": not a std::runtime_error: " << e.what();
@@ -146,19 +173,33 @@ std::string mutant_path() { return test_path("_mutant.wtpstore"); }
 }
 
 struct Field {
-  const char* name;
+  std::string name;
   std::size_t offset;  ///< absolute, in the corpus file
   std::size_t width;   ///< 4 or 8 bytes
 };
 
-/// Integer fields of the store header, of the first UserRecord and of the
-/// first model blob's header (svm/model_io.h layout).
+/// Integer fields of one model blob's header (svm/model_io.h layout).
+void add_blob_fields(std::vector<Field>& fields, const char* prefix,
+                     std::size_t blob) {
+  const std::pair<const char*, std::pair<std::size_t, std::size_t>> header[] = {
+      {"version", {8, 4}},    {"endian", {12, 4}},     {"model_type", {16, 4}},
+      {"kernel_type", {20, 4}}, {"degree", {40, 4}},   {"value_format", {44, 4}},
+      {"sv_count", {64, 8}},  {"nnz", {72, 8}},        {"cols", {80, 8}},
+      {"blob_size", {88, 8}},
+  };
+  for (const auto& [name, at] : header) {
+    fields.push_back({std::string{prefix} + name, blob + at.first, at.second});
+  }
+}
+
+/// Integer fields of the store header, of the first UserRecord, of both
+/// model blobs' headers, and of the v3 blob's bitset sections: its numeric
+/// column count and first two numeric columns.
 std::vector<Field> integer_fields(const Corpus& c) {
   StoreHeader header;
   std::memcpy(&header, c.bytes.data(), sizeof header);
   const std::size_t table = header.table_off;
-  const std::size_t blob = c.blob_off;
-  return {
+  std::vector<Field> fields{
       {"store.version", offsetof(StoreHeader, version), 4},
       {"store.endian", offsetof(StoreHeader, endian), 4},
       {"store.user_count", offsetof(StoreHeader, user_count), 8},
@@ -177,17 +218,13 @@ std::vector<Field> integer_fields(const Corpus& c) {
       {"record.classifier", table + offsetof(UserRecord, classifier), 4},
       {"record.blob_off", table + offsetof(UserRecord, blob_off), 8},
       {"record.blob_size", table + offsetof(UserRecord, blob_size), 8},
-      {"blob.version", blob + 8, 4},
-      {"blob.endian", blob + 12, 4},
-      {"blob.model_type", blob + 16, 4},
-      {"blob.kernel_type", blob + 20, 4},
-      {"blob.degree", blob + 40, 4},
-      {"blob.value_format", blob + 44, 4},
-      {"blob.sv_count", blob + 64, 8},
-      {"blob.nnz", blob + 72, 8},
-      {"blob.cols", blob + 80, 8},
-      {"blob.blob_size", blob + 88, 8},
   };
+  add_blob_fields(fields, "v1.", c.csr_blob.off);
+  add_blob_fields(fields, "v3.", c.bitset_blob.off);
+  fields.push_back({"v3.numeric_count", c.bitset_blob.off + 96, 8});
+  fields.push_back({"v3.numeric_cols[0]", c.bitset_blob.off + 104, 4});
+  fields.push_back({"v3.numeric_cols[1]", c.bitset_blob.off + 108, 4});
+  return fields;
 }
 
 TEST(StoreMutation, CorpusLoadsAndScores) {
@@ -206,13 +243,15 @@ TEST(StoreMutation, EveryEightByteTruncation) {
 
 TEST(StoreMutation, EveryIntegerFieldAtItsExtremes) {
   const Corpus& c = corpus();
-  // The first blob's body (everything after its 96-byte header) zeroed, as
+  // Both blobs' bodies (everything after their 96-byte headers) zeroed, as
   // a hole in a preallocated file reads back.  Real sections stop a wrapped
   // count's scans early (row offsets stop ascending); all-zero ones do not.
   const std::vector<char> hole = [&c] {
     std::vector<char> bytes = c.bytes;
-    std::fill(bytes.begin() + static_cast<long>(c.blob_off + 96),
-              bytes.begin() + static_cast<long>(c.blob_off + c.blob_size), 0);
+    for (const Blob& b : {c.csr_blob, c.bitset_blob}) {
+      std::fill(bytes.begin() + static_cast<long>(b.off + 96),
+                bytes.begin() + static_cast<long>(b.off + b.size), 0);
+    }
     return bytes;
   }();
   for (const auto& [base, label] :
@@ -228,7 +267,7 @@ TEST(StoreMutation, EveryIntegerFieldAtItsExtremes) {
                                           ~std::uint64_t{0}, value + high}) {
         std::vector<char> bytes = *base;
         std::memcpy(bytes.data() + field.offset, &mutated, field.width);
-        ASSERT_TRUE(survives(bytes, std::string{field.name} + " = " +
+        ASSERT_TRUE(survives(bytes, field.name + " = " +
                                         std::to_string(mutated) + label));
       }
     }

@@ -135,7 +135,7 @@ TEST(KernelDispatch, AllBackendsBitIdenticalToCsrOracle) {
                              shape.numeric_scale);
     auto matrix = util::FeatureMatrix::from_rows(rows, shape.dim);
     matrix.ensure_bitset(shape.ncols);
-    ASSERT_NE(matrix.bitset(), nullptr) << shape.name;
+    ASSERT_TRUE(matrix.bitset()) << shape.name;
 
     const KernelParams params{KernelType::kLinear, 1.0, 0.0, 3};
     std::vector<double> oracle(rows.size());
@@ -169,7 +169,7 @@ TEST(KernelDispatch, TransformedKernelsBitIdenticalAcrossBackends) {
   auto queries = make_rows(rng, 8, 843, 25, ncols, 1.0);
   auto matrix = util::FeatureMatrix::from_rows(rows, 843);
   matrix.ensure_bitset(ncols);
-  ASSERT_NE(matrix.bitset(), nullptr);
+  ASSERT_TRUE(matrix.bitset());
 
   const KernelParams kernels[] = {
       {KernelType::kLinear, 1.0, 0.0, 3},
@@ -267,10 +267,9 @@ TEST(KernelDispatch, OneQueryBlockRejectsShortOutBeforeWriting) {
 
 /// The transform tail in isolation, across sizes that exercise every lane
 /// and tile boundary: full 4/8-lane vectors, scalar/masked tails of every
-/// length, and rows crossing the 1024-element transform tile.  A raw
-/// CsrView (empty rows, only row count + sq_norms populated) drives
-/// kernel_transform directly so the dots are controlled inputs, not
-/// products of the bitset plane.
+/// length, and rows crossing the 1024-element transform tile.  Row norms
+/// alone drive kernel_transform directly so the dots are controlled inputs,
+/// not products of the bitset plane.
 TEST(KernelDispatch, TransformTailBitIdenticalOnAllBackends) {
   BackendGuard guard;
   util::Rng rng{5861};
@@ -286,23 +285,21 @@ TEST(KernelDispatch, TransformTailBitIdenticalOnAllBackends) {
   for (const std::size_t n : sizes) {
     std::vector<double> dots(n);
     std::vector<double> sq_norms(n);
-    std::vector<std::size_t> offsets(n + 1, 0);
     for (std::size_t j = 0; j < n; ++j) {
       dots[j] = (rng.uniform() - 0.3) * 30.0;
       sq_norms[j] = rng.uniform() * 40.0;
     }
-    const util::CsrView view{843, {}, {}, offsets, sq_norms};
     const double x_sqnorm = 21.5;
     std::vector<double> scalar_out(n);
     std::vector<double> backend_out(n);
     for (const auto& params : kernels) {
       set_kernel_backend_for_testing("scalar");
       std::copy(dots.begin(), dots.end(), scalar_out.begin());
-      kernel_transform(params, view, x_sqnorm, scalar_out);
+      kernel_transform(params, sq_norms, x_sqnorm, scalar_out);
       for (const auto backend : supported_kernel_backends()) {
         set_kernel_backend_for_testing(backend);
         std::copy(dots.begin(), dots.end(), backend_out.begin());
-        kernel_transform(params, view, x_sqnorm, backend_out);
+        kernel_transform(params, sq_norms, x_sqnorm, backend_out);
         for (std::size_t j = 0; j < n; ++j) {
           ASSERT_EQ(bits(scalar_out[j]), bits(backend_out[j]))
               << describe(params) << " backend=" << backend << " n=" << n
@@ -359,7 +356,7 @@ TEST(KernelDispatch, AddOnesEscalationMatchesOracle) {
   }
   auto matrix = util::FeatureMatrix::from_rows(rows, 843);
   matrix.ensure_bitset(ncols);
-  ASSERT_NE(matrix.bitset(), nullptr);
+  ASSERT_TRUE(matrix.bitset());
 
   auto queries = make_rows(rng, 12, 843, 400, ncols, 1.0);
   const KernelParams params{KernelType::kLinear, 1.0, 0.0, 3};
@@ -378,6 +375,110 @@ TEST(KernelDispatch, AddOnesEscalationMatchesOracle) {
         ASSERT_EQ(bits(oracle[r]), bits(got[r]))
             << "backend=" << backend << " row=" << r << " oracle=" << oracle[r]
             << " got=" << got[r];
+      }
+    }
+  }
+}
+
+/// The rows a bitset decodes to are the rows it was built from, on every
+/// layout of the sweep: the decoder behind every CSR read of a
+/// bitset-stored matrix (svm/model_io.h v3) loses nothing.
+TEST(KernelDispatch, DecodedRowsMatchOriginalRows) {
+  util::Rng rng{6151};
+  for (const auto& shape : shapes()) {
+    auto rows = make_rows(rng, 48, shape.dim, shape.nnz, shape.ncols,
+                          shape.numeric_scale);
+    rows.emplace_back();  // an empty row decodes to an empty row
+    const auto matrix = util::FeatureMatrix::from_rows(rows, shape.dim);
+    for (const auto& layout :
+         {std::span<const std::uint32_t>{}, std::span{shape.ncols}}) {
+      const auto storage = util::BitsetStorage::build(matrix.view(), layout);
+      ASSERT_TRUE(storage) << shape.name;
+      util::DecodedRows decoded;
+      decoded.decode(storage->view());
+      const util::CsrView got = decoded.view(matrix.cols(), matrix.sq_norms());
+      ASSERT_EQ(got.rows(), matrix.rows()) << shape.name;
+      for (std::size_t r = 0; r < matrix.rows(); ++r) {
+        ASSERT_TRUE(std::ranges::equal(got.row_indices(r), matrix.row_indices(r)))
+            << shape.name << " row=" << r;
+        const auto want = matrix.row_values(r);
+        const auto have = got.row_values(r);
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          ASSERT_EQ(bits(have[k]), bits(want[k])) << shape.name << " row=" << r;
+        }
+      }
+    }
+  }
+}
+
+/// A bitset-only matrix — no CSR rows, as a mapped v3 blob serves it —
+/// scored on every backend, and with the plane off, against the CSR oracle
+/// of the rows it was built from.  The query set includes non-conforming
+/// queries (2.0 at a binary column), so the decode fallback runs on the
+/// single-query and the blocked path alike.
+TEST(KernelDispatch, BitsetOnlyMatrixMatchesCsrOracle) {
+  BackendGuard guard;
+  util::Rng rng{7321};
+  const std::vector<std::uint32_t> ncols{6, 7, 8};
+  const auto rows = make_rows(rng, 40, 843, 25, ncols, 1.0);
+  auto query_rows = make_rows(rng, 8, 843, 25, ncols, 1.0);
+  for (std::size_t q = 0; q < query_rows.size(); q += 3) {
+    const auto original = query_rows[q].entries();
+    std::vector<util::SparseVector::Entry> entries{original.begin(),
+                                                   original.end()};
+    for (auto& entry : entries) {
+      if (entry.value == 1.0) {
+        entry.value = 2.0;  // a binary column holding 2.0: not conforming
+        break;
+      }
+    }
+    query_rows[q] = util::SparseVector{std::move(entries)};
+  }
+  const auto oracle_matrix = util::FeatureMatrix::from_rows(rows, 843);
+  const auto storage = util::BitsetStorage::build(oracle_matrix.view(), ncols);
+  ASSERT_TRUE(storage);
+  const KernelMatrix bitset_only{
+      util::CsrView{843, {}, {}, {}, oracle_matrix.sq_norms()}, storage->view()};
+  ASSERT_FALSE(bitset_only.has_rows());
+  const auto queries = util::FeatureMatrix::from_rows(query_rows, 843);
+  const std::size_t n = rows.size();
+
+  const KernelParams kernels[] = {
+      {KernelType::kLinear, 1.0, 0.0, 3},
+      {KernelType::kRbf, 1.0 / 843.0, 0.0, 3},
+  };
+  std::vector<std::string_view> backends = supported_kernel_backends();
+  backends.push_back("csr");
+  std::vector<double> oracle(query_rows.size() * n);
+  std::vector<double> block(query_rows.size() * n);
+  std::vector<double> row_out(n);
+  for (const auto& params : kernels) {
+    for (std::size_t q = 0; q < query_rows.size(); ++q) {
+      for (std::size_t r = 0; r < n; ++r) {
+        oracle[q * n + r] = kernel_eval(params, query_rows[q], rows[r],
+                                        query_rows[q].squared_norm(),
+                                        oracle_matrix.sq_norm(r));
+      }
+    }
+    for (const auto backend : backends) {
+      set_kernel_backend_for_testing(backend);
+      kernel_block(params, bitset_only,
+                   KernelQueries::rows(KernelMatrix{queries.view(), std::nullopt},
+                                       0, queries.rows()),
+                   block);
+      for (std::size_t q = 0; q < query_rows.size(); ++q) {
+        kernel_block(params, bitset_only,
+                     KernelQueries::row(query_rows[q],
+                                        query_rows[q].squared_norm()),
+                     row_out);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(bits(row_out[r]), bits(oracle[q * n + r]))
+              << describe(params) << " backend=" << backend << " q=" << q
+              << " row=" << r;
+          ASSERT_EQ(bits(block[q * n + r]), bits(oracle[q * n + r]))
+              << describe(params) << " backend=" << backend << " q=" << q
+              << " row=" << r << " (block)";
+        }
       }
     }
   }

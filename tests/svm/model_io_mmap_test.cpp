@@ -1,12 +1,15 @@
 // Binary blob plane (the mmap path): header validation, corruption
-// rejection, and the bit-identity contract — a blob-viewed model must score
-// exactly like the heap model it was serialized from, and a materialized
-// round trip must be bit-identical too.
+// rejection for both layouts (v1 CSR rows, v3 bitset rows), and the
+// bit-identity contract — a blob-viewed model must score exactly like the
+// heap model it was serialized from, and a materialized round trip must be
+// bit-identical too.
 #include "svm/model_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +53,97 @@ SvddModel make_svdd(std::uint64_t seed) {
   config.c = 0.2;
   config.kernel = {KernelType::kPolynomial, 0.3, 1.0, 4};
   return SvddModel::train(training_blob(seed), config, 7);
+}
+
+/// Rows over 20 columns of random values: more than BitsetStorage's 16
+/// numeric columns, so the blob holds CSR rows (v1).
+OneClassSvmModel make_csr_one_class(std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<util::SparseVector> points;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<double> dense(20, 0.0);
+    for (int k = 0; k < 12; ++k) dense[rng.uniform_index(20)] = rng.uniform(0.1, 0.9);
+    points.push_back(util::SparseVector::from_dense(dense));
+  }
+  OneClassSvmConfig config;
+  config.nu = 0.25;
+  config.kernel = {KernelType::kRbf, 0.3, 0.0, 3};
+  return OneClassSvmModel::train(points, config, 20);
+}
+
+/// The paper's row shape over 100 columns: numeric values at columns 2, 3
+/// and 70, exact 1.0 at a few binary columns — a v3 blob with two words per
+/// row and three numeric columns, one of them outside word 0.
+constexpr std::uint32_t kMixedNumeric[] = {2, 3, 70};
+
+std::vector<util::SparseVector> mixed_rows(std::uint64_t seed, int count) {
+  util::Rng rng{seed};
+  std::vector<util::SparseVector> points;
+  for (int i = 0; i < count; ++i) {
+    std::vector<double> dense(100, 0.0);
+    for (int k = 0; k < 6; ++k) dense[rng.uniform_index(100)] = 1.0;
+    for (const std::uint32_t col : kMixedNumeric) {
+      dense[col] = rng.uniform() < 0.8 ? rng.uniform(0.5, 3.0) : 0.0;
+    }
+    points.push_back(util::SparseVector::from_dense(dense));
+  }
+  return points;
+}
+
+OneClassSvmModel make_bitset_one_class(std::uint64_t seed) {
+  OneClassSvmConfig config;
+  config.nu = 0.3;
+  config.kernel = {KernelType::kRbf, 0.2, 0.0, 3};
+  return OneClassSvmModel::train(mixed_rows(seed, 40), config, 100);
+}
+
+/// Section offsets of a v3 blob, read back from its header.
+struct BitsetSections {
+  std::size_t sv_count;
+  std::size_t words_per_row;
+  std::size_t numeric_count;
+  std::size_t numeric_cols;
+  std::size_t words;
+  std::size_t numeric_values;
+};
+
+BitsetSections bitset_sections(const std::vector<std::byte>& blob) {
+  std::uint32_t version = 0;
+  std::uint64_t sv_count = 0;
+  std::uint64_t cols = 0;
+  std::uint64_t numeric_count = 0;
+  std::memcpy(&version, blob.data() + 8, sizeof version);
+  std::memcpy(&sv_count, blob.data() + 64, sizeof sv_count);
+  std::memcpy(&cols, blob.data() + 80, sizeof cols);
+  std::memcpy(&numeric_count, blob.data() + 96, sizeof numeric_count);
+  EXPECT_EQ(version, 3u);
+  BitsetSections s{};
+  s.sv_count = sv_count;
+  s.words_per_row = (cols + 63) / 64;
+  s.numeric_count = numeric_count;
+  s.numeric_cols = 104;
+  const std::size_t sq_norms = (104 + 4 * numeric_count + 7) / 8 * 8;
+  s.words = sq_norms + 16 * sv_count;  // past sq_norms and coefficients
+  s.numeric_values = s.words + 8 * sv_count * s.words_per_row;
+  return s;
+}
+
+template <typename Field>
+Field read_field(const std::vector<std::byte>& blob, std::size_t offset) {
+  Field value;
+  std::memcpy(&value, blob.data() + offset, sizeof value);
+  return value;
+}
+
+/// Expects `blob` refused with a message naming a blob offset.
+void expect_refused(const std::vector<std::byte>& blob, const std::string& what) {
+  try {
+    (void)view_model_blob(blob);
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("blob offset "), std::string::npos)
+        << what << ": " << e.what();
+  }
 }
 
 template <typename Field>
@@ -191,7 +285,7 @@ TEST(ModelBlob, RejectsUnknownModelAndKernelTypes) {
 
 TEST(ModelBlob, RejectsCorruptGeometry) {
   std::vector<std::byte> blob;
-  append_model_blob(blob, make_one_class(27));
+  append_model_blob(blob, make_csr_one_class(27));
   auto huge_count = blob;
   patch(huge_count, 64, std::uint64_t{1} << 40);  // sv_count
   EXPECT_THROW((void)view_model_blob(huge_count), std::runtime_error);
@@ -234,7 +328,7 @@ TEST(ModelBlob, RejectsCountsWhoseSizesWrap) {
 }
 
 TEST(ModelBlob, RejectsOutOfRangeColumnIndex) {
-  const auto model = make_one_class(28);
+  const auto model = make_csr_one_class(28);
   std::vector<std::byte> blob;
   append_model_blob(blob, model);
   // First column index lives right after row_offsets[sv_count + 1].
@@ -244,7 +338,7 @@ TEST(ModelBlob, RejectsOutOfRangeColumnIndex) {
 }
 
 TEST(ModelBlob, RejectsUnsortedRowAndNamesIt) {
-  const auto model = make_one_class(29);
+  const auto model = make_csr_one_class(29);
   const auto& svs = model.support_vectors();
   std::size_t row = 0;
   while (row < svs.rows() && svs.row_nnz(row) < 2) ++row;
@@ -271,6 +365,123 @@ TEST(ModelBlob, RejectsUnsortedRowAndNamesIt) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+/// A bitset-representable block is stored once, as its bitset: the view
+/// carries no CSR rows, its decoded rows are the model's rows, and every
+/// decision is the heap model's, on the stored blob and after a
+/// materialized round trip.
+TEST(ModelBlob, BitsetBlobStoresRowsOnce) {
+  const auto model = make_bitset_one_class(31);
+  const auto& svs = model.support_vectors();
+  auto blob = std::make_shared<std::vector<std::byte>>();
+  append_model_blob(*blob, model);
+  const BitsetSections s = bitset_sections(*blob);
+  EXPECT_EQ(s.sv_count, svs.rows());
+  EXPECT_EQ(s.words_per_row, 2u);
+  ASSERT_EQ(s.numeric_count, 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(read_field<std::uint32_t>(*blob, s.numeric_cols + 4 * k),
+              kMixedNumeric[k]);
+  }
+  EXPECT_EQ(blob->size(), s.numeric_values + 8 * s.sv_count * s.numeric_count);
+  EXPECT_EQ(read_field<std::uint64_t>(*blob, 72), 0u);  // nnz: unused in v3
+
+  const ModelView view = view_model_blob(*blob);
+  EXPECT_FALSE(view.support_vectors.has_rows());
+  ASSERT_TRUE(view.support_vectors.bitset);
+  EXPECT_EQ(view.sv_count(), svs.rows());
+  util::DecodedRows decoded;
+  decoded.decode(*view.support_vectors.bitset);
+  const util::CsrView rows = decoded.view(svs.cols(), view.support_vectors.csr.sq_norms);
+  for (std::size_t r = 0; r < svs.rows(); ++r) {
+    ASSERT_TRUE(std::ranges::equal(rows.row_indices(r), svs.row_indices(r))) << r;
+    ASSERT_TRUE(std::ranges::equal(rows.row_values(r), svs.row_values(r))) << r;
+    ASSERT_EQ(rows.sq_norm(r), svs.sq_norm(r)) << r;
+  }
+
+  const AnySvmModel round_trip = materialize(view, blob);
+  const auto& typed = std::get<OneClassSvmModel>(round_trip);
+  EXPECT_TRUE(typed.support_vectors().bitset_stored());
+  for (const auto& x : mixed_rows(32, 30)) {
+    const double expected = model.decision_value(x);
+    ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
+              expected);
+    ASSERT_EQ(typed.decision_value(x), expected);
+  }
+  EXPECT_EQ(typed.support_vectors(), svs);  // decodes: the rows round-trip
+}
+
+TEST(ModelBlob, RejectsVersion2) {
+  std::vector<std::byte> blob;
+  append_model_blob(blob, make_bitset_one_class(33));
+  patch(blob, 8, std::uint32_t{2});
+  try {
+    (void)view_model_blob(blob);
+    FAIL() << "version 2 blob accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("version 2"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ModelBlob, RejectsSetBitPastCols) {
+  std::vector<std::byte> blob;
+  append_model_blob(blob, make_bitset_one_class(34));
+  const BitsetSections s = bitset_sections(blob);
+  // cols is 100: bits 36..63 of each row's second word lie past it.
+  const std::size_t last_word = s.words + 8 * (s.words_per_row - 1);
+  for (const int bit : {36, 63}) {
+    auto bad = blob;
+    patch(bad, last_word, read_field<std::uint64_t>(blob, last_word) |
+                              (std::uint64_t{1} << bit));
+    expect_refused(bad, "bit " + std::to_string(bit) + " of word 1");
+  }
+}
+
+TEST(ModelBlob, RejectsBitAtNumericColumn) {
+  std::vector<std::byte> blob;
+  append_model_blob(blob, make_bitset_one_class(35));
+  const BitsetSections s = bitset_sections(blob);
+  const std::size_t row = s.sv_count - 1;
+  for (const std::uint32_t col : kMixedNumeric) {
+    auto bad = blob;
+    const std::size_t word = s.words + 8 * (row * s.words_per_row + col / 64);
+    patch(bad, word, read_field<std::uint64_t>(blob, word) |
+                         (std::uint64_t{1} << (col % 64)));
+    expect_refused(bad, "bit at numeric column " + std::to_string(col));
+  }
+}
+
+TEST(ModelBlob, RejectsNonFiniteNumericValue) {
+  std::vector<std::byte> blob;
+  append_model_blob(blob, make_bitset_one_class(36));
+  const BitsetSections s = bitset_sections(blob);
+  const std::size_t last = s.numeric_values + 8 * (s.sv_count * s.numeric_count - 1);
+  for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    auto bad = blob;
+    patch(bad, last, value);
+    expect_refused(bad, "numeric value " + std::to_string(value));
+  }
+}
+
+TEST(ModelBlob, RejectsNumericColumnsNotAscendingOrPastCols) {
+  std::vector<std::byte> blob;
+  append_model_blob(blob, make_bitset_one_class(37));
+  const BitsetSections s = bitset_sections(blob);
+  auto repeated = blob;  // {2, 2, 70}
+  patch(repeated, s.numeric_cols + 4, std::uint32_t{2});
+  expect_refused(repeated, "repeated numeric column");
+  auto descending = blob;  // {2, 3, 1}
+  patch(descending, s.numeric_cols + 8, std::uint32_t{1});
+  expect_refused(descending, "descending numeric columns");
+  for (const std::uint32_t col : {100u, 101u, 0xffffffffu}) {
+    auto past = blob;
+    patch(past, s.numeric_cols + 8, col);
+    expect_refused(past, "numeric column " + std::to_string(col));
   }
 }
 

@@ -300,12 +300,10 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
   const std::size_t n = 1500;  // crosses the transform tile
   std::vector<double> dots(n);
   std::vector<double> sq_norms(n);
-  std::vector<std::size_t> offsets(n + 1, 0);
   for (std::size_t j = 0; j < n; ++j) {
     dots[j] = (rng.uniform() - 0.3) * 30.0;
     sq_norms[j] = rng.uniform() * 40.0;
   }
-  const util::CsrView view{843, {}, {}, offsets, sq_norms};
   const double x_sqnorm = 17.25;
   const KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
   const KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
@@ -313,7 +311,7 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
     std::copy(dots.begin(), dots.end(), out.begin());
-    kernel_transform(rbf, view, x_sqnorm, out, TransformMode::kRelaxed);
+    kernel_transform(rbf, sq_norms, x_sqnorm, out, TransformMode::kRelaxed);
     for (std::size_t j = 0; j < n; ++j) {
       const double arg = detail::rbf_exp_arg(rbf.gamma, x_sqnorm, sq_norms[j],
                                              dots[j]);
@@ -321,7 +319,7 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
           << "backend=" << backend << " j=" << j;
     }
     std::copy(dots.begin(), dots.end(), out.begin());
-    kernel_transform(sig, view, x_sqnorm, out, TransformMode::kRelaxed);
+    kernel_transform(sig, sq_norms, x_sqnorm, out, TransformMode::kRelaxed);
     for (std::size_t j = 0; j < n; ++j) {
       const double arg = detail::affine_arg(sig.gamma, sig.coef0, dots[j]);
       ASSERT_LE(ulp_distance(std::tanh(arg), out[j]), 8u)
@@ -341,24 +339,20 @@ TEST(Transform, RelaxedResultIndependentOfPosition) {
   const std::size_t n = 1027;  // a full tile, then a 3-element tail
   std::vector<double> dots(n);
   std::vector<double> sq_norms(n);
-  const std::vector<std::size_t> offsets(n + 1, 0);
   for (std::size_t j = 0; j < n; ++j) {
     dots[j] = (rng.uniform() - 0.3) * 30.0;
     sq_norms[j] = rng.uniform() * 40.0;
   }
-  const util::CsrView view{843, {}, {}, offsets, sq_norms};
   const KernelParams rbf{KernelType::kRbf, 0.05, 0.0, 3};
   const KernelParams sig{KernelType::kSigmoid, 0.1, 0.5, 3};
-  const std::vector<std::size_t> one_offsets(2, 0);
   for (const auto backend : supported_kernel_backends()) {
     set_kernel_backend_for_testing(backend);
     for (const KernelParams& params : {rbf, sig}) {
       std::vector<double> out = dots;
-      kernel_transform(params, view, 17.25, out, TransformMode::kRelaxed);
+      kernel_transform(params, sq_norms, 17.25, out, TransformMode::kRelaxed);
       for (std::size_t j = 0; j < n; ++j) {
-        const util::CsrView single{843, {}, {}, one_offsets, {&sq_norms[j], 1}};
         double alone = dots[j];
-        kernel_transform(params, single, 17.25, {&alone, 1},
+        kernel_transform(params, {&sq_norms[j], 1}, 17.25, {&alone, 1},
                          TransformMode::kRelaxed);
         ASSERT_EQ(bits(alone), bits(out[j]))
             << describe(params) << " backend=" << backend << " j=" << j;

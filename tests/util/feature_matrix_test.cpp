@@ -9,6 +9,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/bitset_view.h"
@@ -174,14 +175,13 @@ TEST(FeatureMatrix, BorrowedMatchesOwned) {
   EXPECT_EQ(*borrowed, *original);
   EXPECT_EQ(borrowed->view().values.data(), original->view().values.data());
   EXPECT_EQ(all_dots(*borrowed, rows), all_dots(*original, rows));
-  const BitsetStorage* owned_bits = original->bitset();
-  const BitsetStorage* borrowed_bits = borrowed->bitset();
-  ASSERT_NE(owned_bits, nullptr);
-  ASSERT_NE(borrowed_bits, nullptr);
-  EXPECT_TRUE(std::ranges::equal(borrowed_bits->view().words,
-                                 owned_bits->view().words));
-  EXPECT_TRUE(std::ranges::equal(borrowed_bits->view().numeric_values,
-                                 owned_bits->view().numeric_values));
+  const std::optional<BitsetView> owned_bits = original->bitset();
+  const std::optional<BitsetView> borrowed_bits = borrowed->bitset();
+  ASSERT_TRUE(owned_bits);
+  ASSERT_TRUE(borrowed_bits);
+  EXPECT_TRUE(std::ranges::equal(borrowed_bits->words, owned_bits->words));
+  EXPECT_TRUE(std::ranges::equal(borrowed_bits->numeric_values,
+                                 owned_bits->numeric_values));
 
   // Copies and moves keep the borrowed storage alive on their own.
   FeatureMatrix copy = *borrowed;
@@ -193,7 +193,7 @@ TEST(FeatureMatrix, BorrowedMatchesOwned) {
   for (const FeatureMatrix* m : {&copy, &moved}) {
     EXPECT_EQ(*m, expected);
     EXPECT_EQ(all_dots(*m, rows), all_dots(expected, rows));
-    ASSERT_NE(m->bitset(), nullptr);
+    ASSERT_TRUE(m->bitset());
   }
   copy = FeatureMatrix{};
   moved = FeatureMatrix{};
@@ -292,9 +292,9 @@ std::uint64_t dot_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// requires bit-identical dots.
 void expect_bitset_matches_oracle(const FeatureMatrix& m,
                                   const std::vector<SparseVector>& rows) {
-  const BitsetStorage* storage = m.bitset();
-  ASSERT_NE(storage, nullptr);
-  const BitsetView view = storage->view();
+  const std::optional<BitsetView> storage = m.bitset();
+  ASSERT_TRUE(storage);
+  const BitsetView view = *storage;
   std::vector<double> oracle(m.rows());
   std::vector<double> got(m.rows());
   BitsetQuery query;
@@ -326,8 +326,8 @@ TEST(FeatureMatrixBitset, NumericOnlyRowsUseDenseSideOnly) {
   auto m = FeatureMatrix::from_rows(rows, 100);
   const std::uint32_t ncols[] = {6, 7, 8};
   m.ensure_bitset(ncols);
-  ASSERT_NE(m.bitset(), nullptr);
-  const BitsetView view = m.bitset()->view();
+  ASSERT_TRUE(m.bitset());
+  const BitsetView view = *m.bitset();
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t i = 0; i < view.words_per_row; ++i) {
       EXPECT_EQ(view.row_words(r)[i], 0u) << "row " << r << " word " << i;
@@ -352,14 +352,14 @@ TEST(FeatureMatrixBitset, RaggedColumnCountsRoundTrip) {
     auto m = FeatureMatrix::from_rows(rows, cols);
     const std::uint32_t ncols[] = {1, 2, 3};
     m.ensure_bitset(ncols);
-    ASSERT_NE(m.bitset(), nullptr) << cols;
-    EXPECT_EQ(m.bitset()->view().words_per_row, (cols + 63) / 64);
+    ASSERT_TRUE(m.bitset()) << cols;
+    EXPECT_EQ(m.bitset()->words_per_row, (cols + 63) / 64);
     expect_bitset_matches_oracle(m, rows);
 
     const std::vector<SparseVector> one_row{rows[0]};
     auto single = FeatureMatrix::from_rows(one_row, cols);
     single.ensure_bitset(ncols);
-    ASSERT_NE(single.bitset(), nullptr) << cols;
+    ASSERT_TRUE(single.bitset()) << cols;
     expect_bitset_matches_oracle(single, one_row);
   }
 }
@@ -371,7 +371,7 @@ TEST(FeatureMatrixBitset, NonConformingRowDisablesPlane) {
   auto m = FeatureMatrix::from_rows(rows, 100);
   const std::uint32_t ncols[] = {6, 7, 8};
   m.ensure_bitset(ncols);
-  EXPECT_EQ(m.bitset(), nullptr);
+  EXPECT_FALSE(m.bitset());
 }
 
 TEST(FeatureMatrixBitset, AutoDetectedLayoutMarksNonUnitColumns) {
@@ -382,8 +382,8 @@ TEST(FeatureMatrixBitset, AutoDetectedLayoutMarksNonUnitColumns) {
   };
   auto m = FeatureMatrix::from_rows(rows, 64);
   m.ensure_bitset({});
-  ASSERT_NE(m.bitset(), nullptr);
-  const BitsetView view = m.bitset()->view();
+  ASSERT_TRUE(m.bitset());
+  const BitsetView view = *m.bitset();
   ASSERT_EQ(view.numeric_cols.size(), 2u);
   EXPECT_EQ(view.numeric_cols[0], 9u);
   EXPECT_EQ(view.numeric_cols[1], 17u);
@@ -395,8 +395,8 @@ TEST(FeatureMatrixBitset, QueryEncodeRejectsNonConformingValues) {
   auto m = FeatureMatrix::from_rows(rows, 100);
   const std::uint32_t ncols[] = {6};
   m.ensure_bitset(ncols);
-  ASSERT_NE(m.bitset(), nullptr);
-  const BitsetView view = m.bitset()->view();
+  ASSERT_TRUE(m.bitset());
+  const BitsetView view = *m.bitset();
   BitsetQuery query;
   EXPECT_FALSE(query.encode(view, SparseVector{{2, 0.5}}));  // binary != 1.0
   const double inf = std::numeric_limits<double>::infinity();
@@ -409,8 +409,8 @@ TEST(FeatureMatrixBitset, QueryIndicesBeyondColsAreSkipped) {
   const std::vector<SparseVector> rows{SparseVector{{0, 1.0}, {63, 1.0}}};
   auto m = FeatureMatrix::from_rows(rows, 64);
   m.ensure_bitset({});
-  ASSERT_NE(m.bitset(), nullptr);
-  const BitsetView view = m.bitset()->view();
+  ASSERT_TRUE(m.bitset());
+  const BitsetView view = *m.bitset();
   const SparseVector query{{0, 1.0}, {63, 1.0}, {64, 123.0}, {200, 5.0}};
   BitsetQuery encoded;
   ASSERT_TRUE(encoded.encode(view, query));
@@ -419,6 +419,87 @@ TEST(FeatureMatrixBitset, QueryIndicesBeyondColsAreSkipped) {
   m.dot_all(query, oracle);
   bitset_dot_rows(view, encoded, got, scalar_bitset_ops());
   EXPECT_EQ(dot_bits(oracle[0]), dot_bits(got[0]));
+}
+
+/// Rows with exact-1.0 bag-of-words columns and two numeric columns (3
+/// and 70), over 100 columns: the shape of a mapped v3 blob's SV block.
+std::vector<SparseVector> binary_rows() {
+  return {
+      SparseVector{{1, 1.0}, {3, 2.5}, {10, 1.0}, {64, 1.0}, {70, -0.5}},
+      SparseVector{{3, 1.0}, {99, 1.0}},
+      SparseVector{},
+      SparseVector{{0, 1.0}, {63, 1.0}, {70, 4.0}, {71, 1.0}},
+  };
+}
+
+/// A bitset-stored matrix reads its geometry, norms and bitset from the
+/// borrowed block; its CSR rows, decoded on first use, are the rows the
+/// block was built from.  ensure_bitset with another layout turns it into
+/// an owned CSR matrix with the same rows.
+TEST(FeatureMatrixBitset, BitsetStoredMatrixDecodesRowsOnDemand) {
+  const auto rows = binary_rows();
+  const FeatureMatrix csr = FeatureMatrix::from_rows(rows, 100);
+  const auto storage = BitsetStorage::build(csr.view());
+  ASSERT_TRUE(storage);
+  ASSERT_EQ(storage->numeric_cols().size(), 2u);
+  const FeatureMatrix stored =
+      FeatureMatrix::borrow(storage->view(), csr.sq_norms(), nullptr);
+  EXPECT_TRUE(stored.bitset_stored());
+  EXPECT_EQ(stored.rows(), 4u);
+  EXPECT_EQ(stored.cols(), 100u);
+  EXPECT_EQ(stored.sq_norms().data(), csr.sq_norms().data());
+  EXPECT_EQ(stored.bitset()->words.data(), storage->view().words.data());
+
+  EXPECT_EQ(stored, csr);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(stored.row_vector(r), rows[r]) << r;
+  }
+  EXPECT_EQ(stored.nnz(), csr.nnz());
+  const FeatureMatrix copy = stored;  // shares the decoded rows
+  EXPECT_EQ(copy.view().indices.data(), stored.view().indices.data());
+
+  FeatureMatrix relaid = stored;
+  const std::uint32_t schema_cols[] = {3, 70, 71};
+  relaid.ensure_bitset(schema_cols);
+  EXPECT_FALSE(relaid.bitset_stored());
+  EXPECT_EQ(relaid, csr);
+  ASSERT_TRUE(relaid.bitset());
+  EXPECT_TRUE(std::ranges::equal(relaid.bitset()->numeric_cols, schema_cols));
+}
+
+/// The state a matrix derives on first use — a CSR matrix's bitset, a
+/// bitset-stored matrix's decoded rows — is published once: threads racing
+/// to the first use all get the same state, and copies taken meanwhile
+/// hold the same rows.
+TEST(FeatureMatrixBitset, RacingFirstUsesShareOneDerivedState) {
+  const auto rows = binary_rows();
+  const FeatureMatrix csr = FeatureMatrix::from_rows(rows, 100);
+  const auto storage = BitsetStorage::build(csr.view());
+  ASSERT_TRUE(storage);
+  constexpr std::size_t kThreads = 4;
+  for (int round = 0; round < 50; ++round) {
+    const FeatureMatrix owned = FeatureMatrix::from_rows(rows, 100);
+    const FeatureMatrix stored =
+        FeatureMatrix::borrow(storage->view(), csr.sq_norms(), nullptr);
+    std::vector<const std::uint64_t*> words(kThreads);
+    std::vector<const std::uint32_t*> indices(kThreads);
+    std::vector<char> copies_equal(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        words[t] = owned.bitset()->words.data();
+        const FeatureMatrix copy = stored;
+        indices[t] = stored.view().indices.data();
+        copies_equal[t] = copy == csr;
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(words[t], words[0]) << "round " << round;
+      ASSERT_EQ(indices[t], indices[0]) << "round " << round;
+      ASSERT_TRUE(copies_equal[t]) << "round " << round;
+    }
+  }
 }
 
 }  // namespace
