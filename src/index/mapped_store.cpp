@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "features/schema_io.h"
 
@@ -49,6 +50,7 @@ struct MappedStoreWriter::Impl {
   std::uint64_t offset = 0;   ///< current absolute write offset
   features::WindowConfig window;
   std::uint64_t dimension = 0;
+  std::vector<std::uint32_t> numeric_cols;  ///< the schema's: the blobs' layout
   bool finished = false;
 
   void write(const void* data, std::size_t size) {
@@ -81,6 +83,7 @@ MappedStoreWriter::MappedStoreWriter(const std::string& path,
   impl_->temp_path = path + ".tmp";
   impl_->window = window;
   impl_->dimension = schema.dimension();
+  impl_->numeric_cols = schema.numeric_columns();
   impl_->out.open(impl_->temp_path, std::ios::binary | std::ios::trunc);
   if (!impl_->out) {
     throw std::runtime_error{"MappedStoreWriter: cannot open '" +
@@ -119,7 +122,7 @@ void MappedStoreWriter::add(std::string_view user_id,
   // Serialized standalone so the blob's internal alignment (computed from
   // buffer offset 0) matches its 8-aligned position in the file.
   std::vector<std::byte> blob;
-  svm::append_model_blob(blob, model);
+  svm::append_model_blob(blob, model, impl_->numeric_cols);
   record.blob_size = blob.size();
   impl_->write(blob.data(), blob.size());
   records_.push_back(record);

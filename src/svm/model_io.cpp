@@ -100,30 +100,17 @@ BitsetLayout bitset_layout(std::uint64_t sv_count, std::uint64_t words_per_row,
   return l;
 }
 
-/// The SV rows' bitset in the layout BitsetStorage::build detects from
-/// them — every numeric column holds, in some row, a value other than 1.0 —
-/// so the bytes written depend neither on the kernel backend nor on a
-/// layout hint the matrix carries.  The matrix's own bitset serves when it
-/// has that layout; otherwise one is built into `storage`.  nullopt when the
-/// rows are not representable.
-std::optional<util::BitsetView> detected_bitset(
-    const util::FeatureMatrix& svs, std::optional<util::BitsetStorage>& storage) {
-  const std::optional<util::BitsetView> own = svs.bitset();
-  const auto detected = [](const util::BitsetView& bits) {
-    for (std::size_t k = 0; k < bits.numeric_cols.size(); ++k) {
-      bool numeric = false;  // a row without the entry reads 0.0
-      for (std::size_t r = 0; r < bits.row_count && !numeric; ++r) {
-        const double value = bits.row_numeric(r)[k];
-        numeric = value != 0.0 && value != 1.0;
-      }
-      if (!numeric) return false;
-    }
-    return true;  // the other columns hold only 1.0: `bits` represents them
-  };
-  if (own && detected(*own)) return own;
-  storage = util::BitsetStorage::build(svs.view());
-  if (!storage) return std::nullopt;
-  return storage->view();
+/// The SV rows' bitset for a v3 blob: in the `numeric_cols` layout when the
+/// rows conform to it, else in the layout BitsetStorage::build detects;
+/// nullopt when neither represents them.  Built from the rows, never taken
+/// from the matrix's cached bitset, whose layout depends on the kernel
+/// backend.
+std::optional<util::BitsetStorage> blob_bitset(
+    const util::CsrView& rows, std::span<const std::uint32_t> numeric_cols) {
+  if (!numeric_cols.empty()) {
+    if (auto hinted = util::BitsetStorage::build(rows, numeric_cols)) return hinted;
+  }
+  return util::BitsetStorage::build(rows);
 }
 
 void append_bytes(std::vector<std::byte>& out, const void* data, std::size_t size) {
@@ -139,15 +126,16 @@ void pad_to_8(std::vector<std::byte>& out, std::size_t start) {
 std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_type,
                              const KernelParams& kernel, double scalar0,
                              double scalar1, const util::FeatureMatrix& svs,
-                             std::span<const double> coefficients) {
+                             std::span<const double> coefficients,
+                             std::span<const std::uint32_t> numeric_cols) {
   pad_to_8(out, 0);
   const std::size_t start = out.size();
-  std::optional<util::BitsetStorage> built;
-  const std::optional<util::BitsetView> bits = detected_bitset(svs, built);
+  const std::optional<util::BitsetStorage> bitset =
+      blob_bitset(svs.view(), numeric_cols);
 
   BlobHeader header{};
   std::memcpy(header.magic, kBlobMagic, sizeof(kBlobMagic));
-  header.version = bits ? kBlobVersionBitset : kBlobVersionCsr;
+  header.version = bitset ? kBlobVersionBitset : kBlobVersionCsr;
   header.endian = kEndianGuard;
   header.model_type = model_type;
   header.kernel_type = static_cast<std::uint32_t>(kernel.type);
@@ -160,21 +148,22 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   header.sv_count = svs.rows();
   header.cols = svs.cols();
 
-  if (bits) {
-    const std::uint64_t numeric_count = bits->numeric_cols.size();
+  if (bitset) {
+    const util::BitsetView bits = bitset->view();
+    const std::uint64_t numeric_count = bits.numeric_cols.size();
     header.blob_size =
-        bitset_layout(header.sv_count, bits->words_per_row, numeric_count).total;
+        bitset_layout(header.sv_count, bits.words_per_row, numeric_count).total;
     out.reserve(start + header.blob_size);
     append_bytes(out, &header, sizeof(header));
     append_bytes(out, &numeric_count, sizeof(numeric_count));
-    append_bytes(out, bits->numeric_cols.data(),
-                 bits->numeric_cols.size() * sizeof(std::uint32_t));
+    append_bytes(out, bits.numeric_cols.data(),
+                 bits.numeric_cols.size() * sizeof(std::uint32_t));
     pad_to_8(out, start);
     append_bytes(out, svs.sq_norms().data(), svs.sq_norms().size() * sizeof(double));
     append_bytes(out, coefficients.data(), coefficients.size() * sizeof(double));
-    append_bytes(out, bits->words.data(), bits->words.size() * sizeof(std::uint64_t));
-    append_bytes(out, bits->numeric_values.data(),
-                 bits->numeric_values.size() * sizeof(double));
+    append_bytes(out, bits.words.data(), bits.words.size() * sizeof(std::uint64_t));
+    append_bytes(out, bits.numeric_values.data(),
+                 bits.numeric_values.size() * sizeof(double));
   } else {
     const util::CsrView view = svs.view();
     header.nnz = view.nnz();
@@ -431,20 +420,24 @@ BlobRows view_bitset_rows(const BlobHeader& header,
 }  // namespace
 
 std::size_t append_model_blob(std::vector<std::byte>& out,
-                              const OneClassSvmModel& model) {
+                              const OneClassSvmModel& model,
+                              std::span<const std::uint32_t> numeric_cols) {
   return append_blob_impl(out, kBlobModelOneClass, model.kernel(), model.rho(),
-                          0.0, model.support_vectors(), model.coefficients());
+                          0.0, model.support_vectors(), model.coefficients(),
+                          numeric_cols);
 }
 
-std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model) {
+std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model,
+                              std::span<const std::uint32_t> numeric_cols) {
   return append_blob_impl(out, kBlobModelSvdd, model.kernel(), model.r_squared(),
                           model.alpha_k_alpha(), model.support_vectors(),
-                          model.coefficients());
+                          model.coefficients(), numeric_cols);
 }
 
-std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model) {
-  return std::visit([&out](const auto& m) { return append_model_blob(out, m); },
-                    model);
+std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model,
+                              std::span<const std::uint32_t> numeric_cols) {
+  return std::visit(
+      [&](const auto& m) { return append_model_blob(out, m, numeric_cols); }, model);
 }
 
 ModelView view_model_blob(std::span<const std::byte> blob) {

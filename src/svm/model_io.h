@@ -25,7 +25,9 @@
 //
 //    Version 3 holds a support-vector block util::BitsetStorage::build can
 //    represent (DESIGN §10, §11) once, as its bitset; CSR rows are derived
-//    from it (util::DecodedRows) only where a CSR path needs them:
+//    from it (util::DecodedRows) only where a CSR path needs them.  Its
+//    numeric columns are the writer's hint (the store schema's) when the
+//    rows conform to it, the auto-detected set otherwise:
 //
 //      96      8     u64 numeric column count (<= 16)
 //      104           u32 numeric_cols[count], strictly ascending, < cols,
@@ -122,15 +124,21 @@ struct ModelView {
 };
 
 /// Serializes a model as a binary blob appended to `out`: v3 when
-/// util::BitsetStorage::build can represent its SV rows, v1 otherwise — a
-/// property of the rows alone, so the bytes do not depend on the kernel
-/// backend.  Pads `out` to 8-byte alignment first; returns the offset where
-/// the blob starts (its size is out.size() - offset afterwards, also
-/// recorded in the header).
+/// util::BitsetStorage::build can represent its SV rows, v1 otherwise.  A v3
+/// block takes the `numeric_cols` layout (ascending; the store passes its
+/// schema's, so every schema-layout query conforms to every blob) when the
+/// rows conform to it, and the auto-detected layout when they do not or the
+/// hint is empty.  The bytes follow from the rows and the hint alone, not
+/// from the kernel backend.  Pads `out` to 8-byte alignment first; returns
+/// the offset where the blob starts (its size is out.size() - offset
+/// afterwards, also recorded in the header).
 std::size_t append_model_blob(std::vector<std::byte>& out,
-                              const OneClassSvmModel& model);
-std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model);
-std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model);
+                              const OneClassSvmModel& model,
+                              std::span<const std::uint32_t> numeric_cols = {});
+std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model,
+                              std::span<const std::uint32_t> numeric_cols = {});
+std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model,
+                              std::span<const std::uint32_t> numeric_cols = {});
 
 /// Validates a blob (magic, version, endianness guard, size/offset
 /// consistency; v1: strictly ascending, in-bounds column indices in every

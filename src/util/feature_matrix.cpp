@@ -169,9 +169,8 @@ std::optional<BitsetView> FeatureMatrix::bitset() const {
 void FeatureMatrix::ensure_bitset(std::span<const std::uint32_t> numeric_cols) {
   if (bitset_stored()) {
     if (std::ranges::equal(stored_bitset().numeric_cols, numeric_cols)) return;
-    FeatureMatrixBuilder owned;
-    for (std::size_t r = 0; r < rows(); ++r) owned.add_row(*this, r);
-    *this = owned.build(cols());
+    throw std::logic_error{
+        "FeatureMatrix::ensure_bitset: a bitset-stored matrix keeps its layout"};
   }
   auto built = std::make_shared<Derived>();
   built->bitset = BitsetStorage::build(csr(), numeric_cols);

@@ -175,9 +175,9 @@ class FeatureMatrix {
   /// Builds (or rebuilds) the bitset with an explicit numeric-column layout
   /// — e.g. schema-derived, so matrices across users share one layout and
   /// encoded queries can be reused.  Call before sharing the matrix across
-  /// scoring threads; a later bitset() returns this layout.  A
-  /// bitset-stored matrix whose layout differs becomes an owned CSR matrix
-  /// first.
+  /// scoring threads; a later bitset() returns this layout.  On a
+  /// bitset-stored matrix only its own layout is accepted; any other throws
+  /// std::logic_error.
   void ensure_bitset(std::span<const std::uint32_t> numeric_cols);
 
   /// Copies share the storage and the derived state; moves leave the source

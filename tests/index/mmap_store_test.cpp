@@ -250,6 +250,19 @@ TEST(MappedStore, BytesIndependentOfKernelBackend) {
   const std::vector<char> default_backend = write("", "backend_default.wtpstore");
   ASSERT_FALSE(csr.empty());
   EXPECT_TRUE(csr == default_backend) << "store bytes depend on the backend";
+
+  // Every blob is laid out by the schema, so every query the serving
+  // paths encode in the schema layout conforms to it.
+  const MappedProfileStore mapped =
+      MappedProfileStore::open(::testing::TempDir() + "/backend_default.wtpstore");
+  const std::vector<std::uint32_t> schema_cols = dataset.schema().numeric_columns();
+  for (std::size_t u = 0; u < mapped.size(); ++u) {
+    const svm::ModelView view = mapped.model(u);
+    ASSERT_TRUE(view.support_vectors.bitset) << u;
+    EXPECT_TRUE(std::ranges::equal(view.support_vectors.bitset->numeric_cols,
+                                   schema_cols))
+        << u;
+  }
 }
 
 TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {

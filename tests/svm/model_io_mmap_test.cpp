@@ -314,13 +314,19 @@ TEST(ModelBlob, RejectsCountsWhoseSizesWrap) {
   patch(blob, 88, std::uint64_t{128});            // blob_size
   EXPECT_THROW((void)view_model_blob(blob), std::runtime_error);
 
-  // The same wrap through nnz and through cols on a real blob.
+  // The same wrap through nnz and through cols on a real v1 blob.  nnz +
+  // 2^62 wraps the indices and values sizes back to the stored ones, and
+  // the last row offset moves with it, so only the nnz bound keeps the
+  // index checks from reading past the blob.
   std::vector<std::byte> real;
-  append_model_blob(real, make_one_class(30));
-  std::uint64_t nnz = 0;
-  std::memcpy(&nnz, real.data() + 72, sizeof nnz);
+  append_model_blob(real, make_csr_one_class(30));
+  ASSERT_EQ(read_field<std::uint32_t>(real, 8), 1u);  // version
+  const auto sv_count = read_field<std::uint64_t>(real, 64);
+  const std::uint64_t wrapped = read_field<std::uint64_t>(real, 72) +
+                                (std::uint64_t{1} << 62);
   auto wrapped_nnz = real;
-  patch(wrapped_nnz, 72, nnz + (std::uint64_t{1} << 62));
+  patch(wrapped_nnz, 72, wrapped);
+  patch(wrapped_nnz, 96 + 8 * sv_count, wrapped);  // row_offsets[sv_count]
   EXPECT_THROW((void)view_model_blob(wrapped_nnz), std::runtime_error);
   auto wide = real;
   patch(wide, 80, (std::uint64_t{1} << 32) + 1);  // cols past u32 indices
@@ -372,6 +378,49 @@ TEST(ModelBlob, RejectsUnsortedRowAndNamesIt) {
 /// carries no CSR rows, its decoded rows are the model's rows, and every
 /// decision is the heap model's, on the stored blob and after a
 /// materialized round trip.
+/// A hinted v3 blob keeps the hint's numeric columns even where the SV
+/// rows hold nothing but 1.0 (a window mean that is 0 or 1 in every SV), so
+/// a query with a fraction there still encodes against it.  Rows that break
+/// the hint fall back to the detected layout.  Decisions match the heap
+/// model either way.
+TEST(ModelBlob, BitsetBlobTakesHintedLayoutWhenRowsConform) {
+  const auto model = make_bitset_one_class(38);
+  const std::uint32_t hint[] = {2, 3, 50, 70};  // 50: no stored value but 1.0
+  std::vector<std::byte> hinted;
+  append_model_blob(hinted, model, hint);
+  std::vector<std::byte> detected;
+  append_model_blob(detected, model);
+  const BitsetSections h = bitset_sections(hinted);
+  ASSERT_EQ(h.numeric_count, 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(read_field<std::uint32_t>(hinted, h.numeric_cols + 4 * k), hint[k]);
+  }
+  EXPECT_EQ(bitset_sections(detected).numeric_count, 3u);
+  const std::uint32_t broken[] = {2, 70};  // column 3 holds fractions
+  std::vector<std::byte> fallback;
+  append_model_blob(fallback, model, broken);
+  EXPECT_EQ(fallback, detected);
+
+  std::vector<double> dense(100, 0.0);
+  dense[2] = 1.5;
+  dense[17] = 1.0;
+  dense[50] = 0.4;
+  const auto query = util::SparseVector::from_dense(dense);
+  const ModelView hinted_view = view_model_blob(hinted);
+  const ModelView detected_view = view_model_blob(detected);
+  util::BitsetQuery encoded;
+  EXPECT_TRUE(encoded.encode(*hinted_view.support_vectors.bitset, query));
+  EXPECT_FALSE(encoded.encode(*detected_view.support_vectors.bitset, query));
+  auto queries = mixed_rows(39, 20);
+  queries.push_back(query);
+  for (const auto& x : queries) {
+    const double expected = model.decision_value(x);
+    const auto row = KernelQueries::row(x, x.squared_norm());
+    ASSERT_EQ(hinted_view.decision_value(row), expected);
+    ASSERT_EQ(detected_view.decision_value(row), expected);
+  }
+}
+
 TEST(ModelBlob, BitsetBlobStoresRowsOnce) {
   const auto model = make_bitset_one_class(31);
   const auto& svs = model.support_vectors();

@@ -434,8 +434,8 @@ std::vector<SparseVector> binary_rows() {
 
 /// A bitset-stored matrix reads its geometry, norms and bitset from the
 /// borrowed block; its CSR rows, decoded on first use, are the rows the
-/// block was built from.  ensure_bitset with another layout turns it into
-/// an owned CSR matrix with the same rows.
+/// block was built from.  It keeps the stored layout: ensure_bitset
+/// accepts that layout only.
 TEST(FeatureMatrixBitset, BitsetStoredMatrixDecodesRowsOnDemand) {
   const auto rows = binary_rows();
   const FeatureMatrix csr = FeatureMatrix::from_rows(rows, 100);
@@ -459,12 +459,10 @@ TEST(FeatureMatrixBitset, BitsetStoredMatrixDecodesRowsOnDemand) {
   EXPECT_EQ(copy.view().indices.data(), stored.view().indices.data());
 
   FeatureMatrix relaid = stored;
+  relaid.ensure_bitset(storage->numeric_cols());
+  EXPECT_TRUE(relaid.bitset_stored());
   const std::uint32_t schema_cols[] = {3, 70, 71};
-  relaid.ensure_bitset(schema_cols);
-  EXPECT_FALSE(relaid.bitset_stored());
-  EXPECT_EQ(relaid, csr);
-  ASSERT_TRUE(relaid.bitset());
-  EXPECT_TRUE(std::ranges::equal(relaid.bitset()->numeric_cols, schema_cols));
+  EXPECT_THROW(relaid.ensure_bitset(schema_cols), std::logic_error);
 }
 
 /// The state a matrix derives on first use — a CSR matrix's bitset, a
