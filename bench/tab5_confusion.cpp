@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
   util::TextTable table;
   std::vector<std::string> header{"model\\test"};
   for (std::size_t i = 0; i < confusion.users.size(); ++i) {
-    header.push_back("t" + std::to_string(i + 1));
+    header.push_back(std::to_string(i + 1).insert(0, 1, 't'));
   }
   table.set_header(header);
   for (std::size_t j = 0; j < confusion.cells.size(); ++j) {
-    std::vector<std::string> row{"m" + std::to_string(j + 1)};
+    std::vector<std::string> row{std::to_string(j + 1).insert(0, 1, 'm')};
     for (const double cell : confusion.cells[j]) {
       row.push_back(util::format_double(cell, 1));
     }

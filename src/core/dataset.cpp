@@ -19,11 +19,13 @@ namespace {
 /// consumed (each visited position is set to itself).
 void gather_in_place(std::vector<log::WebTransaction>& rows,
                      std::vector<std::size_t>& from) {
-  // A row spans four cache lines; fetching the next source while the
-  // current one moves hides most of the random access's latency.
+  // Fetching every cache line of the next source row while the current one
+  // moves hides most of the random access's latency.
   const auto prefetch = [&rows](std::size_t i) {
+    constexpr std::size_t kRowBytes = sizeof(log::WebTransaction);
     const char* row = reinterpret_cast<const char*>(&rows[i]);
-    for (std::size_t line = 0; line < 4; ++line) __builtin_prefetch(row + 64 * line);
+    for (std::size_t at = 0; at < kRowBytes; at += 64) __builtin_prefetch(row + at);
+    __builtin_prefetch(row + kRowBytes - 1);
   };
   for (std::size_t start = 0; start < rows.size(); ++start) {
     if (from[start] == start) continue;
@@ -54,7 +56,7 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
   schema_ = features::FeatureSchema::from_transactions(transactions);
 
   // One pass gives every row a dense user id.  The keys view the rows'
-  // user_id strings, so they are valid only until the first row moves.
+  // user_id buffers, which live as long as a row holds them.
   std::unordered_map<std::string_view, std::uint32_t> ids;
   std::vector<std::string_view> names;
   std::vector<std::size_t> counts;
@@ -85,10 +87,6 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
   }
   std::sort(kept.begin(), kept.end(),
             [&](std::uint32_t a, std::uint32_t b) { return names[a] < names[b]; });
-  // Copy the kept names before any row moves: a moved-from short string is
-  // emptied in place, which would change the bytes a view still points at.
-  for (const std::uint32_t id : kept) user_ids_.emplace_back(names[id]);
-
   // Each user's block starts where the previous one ends; every dropped row
   // shares the last block, after the kept ones.
   const auto dropped = static_cast<std::uint32_t>(kept.size());
@@ -113,6 +111,7 @@ ProfilingDataset::ProfilingDataset(std::vector<log::WebTransaction> transactions
 
   std::span<const log::WebTransaction> rest{rows_};
   for (const std::uint32_t id : kept) {
+    user_ids_.emplace_back(names[id]);
     const std::size_t count = counts[id];
     users_.push_back({rest.first(count),
                       static_cast<std::size_t>(config.train_fraction *

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/trace.h"
 
@@ -13,7 +14,7 @@ bool IdentificationEvent::accepted(const std::string& user) const {
          accepted_by.end();
 }
 
-void ProducerTally::add(util::UnixSeconds timestamp, std::string user) {
+void ProducerTally::add(util::UnixSeconds timestamp, util::SharedString user) {
   producers_.emplace_back(timestamp, std::move(user));
 }
 
@@ -22,7 +23,7 @@ std::string ProducerTally::majority(util::UnixSeconds start,
   while (!producers_.empty() && producers_.front().first < start) {
     producers_.pop_front();
   }
-  std::map<std::string, std::size_t> counts;
+  std::map<std::string_view, std::size_t> counts;
   for (const auto& [timestamp, user] : producers_) {
     if (timestamp >= end) break;
     ++counts[user];

@@ -19,6 +19,7 @@
 #include "features/schema.h"
 #include "features/window.h"
 #include "log/transaction.h"
+#include "util/shared_string.h"
 #include "util/time.h"
 
 namespace wtp::core {
@@ -40,7 +41,7 @@ struct IdentificationEvent {
 class ProducerTally {
  public:
   /// Records one transaction of `user` at `timestamp`.
-  void add(util::UnixSeconds timestamp, std::string user);
+  void add(util::UnixSeconds timestamp, util::SharedString user);
 
   /// Majority producer of [start, end): strict count, ties go to the
   /// lexicographically smallest user, empty when nobody produced in it.
@@ -51,13 +52,13 @@ class ProducerTally {
   void clear() noexcept { producers_.clear(); }
 
   /// The producers still held, oldest first.
-  [[nodiscard]] const std::deque<std::pair<util::UnixSeconds, std::string>>&
+  [[nodiscard]] const std::deque<std::pair<util::UnixSeconds, util::SharedString>>&
   producers() const noexcept {
     return producers_;
   }
 
  private:
-  std::deque<std::pair<util::UnixSeconds, std::string>> producers_;
+  std::deque<std::pair<util::UnixSeconds, util::SharedString>> producers_;
 };
 
 class UserIdentifier {

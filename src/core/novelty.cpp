@@ -19,7 +19,8 @@ std::string_view to_string(NoveltyField field) noexcept {
 
 namespace {
 
-const std::string& field_value(const log::WebTransaction& txn, NoveltyField field) {
+const util::SharedString& field_value(const log::WebTransaction& txn,
+                                      NoveltyField field) {
   switch (field) {
     case NoveltyField::kCategory: return txn.category;
     case NoveltyField::kApplicationType: return txn.application_type;
@@ -32,9 +33,9 @@ const std::string& field_value(const log::WebTransaction& txn, NoveltyField fiel
 double field_novelty_ratio(std::span<const log::WebTransaction> observed,
                            std::span<const log::WebTransaction> subsequent,
                            NoveltyField field) {
-  std::set<std::string> seen;
+  std::set<std::string_view> seen;
   for (const auto& txn : observed) seen.insert(field_value(txn, field));
-  std::set<std::string> later;
+  std::set<std::string_view> later;
   for (const auto& txn : subsequent) later.insert(field_value(txn, field));
   if (later.empty()) return 0.0;
   std::size_t novel = 0;

@@ -2,16 +2,11 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/csv.h"
 
 namespace wtp::log {
-
-namespace {
-
-constexpr std::size_t kFieldCount = 11;
-
-}  // namespace
 
 std::vector<std::string> log_header() {
   return {"timestamp",  "url",        "scheme",           "action",
@@ -33,7 +28,14 @@ std::vector<std::string> to_fields(const WebTransaction& txn) {
           txn.private_destination ? "1" : "0"};
 }
 
-WebTransaction from_fields(const std::vector<std::string>& fields) {
+namespace {
+
+constexpr std::size_t kFieldCount = 11;
+
+/// Parses the fields of one row; `make` turns each string field into its
+/// handle.
+template <typename MakeString>
+WebTransaction parse_fields(const std::vector<std::string>& fields, MakeString&& make) {
   if (fields.size() != kFieldCount) {
     throw std::runtime_error{"log::from_fields: expected " +
                              std::to_string(kFieldCount) + " fields, got " +
@@ -41,14 +43,14 @@ WebTransaction from_fields(const std::vector<std::string>& fields) {
   }
   WebTransaction txn;
   txn.timestamp = util::parse_timestamp(fields[0]);
-  txn.url = fields[1];
+  txn.url = make(fields[1]);
   txn.scheme = parse_uri_scheme(fields[2]);
   txn.action = parse_http_action(fields[3]);
-  txn.user_id = fields[4];
-  txn.device_id = fields[5];
-  txn.category = fields[6];
-  txn.media_type = fields[7];
-  txn.application_type = fields[8];
+  txn.user_id = make(fields[4]);
+  txn.device_id = make(fields[5]);
+  txn.category = make(fields[6]);
+  txn.media_type = make(fields[7]);
+  txn.application_type = make(fields[8]);
   txn.reputation = parse_reputation(fields[9]);
   if (fields[10] == "1") {
     txn.private_destination = true;
@@ -59,6 +61,12 @@ WebTransaction from_fields(const std::vector<std::string>& fields) {
                              fields[10] + "'"};
   }
   return txn;
+}
+
+}  // namespace
+
+WebTransaction from_fields(const std::vector<std::string>& fields) {
+  return parse_fields(fields, [](std::string_view text) { return util::SharedString{text}; });
 }
 
 void write_log(std::ostream& out, const std::vector<WebTransaction>& txns) {
@@ -77,7 +85,7 @@ std::vector<WebTransaction> read_log(std::istream& in) {
   std::vector<WebTransaction> txns;
   LogReader reader{in};
   WebTransaction txn;
-  while (reader.next(txn)) txns.push_back(txn);
+  while (reader.next(txn)) txns.push_back(std::move(txn));
   return txns;
 }
 
@@ -97,10 +105,17 @@ bool LogReader::next(WebTransaction& txn) {
       checked_header_ = true;
       if (!fields.empty() && fields[0] == "timestamp") continue;  // skip header
     }
-    txn = from_fields(fields);
+    txn = parse_fields(fields, [this](std::string_view text) { return intern(text); });
     return true;
   }
   return false;
+}
+
+util::SharedString LogReader::intern(std::string_view text) {
+  if (text.empty()) return {};
+  auto it = strings_.find(text);
+  if (it == strings_.end()) it = strings_.emplace(text).first;
+  return *it;
 }
 
 }  // namespace wtp::log

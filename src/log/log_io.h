@@ -6,8 +6,11 @@
 //   media_type, application_type, reputation, private_flag
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "log/transaction.h"
@@ -20,19 +23,24 @@ namespace wtp::log {
 /// Serializes one transaction to its CSV fields.
 [[nodiscard]] std::vector<std::string> to_fields(const WebTransaction& txn);
 
-/// Parses CSV fields into a transaction.  Throws std::runtime_error with the
-/// offending field on malformed input.
+/// Parses CSV fields into a transaction, with a fresh handle per string
+/// field.  Throws std::runtime_error with the offending field on malformed
+/// input.
 [[nodiscard]] WebTransaction from_fields(const std::vector<std::string>& fields);
 
 /// Writes a full log (header + rows) to a stream / file.
 void write_log(std::ostream& out, const std::vector<WebTransaction>& txns);
 void write_log_file(const std::string& path, const std::vector<WebTransaction>& txns);
 
-/// Reads a full log.  A leading header row is detected and skipped.
+/// Reads a full log.  A leading header row is detected and skipped.  Rows
+/// that hold the same value share one buffer (see LogReader).
 [[nodiscard]] std::vector<WebTransaction> read_log(std::istream& in);
 [[nodiscard]] std::vector<WebTransaction> read_log_file(const std::string& path);
 
-/// Pull-based reader for logs too large to materialize.
+/// Pull-based reader for logs too large to materialize.  The reader interns
+/// every string field it parses: all the transactions it returns that hold
+/// one value share one buffer.  Its table holds each distinct value of its
+/// input once and lives as long as the reader.
 class LogReader {
  public:
   explicit LogReader(std::istream& in);
@@ -41,8 +49,12 @@ class LogReader {
   bool next(WebTransaction& txn);
 
  private:
+  [[nodiscard]] util::SharedString intern(std::string_view text);
+
   std::istream& in_;
   bool checked_header_ = false;
+  std::unordered_set<util::SharedString, util::TransparentStringHash, std::equal_to<>>
+      strings_;
 };
 
 }  // namespace wtp::log

@@ -7,16 +7,19 @@
 //   2015-05-29 05:05:04, www.inlinegames.com, HTTP/1.0, GET, user_9,
 //   Games, text/html, ...
 //
-// A row is 216 bytes plus its strings' heap buffers, so set-up builds each
-// row once and afterwards only moves it (DESIGN §7, "One transaction log").
-// A moved-from std::string with a short value is emptied in place: a
-// string_view into a row's field is valid only until that row moves.
+// A row is 72 bytes: its six string fields are util::SharedString handles,
+// and rows that hold the same value share one buffer when their producer
+// built one handle per value (the generator per trace, log::LogReader per
+// reader; DESIGN §7, "One transaction log").  A string_view into a field
+// stays valid for as long as any handle to its buffer lives, so moving or
+// copying the row does not invalidate it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "util/shared_string.h"
 #include "util/time.h"
 
 namespace wtp::log {
@@ -63,19 +66,21 @@ enum class Reputation : std::uint8_t {
 /// and host-specific windowing respectively (paper §III-C).
 struct WebTransaction {
   util::UnixSeconds timestamp = 0;   ///< request time (Unix seconds, UTC)
-  std::string url;                   ///< requested host/URL
+  util::SharedString url;            ///< requested host/URL
   UriScheme scheme = UriScheme::kHttp;
   HttpAction action = HttpAction::kGet;
-  std::string user_id;               ///< authenticated user ("user_9")
-  std::string device_id;             ///< source device/IP ("device_3")
-  std::string category;              ///< website category ("Games")
-  std::string media_type;            ///< MIME type ("text/html")
-  std::string application_type;      ///< service application ("CloudFlare")
+  util::SharedString user_id;        ///< authenticated user ("user_9")
+  util::SharedString device_id;      ///< source device/IP ("device_3")
+  util::SharedString category;       ///< website category ("Games")
+  util::SharedString media_type;     ///< MIME type ("text/html")
+  util::SharedString application_type;  ///< service application ("CloudFlare")
   Reputation reputation = Reputation::kUnverified;
   bool private_destination = false;  ///< internal-network request
 
   friend bool operator==(const WebTransaction&, const WebTransaction&) = default;
 };
+static_assert(sizeof(WebTransaction) <= 80,
+              "a row is its timestamp, six 8-byte handles and four flags");
 
 /// Splits "video/mp4" into {"video", "mp4"}.  A missing '/' yields the whole
 /// string as super-type and an empty sub-type (paper §III-B's split).  The

@@ -115,8 +115,8 @@ bool ScoringEngine::publish_profile(const std::string& user_id,
   return true;
 }
 
-ScoringEngine::Shard& ScoringEngine::shard_for(const std::string& device_id) {
-  return *shards_[std::hash<std::string>{}(device_id) % shards_.size()];
+ScoringEngine::Shard& ScoringEngine::shard_for(std::string_view device_id) {
+  return *shards_[device_shard(device_id, shards_.size())];
 }
 
 void ScoringEngine::observe_decision(

@@ -18,12 +18,14 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,9 +39,19 @@
 #include "serve/session.h"
 #include "svm/kernel.h"
 #include "util/histogram.h"
+#include "util/shared_string.h"
 #include "util/thread_pool.h"
 
 namespace wtp::serve {
+
+/// The shard (or ingest queue) among `count` that owns a device: the hash of
+/// its id modulo `count`.  std::hash<std::string_view> equals
+/// std::hash<std::string> on the same bytes, so a view picks the shard its
+/// std::string would.
+[[nodiscard]] inline std::size_t device_shard(std::string_view device_id,
+                                              std::size_t count) noexcept {
+  return std::hash<std::string_view>{}(device_id) % count;
+}
 
 namespace retrain {
 class WindowCollector;
@@ -154,7 +166,8 @@ class ScoringEngine {
 
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> sessions;
+    std::unordered_map<std::string, Entry, util::TransparentStringHash, std::equal_to<>>
+        sessions;
     std::list<std::string> lru;  ///< device ids, front = least recently active
   };
 
@@ -178,7 +191,7 @@ class ScoringEngine {
 
   using ProfileVector = std::vector<core::UserProfile>;
 
-  [[nodiscard]] Shard& shard_for(const std::string& device_id);
+  [[nodiscard]] Shard& shard_for(std::string_view device_id);
 
   void ingest_impl(const log::WebTransaction& txn, const DecisionTrace* trace);
 

@@ -336,10 +336,15 @@ void NetServer::handle_message(const std::shared_ptr<Connection>& conn,
   if (message.type == FrameType::kTransaction) {
     metrics_.transactions.add(1);
     const std::size_t queue_index =
-        std::hash<std::string>{}(message.txn.device_id) % queues_.size();
+        device_shard(message.txn.device_id, queues_.size());
     {
       const std::lock_guard lock{device_map_mutex_};
-      device_map_[message.txn.device_id] = conn;
+      const auto it = device_map_.find(message.txn.device_id);
+      if (it == device_map_.end()) {
+        device_map_.emplace(message.txn.device_id, conn);
+      } else {
+        it->second = conn;
+      }
     }
     auto& recorder = obs::TraceRecorder::global();
     QueueItem item;

@@ -207,7 +207,9 @@ class NetServer {
   /// device id -> connection that most recently carried it (decision
   /// routing).  Guarded by device_map_mutex_.
   std::mutex device_map_mutex_;
-  std::unordered_map<std::string, std::weak_ptr<Connection>> device_map_;
+  std::unordered_map<std::string, std::weak_ptr<Connection>, util::TransparentStringHash,
+                     std::equal_to<>>
+      device_map_;
 
   /// Connections, keyed by fd.  Event-loop thread only.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;

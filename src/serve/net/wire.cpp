@@ -33,7 +33,7 @@ void append_i64le(std::string& out, std::int64_t value) {
   append_u64le(out, static_cast<std::uint64_t>(value));
 }
 
-void append_string_field(std::string& out, const std::string& value) {
+void append_string_field(std::string& out, std::string_view value) {
   append_u16le(out, value.size());
   out += value;
 }
@@ -72,10 +72,11 @@ class PayloadReader {
     return static_cast<std::int64_t>(u64le());
   }
 
-  [[nodiscard]] std::string string_field() {
+  /// Views the payload: valid only while it is.
+  [[nodiscard]] std::string_view string_field() {
     const std::size_t length = u16le();
     need(length);
-    std::string value{data_.substr(pos_, length)};
+    const std::string_view value = data_.substr(pos_, length);
     pos_ += length;
     return value;
   }

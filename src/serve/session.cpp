@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 namespace wtp::serve {
 
@@ -10,7 +11,7 @@ namespace {
 
 // Length-prefixed string (`<len>:<raw bytes>`): device and user ids are
 // free-form CSV fields and may contain whitespace.
-void write_string(std::ostream& out, const std::string& value) {
+void write_string(std::ostream& out, std::string_view value) {
   out << value.size() << ':' << value;
 }
 

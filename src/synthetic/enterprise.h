@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/shared_string.h"
 
 namespace wtp::synthetic {
 
@@ -23,7 +24,7 @@ struct EnterpriseConfig {
 
 /// User-device bipartite assignment.  Device ids are "device_1"..
 struct DeviceTopology {
-  std::vector<std::string> device_ids;
+  std::vector<util::SharedString> device_ids;
   /// Per user (index-aligned with the profile vector): the devices the user
   /// works on; element 0 is the primary device.
   std::vector<std::vector<std::size_t>> user_devices;

@@ -66,10 +66,11 @@ log::HttpAction sample_action(const Site& site, util::Rng& rng) {
   }
 }
 
-/// One generated transaction before its strings exist: indices into the
+/// One generated transaction before its row exists: indices into the
 /// trace's users, devices and sites plus the sampled per-transaction fields.
 /// Sessions emit these 32-byte records; generate_trace sorts them and only
-/// then builds each WebTransaction, once.
+/// then builds each WebTransaction, once, from copies of the trace's string
+/// handles.
 struct Draft {
   util::UnixSeconds timestamp = 0;
   std::uint32_t user = 0;

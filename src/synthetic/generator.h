@@ -48,13 +48,16 @@ struct EnterpriseTrace {
 /// produce identical traces.  Sessions emit compact draft records (indices
 /// into the trace's users, devices and sites), which are sorted by
 /// (timestamp, user_id) and only then materialized, once each, into
-/// `transactions`.  The order of rows that tie on (timestamp, user_id)
+/// `transactions`.  The trace builds one util::SharedString per site field,
+/// user id and device id value, and every row copies those handles, so rows
+/// holding one value share its buffer.  The order of rows that tie on (timestamp, user_id)
 /// follows the standard library's std::sort, so it may differ between
 /// standard library implementations.
 [[nodiscard]] EnterpriseTrace generate_trace(const GeneratorConfig& config);
 
 /// Session-level generation interface, exposed for the identification
 /// experiment (Fig. 3) which scripts an explicit device-usage timeline.
+/// Its rows share the trace's handles too.
 struct SessionSpec {
   std::size_t user_index = 0;
   std::size_t device_index = 0;

@@ -14,7 +14,7 @@ namespace {
 /// Media types a site serves: one dominant "page" type plus a few resource
 /// types, all drawn from the global media pool (first entries of which are
 /// the common web types: html, css, javascript, images).
-void assign_media_types(Site& site, const std::vector<std::string>& media_pool,
+void assign_media_types(Site& site, const std::vector<util::SharedString>& media_pool,
                         util::Rng& rng) {
   const std::size_t kind_count =
       2 + rng.uniform_index(std::min<std::size_t>(4, media_pool.size() - 1));
@@ -49,9 +49,14 @@ std::vector<Site> build_site_pool(const SitePoolConfig& config, util::Rng& rng) 
   if (config.num_sites == 0) {
     throw std::invalid_argument{"build_site_pool: num_sites must be > 0"};
   }
-  const auto categories = category_pool(config.num_categories);
-  const auto media_types = media_type_pool(config.num_media_types);
-  const auto applications = application_type_pool(config.num_application_types);
+  // One handle per pool value: every site holding a value, and every
+  // transaction materialized from those sites, shares its buffer.
+  const auto handles = [](const std::vector<std::string>& pool) {
+    return std::vector<util::SharedString>(pool.begin(), pool.end());
+  };
+  const auto categories = handles(category_pool(config.num_categories));
+  const auto media_types = handles(media_type_pool(config.num_media_types));
+  const auto applications = handles(application_type_pool(config.num_application_types));
 
   const util::ZipfDistribution category_zipf{categories.size(), config.category_zipf};
   const util::ZipfDistribution application_zipf{applications.size(), config.application_zipf};

@@ -22,6 +22,7 @@
 
 #include "log/transaction.h"
 #include "util/rng.h"
+#include "util/shared_string.h"
 
 namespace wtp::synthetic {
 
@@ -29,13 +30,13 @@ namespace wtp::synthetic {
 /// inherit its category, application type and reputation, and sample media
 /// type / HTTP action / scheme from its tendencies.
 struct Site {
-  std::string url;
-  std::string category;
-  std::string application_type;
+  util::SharedString url;
+  util::SharedString category;
+  util::SharedString application_type;
   log::Reputation reputation = log::Reputation::kMinimalRisk;
   double https_probability = 0.5;
   bool is_private = false;            ///< internal-network service
-  std::vector<std::string> media_types;
+  std::vector<util::SharedString> media_types;
   std::vector<double> media_weights;  ///< same length as media_types
   std::vector<double> action_weights; ///< GET, POST, CONNECT, HEAD
   double resources_per_page = 3.0;    ///< mean extra transactions per page view
@@ -60,7 +61,7 @@ struct SitePoolConfig {
 
 /// A user's persistent behaviour profile.
 struct UserBehaviorProfile {
-  std::string user_id;
+  util::SharedString user_id;
   int cluster = 0;
 
   /// Favourite sites (indices into the global pool) with Zipf visit weights.

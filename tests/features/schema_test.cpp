@@ -160,10 +160,11 @@ FeatureSchema reference_schema(const std::vector<log::WebTransaction>& txns) {
   std::set<std::string> application_types;
   for (const auto& txn : txns) {
     categories.insert(txn.category);
-    const std::size_t slash = txn.media_type.find('/');
-    super_types.insert(txn.media_type.substr(0, slash));
-    if (slash != std::string::npos && slash + 1 < txn.media_type.size()) {
-      sub_types.insert(txn.media_type.substr(slash + 1));
+    const std::string media_type = txn.media_type;
+    const std::size_t slash = media_type.find('/');
+    super_types.insert(media_type.substr(0, slash));
+    if (slash != std::string::npos && slash + 1 < media_type.size()) {
+      sub_types.insert(media_type.substr(slash + 1));
     }
     application_types.insert(txn.application_type);
   }

@@ -48,7 +48,7 @@ TEST(LogFuzz, RandomCharacterMutationsNeverCrash) {
           line.insert(pos, 1, line[pos]);
           break;
       }
-      if (line.empty()) line = ",";
+      if (line.empty()) line.assign(1, ',');
     }
     try {
       const auto fields = util::csv_parse_row(line);

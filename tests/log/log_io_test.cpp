@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/time.h"
 
@@ -93,6 +95,39 @@ TEST(LogStream, ReaderHandlesHeaderlessInput) {
   const auto txns = read_log(headerless);
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_EQ(txns[0], example_txn());
+}
+
+// The reader interns per reader: rows holding one value share its buffer,
+// and an empty field holds none.  from_fields makes fresh handles.
+TEST(LogStream, ReaderSharesOneBufferPerValue) {
+  std::vector<WebTransaction> txns;
+  for (int i = 0; i < 6; ++i) {
+    WebTransaction txn = example_txn();
+    txn.timestamp += i;
+    txn.user_id = "user_" + std::to_string(i % 2);
+    txn.application_type = i % 3 == 0 ? "" : "Rhapsody";
+    txns.push_back(txn);
+  }
+  std::stringstream stream;
+  write_log(stream, txns);
+  const auto rows = read_log(stream);
+  ASSERT_EQ(rows, txns);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows[i].url.shares_with(rows[0].url));
+    EXPECT_TRUE(rows[i].device_id.shares_with(rows[0].device_id));
+    EXPECT_TRUE(rows[i].user_id.shares_with(rows[i % 2].user_id));
+    EXPECT_TRUE(rows[i].application_type.shares_with(rows[i % 3 == 0 ? 0 : 1].application_type));
+  }
+  EXPECT_FALSE(rows[0].user_id.shares_with(rows[1].user_id));
+  EXPECT_TRUE(rows[0].application_type.empty());
+
+  // A second reader has a table of its own.
+  std::stringstream again;
+  write_log(again, txns);
+  EXPECT_FALSE(read_log(again)[0].url.shares_with(rows[0].url));
+
+  const auto fields = to_fields(txns[0]);
+  EXPECT_FALSE(from_fields(fields).url.shares_with(from_fields(fields).url));
 }
 
 TEST(LogStream, CategoryWithCommaSurvives) {

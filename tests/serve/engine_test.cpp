@@ -6,7 +6,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <functional>
 #include <span>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -400,6 +404,41 @@ TEST(ScoringEngine, LruCapEvictsLeastRecentlyActiveSession) {
   metrics = engine.metrics();
   EXPECT_EQ(metrics.sessions_active, 1u);
   EXPECT_EQ(metrics.sessions_evicted, 2u);
+}
+
+// A device's shard is std::hash<std::string> of its id modulo the shard
+// count, whatever string type carries the id: device_shard takes a view, and
+// the engine's sessions (written to a snapshot shard by shard) follow it.
+TEST(ScoringEngine, DeviceShardIsStdStringHashModuloShards) {
+  std::vector<std::string> devices;
+  for (int d = 0; d < 40; ++d) devices.push_back("device_" + std::to_string(d));
+  devices.push_back("");
+  devices.push_back("10.0.0.17 with a long, spaced device name");
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    for (const auto& device : devices) {
+      const std::size_t expected = std::hash<std::string>{}(device) % shards;
+      EXPECT_EQ(device_shard(std::string_view{device}, shards), expected) << device;
+      EXPECT_EQ(device_shard(util::SharedString{device}, shards), expected) << device;
+    }
+  }
+
+  EngineConfig config;
+  config.shards = 8;
+  ScoringEngine engine{tiny_store(), config, [](const DecisionEvent&) {}};
+  for (std::size_t d = 0; d < 40; ++d) {
+    engine.ingest(txn_at(1000 + static_cast<util::UnixSeconds>(d), devices[d], "user_1"));
+  }
+  std::stringstream snapshot;
+  engine.save_snapshot(snapshot);
+  std::vector<std::size_t> order;
+  for (std::string line; std::getline(snapshot, line);) {
+    if (!line.starts_with("session ")) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t length = std::stoul(line.substr(8, colon - 8));
+    order.push_back(std::hash<std::string>{}(line.substr(colon + 1, length)) % 8);
+  }
+  ASSERT_EQ(order.size(), 40u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
 TEST(ScoringEngine, RejectsInvalidConfiguration) {

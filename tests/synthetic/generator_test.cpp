@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wtp::synthetic {
@@ -197,6 +198,51 @@ TEST(TraceGenerator, OutputDigestIsPinned) {
   generate_session(trace, spec, rng, session);
   EXPECT_EQ(session.size(), 570u);
   EXPECT_EQ(digest(session), 9606354323979487760ULL);
+}
+
+// Rows take every string from the trace's handles: all rows holding one
+// value (and the site, user or device it came from) point at one buffer.
+TEST(TraceGenerator, RowsOfOneValueShareOneBuffer) {
+  const EnterpriseTrace trace = generate_trace(tiny_config());
+  util::Rng rng{77};
+  SessionSpec spec;
+  spec.user_index = 2;
+  spec.device_index = 1;
+  spec.start = trace.config.start_time + util::kSecondsPerDay;
+  spec.duration_minutes = 30.0;
+  std::vector<log::WebTransaction> rows = trace.transactions;
+  generate_session(trace, spec, rng, rows);
+
+  // One (field, value) -> buffer map; the trace's own values fill it first.
+  enum Field { kUrl, kCategory, kApplication, kMedia, kUser, kDevice };
+  std::map<std::pair<Field, std::string>, const void*> buffers;
+  const auto check = [&buffers](Field field, const util::SharedString& value) {
+    ASSERT_FALSE(value.empty());
+    const auto [it, inserted] = buffers.try_emplace({field, value.str()}, value.data());
+    ASSERT_EQ(it->second, static_cast<const void*>(value.data())) << value;
+  };
+  for (const auto& site : trace.sites) {
+    check(kUrl, site.url);
+    check(kCategory, site.category);
+    check(kApplication, site.application_type);
+    for (const auto& media_type : site.media_types) check(kMedia, media_type);
+  }
+  for (const auto& user : trace.users) check(kUser, user.user_id);
+  for (const auto& device : trace.topology.device_ids) check(kDevice, device);
+  const std::size_t vocabulary = buffers.size();
+  for (const auto& txn : rows) {
+    check(kUrl, txn.url);
+    check(kUser, txn.user_id);
+    check(kDevice, txn.device_id);
+    check(kCategory, txn.category);
+    check(kMedia, txn.media_type);
+    check(kApplication, txn.application_type);
+  }
+  EXPECT_EQ(buffers.size(), vocabulary);  // no row brought a value of its own
+}
+
+TEST(TraceGenerator, RowIsAtMostEightyBytes) {
+  EXPECT_LE(sizeof(log::WebTransaction), 80u);
 }
 
 TEST(ScriptedSession, EmitsTransactionsForRequestedUserAndDevice) {

@@ -62,7 +62,7 @@ TEST(SitePool, PrivateSitesGetIntranetUrls) {
   for (const auto& site : sites) {
     if (site.is_private) {
       ++private_count;
-      EXPECT_EQ(site.url.rfind("intranet-", 0), 0u) << site.url;
+      EXPECT_EQ(site.url.view().rfind("intranet-", 0), 0u) << site.url;
     }
   }
   EXPECT_GT(private_count, 150u);

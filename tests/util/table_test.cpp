@@ -54,7 +54,9 @@ TEST(TextTable, NoTrailingSpaces) {
   const std::string out = table.render();
   std::size_t pos = 0;
   while ((pos = out.find('\n', pos)) != std::string::npos) {
-    if (pos > 0) EXPECT_NE(out[pos - 1], ' ');
+    if (pos > 0) {
+      EXPECT_NE(out[pos - 1], ' ');
+    }
     ++pos;
   }
 }
