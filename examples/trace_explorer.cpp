@@ -1,13 +1,12 @@
 // Trace explorer: the log-processing side of the library without any
 // machine learning.  Generates an enterprise trace, writes it in the proxy
-// CSV format, streams it back in, and prints dataset statistics mirroring
+// CSV format, reads it back in, and prints dataset statistics mirroring
 // the paper's §IV-A description (per-user transaction counts, device
 // sharing, vocabulary footprints).
 //
 // Usage: trace_explorer [output.csv]
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 
@@ -30,11 +29,7 @@ int main(int argc, char** argv) {
 
   // Round-trip through the on-disk proxy-log format.
   log::write_log_file(path, trace.transactions);
-  std::ifstream in{path};
-  log::LogReader reader{in};
-  std::vector<log::WebTransaction> loaded;
-  log::WebTransaction txn;
-  while (reader.next(txn)) loaded.push_back(txn);
+  const auto loaded = log::read_log_file(path);
   std::printf("wrote and re-read %zu transactions via %s\n\n", loaded.size(),
               path.c_str());
 

@@ -1,8 +1,10 @@
 #include "log/log_io.h"
 
 #include <fstream>
+#include <functional>
 #include <stdexcept>
-#include <utility>
+#include <string_view>
+#include <unordered_set>
 
 #include "util/csv.h"
 
@@ -63,6 +65,20 @@ WebTransaction parse_fields(const std::vector<std::string>& fields, MakeString&&
   return txn;
 }
 
+/// Reads the fields of the next row, skipping a header row at the top of
+/// the stream; returns false at end of stream.
+bool read_data_row(std::istream& in, bool& checked_header, std::vector<std::string>& fields) {
+  util::CsvReader reader{in};
+  while (reader.read_row(fields)) {
+    if (!checked_header) {
+      checked_header = true;
+      if (!fields.empty() && fields[0] == "timestamp") continue;  // skip header
+    }
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 WebTransaction from_fields(const std::vector<std::string>& fields) {
@@ -82,10 +98,22 @@ void write_log_file(const std::string& path, const std::vector<WebTransaction>& 
 }
 
 std::vector<WebTransaction> read_log(std::istream& in) {
+  // Every row read stays resident, so the table holds no value that some
+  // row does not hold too; it goes when the read returns.
+  std::unordered_set<util::SharedString, util::TransparentStringHash, std::equal_to<>>
+      strings;
+  const auto intern = [&strings](std::string_view text) -> util::SharedString {
+    if (text.empty()) return {};
+    auto it = strings.find(text);
+    if (it == strings.end()) it = strings.emplace(text).first;
+    return *it;
+  };
   std::vector<WebTransaction> txns;
-  LogReader reader{in};
-  WebTransaction txn;
-  while (reader.next(txn)) txns.push_back(std::move(txn));
+  std::vector<std::string> fields;
+  bool checked_header = false;
+  while (read_data_row(in, checked_header, fields)) {
+    txns.push_back(parse_fields(fields, intern));
+  }
   return txns;
 }
 
@@ -98,24 +126,10 @@ std::vector<WebTransaction> read_log_file(const std::string& path) {
 LogReader::LogReader(std::istream& in) : in_{in} {}
 
 bool LogReader::next(WebTransaction& txn) {
-  util::CsvReader reader{in_};
   std::vector<std::string> fields;
-  while (reader.read_row(fields)) {
-    if (!checked_header_) {
-      checked_header_ = true;
-      if (!fields.empty() && fields[0] == "timestamp") continue;  // skip header
-    }
-    txn = parse_fields(fields, [this](std::string_view text) { return intern(text); });
-    return true;
-  }
-  return false;
-}
-
-util::SharedString LogReader::intern(std::string_view text) {
-  if (text.empty()) return {};
-  auto it = strings_.find(text);
-  if (it == strings_.end()) it = strings_.emplace(text).first;
-  return *it;
+  if (!read_data_row(in_, checked_header_, fields)) return false;
+  txn = from_fields(fields);
+  return true;
 }
 
 }  // namespace wtp::log

@@ -6,11 +6,8 @@
 //   media_type, application_type, reputation, private_flag
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
-#include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "log/transaction.h"
@@ -33,14 +30,15 @@ void write_log(std::ostream& out, const std::vector<WebTransaction>& txns);
 void write_log_file(const std::string& path, const std::vector<WebTransaction>& txns);
 
 /// Reads a full log.  A leading header row is detected and skipped.  Rows
-/// that hold the same value share one buffer (see LogReader).
+/// that hold the same value share one buffer: the read interns through a
+/// table of its own, which holds only values the returned rows hold and is
+/// gone when the read returns.
 [[nodiscard]] std::vector<WebTransaction> read_log(std::istream& in);
 [[nodiscard]] std::vector<WebTransaction> read_log_file(const std::string& path);
 
-/// Pull-based reader for logs too large to materialize.  The reader interns
-/// every string field it parses: all the transactions it returns that hold
-/// one value share one buffer.  Its table holds each distinct value of its
-/// input once and lives as long as the reader.
+/// Pull-based reader for logs too large to materialize.  Each transaction
+/// it returns holds a fresh handle per string field, as from_fields does, so
+/// the reader keeps no state that grows with its input.
 class LogReader {
  public:
   explicit LogReader(std::istream& in);
@@ -49,12 +47,8 @@ class LogReader {
   bool next(WebTransaction& txn);
 
  private:
-  [[nodiscard]] util::SharedString intern(std::string_view text);
-
   std::istream& in_;
   bool checked_header_ = false;
-  std::unordered_set<util::SharedString, util::TransparentStringHash, std::equal_to<>>
-      strings_;
 };
 
 }  // namespace wtp::log

@@ -9,8 +9,8 @@
 //
 // A row is 72 bytes: its six string fields are util::SharedString handles,
 // and rows that hold the same value share one buffer when their producer
-// built one handle per value (the generator per trace, log::LogReader per
-// reader; DESIGN §7, "One transaction log").  A string_view into a field
+// built one handle per value (the generator per trace, log::read_log per
+// read; DESIGN §7, "One transaction log").  A string_view into a field
 // stays valid for as long as any handle to its buffer lives, so moving or
 // copying the row does not invalidate it.
 #pragma once

@@ -57,13 +57,11 @@ class SharedString {
   }
   operator std::string_view() const noexcept { return view(); }  // NOLINT
   operator std::string() const { return std::string{view()}; }   // NOLINT
-  [[nodiscard]] std::string str() const { return std::string{view()}; }
 
   /// NUL-terminated; "" for the empty string.
   [[nodiscard]] const char* c_str() const noexcept {
     return rep_ == nullptr ? "" : bytes();
   }
-  [[nodiscard]] const char* data() const noexcept { return c_str(); }
   [[nodiscard]] std::size_t size() const noexcept {
     return rep_ == nullptr ? 0 : rep_->size;
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <span>
 
 #include "core/test_trace.h"
 #include "features/split.h"
@@ -19,6 +21,16 @@ log::WebTransaction make_txn(util::UnixSeconds ts, const std::string& user) {
   txn.media_type = "text/html";
   txn.application_type = "Steam";
   return txn;
+}
+
+/// Whether every row of `rows` lies in the buffer of `capacity` rows at
+/// `buffer`.
+bool lies_within(std::span<const log::WebTransaction> rows,
+                 const log::WebTransaction* buffer, std::size_t capacity) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(buffer);
+  const auto end = reinterpret_cast<std::uintptr_t>(buffer + capacity);
+  return rows.empty() || (reinterpret_cast<std::uintptr_t>(rows.data()) >= begin &&
+                          reinterpret_cast<std::uintptr_t>(rows.data() + rows.size()) <= end);
 }
 
 TEST(ProfilingDataset, FiltersUsersBelowThreshold) {
@@ -158,37 +170,31 @@ TEST(ProfilingDataset, KeptUsersHoldTheirGroupedRowsInLogOrder) {
 }
 
 TEST(ProfilingDataset, MovesRowsInsteadOfCopying) {
-  // URLs longer than any short-string buffer live on the heap, so a moved
-  // row keeps its buffer and a copied one would not.
-  const std::string long_url(64, 'x');
+  // A dataset that copied its rows would hold them in a buffer of its own.
+  // One that moves them keeps them in the vector it is handed, whose buffer
+  // stays where it is (release_spare_capacity frees only the pages past the
+  // rows), so every kept row lies inside that buffer.
   std::vector<log::WebTransaction> txns;
-  for (int i = 0; i < 40; ++i) {
-    auto txn = make_txn(i, i % 4 == 0 ? "rare" : "busy");
-    txn.url = long_url + std::to_string(i);
-    txns.push_back(std::move(txn));
-  }
-  std::vector<const char*> busy_urls;
-  for (const auto& txn : txns) {
-    if (txn.user_id == "busy") busy_urls.push_back(txn.url.data());
-  }
+  for (int i = 0; i < 40; ++i) txns.push_back(make_txn(i, i % 4 == 0 ? "rare" : "busy"));
+  const log::WebTransaction* buffer = txns.data();
+  const std::size_t capacity = txns.capacity();
   DatasetConfig config;
   config.min_transactions = 20;
   const ProfilingDataset dataset{std::move(txns), config};
   ASSERT_EQ(dataset.user_ids(), (std::vector<std::string>{"busy"}));
   const auto rows = dataset.all_transactions("busy");
-  ASSERT_EQ(rows.size(), busy_urls.size());
+  ASSERT_EQ(rows.size(), 30u);
+  EXPECT_TRUE(lies_within(rows, buffer, capacity));
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(static_cast<const void*>(rows[i].url.data()),
-              static_cast<const void*>(busy_urls[i]))
-        << "row " << i;
+    EXPECT_EQ(rows[i].user_id, "busy") << "row " << i;
   }
 }
 
 TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
   // A log with spare capacity whose kept and dropped users interleave at
-  // random: short user ids (emptied in place when moved from), long URLs
-  // (whose heap buffers must move with their rows), one user dropped by the
-  // threshold and one by max_users.
+  // random: a URL of its own per row (so a row in the wrong place shows),
+  // one user dropped by the threshold and one by max_users.  The kept rows
+  // must come out in the vector's own buffer.
   std::mt19937 rng{7};
   const std::vector<std::string> users{"u0", "u1", "u2", "u3", "rare", "cut"};
   const std::vector<int> weights{30, 25, 20, 15, 2, 10};
@@ -197,14 +203,14 @@ TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
   txns.reserve(3000);
   for (int i = 0; i < 1200; ++i) {
     auto txn = make_txn(i, users[pick(rng)]);
-    txn.url = std::string(48, 'x') + std::to_string(i);
+    txn.url = "site_" + std::to_string(i);
     txn.device_id = "device_" + std::to_string(i % 7);
     txns.push_back(std::move(txn));
   }
   ASSERT_GT(txns.capacity(), txns.size());
   const auto by_user = features::group_by_user(txns);
-  std::map<std::string, std::vector<const char*>> urls;
-  for (const auto& txn : txns) urls[txn.user_id].push_back(txn.url.data());
+  const log::WebTransaction* buffer = txns.data();
+  const std::size_t capacity = txns.capacity();
 
   DatasetConfig config;
   config.min_transactions = 50;
@@ -215,11 +221,9 @@ TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
     const auto& expected = by_user.at(user);
     const auto rows = dataset.all_transactions(user);
     ASSERT_EQ(rows.size(), expected.size()) << user;
+    EXPECT_TRUE(lies_within(rows, buffer, capacity)) << user;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(rows[i], expected[i]) << user << " row " << i;
-      EXPECT_EQ(static_cast<const void*>(rows[i].url.data()),
-                static_cast<const void*>(urls.at(user)[i]))
-          << user << " row " << i;
     }
   }
   // The dataset stays movable: the spans follow the moved buffer.
@@ -227,6 +231,7 @@ TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
   for (const auto& user : moved.user_ids()) {
     ASSERT_EQ(moved.all_transactions(user).size(), by_user.at(user).size());
     EXPECT_EQ(moved.all_transactions(user).front(), by_user.at(user).front());
+    EXPECT_TRUE(lies_within(moved.all_transactions(user), buffer, capacity)) << user;
   }
 }
 

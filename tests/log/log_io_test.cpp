@@ -97,9 +97,9 @@ TEST(LogStream, ReaderHandlesHeaderlessInput) {
   EXPECT_EQ(txns[0], example_txn());
 }
 
-// The reader interns per reader: rows holding one value share its buffer,
-// and an empty field holds none.  from_fields makes fresh handles.
-TEST(LogStream, ReaderSharesOneBufferPerValue) {
+// read_log interns per read: rows holding one value share its buffer, and
+// an empty field holds none.  LogReader and from_fields make fresh handles.
+TEST(LogStream, ReadLogSharesOneBufferPerValue) {
   std::vector<WebTransaction> txns;
   for (int i = 0; i < 6; ++i) {
     WebTransaction txn = example_txn();
@@ -121,10 +121,22 @@ TEST(LogStream, ReaderSharesOneBufferPerValue) {
   EXPECT_FALSE(rows[0].user_id.shares_with(rows[1].user_id));
   EXPECT_TRUE(rows[0].application_type.empty());
 
-  // A second reader has a table of its own.
+  // A second read has a table of its own.
   std::stringstream again;
   write_log(again, txns);
   EXPECT_FALSE(read_log(again)[0].url.shares_with(rows[0].url));
+
+  // The streaming reader keeps no table: each row it returns owns its values.
+  std::stringstream streamed;
+  write_log(streamed, txns);
+  LogReader reader{streamed};
+  WebTransaction first;
+  WebTransaction second;
+  ASSERT_TRUE(reader.next(first));
+  ASSERT_TRUE(reader.next(second));
+  EXPECT_EQ(first.url, second.url);
+  EXPECT_FALSE(first.url.shares_with(second.url));
+  EXPECT_FALSE(first.device_id.shares_with(second.device_id));
 
   const auto fields = to_fields(txns[0]);
   EXPECT_FALSE(from_fields(fields).url.shares_with(from_fields(fields).url));

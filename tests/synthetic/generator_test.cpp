@@ -218,8 +218,8 @@ TEST(TraceGenerator, RowsOfOneValueShareOneBuffer) {
   std::map<std::pair<Field, std::string>, const void*> buffers;
   const auto check = [&buffers](Field field, const util::SharedString& value) {
     ASSERT_FALSE(value.empty());
-    const auto [it, inserted] = buffers.try_emplace({field, value.str()}, value.data());
-    ASSERT_EQ(it->second, static_cast<const void*>(value.data())) << value;
+    const auto [it, inserted] = buffers.try_emplace({field, std::string{value}}, value.c_str());
+    ASSERT_EQ(it->second, static_cast<const void*>(value.c_str())) << value;
   };
   for (const auto& site : trace.sites) {
     check(kUrl, site.url);

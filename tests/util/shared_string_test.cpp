@@ -86,8 +86,7 @@ TEST(SharedString, ConvertsToViewAndString) {
   const std::string copy = value;
   EXPECT_EQ(view, "text/html");
   EXPECT_EQ(copy, "text/html");
-  EXPECT_EQ(value.str(), "text/html");
-  EXPECT_EQ(view.data(), value.data());
+  EXPECT_EQ(view.data(), value.c_str());
   EXPECT_EQ(value.c_str()[value.size()], '\0');
   std::ostringstream out;
   out << value;
@@ -105,39 +104,39 @@ TEST(SharedString, KeepsEmbeddedNulBytes) {
 TEST(SharedString, CopySharesTheBufferAndMoveStealsIt) {
   const SharedString original{"user_9"};
   SharedString copy = original;
-  EXPECT_EQ(copy.data(), original.data());
+  EXPECT_EQ(copy.c_str(), original.c_str());
   EXPECT_TRUE(copy.shares_with(original));
 
   SharedString moved = std::move(copy);
-  EXPECT_EQ(moved.data(), original.data());
+  EXPECT_EQ(moved.c_str(), original.c_str());
   EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
   EXPECT_EQ(copy, "");        // NOLINT(bugprone-use-after-move)
 
   SharedString assigned{"other"};
   assigned = std::move(moved);
-  EXPECT_EQ(assigned.data(), original.data());
+  EXPECT_EQ(assigned.c_str(), original.c_str());
   EXPECT_EQ(moved, "");  // NOLINT(bugprone-use-after-move)
   assigned = original;
-  EXPECT_EQ(assigned.data(), original.data());
+  EXPECT_EQ(assigned.c_str(), original.c_str());
   assigned = "fresh";
   EXPECT_FALSE(assigned.shares_with(original));
   EXPECT_EQ(original, "user_9");
 
   // Equal text built twice is two buffers: nothing is interned globally.
-  EXPECT_NE(SharedString{"user_9"}.data(), original.data());
+  EXPECT_NE(SharedString{"user_9"}.c_str(), original.c_str());
   EXPECT_EQ(SharedString{"user_9"}, original);
 }
 
 TEST(SharedString, SelfAssignmentKeepsTheValue) {
   SharedString value{"category"};
-  const char* buffer = value.data();
+  const char* buffer = value.c_str();
   SharedString& alias = value;
   value = alias;
   EXPECT_EQ(value, "category");
-  EXPECT_EQ(value.data(), buffer);
+  EXPECT_EQ(value.c_str(), buffer);
   value = std::move(alias);
   EXPECT_EQ(value, "category");
-  EXPECT_EQ(value.data(), buffer);
+  EXPECT_EQ(value.c_str(), buffer);
 }
 
 // Copies and releases of one buffer race on four threads; the last release,
