@@ -16,16 +16,26 @@
 // near-optimal point a solve stopped at.
 // With --overhead, instead measures the observability plane's cost on the
 // fast sweep: tracing disabled vs. enabled-but-unexported, asserted < 3%.
+//
+// A grid section then runs the whole Tab. III grid (4 kernels x 15
+// regularizers, OC-SVM) at the layer ledger's train25 shape — 25 users x
+// 150 training windows, 558 columns, a 4-thread pool — through the pair
+// scorer (core::score_param_grid), after checking that its ratios and
+// chosen parameters are bitwise those of the per-cell oracle
+// (profile_acceptance on each fit_path model); it exits 1 otherwise.
 #include <cstdio>
 #include <memory>
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_json.h"
+#include "core/grid_search.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "svm/kernel_cache.h"
 #include "svm/one_class_svm.h"
@@ -276,6 +286,164 @@ int run_overhead_mode(const util::FeatureMatrix& self,
 
 }  // namespace
 
+namespace {
+
+// ------------------------------------------------------------------ grid --
+
+constexpr std::size_t kGridUsers = 25;
+constexpr std::size_t kGridWindows = 150;
+constexpr std::size_t kGridDim = 558;
+constexpr std::size_t kGridNumeric = 6;  ///< columns 0..5; the rest binary
+constexpr std::size_t kGridThreads = 4;
+constexpr std::size_t kGridPasses = 5;
+
+/// train25-shaped windows: each user's binary columns come from its own
+/// habit range plus schema-wide noise, and a few numeric columns carry
+/// counts, so the bitset plane scores them in a schema layout.
+core::MatrixByUser grid_windows(util::Rng& rng) {
+  std::vector<std::uint32_t> numeric(kGridNumeric);
+  for (std::size_t c = 0; c < kGridNumeric; ++c) {
+    numeric[c] = static_cast<std::uint32_t>(c);
+  }
+  core::MatrixByUser windows;
+  for (std::size_t u = 0; u < kGridUsers; ++u) {
+    const std::size_t habit =
+        kGridNumeric + (u * 37) % (kGridDim - kGridNumeric - kProfileCols);
+    std::vector<util::SparseVector> rows;
+    for (std::size_t i = 0; i < kGridWindows; ++i) {
+      std::set<std::size_t> cols;
+      const std::size_t nnz = kMeanNnz / 2 + rng.uniform_index(kMeanNnz);
+      while (cols.size() < nnz) {
+        cols.insert(rng.bernoulli(0.25)
+                        ? kGridNumeric +
+                              rng.uniform_index(kGridDim - kGridNumeric)
+                        : habit + rng.uniform_index(kProfileCols));
+      }
+      std::vector<util::SparseVector::Entry> entries;
+      for (const std::size_t col : cols) entries.push_back({col, 1.0});
+      for (std::size_t col = 0; col < kGridNumeric; ++col) {
+        if (rng.bernoulli(0.5)) {
+          entries.push_back({col, static_cast<double>(1 + rng.uniform_index(40))});
+        }
+      }
+      rows.emplace_back(std::move(entries));
+    }
+    auto matrix = util::FeatureMatrix::from_rows(rows, kGridDim);
+    matrix.ensure_bitset(numeric);
+    const std::string name = "user" + std::to_string(100 + u);
+    windows.emplace(name,
+                    std::make_shared<const util::FeatureMatrix>(std::move(matrix)));
+  }
+  return windows;
+}
+
+using Grids = std::vector<std::vector<core::ParamGridEntry>>;
+
+/// The per-cell oracle: one fit_path per (user, kernel), each model scored
+/// on its own through profile_acceptance.
+Grids oracle_grids(const core::MatrixByUser& windows,
+                   std::span<const std::string> users,
+                   std::span<const svm::KernelParams> kernels,
+                   std::span<const double> regs, util::ThreadPool& pool) {
+  Grids grids(users.size(),
+              std::vector<core::ParamGridEntry>(kernels.size() * regs.size()));
+  util::parallel_for(pool, users.size() * kernels.size(), [&](std::size_t index) {
+    const std::size_t u = index / kernels.size();
+    const std::size_t k = index % kernels.size();
+    svm::OneClassSvmConfig config;
+    config.kernel = kernels[k];
+    config.eps = core::kGridCellEps;
+    auto models = svm::OneClassSvmModel::fit_path(*windows.at(users[u]), config,
+                                                  regs, kGridDim);
+    for (std::size_t r = 0; r < regs.size(); ++r) {
+      core::ParamGridEntry& entry = grids[u][k * regs.size() + r];
+      entry.params = {core::ClassifierType::kOcSvm, kernels[k], regs[r]};
+      entry.ratios = core::profile_acceptance(
+          core::UserProfile::from_model(users[u], entry.params,
+                                        std::move(models[r])),
+          windows, core::kGridAcceptSlack);
+      entry.trainable =
+          !(entry.ratios.acc_self == 0.0 && entry.ratios.acc_other == 100.0);
+    }
+  });
+  return grids;
+}
+
+struct GridResult {
+  double pair_seconds = 0.0;
+  double oracle_seconds = 0.0;
+  std::uint64_t pair_blocks = 0;  ///< dot blocks of one pair-scorer run
+  std::size_t cells = 0;
+};
+
+/// Checks the pair scorer against the oracle (exits 1 on any difference)
+/// and times both: the pair scorer best of kGridPasses runs, the oracle its
+/// one checked run.
+GridResult run_grid_section() {
+  util::Rng rng{20170606};
+  const core::MatrixByUser windows = grid_windows(rng);
+  std::vector<std::string> users;
+  for (const auto& entry : windows) users.push_back(entry.first);
+  const auto kernels = core::paper_kernel_grid();
+  const auto regs = core::paper_regularizer_grid();
+  util::ThreadPool pool{kGridThreads};
+  const auto pair_grid = [&] {
+    return core::score_param_grid(windows, users, core::ClassifierType::kOcSvm,
+                                  kernels, regs, kGridDim, &pool);
+  };
+
+  obs::Counter& blocks = obs::Registry::global().counter("grid.pair_blocks");
+  const std::uint64_t blocks_before = blocks.value();
+  GridResult result;
+  util::Stopwatch watch;
+  const Grids got = pair_grid();
+  result.pair_seconds = watch.elapsed_seconds();
+  result.pair_blocks = blocks.value() - blocks_before;
+  // The oracle takes seconds, so its one checked run is its timing.
+  watch.reset();
+  const Grids want = oracle_grids(windows, users, kernels, regs, pool);
+  result.oracle_seconds = watch.elapsed_seconds();
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    for (std::size_t i = 0; i < want[u].size(); ++i) {
+      const auto& a = got[u][i];
+      const auto& b = want[u][i];
+      if (a.params != b.params || a.trainable != b.trainable ||
+          a.ratios.acc_self != b.ratios.acc_self ||
+          a.ratios.acc_other != b.ratios.acc_other) {
+        std::fprintf(stderr,
+                     "FATAL: grid %s cell %zu: pair scorer %.17g/%.17g, "
+                     "oracle %.17g/%.17g (acc_self/acc_other)\n",
+                     users[u].c_str(), i, a.ratios.acc_self,
+                     a.ratios.acc_other, b.ratios.acc_self, b.ratios.acc_other);
+        std::exit(1);
+      }
+    }
+    if (core::best_params(got[u]).params != core::best_params(want[u]).params) {
+      std::fprintf(stderr, "FATAL: grid %s: chosen parameters differ\n",
+                   users[u].c_str());
+      std::exit(1);
+    }
+    result.cells += want[u].size();
+  }
+  std::printf("grid check (pair scorer == per-cell oracle, %zu cells, %llu "
+              "dot blocks): PASS\n",
+              result.cells, static_cast<unsigned long long>(result.pair_blocks));
+
+  for (std::size_t pass = 1; pass < kGridPasses; ++pass) {
+    watch.reset();
+    (void)pair_grid();
+    result.pair_seconds = std::min(result.pair_seconds, watch.elapsed_seconds());
+  }
+  std::printf("grid     %zu users x %zu windows, %zu cols, %zu threads: pair "
+              "scorer %6.3fs   per-cell oracle %6.3fs   ratio %5.2fx\n",
+              kGridUsers, kGridWindows, kGridDim, kGridThreads,
+              result.pair_seconds, result.oracle_seconds,
+              result.oracle_seconds / result.pair_seconds);
+  return result;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   util::Rng rng{20170605};  // ICDCS'17
   const auto self = habit_windows(rng, kWindows, 100);
@@ -323,6 +491,7 @@ int main(int argc, char** argv) {
   if (cold_total < 3.0 * fast_total) {
     std::fprintf(stderr, "WARNING: overall speedup below the 3x target\n");
   }
+  const GridResult grid = run_grid_section();
 
   if (!json_out.empty()) {
     wtp::bench::JsonBuilder json;
@@ -355,6 +524,18 @@ int main(int argc, char** argv) {
     json.key("total_cold_seconds").value(cold_total);
     json.key("total_fast_seconds").value(fast_total);
     json.key("total_speedup").value(cold_total / fast_total);
+    json.key("grid").begin_object();
+    json.key("users").value(kGridUsers);
+    json.key("windows").value(kGridWindows);
+    json.key("dimension").value(kGridDim);
+    json.key("cells").value(grid.cells);
+    json.key("threads").value(kGridThreads);
+    json.key("passes").value(kGridPasses);
+    json.key("pair_blocks").value(grid.pair_blocks);
+    json.key("pair_seconds").value(grid.pair_seconds);
+    json.key("oracle_seconds").value(grid.oracle_seconds);
+    json.key("oracle_ratio").value(grid.oracle_seconds / grid.pair_seconds);
+    json.end_object();
     json.end_object();
     json.write_file(json_out);
     std::printf("wrote %s\n", json_out.c_str());

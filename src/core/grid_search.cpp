@@ -1,11 +1,15 @@
 #include "core/grid_search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -41,6 +45,7 @@ struct GridMetrics {
   obs::Counter& warm_cells;
   obs::Counter& cold_cells;
   obs::Counter& untrainable_cells;
+  obs::Counter& pair_blocks;
 
   static const GridMetrics& get() {
     static const GridMetrics metrics = [] {
@@ -51,7 +56,8 @@ struct GridMetrics {
                          r.counter("grid.columns"),
                          r.counter("grid.cells", {&warm, 1}),
                          r.counter("grid.cells", {&cold, 1}),
-                         r.counter("grid.untrainable_cells")};
+                         r.counter("grid.untrainable_cells"),
+                         r.counter("grid.pair_blocks")};
     }();
     return metrics;
   }
@@ -125,79 +131,290 @@ AcceptanceRatios grid_cell_ratios(const std::string& user,
   }
 }
 
-/// Query rows per kernel_block in column_acceptance: the per-thread block is
-/// kColumnTile x l doubles (64 x 150 at paper shape, ~75 KB).
+/// Query rows per dot block of the pair scorer: each per-thread block
+/// buffer holds at most kColumnTile x l doubles (64 x 150 at paper shape,
+/// ~75 KB).
 constexpr std::size_t kColumnTile = 64;
 
-/// The column scorer behind regularizer_path_entries: ratios of every model
-/// of one fit_path column (`path` is that sweep's PathStats).  Each query
-/// tile gets one kernel_block over all training rows; cell r reduces its
-/// support rows out of it, in SV order, through its view's
-/// decision_from_kernels — the values decision_values would compute from a
-/// block over the model's SV copy, hence the same bits.  view_of builds no
-/// bitset here: fit_path gives each model's SV block one in the training
-/// matrix's layout when it makes the model, whenever that matrix has one.
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// What scoring needs of one fit_path cell, kept once its model is dropped:
+/// the support rows (training row indices, ascending: SV order), their
+/// coefficients, and the decision scalars as a view without an SV block.
+struct GridCell {
+  std::vector<std::uint32_t> rows;
+  std::vector<double> coefficients;
+  svm::ModelView scalars;
+};
+
+/// One (user, kernel) column, aligned with the regularizers; empty when the
+/// column is untrainable (no own windows, or a failed fit).
+using GridColumn = std::vector<GridCell>;
+
 template <class Model>
-std::vector<AcceptanceRatios> column_acceptance(
-    const std::string& user, std::span<const Model> models,
-    const svm::PathStats& path, const MatrixByUser& train_windows,
-    double slack) {
-  const std::size_t cells = models.size();
-  std::vector<AcceptanceRatios> ratios(cells);
-  if (cells == 0) return ratios;
-  const obs::TraceSpan span{"grid.column_score", "grid",
-                            static_cast<std::uint64_t>(cells)};
-  const util::FeatureMatrix& own_windows = *train_windows.at(user);
-  const svm::KernelMatrix own = svm::kernel_matrix(own_windows);
-  const svm::KernelParams& kernel = models.front().kernel();
-  const std::size_t l = own_windows.rows();
-  std::vector<svm::ModelView> views;
-  views.reserve(cells);
-  for (const Model& model : models) views.push_back(svm::view_of(model));
-  std::vector<std::size_t> accepted(cells);
-  std::vector<double> other_sum(cells, 0.0);
-  std::size_t other_count = 0;
-  thread_local std::vector<double> block;
-  // Mirrors profile_acceptance: users in map order, ratio = accepted/rows
-  // (0 for an empty matrix) times 100, macro-averaged over the others.
-  for (const auto& [name, matrix] : train_windows) {
-    const std::size_t nq = matrix->rows();
-    const svm::KernelMatrix queries = svm::kernel_matrix(*matrix);
-    std::fill(accepted.begin(), accepted.end(), std::size_t{0});
+GridColumn take_cells(const std::vector<Model>& models, svm::PathStats& path) {
+  GridColumn cells(models.size());
+  for (std::size_t r = 0; r < models.size(); ++r) {
+    cells[r].rows = std::move(path.support_rows[r]);
+    cells[r].coefficients = models[r].coefficients();
+    cells[r].scalars = svm::view_of(models[r]);
+    cells[r].scalars.support_vectors = {};
+    cells[r].scalars.coefficients = {};
+  }
+  return cells;
+}
+
+/// Phase 1: one fit_path sweep over `own` at kGridCellEps.  The models are
+/// dropped on return, so the SV copies of every column never coexist.
+GridColumn fit_column(const util::FeatureMatrix& own, ClassifierType type,
+                      const svm::KernelParams& kernel,
+                      std::span<const double> regularizers,
+                      std::size_t dimension,
+                      const std::shared_ptr<svm::GramCache>& gram) {
+  const obs::TraceSpan span{"grid.column", "grid",
+                            static_cast<std::uint64_t>(regularizers.size())};
+  if (own.empty()) return {};
+  try {
+    svm::PathStats path;
+    if (type == ClassifierType::kOcSvm) {
+      svm::OneClassSvmConfig config;
+      config.kernel = kernel;
+      config.eps = kGridCellEps;
+      config.gram_cache = gram;
+      return take_cells(svm::OneClassSvmModel::fit_path(own, config, regularizers,
+                                                        dimension, &path),
+                        path);
+    }
+    svm::SvddConfig config;
+    config.kernel = kernel;
+    config.eps = kGridCellEps;
+    config.gram_cache = gram;
+    return take_cells(
+        svm::SvddModel::fit_path(own, config, regularizers, dimension, &path),
+        path);
+  } catch (const std::invalid_argument&) {
+    return {};
+  }
+}
+
+void run_tasks(util::ThreadPool* pool, std::size_t count,
+               const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) return util::parallel_for(*pool, count, fn);
+  for (std::size_t i = 0; i < count; ++i) fn(i);
+}
+
+/// The stage-2 grid of `column_users`, scored in three phases:
+///   1. fit: one fit_column per (column user, kernel), in parallel;
+///   2. pair blocks: one task per unordered user pair {m, q} with m a
+///      column user.  Per kColumnTile of q's windows, one dot_block against
+///      all of m's rows serves every kernel: each kernel transforms a copy,
+///      which is reduced into m's cells (queries from q) and, when q is a
+///      column user too, into q's cells (queries from m) — the same values,
+///      since a dot is symmetric and rbf's x^2 + y^2 commutes.  Each accept
+///      count (column user, kernel, regularizer, query user) is written by
+///      exactly one pair task;
+///   3. ratios from the counts, users in map order, as profile_acceptance.
+/// `grams` (aligned with column_users, entries may be null) are the users'
+/// dot-row caches shared across their kernel columns.
+std::vector<std::vector<ParamGridEntry>> score_grid(
+    const MatrixByUser& train_windows, std::span<const std::string> column_users,
+    ClassifierType type, std::span<const svm::KernelParams> kernels,
+    std::span<const double> regularizers, std::size_t dimension,
+    util::ThreadPool* pool, std::vector<std::shared_ptr<svm::GramCache>> grams) {
+  const GridMetrics& metrics = GridMetrics::get();
+  const std::size_t nk = kernels.size();
+  const std::size_t nr = regularizers.size();
+  const std::size_t columns_n = column_users.size();
+  // Users in map order, the order the ratios average them in.
+  std::vector<const util::FeatureMatrix*> matrices;
+  std::vector<std::size_t> slot_of;
+  for (const auto& entry : train_windows) {
+    matrices.push_back(entry.second.get());
+    slot_of.push_back(kNoSlot);
+  }
+  std::vector<std::size_t> user_of(columns_n);
+  for (std::size_t c = 0; c < columns_n; ++c) {
+    const auto found = train_windows.find(column_users[c]);
+    if (found == train_windows.end()) {
+      throw std::out_of_range{"grid search: no windows for user '" +
+                              column_users[c] + "'"};
+    }
+    user_of[c] = static_cast<std::size_t>(
+        std::distance(train_windows.begin(), found));
+    slot_of[user_of[c]] = c;
+  }
+  const std::size_t users = matrices.size();
+  metrics.warm_columns.add(columns_n * nk);
+  metrics.warm_cells.add(columns_n * nk * nr);
+
+  std::vector<GridColumn> columns(columns_n * nk);
+  // A user's dot-row cache is dropped as soon as its last column is fit.
+  std::vector<std::atomic<std::size_t>> unfit(columns_n);
+  for (auto& count : unfit) count.store(nk, std::memory_order_relaxed);
+  run_tasks(pool, columns.size(), [&](std::size_t index) {
+    const std::size_t c = index / nk;
+    columns[index] = fit_column(*matrices[user_of[c]], type, kernels[index % nk],
+                                regularizers, dimension, grams[c]);
+    if (unfit[c].fetch_sub(1, std::memory_order_acq_rel) == 1) grams[c].reset();
+  });
+
+  // fit_path's gamma = "auto" resolution, for the transform.
+  std::vector<svm::KernelParams> resolved{kernels.begin(), kernels.end()};
+  for (auto& kernel : resolved) {
+    if (kernel.gamma <= 0.0) {
+      kernel.gamma =
+          1.0 / static_cast<double>(std::max<std::size_t>(1, dimension));
+    }
+  }
+  // (m, q): m is a column user; q != m is the transposed direction's.
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t a = 0; a < users; ++a) {
+    for (std::size_t b = a; b < users; ++b) {
+      if (slot_of[a] != kNoSlot) {
+        pairs.emplace_back(a, b);
+      } else if (slot_of[b] != kNoSlot) {
+        pairs.emplace_back(b, a);
+      }
+    }
+  }
+  std::vector<std::size_t> counts(columns_n * nk * nr * users, 0);
+  const auto count = [&](std::size_t slot, std::size_t k, std::size_t r,
+                         std::size_t user) -> std::size_t& {
+    return counts[((slot * nk + k) * nr + r) * users + user];
+  };
+  run_tasks(pool, pairs.size(), [&](std::size_t p) {
+    const auto [m, q] = pairs[p];
+    const obs::TraceSpan span{"grid.pair", "grid"};
+    metrics.pair_blocks.add(1);
+    const util::FeatureMatrix& own = *matrices[m];
+    const util::FeatureMatrix& other = *matrices[q];
+    const std::size_t l = own.rows();
+    const std::size_t nq = other.rows();
+    if (l == 0 || nq == 0) return;
+    const std::size_t own_slot = slot_of[m];
+    const std::size_t back_slot = q == m ? kNoSlot : slot_of[q];
+    const svm::KernelMatrix matrix = svm::kernel_matrix(own);
+    svm::KernelMatrix queries = svm::kernel_matrix(other);
+    if (!queries.has_rows()) queries.csr = other.view();
+    thread_local std::vector<double> dots;
+    thread_local std::vector<double> values;
+    thread_local std::vector<double> transposed;
+    thread_local std::vector<double> acc;
+    // The transposed direction's chains run across q's tiles: one per
+    // (kernel, regularizer, row of m), with a cursor into each cell's rows.
+    thread_local std::vector<double> back;
+    thread_local std::vector<std::size_t> cursor;
+    if (back_slot != kNoSlot) {
+      back.assign(nk * nr * l, 0.0);
+      cursor.assign(nk * nr, 0);
+    }
     for (std::size_t q0 = 0; q0 < nq; q0 += kColumnTile) {
       const std::size_t tile = std::min(kColumnTile, nq - q0);
-      if (block.size() < tile * l) block.resize(tile * l);
-      svm::kernel_block(kernel, own, svm::KernelQueries::rows(queries, q0, tile),
-                        std::span<double>{block.data(), tile * l});
-      for (std::size_t r = 0; r < cells; ++r) {
-        const std::uint32_t* rows = path.support_rows[r].data();
+      dots.resize(tile * l);
+      svm::dot_block(matrix, svm::KernelQueries::rows(queries, q0, tile),
+                     std::span<double>{dots.data(), tile * l});
+      for (std::size_t k = 0; k < nk; ++k) {
+        const GridColumn& own_cells = columns[own_slot * nk + k];
+        const GridColumn* back_cells =
+            back_slot == kNoSlot ? nullptr : &columns[back_slot * nk + k];
+        if (back_cells != nullptr && back_cells->empty()) back_cells = nullptr;
+        if (own_cells.empty() && back_cells == nullptr) continue;
+        values.assign(dots.begin(), dots.begin() + static_cast<std::ptrdiff_t>(tile * l));
         for (std::size_t t = 0; t < tile; ++t) {
-          const double* k = block.data() + t * l;
-          const double value = views[r].decision_from_kernels(
-              [k, rows](std::size_t i) { return k[rows[i]]; },
-              matrix->sq_norm(q0 + t));
-          if (value >= -slack) ++accepted[r];
+          svm::kernel_transform(resolved[k], own.sq_norms(), other.sq_norm(q0 + t),
+                                std::span<double>{values.data() + t * l, l});
+        }
+        if (!own_cells.empty()) {
+          // Queries from q: lanes are the tile's queries, so transpose.
+          transposed.resize(l * tile);
+          for (std::size_t t = 0; t < tile; ++t) {
+            for (std::size_t i = 0; i < l; ++i) {
+              transposed[i * tile + t] = values[t * l + i];
+            }
+          }
+          for (std::size_t r = 0; r < nr; ++r) {
+            const GridCell& cell = own_cells[r];
+            acc.assign(tile, 0.0);
+            accumulate_support_rows(cell.rows, cell.coefficients, 0,
+                                    cell.rows.size(), 0, transposed.data(),
+                                    tile, acc.data());
+            std::size_t& accepted = count(own_slot, k, r, q);
+            for (std::size_t t = 0; t < tile; ++t) {
+              const double value =
+                  cell.scalars.decision_from_sum(acc[t], other.sq_norm(q0 + t));
+              if (value >= -kGridAcceptSlack) ++accepted;
+            }
+          }
+        }
+        if (back_cells != nullptr) {
+          // Queries from m: lanes are m's rows; the tile holds q's support
+          // rows in [q0, q0 + tile).
+          for (std::size_t r = 0; r < nr; ++r) {
+            const GridCell& cell = (*back_cells)[r];
+            std::size_t& next = cursor[k * nr + r];
+            const std::size_t begin = next;
+            while (next < cell.rows.size() && cell.rows[next] < q0 + tile) ++next;
+            accumulate_support_rows(cell.rows, cell.coefficients, begin, next,
+                                    q0, values.data(), l,
+                                    back.data() + (k * nr + r) * l);
+          }
         }
       }
     }
-    for (std::size_t r = 0; r < cells; ++r) {
-      const double share =
-          nq == 0 ? 0.0
-                  : static_cast<double>(accepted[r]) / static_cast<double>(nq);
-      if (name == user) {
-        ratios[r].acc_self = share * 100.0;
-      } else {
-        other_sum[r] += share * 100.0;
+    if (back_slot == kNoSlot) return;
+    for (std::size_t k = 0; k < nk; ++k) {
+      const GridColumn& back_cells = columns[back_slot * nk + k];
+      for (std::size_t r = 0; r < back_cells.size(); ++r) {
+        const double* sums = back.data() + (k * nr + r) * l;
+        std::size_t& accepted = count(back_slot, k, r, m);
+        for (std::size_t i = 0; i < l; ++i) {
+          const double value =
+              back_cells[r].scalars.decision_from_sum(sums[i], own.sq_norm(i));
+          if (value >= -kGridAcceptSlack) ++accepted;
+        }
       }
     }
-    if (name != user) ++other_count;
-  }
-  if (other_count > 0) {
-    for (std::size_t r = 0; r < cells; ++r) {
-      ratios[r].acc_other = other_sum[r] / static_cast<double>(other_count);
+  });
+
+  std::vector<std::vector<ParamGridEntry>> grids(
+      columns_n, std::vector<ParamGridEntry>(nk * nr));
+  for (std::size_t c = 0; c < columns_n; ++c) {
+    for (std::size_t k = 0; k < nk; ++k) {
+      for (std::size_t r = 0; r < nr; ++r) {
+        ParamGridEntry& entry = grids[c][k * nr + r];
+        entry.params.type = type;
+        entry.params.kernel = kernels[k];
+        entry.params.regularizer = regularizers[r];
+        if (columns[c * nk + k].empty()) {
+          entry.ratios = untrainable_ratios();
+        } else {
+          // Mirrors profile_acceptance: ratio = accepted/rows (0 for an
+          // empty matrix) times 100, macro-averaged over the other users.
+          double other_sum = 0.0;
+          std::size_t other_count = 0;
+          for (std::size_t v = 0; v < users; ++v) {
+            const std::size_t rows = matrices[v]->rows();
+            const double share =
+                rows == 0 ? 0.0
+                          : static_cast<double>(count(c, k, r, v)) /
+                                static_cast<double>(rows);
+            if (v == user_of[c]) {
+              entry.ratios.acc_self = share * 100.0;
+            } else {
+              other_sum += share * 100.0;
+              ++other_count;
+            }
+          }
+          if (other_count > 0) {
+            entry.ratios.acc_other = other_sum / static_cast<double>(other_count);
+          }
+        }
+        entry.trainable = is_trainable(entry.ratios);
+        if (!entry.trainable) metrics.untrainable_cells.add(1);
+      }
     }
   }
-  return ratios;
+  return grids;
 }
 
 /// Each (window, user) pair is windowed into a CSR matrix exactly once: the
@@ -220,66 +437,44 @@ MatrixByUser all_train_matrices(const ProfilingDataset& dataset,
 
 }  // namespace
 
+void accumulate_support_rows(std::span<const std::uint32_t> rows,
+                             std::span<const double> coefficients,
+                             std::size_t begin, std::size_t end,
+                             std::size_t first, const double* block,
+                             std::size_t lanes, double* __restrict acc) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const double alpha = coefficients[i];
+    const double* __restrict k = block + (rows[i] - first) * lanes;
+    for (std::size_t q = 0; q < lanes; ++q) acc[q] += alpha * k[q];
+  }
+}
+
+std::vector<std::vector<ParamGridEntry>> score_param_grid(
+    const MatrixByUser& train_windows, std::span<const std::string> column_users,
+    ClassifierType type, std::span<const svm::KernelParams> kernels,
+    std::span<const double> regularizers, std::size_t dimension,
+    util::ThreadPool* pool) {
+  // The kernel columns of one user transform the same Gram rows, so they
+  // share one dot-row cache.
+  std::vector<std::shared_ptr<svm::GramCache>> grams(column_users.size());
+  for (std::size_t c = 0; c < column_users.size(); ++c) {
+    const auto found = train_windows.find(column_users[c]);
+    if (found != train_windows.end() && !found->second->empty()) {
+      grams[c] = std::make_shared<svm::GramCache>(*found->second);
+    }
+  }
+  return score_grid(train_windows, column_users, type, kernels, regularizers,
+                    dimension, pool, std::move(grams));
+}
+
 std::vector<ParamGridEntry> regularizer_path_entries(
     const std::string& user, ClassifierType type,
     const svm::KernelParams& kernel, std::span<const double> regularizers,
     const MatrixByUser& train_windows, std::size_t dimension,
     const std::shared_ptr<svm::GramCache>& gram) {
-  const obs::TraceSpan span{"grid.column", "grid",
-                            static_cast<std::uint64_t>(regularizers.size())};
-  const GridMetrics& metrics = GridMetrics::get();
-  metrics.warm_columns.add(1);
-  metrics.warm_cells.add(regularizers.size());
-  std::vector<ParamGridEntry> entries(regularizers.size());
-  for (std::size_t r = 0; r < regularizers.size(); ++r) {
-    entries[r].params.type = type;
-    entries[r].params.kernel = kernel;
-    entries[r].params.regularizer = regularizers[r];
-  }
-  const auto mark_untrainable = [&entries] {
-    for (auto& entry : entries) {
-      entry.ratios = untrainable_ratios();
-      entry.trainable = false;
-    }
-  };
-  const auto& own_windows = *train_windows.at(user);
-  if (own_windows.empty()) {
-    mark_untrainable();
-    return entries;
-  }
-  try {
-    svm::PathStats path;
-    std::vector<AcceptanceRatios> ratios;
-    if (type == ClassifierType::kOcSvm) {
-      svm::OneClassSvmConfig config;
-      config.kernel = kernel;
-      config.eps = kGridCellEps;
-      config.gram_cache = gram;
-      const auto models = svm::OneClassSvmModel::fit_path(
-          own_windows, config, regularizers, dimension, &path);
-      ratios = column_acceptance(user, std::span{models}, path,
-                                 train_windows, kGridAcceptSlack);
-    } else {
-      svm::SvddConfig config;
-      config.kernel = kernel;
-      config.eps = kGridCellEps;
-      config.gram_cache = gram;
-      const auto models = svm::SvddModel::fit_path(own_windows, config,
-                                                   regularizers, dimension, &path);
-      ratios = column_acceptance(user, std::span{models}, path,
-                                 train_windows, kGridAcceptSlack);
-    }
-    for (std::size_t r = 0; r < entries.size(); ++r) {
-      entries[r].ratios = ratios[r];
-      entries[r].trainable = is_trainable(ratios[r]);
-    }
-  } catch (const std::invalid_argument&) {
-    mark_untrainable();
-  }
-  for (const auto& entry : entries) {
-    if (!entry.trainable) metrics.untrainable_cells.add(1);
-  }
-  return entries;
+  return std::move(score_grid(train_windows, {&user, 1}, type, {&kernel, 1},
+                              regularizers, dimension, nullptr, {gram})
+                       .front());
 }
 
 std::vector<WindowGridEntry> window_grid_search(
@@ -333,24 +528,13 @@ std::vector<ParamGridEntry> param_grid_search(
     std::span<const double> regularizers, util::ThreadPool& pool,
     GridSearchMode mode) {
   const MatrixByUser train_windows = all_train_matrices(dataset, window, pool);
-  std::vector<ParamGridEntry> entries(kernels.size() * regularizers.size());
   if (mode == GridSearchMode::kWarmPath) {
-    // One task per kernel: the regularizer column is a single warm path.
-    // All columns transform the same Gram rows, so they share one dot cache.
-    const auto& own_windows = *train_windows.at(user);
-    const auto gram = own_windows.empty()
-                          ? nullptr
-                          : std::make_shared<svm::GramCache>(own_windows);
-    util::parallel_for(pool, kernels.size(), [&](std::size_t k) {
-      auto column = regularizer_path_entries(user, type, kernels[k],
-                                             regularizers, train_windows,
-                                             dataset.schema().dimension(), gram);
-      std::move(column.begin(), column.end(),
-                entries.begin() +
-                    static_cast<std::ptrdiff_t>(k * regularizers.size()));
-    });
-    return entries;
+    return std::move(score_param_grid(train_windows, {&user, 1}, type, kernels,
+                                      regularizers, dataset.schema().dimension(),
+                                      &pool)
+                         .front());
   }
+  std::vector<ParamGridEntry> entries(kernels.size() * regularizers.size());
   util::parallel_for(pool, entries.size(), [&](std::size_t index) {
     const std::size_t k = index / regularizers.size();
     const std::size_t r = index % regularizers.size();
@@ -384,32 +568,15 @@ std::vector<ProfileParams> optimize_all_users(
     GridSearchMode mode) {
   const MatrixByUser train_windows = all_train_matrices(dataset, window, pool);
   const auto& users = dataset.user_ids();
-  const std::size_t grid_size = kernels.size() * regularizers.size();
-  std::vector<std::vector<ParamGridEntry>> grids(
-      users.size(), std::vector<ParamGridEntry>(grid_size));
+  std::vector<std::vector<ParamGridEntry>> grids;
   if (mode == GridSearchMode::kWarmPath) {
-    // One task per (user, kernel); results land in fixed slots, so the
-    // selection below is independent of scheduling and pool size.  Kernel
-    // columns of the same user share that user's dot-row cache.
-    std::vector<std::shared_ptr<svm::GramCache>> grams(users.size());
-    for (std::size_t u = 0; u < users.size(); ++u) {
-      const auto& own_windows = *train_windows.at(users[u]);
-      if (!own_windows.empty()) {
-        grams[u] = std::make_shared<svm::GramCache>(own_windows);
-      }
-    }
-    util::parallel_for(pool, users.size() * kernels.size(), [&](std::size_t index) {
-      const std::size_t u = index / kernels.size();
-      const std::size_t k = index % kernels.size();
-      auto column = regularizer_path_entries(users[u], type, kernels[k],
-                                             regularizers, train_windows,
-                                             dataset.schema().dimension(),
-                                             grams[u]);
-      std::move(column.begin(), column.end(),
-                grids[u].begin() +
-                    static_cast<std::ptrdiff_t>(k * regularizers.size()));
-    });
+    // Results land in fixed slots, so the selection below is independent
+    // of scheduling and pool size.
+    grids = score_param_grid(train_windows, users, type, kernels, regularizers,
+                             dataset.schema().dimension(), &pool);
   } else {
+    const std::size_t grid_size = kernels.size() * regularizers.size();
+    grids.assign(users.size(), std::vector<ParamGridEntry>(grid_size));
     util::parallel_for(pool, users.size() * grid_size, [&](std::size_t index) {
       const std::size_t u = index / grid_size;
       const std::size_t g = index % grid_size;

@@ -60,12 +60,11 @@ struct ParamGridEntry {
   bool trainable = true;  ///< false when training failed (infeasible config)
 };
 
-/// How stage 2 trains and scores the cells of one kernel's regularizer
-/// column.
+/// How stage 2 trains and scores its cells.
 ///   kWarmPath:    one fit_path sweep per (user, kernel) — a shared QMatrix
-///                 and kernel cache across the column, each solve seeded
-///                 from the previous cell — scored in one pass by
-///                 column_acceptance (the production path).
+///                 and kernel cache across the regularizer column, each solve
+///                 seeded from the previous cell — scored by the pair scorer
+///                 (score_param_grid; the production path).
 ///   kColdPerCell: every cell trains from scratch and is scored on its own
 ///                 through profile_acceptance; kept as the per-cell oracle.
 ///
@@ -87,17 +86,57 @@ enum class GridSearchMode : std::uint8_t { kWarmPath, kColdPerCell };
 inline constexpr double kGridCellEps = 1e-6;
 inline constexpr double kGridAcceptSlack = 1e-4;
 
-/// One kernel's regularizer column for `user` (the kWarmPath unit): one
-/// fit_path sweep over `*train_windows.at(user)` at kGridCellEps, then one
-/// scoring pass over every user's windows.  Per query tile the pass makes a
-/// single kernel_block call over all l training rows and each cell reads its
-/// support rows out of it, so kernel work per column is l x Q rather than
-/// sum_r |SV_r| x Q.  Each entry's ratios are bitwise equal to
+/// The kWarmPath grid of every user in `column_users` (each a key of
+/// `train_windows`), scored on every user's windows: the one stage-2 scorer.
+/// Three phases:
+///   1. Fit: one fit_path sweep per (column user, kernel) at kGridCellEps,
+///      in parallel.  Each cell keeps only its support rows
+///      (PathStats::support_rows), coefficients and decision scalars; the
+///      models are dropped at once, so no two columns' SV copies need
+///      coexist, and a user's dot-row cache once its last column is fit.
+///   2. Pair blocks: one task per unordered user pair {m, q} with m a column
+///      user.  Per 64 of q's windows it makes one dot_block against all of
+///      m's training rows; each kernel transforms a copy (kernel_transform),
+///      which is reduced into m's cells (queries from q) and, when q is a
+///      column user too, into q's cells (queries from m) — the same values,
+///      because a dot is symmetric and rbf's x^2 + y^2 commutes.  Each cell
+///      reduces one chain per query, in SV order, and finishes it through
+///      ModelView::decision_from_sum.  So the dot work is one block per
+///      pair, U(U+1)/2 for U column users out of U, and U for one column
+///      user, whatever the number of kernels.
+///   3. Ratios from the accept counts, users in map order.
+/// Each entry's ratios are bitwise equal to
 /// profile_acceptance(UserProfile::from_model(user, ..., model_r),
 /// train_windows, kGridAcceptSlack) on the same fit_path models.  An empty
-/// own-window matrix or a failed fit marks the whole column untrainable
-/// ({0, 100}).  `gram` (may be null) is the user's dot-row cache shared
-/// across kernel columns.  Entries are aligned with `regularizers`.
+/// own-window matrix or a failed fit marks a (user, kernel) column
+/// untrainable ({0, 100}).  Per-thread scratch: a few kColumnTile x l
+/// blocks (l = m's rows) plus the transposed direction's chains, one per
+/// (cell, row of m).  `pool` null runs every task on the caller's thread.
+/// Returns one grid per column user, kernel-major, regularizer-minor.
+[[nodiscard]] std::vector<std::vector<ParamGridEntry>> score_param_grid(
+    const MatrixByUser& train_windows, std::span<const std::string> column_users,
+    ClassifierType type, std::span<const svm::KernelParams> kernels,
+    std::span<const double> regularizers, std::size_t dimension,
+    util::ThreadPool* pool);
+
+/// The pair scorer's reduction, one chain per lane: for the support rows i
+/// in [begin, end), in SV order, acc[q] += coefficients[i] *
+/// block[(rows[i] - first) * lanes + q] for every lane q < lanes.  A lane
+/// runs ModelView::decision_from_kernels' sum chain in its operation order,
+/// and the library is built for the baseline ISA, which has no FMA to
+/// contract a * b + c into, so the lane ends with the same bits.  Chains
+/// may be continued across calls (the transposed direction does, tile by
+/// tile).
+void accumulate_support_rows(std::span<const std::uint32_t> rows,
+                             std::span<const double> coefficients,
+                             std::size_t begin, std::size_t end,
+                             std::size_t first, const double* block,
+                             std::size_t lanes, double* acc);
+
+/// One kernel's regularizer column for `user`: score_param_grid for one
+/// column user and one kernel, on the caller's thread.  `gram` (may be
+/// null) is the user's dot-row cache, shared across kernel columns.
+/// Entries are aligned with `regularizers`.
 [[nodiscard]] std::vector<ParamGridEntry> regularizer_path_entries(
     const std::string& user, ClassifierType type,
     const svm::KernelParams& kernel, std::span<const double> regularizers,
@@ -107,6 +146,7 @@ inline constexpr double kGridAcceptSlack = 1e-4;
 /// Stage 2 (Tab. III): full kernel x regularizer grid for one user at a
 /// fixed window configuration.  Ratios are computed on training windows, as
 /// in stage 1.  Results are ordered kernel-major, regularizer-minor.
+/// kWarmPath is score_param_grid with this one column user.
 [[nodiscard]] std::vector<ParamGridEntry> param_grid_search(
     const ProfilingDataset& dataset, const std::string& user,
     const features::WindowConfig& window, ClassifierType type,
@@ -120,7 +160,8 @@ inline constexpr double kGridAcceptSlack = 1e-4;
     std::span<const ParamGridEntry> entries);
 
 /// Runs stage 2 for every user and returns the chosen per-user parameters,
-/// aligned with dataset.user_ids().
+/// aligned with dataset.user_ids().  kWarmPath is score_param_grid with
+/// every user a column user.
 [[nodiscard]] std::vector<ProfileParams> optimize_all_users(
     const ProfilingDataset& dataset, const features::WindowConfig& window,
     ClassifierType type, std::span<const svm::KernelParams> kernels,

@@ -317,7 +317,9 @@ MappedProfileStore::MappedProfileStore(std::shared_ptr<const MappedFile> file,
       window_{window},
       schema_{std::move(schema)},
       records_{records},
-      pool_{pool} {}
+      pool_{pool},
+      checked_{std::make_unique<std::atomic<std::uint64_t>[]>(
+          (records.size() + 63) / 64)} {}
 
 std::string_view MappedProfileStore::user_id(std::size_t i) const {
   const UserRecord& r = records_[i];
@@ -326,6 +328,12 @@ std::string_view MappedProfileStore::user_id(std::size_t i) const {
 
 svm::ModelView MappedProfileStore::model(std::size_t i) const {
   const UserRecord& r = records_[i];
+  std::atomic<std::uint64_t>& word = checked_[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if ((word.load(std::memory_order_acquire) & bit) != 0) {
+    return svm::view_checked_model_blob(
+        file_->bytes().subspan(r.blob_off, r.blob_size));
+  }
   svm::ModelView view;
   try {
     view = svm::view_model_blob(file_->bytes().subspan(r.blob_off, r.blob_size));
@@ -344,6 +352,7 @@ svm::ModelView MappedProfileStore::model(std::size_t i) const {
                     std::to_string(schema_.dimension()),
                 r.blob_off);
   }
+  word.fetch_or(bit, std::memory_order_release);
   return view;
 }
 

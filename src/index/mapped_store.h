@@ -15,6 +15,7 @@
 // in tests/index and tests/svm).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -126,8 +127,10 @@ class MappedProfileStore final : public ProfileCatalog {
 
   [[nodiscard]] std::size_t size() const noexcept override { return records_.size(); }
   [[nodiscard]] std::string_view user_id(std::size_t i) const override;
-  /// Validates and views the blob in place (no allocation, no copies);
-  /// a model with more columns than the schema is refused too.
+  /// Views the blob in place (no allocation, no copies).  The first call
+  /// for user i validates it (svm::view_model_blob; a model with more
+  /// columns than the schema is refused too) and sets the user's bit; later
+  /// calls only locate its sections.  Thread-safe.
   [[nodiscard]] svm::ModelView model(std::size_t i) const override;
   [[nodiscard]] const features::FeatureSchema& schema() const noexcept override {
     return schema_;
@@ -163,6 +166,8 @@ class MappedProfileStore final : public ProfileCatalog {
   features::FeatureSchema schema_;
   std::span<const UserRecord> records_;  ///< into the mapping
   std::span<const char> pool_;           ///< into the mapping
+  /// One bit per user, set once model(i) has validated blob i.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> checked_;
 };
 
 }  // namespace wtp::index

@@ -33,7 +33,7 @@ void register_common_metrics(Registry& registry) {
         "serve.decisions_emitted", "serve.correct_decisions",
         "serve.sessions_created", "serve.sessions_evicted",
         "solver.path_columns", "grid.window_cells", "grid.columns",
-        "grid.untrainable_cells"}) {
+        "grid.untrainable_cells", "grid.pair_blocks"}) {
     (void)registry.counter(name);
   }
   // The solver publishes per-kernel series (names must match

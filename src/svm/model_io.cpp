@@ -102,15 +102,24 @@ BitsetLayout bitset_layout(std::uint64_t sv_count, std::uint64_t words_per_row,
 
 /// The SV rows' bitset for a v3 blob: in the `numeric_cols` layout when the
 /// rows conform to it, else in the layout BitsetStorage::build detects;
-/// nullopt when neither represents them.  Built from the rows, never taken
-/// from the matrix's cached bitset, whose layout depends on the kernel
-/// backend.
-std::optional<util::BitsetStorage> blob_bitset(
-    const util::CsrView& rows, std::span<const std::uint32_t> numeric_cols) {
+/// nullopt when neither represents them.  A bitset in a given layout follows
+/// from the rows alone, so the matrix's cached one (a trained model's SV
+/// block carries its training matrix's layout on every backend, a
+/// materialized one its stored block) is serialized as it is when its
+/// layout is the hint; it is built from the rows otherwise.
+std::optional<util::BitsetView> blob_bitset(
+    const util::FeatureMatrix& svs, std::span<const std::uint32_t> numeric_cols,
+    std::optional<util::BitsetStorage>& built) {
   if (!numeric_cols.empty()) {
-    if (auto hinted = util::BitsetStorage::build(rows, numeric_cols)) return hinted;
+    const std::optional<util::BitsetView> cached = svs.bitset();
+    if (cached && std::ranges::equal(cached->numeric_cols, numeric_cols)) {
+      return cached;
+    }
+    built = util::BitsetStorage::build(svs.view(), numeric_cols);
   }
-  return util::BitsetStorage::build(rows);
+  if (!built) built = util::BitsetStorage::build(svs.view());
+  if (!built) return std::nullopt;
+  return built->view();
 }
 
 void append_bytes(std::vector<std::byte>& out, const void* data, std::size_t size) {
@@ -130,8 +139,9 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
                              std::span<const std::uint32_t> numeric_cols) {
   pad_to_8(out, 0);
   const std::size_t start = out.size();
-  const std::optional<util::BitsetStorage> bitset =
-      blob_bitset(svs.view(), numeric_cols);
+  std::optional<util::BitsetStorage> built;
+  const std::optional<util::BitsetView> bitset =
+      blob_bitset(svs, numeric_cols, built);
 
   BlobHeader header{};
   std::memcpy(header.magic, kBlobMagic, sizeof(kBlobMagic));
@@ -149,7 +159,7 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   header.cols = svs.cols();
 
   if (bitset) {
-    const util::BitsetView bits = bitset->view();
+    const util::BitsetView& bits = *bitset;
     const std::uint64_t numeric_count = bits.numeric_cols.size();
     header.blob_size =
         bitset_layout(header.sv_count, bits.words_per_row, numeric_count).total;
@@ -223,23 +233,11 @@ void check_blob_size(const BlobHeader& header, std::span<const std::byte> blob,
   }
 }
 
-/// v1: CSR rows.  They must meet FeatureMatrix's row rule, strictly
-/// ascending column indices, since materialize() adopts these arrays as they
-/// are; an ascending row is in bounds when its last index is.
-BlobRows view_csr_rows(const BlobHeader& header, std::span<const std::byte> blob) {
-  // An SV row costs at least 24 bytes (offset, norm, coefficient) and a
-  // nonzero 12 (index, value).
-  const std::size_t body = blob.size() - sizeof(BlobHeader);
-  check_count(header.sv_count, body / 24, "sv_count", offsetof(BlobHeader, sv_count));
-  check_count(header.nnz, body / 12, "nnz", offsetof(BlobHeader, nnz));
-  const CsrLayout layout = csr_layout(header.sv_count, header.nnz);
-  check_blob_size(header, blob, layout.total);
-
-  const auto* base = blob.data();
-  const auto* row_offsets =
-      reinterpret_cast<const std::size_t*>(base + layout.row_offsets);
-  const auto* indices =
-      reinterpret_cast<const std::uint32_t*>(base + layout.indices);
+/// view_csr_rows' row checks: monotone offsets ending at nnz, strictly
+/// ascending indices within each row, all below cols.
+void check_csr_rows(const BlobHeader& header, const CsrLayout& layout,
+                    const std::size_t* row_offsets,
+                    const std::uint32_t* indices) {
   const auto offset_at = [&layout](std::size_t i) {
     return layout.row_offsets + i * sizeof(std::uint64_t);
   };
@@ -259,9 +257,9 @@ BlobRows view_csr_rows(const BlobHeader& header, std::span<const std::byte> blob
                    " != nnz " + std::to_string(header.nnz),
                offset_at(header.sv_count));
   }
-  // The cascade re-validates every blob it scores, so the per-index work is
-  // one branch-free count of descents over the whole array, which
-  // vectorizes.  The step into a non-empty row from the row before it may
+  // A mapped store validates each blob at its first use, on the scoring
+  // path, so the per-index work is one branch-free count of descents over
+  // the whole array, which vectorizes.  The step into a non-empty row from the row before it may
   // descend, so those steps are taken back out.  Only a failing blob is
   // scanned row by row, to name the row.
   std::size_t descents = 0;
@@ -299,7 +297,31 @@ BlobRows view_csr_rows(const BlobHeader& header, std::span<const std::byte> blob
                    std::to_string(header.cols),
                index_at(k));
   }
+}
 
+/// v1: CSR rows.  They must meet FeatureMatrix's row rule, strictly
+/// ascending column indices, since materialize() adopts these arrays as they
+/// are; an ascending row is in bounds when its last index is.  Without
+/// `check` the sections are only located (a blob checked before).
+BlobRows view_csr_rows(const BlobHeader& header, std::span<const std::byte> blob,
+                       bool check) {
+  if (check) {
+    // An SV row costs at least 24 bytes (offset, norm, coefficient) and a
+    // nonzero 12 (index, value).
+    const std::size_t body = blob.size() - sizeof(BlobHeader);
+    check_count(header.sv_count, body / 24, "sv_count",
+                offsetof(BlobHeader, sv_count));
+    check_count(header.nnz, body / 12, "nnz", offsetof(BlobHeader, nnz));
+  }
+  const CsrLayout layout = csr_layout(header.sv_count, header.nnz);
+  if (check) check_blob_size(header, blob, layout.total);
+
+  const auto* base = blob.data();
+  const auto* row_offsets =
+      reinterpret_cast<const std::size_t*>(base + layout.row_offsets);
+  const auto* indices =
+      reinterpret_cast<const std::uint32_t*>(base + layout.indices);
+  if (check) check_csr_rows(header, layout, row_offsets, indices);
   const auto* sq_norms = reinterpret_cast<const double*>(base + layout.sq_norms);
   return {KernelMatrix{util::CsrView{
                            header.cols,
@@ -313,44 +335,16 @@ BlobRows view_csr_rows(const BlobHeader& header, std::span<const std::byte> blob
            header.sv_count}};
 }
 
-/// v3: bitset rows, checked so that util::DecodedRows yields proper CSR
-/// rows: no bit at or past cols or at a numeric column, numeric columns
-/// strictly ascending below cols, and finite numeric values.  nnz is 0: the
-/// entries follow from the words.
-BlobRows view_bitset_rows(const BlobHeader& header,
-                          std::span<const std::byte> blob) {
-  if (header.nnz != 0) {
-    blob_error("nnz " + std::to_string(header.nnz) + " in a bitset blob (want 0)",
-               offsetof(BlobHeader, nnz));
-  }
-  constexpr std::size_t kMaxCols = 64 * util::BitsetStorage::kMaxWordsPerRow;
-  if (header.cols == 0 || header.cols > kMaxCols) {
-    blob_error("cols " + std::to_string(header.cols) + " outside the bitset's 1.." +
-                   std::to_string(kMaxCols),
-               offsetof(BlobHeader, cols));
-  }
-  const std::size_t words_per_row = (header.cols + 63) / 64;
-  // An SV row costs at least its norm, its coefficient and its words, so
-  // with sv_count >= 1 the body holds the numeric column count read next.
-  const std::size_t body = blob.size() - sizeof(BlobHeader);
-  check_count(header.sv_count, body / (16 + 8 * words_per_row), "sv_count",
-              offsetof(BlobHeader, sv_count));
-  std::uint64_t numeric_count = 0;
-  std::memcpy(&numeric_count, blob.data() + sizeof(BlobHeader),
-              sizeof(numeric_count));
-  if (numeric_count > util::BitsetStorage::kMaxNumericColumns) {
-    blob_error("numeric column count " + std::to_string(numeric_count) +
-                   " exceeds " +
-                   std::to_string(util::BitsetStorage::kMaxNumericColumns),
-               sizeof(BlobHeader));
-  }
-  const BitsetLayout layout =
-      bitset_layout(header.sv_count, words_per_row, numeric_count);
-  check_blob_size(header, blob, layout.total);
-
-  const auto* base = blob.data();
-  const auto* numeric_cols =
-      reinterpret_cast<const std::uint32_t*>(base + layout.numeric_cols);
+/// v3: bitset rows.  view_bitset_rows checks them so that
+/// util::DecodedRows yields proper CSR rows: no bit at or past cols or at a
+/// numeric column, numeric columns strictly ascending below cols, and
+/// finite numeric values.  nnz is 0: the entries follow from the words.
+/// This is the check of the sections after the header fields.
+void check_bitset_rows(const BlobHeader& header, const BitsetLayout& layout,
+                       const util::BitsetView& bits) {
+  const std::size_t words_per_row = bits.words_per_row;
+  const std::size_t numeric_count = bits.numeric_cols.size();
+  const std::span<const std::uint32_t> numeric_cols = bits.numeric_cols;
   for (std::size_t k = 0; k < numeric_count; ++k) {
     const std::size_t at = layout.numeric_cols + k * sizeof(std::uint32_t);
     if (numeric_cols[k] >= header.cols) {
@@ -362,16 +356,6 @@ BlobRows view_bitset_rows(const BlobHeader& header,
       blob_error("numeric columns not strictly ascending", at);
     }
   }
-  const util::BitsetView bits{
-      header.cols,
-      header.sv_count,
-      words_per_row,
-      {reinterpret_cast<const std::uint64_t*>(base + layout.words),
-       header.sv_count * words_per_row},
-      {numeric_cols, numeric_count},
-      {reinterpret_cast<const double*>(base + layout.numeric_values),
-       header.sv_count * numeric_count}};
-
   // Bits no row may set: those past cols in the last word and those at a
   // numeric column.  One OR over every word finds any; only a failing blob
   // is walked again, to name the word.
@@ -408,6 +392,55 @@ BlobRows view_bitset_rows(const BlobHeader& header,
                  layout.numeric_values + i * sizeof(double));
     }
   }
+}
+
+/// v3 rows; without `check` the sections are only located (a blob checked
+/// before).
+BlobRows view_bitset_rows(const BlobHeader& header,
+                          std::span<const std::byte> blob, bool check) {
+  constexpr std::size_t kMaxCols = 64 * util::BitsetStorage::kMaxWordsPerRow;
+  if (check && header.nnz != 0) {
+    blob_error("nnz " + std::to_string(header.nnz) + " in a bitset blob (want 0)",
+               offsetof(BlobHeader, nnz));
+  }
+  if (check && (header.cols == 0 || header.cols > kMaxCols)) {
+    blob_error("cols " + std::to_string(header.cols) + " outside the bitset's 1.." +
+                   std::to_string(kMaxCols),
+               offsetof(BlobHeader, cols));
+  }
+  const std::size_t words_per_row = (header.cols + 63) / 64;
+  if (check) {
+    // An SV row costs at least its norm, its coefficient and its words, so
+    // with sv_count >= 1 the body holds the numeric column count read next.
+    const std::size_t body = blob.size() - sizeof(BlobHeader);
+    check_count(header.sv_count, body / (16 + 8 * words_per_row), "sv_count",
+                offsetof(BlobHeader, sv_count));
+  }
+  std::uint64_t numeric_count = 0;
+  std::memcpy(&numeric_count, blob.data() + sizeof(BlobHeader),
+              sizeof(numeric_count));
+  if (check && numeric_count > util::BitsetStorage::kMaxNumericColumns) {
+    blob_error("numeric column count " + std::to_string(numeric_count) +
+                   " exceeds " +
+                   std::to_string(util::BitsetStorage::kMaxNumericColumns),
+               sizeof(BlobHeader));
+  }
+  const BitsetLayout layout =
+      bitset_layout(header.sv_count, words_per_row, numeric_count);
+  if (check) check_blob_size(header, blob, layout.total);
+
+  const auto* base = blob.data();
+  const util::BitsetView bits{
+      header.cols,
+      header.sv_count,
+      words_per_row,
+      {reinterpret_cast<const std::uint64_t*>(base + layout.words),
+       header.sv_count * words_per_row},
+      {reinterpret_cast<const std::uint32_t*>(base + layout.numeric_cols),
+       numeric_count},
+      {reinterpret_cast<const double*>(base + layout.numeric_values),
+       header.sv_count * numeric_count}};
+  if (check) check_bitset_rows(header, layout, bits);
 
   const auto* sq_norms = reinterpret_cast<const double*>(base + layout.sq_norms);
   return {KernelMatrix{util::CsrView{header.cols, {}, {}, {},
@@ -440,7 +473,10 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
       [&](const auto& m) { return append_model_blob(out, m, numeric_cols); }, model);
 }
 
-ModelView view_model_blob(std::span<const std::byte> blob) {
+namespace {
+
+/// The header of a blob, after every check that needs only the header.
+BlobHeader checked_header(std::span<const std::byte> blob) {
   if (reinterpret_cast<std::uintptr_t>(blob.data()) % 8 != 0) {
     blob_error("blob is not 8-byte aligned", 0);
   }
@@ -488,9 +524,21 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
   }
   // Column indices are u32.
   check_count(header.cols, std::uint64_t{1} << 32, "cols", offsetof(BlobHeader, cols));
+  return header;
+}
+
+/// view_model_blob, and without `check` its trusted twin, which only
+/// locates the sections.
+ModelView view_blob(std::span<const std::byte> blob, bool check) {
+  BlobHeader header;
+  if (check) {
+    header = checked_header(blob);
+  } else {
+    std::memcpy(&header, blob.data(), sizeof(header));
+  }
   const BlobRows rows = header.version == kBlobVersionBitset
-                            ? view_bitset_rows(header, blob)
-                            : view_csr_rows(header, blob);
+                            ? view_bitset_rows(header, blob, check)
+                            : view_csr_rows(header, blob, check);
 
   ModelView view;
   view.model_type = header.model_type;
@@ -503,6 +551,16 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
   view.support_vectors = rows.rows;
   view.coefficients = rows.coefficients;
   return view;
+}
+
+}  // namespace
+
+ModelView view_model_blob(std::span<const std::byte> blob) {
+  return view_blob(blob, true);
+}
+
+ModelView view_checked_model_blob(std::span<const std::byte> blob) {
+  return view_blob(blob, false);
 }
 
 double ModelView::decision_value(const KernelQueries& query,

@@ -96,8 +96,9 @@ struct ModelView {
   ///   one_class_svm  f(x) = sum_i alpha_i k(sv_i, x) - rho         (eq. 6)
   ///   svdd           f(x) = R^2 - (k(x, x) - 2 sum_i alpha_i k(sv_i, x)
   ///                                + alpha^T K alpha)                (eq. 12)
-  /// decision_value(s) and the grid's column scorer all reduce through it,
-  /// so they agree bit for bit given the same kernel values.
+  /// decision_value(s) reduce through it; the grid's pair scorer runs the
+  /// same sum chain per query and finishes through decision_from_sum, so
+  /// they agree bit for bit given the same kernel values.
   template <class KernelAt>
   [[nodiscard]] double decision_from_kernels(KernelAt&& k_at,
                                              double x_sqnorm) const {
@@ -105,6 +106,12 @@ struct ModelView {
     for (std::size_t i = 0; i < coefficients.size(); ++i) {
       sum += coefficients[i] * k_at(i);
     }
+    return decision_from_sum(sum, x_sqnorm);
+  }
+
+  /// f(x) from sum = sum_i alpha_i k(sv_i, x), accumulated in SV order
+  /// from 0.0.  Reads only model_type, kernel and the two scalars.
+  [[nodiscard]] double decision_from_sum(double sum, double x_sqnorm) const {
     if (model_type == kBlobModelOneClass) return sum - scalar0;
     const double k_xx = kernel_self(kernel, x_sqnorm);
     return scalar0 - (k_xx - 2.0 * sum + scalar1);
@@ -149,6 +156,11 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 /// any malformation, naming the offset within the blob of the field at
 /// fault.
 [[nodiscard]] ModelView view_model_blob(std::span<const std::byte> blob);
+/// view_model_blob without its checks, for a caller that had the same
+/// unchanged bytes accepted by view_model_blob before (the mapped store
+/// validates each blob once): it only locates the sections.  Undefined on
+/// bytes that were never accepted.
+[[nodiscard]] ModelView view_checked_model_blob(std::span<const std::byte> blob);
 
 /// Borrowed views of heap models — the bridge that lets one scoring path
 /// serve both storage backends.  Valid while the model is.  The SV block's

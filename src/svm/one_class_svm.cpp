@@ -59,11 +59,10 @@ OneClassSvmModel OneClassSvmModel::from_solution(
   model.support_vectors_ = svs.build(data.cols());
   // Inherit the training matrix's bitset layout (schema-derived when the
   // caller used ensure_bitset) so decision-time query encodings can be
-  // borrowed zero-copy across same-layout matrices.
-  if (kernel_dispatch() != nullptr) {
-    if (const auto bitset = data.bitset()) {
-      model.support_vectors_.ensure_bitset(bitset->numeric_cols);
-    }
+  // borrowed zero-copy across same-layout matrices.  On every backend, so
+  // one model has one layout (the csr backend just never reads it).
+  if (const auto bitset = data.bitset()) {
+    model.support_vectors_.ensure_bitset(bitset->numeric_cols);
   }
   model.bounded_fraction_ = static_cast<double>(bounded) / static_cast<double>(l);
   return model;

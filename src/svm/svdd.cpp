@@ -150,10 +150,9 @@ SvddModel SvddModel::from_solution(const util::FeatureMatrix& data,
     }
   }
   model.support_vectors_ = svs.build(data.cols());
-  if (kernel_dispatch() != nullptr) {
-    if (const auto bitset = data.bitset()) {
-      model.support_vectors_.ensure_bitset(bitset->numeric_cols);
-    }
+  // The training matrix's layout, on every backend (see OneClassSvmModel).
+  if (const auto bitset = data.bitset()) {
+    model.support_vectors_.ensure_bitset(bitset->numeric_cols);
   }
   return model;
 }

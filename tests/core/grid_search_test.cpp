@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "core/test_trace.h"
+#include "obs/registry.h"
+#include "util/rng.h"
 
 namespace wtp::core {
 namespace {
@@ -305,6 +309,259 @@ TEST_F(ColumnScorer, UntrainableColumnsGetTheSentinel) {
         regularizer_path_entries(dataset.user_ids().front(), type, rbf, bad,
                                  windows, dim, nullptr),
         bad.size());
+  }
+}
+
+// The pair scorer over several column users: each unordered user pair's
+// dot block feeds both users' cells, so every user's grid must still be
+// bitwise what per-cell profile_acceptance gives on the same fit_path models.
+class PairScorer : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kDim = 48;
+
+  /// Windows of users whose row counts straddle the 64-query tile (70, 130,
+  /// 5), plus a user with no windows.  Columns 0..2 are numeric, the rest
+  /// binary, so the bitset plane scores them when it is on.
+  static MatrixByUser synthetic_windows() {
+    util::Rng rng{2017};
+    MatrixByUser windows;
+    const std::pair<const char*, std::size_t> users[] = {
+        {"ann", 70}, {"bob", 130}, {"cid", 5}, {"dee", 0}};
+    std::size_t habit = 3;
+    for (const auto& [name, count] : users) {
+      std::vector<util::SparseVector> rows;
+      for (std::size_t i = 0; i < count; ++i) {
+        std::set<std::size_t> cols;
+        const std::size_t nnz = 4 + rng.uniform_index(6);
+        while (cols.size() < nnz) {
+          cols.insert(rng.bernoulli(0.3) ? 3 + rng.uniform_index(kDim - 3)
+                                         : habit + rng.uniform_index(12));
+        }
+        std::vector<util::SparseVector::Entry> entries;
+        for (const std::size_t col : cols) entries.push_back({col, 1.0});
+        for (std::size_t col = 0; col < 3; ++col) {
+          if (rng.bernoulli(0.7)) entries.push_back({col, rng.uniform(0.1, 3.0)});
+        }
+        rows.emplace_back(std::move(entries));
+      }
+      windows.emplace(name, std::make_shared<const util::FeatureMatrix>(
+                                util::FeatureMatrix::from_rows(rows, kDim)));
+      habit += 9;
+    }
+    return windows;
+  }
+
+  static std::vector<std::string> names(const MatrixByUser& windows) {
+    std::vector<std::string> out;
+    for (const auto& entry : windows) out.push_back(entry.first);
+    return out;
+  }
+
+  /// The oracle: one fit_path per (user, kernel), every model scored on its
+  /// own through profile_acceptance; a failed fit or no own windows gives
+  /// the {0, 100} sentinel.
+  static std::vector<ParamGridEntry> oracle_grid(
+      const std::string& user, ClassifierType type,
+      std::span<const svm::KernelParams> kernels, std::span<const double> regs,
+      const MatrixByUser& windows, std::size_t dim) {
+    std::vector<ParamGridEntry> grid;
+    const util::FeatureMatrix& own = *windows.at(user);
+    for (const auto& kernel : kernels) {
+      std::vector<AcceptanceRatios> ratios;
+      try {
+        if (own.empty()) throw std::invalid_argument{"no windows"};
+        if (type == ClassifierType::kOcSvm) {
+          svm::OneClassSvmConfig config;
+          config.kernel = kernel;
+          config.eps = kGridCellEps;
+          ratios = per_cell_ratios(
+              user, type, regs,
+              svm::OneClassSvmModel::fit_path(own, config, regs, dim), windows);
+        } else {
+          svm::SvddConfig config;
+          config.kernel = kernel;
+          config.eps = kGridCellEps;
+          ratios = per_cell_ratios(
+              user, type, regs, svm::SvddModel::fit_path(own, config, regs, dim),
+              windows);
+        }
+      } catch (const std::invalid_argument&) {
+        ratios.assign(regs.size(), {.acc_self = 0.0, .acc_other = 100.0});
+      }
+      for (std::size_t r = 0; r < regs.size(); ++r) {
+        ParamGridEntry entry;
+        entry.params = {type, kernel, regs[r]};
+        entry.ratios = ratios[r];
+        entry.trainable =
+            !(ratios[r].acc_self == 0.0 && ratios[r].acc_other == 100.0);
+        grid.push_back(entry);
+      }
+    }
+    return grid;
+  }
+
+  static void expect_same_grid(const std::vector<ParamGridEntry>& got,
+                               const std::vector<ParamGridEntry>& want,
+                               const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].params, want[i].params) << what << " cell " << i;
+      EXPECT_EQ(got[i].trainable, want[i].trainable) << what << " cell " << i;
+      // Bitwise: EXPECT_EQ on doubles, not EXPECT_DOUBLE_EQ.
+      EXPECT_EQ(got[i].ratios.acc_self, want[i].ratios.acc_self)
+          << what << " cell " << i;
+      EXPECT_EQ(got[i].ratios.acc_other, want[i].ratios.acc_other)
+          << what << " cell " << i;
+    }
+  }
+
+  static std::uint64_t pair_blocks() {
+    return obs::Registry::global().counter("grid.pair_blocks").value();
+  }
+};
+
+TEST_F(PairScorer, EveryUsersGridBitwiseEqualsPerCellOracle) {
+  const MatrixByUser windows = synthetic_windows();
+  const std::vector<std::string> users = names(windows);
+  const auto kernels = paper_kernel_grid();
+  const std::vector<double> regs{0.999, 0.5, 0.05, 0.001};
+  util::ThreadPool one{1};
+  util::ThreadPool four{4};
+  for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
+    const std::string kind{to_string(type)};
+    const auto serial =
+        score_param_grid(windows, users, type, kernels, regs, kDim, nullptr);
+    const auto width1 =
+        score_param_grid(windows, users, type, kernels, regs, kDim, &one);
+    const auto width4 =
+        score_param_grid(windows, users, type, kernels, regs, kDim, &four);
+    ASSERT_EQ(serial.size(), users.size());
+    std::size_t trainable = 0;
+    std::size_t mixed = 0;
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      const std::string what = kind + "/" + users[u];
+      const auto oracle = oracle_grid(users[u], type, kernels, regs, windows, kDim);
+      expect_same_grid(serial[u], oracle, what + " serial");
+      expect_same_grid(width1[u], oracle, what + " pool 1");
+      expect_same_grid(width4[u], oracle, what + " pool 4");
+      // One column user: the param_grid_search / regularizer_path case.
+      expect_same_grid(
+          score_param_grid(windows, {&users[u], 1}, type, kernels, regs, kDim,
+                           &four)
+              .front(),
+          oracle, what + " alone");
+      for (const auto& entry : oracle) {
+        trainable += entry.trainable ? 1 : 0;
+        if (entry.trainable && entry.ratios.acc_other > 0.0 &&
+            entry.ratios.acc_other < 100.0) {
+          ++mixed;
+        }
+      }
+    }
+    // Cells that accept some other users' windows and reject others: the
+    // transposed direction's counts decide them.
+    EXPECT_GT(mixed, 0u) << kind;
+    // The empty user's columns are untrainable; the others mostly are not.
+    EXPECT_GT(trainable, kernels.size() * regs.size()) << kind;
+  }
+}
+
+TEST_F(PairScorer, OneDotBlockPerUnorderedPair) {
+  const MatrixByUser windows = synthetic_windows();
+  const std::vector<std::string> users = names(windows);
+  const std::size_t u = users.size();
+  const auto kernels = paper_kernel_grid();
+  const std::vector<double> regs{0.5, 0.1};
+  util::ThreadPool four{4};
+  std::uint64_t before = pair_blocks();
+  (void)score_param_grid(windows, users, ClassifierType::kOcSvm, kernels, regs,
+                         kDim, &four);
+  EXPECT_EQ(pair_blocks() - before, u * (u + 1) / 2);
+  before = pair_blocks();
+  (void)score_param_grid(windows, {&users[1], 1}, ClassifierType::kOcSvm,
+                         kernels, regs, kDim, &four);
+  EXPECT_EQ(pair_blocks() - before, u);
+  before = pair_blocks();
+  (void)regularizer_path_entries(users[0], ClassifierType::kSvdd, kernels[2],
+                                 regs, windows, kDim, nullptr);
+  EXPECT_EQ(pair_blocks() - before, u);
+}
+
+TEST_F(PairScorer, OptimizeAllUsersMatchesPerUserGridAndOracle) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const std::size_t dim = dataset.schema().dimension();
+  MatrixByUser windows;
+  for (const auto& user : dataset.user_ids()) {
+    windows.emplace(user, dataset.train_matrix(user, {60, 30}));
+  }
+  const auto kernels = paper_kernel_grid();
+  const std::vector<double> regs{0.999, 0.5, 0.1, 0.01};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::ThreadPool local_pool{threads};
+    for (const ClassifierType type :
+         {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
+      const auto chosen = optimize_all_users(dataset, {60, 30}, type, kernels,
+                                             regs, local_pool);
+      ASSERT_EQ(chosen.size(), dataset.user_count());
+      for (std::size_t u = 0; u < chosen.size(); ++u) {
+        const std::string& user = dataset.user_ids()[u];
+        const std::string what = std::string{to_string(type)} + " user " +
+                                 user + " pool " + std::to_string(threads);
+        const auto grid = param_grid_search(dataset, user, {60, 30}, type,
+                                            kernels, regs, local_pool);
+        EXPECT_EQ(chosen[u], best_params(grid).params) << what;
+        if (threads == 1) {
+          const auto oracle = oracle_grid(user, type, kernels, regs, windows, dim);
+          expect_same_grid(grid, oracle, what);
+          EXPECT_EQ(chosen[u], best_params(oracle).params) << what;
+        }
+      }
+    }
+  }
+}
+
+// The pair scorer's lane reduction gives each lane the bits of
+// decision_from_kernels' sum chain, whether the chain runs in one call or
+// continues tile by tile.  Kernel values span 16 orders of magnitude, so a
+// chain summed in another order ends with other bits.
+TEST(GridReduction, LanesMatchDecisionFromKernelsBitwise) {
+  util::Rng rng{99};
+  constexpr std::size_t kRows = 150;
+  constexpr std::size_t kLanes = 37;
+  constexpr std::size_t kTile = 64;
+  const double scales[] = {1e-8, 1.0, 1e8};
+  std::vector<double> block(kRows * kLanes);
+  for (double& value : block) {
+    value = rng.uniform(-1.0, 1.0) * scales[rng.uniform_index(3)];
+  }
+  std::vector<std::uint32_t> rows;
+  std::vector<double> coefficients;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    if (rng.bernoulli(0.4)) {
+      rows.push_back(static_cast<std::uint32_t>(i));
+      coefficients.push_back(rng.uniform(0.01, 1.0));
+    }
+  }
+  svm::ModelView view;
+  view.scalar0 = 0.25;
+  view.coefficients = coefficients;
+
+  std::vector<double> whole(kLanes, 0.0);
+  accumulate_support_rows(rows, coefficients, 0, rows.size(), 0, block.data(),
+                          kLanes, whole.data());
+  std::vector<double> tiled(kLanes, 0.0);
+  std::size_t next = 0;
+  for (std::size_t t0 = 0; t0 < kRows; t0 += kTile) {
+    const std::size_t begin = next;
+    while (next < rows.size() && rows[next] < t0 + kTile) ++next;
+    accumulate_support_rows(rows, coefficients, begin, next, t0,
+                            block.data() + t0 * kLanes, kLanes, tiled.data());
+  }
+  for (std::size_t q = 0; q < kLanes; ++q) {
+    const double want = view.decision_from_kernels(
+        [&](std::size_t i) { return block[rows[i] * kLanes + q]; }, 0.0);
+    EXPECT_EQ(view.decision_from_sum(whole[q], 0.0), want) << "lane " << q;
+    EXPECT_EQ(view.decision_from_sum(tiled[q], 0.0), want) << "lane " << q;
   }
 }
 
