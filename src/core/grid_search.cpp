@@ -258,14 +258,6 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
     if (unfit[c].fetch_sub(1, std::memory_order_acq_rel) == 1) grams[c].reset();
   });
 
-  // fit_path's gamma = "auto" resolution, for the transform.
-  std::vector<svm::KernelParams> resolved{kernels.begin(), kernels.end()};
-  for (auto& kernel : resolved) {
-    if (kernel.gamma <= 0.0) {
-      kernel.gamma =
-          1.0 / static_cast<double>(std::max<std::size_t>(1, dimension));
-    }
-  }
   // (m, q): m is a column user; q != m is the transposed direction's.
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t a = 0; a < users; ++a) {
@@ -319,9 +311,14 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
             back_slot == kNoSlot ? nullptr : &columns[back_slot * nk + k];
         if (back_cells != nullptr && back_cells->empty()) back_cells = nullptr;
         if (own_cells.empty() && back_cells == nullptr) continue;
-        values.assign(dots.begin(), dots.begin() + static_cast<std::ptrdiff_t>(tile * l));
+        // The fitted kernel (gamma "auto" resolved), the same in every column
+        // of kernel k.
+        const svm::KernelParams& kernel =
+            (own_cells.empty() ? *back_cells : own_cells).front().scalars.kernel;
+        values.assign(dots.begin(),
+                      dots.begin() + static_cast<std::ptrdiff_t>(tile * l));
         for (std::size_t t = 0; t < tile; ++t) {
-          svm::kernel_transform(resolved[k], own.sq_norms(), other.sq_norm(q0 + t),
+          svm::kernel_transform(kernel, own.sq_norms(), other.sq_norm(q0 + t),
                                 std::span<double>{values.data() + t * l, l});
         }
         if (!own_cells.empty()) {

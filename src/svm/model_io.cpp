@@ -259,9 +259,9 @@ void check_csr_rows(const BlobHeader& header, const CsrLayout& layout,
   }
   // A mapped store validates each blob at its first use, on the scoring
   // path, so the per-index work is one branch-free count of descents over
-  // the whole array, which vectorizes.  The step into a non-empty row from the row before it may
-  // descend, so those steps are taken back out.  Only a failing blob is
-  // scanned row by row, to name the row.
+  // the whole array, which vectorizes.  The step into a non-empty row from
+  // the row before it may descend, so those steps are taken back out.  Only
+  // a failing blob is scanned row by row, to name the row.
   std::size_t descents = 0;
   for (std::size_t begin = 1; begin < header.nnz; begin += kDescentChunk) {
     const std::size_t end = std::min<std::size_t>(header.nnz, begin + kDescentChunk);

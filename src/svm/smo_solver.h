@@ -139,8 +139,8 @@ struct WarmSeed {
 /// the QMatrix row cache shared by every cell.  hits > 0 across a sweep is
 /// the observable proof the path actually reused the kernel work.
 /// `support_rows[r]` lists, in support-vector order, the training-matrix
-/// rows that cell r's model kept as support vectors (alpha > 1e-12): a
-/// column scorer can then read every cell's kernel values out of one kernel
+/// rows that cell r's model kept as support vectors (alpha > 1e-12): the
+/// grid's pair scorer can then read every cell's kernel values out of one
 /// block over the training matrix instead of one block per model.
 struct PathStats {
   std::vector<SolverStats> cells;

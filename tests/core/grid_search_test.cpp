@@ -188,9 +188,10 @@ TEST(ParamGridSearch, WarmPathGridMatchesColdReference) {
   }
 }
 
-// The warm path's column scorer reads every cell's kernel values out of one
-// kernel block over the training matrix; its ratios must be bitwise equal to
-// scoring each fit_path model on its own through profile_acceptance.
+// One user's column through the pair scorer (regularizer_path_entries): each
+// cell reads its kernel values out of one block over the training matrix,
+// and its ratios must be bitwise equal to scoring each fit_path model on its
+// own through profile_acceptance.
 class ColumnScorer : public ::testing::Test {
  protected:
   /// Every dataset user's training windows at (60, 30), plus a user with no

@@ -410,7 +410,7 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   }
 
   // One Tab. III regularizer column per classifier through the grid's
-  // column scorer (polynomial: the kernel whose ratios are not saturated on
+  // pair scorer (polynomial: the kernel whose ratios are not saturated on
   // this data).
   const std::vector<double> regularizers{0.1, 0.3, 0.5};
   for (const auto type :

@@ -331,7 +331,7 @@ TEST(Transform, RelaxedBackendsWithinUlpBoundOfLibm) {
 /// A relaxed result depends on the value only, not on where it sits in the
 /// transformed row: a lane of the vector body and a lane of the tail give
 /// the same bits on every backend.  Scoring that gathers kernel values out
-/// of one block over a larger matrix (the grid's column scorer) relies on
+/// of one block over a larger matrix (the grid's pair scorer) relies on
 /// this to match scoring over a row subset.
 TEST(Transform, RelaxedResultIndependentOfPosition) {
   TransformGuard guard;
