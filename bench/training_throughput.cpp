@@ -389,7 +389,7 @@ GridResult run_grid_section() {
   util::ThreadPool pool{kGridThreads};
   const auto pair_grid = [&] {
     return core::score_param_grid(windows, users, core::ClassifierType::kOcSvm,
-                                  kernels, regs, kGridDim, &pool);
+                                  kernels, regs, kGridDim, pool);
   };
 
   obs::Counter& blocks = obs::Registry::global().counter("grid.pair_blocks");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -197,30 +196,43 @@ GridColumn fit_column(const util::FeatureMatrix& own, ClassifierType type,
   }
 }
 
-void run_tasks(util::ThreadPool* pool, std::size_t count,
-               const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) return util::parallel_for(*pool, count, fn);
-  for (std::size_t i = 0; i < count; ++i) fn(i);
+/// Each (window, user) pair is windowed into a CSR matrix exactly once: the
+/// dataset's matrix cache hands out shared matrices, so every grid point of
+/// a kernel x nu sweep at this window configuration reuses the same rows.
+MatrixByUser all_train_matrices(const ProfilingDataset& dataset,
+                                const features::WindowConfig& window,
+                                util::ThreadPool& pool) {
+  const auto& users = dataset.user_ids();
+  std::vector<std::shared_ptr<const util::FeatureMatrix>> per_user(users.size());
+  util::parallel_for(pool, users.size(), [&](std::size_t u) {
+    per_user[u] = dataset.train_matrix(users[u], window);
+  });
+  MatrixByUser matrices;
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    matrices.emplace(users[u], std::move(per_user[u]));
+  }
+  return matrices;
 }
 
-/// The stage-2 grid of `column_users`, scored in three phases:
-///   1. fit: one fit_column per (column user, kernel), in parallel;
-///   2. pair blocks: one task per unordered user pair {m, q} with m a
-///      column user.  Per kColumnTile of q's windows, one dot_block against
-///      all of m's rows serves every kernel: each kernel transforms a copy,
-///      which is reduced into m's cells (queries from q) and, when q is a
-///      column user too, into q's cells (queries from m) — the same values,
-///      since a dot is symmetric and rbf's x^2 + y^2 commutes.  Each accept
-///      count (column user, kernel, regularizer, query user) is written by
-///      exactly one pair task;
-///   3. ratios from the counts, users in map order, as profile_acceptance.
-/// `grams` (aligned with column_users, entries may be null) are the users'
-/// dot-row caches shared across their kernel columns.
-std::vector<std::vector<ParamGridEntry>> score_grid(
+}  // namespace
+
+void accumulate_support_rows(std::span<const std::uint32_t> rows,
+                             std::span<const double> coefficients,
+                             std::size_t begin, std::size_t end,
+                             std::size_t first, const double* block,
+                             std::size_t lanes, double* __restrict acc) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const double alpha = coefficients[i];
+    const double* __restrict k = block + (rows[i] - first) * lanes;
+    for (std::size_t q = 0; q < lanes; ++q) acc[q] += alpha * k[q];
+  }
+}
+
+std::vector<std::vector<ParamGridEntry>> score_param_grid(
     const MatrixByUser& train_windows, std::span<const std::string> column_users,
     ClassifierType type, std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, std::size_t dimension,
-    util::ThreadPool* pool, std::vector<std::shared_ptr<svm::GramCache>> grams) {
+    util::ThreadPool& pool) {
   const GridMetrics& metrics = GridMetrics::get();
   const std::size_t nk = kernels.size();
   const std::size_t nr = regularizers.size();
@@ -243,22 +255,31 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
         std::distance(train_windows.begin(), found));
     slot_of[user_of[c]] = c;
   }
+  // The kernel columns of one user transform the same Gram rows, so they
+  // share one dot-row cache, dropped as soon as the user's last column is fit.
+  std::vector<std::shared_ptr<svm::GramCache>> grams(columns_n);
+  for (std::size_t c = 0; c < columns_n; ++c) {
+    if (!matrices[user_of[c]]->empty()) {
+      grams[c] = std::make_shared<svm::GramCache>(*matrices[user_of[c]]);
+    }
+  }
   const std::size_t users = matrices.size();
   metrics.warm_columns.add(columns_n * nk);
   metrics.warm_cells.add(columns_n * nk * nr);
 
+  // Phase 1: fit.
   std::vector<GridColumn> columns(columns_n * nk);
-  // A user's dot-row cache is dropped as soon as its last column is fit.
   std::vector<std::atomic<std::size_t>> unfit(columns_n);
   for (auto& count : unfit) count.store(nk, std::memory_order_relaxed);
-  run_tasks(pool, columns.size(), [&](std::size_t index) {
+  util::parallel_for(pool, columns.size(), [&](std::size_t index) {
     const std::size_t c = index / nk;
     columns[index] = fit_column(*matrices[user_of[c]], type, kernels[index % nk],
                                 regularizers, dimension, grams[c]);
     if (unfit[c].fetch_sub(1, std::memory_order_acq_rel) == 1) grams[c].reset();
   });
 
-  // (m, q): m is a column user; q != m is the transposed direction's.
+  // Phase 2: pair blocks.  (m, q): m is a column user; q != m is the
+  // transposed direction's.
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t a = 0; a < users; ++a) {
     for (std::size_t b = a; b < users; ++b) {
@@ -274,7 +295,7 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
                          std::size_t user) -> std::size_t& {
     return counts[((slot * nk + k) * nr + r) * users + user];
   };
-  run_tasks(pool, pairs.size(), [&](std::size_t p) {
+  util::parallel_for(pool, pairs.size(), [&](std::size_t p) {
     const auto [m, q] = pairs[p];
     const obs::TraceSpan span{"grid.pair", "grid"};
     metrics.pair_blocks.add(1);
@@ -373,6 +394,7 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
     }
   });
 
+  // Phase 3: ratios.
   std::vector<std::vector<ParamGridEntry>> grids(
       columns_n, std::vector<ParamGridEntry>(nk * nr));
   for (std::size_t c = 0; c < columns_n; ++c) {
@@ -412,66 +434,6 @@ std::vector<std::vector<ParamGridEntry>> score_grid(
     }
   }
   return grids;
-}
-
-/// Each (window, user) pair is windowed into a CSR matrix exactly once: the
-/// dataset's matrix cache hands out shared matrices, so every grid point of
-/// a kernel x nu sweep at this window configuration reuses the same rows.
-MatrixByUser all_train_matrices(const ProfilingDataset& dataset,
-                                const features::WindowConfig& window,
-                                util::ThreadPool& pool) {
-  const auto& users = dataset.user_ids();
-  std::vector<std::shared_ptr<const util::FeatureMatrix>> per_user(users.size());
-  util::parallel_for(pool, users.size(), [&](std::size_t u) {
-    per_user[u] = dataset.train_matrix(users[u], window);
-  });
-  MatrixByUser matrices;
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    matrices.emplace(users[u], std::move(per_user[u]));
-  }
-  return matrices;
-}
-
-}  // namespace
-
-void accumulate_support_rows(std::span<const std::uint32_t> rows,
-                             std::span<const double> coefficients,
-                             std::size_t begin, std::size_t end,
-                             std::size_t first, const double* block,
-                             std::size_t lanes, double* __restrict acc) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const double alpha = coefficients[i];
-    const double* __restrict k = block + (rows[i] - first) * lanes;
-    for (std::size_t q = 0; q < lanes; ++q) acc[q] += alpha * k[q];
-  }
-}
-
-std::vector<std::vector<ParamGridEntry>> score_param_grid(
-    const MatrixByUser& train_windows, std::span<const std::string> column_users,
-    ClassifierType type, std::span<const svm::KernelParams> kernels,
-    std::span<const double> regularizers, std::size_t dimension,
-    util::ThreadPool* pool) {
-  // The kernel columns of one user transform the same Gram rows, so they
-  // share one dot-row cache.
-  std::vector<std::shared_ptr<svm::GramCache>> grams(column_users.size());
-  for (std::size_t c = 0; c < column_users.size(); ++c) {
-    const auto found = train_windows.find(column_users[c]);
-    if (found != train_windows.end() && !found->second->empty()) {
-      grams[c] = std::make_shared<svm::GramCache>(*found->second);
-    }
-  }
-  return score_grid(train_windows, column_users, type, kernels, regularizers,
-                    dimension, pool, std::move(grams));
-}
-
-std::vector<ParamGridEntry> regularizer_path_entries(
-    const std::string& user, ClassifierType type,
-    const svm::KernelParams& kernel, std::span<const double> regularizers,
-    const MatrixByUser& train_windows, std::size_t dimension,
-    const std::shared_ptr<svm::GramCache>& gram) {
-  return std::move(score_grid(train_windows, {&user, 1}, type, {&kernel, 1},
-                              regularizers, dimension, nullptr, {gram})
-                       .front());
 }
 
 std::vector<WindowGridEntry> window_grid_search(
@@ -528,7 +490,7 @@ std::vector<ParamGridEntry> param_grid_search(
   if (mode == GridSearchMode::kWarmPath) {
     return std::move(score_param_grid(train_windows, {&user, 1}, type, kernels,
                                       regularizers, dataset.schema().dimension(),
-                                      &pool)
+                                      pool)
                          .front());
   }
   std::vector<ParamGridEntry> entries(kernels.size() * regularizers.size());
@@ -570,7 +532,7 @@ std::vector<ProfileParams> optimize_all_users(
     // Results land in fixed slots, so the selection below is independent
     // of scheduling and pool size.
     grids = score_param_grid(train_windows, users, type, kernels, regularizers,
-                             dataset.schema().dimension(), &pool);
+                             dataset.schema().dimension(), pool);
   } else {
     const std::size_t grid_size = kernels.size() * regularizers.size();
     grids.assign(users.size(), std::vector<ParamGridEntry>(grid_size));

@@ -111,13 +111,13 @@ inline constexpr double kGridAcceptSlack = 1e-4;
 /// own-window matrix or a failed fit marks a (user, kernel) column
 /// untrainable ({0, 100}).  Per-thread scratch: a few kColumnTile x l
 /// blocks (l = m's rows) plus the transposed direction's chains, one per
-/// (cell, row of m).  `pool` null runs every task on the caller's thread.
+/// (cell, row of m).  The result does not depend on the pool's width.
 /// Returns one grid per column user, kernel-major, regularizer-minor.
 [[nodiscard]] std::vector<std::vector<ParamGridEntry>> score_param_grid(
     const MatrixByUser& train_windows, std::span<const std::string> column_users,
     ClassifierType type, std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, std::size_t dimension,
-    util::ThreadPool* pool);
+    util::ThreadPool& pool);
 
 /// The pair scorer's reduction, one chain per lane: for the support rows i
 /// in [begin, end), in SV order, acc[q] += coefficients[i] *
@@ -132,16 +132,6 @@ void accumulate_support_rows(std::span<const std::uint32_t> rows,
                              std::size_t begin, std::size_t end,
                              std::size_t first, const double* block,
                              std::size_t lanes, double* acc);
-
-/// One kernel's regularizer column for `user`: score_param_grid for one
-/// column user and one kernel, on the caller's thread.  `gram` (may be
-/// null) is the user's dot-row cache, shared across kernel columns.
-/// Entries are aligned with `regularizers`.
-[[nodiscard]] std::vector<ParamGridEntry> regularizer_path_entries(
-    const std::string& user, ClassifierType type,
-    const svm::KernelParams& kernel, std::span<const double> regularizers,
-    const MatrixByUser& train_windows, std::size_t dimension,
-    const std::shared_ptr<svm::GramCache>& gram);
 
 /// Stage 2 (Tab. III): full kernel x regularizer grid for one user at a
 /// fixed window configuration.  Ratios are computed on training windows, as

@@ -188,10 +188,10 @@ TEST(ParamGridSearch, WarmPathGridMatchesColdReference) {
   }
 }
 
-// One user's column through the pair scorer (regularizer_path_entries): each
-// cell reads its kernel values out of one block over the training matrix,
-// and its ratios must be bitwise equal to scoring each fit_path model on its
-// own through profile_acceptance.
+// One user's kernel column through the pair scorer (score_param_grid with one
+// column user and one kernel): each cell reads its kernel values out of one
+// block per query user, and its ratios must be bitwise equal to scoring each
+// fit_path model on its own through profile_acceptance.
 class ColumnScorer : public ::testing::Test {
  protected:
   /// Every dataset user's training windows at (60, 30), plus a user with no
@@ -207,6 +207,18 @@ class ColumnScorer : public ::testing::Test {
                         util::FeatureMatrixBuilder{}.build(
                             dataset.schema().dimension())));
     return windows;
+  }
+
+  /// One kernel's regularizer column for `user`, through the pair scorer.
+  static std::vector<ParamGridEntry> column(const std::string& user,
+                                            ClassifierType type,
+                                            const svm::KernelParams& kernel,
+                                            std::span<const double> regs,
+                                            const MatrixByUser& windows,
+                                            std::size_t dim) {
+    return std::move(score_param_grid(windows, {&user, 1}, type, {&kernel, 1},
+                                      regs, dim, pool())
+                         .front());
   }
 
   static constexpr const char* kEmptyUser = "~no-windows";
@@ -239,14 +251,12 @@ TEST_F(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
   // nu = 0.999 keeps almost every row as a support vector, nu = 0.001 only
   // a handful.
   const std::vector<double> regs{0.999, 0.5, 0.05, 0.001};
-  const auto gram = std::make_shared<svm::GramCache>(own);
 
   for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
     for (const auto& kernel : paper_kernel_grid()) {
       const std::string cell = std::string{to_string(type)} + "/" +
                                std::string{svm::to_string(kernel.type)};
-      const auto entries = regularizer_path_entries(user, type, kernel, regs,
-                                                    windows, dim, gram);
+      const auto entries = column(user, type, kernel, regs, windows, dim);
       svm::PathStats path;
       std::vector<AcceptanceRatios> expected;
       if (type == ClassifierType::kOcSvm) {
@@ -300,15 +310,14 @@ TEST_F(ColumnScorer, UntrainableColumnsGetTheSentinel) {
   };
   const std::vector<double> regs{0.5, 0.1};
   // No own windows: nothing to fit.
-  expect_untrainable(regularizer_path_entries(kEmptyUser, ClassifierType::kOcSvm,
-                                              rbf, regs, windows, dim, nullptr),
-                     regs.size());
+  expect_untrainable(
+      column(kEmptyUser, ClassifierType::kOcSvm, rbf, regs, windows, dim),
+      regs.size());
   // An out-of-range regularizer fails the fit_path, so the whole column.
   const std::vector<double> bad{0.5, 1.5};
   for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
     expect_untrainable(
-        regularizer_path_entries(dataset.user_ids().front(), type, rbf, bad,
-                                 windows, dim, nullptr),
+        column(dataset.user_ids().front(), type, rbf, bad, windows, dim),
         bad.size());
   }
 }
@@ -430,25 +439,23 @@ TEST_F(PairScorer, EveryUsersGridBitwiseEqualsPerCellOracle) {
   util::ThreadPool four{4};
   for (const ClassifierType type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
     const std::string kind{to_string(type)};
-    const auto serial =
-        score_param_grid(windows, users, type, kernels, regs, kDim, nullptr);
     const auto width1 =
-        score_param_grid(windows, users, type, kernels, regs, kDim, &one);
+        score_param_grid(windows, users, type, kernels, regs, kDim, one);
     const auto width4 =
-        score_param_grid(windows, users, type, kernels, regs, kDim, &four);
-    ASSERT_EQ(serial.size(), users.size());
+        score_param_grid(windows, users, type, kernels, regs, kDim, four);
+    ASSERT_EQ(width1.size(), users.size());
+    ASSERT_EQ(width4.size(), users.size());
     std::size_t trainable = 0;
     std::size_t mixed = 0;
     for (std::size_t u = 0; u < users.size(); ++u) {
       const std::string what = kind + "/" + users[u];
       const auto oracle = oracle_grid(users[u], type, kernels, regs, windows, kDim);
-      expect_same_grid(serial[u], oracle, what + " serial");
       expect_same_grid(width1[u], oracle, what + " pool 1");
       expect_same_grid(width4[u], oracle, what + " pool 4");
-      // One column user: the param_grid_search / regularizer_path case.
+      // One column user: the param_grid_search case.
       expect_same_grid(
           score_param_grid(windows, {&users[u], 1}, type, kernels, regs, kDim,
-                           &four)
+                           four)
               .front(),
           oracle, what + " alone");
       for (const auto& entry : oracle) {
@@ -476,15 +483,16 @@ TEST_F(PairScorer, OneDotBlockPerUnorderedPair) {
   util::ThreadPool four{4};
   std::uint64_t before = pair_blocks();
   (void)score_param_grid(windows, users, ClassifierType::kOcSvm, kernels, regs,
-                         kDim, &four);
+                         kDim, four);
   EXPECT_EQ(pair_blocks() - before, u * (u + 1) / 2);
   before = pair_blocks();
   (void)score_param_grid(windows, {&users[1], 1}, ClassifierType::kOcSvm,
-                         kernels, regs, kDim, &four);
+                         kernels, regs, kDim, four);
   EXPECT_EQ(pair_blocks() - before, u);
+  // One column user and one kernel: still one block per query user.
   before = pair_blocks();
-  (void)regularizer_path_entries(users[0], ClassifierType::kSvdd, kernels[2],
-                                 regs, windows, kDim, nullptr);
+  (void)score_param_grid(windows, {&users[0], 1}, ClassifierType::kSvdd,
+                         {&kernels[2], 1}, regs, kDim, four);
   EXPECT_EQ(pair_blocks() - before, u);
 }
 

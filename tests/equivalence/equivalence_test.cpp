@@ -413,12 +413,14 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   // pair scorer (polynomial: the kernel whose ratios are not saturated on
   // this data).
   const std::vector<double> regularizers{0.1, 0.3, 0.5};
+  const svm::KernelParams polynomial = paper_shaped_kernels()[1];
+  util::ThreadPool grid_pool{1};
   for (const auto type :
        {core::ClassifierType::kOcSvm, core::ClassifierType::kSvdd}) {
-    const auto column = core::regularizer_path_entries(
-        user, type, paper_shaped_kernels()[1], regularizers, train_windows,
-        dim, std::make_shared<svm::GramCache>(train));
-    for (const auto& entry : column) {
+    const auto grid = core::score_param_grid(train_windows, {&user, 1}, type,
+                                             {&polynomial, 1}, regularizers,
+                                             dim, grid_pool);
+    for (const auto& entry : grid.front()) {
       digest.add(entry.ratios.acc_self);
       digest.add(entry.ratios.acc_other);
     }

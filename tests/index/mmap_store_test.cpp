@@ -11,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -20,6 +22,7 @@
 #include "core/test_trace.h"
 #include "index/store_format.h"
 #include "svm/kernel.h"
+#include "svm/model_io.h"
 #include "synthetic/scale.h"
 
 #if defined(__GLIBC__)
@@ -487,6 +490,99 @@ TEST(MappedStore, RejectsCorruptBlobInsideValidStore) {
     FAIL() << "corrupt blob viewed";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find(path), std::string::npos);
+  }
+}
+
+/// Field-for-field equality of two views of one blob; spans compare by
+/// length and content, so views over different copies of the bytes agree.
+void expect_same_view(const svm::ModelView& got, const svm::ModelView& want,
+                      std::size_t user) {
+  const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
+  EXPECT_EQ(got.model_type, want.model_type) << "user " << user;
+  EXPECT_EQ(got.kernel, want.kernel) << "user " << user;
+  EXPECT_EQ(got.scalar0, want.scalar0) << "user " << user;
+  EXPECT_EQ(got.scalar1, want.scalar1) << "user " << user;
+  EXPECT_TRUE(same(got.coefficients, want.coefficients)) << "user " << user;
+  const util::CsrView& a = got.support_vectors.csr;
+  const util::CsrView& b = want.support_vectors.csr;
+  EXPECT_EQ(a.cols, b.cols) << "user " << user;
+  EXPECT_TRUE(same(a.indices, b.indices)) << "user " << user;
+  EXPECT_TRUE(same(a.values, b.values)) << "user " << user;
+  EXPECT_TRUE(same(a.row_offsets, b.row_offsets)) << "user " << user;
+  EXPECT_TRUE(same(a.sq_norms, b.sq_norms)) << "user " << user;
+  ASSERT_EQ(got.support_vectors.bitset.has_value(),
+            want.support_vectors.bitset.has_value())
+      << "user " << user;
+  if (!got.support_vectors.bitset) return;
+  const util::BitsetView& x = *got.support_vectors.bitset;
+  const util::BitsetView& y = *want.support_vectors.bitset;
+  EXPECT_EQ(x.cols, y.cols) << "user " << user;
+  EXPECT_EQ(x.row_count, y.row_count) << "user " << user;
+  EXPECT_EQ(x.words_per_row, y.words_per_row) << "user " << user;
+  EXPECT_TRUE(same(x.words, y.words)) << "user " << user;
+  EXPECT_TRUE(same(x.numeric_cols, y.numeric_cols)) << "user " << user;
+  EXPECT_TRUE(same(x.numeric_values, y.numeric_values)) << "user " << user;
+}
+
+// model(i) validates blob i once and then views it unchecked; the store keeps
+// one bit per user, 64 to a word.  With every valid user's bit set, a corrupt
+// blob must still be refused on every call, so no user's bit may land on
+// another's.  The corrupt users sit where a wrong word or bit index would
+// collide with a valid one: 64 opens the second word and shares bit 0 with
+// user 0, and 1 shares its bit with 65 and its word with 0.
+TEST(MappedStore, ValidatesEachBlobOnceAndKeepsRefusingCorruptOnes) {
+  const auto population = small_population(70);
+  const std::string path = write_population(population, "validate_once.wtpstore");
+  auto bytes = read_bytes(path);
+  StoreHeader header;
+  std::memcpy(&header, bytes.data(), sizeof header);
+  const auto record_of = [&](std::size_t u) {
+    UserRecord record;
+    std::memcpy(&record,
+                bytes.data() + header.table_off + u * sizeof(UserRecord),
+                sizeof record);
+    return record;
+  };
+  const std::size_t corrupt[] = {1, 64};
+  for (const std::size_t u : corrupt) {
+    bytes = patched(bytes, static_cast<std::size_t>(record_of(u).blob_off),
+                    std::uint64_t{0});
+  }
+  write_bytes(path, bytes);
+  const MappedProfileStore store = MappedProfileStore::open(path);
+  ASSERT_EQ(store.size(), 70u);
+  // view_model_blob's view of each blob, over a heap copy of the file.
+  const std::span<const std::byte> copy = std::as_bytes(std::span{bytes});
+
+  for (std::size_t u = 0; u < store.size(); ++u) {
+    if (std::find(std::begin(corrupt), std::end(corrupt), u) != std::end(corrupt)) {
+      continue;
+    }
+    const UserRecord record = record_of(u);
+    const svm::ModelView want =
+        svm::view_model_blob(copy.subspan(record.blob_off, record.blob_size));
+    const svm::ModelView first = store.model(u);
+    const svm::ModelView second = store.model(u);
+    expect_same_view(first, want, u);
+    expect_same_view(second, want, u);
+    EXPECT_EQ(second.coefficients.data(), first.coefficients.data()) << u;
+  }
+  for (const std::size_t u : corrupt) {
+    const std::string offset =
+        "(file offset " + std::to_string(record_of(u).blob_off) + ")";
+    for (int call = 0; call < 2; ++call) {
+      try {
+        (void)store.model(u);
+        ADD_FAILURE() << "corrupt blob of user " << u << " viewed on call "
+                      << call;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string{store.user_id(u)}), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(offset), std::string::npos) << what;
+      }
+    }
   }
 }
 
