@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <span>
 
 #include "svm/kernel.h"
 #include "synthetic/pools.h"
@@ -52,6 +54,100 @@ void pick_footprint_columns(util::Rng& rng, const util::ZipfDistribution& rank,
   }
 }
 
+/// A user's stable numeric traits, around which every window's numeric
+/// columns jitter.
+struct Traits {
+  double private_base;
+  double risk_base;
+  double verified_base;
+};
+
+Traits user_traits(std::uint64_t seed, std::size_t u) {
+  util::Rng rng{mix(seed, u, 0x7261697473ULL)};
+  const double private_base = rng.uniform(0.05, 0.95);
+  const double risk_base = rng.uniform(0.0, 0.5);
+  const double verified_base = rng.uniform(0.3, 1.0);
+  return {private_base, risk_base, verified_base};
+}
+
+/// Column buffers one model's windows reuse.
+struct WindowScratch {
+  std::vector<std::uint32_t> active;
+  std::vector<std::uint32_t> noise;
+};
+
+/// The one window sampler: draws window (u, salt) over footprint
+/// `identity` and appends it to `out` as a finished row.  Entries go in
+/// ascending column order: the five fixed-group columns, which sit below
+/// every bag-of-words column, then the active footprint merged with the
+/// off-footprint noise.  A column drawn twice keeps one 1.0, and a numeric
+/// value that clamps to 0.0 is dropped by finish_row.
+void append_window(const ScaleConfig& config,
+                   const features::FeatureSchema& schema, std::size_t u,
+                   std::uint64_t salt, std::span<const std::uint32_t> identity,
+                   const Traits& traits, WindowScratch& scratch,
+                   util::FeatureMatrixBuilder& out) {
+  util::Rng rng{mix(config.seed, u, salt + 1)};
+
+  // Branch-free activation: every column is written, and only a hit
+  // advances the cursor.
+  std::vector<std::uint32_t>& active = scratch.active;
+  active.resize(identity.size());
+  std::size_t hits = 0;
+  for (const std::uint32_t col : identity) {
+    active[hits] = col;
+    hits += static_cast<std::size_t>(rng.bernoulli(config.window_activation));
+  }
+  if (hits == 0) {  // a window always shows some identity signal
+    active[0] = identity.front();
+    hits = 1;
+  }
+
+  // Off-footprint noise: occasional one-off visits outside the profile.
+  std::vector<std::uint32_t>& noise = scratch.noise;
+  noise.clear();
+  const std::uint64_t noise_count =
+      rng.poisson(config.noise_rate * static_cast<double>(hits));
+  const std::size_t category_offset = schema.group_offset(FeatureGroup::kCategory);
+  const std::size_t category_size = schema.group_size(FeatureGroup::kCategory);
+  for (std::uint64_t i = 0; i < noise_count && category_size > 0; ++i) {
+    noise.push_back(static_cast<std::uint32_t>(
+        category_offset + rng.uniform_index(category_size)));
+  }
+  std::sort(noise.begin(), noise.end());
+
+  // Fixed groups: one action, one scheme, numeric averages around the
+  // user's stable traits.
+  const auto group_pick = [&](FeatureGroup group) {
+    return schema.group_offset(group) +
+           rng.uniform_index(schema.group_size(group));
+  };
+  const std::size_t action = group_pick(FeatureGroup::kHttpAction);
+  const std::size_t scheme = group_pick(FeatureGroup::kUriScheme);
+  const auto jitter = [&](double base) {
+    return std::clamp(base + rng.uniform(-0.05, 0.05), 0.0, 1.0);
+  };
+  out.add(action, 1.0);
+  out.add(scheme, 1.0);
+  out.add(schema.private_flag_column(), jitter(traits.private_base));
+  out.add(schema.reputation_risk_column(), jitter(traits.risk_base));
+  out.add(schema.reputation_verified_column(), jitter(traits.verified_base));
+
+  // Merge the two sorted bag-of-words lists, keeping each column once
+  // (finish_row would sum duplicates).
+  std::size_t a = 0;
+  std::size_t n = 0;
+  std::int64_t last = -1;
+  while (a < hits || n < noise.size()) {
+    const std::uint32_t col =
+        n == noise.size() || (a < hits && active[a] <= noise[n]) ? active[a++]
+                                                                  : noise[n++];
+    if (col != last) out.add(col, 1.0);
+    last = col;
+  }
+  out.finish_row();
+}
+
 }  // namespace
 
 ScalePopulation::ScalePopulation(ScaleConfig config)
@@ -97,96 +193,45 @@ std::vector<std::uint32_t> ScalePopulation::footprint(std::size_t u) const {
 
 util::SparseVector ScalePopulation::sample_window(std::size_t u,
                                                   std::uint64_t salt) const {
-  return sample_window(u, salt, footprint(u));
-}
-
-util::SparseVector ScalePopulation::sample_window(
-    std::size_t u, std::uint64_t salt,
-    std::span<const std::uint32_t> identity) const {
-  util::Rng user_rng{mix(config_.seed, u, 0x7261697473ULL)};  // stable traits
-  const double private_base = user_rng.uniform(0.05, 0.95);
-  const double risk_base = user_rng.uniform(0.0, 0.5);
-  const double verified_base = user_rng.uniform(0.3, 1.0);
-
-  util::Rng rng{mix(config_.seed, u, salt + 1)};
-  std::vector<util::SparseVector::Entry> entries;
-  entries.reserve(identity.size() + 8);
-
-  std::size_t active = 0;
-  for (const std::uint32_t col : identity) {
-    if (rng.bernoulli(config_.window_activation)) {
-      entries.push_back({col, 1.0});
-      ++active;
-    }
-  }
-  if (active == 0) {  // a window always shows some identity signal
-    entries.push_back({identity.front(), 1.0});
-    active = 1;
-  }
-
-  // Off-footprint noise: occasional one-off visits outside the profile.
-  const std::uint64_t noise =
-      rng.poisson(config_.noise_rate * static_cast<double>(active));
-  for (std::uint64_t i = 0; i < noise; ++i) {
-    const std::size_t offset = schema_.group_offset(FeatureGroup::kCategory);
-    const std::size_t size = schema_.group_size(FeatureGroup::kCategory);
-    if (size == 0) break;
-    entries.push_back(
-        {static_cast<std::uint32_t>(offset + rng.uniform_index(size)), 1.0});
-  }
-
-  // Fixed groups: one action, one scheme, numeric averages around the
-  // user's stable traits.
-  const auto group_pick = [&](FeatureGroup group) {
-    return schema_.group_offset(group) +
-           rng.uniform_index(schema_.group_size(group));
-  };
-  entries.push_back({group_pick(FeatureGroup::kHttpAction), 1.0});
-  entries.push_back({group_pick(FeatureGroup::kUriScheme), 1.0});
-  const auto jitter = [&](double base) {
-    return std::clamp(base + rng.uniform(-0.05, 0.05), 0.0, 1.0);
-  };
-  entries.push_back({schema_.private_flag_column(), jitter(private_base)});
-  entries.push_back({schema_.reputation_risk_column(), jitter(risk_base)});
-  entries.push_back(
-      {schema_.reputation_verified_column(), jitter(verified_base)});
-
-  // Deduplicate bag-of-words collisions (noise hitting a footprint column):
-  // keep each column once — the constructor would *sum* duplicates.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.index < b.index; });
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.index == b.index;
-                            }),
-                entries.end());
-  return util::SparseVector{std::move(entries)};
+  WindowScratch scratch;
+  util::FeatureMatrixBuilder builder;
+  append_window(config_, schema_, u, salt, footprint(u),
+                user_traits(config_.seed, u), scratch, builder);
+  return builder.build(schema_.dimension()).row_vector(0);
 }
 
 svm::OneClassSvmModel ScalePopulation::make_model(std::size_t u) const {
   const std::size_t m = std::max<std::size_t>(config_.svs_per_user, 1);
   const std::vector<std::uint32_t> identity = footprint(u);
-  std::vector<util::SparseVector> windows;
-  windows.reserve(m);
+  const Traits traits = user_traits(config_.seed, u);
+  WindowScratch scratch;
+  util::FeatureMatrixBuilder builder;
   for (std::size_t i = 0; i < m; ++i) {
-    windows.push_back(sample_window(u, 0x10000 + i, identity));
+    append_window(config_, schema_, u, 0x10000 + i, identity, traits, scratch,
+                  builder);
   }
-  util::FeatureMatrix svs =
-      util::FeatureMatrix::from_rows(windows, schema_.dimension());
+  util::FeatureMatrix svs = builder.build(schema_.dimension());
+  svs.ensure_bitset(schema_.numeric_columns());
 
   // Trained-equivalent parts: uniform alpha (the paper's normalization has
   // sum(alpha) = 1), rho at a self-score quantile so ~rho_quantile of the
-  // training windows fall outside their own profile.
+  // training windows fall outside their own profile.  The self-scores read
+  // the Gram's upper triangle — row i against rows [i, m) — mirrored: every
+  // backend's k(x, y) equals k(y, x) bit for bit.
   const double alpha = 1.0 / static_cast<double>(m);
   std::vector<double> coefficients(m, alpha);
+  // Row i's entries left of the diagonal were mirrored in by rows [0, i).
+  std::vector<double> gram(m * m);
   std::vector<double> self_scores(m, 0.0);
-  const auto row = svm::kernel_row_scratch(m);
   const svm::KernelMatrix matrix = svm::kernel_matrix(svs);
   for (std::size_t i = 0; i < m; ++i) {
-    svm::kernel_block(config_.kernel, matrix, svm::KernelQueries::rows(matrix, i, 1),
-                      row);
+    svm::KernelMatrix tail{matrix.csr.rows_slice(i, m - i), std::nullopt};
+    if (matrix.bitset) tail.bitset = matrix.bitset->rows_slice(i, m - i);
+    svm::kernel_block(config_.kernel, tail, svm::KernelQueries::rows(matrix, i, 1),
+                      std::span{gram}.subspan(i * m + i, m - i));
+    for (std::size_t j = i + 1; j < m; ++j) gram[j * m + i] = gram[i * m + j];
     double score = 0.0;
-    for (std::size_t j = 0; j < m; ++j) score += coefficients[j] * row[j];
+    for (std::size_t j = 0; j < m; ++j) score += coefficients[j] * gram[i * m + j];
     self_scores[i] = score;
   }
   std::sort(self_scores.begin(), self_scores.end());

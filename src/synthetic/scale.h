@@ -12,10 +12,17 @@
 // rho from a self-score quantile).  Everything is a pure function of
 // (seed, user, salt), so any user's model can be rebuilt in isolation —
 // the store writer streams 10^6 models without ever holding two at once.
+//
+// make_model assembles a model in one pass.  One sampler writes each
+// window's entries, already in column order, straight into the SV block's
+// builder; sample_window wraps the same sampler for a single row.  The SV
+// block takes the schema's bitset layout up front, and rho's self-scores
+// come from the upper triangle of the SV Gram matrix (136 of 256 kernel
+// values at 16 SVs), mirrored, since k(x, y) and k(y, x) agree bit for bit
+// on every backend.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -93,12 +100,6 @@ class ScalePopulation {
   [[nodiscard]] svm::OneClassSvmModel make_model(std::size_t u) const;
 
  private:
-  /// sample_window over a footprint the caller already computed, so
-  /// make_model builds it once for all of a model's windows.
-  [[nodiscard]] util::SparseVector sample_window(
-      std::size_t u, std::uint64_t salt,
-      std::span<const std::uint32_t> identity) const;
-
   ScaleConfig config_;
   features::FeatureSchema schema_;
   util::ZipfDistribution category_rank_;

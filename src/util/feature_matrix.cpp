@@ -249,14 +249,18 @@ void FeatureMatrixBuilder::add(std::size_t index, double value) {
 }
 
 void FeatureMatrixBuilder::finish_row() {
-  // Normalize exactly like SparseVector: sort, sum duplicates, drop zeros.
-  add_row(SparseVector{std::move(pending_)});
-  pending_ = {};
+  SparseVector::normalize(pending_);
+  append(pending_);
+  pending_.clear();
 }
 
 void FeatureMatrixBuilder::add_row(const SparseVector& row) {
+  append(row.entries());
+}
+
+void FeatureMatrixBuilder::append(std::span<const SparseVector::Entry> row) {
   double sq_norm = 0.0;
-  for (const auto& entry : row.entries()) {
+  for (const auto& entry : row) {
     if (entry.index > std::numeric_limits<std::uint32_t>::max()) {
       throw std::invalid_argument{"FeatureMatrixBuilder: index exceeds 32-bit range"};
     }

@@ -268,7 +268,9 @@ class FeatureMatrix {
 class FeatureMatrixBuilder {
  public:
   void add(std::size_t index, double value);
-  /// Seals the current row (empty rows are legal and kept).
+  /// Seals the current row (empty rows are legal and kept), normalized in
+  /// place by SparseVector::normalize; the pending buffer keeps its
+  /// capacity for the next row.
   void finish_row();
   /// Appends an already-normalized row.
   void add_row(const SparseVector& row);
@@ -283,6 +285,9 @@ class FeatureMatrixBuilder {
   [[nodiscard]] FeatureMatrix build(std::size_t cols = 0);
 
  private:
+  /// Appends normalized entries as one row.
+  void append(std::span<const SparseVector::Entry> row);
+
   FeatureMatrix::Storage storage_;
   std::vector<SparseVector::Entry> pending_;
 };

@@ -6,29 +6,35 @@
 
 namespace wtp::util {
 
-namespace {
-
-/// Sorts, merges duplicates (by sum), and drops zeros.
-std::vector<SparseVector::Entry> normalize(std::vector<SparseVector::Entry> entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.index < b.index; });
-  std::vector<SparseVector::Entry> out;
-  out.reserve(entries.size());
-  for (const auto& entry : entries) {
-    if (!out.empty() && out.back().index == entry.index) {
-      out.back().value += entry.value;
-    } else {
-      out.push_back(entry);
+void SparseVector::normalize(std::vector<Entry>& entries) {
+  // Strictly ascending input skips the sort and the merge: distinct
+  // indices have one sorted order, and nothing is left to sum.
+  const bool ascending =
+      std::adjacent_find(entries.begin(), entries.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.index >= b.index;
+                         }) == entries.end();
+  if (!ascending) {
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.index < b.index; });
+    std::size_t kept = 0;
+    for (const Entry& entry : entries) {
+      if (kept > 0 && entries[kept - 1].index == entry.index) {
+        entries[kept - 1].value += entry.value;
+      } else {
+        entries[kept++] = entry;
+      }
     }
+    entries.resize(kept);
   }
-  std::erase_if(out, [](const auto& e) { return e.value == 0.0; });
-  return out;
+  std::erase_if(entries, [](const auto& e) { return e.value == 0.0; });
 }
 
-}  // namespace
-
 SparseVector::SparseVector(std::vector<Entry> entries)
-    : entries_{normalize(std::move(entries))} {}
+    : entries_{std::move(entries)} {
+  normalize(entries_);
+  entries_.shrink_to_fit();
+}
 
 SparseVector::SparseVector(std::initializer_list<Entry> entries)
     : SparseVector{std::vector<Entry>{entries}} {}

@@ -30,6 +30,11 @@ class SparseVector {
   explicit SparseVector(std::vector<Entry> entries);
   SparseVector(std::initializer_list<Entry> entries);
 
+  /// The constructor's rule, in place: sorts `entries` by index, sums each
+  /// run of duplicates in sorted order, then drops zero results.  Keeps
+  /// the vector's capacity.
+  static void normalize(std::vector<Entry>& entries);
+
   /// Builds from a dense vector, dropping zeros.
   [[nodiscard]] static SparseVector from_dense(std::span<const double> dense);
 

@@ -15,14 +15,17 @@
 // ASan/UBSan, which bounds the heap copies (a read past a blob inside the
 // mapping lands on the store's next section, where no sanitizer sees it).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -42,13 +45,25 @@ const features::WindowConfig kWindow{60, 30};
 constexpr std::size_t kTrainingRows = 24;
 constexpr std::size_t kBitFlips = 1500;
 
-/// A file of the running test's own: ctest runs tests as parallel
-/// processes, and rewriting a file another process has mapped would raise
+/// A file of the running test's own, removed when the process exits.
+/// ctest runs tests as parallel processes, and two build trees' test runs
+/// may share the temp directory, so the name carries the test and the
+/// process id: rewriting a file another process has mapped would raise
 /// SIGBUS there.
 std::string test_path(const std::string& suffix) {
-  return ::testing::TempDir() + "/" +
-         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-         suffix;
+  struct Files {
+    std::set<std::string> paths;
+    ~Files() {
+      for (const std::string& path : paths) std::remove(path.c_str());
+    }
+  };
+  static Files files;
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + suffix;
+  files.paths.insert(path);
+  return path;
 }
 
 struct Blob {

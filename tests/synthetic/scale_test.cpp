@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <vector>
 
 namespace wtp::synthetic {
 namespace {
@@ -72,6 +76,43 @@ TEST(ScalePopulation, ModelsAreRebuiltIdentically) {
     first.add(population.make_model(u));
     second.add(population.make_model(u));
     EXPECT_EQ(first.value(), second.value()) << "user " << u;
+  }
+}
+
+// sample_window and make_model share one sampler: SV row i of user u's
+// model is window (u, 0x10000 + i), entry for entry.
+TEST(ScalePopulation, SampleWindowMatchesModelRows) {
+  const ScalePopulation population = small_population();
+  for (std::size_t u = 0; u < population.size(); ++u) {
+    const svm::OneClassSvmModel model = population.make_model(u);
+    const util::FeatureMatrix& svs = model.support_vectors();
+    ASSERT_EQ(svs.rows(), population.config().svs_per_user);
+    for (std::size_t i = 0; i < svs.rows(); ++i) {
+      const util::SparseVector window = population.sample_window(u, 0x10000 + i);
+      const auto indices = svs.row_indices(i);
+      const auto values = svs.row_values(i);
+      ASSERT_EQ(indices.size(), window.nnz()) << "user " << u << " row " << i;
+      for (std::size_t k = 0; k < indices.size(); ++k) {
+        EXPECT_EQ(indices[k], window.entries()[k].index)
+            << "user " << u << " row " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(values[k]),
+                  std::bit_cast<std::uint64_t>(window.entries()[k].value))
+            << "user " << u << " row " << i << " entry " << k;
+      }
+    }
+  }
+}
+
+// The SV block takes the schema's numeric columns as its bitset layout,
+// whatever the kernel backend, so the store writer serializes it as is.
+TEST(ScalePopulation, ModelCarriesSchemaBitsetLayout) {
+  const ScalePopulation population = small_population();
+  const std::vector<std::uint32_t> numeric = population.schema().numeric_columns();
+  for (const std::size_t u : {std::size_t{0}, std::size_t{17}, std::size_t{39}}) {
+    const svm::OneClassSvmModel model = population.make_model(u);
+    const std::optional<util::BitsetView> bits = model.support_vectors().bitset();
+    ASSERT_TRUE(bits.has_value()) << "user " << u;
+    EXPECT_TRUE(std::ranges::equal(bits->numeric_cols, numeric)) << "user " << u;
   }
 }
 

@@ -281,6 +281,52 @@ TEST(FeatureMatrixBuilder, EmptyFinishedRowsCount) {
   EXPECT_EQ(m.row_nnz(2), 0u);
 }
 
+TEST(FeatureMatrixBuilder, FinishRowNormalizesLikeSparseVector) {
+  // Unsorted input; a three-way duplicate whose sum depends on its order
+  // ((0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)); an explicit zero and a pair
+  // that cancels; an empty row; a row of zeros only.
+  const std::vector<std::vector<SparseVector::Entry>> rows{
+      {{7, 0.3}, {2, 1.0}, {7, 0.1}, {0, 0.0}, {4, 2.0}, {7, 0.2}, {4, -2.0}},
+      {},
+      {{9, 0.0}, {3, 0.0}},
+      {{5, 0.2}, {5, 0.3}, {5, 0.1}, {1, -1.5}},
+  };
+  FeatureMatrixBuilder builder;
+  for (const auto& row : rows) {
+    for (const auto& entry : row) builder.add(entry.index, entry.value);
+    builder.finish_row();
+  }
+  const FeatureMatrix m = builder.build();
+  ASSERT_EQ(m.rows(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const SparseVector expected{rows[r]};
+    const auto indices = m.row_indices(r);
+    const auto values = m.row_values(r);
+    ASSERT_EQ(indices.size(), expected.nnz()) << "row " << r;
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      EXPECT_EQ(indices[k], expected.entries()[k].index) << "row " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(values[k]),
+                std::bit_cast<std::uint64_t>(expected.entries()[k].value))
+          << "row " << r << " entry " << k;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.sq_norm(r)),
+              std::bit_cast<std::uint64_t>(expected.squared_norm()))
+        << "row " << r;
+  }
+  EXPECT_EQ(m.row_nnz(1), 0u);
+  EXPECT_EQ(m.row_nnz(2), 0u);
+
+  // finish_row applies the rule to its pending buffer in place, so the
+  // buffer's capacity serves the next row.
+  for (auto row : rows) {
+    const SparseVector::Entry* data = row.data();
+    const std::size_t capacity = row.capacity();
+    SparseVector::normalize(row);
+    EXPECT_EQ(row.data(), data);
+    EXPECT_EQ(row.capacity(), capacity);
+  }
+}
+
 // ------------------------------------------------------ bitset companion --
 // Edge cases for the dual representation (DESIGN §11).  Exactness is
 // against dot_all, the scalar CSR oracle, using the portable scalar ops;

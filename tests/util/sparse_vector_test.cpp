@@ -19,6 +19,17 @@ TEST(SparseVector, NormalizesUnsortedDuplicatedInput) {
   EXPECT_DOUBLE_EQ(v.entries()[1].value, 4.0);  // duplicates summed
 }
 
+TEST(SparseVector, NormalizeHandlesAscendingInput) {
+  // Strictly ascending: kept in place, zeros dropped.
+  std::vector<SparseVector::Entry> ascending{{0, 0.0}, {2, 1.5}, {4, 0.0}, {8, -1.0}};
+  SparseVector::normalize(ascending);
+  EXPECT_EQ(ascending, (std::vector<SparseVector::Entry>{{2, 1.5}, {8, -1.0}}));
+  // Sorted with a repeated index: still summed.
+  std::vector<SparseVector::Entry> repeated{{1, 1.0}, {3, 2.0}, {3, 0.5}, {7, 0.0}};
+  SparseVector::normalize(repeated);
+  EXPECT_EQ(repeated, (std::vector<SparseVector::Entry>{{1, 1.0}, {3, 2.5}}));
+}
+
 TEST(SparseVector, AtReturnsValueOrZero) {
   const SparseVector v{{1, 0.5}, {10, -2.0}};
   EXPECT_DOUBLE_EQ(v.at(1), 0.5);
