@@ -23,23 +23,36 @@
 // scorer (core::score_param_grid), after checking that its ratios and
 // chosen parameters are bitwise those of the per-cell oracle
 // (profile_acceptance on each fit_path model); it exits 1 otherwise.
+// A windows section runs first, at the same shape: the layer ledger's
+// train25 trace, its 25 most active users and 150 training windows each.
+// It checks the streaming window fold and the dataset's batch train/test
+// matrices bitwise against the sort-based oracle of
+// tests/features/window_reference.h (exiting 1 on any difference), then
+// times the fold per transaction and the batch matrices.
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_json.h"
+#include "core/dataset.h"
 #include "core/grid_search.h"
+#include "features/streaming.h"
+#include "features/window_reference.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "svm/kernel_cache.h"
 #include "svm/one_class_svm.h"
 #include "svm/svdd.h"
+#include "synthetic/generator.h"
+#include "synthetic/pools.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
@@ -442,6 +455,161 @@ GridResult run_grid_section() {
   return result;
 }
 
+// --------------------------------------------------------------- windows --
+
+constexpr std::size_t kWindowUsers = 25;
+constexpr std::size_t kWindowCap = 150;  ///< train25's training-window cap
+constexpr std::size_t kWindowTxns = 320000;
+constexpr std::size_t kWindowPasses = 5;
+constexpr features::WindowConfig kFoldWindow{60, 30};
+
+struct WindowsResult {
+  std::size_t users = 0;
+  std::size_t transactions = 0;
+  std::size_t train_rows = 0;
+  std::size_t test_rows = 0;
+  double fold_ns_per_txn = 0.0;
+  double batch_matrix_seconds = 0.0;
+  double oracle_seconds = 0.0;
+};
+
+/// The layer ledger's train25 trace: 6 weeks at activity 0.4 over the
+/// paper's vocabularies, cut at 320,000 transactions.
+std::vector<log::WebTransaction> window_trace() {
+  synthetic::GeneratorConfig config;
+  config.seed = 42;
+  config.duration_weeks = 6;
+  config.activity_scale = 0.4;
+  config.site_pool.num_categories = synthetic::kPaperCategoryCount;
+  config.site_pool.num_media_types = synthetic::kPaperSubTypeCount;
+  config.site_pool.num_application_types = synthetic::kPaperApplicationTypeCount;
+  auto txns = synthetic::generate_trace(config).transactions;
+  if (txns.size() > kWindowTxns) {
+    txns.erase(txns.begin() + static_cast<std::ptrdiff_t>(kWindowTxns), txns.end());
+  }
+  return txns;
+}
+
+core::ProfilingDataset window_dataset(std::vector<log::WebTransaction> txns) {
+  core::DatasetConfig config;
+  config.min_transactions = 200;
+  config.max_users = kWindowUsers;
+  config.max_training_windows = kWindowCap;
+  return core::ProfilingDataset{std::move(txns), config};
+}
+
+bool same_bits(const util::FeatureMatrix& a, const util::FeatureMatrix& b) {
+  const util::CsrView x = a.view();
+  const util::CsrView y = b.view();
+  const auto equal_bits = [](std::span<const double> p, std::span<const double> q) {
+    return p.size() == q.size() &&
+           std::memcmp(p.data(), q.data(), p.size() * sizeof(double)) == 0;
+  };
+  return x.cols == y.cols && std::ranges::equal(x.row_offsets, y.row_offsets) &&
+         std::ranges::equal(x.indices, y.indices) && equal_bits(x.values, y.values) &&
+         equal_bits(x.sq_norms, y.sq_norms);
+}
+
+[[noreturn]] void window_mismatch(const std::string& user, const char* what) {
+  std::fprintf(stderr, "FATAL: windows %s: %s differs from the oracle\n",
+               user.c_str(), what);
+  std::exit(1);
+}
+
+/// Checks the streaming fold's windows and the dataset's batch train/test
+/// matrices at train25 shape bitwise against the sort-based oracle
+/// (tests/features/window_reference.h), exiting 1 on any difference, then
+/// times the streaming fold per transaction (best of kWindowPasses serial
+/// passes over every user's rows) and the batch matrices (best of
+/// kWindowPasses fresh datasets, every user's train and test matrix
+/// serially); the oracle's time is its one checked run.
+WindowsResult run_windows_section() {
+  const std::vector<log::WebTransaction> trace = window_trace();
+  const core::ProfilingDataset dataset = window_dataset(trace);
+  const features::FeatureSchema& schema = dataset.schema();
+  const auto& users = dataset.user_ids();
+  WindowsResult result;
+  result.users = users.size();
+
+  util::Stopwatch watch;
+  std::vector<std::vector<features::Window>> oracle(users.size());
+  std::vector<util::FeatureMatrix> oracle_train(users.size());
+  std::vector<util::FeatureMatrix> oracle_test(users.size());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    oracle[u] = features::testing::reference_aggregate(
+        schema, kFoldWindow, dataset.all_transactions(users[u]));
+    oracle_train[u] = util::FeatureMatrix::from_rows(
+        core::ProfilingDataset::subsample(
+            features::window_vectors(features::testing::reference_aggregate(
+                schema, kFoldWindow, dataset.train_transactions(users[u]))),
+            kWindowCap),
+        schema.dimension());
+    oracle_test[u] = util::FeatureMatrix::from_rows(
+        features::window_vectors(features::testing::reference_aggregate(
+            schema, kFoldWindow, dataset.test_transactions(users[u]))),
+        schema.dimension());
+  }
+  result.oracle_seconds = watch.elapsed_seconds();
+
+  const features::WindowAggregator aggregator{schema, kFoldWindow};
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    const auto streamed = aggregator.aggregate(dataset.all_transactions(users[u]));
+    if (streamed.size() != oracle[u].size()) window_mismatch(users[u], "window count");
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+      const features::Window& got = streamed[i];
+      const features::Window& want = oracle[u][i];
+      if (got.start != want.start || got.end != want.end ||
+          got.transaction_count != want.transaction_count ||
+          !features::testing::bitwise_equal(got.features, want.features)) {
+        window_mismatch(users[u], "a streamed window");
+      }
+    }
+    const auto train = dataset.train_matrix(users[u], kFoldWindow);
+    const auto test = dataset.test_matrix(users[u], kFoldWindow);
+    if (!same_bits(*train, oracle_train[u])) window_mismatch(users[u], "the train matrix");
+    if (!same_bits(*test, oracle_test[u])) window_mismatch(users[u], "the test matrix");
+    result.transactions += dataset.all_transactions(users[u]).size();
+    result.train_rows += train->rows();
+    result.test_rows += test->rows();
+  }
+  std::printf("windows check (streaming fold and batch train/test matrices == "
+              "sort-based oracle, %zu users, %zu train + %zu test rows): PASS\n",
+              result.users, result.train_rows, result.test_rows);
+
+  double fold_seconds = std::numeric_limits<double>::infinity();
+  for (std::size_t pass = 0; pass < kWindowPasses; ++pass) {
+    std::size_t windows = 0;
+    watch.reset();
+    for (const auto& user : users) {
+      features::StreamingWindowAggregator fold{schema, kFoldWindow};
+      for (const auto& txn : dataset.all_transactions(user)) {
+        windows += fold.push(txn).size();
+      }
+      windows += fold.flush().size();
+    }
+    fold_seconds = std::min(fold_seconds, watch.elapsed_seconds());
+    if (windows == 0) std::exit(1);
+  }
+  result.fold_ns_per_txn = fold_seconds * 1e9 / static_cast<double>(result.transactions);
+
+  result.batch_matrix_seconds = std::numeric_limits<double>::infinity();
+  for (std::size_t pass = 0; pass < kWindowPasses; ++pass) {
+    const core::ProfilingDataset fresh = window_dataset(trace);
+    watch.reset();
+    for (const auto& user : fresh.user_ids()) {
+      (void)fresh.train_matrix(user, kFoldWindow);
+      (void)fresh.test_matrix(user, kFoldWindow);
+    }
+    result.batch_matrix_seconds =
+        std::min(result.batch_matrix_seconds, watch.elapsed_seconds());
+  }
+  std::printf("windows  %zu users, %zu txns: fold %6.1f ns/txn   batch matrices "
+              "%6.3fs   oracle %6.3fs\n",
+              result.users, result.transactions, result.fold_ns_per_txn,
+              result.batch_matrix_seconds, result.oracle_seconds);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -459,6 +627,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  const WindowsResult windows = run_windows_section();
   std::printf("Training throughput — %zu windows, %zu cols, ~%zu nnz, "
               "%zu kernels x %zu regularizers, %zu timed passes (identical "
               "winners + ACC enforced)\n",
@@ -497,7 +666,7 @@ int main(int argc, char** argv) {
     wtp::bench::JsonBuilder json;
     json.begin_object();
     json.key("bench").value("training_throughput");
-    json.key("windows").value(kWindows);
+    json.key("sweep_windows").value(kWindows);
     json.key("dimension").value(kDim);
     json.key("mean_nnz").value(kMeanNnz);
     json.key("passes").value(kPasses);
@@ -535,6 +704,17 @@ int main(int argc, char** argv) {
     json.key("pair_seconds").value(grid.pair_seconds);
     json.key("oracle_seconds").value(grid.oracle_seconds);
     json.key("oracle_ratio").value(grid.oracle_seconds / grid.pair_seconds);
+    json.end_object();
+    json.key("windows").begin_object();
+    json.key("users").value(windows.users);
+    json.key("transactions").value(windows.transactions);
+    json.key("train_cap").value(kWindowCap);
+    json.key("train_rows").value(windows.train_rows);
+    json.key("test_rows").value(windows.test_rows);
+    json.key("passes").value(kWindowPasses);
+    json.key("fold_ns_per_txn").value(windows.fold_ns_per_txn);
+    json.key("batch_matrix_seconds").value(windows.batch_matrix_seconds);
+    json.key("oracle_seconds").value(windows.oracle_seconds);
     json.end_object();
     json.end_object();
     json.write_file(json_out);

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
+#include "features/encoder.h"
 #include "util/pages.h"
 
 namespace wtp::core {
@@ -42,6 +47,102 @@ void gather_in_place(std::vector<log::WebTransaction>& rows,
       at = source;
     }
   }
+}
+
+/// subsample's choice: the indices of the rows kept out of `count`.
+std::vector<std::size_t> subsample_indices(std::size_t count, std::size_t max_count) {
+  std::vector<std::size_t> kept;
+  if (max_count == 0 || count <= max_count) {
+    kept.resize(count);
+    std::iota(kept.begin(), kept.end(), std::size_t{0});
+    return kept;
+  }
+  kept.reserve(max_count);
+  const double stride =
+      static_cast<double>(count) / static_cast<double>(max_count);
+  for (std::size_t i = 0; i < max_count; ++i) {
+    kept.push_back(static_cast<std::size_t>(static_cast<double>(i) * stride));
+  }
+  return kept;
+}
+
+/// The dataset's one batch window path.  Walks the windows of `txns`
+/// (features::WindowAggregator::aggregate's, on the same
+/// features::WindowGrid) and calls merge(encoded) with the encoded
+/// transactions of each window that subsample keeps out of all of them
+/// (`max_windows`, 0 = all), in order.  Only the kept windows are encoded,
+/// each transaction they hold once, into one rolling buffer.
+template <class Merge>
+void for_each_kept_window(std::span<const log::WebTransaction> txns,
+                          const features::FeatureSchema& schema,
+                          const features::WindowConfig& window,
+                          std::size_t max_windows, Merge&& merge) {
+  features::check_window_config(window);
+  // The fold's input rule (StreamingWindowAggregator::push), checked up
+  // front: the walks below assume it.
+  const auto disorder = std::ranges::adjacent_find(
+      txns, std::ranges::greater{}, &log::WebTransaction::timestamp);
+  if (disorder != txns.end()) {
+    throw std::invalid_argument{
+        "ProfilingDataset: transactions must be time-ordered (" +
+        std::to_string(std::next(disorder)->timestamp) + " after " +
+        std::to_string(disorder->timestamp) + ")"};
+  }
+  if (txns.empty()) return;
+  const features::WindowGrid grid{window, txns.front().timestamp};
+  const auto timestamp = [txns](std::size_t i) { return txns[i].timestamp; };
+  std::size_t windows = 0;
+  grid.walk(txns.size(), timestamp, [&windows](std::size_t, std::size_t) { ++windows; });
+  const std::vector<std::size_t> kept = subsample_indices(windows, max_windows);
+
+  // `encoded` holds the encodings of transactions [first, first +
+  // encoded.size()), the last window merged; windows only move forward,
+  // so its tail is reused.
+  const features::TransactionEncoder encoder{schema};
+  std::vector<features::EncodedTransaction> encoded;
+  std::size_t first = 0;
+  std::size_t index = 0;
+  auto next_kept = kept.begin();
+  grid.walk(txns.size(), timestamp, [&](std::size_t lo, std::size_t hi) {
+    if (next_kept == kept.end() || *next_kept != index++) return;
+    ++next_kept;
+    const std::size_t stale = std::min(lo, first + encoded.size()) - first;
+    encoded.erase(encoded.begin(), encoded.begin() + static_cast<std::ptrdiff_t>(stale));
+    first = lo;
+    for (std::size_t i = first + encoded.size(); i < hi; ++i) {
+      encoded.push_back(encoder.encode(txns[i]));
+    }
+    merge(std::span<const features::EncodedTransaction>{encoded});
+  });
+}
+
+/// The kept windows as vectors (train_windows, test_windows).
+std::vector<util::SparseVector> kept_window_vectors(
+    std::span<const log::WebTransaction> txns, const features::FeatureSchema& schema,
+    const features::WindowConfig& window, std::size_t max_windows) {
+  std::vector<util::SparseVector> vectors;
+  for_each_kept_window(txns, schema, window, max_windows,
+                       [&](std::span<const features::EncodedTransaction> encoded) {
+                         vectors.push_back(features::merge_window(encoded, schema));
+                       });
+  return vectors;
+}
+
+/// The same windows as CSR rows, written straight into the builder.
+util::FeatureMatrix kept_window_matrix(std::span<const log::WebTransaction> txns,
+                                       const features::FeatureSchema& schema,
+                                       const features::WindowConfig& window,
+                                       std::size_t max_windows) {
+  util::FeatureMatrixBuilder builder;
+  const auto add = [&builder](std::size_t column, double value) {
+    builder.add(column, value);
+  };
+  for_each_kept_window(txns, schema, window, max_windows,
+                       [&](std::span<const features::EncodedTransaction> encoded) {
+                         features::merge_window(encoded, schema, add);
+                         builder.finish_row();
+                       });
+  return builder.build(schema.dimension());
 }
 
 }  // namespace
@@ -151,26 +252,21 @@ std::vector<util::SparseVector> ProfilingDataset::subsample(
   if (max_count == 0 || vectors.size() <= max_count) return vectors;
   std::vector<util::SparseVector> sampled;
   sampled.reserve(max_count);
-  const double stride =
-      static_cast<double>(vectors.size()) / static_cast<double>(max_count);
-  for (std::size_t i = 0; i < max_count; ++i) {
-    sampled.push_back(std::move(vectors[static_cast<std::size_t>(
-        static_cast<double>(i) * stride)]));
+  for (const std::size_t i : subsample_indices(vectors.size(), max_count)) {
+    sampled.push_back(std::move(vectors[i]));
   }
   return sampled;
 }
 
 std::vector<util::SparseVector> ProfilingDataset::train_windows(
     const std::string& user, const features::WindowConfig& window) const {
-  const features::WindowAggregator aggregator{schema_, window};
-  auto vectors = features::window_vectors(aggregator.aggregate(train_transactions(user)));
-  return subsample(std::move(vectors), config_.max_training_windows);
+  return kept_window_vectors(train_transactions(user), schema_, window,
+                             config_.max_training_windows);
 }
 
 std::vector<util::SparseVector> ProfilingDataset::test_windows(
     const std::string& user, const features::WindowConfig& window) const {
-  const features::WindowAggregator aggregator{schema_, window};
-  return features::window_vectors(aggregator.aggregate(test_transactions(user)));
+  return kept_window_vectors(test_transactions(user), schema_, window, 0);
 }
 
 std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::cached_matrix(
@@ -184,9 +280,10 @@ std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::cached_matrix(
   }
   // Window outside the lock: concurrent misses on the same key may both
   // compute, but they produce identical matrices and the first insert wins.
-  const auto vectors =
-      train ? train_windows(user, window) : test_windows(user, window);
-  auto built = util::FeatureMatrix::from_rows(vectors, schema_.dimension());
+  // The rows are train_windows / test_windows, built straight into CSR.
+  auto built = train ? kept_window_matrix(train_transactions(user), schema_, window,
+                                          config_.max_training_windows)
+                     : kept_window_matrix(test_transactions(user), schema_, window, 0);
   // Schema-derived bitset layout: every per-user matrix shares it, so the
   // batched kernel paths borrow query encodings zero-copy (DESIGN §11).
   built.ensure_bitset(schema_.numeric_columns());

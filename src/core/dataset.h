@@ -70,7 +70,9 @@ class ProfilingDataset {
       const std::string& user) const;
 
   /// Training windows for a user under a window configuration, subsampled
-  /// to config.max_training_windows.
+  /// to config.max_training_windows: features::WindowAggregator::aggregate's
+  /// windows, through ProfilingDataset::subsample, bit for bit.  Only the
+  /// windows kept are merged.
   [[nodiscard]] std::vector<util::SparseVector> train_windows(
       const std::string& user, const features::WindowConfig& window) const;
 
@@ -79,9 +81,11 @@ class ProfilingDataset {
       const std::string& user, const features::WindowConfig& window) const;
 
   /// Training windows as a CSR FeatureMatrix (rows = train_windows output,
-  /// cols = schema dimension).  Each (window config, user) pair is windowed
-  /// exactly once and cached, so a grid search sweeping kernels and nu over
-  /// the same window configuration reuses one matrix.  Thread-safe.
+  /// bit for bit; cols = schema dimension).  Each (window config, user)
+  /// pair is windowed exactly once and cached, so a grid search sweeping
+  /// kernels and nu over the same window configuration reuses one matrix.
+  /// The rows are written straight into CSR, and only the windows that
+  /// subsampling keeps are merged.  Thread-safe.
   [[nodiscard]] std::shared_ptr<const util::FeatureMatrix> train_matrix(
       const std::string& user, const features::WindowConfig& window) const;
 

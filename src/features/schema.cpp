@@ -65,16 +65,28 @@ FeatureSchema::FeatureSchema(std::vector<std::string> categories,
 FeatureSchema FeatureSchema::from_transactions(
     std::span<const log::WebTransaction> txns) {
   // The sets view the rows' strings; the constructor copies and sorts them.
+  // A field whose handle shares the previous row's buffer holds a value
+  // already inserted, so it is skipped without hashing (a log built with
+  // one handle per value repeats handles from row to row).
   std::unordered_set<std::string_view> categories;
   std::unordered_set<std::string_view> super_types;
   std::unordered_set<std::string_view> sub_types;
   std::unordered_set<std::string_view> application_types;
+  const log::WebTransaction* previous = nullptr;
   for (const auto& txn : txns) {
-    categories.insert(txn.category);
-    const auto media = log::split_media_type(txn.media_type);
-    super_types.insert(media.super_type);
-    if (!media.sub_type.empty()) sub_types.insert(media.sub_type);
-    application_types.insert(txn.application_type);
+    const bool first = previous == nullptr;
+    if (first || !txn.category.shares_with(previous->category)) {
+      categories.insert(txn.category);
+    }
+    if (first || !txn.media_type.shares_with(previous->media_type)) {
+      const auto media = log::split_media_type(txn.media_type);
+      super_types.insert(media.super_type);
+      if (!media.sub_type.empty()) sub_types.insert(media.sub_type);
+    }
+    if (first || !txn.application_type.shares_with(previous->application_type)) {
+      application_types.insert(txn.application_type);
+    }
+    previous = &txn;
   }
   const auto strings = [](const std::unordered_set<std::string_view>& values) {
     return std::vector<std::string>(values.begin(), values.end());

@@ -6,10 +6,18 @@
 // O(window span) memory.  It is also the batch path:
 // WindowAggregator::aggregate pushes a whole sequence and flushes, so batch
 // and streaming windows are the same by construction.  Tests check the fold
-// against a brute-force reference (tests/features/window_reference.h).
+// against a brute-force reference with its own sort-based merge
+// (tests/features/window_reference.h).
+//
+// Once the buffer has grown to the stream's widest window, a push
+// allocates only for the windows it completes: each transaction is encoded
+// inline (EncodedTransaction) into a vector whose consumed front is
+// compacted away, and the windows merge through merge_window's per-thread
+// scratch.  When a burst drains, the buffer gives its capacity back, so an
+// idle session holds about its current window, not its busiest one.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -43,17 +51,24 @@ class StreamingWindowAggregator {
   void save_state(std::ostream& out) const;
 
   /// Inverse of save_state: replaces the current state.  Throws
-  /// std::runtime_error on malformed input.
+  /// std::runtime_error on malformed input, and on a buffered transaction
+  /// the encoder could not have written: a column at or past the schema's
+  /// dimension, entries not strictly ascending by column, or more than
+  /// EncodedTransaction::kMaxEntries entries.  The message names the
+  /// offending line of the state (the header is line 1).  A failed restore
+  /// leaves the aggregator as it was.
   void restore_state(std::istream& in);
 
   [[nodiscard]] const WindowConfig& config() const noexcept { return config_; }
   /// Transactions currently buffered (still inside open windows).
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - front_;
+  }
 
  private:
   struct Buffered {
     util::UnixSeconds timestamp;
-    util::SparseVector encoded;
+    EncodedTransaction encoded;
   };
 
   /// Emits all windows with end <= horizon (or all remaining when
@@ -69,7 +84,17 @@ class StreamingWindowAggregator {
   const FeatureSchema* schema_;
   TransactionEncoder encoder_;
   WindowConfig config_;
-  std::deque<Buffered> buffer_;
+  /// A buffer of at most this capacity (20 KB) keeps it when push
+  /// compacts it.  Shrinking smaller buffers too made the serving fold
+  /// reallocate as ordinary devices' windows grew and drained: at 16,
+  /// `paper25`'s fold cost 15–21% more a transaction (EXPERIMENTS.md).
+  static constexpr std::size_t kKeptCapacity = 128;
+
+  /// Buffered transactions are buffer_[front_, size); push compacts the
+  /// consumed front away and gives back a drained burst's capacity, and
+  /// flush and reset free the buffer.
+  std::vector<Buffered> buffer_;
+  std::size_t front_ = 0;
   bool started_ = false;
   util::UnixSeconds origin_ = 0;
   util::UnixSeconds last_timestamp_ = 0;

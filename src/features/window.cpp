@@ -16,6 +16,31 @@ void check_window_config(const WindowConfig& config) {
   }
 }
 
+namespace detail {
+
+void MergeScratch::begin(std::size_t columns) {
+  if (tag.size() < columns) {
+    // New columns carry tag 0, which no epoch has (epochs start at 1).
+    tag.resize(columns, 0);
+    max.resize(columns, 0.0);
+  }
+  dimension = columns;
+  ++epoch;
+  touched.clear();
+}
+
+void MergeScratch::throw_out_of_range(std::size_t column) const {
+  throw std::out_of_range{"merge_window: column " + std::to_string(column) +
+                          " >= dimension " + std::to_string(dimension)};
+}
+
+MergeScratch& merge_scratch() {
+  thread_local MergeScratch scratch;
+  return scratch;
+}
+
+}  // namespace detail
+
 WindowAggregator::WindowAggregator(const FeatureSchema& schema, WindowConfig config)
     : schema_{&schema}, config_{config} {
   check_window_config(config);

@@ -115,32 +115,4 @@ double SparseVector::squared_distance(const SparseVector& other) const noexcept 
   return sum;
 }
 
-void SparseAccumulator::add(std::size_t index, double value) {
-  entries_.push_back({index, value});
-}
-
-void SparseAccumulator::max(std::size_t index, double value) {
-  maxed_.push_back({index, value});
-}
-
-SparseVector SparseAccumulator::build() {
-  // Summed entries go through the normal constructor; maxed entries are
-  // deduplicated by maximum first, then merged in.
-  std::sort(maxed_.begin(), maxed_.end(),
-            [](const auto& a, const auto& b) { return a.index < b.index; });
-  std::vector<SparseVector::Entry> max_merged;
-  for (const auto& entry : maxed_) {
-    if (!max_merged.empty() && max_merged.back().index == entry.index) {
-      max_merged.back().value = std::max(max_merged.back().value, entry.value);
-    } else {
-      max_merged.push_back(entry);
-    }
-  }
-  for (const auto& entry : max_merged) entries_.push_back(entry);
-  SparseVector result{std::move(entries_)};
-  entries_ = {};
-  maxed_ = {};
-  return result;
-}
-
 }  // namespace wtp::util

@@ -63,22 +63,4 @@ class SparseVector {
   std::vector<Entry> entries_;
 };
 
-/// Builder that accumulates values by index and emits a normalized
-/// SparseVector; used by the window aggregator.
-class SparseAccumulator {
- public:
-  /// value is added to the current coefficient at index.
-  void add(std::size_t index, double value);
-  /// coefficient becomes max(current, value) — the "logical disjunction"
-  /// aggregation for binary bag-of-words features.
-  void max(std::size_t index, double value);
-
-  /// Emits the accumulated vector and resets the accumulator.
-  [[nodiscard]] SparseVector build();
-
- private:
-  std::vector<SparseVector::Entry> entries_;  // unsorted, possibly duplicated
-  std::vector<SparseVector::Entry> maxed_;
-};
-
 }  // namespace wtp::util

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string_view>
 
 #include "core/test_trace.h"
 #include "features/split.h"
+#include "features/window_reference.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace wtp::core {
 namespace {
@@ -143,6 +149,18 @@ TEST(ProfilingDataset, SubsampleKeepsOrderAndBounds) {
   EXPECT_EQ(sampled.front().entries()[0].index, 0u);
 }
 
+TEST(ProfilingDataset, SubsampleTakesTheFloorOfEachStrideStep) {
+  // 95 rows to 10: stride 9.5, so row floor(9.5 i) is kept (rounding would
+  // keep rows 10, 29, 48, ... instead).
+  std::vector<util::SparseVector> vectors;
+  for (std::size_t i = 0; i < 95; ++i) vectors.push_back(util::SparseVector{{i, 1.0}});
+  std::vector<std::size_t> kept;
+  for (const auto& v : ProfilingDataset::subsample(vectors, 10)) {
+    kept.push_back(v.entries()[0].index);
+  }
+  EXPECT_EQ(kept, (std::vector<std::size_t>{0, 9, 19, 28, 38, 47, 57, 66, 76, 85}));
+}
+
 TEST(ProfilingDataset, SubsampleNoopWhenUnderCap) {
   std::vector<util::SparseVector> vectors{util::SparseVector{{0, 1.0}}};
   EXPECT_EQ(ProfilingDataset::subsample(vectors, 10).size(), 1u);
@@ -232,6 +250,126 @@ TEST(ProfilingDataset, GroupsInPlaceLikeGroupByUser) {
     ASSERT_EQ(moved.all_transactions(user).size(), by_user.at(user).size());
     EXPECT_EQ(moved.all_transactions(user).front(), by_user.at(user).front());
     EXPECT_TRUE(lies_within(moved.all_transactions(user), buffer, capacity)) << user;
+  }
+}
+
+/// Whether two matrices hold the same CSR rows and norms bit for bit.
+::testing::AssertionResult same_bits(const util::FeatureMatrix& got,
+                                     const util::FeatureMatrix& want) {
+  const util::CsrView a = got.view();
+  const util::CsrView b = want.view();
+  const auto bits = [](std::span<const double> values) {
+    std::vector<std::uint64_t> out;
+    for (const double value : values) out.push_back(std::bit_cast<std::uint64_t>(value));
+    return out;
+  };
+  if (a.cols != b.cols || !std::ranges::equal(a.row_offsets, b.row_offsets) ||
+      !std::ranges::equal(a.indices, b.indices) || bits(a.values) != bits(b.values) ||
+      bits(a.sq_norms) != bits(b.sq_norms)) {
+    return ::testing::AssertionFailure()
+           << got.rows() << " rows x " << got.nnz() << " nnz vs " << want.rows()
+           << " rows x " << want.nnz() << " nnz";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ProfilingDataset, BatchRowsMatchTheStreamingFoldAtEveryCap) {
+  // The tiny trace's users, plus two whose streams jump: bursts a few
+  // seconds apart separated by holes of minutes to hours, and bursts that
+  // start exactly on window boundaries.
+  std::vector<log::WebTransaction> txns = testing::tiny_trace().transactions;
+  util::Rng rng{2025};
+  for (const char* user : {"gappy", "edges"}) {
+    util::UnixSeconds now = txns.front().timestamp;
+    for (int i = 0; i < 1500; ++i) {
+      if (rng.bernoulli(0.03)) {
+        now += std::string_view{user} == "edges"
+                   ? 30 * static_cast<util::UnixSeconds>(2 + rng.uniform_index(200))
+                   : 60 + static_cast<util::UnixSeconds>(rng.uniform_index(7200));
+      } else {
+        now += static_cast<util::UnixSeconds>(rng.uniform_index(5));
+      }
+      auto txn = make_txn(now, user);
+      txn.private_destination = rng.bernoulli(0.3);
+      txn.reputation = static_cast<log::Reputation>(rng.uniform_index(4));
+      txns.push_back(std::move(txn));
+    }
+  }
+  std::ranges::stable_sort(txns, {}, &log::WebTransaction::timestamp);
+  const features::WindowConfig window{60, 30};
+  for (const std::size_t cap : {0, 1, 150, 800}) {
+    DatasetConfig config = testing::tiny_dataset_config();
+    config.max_users = 0;
+    config.max_training_windows = cap;
+    const ProfilingDataset dataset{txns, config};
+    ASSERT_GE(dataset.user_count(), 3u);
+    const std::size_t dimension = dataset.schema().dimension();
+    const features::WindowAggregator aggregator{dataset.schema(), window};
+    // Four threads build the matrices at once, each merging through its
+    // own scratch.
+    util::ThreadPool pool{4};
+    util::parallel_for(pool, dataset.user_count() * 2, [&](std::size_t task) {
+      const std::string& user = dataset.user_ids()[task / 2];
+      (void)(task % 2 == 0 ? dataset.train_matrix(user, window)
+                           : dataset.test_matrix(user, window));
+    });
+    std::size_t subsampled = 0;
+    for (const auto& user : dataset.user_ids()) {
+      const auto train = dataset.train_transactions(user);
+      const auto test = dataset.test_transactions(user);
+      const auto streamed = features::window_vectors(aggregator.aggregate(train));
+      subsampled += streamed.size() > cap && cap > 0 ? 1 : 0;
+      EXPECT_TRUE(same_bits(*dataset.train_matrix(user, window),
+                            util::FeatureMatrix::from_rows(
+                                ProfilingDataset::subsample(streamed, cap), dimension)))
+          << user << " train, cap " << cap;
+      EXPECT_TRUE(same_bits(*dataset.train_matrix(user, window),
+                            util::FeatureMatrix::from_rows(
+                                ProfilingDataset::subsample(
+                                    features::window_vectors(
+                                        features::testing::reference_aggregate(
+                                            dataset.schema(), window, train)),
+                                    cap),
+                                dimension)))
+          << user << " train vs oracle, cap " << cap;
+      EXPECT_TRUE(same_bits(*dataset.test_matrix(user, window),
+                            util::FeatureMatrix::from_rows(
+                                features::window_vectors(aggregator.aggregate(test)),
+                                dimension)))
+          << user << " test, cap " << cap;
+      // The vector path walks the same windows.
+      EXPECT_TRUE(same_bits(
+          util::FeatureMatrix::from_rows(dataset.train_windows(user, window), dimension),
+          util::FeatureMatrix::from_rows(ProfilingDataset::subsample(streamed, cap),
+                                         dimension)))
+          << user << " train_windows, cap " << cap;
+      EXPECT_TRUE(same_bits(
+          util::FeatureMatrix::from_rows(dataset.test_windows(user, window), dimension),
+          util::FeatureMatrix::from_rows(features::window_vectors(aggregator.aggregate(test)),
+                                         dimension)))
+          << user << " test_windows, cap " << cap;
+    }
+    if (cap > 0) {
+      EXPECT_GT(subsampled, 0u) << "cap " << cap;
+    }
+  }
+}
+
+TEST(ProfilingDataset, MatricesRefuseRowsOutOfTimeOrder) {
+  // Like WindowAggregator::aggregate, whose fold refuses them.
+  std::vector<log::WebTransaction> txns;
+  for (const int ts : {0, 50, 40, 100, 130, 160, 190, 220}) txns.push_back(make_txn(ts, "u"));
+  DatasetConfig config;
+  config.min_transactions = 1;
+  const ProfilingDataset dataset{txns, config};
+  const features::WindowConfig window{60, 30};
+  EXPECT_THROW((void)dataset.train_windows("u", window), std::invalid_argument);
+  try {
+    (void)dataset.train_matrix("u", window);
+    ADD_FAILURE() << "train_matrix took rows out of time order";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("time-ordered (40 after 50)"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -168,6 +168,41 @@ TEST(StreamingAggregator, BufferStaysBoundedOnLongStreams) {
   EXPECT_LE(max_buffered, 150u);
 }
 
+TEST(StreamingAggregator, BurstsThatDrainMatchTheReference) {
+  // Bursts of hundreds of transactions in one second, each followed by a
+  // trickle: the buffer grows for a burst and gives the capacity back as
+  // the trickle drains it, moving the live transactions each time.
+  const FeatureSchema schema = test_schema();
+  const WindowConfig config{60, 30};
+  std::vector<log::WebTransaction> txns;
+  util::UnixSeconds now = 5000;
+  for (int burst = 0; burst < 4; ++burst) {
+    for (int i = 0; i < 300 + 100 * burst; ++i) {
+      txns.push_back(txn_at(now, i % 7 == 0 ? "News" : "Games"));
+    }
+    for (int i = 0; i < 24; ++i) {
+      now += 10;
+      txns.push_back(txn_at(now, i % 2 == 0 ? "News" : "Games"));
+    }
+  }
+  const auto reference = testing::reference_aggregate(schema, config, txns);
+  StreamingWindowAggregator streaming{schema, config};
+  std::vector<Window> streamed;
+  for (const auto& txn : txns) {
+    for (auto& window : streaming.push(txn)) streamed.push_back(std::move(window));
+  }
+  // Only the trickle's open windows stay buffered: at most 90 seconds.
+  EXPECT_LE(streaming.buffered(), 9u);
+  for (auto& window : streaming.flush()) streamed.push_back(std::move(window));
+  ASSERT_EQ(streamed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(streamed[i].start, reference[i].start);
+    EXPECT_EQ(streamed[i].transaction_count, reference[i].transaction_count);
+    EXPECT_TRUE(testing::bitwise_equal(streamed[i].features, reference[i].features))
+        << "window " << i;
+  }
+}
+
 TEST(StreamingAggregator, SaveRestoreRoundTripsMidStream) {
   // Snapshot an aggregator with open windows, restore into a fresh one, and
   // both must emit identical windows for the rest of the stream — the
@@ -216,6 +251,56 @@ TEST(StreamingAggregator, RestoreRejectsMalformedState) {
   // A failed restore must not corrupt the aggregator.
   (void)aggregator.push(txn_at(10));
   EXPECT_GE(aggregator.buffered(), 1u);
+}
+
+/// Restores `state` into an aggregator holding one buffered transaction and
+/// returns the refusal's message; the aggregator must be left as it was.
+std::string restore_refusal(const std::string& state) {
+  const FeatureSchema schema = test_schema();
+  StreamingWindowAggregator aggregator{schema, {60, 30}};
+  (void)aggregator.push(txn_at(10));
+  std::ostringstream before;
+  aggregator.save_state(before);
+  std::istringstream in{state};
+  std::string message;
+  try {
+    aggregator.restore_state(in);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  std::ostringstream after;
+  aggregator.save_state(after);
+  EXPECT_EQ(after.str(), before.str());
+  return message;
+}
+
+TEST(StreamingAggregator, RestoreRefusesColumnPastTheSchemaDimension) {
+  const std::size_t dimension = test_schema().dimension();
+  const std::string message = restore_refusal(
+      "aggregator 1 100 130 0 2\n100 2 0:1 4:1\n130 2 0:1 " +
+      std::to_string(dimension) + ":1\n");
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("dimension"), std::string::npos) << message;
+}
+
+TEST(StreamingAggregator, RestoreRefusesEntriesNotStrictlyAscending) {
+  for (const char* entry : {"130 2 9:1 4:1\n", "130 2 4:1 4:1\n"}) {
+    const std::string message = restore_refusal(
+        std::string{"aggregator 1 100 130 0 2\n100 2 0:1 4:1\n"} + entry);
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("ascending"), std::string::npos) << message;
+  }
+}
+
+TEST(StreamingAggregator, RestoreRefusesMoreEntriesThanTheEncoderEmits) {
+  std::string entry = "100 10";
+  for (int column = 0; column < 10; ++column) {
+    entry += " " + std::to_string(column) + ":1";
+  }
+  const std::string message =
+      restore_refusal("aggregator 1 100 100 0 1\n" + entry + "\n");
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("10 entries"), std::string::npos) << message;
 }
 
 TEST(StreamingAggregator, RejectsInvalidConfig) {

@@ -148,6 +148,22 @@ TEST(WindowAggregator, EmptyWindowsAreSkipped) {
   }
 }
 
+TEST(WindowAggregator, TransactionAtAnEmptyWindowsEndOpensTheNextOne) {
+  // With D = 60 and S = 30, window [30, 90) holds nothing: the transaction
+  // at 90 lies on its exclusive end, so the fold skips to [60, 120).
+  const FeatureSchema schema = test_schema();
+  const WindowAggregator aggregator{schema, {60, 30}};
+  const std::vector<log::WebTransaction> txns{txn_at(0), txn_at(10), txn_at(90)};
+  const auto windows = aggregator.aggregate(txns);
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].start, 0);
+  EXPECT_EQ(windows[0].transaction_count, 2u);
+  EXPECT_EQ(windows[1].start, 60);
+  EXPECT_EQ(windows[1].transaction_count, 1u);
+  EXPECT_EQ(windows[2].start, 90);
+  EXPECT_EQ(windows[2].transaction_count, 1u);
+}
+
 TEST(WindowAggregator, WindowCountScalesWithShift) {
   const FeatureSchema schema = test_schema();
   std::vector<log::WebTransaction> txns;

@@ -130,7 +130,28 @@ const Corpus& corpus() {
   return built;
 }
 
-std::string mutant_path() { return test_path("_mutant.wtpstore"); }
+/// One mutant's store file, written under a name of its own and removed
+/// when the check is done.  Rewriting one path in place would cost a disk
+/// flush per mutant on file systems that flush a truncated file's new data
+/// on close (ext4's auto_da_alloc), which made the sweep's wall time
+/// minutes of waiting on the disk; a fresh file is not flushed.
+class MutantFile {
+ public:
+  explicit MutantFile(std::span<const char> bytes)
+      : path_{test_path("_mutant" + std::to_string(next_++) + ".wtpstore")} {
+    std::ofstream out{path_, std::ios::binary};
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  MutantFile(const MutantFile&) = delete;
+  MutantFile& operator=(const MutantFile&) = delete;
+  ~MutantFile() { std::remove(path_.c_str()); }
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  static inline std::size_t next_ = 0;
+  std::string path_;
+};
 
 /// Whether `message` names a byte offset (`"<kind> offset <n>"`).
 bool names_offset(const std::string& message, const std::string& kind) {
@@ -160,11 +181,8 @@ bool names_offset(const std::string& message, const std::string& kind) {
              << e.what();
     }
   }
-  const std::string path = mutant_path();
-  {
-    std::ofstream out{path, std::ios::binary | std::ios::trunc};
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  const MutantFile file{bytes};
+  const std::string& path = file.path();
   try {
     const core::ProfileStore store = read_mapped_store(path);
     for (const auto& profile : store.profiles()) {
@@ -245,7 +263,8 @@ std::vector<Field> integer_fields(const Corpus& c) {
 TEST(StoreMutation, CorpusLoadsAndScores) {
   const Corpus& c = corpus();
   EXPECT_TRUE(survives(c.bytes, "unmutated"));
-  EXPECT_EQ(read_mapped_store(mutant_path()).profiles().size(), 2u);
+  const MutantFile unmutated{c.bytes};
+  EXPECT_EQ(read_mapped_store(unmutated.path()).profiles().size(), 2u);
 }
 
 TEST(StoreMutation, EveryEightByteTruncation) {

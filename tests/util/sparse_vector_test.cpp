@@ -109,44 +109,5 @@ TEST(SparseVector, EqualityIsStructural) {
   EXPECT_NE(a, c);
 }
 
-TEST(SparseAccumulator, AddSumsValues) {
-  SparseAccumulator acc;
-  acc.add(3, 0.25);
-  acc.add(3, 0.25);
-  acc.add(1, 1.0);
-  const SparseVector v = acc.build();
-  EXPECT_DOUBLE_EQ(v.at(3), 0.5);
-  EXPECT_DOUBLE_EQ(v.at(1), 1.0);
-}
-
-TEST(SparseAccumulator, MaxKeepsLargest) {
-  SparseAccumulator acc;
-  acc.max(2, 1.0);
-  acc.max(2, 0.5);
-  acc.max(2, 1.0);
-  const SparseVector v = acc.build();
-  EXPECT_DOUBLE_EQ(v.at(2), 1.0);
-  EXPECT_EQ(v.nnz(), 1u);
-}
-
-TEST(SparseAccumulator, BuildResetsState) {
-  SparseAccumulator acc;
-  acc.add(0, 1.0);
-  (void)acc.build();
-  const SparseVector second = acc.build();
-  EXPECT_TRUE(second.empty());
-}
-
-TEST(SparseAccumulator, MixedAddAndMax) {
-  SparseAccumulator acc;
-  acc.max(0, 1.0);   // binary column
-  acc.max(0, 1.0);
-  acc.add(5, 0.1);   // numeric column
-  acc.add(5, 0.2);
-  const SparseVector v = acc.build();
-  EXPECT_DOUBLE_EQ(v.at(0), 1.0);
-  EXPECT_NEAR(v.at(5), 0.3, 1e-12);
-}
-
 }  // namespace
 }  // namespace wtp::util
