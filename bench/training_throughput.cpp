@@ -29,6 +29,10 @@
 // matrices bitwise against the sort-based oracle of
 // tests/features/window_reference.h (exiting 1 on any difference), then
 // times the fold per transaction and the batch matrices.
+// A trace section runs before it, on the same trace: generate_trace on a
+// 4-thread pool must equal the serial reference of
+// tests/synthetic/trace_reference.h row for row and field for field (the
+// program exits 1 otherwise); then both are timed.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -53,10 +57,12 @@
 #include "svm/svdd.h"
 #include "synthetic/generator.h"
 #include "synthetic/pools.h"
+#include "synthetic/trace_reference.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace wtp;
 
@@ -473,9 +479,9 @@ struct WindowsResult {
   double oracle_seconds = 0.0;
 };
 
-/// The layer ledger's train25 trace: 6 weeks at activity 0.4 over the
-/// paper's vocabularies, cut at 320,000 transactions.
-std::vector<log::WebTransaction> window_trace() {
+/// The layer ledger's trace: 6 weeks at activity 0.4 over the paper's
+/// vocabularies.
+synthetic::GeneratorConfig ledger_trace_config() {
   synthetic::GeneratorConfig config;
   config.seed = 42;
   config.duration_weeks = 6;
@@ -483,7 +489,12 @@ std::vector<log::WebTransaction> window_trace() {
   config.site_pool.num_categories = synthetic::kPaperCategoryCount;
   config.site_pool.num_media_types = synthetic::kPaperSubTypeCount;
   config.site_pool.num_application_types = synthetic::kPaperApplicationTypeCount;
-  auto txns = synthetic::generate_trace(config).transactions;
+  return config;
+}
+
+/// The layer ledger's train25 trace, cut at 320,000 transactions.
+std::vector<log::WebTransaction> window_trace() {
+  auto txns = synthetic::generate_trace(ledger_trace_config()).transactions;
   if (txns.size() > kWindowTxns) {
     txns.erase(txns.begin() + static_cast<std::ptrdiff_t>(kWindowTxns), txns.end());
   }
@@ -610,6 +621,63 @@ WindowsResult run_windows_section() {
   return result;
 }
 
+// ----------------------------------------------------------------- trace --
+
+constexpr std::size_t kTraceThreads = 4;
+constexpr std::size_t kTracePasses = 5;
+
+struct TraceResult {
+  std::size_t rows = 0;
+  double generate_seconds = std::numeric_limits<double>::infinity();
+  double oracle_seconds = std::numeric_limits<double>::infinity();
+};
+
+/// Checks generate_trace on a kTraceThreads pool against the serial
+/// reference (tests/synthetic/trace_reference.h) at the layer ledger's trace
+/// shape, every row and field, exiting 1 on any difference; then times each
+/// best of kTracePasses, the two alternating.
+TraceResult run_trace_section() {
+  const synthetic::GeneratorConfig config = ledger_trace_config();
+  util::ThreadPool pool{kTraceThreads};
+  TraceResult result;
+  {
+    const auto got = synthetic::generate_trace(config, pool).transactions;
+    const auto want = synthetic::testing::reference_trace(config).transactions;
+    if (got.size() != want.size()) {
+      std::fprintf(stderr, "FATAL: trace: %zu rows, the serial reference %zu\n",
+                   got.size(), want.size());
+      std::exit(1);
+    }
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (got[i] != want[i]) {
+        std::fprintf(stderr, "FATAL: trace row %zu differs from the serial reference\n", i);
+        std::exit(1);
+      }
+    }
+    result.rows = got.size();
+  }
+  std::printf("trace check (generate_trace on %zu threads == serial reference, "
+              "%zu rows): PASS\n",
+              kTraceThreads, result.rows);
+
+  // Each trace is read off the clock before it is destroyed: freeing the
+  // rows is not generation.
+  util::Stopwatch watch;
+  for (std::size_t pass = 0; pass < kTracePasses; ++pass) {
+    watch.reset();
+    const auto generated = synthetic::generate_trace(config, pool);
+    result.generate_seconds = std::min(result.generate_seconds, watch.elapsed_seconds());
+    watch.reset();
+    const auto reference = synthetic::testing::reference_trace(config);
+    result.oracle_seconds = std::min(result.oracle_seconds, watch.elapsed_seconds());
+  }
+  std::printf("trace    %zu rows, %zu threads: generate_trace %6.3fs   serial "
+              "reference %6.3fs   ratio %5.2fx\n",
+              result.rows, kTraceThreads, result.generate_seconds,
+              result.oracle_seconds, result.oracle_seconds / result.generate_seconds);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -627,6 +695,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  const TraceResult trace = run_trace_section();
   const WindowsResult windows = run_windows_section();
   std::printf("Training throughput — %zu windows, %zu cols, ~%zu nnz, "
               "%zu kernels x %zu regularizers, %zu timed passes (identical "
@@ -715,6 +784,13 @@ int main(int argc, char** argv) {
     json.key("fold_ns_per_txn").value(windows.fold_ns_per_txn);
     json.key("batch_matrix_seconds").value(windows.batch_matrix_seconds);
     json.key("oracle_seconds").value(windows.oracle_seconds);
+    json.end_object();
+    json.key("trace").begin_object();
+    json.key("rows").value(trace.rows);
+    json.key("threads").value(kTraceThreads);
+    json.key("passes").value(kTracePasses);
+    json.key("generate_seconds").value(trace.generate_seconds);
+    json.key("oracle_seconds").value(trace.oracle_seconds);
     json.end_object();
     json.end_object();
     json.write_file(json_out);

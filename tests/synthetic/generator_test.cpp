@@ -7,8 +7,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "synthetic/pools.h"
+#include "synthetic/trace_reference.h"
+#include "util/thread_pool.h"
 
 namespace wtp::synthetic {
 namespace {
@@ -147,6 +153,32 @@ TEST(TraceGenerator, RejectsInvalidConfig) {
   config = tiny_config();
   config.enterprise.num_users = 5;  // mismatch with population.num_users
   EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
+
+  // What a 16-byte draft cannot hold is refused, naming the field, before
+  // any transaction is emitted.
+  const auto refuses = [](const auto& generate, std::string_view field) {
+    try {
+      generate();
+      ADD_FAILURE() << "no refusal naming " << field;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string_view{error.what()}.find(field), std::string_view::npos)
+          << error.what();
+    }
+  };
+  config = tiny_config();
+  config.enterprise.num_devices = 65536;  // the device index is 16 bits
+  refuses([&] { (void)generate_trace(config); }, "num_devices");
+  config = tiny_config();
+  config.duration_weeks = 7102;  // starts reach 2^32 s past start_time
+  refuses([&] { (void)generate_trace(config); }, "duration_weeks");
+  // No site pool config yields more than five media types at a site, so
+  // the media limit is reached through a trace whose pools were edited.
+  EnterpriseTrace trace = generate_trace(tiny_config());
+  Site& site = trace.sites.front();
+  site.media_types.resize(256, site.media_types.front());
+  site.media_weights.resize(256, 1.0);
+  util::ThreadPool pool{2};
+  refuses([&] { generate_transactions(trace, pool); }, "media");
 }
 
 /// FNV-1a over every field of every transaction, in order.  Strings are
@@ -239,6 +271,88 @@ TEST(TraceGenerator, RowsOfOneValueShareOneBuffer) {
     check(kApplication, txn.application_type);
   }
   EXPECT_EQ(buffers.size(), vocabulary);  // no row brought a value of its own
+}
+
+/// The layer ledger's trace: 6 weeks at activity 0.4 over the paper's
+/// vocabularies.
+GeneratorConfig ledger_config() {
+  GeneratorConfig config;
+  config.seed = 42;
+  config.duration_weeks = 6;
+  config.activity_scale = 0.4;
+  config.site_pool.num_categories = kPaperCategoryCount;
+  config.site_pool.num_media_types = kPaperSubTypeCount;
+  config.site_pool.num_application_types = kPaperApplicationTypeCount;
+  return config;
+}
+
+/// Each value of a trace's vocabulary, by field, with the handle the trace
+/// built for it.
+struct Vocabulary {
+  using Handles = std::unordered_map<std::string_view, util::SharedString>;
+  Handles urls, categories, applications, media, users, devices;
+
+  explicit Vocabulary(const EnterpriseTrace& trace) {
+    for (const auto& site : trace.sites) {
+      urls.emplace(site.url, site.url);
+      categories.emplace(site.category, site.category);
+      applications.emplace(site.application_type, site.application_type);
+      for (const auto& media_type : site.media_types) media.emplace(media_type, media_type);
+    }
+    for (const auto& user : trace.users) users.emplace(user.user_id, user.user_id);
+    for (const auto& device : trace.topology.device_ids) devices.emplace(device, device);
+  }
+};
+
+// generate_trace's parallel passes produce the serial reference's rows, in
+// its order, field for field, on every pool size; and every row's handles
+// are the generated trace's own vocabulary handles.
+TEST(TraceGenerator, MatchesSerialReferenceOnEveryPool) {
+  GeneratorConfig wide = tiny_config();
+  wide.seed = 5;
+  wide.duration_weeks = 1;
+  wide.population.num_users = 120;
+  wide.population.num_clusters = 6;
+  wide.enterprise.num_users = 120;
+  wide.enterprise.num_devices = 90;
+  for (const GeneratorConfig& config : {tiny_config(), wide, ledger_config()}) {
+    const EnterpriseTrace want = testing::reference_trace(config);
+    ASSERT_FALSE(want.transactions.empty());
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(::testing::Message() << config.population.num_users << " users, "
+                                      << threads << " threads");
+      util::ThreadPool pool{threads};
+      const EnterpriseTrace got = generate_trace(config, pool);
+      const Vocabulary vocabulary{got};
+      ASSERT_EQ(got.transactions.size(), want.transactions.size());
+      const auto own = [](const Vocabulary::Handles& handles,
+                          const util::SharedString& value) {
+        const auto it = handles.find(value);
+        return it != handles.end() && value.shares_with(it->second);
+      };
+      for (std::size_t i = 0; i < want.transactions.size(); ++i) {
+        const log::WebTransaction& a = got.transactions[i];
+        const log::WebTransaction& b = want.transactions[i];
+        ASSERT_EQ(a.timestamp, b.timestamp) << "row " << i;
+        ASSERT_EQ(a.url, b.url) << "row " << i;
+        ASSERT_EQ(a.scheme, b.scheme) << "row " << i;
+        ASSERT_EQ(a.action, b.action) << "row " << i;
+        ASSERT_EQ(a.user_id, b.user_id) << "row " << i;
+        ASSERT_EQ(a.device_id, b.device_id) << "row " << i;
+        ASSERT_EQ(a.category, b.category) << "row " << i;
+        ASSERT_EQ(a.media_type, b.media_type) << "row " << i;
+        ASSERT_EQ(a.application_type, b.application_type) << "row " << i;
+        ASSERT_EQ(a.reputation, b.reputation) << "row " << i;
+        ASSERT_EQ(a.private_destination, b.private_destination) << "row " << i;
+        ASSERT_TRUE(own(vocabulary.urls, a.url) && own(vocabulary.users, a.user_id) &&
+                    own(vocabulary.devices, a.device_id) &&
+                    own(vocabulary.categories, a.category) &&
+                    own(vocabulary.media, a.media_type) &&
+                    own(vocabulary.applications, a.application_type))
+            << "row " << i << " holds a handle of its own";
+      }
+    }
+  }
 }
 
 TEST(TraceGenerator, RowIsAtMostEightyBytes) {
