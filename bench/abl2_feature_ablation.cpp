@@ -4,7 +4,9 @@
 // zeroed out of every window vector (category / application type / media
 // types / reputation+flags), quantifying each group's contribution to
 // ACC = ACC_self - ACC_other.
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 #include "core/grid_search.h"
@@ -16,36 +18,24 @@ using namespace wtp;
 
 namespace {
 
-/// Returns a copy of `v` with all columns of the given groups removed.
-util::SparseVector mask_groups(const util::SparseVector& v,
-                               const features::FeatureSchema& schema,
-                               const std::vector<features::FeatureGroup>& dropped) {
-  std::vector<util::SparseVector::Entry> kept;
-  for (const auto& entry : v.entries()) {
-    const auto group = schema.column_group(entry.index);
-    bool drop = false;
-    for (const auto candidate : dropped) {
-      if (group == candidate) {
-        drop = true;
-        break;
+/// `windows` with every column of the dropped groups removed.
+std::shared_ptr<const util::FeatureMatrix> mask_groups(
+    const util::FeatureMatrix& windows, const features::FeatureSchema& schema,
+    const std::vector<features::FeatureGroup>& dropped) {
+  util::FeatureMatrixBuilder builder;
+  for (std::size_t r = 0; r < windows.rows(); ++r) {
+    const auto indices = windows.row_indices(r);
+    const auto values = windows.row_values(r);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      const auto group = schema.column_group(indices[k]);
+      if (std::find(dropped.begin(), dropped.end(), group) == dropped.end()) {
+        builder.add(indices[k], values[k]);
       }
     }
-    if (!drop) kept.push_back(entry);
+    builder.finish_row();
   }
-  return util::SparseVector{std::move(kept)};
-}
-
-core::WindowsByUser mask_all(const core::WindowsByUser& windows,
-                             const features::FeatureSchema& schema,
-                             const std::vector<features::FeatureGroup>& dropped) {
-  core::WindowsByUser masked;
-  for (const auto& [user, vectors] : windows) {
-    std::vector<util::SparseVector> out;
-    out.reserve(vectors.size());
-    for (const auto& v : vectors) out.push_back(mask_groups(v, schema, dropped));
-    masked.emplace(user, std::move(out));
-  }
-  return masked;
+  return std::make_shared<const util::FeatureMatrix>(
+      builder.build(schema.dimension()));
 }
 
 }  // namespace
@@ -57,12 +47,6 @@ int main(int argc, char** argv) {
   const auto& schema = dataset.schema();
 
   const features::WindowConfig window{60, 30};
-  core::WindowsByUser train;
-  core::WindowsByUser test;
-  for (const auto& user : dataset.user_ids()) {
-    train.emplace(user, dataset.train_windows(user, window));
-    test.emplace(user, dataset.test_windows(user, window));
-  }
 
   struct Variant {
     std::string name;
@@ -98,12 +82,15 @@ int main(int argc, char** argv) {
   double worst_drop = 0.0;
   std::string worst_variant;
   for (const auto& variant : variants) {
-    const auto masked_train = mask_all(train, schema, variant.dropped);
-    const auto masked_test = mask_all(test, schema, variant.dropped);
     std::vector<core::UserProfile> profiles;
+    core::MatrixByUser masked_test;
     for (const auto& user : dataset.user_ids()) {
-      profiles.push_back(core::UserProfile::train(
-          user, masked_train.at(user), schema.dimension(), params));
+      const auto masked_train =
+          mask_groups(*dataset.train_matrix(user, window), schema, variant.dropped);
+      profiles.push_back(core::UserProfile::train(user, *masked_train,
+                                                  schema.dimension(), params));
+      masked_test.emplace(user, mask_groups(*dataset.test_matrix(user, window),
+                                            schema, variant.dropped));
     }
     const auto ratios = core::mean_acceptance(profiles, masked_test);
     if (variant.name == "full features") full_acc = ratios.acc();

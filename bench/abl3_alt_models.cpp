@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> users = dataset.user_ids();
   if (!options.full && users.size() > 10) users.resize(10);
 
-  std::map<std::string, std::vector<util::SparseVector>> train;
-  core::WindowsByUser test;
+  std::map<std::string, util::FeatureMatrix> train;
+  std::map<std::string, std::vector<util::SparseVector>> test;
   for (const auto& user : users) {
     auto tw = dataset.train_windows(user, window);
     if (!options.full && tw.size() > 400) {
       tw = core::ProfilingDataset::subsample(std::move(tw), 400);
     }
-    train.emplace(user, std::move(tw));
+    train.emplace(user, util::FeatureMatrix::from_rows(tw));
     test.emplace(user, dataset.test_windows(user, window));
   }
 

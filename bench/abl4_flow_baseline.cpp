@@ -95,12 +95,13 @@ int main(int argc, char** argv) {
         // Transaction-window identification: the user whose model accepts
         // the largest share of the slice's windows.
         const features::WindowAggregator aggregator{dataset.schema(), window};
-        const auto vectors = features::window_vectors(aggregator.aggregate(slice));
-        if (vectors.empty()) continue;
+        const auto windows = util::FeatureMatrix::from_rows(
+            features::window_vectors(aggregator.aggregate(slice)));
+        if (windows.empty()) continue;
         std::string best_user;
         double best_ratio = -1.0;
         for (const auto& candidate : dataset.user_ids()) {
-          const double ratio = profile_of.at(candidate)->acceptance_ratio(vectors);
+          const double ratio = profile_of.at(candidate)->acceptance_ratio(windows);
           if (ratio > best_ratio) {
             best_ratio = ratio;
             best_user = candidate;

@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   const auto& schema = dataset.schema();
 
   const features::WindowConfig window{60, 30};
-  core::WindowsByUser test;
+  core::MatrixByUser test;
   for (const auto& user : dataset.user_ids()) {
-    test.emplace(user, dataset.test_windows(user, window));
+    test.emplace(user, dataset.test_matrix(user, window));
   }
 
   core::ProfileParams params;
@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
           std::move(vectors), dataset.config().max_training_windows);
       if (vectors.empty()) continue;
       total_windows += vectors.size();
-      profiles.push_back(
-          core::UserProfile::train(user, vectors, schema.dimension(), params));
+      profiles.push_back(core::UserProfile::train(
+          user, util::FeatureMatrix::from_rows(vectors), schema.dimension(),
+          params));
     }
     if (profiles.empty()) continue;
     const auto ratios = core::mean_acceptance(profiles, test);

@@ -21,12 +21,6 @@ int main(int argc, char** argv) {
   const auto dataset = bench::make_dataset(options, trace);
 
   const features::WindowConfig window{60, 30};
-  core::WindowsByUser train;
-  core::WindowsByUser test;
-  for (const auto& user : dataset.user_ids()) {
-    train.emplace(user, dataset.train_windows(user, window));
-    test.emplace(user, dataset.test_windows(user, window));
-  }
 
   util::TextTable table;
   table.set_header({"classifier", "mean AUC", "TPR@thr0", "FPR@thr0",
@@ -47,13 +41,17 @@ int main(int argc, char** argv) {
       params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
       params.regularizer = type == core::ClassifierType::kOcSvm ? 0.1 : 0.02;
       const auto profile = core::UserProfile::train(
-          user, train.at(user), dataset.schema().dimension(), params);
+          user, *dataset.train_matrix(user, window), dataset.schema().dimension(),
+          params);
 
       std::vector<double> positive;
       std::vector<double> negative;
-      for (const auto& [other, windows] : test) {
+      for (const auto& other : dataset.user_ids()) {
+        const auto windows = dataset.test_matrix(other, window);
         auto& sink = other == user ? positive : negative;
-        for (const auto& w : windows) sink.push_back(profile.decision_value(w));
+        const std::size_t begin = sink.size();
+        sink.resize(begin + windows->rows());
+        profile.decision_values(*windows, std::span{sink}.subspan(begin));
       }
       if (positive.empty() || negative.empty()) continue;
       const core::RocCurve curve = core::roc_curve(positive, negative);

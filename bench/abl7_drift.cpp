@@ -39,30 +39,34 @@ int main(int argc, char** argv) {
     const auto& user = users[u];
     const auto& other = users[(u + 1) % users.size()];
     const auto profile = core::UserProfile::train(
-        user, dataset.train_windows(user, window), dataset.schema().dimension(),
+        user, *dataset.train_matrix(user, window), dataset.schema().dimension(),
         params);
-    const auto self_windows = dataset.test_windows(user, window);
-    const auto other_windows = dataset.test_windows(other, window);
-    if (self_windows.size() < 50 || other_windows.size() < 50) continue;
+    const auto self_windows = dataset.test_matrix(user, window);
+    const auto other_windows = dataset.test_matrix(other, window);
+    if (self_windows->rows() < 50 || other_windows->rows() < 50) continue;
     ++evaluated;
 
-    const double self_rate = profile.acceptance_ratio(self_windows);
+    const double self_rate = profile.acceptance_ratio(*self_windows);
     core::DriftConfig config;
     config.expected_rate = self_rate;
+    std::vector<double> self_decisions(self_windows->rows());
+    profile.decision_values(*self_windows, self_decisions);
+    std::vector<double> other_decisions(other_windows->rows());
+    profile.decision_values(*other_windows, other_decisions);
 
     // (a) steady phase: the user's own windows only.
     core::DriftMonitor steady{config};
-    for (const auto& w : self_windows) steady.observe(profile.accepts(w));
+    for (const double d : self_decisions) steady.observe(d >= 0.0);
     const bool false_alarm = steady.drift_detected();
     if (false_alarm) ++false_alarms;
 
     // (b) behaviour switch: own windows, then another user's.
     core::DriftMonitor switching{config};
-    for (const auto& w : self_windows) switching.observe(profile.accepts(w));
+    for (const double d : self_decisions) switching.observe(d >= 0.0);
     std::size_t delay = 0;
-    for (const auto& w : other_windows) {
+    for (const double d : other_decisions) {
       if (switching.drift_detected()) break;
-      switching.observe(profile.accepts(w));
+      switching.observe(d >= 0.0);
       ++delay;
     }
     const bool fired = switching.drift_detected();

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   }
   std::printf("# sweep user: %s (%zu available training windows)\n\n",
               user.c_str(), most_windows);
-  const auto own_test = dataset.test_windows(user, window);
-  const auto other_test = dataset.test_windows(
+  const auto own_test = *dataset.test_matrix(user, window);
+  const auto other_test = *dataset.test_matrix(
       dataset.user_ids()[user == dataset.user_ids()[0] ? 1 : 0], window);
 
   util::TextTable table;
@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       params.regularizer = type == core::ClassifierType::kOcSvm ? 0.1 : 0.02;
       util::Stopwatch stopwatch;
       const auto profile = core::UserProfile::train(
-          user, capped, dataset.schema().dimension(), params);
+          user, util::FeatureMatrix::from_rows(capped),
+          dataset.schema().dimension(), params);
       const double seconds = stopwatch.elapsed_seconds();
       if (type == core::ClassifierType::kOcSvm) {
         sizes.push_back(static_cast<double>(capped.size()));

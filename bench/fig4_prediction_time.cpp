@@ -25,7 +25,7 @@ namespace {
 
 struct Fixture {
   features::WindowConfig window{60, 30};
-  std::vector<util::SparseVector> train;
+  util::FeatureMatrix train;
   std::vector<util::SparseVector> probes;
   std::size_t dimension = 0;
 
@@ -38,7 +38,7 @@ struct Fixture {
       const auto trace = bench::make_trace(options);
       const auto dataset = bench::make_dataset(options, trace);
       const std::string user = dataset.user_ids().front();
-      f.train = dataset.train_windows(user, f.window);
+      f.train = *dataset.train_matrix(user, f.window);
       f.probes = dataset.test_windows(user, f.window);
       // Mix in other users' windows so probes cover accept and reject paths.
       const auto other = dataset.test_windows(dataset.user_ids()[1], f.window);

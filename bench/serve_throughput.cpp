@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
     params.type = core::ClassifierType::kOcSvm;
     params.kernel = {svm::KernelType::kRbf, 0.05, 0.0, 3};
     params.regularizer = 0.1;
-    trained[u] = core::UserProfile::train(user, dataset.train_windows(user, window),
+    trained[u] = core::UserProfile::train(user, *dataset.train_matrix(user, window),
                                           dataset.schema().dimension(), params);
   });
   std::vector<core::UserProfile> profiles;

@@ -55,7 +55,7 @@ int main() {
   params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
   params.regularizer = 0.1;
   const auto profile = core::UserProfile::train(
-      owner, dataset.train_windows(owner, window), dataset.schema().dimension(),
+      owner, *dataset.train_matrix(owner, window), dataset.schema().dimension(),
       params);
   std::printf("profile trained for %s; session hijacked by %s at minute 40\n\n",
               owner.c_str(), intruder.c_str());

@@ -39,7 +39,7 @@ int main() {
     params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
     params.regularizer = 0.1;
     profiles.push_back(core::UserProfile::train(
-        user, dataset.train_windows(user, window), dataset.schema().dimension(),
+        user, *dataset.train_matrix(user, window), dataset.schema().dimension(),
         params));
   }
   // The intruder comes from a *different* enterprise: a second trace with

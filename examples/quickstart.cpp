@@ -47,17 +47,17 @@ int main() {
   params.type = core::ClassifierType::kOcSvm;
   params.kernel = {svm::KernelType::kRbf, /*gamma=*/0.0 /*auto*/, 0.0, 3};
   params.regularizer = 0.1;  // nu
-  const auto train_windows = dataset.train_windows(user, window);
+  const auto train_windows = dataset.train_matrix(user, window);
   const core::UserProfile profile = core::UserProfile::train(
-      user, train_windows, dataset.schema().dimension(), params);
+      user, *train_windows, dataset.schema().dimension(), params);
   std::printf("trained %s profile for %s on %zu windows (%zu support vectors)\n",
               std::string{core::to_string(params.type)}.c_str(), user.c_str(),
-              train_windows.size(), profile.support_vector_count());
+              train_windows->rows(), profile.support_vector_count());
 
   // 4. Classify held-out windows.
-  const auto own_test = dataset.test_windows(user, window);
+  const auto own_test = *dataset.test_matrix(user, window);
   const auto other_user = dataset.user_ids()[1];
-  const auto other_test = dataset.test_windows(other_user, window);
+  const auto other_test = *dataset.test_matrix(other_user, window);
   std::printf("acceptance of %s's future windows: %.1f%%\n", user.c_str(),
               100.0 * profile.acceptance_ratio(own_test));
   std::printf("acceptance of %s's windows:        %.1f%%\n", other_user.c_str(),

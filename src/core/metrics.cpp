@@ -7,24 +7,6 @@
 namespace wtp::core {
 
 AcceptanceRatios profile_acceptance(const UserProfile& profile,
-                                    const WindowsByUser& windows) {
-  AcceptanceRatios ratios;
-  double other_sum = 0.0;
-  std::size_t other_count = 0;
-  for (const auto& [user, user_windows] : windows) {
-    const double accepted = profile.acceptance_ratio(user_windows) * 100.0;
-    if (user == profile.user_id()) {
-      ratios.acc_self = accepted;
-    } else {
-      other_sum += accepted;
-      ++other_count;
-    }
-  }
-  if (other_count > 0) ratios.acc_other = other_sum / static_cast<double>(other_count);
-  return ratios;
-}
-
-AcceptanceRatios profile_acceptance(const UserProfile& profile,
                                     const MatrixByUser& windows, double slack) {
   AcceptanceRatios ratios;
   double other_sum = 0.0;
@@ -40,23 +22,6 @@ AcceptanceRatios profile_acceptance(const UserProfile& profile,
   }
   if (other_count > 0) ratios.acc_other = other_sum / static_cast<double>(other_count);
   return ratios;
-}
-
-AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,
-                                 const WindowsByUser& windows) {
-  if (profiles.empty()) {
-    throw std::invalid_argument{"mean_acceptance: no profiles"};
-  }
-  AcceptanceRatios mean;
-  for (const auto& profile : profiles) {
-    const AcceptanceRatios ratios = profile_acceptance(profile, windows);
-    mean.acc_self += ratios.acc_self;
-    mean.acc_other += ratios.acc_other;
-  }
-  const auto n = static_cast<double>(profiles.size());
-  mean.acc_self /= n;
-  mean.acc_other /= n;
-  return mean;
 }
 
 AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,

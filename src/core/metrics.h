@@ -10,7 +10,6 @@
 
 #include "core/profiler.h"
 #include "util/feature_matrix.h"
-#include "util/sparse_vector.h"
 
 namespace wtp::core {
 
@@ -23,18 +22,15 @@ struct AcceptanceRatios {
   [[nodiscard]] double acc() const noexcept { return acc_self - acc_other; }
 };
 
-/// Windows per user: the evaluation corpus a set of profiles is scored on.
-using WindowsByUser = std::map<std::string, std::vector<util::SparseVector>>;
-/// CSR form of the same corpus: one shared FeatureMatrix per user (the
-/// canonical data plane; the dataset's matrix cache hands these out).
+/// Windows per user, the evaluation corpus a set of profiles is scored on:
+/// one shared FeatureMatrix per user (the dataset's matrix cache hands
+/// these out).
 using MatrixByUser =
     std::map<std::string, std::shared_ptr<const util::FeatureMatrix>>;
 
 /// Acceptance ratios of one profile: self on its own user's windows, other
 /// on everyone else's (macro-averaged over the other users, as the paper
 /// averages per-user ratios).  Users absent from `windows` are skipped.
-[[nodiscard]] AcceptanceRatios profile_acceptance(const UserProfile& profile,
-                                                  const WindowsByUser& windows);
 /// `slack` widens the acceptance test to decision >= -slack (see
 /// UserProfile::acceptance_ratio); grid scoring uses it to decouple ACC
 /// from which near-optimal point a solve stopped at.
@@ -44,8 +40,6 @@ using MatrixByUser =
 
 /// Mean ratios over a set of profiles (the paper's "averages of the 25 user
 /// results").
-[[nodiscard]] AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,
-                                               const WindowsByUser& windows);
 [[nodiscard]] AcceptanceRatios mean_acceptance(std::span<const UserProfile> profiles,
                                                const MatrixByUser& windows);
 

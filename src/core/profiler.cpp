@@ -33,13 +33,6 @@ UserProfile UserProfile::train(std::string user_id,
                      svm::SvddModel::train(windows, config, dimension)};
 }
 
-UserProfile UserProfile::train(std::string user_id,
-                               std::span<const util::SparseVector> windows,
-                               std::size_t dimension, const ProfileParams& params) {
-  return train(std::move(user_id), util::FeatureMatrix::from_rows(windows),
-               dimension, params);
-}
-
 double UserProfile::decision_value(const util::SparseVector& window) const {
   return decision_value(window, window.squared_norm());
 }
@@ -60,16 +53,6 @@ void UserProfile::decision_values(const util::FeatureMatrix& windows,
   std::visit(
       [&](const auto& model) { model.decision_values(windows, out, tier); },
       model_);
-}
-
-double UserProfile::acceptance_ratio(
-    std::span<const util::SparseVector> windows) const {
-  if (windows.empty()) return 0.0;
-  std::size_t accepted = 0;
-  for (const auto& window : windows) {
-    if (accepts(window)) ++accepted;
-  }
-  return static_cast<double>(accepted) / static_cast<double>(windows.size());
 }
 
 double UserProfile::acceptance_ratio(const util::FeatureMatrix& windows,
@@ -106,8 +89,9 @@ void score_windows(std::span<const UserProfile> profiles,
     score_range(0, profiles.size());
     return;
   }
-  // Unlike parallel_for's wait_idle(), a per-call latch stays correct when
-  // several threads score concurrently on the shared pool.
+  // One task per thread (not parallel_for's four shards per thread); like
+  // parallel_for, a per-call latch lets several threads score concurrently
+  // on the shared pool.
   const std::size_t chunk_count = std::min(profiles.size(), pool->thread_count());
   const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
   const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;

@@ -41,11 +41,6 @@ class UserProfile {
                                          const util::FeatureMatrix& windows,
                                          std::size_t dimension,
                                          const ProfileParams& params);
-  /// Convenience overload that builds the matrix first.
-  [[nodiscard]] static UserProfile train(std::string user_id,
-                                         std::span<const util::SparseVector> windows,
-                                         std::size_t dimension,
-                                         const ProfileParams& params);
 
   /// Wraps an already-trained model (e.g. one cell of a warm-started
   /// fit_path sweep) into a profile.  `params` must describe how the model
@@ -74,14 +69,12 @@ class UserProfile {
       const util::FeatureMatrix& windows, std::span<double> out,
       svm::TransformMode tier = svm::TransformMode::kExact) const;
 
-  /// Fraction of `windows` accepted by the profile, in [0, 1].
-  [[nodiscard]] double acceptance_ratio(
-      std::span<const util::SparseVector> windows) const;
-  /// Batch form over a window matrix: one kernel-row pass per window.
-  /// `slack` widens the acceptance test to decision >= -slack; grid scoring
-  /// uses it so training windows that are free support vectors (decision
-  /// exactly 0 at the optimum) count as accepted regardless of which
-  /// near-optimal point the solver stopped at.  `tier` as in decision_value.
+  /// Fraction of the rows of `windows` accepted by the profile, in [0, 1]
+  /// (0 for an empty matrix), from one decision_values sweep.  `slack`
+  /// widens the acceptance test to decision >= -slack; grid scoring uses it
+  /// so training windows that are free support vectors (decision exactly 0
+  /// at the optimum) count as accepted regardless of which near-optimal
+  /// point the solver stopped at.  `tier` as in decision_value.
   [[nodiscard]] double acceptance_ratio(
       const util::FeatureMatrix& windows, double slack = 0.0,
       svm::TransformMode tier = svm::TransformMode::kExact) const;

@@ -1,7 +1,6 @@
 #include "features/split.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace wtp::features {
 
@@ -27,19 +26,6 @@ std::map<std::string, std::vector<log::WebTransaction>> group_by_device(
   return group_by(txns, [](const log::WebTransaction& t) { return t.device_id; });
 }
 
-TrainTestSplit chronological_split(std::span<const log::WebTransaction> txns,
-                                   double train_fraction) {
-  if (train_fraction < 0.0 || train_fraction > 1.0) {
-    throw std::invalid_argument{"chronological_split: fraction outside [0,1]"};
-  }
-  const auto cut = static_cast<std::size_t>(
-      train_fraction * static_cast<double>(txns.size()));
-  TrainTestSplit split;
-  split.train.assign(txns.begin(), txns.begin() + static_cast<std::ptrdiff_t>(cut));
-  split.test.assign(txns.begin() + static_cast<std::ptrdiff_t>(cut), txns.end());
-  return split;
-}
-
 EpochSplit epoch_split(std::span<const log::WebTransaction> txns,
                        util::UnixSeconds t) {
   const auto cut = std::partition_point(
@@ -49,16 +35,6 @@ EpochSplit epoch_split(std::span<const log::WebTransaction> txns,
   split.observed.assign(txns.begin(), cut);
   split.subsequent.assign(cut, txns.end());
   return split;
-}
-
-std::vector<std::string> filter_users(
-    const std::map<std::string, std::vector<log::WebTransaction>>& by_user,
-    std::size_t min_transactions) {
-  std::vector<std::string> users;
-  for (const auto& [user, txns] : by_user) {
-    if (txns.size() >= min_transactions) users.push_back(user);
-  }
-  return users;  // std::map iteration is already sorted
 }
 
 }  // namespace wtp::features

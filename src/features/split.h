@@ -1,6 +1,7 @@
-// Dataset manipulation: grouping transactions per user/device and the two
-// chronological splits the paper uses (75/25 train/test, and the week-t
-// observed/subsequent epoch split of the novelty analysis).
+// Dataset manipulation: grouping transactions per user or per device, and
+// the week-t observed/subsequent epoch split of the novelty analysis.  The
+// paper's per-user 75/25 train/test split and its user filter live in
+// core::ProfilingDataset.
 #pragma once
 
 #include <map>
@@ -21,17 +22,6 @@ namespace wtp::features {
 [[nodiscard]] std::map<std::string, std::vector<log::WebTransaction>> group_by_device(
     std::span<const log::WebTransaction> txns);
 
-struct TrainTestSplit {
-  std::vector<log::WebTransaction> train;
-  std::vector<log::WebTransaction> test;
-};
-
-/// Splits a time-sorted sequence chronologically: the oldest
-/// `train_fraction` of transactions become the training set (paper §IV-B
-/// uses 0.75).  Throws std::invalid_argument for fractions outside [0,1].
-[[nodiscard]] TrainTestSplit chronological_split(
-    std::span<const log::WebTransaction> txns, double train_fraction);
-
 struct EpochSplit {
   std::vector<log::WebTransaction> observed;    ///< before t
   std::vector<log::WebTransaction> subsequent;  ///< at/after t
@@ -40,13 +30,5 @@ struct EpochSplit {
 /// Splits a time-sorted sequence at an absolute epoch delimiter t.
 [[nodiscard]] EpochSplit epoch_split(std::span<const log::WebTransaction> txns,
                                      util::UnixSeconds t);
-
-/// Users with at least `min_transactions` transactions (the paper filters
-/// out users with fewer than 1,500 as "not representative enough", keeping
-/// 25 of 36).  Returns user ids in ascending transaction-count order is NOT
-/// guaranteed; ids are returned sorted lexicographically.
-[[nodiscard]] std::vector<std::string> filter_users(
-    const std::map<std::string, std::vector<log::WebTransaction>>& by_user,
-    std::size_t min_transactions);
 
 }  // namespace wtp::features

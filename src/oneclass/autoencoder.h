@@ -28,7 +28,6 @@ class AutoencoderModel final : public OneClassModel {
  public:
   explicit AutoencoderModel(AutoencoderConfig config = {});
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "autoencoder"; }

@@ -14,7 +14,6 @@ class CentroidModel final : public OneClassModel {
  public:
   explicit CentroidModel(double outlier_fraction = 0.1);
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "centroid"; }

@@ -16,7 +16,6 @@ class GaussianModel final : public OneClassModel {
   explicit GaussianModel(double outlier_fraction = 0.1,
                          double variance_floor = 1e-4);
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "gaussian"; }

@@ -26,7 +26,6 @@ class IsolationForestModel final : public OneClassModel {
  public:
   explicit IsolationForestModel(IsolationForestConfig config = {});
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "isolation-forest"; }

@@ -15,7 +15,6 @@ class KdeModel final : public OneClassModel {
   /// bandwidth_gamma <= 0 resolves to 1/dimension at fit time.
   explicit KdeModel(double outlier_fraction = 0.1, double bandwidth_gamma = 0.0);
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "kde"; }

@@ -14,7 +14,6 @@ class KnnModel final : public OneClassModel {
  public:
   explicit KnnModel(std::size_t k = 5, double outlier_fraction = 0.1);
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "knn"; }

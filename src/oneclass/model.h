@@ -27,12 +27,6 @@ class OneClassModel {
   /// throw std::invalid_argument on empty data.
   virtual void fit(const util::FeatureMatrix& data, std::size_t dimension) = 0;
 
-  /// Convenience: builds the matrix from a span of SparseVectors first.
-  /// (Derived classes re-export this overload with `using OneClassModel::fit`.)
-  void fit(std::span<const util::SparseVector> data, std::size_t dimension) {
-    fit(util::FeatureMatrix::from_rows(data), dimension);
-  }
-
   /// Signed acceptance score; >= 0 accepts.  Only valid after fit().
   [[nodiscard]] virtual double decision_value(const util::SparseVector& x) const = 0;
 

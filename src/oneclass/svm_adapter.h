@@ -16,7 +16,6 @@ class OcSvmAdapter final : public OneClassModel {
  public:
   explicit OcSvmAdapter(svm::OneClassSvmConfig config = {}) : config_{config} {}
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "oc-svm"; }
@@ -41,7 +40,6 @@ class SvddAdapter final : public OneClassModel {
   /// C = 1/(nu*l), resolved at fit time when l is known.
   [[nodiscard]] static SvddAdapter with_nu(double nu, svm::KernelParams kernel = {});
 
-  using OneClassModel::fit;
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
   [[nodiscard]] std::string name() const override { return "svdd"; }

@@ -137,12 +137,6 @@ OneClassSvmModel OneClassSvmModel::train(const util::FeatureMatrix& data,
   return std::move(fit_path(data, config, nu, dimension).front());
 }
 
-OneClassSvmModel OneClassSvmModel::train(std::span<const util::SparseVector> data,
-                                         const OneClassSvmConfig& config,
-                                         std::size_t dimension) {
-  return train(util::FeatureMatrix::from_rows(data), config, dimension);
-}
-
 OneClassSvmModel OneClassSvmModel::from_parts(KernelParams kernel,
                                               util::FeatureMatrix support_vectors,
                                               std::vector<double> coefficients,

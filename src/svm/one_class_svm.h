@@ -49,10 +49,6 @@ class OneClassSvmModel {
   [[nodiscard]] static OneClassSvmModel train(const util::FeatureMatrix& data,
                                               const OneClassSvmConfig& config,
                                               std::size_t dimension);
-  /// Convenience: builds the matrix from a span of SparseVectors first.
-  [[nodiscard]] static OneClassSvmModel train(
-      std::span<const util::SparseVector> data, const OneClassSvmConfig& config,
-      std::size_t dimension);
 
   /// Warm-started regularizer path: trains one model per nu in `nus` (in
   /// the given order) for the fixed kernel of `config`, sharing a single

@@ -157,11 +157,6 @@ SvddModel SvddModel::from_solution(const util::FeatureMatrix& data,
   return model;
 }
 
-SvddModel SvddModel::train(std::span<const util::SparseVector> data,
-                           const SvddConfig& config, std::size_t dimension) {
-  return train(util::FeatureMatrix::from_rows(data), config, dimension);
-}
-
 SvddModel SvddModel::from_parts(KernelParams kernel,
                                 util::FeatureMatrix support_vectors,
                                 std::vector<double> coefficients,

@@ -47,10 +47,6 @@ class SvddModel {
   [[nodiscard]] static SvddModel train(const util::FeatureMatrix& data,
                                        const SvddConfig& config,
                                        std::size_t dimension);
-  /// Convenience: builds the matrix from a span of SparseVectors first.
-  [[nodiscard]] static SvddModel train(std::span<const util::SparseVector> data,
-                                       const SvddConfig& config,
-                                       std::size_t dimension);
 
   /// Warm-started regularizer path: one model per C in `cs` (in the given
   /// order) for the fixed kernel of `config`, sharing a single QMatrix (and

@@ -80,25 +80,6 @@ bool BitsetQuery::encode(const BitsetView& layout,
   return true;
 }
 
-bool BitsetQuery::encode(const BitsetView& layout, const SparseVector& query) {
-  words.assign(layout.words_per_row, 0);
-  numeric.assign(layout.numeric_cols.size(), 0.0);
-  const auto& ncols = layout.numeric_cols;
-  for (const auto& entry : query.entries()) {
-    if (entry.index >= layout.cols) continue;
-    const std::uint32_t idx = static_cast<std::uint32_t>(entry.index);
-    const auto it = std::lower_bound(ncols.begin(), ncols.end(), idx);
-    if (it != ncols.end() && *it == idx) {
-      if (!std::isfinite(entry.value)) return false;
-      numeric[static_cast<std::size_t>(it - ncols.begin())] = entry.value;
-    } else {
-      if (entry.value != 1.0) return false;
-      words[idx >> 6] |= std::uint64_t{1} << (idx & 63U);
-    }
-  }
-  return true;
-}
-
 std::optional<BitsetStorage> BitsetStorage::build(
     const CsrView& matrix, std::span<const std::uint32_t> numeric_cols) {
   const std::size_t cols = matrix.cols;

@@ -49,7 +49,6 @@
 #include <span>
 #include <vector>
 
-#include "util/sparse_vector.h"
 
 namespace wtp::util {
 
@@ -124,7 +123,6 @@ struct BitsetQuery {
   /// finite.  Indices >= layout.cols are skipped like the scalar oracle.
   bool encode(const BitsetView& layout, std::span<const std::uint32_t> indices,
               std::span<const double> values);
-  bool encode(const BitsetView& layout, const SparseVector& query);
 };
 
 /// Pluggable integer word kernels.  All three produce mathematically (hence

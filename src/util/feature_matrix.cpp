@@ -222,25 +222,6 @@ void CsrView::dot_all(std::span<const std::uint32_t> query_indices,
   }
 }
 
-void CsrView::dot_all(const SparseVector& query, std::span<double> out) const {
-  auto& dense = dense_scratch(cols);
-  for (const auto& entry : query.entries()) {
-    if (entry.index < cols) dense[entry.index] = entry.value;
-  }
-  const std::size_t n = rows();
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::uint32_t* idx = indices.data() + row_offsets[r];
-    const double* val = values.data() + row_offsets[r];
-    const std::size_t len = row_offsets[r + 1] - row_offsets[r];
-    double sum = 0.0;
-    for (std::size_t k = 0; k < len; ++k) sum += val[k] * dense[idx[k]];
-    out[r] = sum;
-  }
-  for (const auto& entry : query.entries()) {
-    if (entry.index < cols) dense[entry.index] = 0.0;
-  }
-}
-
 void FeatureMatrixBuilder::add(std::size_t index, double value) {
   if (index > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument{"FeatureMatrixBuilder: index exceeds 32-bit range"};

@@ -75,7 +75,6 @@ struct CsrView {
   /// FeatureMatrix::dot_all.
   void dot_all(std::span<const std::uint32_t> query_indices,
                std::span<const double> query_values, std::span<double> out) const;
-  void dot_all(const SparseVector& query, std::span<double> out) const;
 };
 
 class FeatureMatrix {
@@ -136,14 +135,12 @@ class FeatureMatrix {
   /// SparseVector::to_dense in hot loops.
   void copy_row_dense(std::size_t i, std::span<double> out) const;
 
-  /// Dot product of every row with a query vector, written to out[0..rows).
-  /// The query is scattered into a dense scratch once, then each row streams
-  /// its own entries — bit-identical to SparseVector::dot per row (adding
-  /// the zero products of unmatched indices cannot change an IEEE sum).
-  /// Query indices beyond cols() cannot match any row and are skipped.
-  void dot_all(const SparseVector& query, std::span<double> out) const {
-    csr().dot_all(query, out);
-  }
+  /// Dot product of every row with a sparse query (sorted indices, no
+  /// duplicates), written to out[0..rows).  The query is scattered into a
+  /// dense scratch once, then each row streams its own entries —
+  /// bit-identical to SparseVector::dot per row (adding the zero products
+  /// of unmatched indices cannot change an IEEE sum).  Query indices beyond
+  /// cols() cannot match any row and are skipped.
   void dot_all(std::span<const std::uint32_t> query_indices,
                std::span<const double> query_values, std::span<double> out) const {
     csr().dot_all(query_indices, query_values, out);

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace wtp::util {
@@ -23,12 +22,6 @@ double RunningStats::variance() const noexcept {
   return count_ >= 2 ? m2_ / static_cast<double>(count_) : 0.0;
 }
 
-double RunningStats::sample_variance() const noexcept {
-  return count_ >= 2 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.count_ == 0) return;
   if (count_ == 0) {
@@ -44,22 +37,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-double mean(std::span<const double> xs) noexcept {
-  RunningStats stats;
-  for (const double x : xs) stats.add(x);
-  return stats.mean();
-}
-
-double variance(std::span<const double> xs) noexcept {
-  RunningStats stats;
-  for (const double x : xs) stats.add(x);
-  return stats.variance();
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  return std::sqrt(variance(xs));
 }
 
 double quantile(std::span<const double> xs, double q) {
@@ -95,6 +72,17 @@ BoxPlot box_plot(std::span<const double> xs) {
   }
   return box;
 }
+
+namespace {
+
+/// Welford mean, the same sum RunningStats keeps.
+double mean(std::span<const double> xs) noexcept {
+  RunningStats stats;
+  for (const double x : xs) stats.add(x);
+  return stats.mean();
+}
+
+}  // namespace
 
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size() || xs.size() < 2) {

@@ -1,5 +1,6 @@
-// Descriptive statistics used across evaluation code: means/variances for the
-// novelty figures, quantiles and box-plot summaries for the timing figures.
+// Descriptive statistics used across evaluation code: a running
+// mean/variance accumulator, quantiles and box-plot summaries for the
+// timing figures, and the least-squares fit of Fig. 5.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +19,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
   /// Population variance; 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const noexcept;
-  /// Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
-  [[nodiscard]] double sample_variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
 
@@ -34,10 +32,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-[[nodiscard]] double mean(std::span<const double> xs) noexcept;
-[[nodiscard]] double variance(std::span<const double> xs) noexcept;
-[[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
 /// Quantile with linear interpolation between order statistics (type-7, the
 /// numpy default).  q must be in [0,1]; xs need not be sorted.

@@ -1,7 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <latch>
 #include <utility>
 
 namespace wtp::util {
@@ -63,21 +63,21 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   if (count == 0) return;
   // Shard into contiguous chunks, one per worker, to keep per-task overhead
   // negligible even for large counts while preserving index determinism
-  // inside each chunk.
+  // inside each chunk.  A per-call latch waits for these shards only, so
+  // callers sharing one pool do not wait on each other's tasks.
   const std::size_t shards = std::min(count, pool.thread_count() * 4);
   const std::size_t chunk = (count + shards - 1) / shards;
-  std::atomic<std::size_t> pending{0};
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = s * chunk;
+  const std::size_t tasks = (count + chunk - 1) / chunk;
+  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t begin = t * chunk;
     const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    pending.fetch_add(1, std::memory_order_relaxed);
-    pool.submit([&fn, begin, end, &pending] {
+    pool.submit([&fn, &done, begin, end] {
       for (std::size_t i = begin; i < end; ++i) fn(i);
-      pending.fetch_sub(1, std::memory_order_release);
+      done.count_down();
     });
   }
-  pool.wait_idle();
+  done.wait();
 }
 
 }  // namespace wtp::util

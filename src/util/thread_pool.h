@@ -51,7 +51,9 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for every i in [0, count) across the pool and waits for all of
-/// them.  fn must be safe to call concurrently for distinct indices.
+/// them, and only for them: tasks other callers submitted to the same pool
+/// may still be running when it returns.  fn must be safe to call
+/// concurrently for distinct indices.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

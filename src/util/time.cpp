@@ -62,8 +62,6 @@ int day_of_week(UnixSeconds ts) noexcept {
   return static_cast<int>(((days + 3) % 7 + 7) % 7);
 }
 
-int hour_of_day(UnixSeconds ts) noexcept { return to_civil(ts).hour; }
-
 double fractional_hour(UnixSeconds ts) noexcept {
   std::int64_t rem = ts % kSecondsPerDay;
   if (rem < 0) rem += kSecondsPerDay;

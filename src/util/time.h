@@ -40,8 +40,7 @@ struct CivilTime {
 /// Day of week, 0 = Monday .. 6 = Sunday.
 [[nodiscard]] int day_of_week(UnixSeconds ts) noexcept;
 
-/// Hour of day 0-23 and fractional hour (e.g. 13.5 = 13:30) in UTC.
-[[nodiscard]] int hour_of_day(UnixSeconds ts) noexcept;
+/// Fractional hour of day in UTC (e.g. 13.5 = 13:30).
 [[nodiscard]] double fractional_hour(UnixSeconds ts) noexcept;
 
 /// Formats "YYYY-MM-DD HH:MM:SS" (the proxy-log timestamp format).

@@ -117,7 +117,7 @@ TEST(UserIdentifier, MonitorProducesGroundTruthAndAcceptance) {
     params.kernel = {svm::KernelType::kLinear, 0.0, 0.0, 3};
     params.regularizer = 0.5;
     profiles.push_back(UserProfile::train(user,
-                                          dataset.train_windows(user, window),
+                                          *dataset.train_matrix(user, window),
                                           dataset.schema().dimension(), params));
   }
   const UserIdentifier identifier{profiles, dataset.schema(), window};

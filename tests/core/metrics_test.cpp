@@ -17,14 +17,6 @@ ProfileParams default_params() {
   return params;
 }
 
-WindowsByUser train_windows_by_user(const ProfilingDataset& dataset) {
-  WindowsByUser windows;
-  for (const auto& user : dataset.user_ids()) {
-    windows.emplace(user, dataset.train_windows(user, kWindow));
-  }
-  return windows;
-}
-
 MatrixByUser train_matrices_by_user(const ProfilingDataset& dataset) {
   MatrixByUser windows;
   for (const auto& user : dataset.user_ids()) {
@@ -34,18 +26,18 @@ MatrixByUser train_matrices_by_user(const ProfilingDataset& dataset) {
 }
 
 std::vector<UserProfile> train_all(const ProfilingDataset& dataset,
-                                   const WindowsByUser& windows) {
+                                   const MatrixByUser& windows) {
   std::vector<UserProfile> profiles;
   for (const auto& user : dataset.user_ids()) {
     profiles.push_back(UserProfile::train(
-        user, windows.at(user), dataset.schema().dimension(), default_params()));
+        user, *windows.at(user), dataset.schema().dimension(), default_params()));
   }
   return profiles;
 }
 
 TEST(ProfileAcceptance, SelfIsHighOtherIsLower) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
+  const auto windows = train_matrices_by_user(dataset);
   const auto profiles = train_all(dataset, windows);
   for (const auto& profile : profiles) {
     const AcceptanceRatios ratios = profile_acceptance(profile, windows);
@@ -57,7 +49,7 @@ TEST(ProfileAcceptance, SelfIsHighOtherIsLower) {
 
 TEST(ProfileAcceptance, ValuesArePercentages) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
+  const auto windows = train_matrices_by_user(dataset);
   const auto profiles = train_all(dataset, windows);
   const AcceptanceRatios ratios = profile_acceptance(profiles[0], windows);
   EXPECT_GE(ratios.acc_self, 0.0);
@@ -68,7 +60,7 @@ TEST(ProfileAcceptance, ValuesArePercentages) {
 
 TEST(MeanAcceptance, IsAverageOfPerProfileRatios) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
+  const auto windows = train_matrices_by_user(dataset);
   const auto profiles = train_all(dataset, windows);
   const AcceptanceRatios mean = mean_acceptance(profiles, windows);
   double self_sum = 0.0;
@@ -83,14 +75,14 @@ TEST(MeanAcceptance, IsAverageOfPerProfileRatios) {
 }
 
 TEST(MeanAcceptance, RejectsEmptyProfileSet) {
-  EXPECT_THROW((void)mean_acceptance({}, WindowsByUser{}), std::invalid_argument);
+  EXPECT_THROW((void)mean_acceptance({}, MatrixByUser{}), std::invalid_argument);
 }
 
 TEST(Confusion, MatrixShapeMatchesUsers) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto profiles = train_all(dataset, train_windows_by_user(dataset));
-  const ConfusionMatrix matrix =
-      compute_confusion(profiles, train_matrices_by_user(dataset));
+  const auto windows = train_matrices_by_user(dataset);
+  const auto profiles = train_all(dataset, windows);
+  const ConfusionMatrix matrix = compute_confusion(profiles, windows);
   ASSERT_EQ(matrix.users.size(), dataset.user_count());
   ASSERT_EQ(matrix.cells.size(), profiles.size());
   for (const auto& row : matrix.cells) {
@@ -104,9 +96,9 @@ TEST(Confusion, MatrixShapeMatchesUsers) {
 
 TEST(Confusion, DiagonalDominatesOffDiagonal) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto profiles = train_all(dataset, train_windows_by_user(dataset));
-  const ConfusionMatrix matrix =
-      compute_confusion(profiles, train_matrices_by_user(dataset));
+  const auto windows = train_matrices_by_user(dataset);
+  const auto profiles = train_all(dataset, windows);
+  const ConfusionMatrix matrix = compute_confusion(profiles, windows);
   EXPECT_GT(matrix.diagonal_mean(), matrix.off_diagonal_mean());
 }
 
@@ -115,33 +107,33 @@ TEST(Confusion, DiagonalDominatesOffDiagonal) {
 // approximate).
 TEST(Confusion, CellsAreProfileAcceptanceRatios) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  const auto windows = train_windows_by_user(dataset);
+  const auto windows = train_matrices_by_user(dataset);
   ProfileParams params;
   params.type = ClassifierType::kOcSvm;
   params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
   params.regularizer = 0.2;
   std::vector<UserProfile> profiles;
   for (const auto& user : dataset.user_ids()) {
-    profiles.push_back(UserProfile::train(user, windows.at(user),
+    profiles.push_back(UserProfile::train(user, *windows.at(user),
                                           dataset.schema().dimension(), params));
   }
-  const auto matrices = train_matrices_by_user(dataset);
   for (const auto tier :
        {svm::TransformMode::kExact, svm::TransformMode::kRelaxed}) {
-    const ConfusionMatrix matrix = compute_confusion(profiles, matrices, tier);
+    const ConfusionMatrix matrix = compute_confusion(profiles, windows, tier);
     ASSERT_EQ(matrix.users.size(), windows.size());
     for (std::size_t j = 0; j < profiles.size(); ++j) {
       for (std::size_t u = 0; u < matrix.users.size(); ++u) {
-        const auto& rows = windows.at(matrix.users[u]);
+        const auto& rows = *windows.at(matrix.users[u]);
         std::size_t accepted = 0;
-        for (const auto& x : rows) {
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+          const util::SparseVector x = rows.row_vector(r);
           if (profiles[j].decision_value(x, x.squared_norm(), tier) >= 0.0) {
             ++accepted;
           }
         }
         EXPECT_EQ(matrix.cells[j][u],
                   static_cast<double>(accepted) /
-                      static_cast<double>(rows.size()) * 100.0)
+                      static_cast<double>(rows.rows()) * 100.0)
             << profiles[j].user_id() << " on " << matrix.users[u];
       }
     }

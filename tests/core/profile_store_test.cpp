@@ -20,7 +20,7 @@ ProfileStore make_store() {
     params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
     params.regularizer = 0.1;
     profiles.push_back(UserProfile::train(user,
-                                          dataset.train_windows(user, kWindow),
+                                          *dataset.train_matrix(user, kWindow),
                                           dataset.schema().dimension(), params));
   }
   return ProfileStore{kWindow, dataset.schema(), std::move(profiles)};

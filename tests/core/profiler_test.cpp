@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,14 +34,14 @@ ProfileParams svdd_params() {
 TEST(UserProfile, TrainsAndAcceptsOwnTrainingWindows) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string user = dataset.user_ids().front();
-  const auto windows = dataset.train_windows(user, kWindow);
+  const auto windows = dataset.train_matrix(user, kWindow);
   for (const auto& params : {ocsvm_params(), svdd_params()}) {
     const UserProfile profile =
-        UserProfile::train(user, windows, dataset.schema().dimension(), params);
+        UserProfile::train(user, *windows, dataset.schema().dimension(), params);
     EXPECT_EQ(profile.user_id(), user);
     EXPECT_EQ(profile.params(), params);
     EXPECT_GT(profile.support_vector_count(), 0u);
-    EXPECT_GT(profile.acceptance_ratio(windows), 0.7)
+    EXPECT_GT(profile.acceptance_ratio(*windows), 0.7)
         << std::string{to_string(params.type)};
   }
 }
@@ -49,30 +50,78 @@ TEST(UserProfile, SelfAcceptanceExceedsOtherAcceptance) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string self = dataset.user_ids()[0];
   const std::string other = dataset.user_ids()[1];
-  const auto self_windows = dataset.train_windows(self, kWindow);
-  const auto other_windows = dataset.train_windows(other, kWindow);
+  const auto self_windows = dataset.train_matrix(self, kWindow);
+  const auto other_windows = dataset.train_matrix(other, kWindow);
   const UserProfile profile = UserProfile::train(
-      self, self_windows, dataset.schema().dimension(), svdd_params());
-  EXPECT_GT(profile.acceptance_ratio(self_windows),
-            profile.acceptance_ratio(other_windows));
+      self, *self_windows, dataset.schema().dimension(), svdd_params());
+  EXPECT_GT(profile.acceptance_ratio(*self_windows),
+            profile.acceptance_ratio(*other_windows));
 }
 
 TEST(UserProfile, AcceptanceRatioOfEmptySetIsZero) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string user = dataset.user_ids().front();
-  const auto windows = dataset.train_windows(user, kWindow);
-  const UserProfile profile = UserProfile::train(
-      user, windows, dataset.schema().dimension(), svdd_params());
-  EXPECT_DOUBLE_EQ(
-      profile.acceptance_ratio(std::span<const util::SparseVector>{}), 0.0);
+  const UserProfile profile =
+      UserProfile::train(user, *dataset.train_matrix(user, kWindow),
+                         dataset.schema().dimension(), svdd_params());
+  EXPECT_DOUBLE_EQ(profile.acceptance_ratio(util::FeatureMatrix{}), 0.0);
+}
+
+// acceptance_ratio's one decision_values sweep counts exactly the rows whose
+// per-window decision is >= 0: for both classifiers on every kernel, over
+// CSR rows and over a matrix stored as a bitset block only, and 0 for an
+// empty matrix.
+TEST(UserProfile, AcceptanceRatioMatchesPerWindowDecisions) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const std::size_t dim = dataset.schema().dimension();
+  const std::string user = dataset.user_ids().front();
+  std::vector<util::SparseVector> windows;
+  for (const auto& other : dataset.user_ids()) {
+    for (auto& x : dataset.test_windows(other, kWindow)) {
+      windows.push_back(std::move(x));
+    }
+  }
+  ASSERT_FALSE(windows.empty());
+  const util::FeatureMatrix csr_rows = util::FeatureMatrix::from_rows(windows, dim);
+  const auto bitset_source = std::make_shared<const util::FeatureMatrix>(
+      util::FeatureMatrix::from_rows(windows, dim));
+  const auto bits = bitset_source->bitset();
+  ASSERT_TRUE(bits.has_value());
+  const util::FeatureMatrix bitset_rows = util::FeatureMatrix::borrow(
+      *bits, bitset_source->sq_norms(), bitset_source);
+  ASSERT_TRUE(bitset_rows.bitset_stored());
+  const util::FeatureMatrix empty = util::FeatureMatrix::from_rows({}, dim);
+
+  for (const auto type : {ClassifierType::kOcSvm, ClassifierType::kSvdd}) {
+    for (const auto kernel :
+         {svm::KernelType::kLinear, svm::KernelType::kPolynomial,
+          svm::KernelType::kRbf, svm::KernelType::kSigmoid}) {
+      ProfileParams params = type == ClassifierType::kOcSvm ? ocsvm_params()
+                                                            : svdd_params();
+      params.kernel = {kernel, 0.0, 0.0, 3};
+      const UserProfile profile = UserProfile::train(
+          user, *dataset.train_matrix(user, kWindow), dim, params);
+      std::size_t accepted = 0;
+      for (const auto& x : windows) {
+        if (profile.decision_value(x) >= 0.0) ++accepted;
+      }
+      const double expected = static_cast<double>(accepted) /
+                              static_cast<double>(windows.size());
+      SCOPED_TRACE(std::string{to_string(type)} + " " +
+                   std::string{svm::to_string(kernel)});
+      EXPECT_EQ(profile.acceptance_ratio(csr_rows), expected);
+      EXPECT_EQ(profile.acceptance_ratio(bitset_rows), expected);
+      EXPECT_EQ(profile.acceptance_ratio(empty), 0.0);
+    }
+  }
 }
 
 TEST(UserProfile, DecisionValueConsistentWithAccepts) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string user = dataset.user_ids().front();
-  const auto windows = dataset.train_windows(user, kWindow);
-  const UserProfile profile = UserProfile::train(
-      user, windows, dataset.schema().dimension(), ocsvm_params());
+  const UserProfile profile =
+      UserProfile::train(user, *dataset.train_matrix(user, kWindow),
+                         dataset.schema().dimension(), ocsvm_params());
   for (const auto& w : dataset.test_windows(user, kWindow)) {
     EXPECT_EQ(profile.accepts(w), profile.decision_value(w) >= 0.0);
   }
@@ -80,8 +129,7 @@ TEST(UserProfile, DecisionValueConsistentWithAccepts) {
 
 TEST(UserProfile, TrainRejectsEmptyWindows) {
   EXPECT_THROW(
-      (void)UserProfile::train("u", std::span<const util::SparseVector>{}, 10,
-                               ocsvm_params()),
+      (void)UserProfile::train("u", util::FeatureMatrix{}, 10, ocsvm_params()),
       std::invalid_argument);
 }
 
@@ -117,7 +165,7 @@ TEST(ScoreWindows, BitIdenticalToPerRowDecisionValue) {
     std::vector<UserProfile> profiles;
     for (const auto& user : dataset.user_ids()) {
       profiles.push_back(UserProfile::train(
-          user, dataset.train_windows(user, kWindow), dim, params));
+          user, *dataset.train_matrix(user, kWindow), dim, params));
     }
     for (const auto tier :
          {svm::TransformMode::kExact, svm::TransformMode::kRelaxed}) {
@@ -156,7 +204,7 @@ TEST(ScoreWindows, RejectsMisSizedOutput) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string user = dataset.user_ids().front();
   const std::vector<UserProfile> profiles{UserProfile::train(
-      user, dataset.train_windows(user, kWindow), dataset.schema().dimension(),
+      user, *dataset.train_matrix(user, kWindow), dataset.schema().dimension(),
       svdd_params())};
   const auto windows = dataset.test_matrix(user, kWindow);
   std::vector<double> out(windows->rows() + 1);

@@ -115,31 +115,6 @@ TEST(KernelEquivalence, KernelSelfMatchesCachedNormForm) {
   }
 }
 
-TEST(OneClassSvmEquivalence, MatrixAndSpanTrainingIdentical) {
-  const auto data = synthetic_windows(21, 60, 1.0);
-  const auto probes = synthetic_windows(22, 15, 1.0);
-  for (const auto& params : all_kernels()) {
-    svm::OneClassSvmConfig config;
-    config.nu = 0.2;
-    config.kernel = params;
-    const auto from_span = svm::OneClassSvmModel::train(
-        std::span<const util::SparseVector>{data}, config, kDim);
-    const auto from_matrix = svm::OneClassSvmModel::train(
-        util::FeatureMatrix::from_rows(data, kDim), config, kDim);
-    EXPECT_EQ(from_span.rho(), from_matrix.rho()) << svm::describe(params);
-    EXPECT_EQ(from_span.coefficients(), from_matrix.coefficients());
-    ASSERT_EQ(from_span.support_vectors().rows(),
-              from_matrix.support_vectors().rows());
-    for (std::size_t i = 0; i < from_span.support_vectors().rows(); ++i) {
-      EXPECT_EQ(from_span.support_vectors().row_vector(i),
-                from_matrix.support_vectors().row_vector(i));
-    }
-    for (const auto& x : probes) {
-      EXPECT_EQ(from_span.decision_value(x), from_matrix.decision_value(x));
-    }
-  }
-}
-
 TEST(OneClassSvmEquivalence, DecisionMatchesManualSparseVectorSum) {
   const auto data = synthetic_windows(23, 50, 1.0);
   for (const auto& params : all_kernels()) {
@@ -184,26 +159,6 @@ TEST(OneClassSvmEquivalence, DecisionVariantsAgreeExactly) {
   }
 }
 
-TEST(SvddEquivalence, MatrixAndSpanTrainingIdentical) {
-  const auto data = synthetic_windows(31, 60, 1.0);
-  const auto probes = synthetic_windows(32, 15, 1.0);
-  for (const auto& params : all_kernels()) {
-    svm::SvddConfig config;
-    config.c = 0.1;
-    config.kernel = params;
-    const auto from_span = svm::SvddModel::train(
-        std::span<const util::SparseVector>{data}, config, kDim);
-    const auto from_matrix = svm::SvddModel::train(
-        util::FeatureMatrix::from_rows(data, kDim), config, kDim);
-    EXPECT_EQ(from_span.r_squared(), from_matrix.r_squared()) << svm::describe(params);
-    EXPECT_EQ(from_span.alpha_k_alpha(), from_matrix.alpha_k_alpha());
-    EXPECT_EQ(from_span.coefficients(), from_matrix.coefficients());
-    for (const auto& x : probes) {
-      EXPECT_EQ(from_span.decision_value(x), from_matrix.decision_value(x));
-    }
-  }
-}
-
 TEST(SvddEquivalence, DecisionMatchesManualSparseVectorSum) {
   const auto data = synthetic_windows(33, 50, 1.0);
   for (const auto& params : all_kernels()) {
@@ -244,50 +199,6 @@ TEST(SvddEquivalence, DecisionVariantsAgreeExactly) {
     const double single = model.decision_value(probes[i]);
     EXPECT_EQ(single, model.decision_value(probes[i], probes[i].squared_norm()));
     EXPECT_EQ(single, batch[i]);
-  }
-}
-
-TEST(OneClassModelEquivalence, EveryModelKindSpanVsMatrixIdentical) {
-  const auto data = synthetic_windows(41, 60, 1.0);
-  const auto probes = synthetic_windows(42, 15, 1.0);
-  const auto matrix = util::FeatureMatrix::from_rows(data, kDim);
-  for (const auto kind :
-       {oneclass::ModelKind::kOcSvm, oneclass::ModelKind::kSvdd,
-        oneclass::ModelKind::kCentroid, oneclass::ModelKind::kGaussian,
-        oneclass::ModelKind::kKde, oneclass::ModelKind::kAutoencoder,
-        oneclass::ModelKind::kIsolationForest, oneclass::ModelKind::kKnn}) {
-    const auto from_span = oneclass::make_model(kind, 0.2);
-    from_span->fit(std::span<const util::SparseVector>{data}, kDim);
-    const auto from_matrix = oneclass::make_model(kind, 0.2);
-    from_matrix->fit(matrix, kDim);
-    for (const auto& x : probes) {
-      EXPECT_EQ(from_span->decision_value(x), from_matrix->decision_value(x))
-          << from_span->name();
-    }
-  }
-}
-
-TEST(ProfileEquivalence, AcceptanceRatioSpanVsMatrixIdentical) {
-  const auto data = synthetic_windows(51, 60, 1.0);
-  const auto test = synthetic_windows(52, 40, 1.0);
-  const auto train_matrix = util::FeatureMatrix::from_rows(data, kDim);
-  const auto test_matrix = util::FeatureMatrix::from_rows(test, kDim);
-  for (const auto type : {core::ClassifierType::kOcSvm, core::ClassifierType::kSvdd}) {
-    core::ProfileParams params;
-    params.type = type;
-    params.kernel = {svm::KernelType::kRbf, 0.25, 0.0, 3};
-    params.regularizer = type == core::ClassifierType::kOcSvm ? 0.2 : 0.1;
-    const auto from_span = core::UserProfile::train(
-        "u", std::span<const util::SparseVector>{data}, kDim, params);
-    const auto from_matrix = core::UserProfile::train("u", train_matrix, kDim, params);
-    EXPECT_EQ(from_span.acceptance_ratio(test), from_matrix.acceptance_ratio(test));
-    EXPECT_EQ(from_matrix.acceptance_ratio(test),
-              from_matrix.acceptance_ratio(test_matrix));
-    for (const auto& x : test) {
-      EXPECT_EQ(from_span.decision_value(x), from_matrix.decision_value(x));
-      EXPECT_EQ(from_matrix.decision_value(x),
-                from_matrix.decision_value(x, x.squared_norm()));
-    }
   }
 }
 

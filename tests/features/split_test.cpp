@@ -55,26 +55,6 @@ TEST(GroupBy, EmptyInput) {
   EXPECT_TRUE(group_by_device({}).empty());
 }
 
-TEST(ChronologicalSplit, SeventyFivePercent) {
-  std::vector<log::WebTransaction> txns;
-  for (int i = 0; i < 100; ++i) txns.push_back(make_txn(i, "u", "d"));
-  const auto split = chronological_split(txns, 0.75);
-  ASSERT_EQ(split.train.size(), 75u);
-  ASSERT_EQ(split.test.size(), 25u);
-  // Oldest transactions train (paper §IV-B).
-  EXPECT_EQ(split.train.front().timestamp, 0);
-  EXPECT_EQ(split.train.back().timestamp, 74);
-  EXPECT_EQ(split.test.front().timestamp, 75);
-}
-
-TEST(ChronologicalSplit, ExtremesAndValidation) {
-  std::vector<log::WebTransaction> txns{make_txn(1, "u", "d"), make_txn(2, "u", "d")};
-  EXPECT_EQ(chronological_split(txns, 0.0).train.size(), 0u);
-  EXPECT_EQ(chronological_split(txns, 1.0).test.size(), 0u);
-  EXPECT_THROW((void)chronological_split(txns, 1.5), std::invalid_argument);
-  EXPECT_THROW((void)chronological_split(txns, -0.1), std::invalid_argument);
-}
-
 TEST(EpochSplit, PartitionsAtDelimiter) {
   std::vector<log::WebTransaction> txns;
   for (int i = 0; i < 10; ++i) txns.push_back(make_txn(i * 100, "u", "d"));
@@ -97,24 +77,6 @@ TEST(EpochSplit, AllBeforeOrAfter) {
                                         make_txn(20, "u", "d")};
   EXPECT_EQ(epoch_split(txns, 1000).observed.size(), 2u);
   EXPECT_EQ(epoch_split(txns, 0).subsequent.size(), 2u);
-}
-
-TEST(FilterUsers, ThresholdKeepsActiveUsers) {
-  std::map<std::string, std::vector<log::WebTransaction>> by_user;
-  for (int i = 0; i < 10; ++i) by_user["active"].push_back(make_txn(i, "active", "d"));
-  by_user["inactive"].push_back(make_txn(0, "inactive", "d"));
-  const auto kept = filter_users(by_user, 5);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0], "active");
-}
-
-TEST(FilterUsers, ZeroThresholdKeepsEveryone) {
-  std::map<std::string, std::vector<log::WebTransaction>> by_user;
-  by_user["a"].push_back(make_txn(0, "a", "d"));
-  by_user["b"] = {};
-  const auto kept = filter_users(by_user, 0);
-  EXPECT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept, (std::vector<std::string>{"a", "b"}));  // sorted
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(IdentifyExhaustive, PicksHighestDecisionValueAndKeepsFirstTie) {
   std::vector<core::UserProfile> profiles;
   for (const auto& user : dataset.user_ids()) {
     profiles.push_back(core::UserProfile::train(
-        user, dataset.train_windows(user, window),
+        user, *dataset.train_matrix(user, window),
         dataset.schema().dimension(), params));
   }
   const auto query =

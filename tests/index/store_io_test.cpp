@@ -30,7 +30,7 @@ ProfileStore make_store() {
     params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
     params.regularizer = 0.1;
     profiles.push_back(UserProfile::train(user,
-                                          dataset.train_windows(user, kWindow),
+                                          *dataset.train_matrix(user, kWindow),
                                           dataset.schema().dimension(), params));
   }
   return ProfileStore{kWindow, dataset.schema(), std::move(profiles)};
@@ -203,7 +203,7 @@ class ProfileRoundTripTest : public ::testing::TestWithParam<ClassifierType> {};
 TEST_P(ProfileRoundTripTest, SaveLoadPreservesDecisions) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const std::string user = dataset.user_ids().front();
-  const auto windows = dataset.train_windows(user, kWindow);
+  const auto windows = dataset.train_matrix(user, kWindow);
   // Explicit parameters, so the polynomial's gamma, coef0 and degree are
   // checked as written rather than as defaults.
   for (const svm::KernelParams kernel :
@@ -215,7 +215,7 @@ TEST_P(ProfileRoundTripTest, SaveLoadPreservesDecisions) {
     const ProfileParams params{GetParam(), kernel,
                                GetParam() == ClassifierType::kOcSvm ? 0.1 : 0.5};
     const UserProfile profile =
-        UserProfile::train(user, windows, dataset.schema().dimension(), params);
+        UserProfile::train(user, *windows, dataset.schema().dimension(), params);
     const std::string path = temp_path(
         std::string{"profile_round_trip_"} + std::string{to_string(GetParam())} +
         ".wtpstore");

@@ -102,7 +102,8 @@ const Corpus& corpus() {
         {core::ClassifierType::kOcSvm, {svm::KernelType::kRbf, 0.05, 0.0, 3},
          0.2}));
     profiles.push_back(core::UserProfile::train(
-        dataset.user_ids()[1], windows, dimension,
+        dataset.user_ids()[1], util::FeatureMatrix::from_rows(windows),
+        dimension,
         {core::ClassifierType::kSvdd,
          {svm::KernelType::kPolynomial, 0.125, 1.0, 3}, 0.5}));
     const std::string path = test_path("_corpus.wtpstore");

@@ -117,7 +117,7 @@ TEST_F(PipelineTest, IdentificationFindsTrueUserOnSharedDevice) {
     params.kernel = {svm::KernelType::kRbf, 0.0, 0.0, 3};
     params.regularizer = 0.1;
     profiles.push_back(core::UserProfile::train(
-        user, dataset_->train_windows(user, window),
+        user, *dataset_->train_matrix(user, window),
         dataset_->schema().dimension(), params));
   }
   const core::UserIdentifier identifier{profiles, dataset_->schema(), window};
@@ -155,16 +155,16 @@ TEST_F(PipelineTest, ProfilePersistenceSurvivesPipeline) {
   params.kernel = {svm::KernelType::kLinear, 0.0, 0.0, 3};
   params.regularizer = 0.4;
   const auto profile = core::UserProfile::train(
-      user, dataset_->train_windows(user, window),
+      user, *dataset_->train_matrix(user, window),
       dataset_->schema().dimension(), params);
   const std::string path = ::testing::TempDir() + "/pipeline_profile.wtpstore";
   index::write_mapped_store(
       core::ProfileStore{window, dataset_->schema(), {profile}}, path);
   const core::ProfileStore loaded = index::read_mapped_store(path);
   ASSERT_NE(loaded.find(user), nullptr);
-  const auto test_windows = dataset_->test_windows(user, window);
-  EXPECT_EQ(loaded.find(user)->acceptance_ratio(test_windows),
-            profile.acceptance_ratio(test_windows));
+  const auto test_windows = dataset_->test_matrix(user, window);
+  EXPECT_EQ(loaded.find(user)->acceptance_ratio(*test_windows),
+            profile.acceptance_ratio(*test_windows));
 }
 
 }  // namespace

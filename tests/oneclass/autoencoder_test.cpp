@@ -34,12 +34,12 @@ TEST(Autoencoder, TrainingReducesLoss) {
   AutoencoderConfig short_config;
   short_config.epochs = 2;
   AutoencoderModel short_model{short_config};
-  short_model.fit(data, kDim);
+  short_model.fit(util::FeatureMatrix::from_rows(data), kDim);
 
   AutoencoderConfig long_config;
   long_config.epochs = 80;
   AutoencoderModel long_model{long_config};
-  long_model.fit(data, kDim);
+  long_model.fit(util::FeatureMatrix::from_rows(data), kDim);
 
   EXPECT_LT(long_model.final_loss(), short_model.final_loss());
   EXPECT_LT(long_model.final_loss(), 0.05);
@@ -49,7 +49,7 @@ TEST(Autoencoder, ReconstructsInliersBetterThanOutliers) {
   util::Rng rng{2};
   const auto data = patterned_data(rng, 150);
   AutoencoderModel model;
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
 
   const double inlier_error = model.reconstruction_error(data[0]);
   // An anti-pattern: active exactly where the training data never is.
@@ -68,8 +68,8 @@ TEST(Autoencoder, IsDeterministicGivenSeed) {
   config.epochs = 10;
   AutoencoderModel a{config};
   AutoencoderModel b{config};
-  a.fit(data, kDim);
-  b.fit(data, kDim);
+  a.fit(util::FeatureMatrix::from_rows(data), kDim);
+  b.fit(util::FeatureMatrix::from_rows(data), kDim);
   EXPECT_DOUBLE_EQ(a.final_loss(), b.final_loss());
   EXPECT_DOUBLE_EQ(a.reconstruction_error(data[5]),
                    b.reconstruction_error(data[5]));
@@ -81,7 +81,7 @@ TEST(Autoencoder, ThresholdAcceptsMostTrainingData) {
   AutoencoderConfig config;
   config.outlier_fraction = 0.15;
   AutoencoderModel model{config};
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::size_t accepted = 0;
   for (const auto& x : data) {
     if (model.accepts(x)) ++accepted;
@@ -100,11 +100,12 @@ TEST(Autoencoder, RejectsInvalidConfiguration) {
 
 TEST(Autoencoder, RejectsEmptyFitAndZeroDimension) {
   AutoencoderModel model;
-  EXPECT_THROW(model.fit(std::span<const util::SparseVector>{}, kDim),
+  EXPECT_THROW(model.fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
   util::Rng rng{5};
   const auto data = patterned_data(rng, 10);
-  EXPECT_THROW(model.fit(data, 0), std::invalid_argument);
+  EXPECT_THROW(model.fit(util::FeatureMatrix::from_rows(data), 0),
+               std::invalid_argument);
 }
 
 TEST(Autoencoder, ErrorBeforeFitThrows) {

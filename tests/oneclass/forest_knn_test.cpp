@@ -26,7 +26,7 @@ TEST(IsolationForest, AnomalyScoreHigherForOutliers) {
   util::Rng rng{1};
   const auto data = blob(rng, 300, 0.5, 0.1);
   IsolationForestModel model;
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::vector<double> center_dense(kDim, 0.5);
   std::vector<double> far_dense(kDim, 5.0);
   const double inlier = model.anomaly_score(util::SparseVector::from_dense(center_dense));
@@ -43,7 +43,7 @@ TEST(IsolationForest, ThresholdCoversConfiguredTrainingFraction) {
   IsolationForestConfig config;
   config.outlier_fraction = 0.2;
   IsolationForestModel model{config};
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::size_t accepted = 0;
   for (const auto& x : data) {
     if (model.accepts(x)) ++accepted;
@@ -56,8 +56,8 @@ TEST(IsolationForest, IsDeterministicGivenSeed) {
   const auto data = blob(rng, 100, 0.0, 1.0);
   IsolationForestModel a;
   IsolationForestModel b;
-  a.fit(data, kDim);
-  b.fit(data, kDim);
+  a.fit(util::FeatureMatrix::from_rows(data), kDim);
+  b.fit(util::FeatureMatrix::from_rows(data), kDim);
   EXPECT_DOUBLE_EQ(a.anomaly_score(data[7]), b.anomaly_score(data[7]));
 }
 
@@ -65,7 +65,7 @@ TEST(IsolationForest, HandlesSubsampleLargerThanData) {
   util::Rng rng{4};
   const auto data = blob(rng, 20, 0.0, 1.0);  // < default 256 subsample
   IsolationForestModel model;
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   EXPECT_NO_THROW((void)model.anomaly_score(data[0]));
 }
 
@@ -77,7 +77,7 @@ TEST(IsolationForest, RejectsInvalidConfigAndEmptyFit) {
   config.subsample = 1;
   EXPECT_THROW((IsolationForestModel{config}), std::invalid_argument);
   IsolationForestModel model;
-  EXPECT_THROW(model.fit(std::span<const util::SparseVector>{}, kDim),
+  EXPECT_THROW(model.fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
   EXPECT_THROW((void)model.anomaly_score(util::SparseVector{}), std::logic_error);
 }
@@ -86,7 +86,7 @@ TEST(Knn, KthDistanceGrowsWithDistanceFromMass) {
   util::Rng rng{5};
   const auto data = blob(rng, 200, 0.0, 0.5);
   KnnModel model{5, 0.1};
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::vector<double> near_dense(kDim, 0.0);
   std::vector<double> far_dense(kDim, 4.0);
   EXPECT_LT(model.kth_distance(util::SparseVector::from_dense(near_dense)),
@@ -97,7 +97,7 @@ TEST(Knn, LeaveOneOutCalibrationAcceptsTrainingFraction) {
   util::Rng rng{6};
   const auto data = blob(rng, 300, 0.0, 1.0);
   KnnModel model{3, 0.15};
-  model.fit(data, kDim);
+  model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::size_t accepted = 0;
   for (const auto& x : data) {
     if (model.accepts(x)) ++accepted;
@@ -114,7 +114,7 @@ TEST(Knn, KthDistanceIsExactOnHandBuiltData) {
       util::SparseVector{}, util::SparseVector{{0, 1.0}},
       util::SparseVector{{0, 2.0}}, util::SparseVector{{0, 10.0}}};
   KnnModel model{2, 0.0};
-  model.fit(data, 1);
+  model.fit(util::FeatureMatrix::from_rows(data), 1);
   EXPECT_NEAR(model.kth_distance(util::SparseVector{}), 1.0, 1e-12);
   EXPECT_NEAR(model.kth_distance(util::SparseVector{{0, -3.0}}), 4.0, 1e-12);
 }
@@ -122,7 +122,7 @@ TEST(Knn, KthDistanceIsExactOnHandBuiltData) {
 TEST(Knn, SinglePointTrainingSetWorks) {
   const std::vector<util::SparseVector> data{util::SparseVector{{0, 1.0}}};
   KnnModel model{1, 0.0};
-  model.fit(data, 1);
+  model.fit(util::FeatureMatrix::from_rows(data), 1);
   EXPECT_TRUE(model.accepts(data[0]));
 }
 
@@ -130,7 +130,7 @@ TEST(Knn, RejectsInvalidParameters) {
   EXPECT_THROW((KnnModel{0, 0.1}), std::invalid_argument);
   EXPECT_THROW((KnnModel{3, 1.0}), std::invalid_argument);
   KnnModel model{3, 0.1};
-  EXPECT_THROW(model.fit(std::span<const util::SparseVector>{}, kDim),
+  EXPECT_THROW(model.fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
   EXPECT_THROW((void)model.kth_distance(util::SparseVector{}), std::logic_error);
 }

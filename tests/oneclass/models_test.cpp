@@ -43,7 +43,7 @@ TEST_P(OneClassModelTest, AcceptsInliersRejectsFarOutliers) {
   util::Rng rng{17};
   const auto train = blob(rng, 120, 1.0, 0.15);
   auto model = make_model(GetParam(), 0.1);
-  model->fit(train, kDim);
+  model->fit(util::FeatureMatrix::from_rows(train), kDim);
 
   // Fresh inliers from the same distribution.
   const auto inliers = blob(rng, 60, 1.0, 0.15);
@@ -66,7 +66,7 @@ TEST_P(OneClassModelTest, DecisionValueOrdersByTypicality) {
   util::Rng rng{19};
   const auto train = blob(rng, 100, 0.0, 0.3);
   auto model = make_model(GetParam(), 0.1);
-  model->fit(train, kDim);
+  model->fit(util::FeatureMatrix::from_rows(train), kDim);
   const util::SparseVector center;  // all zeros = the blob center
   std::vector<double> far_dense(kDim, 5.0);
   const auto far = util::SparseVector::from_dense(far_dense);
@@ -76,7 +76,7 @@ TEST_P(OneClassModelTest, DecisionValueOrdersByTypicality) {
 
 TEST_P(OneClassModelTest, FitRejectsEmptyData) {
   auto model = make_model(GetParam(), 0.1);
-  EXPECT_THROW(model->fit(std::span<const util::SparseVector>{}, kDim),
+  EXPECT_THROW(model->fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
 }
 
@@ -107,7 +107,7 @@ TEST(CentroidModelTest, RadiusCoversConfiguredFraction) {
   util::Rng rng{23};
   const auto train = blob(rng, 200, 0.0, 1.0);
   CentroidModel model{0.2};
-  model.fit(train, kDim);
+  model.fit(util::FeatureMatrix::from_rows(train), kDim);
   std::size_t accepted = 0;
   for (const auto& x : train) {
     if (model.accepts(x)) ++accepted;
@@ -137,7 +137,7 @@ TEST(GaussianModelTest, ScalesPerDimensionVariance) {
     train.push_back(util::SparseVector::from_dense(dense));
   }
   GaussianModel model{0.1, 1e-6};
-  model.fit(train, 2);
+  model.fit(util::FeatureMatrix::from_rows(train), 2);
   const auto off_dim0 = util::SparseVector{{0, 2.0}, {1, 1.0}};
   const auto off_dim1 = util::SparseVector{{0, 1.0}, {1, 2.0}};
   EXPECT_LT(model.decision_value(off_dim0), model.decision_value(off_dim1));
@@ -152,7 +152,7 @@ TEST(KdeModelTest, DensityHigherNearTrainingMass) {
   util::Rng rng{31};
   const auto train = blob(rng, 100, 0.0, 0.5);
   KdeModel model{0.1, 0.5};
-  model.fit(train, kDim);
+  model.fit(util::FeatureMatrix::from_rows(train), kDim);
   const util::SparseVector near;
   std::vector<double> far_dense(kDim, 4.0);
   EXPECT_GT(model.density(near),
@@ -163,7 +163,7 @@ TEST(KdeModelTest, AutoBandwidthResolvesFromDimension) {
   util::Rng rng{37};
   const auto train = blob(rng, 30, 0.0, 0.5);
   KdeModel model{0.1, 0.0};
-  model.fit(train, kDim);
+  model.fit(util::FeatureMatrix::from_rows(train), kDim);
   // Density of a training point must be positive and <= 1 (RBF kernel mean).
   const double d = model.density(train[0]);
   EXPECT_GT(d, 0.0);
@@ -174,11 +174,11 @@ TEST(SvmAdapters, ExposeUnderlyingModels) {
   util::Rng rng{41};
   const auto train = blob(rng, 50, 0.0, 0.5);
   OcSvmAdapter oc;
-  oc.fit(train, kDim);
+  oc.fit(util::FeatureMatrix::from_rows(train), kDim);
   EXPECT_FALSE(oc.model().support_vectors().empty());
 
   SvddAdapter svdd = SvddAdapter::with_nu(0.2);
-  svdd.fit(train, kDim);
+  svdd.fit(util::FeatureMatrix::from_rows(train), kDim);
   EXPECT_FALSE(svdd.model().support_vectors().empty());
   // C = 1/(nu*l) = 1/(0.2*50) = 0.1
   EXPECT_NEAR(svdd.model().effective_c(), 0.1, 1e-12);

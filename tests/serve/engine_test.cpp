@@ -34,7 +34,7 @@ const core::ProfileStore& tiny_store() {
       params.kernel = {svm::KernelType::kLinear, 0.0, 0.0, 3};
       params.regularizer = 0.5;
       profiles.push_back(core::UserProfile::train(
-          user, dataset.train_windows(user, window),
+          user, *dataset.train_matrix(user, window),
           dataset.schema().dimension(), params));
     }
     return core::ProfileStore{window, dataset.schema(), std::move(profiles)};
@@ -197,7 +197,7 @@ TEST(ScoringEngine, TwoEnginesKeepTheirOwnTier) {
   params.regularizer = 0.3;
   const std::string user = dataset.user_ids().front();
   const auto trained = core::UserProfile::train(
-      user, dataset.train_windows(user, window), dataset.schema().dimension(),
+      user, *dataset.train_matrix(user, window), dataset.schema().dimension(),
       params);
   const auto& model = std::get<svm::OneClassSvmModel>(trained.model());
   const auto with_rho = [&model](double rho) {

@@ -203,7 +203,7 @@ TEST(Retrain, DriftSoakThroughLiveEngine) {
     params.regularizer = 0.5;
     const auto& donor = users[(i + 1) % users.size()];
     profiles.push_back(core::UserProfile::train(
-        users[i], dataset.train_windows(donor, kWindow),
+        users[i], *dataset.train_matrix(donor, kWindow),
         dataset.schema().dimension(), params));
   }
   const core::ProfileStore store{kWindow, dataset.schema(),

@@ -29,7 +29,7 @@ inline const core::ProfileStore& tiny_store() {
       params.kernel = {svm::KernelType::kLinear, 0.0, 0.0, 3};
       params.regularizer = 0.5;
       profiles.push_back(core::UserProfile::train(
-          user, dataset.train_windows(user, window),
+          user, *dataset.train_matrix(user, window),
           dataset.schema().dimension(), params));
     }
     return core::ProfileStore{window, dataset.schema(), std::move(profiles)};

@@ -160,7 +160,8 @@ TEST(OneClassKkt, TrainedModelsSatisfyKktAcrossNu) {
     config.nu = nu;
     config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
     config.eps = 1e-4;
-    const auto model = OneClassSvmModel::train(data, config, 10);
+    const auto model = OneClassSvmModel::train(
+        util::FeatureMatrix::from_rows(data), config, 10);
     // Every free SV must sit on the decision boundary.
     for (std::size_t i = 0; i < model.support_vectors().rows(); ++i) {
       const double alpha = model.coefficients()[i];
@@ -181,7 +182,8 @@ TEST(SvddKkt, FreeSupportVectorsSitOnTheSphere) {
     config.c = c;
     config.kernel = {KernelType::kRbf, 0.4, 0.0, 3};
     config.eps = 1e-6;
-    const auto model = SvddModel::train(data, config, 8);
+    const auto model = SvddModel::train(
+        util::FeatureMatrix::from_rows(data), config, 8);
     for (std::size_t i = 0; i < model.support_vectors().rows(); ++i) {
       const double alpha = model.coefficients()[i];
       if (alpha > 1e-8 && alpha < model.effective_c() - 1e-8) {

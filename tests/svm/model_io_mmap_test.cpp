@@ -45,14 +45,16 @@ OneClassSvmModel make_one_class(std::uint64_t seed) {
   OneClassSvmConfig config;
   config.nu = 0.25;
   config.kernel = {KernelType::kRbf, 0.6, 0.0, 3};
-  return OneClassSvmModel::train(training_blob(seed), config, 7);
+  return OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
 }
 
 SvddModel make_svdd(std::uint64_t seed) {
   SvddConfig config;
   config.c = 0.2;
   config.kernel = {KernelType::kPolynomial, 0.3, 1.0, 4};
-  return SvddModel::train(training_blob(seed), config, 7);
+  return SvddModel::train(
+      util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
 }
 
 /// Rows over 20 columns of random values: more than BitsetStorage's 16
@@ -68,7 +70,8 @@ OneClassSvmModel make_csr_one_class(std::uint64_t seed) {
   OneClassSvmConfig config;
   config.nu = 0.25;
   config.kernel = {KernelType::kRbf, 0.3, 0.0, 3};
-  return OneClassSvmModel::train(points, config, 20);
+  return OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(points), config, 20);
 }
 
 /// The paper's row shape over 100 columns: numeric values at columns 2, 3
@@ -94,7 +97,8 @@ OneClassSvmModel make_bitset_one_class(std::uint64_t seed) {
   OneClassSvmConfig config;
   config.nu = 0.3;
   config.kernel = {KernelType::kRbf, 0.2, 0.0, 3};
-  return OneClassSvmModel::train(mixed_rows(seed, 40), config, 100);
+  return OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(mixed_rows(seed, 40)), config, 100);
 }
 
 /// Section offsets of a v3 blob, read back from its header.
@@ -408,9 +412,12 @@ TEST(ModelBlob, BitsetBlobTakesHintedLayoutWhenRowsConform) {
   const auto query = util::SparseVector::from_dense(dense);
   const ModelView hinted_view = view_model_blob(hinted);
   const ModelView detected_view = view_model_blob(detected);
+  const auto query_row = util::FeatureMatrix::from_rows(std::span{&query, 1});
   util::BitsetQuery encoded;
-  EXPECT_TRUE(encoded.encode(*hinted_view.support_vectors.bitset, query));
-  EXPECT_FALSE(encoded.encode(*detected_view.support_vectors.bitset, query));
+  EXPECT_TRUE(encoded.encode(*hinted_view.support_vectors.bitset,
+                             query_row.row_indices(0), query_row.row_values(0)));
+  EXPECT_FALSE(encoded.encode(*detected_view.support_vectors.bitset,
+                              query_row.row_indices(0), query_row.row_values(0)));
   auto queries = mixed_rows(39, 20);
   queries.push_back(query);
   for (const auto& x : queries) {

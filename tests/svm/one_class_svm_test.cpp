@@ -30,7 +30,8 @@ TEST(OneClassSvm, AcceptsBlobCenterRejectsFarPoint) {
   OneClassSvmConfig config;
   config.nu = 0.1;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 4);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 4);
 
   const util::SparseVector center{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}};
   const util::SparseVector far{{0, 5.0}, {1, -5.0}, {2, 5.0}, {3, -5.0}};
@@ -48,7 +49,8 @@ TEST(OneClassSvm, NuBoundsOutlierAndSupportVectorFractions) {
     OneClassSvmConfig config;
     config.nu = nu;
     config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-    const auto model = OneClassSvmModel::train(data, config, 3);
+    const auto model = OneClassSvmModel::train(
+        util::FeatureMatrix::from_rows(data), config, 3);
     EXPECT_LE(model.bounded_fraction(), nu + 0.02) << "nu=" << nu;
     const double sv_fraction =
         static_cast<double>(model.support_vectors().rows()) / 200.0;
@@ -62,7 +64,8 @@ TEST(OneClassSvm, TrainingAcceptanceTracksNu) {
   OneClassSvmConfig config;
   config.nu = 0.2;
   config.kernel = {KernelType::kRbf, 0.3, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 3);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   std::size_t accepted = 0;
   for (const auto& x : data) {
     if (model.accepts(x)) ++accepted;
@@ -81,7 +84,8 @@ TEST(OneClassSvm, FreeSupportVectorsLieNearBoundary) {
   config.nu = 0.3;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
   config.eps = 1e-5;
-  const auto model = OneClassSvmModel::train(data, config, 3);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   ASSERT_FALSE(model.support_vectors().empty());
   for (std::size_t i = 0; i < model.support_vectors().rows(); ++i) {
     const double alpha = model.coefficients()[i];
@@ -98,7 +102,8 @@ TEST(OneClassSvm, CoefficientsSumToNuTimesL) {
   OneClassSvmConfig config;
   config.nu = 0.25;
   config.kernel = {KernelType::kRbf, 1.0, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 2);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 2);
   double sum = 0.0;
   for (const double a : model.coefficients()) sum += a;
   EXPECT_NEAR(sum, 0.25 * 60.0, 1e-6);
@@ -110,17 +115,17 @@ TEST(OneClassSvm, AutoGammaUsesDimension) {
   OneClassSvmConfig config;
   config.nu = 0.5;
   config.kernel = {KernelType::kRbf, 0.0, 0.0, 3};  // gamma auto
-  const auto model = OneClassSvmModel::train(data, config, 8);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 8);
   EXPECT_DOUBLE_EQ(model.kernel().gamma, 1.0 / 8.0);
 }
 
 TEST(OneClassSvm, RejectsInvalidInput) {
-  const std::vector<util::SparseVector> empty;
   OneClassSvmConfig config;
-  EXPECT_THROW((void)OneClassSvmModel::train(empty, config, 3),
+  EXPECT_THROW((void)OneClassSvmModel::train(util::FeatureMatrix{}, config, 3),
                std::invalid_argument);
   util::Rng rng{7};
-  const auto data = blob(rng, 10, 2, 0.0, 1.0);
+  const auto data = util::FeatureMatrix::from_rows(blob(rng, 10, 2, 0.0, 1.0));
   config.nu = 0.0;
   EXPECT_THROW((void)OneClassSvmModel::train(data, config, 2),
                std::invalid_argument);
@@ -134,7 +139,8 @@ TEST(OneClassSvm, SinglePointTrainsAndAcceptsItself) {
   OneClassSvmConfig config;
   config.nu = 0.5;
   config.kernel = {KernelType::kRbf, 1.0, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 1);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 1);
   EXPECT_TRUE(model.accepts(data[0]));
 }
 
@@ -150,7 +156,8 @@ TEST(OneClassSvm, LinearKernelSeparatesScaledClusters) {
   OneClassSvmConfig config;
   config.nu = 0.1;
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 2);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 2);
   EXPECT_TRUE(model.accepts(util::SparseVector{{0, 1.0}, {1, 1.0}}));
   EXPECT_FALSE(model.accepts(util::SparseVector{{0, -1.0}, {1, -1.0}}));
 }
@@ -161,7 +168,8 @@ TEST(OneClassSvm, FromPartsReproducesDecisions) {
   OneClassSvmConfig config;
   config.nu = 0.2;
   config.kernel = {KernelType::kRbf, 0.7, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 3);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   const auto rebuilt = OneClassSvmModel::from_parts(
       model.kernel(), model.support_vectors(), model.coefficients(), model.rho());
   for (const auto& x : blob(rng, 20, 3, 0.5, 2.0)) {

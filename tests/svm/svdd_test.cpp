@@ -30,7 +30,8 @@ TEST(Svdd, AcceptsBlobCenterRejectsFarPoint) {
   SvddConfig config;
   config.c = 0.1;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 4);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 4);
   const util::SparseVector center{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}};
   const util::SparseVector far{{0, 6.0}, {1, 6.0}, {2, 6.0}, {3, 6.0}};
   EXPECT_TRUE(model.accepts(center));
@@ -46,7 +47,8 @@ TEST(Svdd, HardSphereContainsAllTrainingPoints) {
   config.c = 1.0;
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
   config.eps = 1e-6;
-  const auto model = SvddModel::train(data, config, 3);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   for (const auto& x : data) {
     ASSERT_GE(model.decision_value(x), -1e-3);
   }
@@ -58,7 +60,8 @@ TEST(Svdd, RadiusIsPositiveForSpreadData) {
   SvddConfig config;
   config.c = 0.5;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 3);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   EXPECT_GT(model.r_squared(), 0.0);
 }
 
@@ -72,7 +75,8 @@ TEST(Svdd, SmallCAllowsOutliers) {
   SvddConfig config;
   config.c = 0.02;  // ~1/(0.5 * 105): allows many bounded alphas
   config.kernel = {KernelType::kRbf, 0.1, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 2);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 2);
   std::size_t rejected_outliers = 0;
   for (std::size_t i = 100; i < 105; ++i) {
     if (!model.accepts(data[i])) ++rejected_outliers;
@@ -86,7 +90,8 @@ TEST(Svdd, CoefficientsSumToOne) {
   SvddConfig config;
   config.c = 0.2;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 3);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   double sum = 0.0;
   for (const double a : model.coefficients()) sum += a;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -98,7 +103,8 @@ TEST(Svdd, InfeasibleCIsClampedUp) {
   SvddConfig config;
   config.c = 0.001;  // C*l = 0.01 < 1: clamp to 1/l = 0.1
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 2);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 2);
   EXPECT_DOUBLE_EQ(model.effective_c(), 0.1);
 }
 
@@ -108,7 +114,8 @@ TEST(Svdd, SquaredDistanceIsConsistentWithDecision) {
   SvddConfig config;
   config.c = 0.3;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 3);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   for (const auto& x : blob(rng, 10, 3, 0.0, 2.0)) {
     ASSERT_NEAR(model.decision_value(x),
                 model.r_squared() - model.squared_distance_to_center(x), 1e-12);
@@ -126,7 +133,8 @@ TEST(Svdd, LinearKernelCenterMatchesMeanForHardSphere) {
   config.c = 1.0;
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
   config.eps = 1e-8;
-  const auto model = SvddModel::train(data, config, 1);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 1);
   const double d_pos = model.squared_distance_to_center(util::SparseVector{{0, 0.8}});
   const double d_neg = model.squared_distance_to_center(util::SparseVector{{0, -0.8}});
   EXPECT_NEAR(d_pos, d_neg, 1e-4);
@@ -145,13 +153,15 @@ TEST(Svdd, EquivalentToOneClassSvmForRbfKernel) {
   oc_config.nu = nu;
   oc_config.kernel = kernel;
   oc_config.eps = 1e-6;
-  const auto oc_model = OneClassSvmModel::train(data, oc_config, 3);
+  const auto oc_model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), oc_config, 3);
 
   SvddConfig svdd_config;
   svdd_config.c = 1.0 / (nu * static_cast<double>(data.size()));
   svdd_config.kernel = kernel;
   svdd_config.eps = 1e-8;
-  const auto svdd_model = SvddModel::train(data, svdd_config, 3);
+  const auto svdd_model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), svdd_config, 3);
 
   std::size_t agreements = 0;
   std::size_t total = 0;
@@ -167,11 +177,11 @@ TEST(Svdd, EquivalentToOneClassSvmForRbfKernel) {
 }
 
 TEST(Svdd, RejectsInvalidInput) {
-  const std::vector<util::SparseVector> empty;
   SvddConfig config;
-  EXPECT_THROW((void)SvddModel::train(empty, config, 2), std::invalid_argument);
+  EXPECT_THROW((void)SvddModel::train(util::FeatureMatrix{}, config, 2),
+               std::invalid_argument);
   util::Rng rng{9};
-  const auto data = blob(rng, 10, 2, 0.0, 1.0);
+  const auto data = util::FeatureMatrix::from_rows(blob(rng, 10, 2, 0.0, 1.0));
   config.c = 0.0;
   EXPECT_THROW((void)SvddModel::train(data, config, 2), std::invalid_argument);
   config.c = 1.2;
@@ -184,7 +194,8 @@ TEST(Svdd, FromPartsReproducesDecisions) {
   SvddConfig config;
   config.c = 0.25;
   config.kernel = {KernelType::kRbf, 0.4, 0.0, 3};
-  const auto model = SvddModel::train(data, config, 3);
+  const auto model = SvddModel::train(
+      util::FeatureMatrix::from_rows(data), config, 3);
   const auto rebuilt =
       SvddModel::from_parts(model.kernel(), model.support_vectors(),
                             model.coefficients(), model.r_squared(),

@@ -436,10 +436,12 @@ TEST(Transform, TrainingPinnedToExactTier) {
   OneClassSvmConfig config;
   config.nu = 0.3;
   config.kernel = {KernelType::kRbf, 0.1, 0.0, 3};
-  const auto exact = OneClassSvmModel::train(data, config, 22);
+  const auto exact = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 22);
   const auto under_env = [&] {
     const RelaxedEnv env;
-    return OneClassSvmModel::train(data, config, 22);
+    return OneClassSvmModel::train(
+        util::FeatureMatrix::from_rows(data), config, 22);
   }();
   ASSERT_EQ(exact.coefficients().size(), under_env.coefficients().size());
   for (std::size_t i = 0; i < exact.coefficients().size(); ++i) {
@@ -467,7 +469,8 @@ TEST(Transform, RelaxedDecisionValuesStayClose) {
   OneClassSvmConfig config;
   config.nu = 0.25;
   config.kernel = {KernelType::kRbf, 0.2, 0.0, 3};
-  const auto model = OneClassSvmModel::train(data, config, 31);
+  const auto model = OneClassSvmModel::train(
+      util::FeatureMatrix::from_rows(data), config, 31);
   auto queries = util::FeatureMatrix::from_rows(
       std::span<const util::SparseVector>{data}, 31);
   std::vector<double> exact_out(data.size());

@@ -99,8 +99,9 @@ TEST(FeatureMatrix, DotAllMatchesSparseDotExactly) {
   const auto rows = sample_rows();
   const auto m = FeatureMatrix::from_rows(rows);
   const SparseVector query{{0, 2.0}, {2, 1.5}, {4, -1.0}, {5, 3.0}};
+  const auto q = FeatureMatrix::from_rows(std::span{&query, 1});
   std::vector<double> dots(m.rows());
-  m.dot_all(query, dots);
+  m.dot_all(q.row_indices(0), q.row_values(0), dots);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(dots[i], rows[i].dot(query));
   }
@@ -123,9 +124,10 @@ TEST(FeatureMatrix, DotAllIgnoresQueryIndicesBeyondCols) {
   // products against every row and must be skipped, not crash.
   const std::vector<SparseVector> rows{SparseVector{{0, 1.0}, {1, 2.0}}};
   const auto m = FeatureMatrix::from_rows(rows);  // cols == 2
-  const SparseVector query{{0, 3.0}, {9, 4.0}};
+  const auto query = FeatureMatrix::from_rows(
+      std::vector<SparseVector>{SparseVector{{0, 3.0}, {9, 4.0}}});
   std::vector<double> dots(1);
-  m.dot_all(query, dots);
+  m.dot_all(query.row_indices(0), query.row_values(0), dots);
   EXPECT_EQ(dots[0], 3.0);
 }
 
@@ -157,9 +159,11 @@ TEST(FeatureMatrix, EqualityComparesFullLayout) {
 /// Every row of `rows` as a query against `m`, one dot_all per row.
 std::vector<double> all_dots(const FeatureMatrix& m,
                              const std::vector<SparseVector>& rows) {
+  const auto queries = FeatureMatrix::from_rows(rows);
   std::vector<double> dots(rows.size() * m.rows());
   for (std::size_t q = 0; q < rows.size(); ++q) {
-    m.dot_all(rows[q], std::span{dots}.subspan(q * m.rows(), m.rows()));
+    m.dot_all(queries.row_indices(q), queries.row_values(q),
+              std::span{dots}.subspan(q * m.rows(), m.rows()));
   }
   return dots;
 }
@@ -343,10 +347,11 @@ void expect_bitset_matches_oracle(const FeatureMatrix& m,
   const BitsetView view = *storage;
   std::vector<double> oracle(m.rows());
   std::vector<double> got(m.rows());
+  const auto queries = FeatureMatrix::from_rows(rows);
   BitsetQuery query;
-  for (const auto& row : rows) {
-    ASSERT_TRUE(query.encode(view, row));
-    m.dot_all(row, oracle);
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    ASSERT_TRUE(query.encode(view, queries.row_indices(q), queries.row_values(q)));
+    m.dot_all(queries.row_indices(q), queries.row_values(q), oracle);
     bitset_dot_rows(view, query, got, scalar_bitset_ops());
     for (std::size_t r = 0; r < m.rows(); ++r) {
       ASSERT_EQ(dot_bits(oracle[r]), dot_bits(got[r])) << "row " << r;
@@ -443,11 +448,15 @@ TEST(FeatureMatrixBitset, QueryEncodeRejectsNonConformingValues) {
   m.ensure_bitset(ncols);
   ASSERT_TRUE(m.bitset());
   const BitsetView view = *m.bitset();
-  BitsetQuery query;
-  EXPECT_FALSE(query.encode(view, SparseVector{{2, 0.5}}));  // binary != 1.0
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(query.encode(view, SparseVector{{6, inf}}));  // numeric !finite
-  EXPECT_TRUE(query.encode(view, SparseVector{{2, 1.0}, {6, -3.5}}));
+  const auto queries = FeatureMatrix::from_rows(std::vector<SparseVector>{
+      SparseVector{{2, 0.5}},               // binary != 1.0
+      SparseVector{{6, inf}},               // numeric !finite
+      SparseVector{{2, 1.0}, {6, -3.5}}});  // conforming
+  BitsetQuery query;
+  EXPECT_FALSE(query.encode(view, queries.row_indices(0), queries.row_values(0)));
+  EXPECT_FALSE(query.encode(view, queries.row_indices(1), queries.row_values(1)));
+  EXPECT_TRUE(query.encode(view, queries.row_indices(2), queries.row_values(2)));
 }
 
 TEST(FeatureMatrixBitset, QueryIndicesBeyondColsAreSkipped) {
@@ -457,12 +466,13 @@ TEST(FeatureMatrixBitset, QueryIndicesBeyondColsAreSkipped) {
   m.ensure_bitset({});
   ASSERT_TRUE(m.bitset());
   const BitsetView view = *m.bitset();
-  const SparseVector query{{0, 1.0}, {63, 1.0}, {64, 123.0}, {200, 5.0}};
+  const auto query = FeatureMatrix::from_rows(std::vector<SparseVector>{
+      SparseVector{{0, 1.0}, {63, 1.0}, {64, 123.0}, {200, 5.0}}});
   BitsetQuery encoded;
-  ASSERT_TRUE(encoded.encode(view, query));
+  ASSERT_TRUE(encoded.encode(view, query.row_indices(0), query.row_values(0)));
   std::vector<double> oracle(1);
   std::vector<double> got(1);
-  m.dot_all(query, oracle);
+  m.dot_all(query.row_indices(0), query.row_values(0), oracle);
   bitset_dot_rows(view, encoded, got, scalar_bitset_ops());
   EXPECT_EQ(dot_bits(oracle[0]), dot_bits(got[0]));
 }

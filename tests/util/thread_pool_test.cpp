@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -92,6 +93,33 @@ TEST(ParallelFor, ResultsMatchSequentialComputation) {
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], static_cast<double>(i) * static_cast<double>(i));
   }
+}
+
+TEST(ParallelFor, WaitsOnlyForItsOwnTasks) {
+  ThreadPool pool{2};
+  std::promise<void> blocker_started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.submit([&blocker_started, released] {
+    blocker_started.set_value();
+    released.wait();
+  });
+  blocker_started.get_future().wait();
+
+  std::atomic<std::size_t> visited{0};
+  auto call = std::async(std::launch::async, [&pool, &visited] {
+    parallel_for(pool, 64, [&visited](std::size_t) {
+      visited.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  // The other caller's task is still blocked, so a parallel_for that waited
+  // on the whole pool would not return within the bound.
+  const auto status = call.wait_for(std::chrono::seconds{10});
+  release.set_value();
+  call.get();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_EQ(visited.load(), 64u);
+  pool.wait_idle();
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(CivilTimeConversion, PaperExampleTimestamp) {
   EXPECT_EQ(ts, 1432875904);
   EXPECT_EQ(format_timestamp(ts), "2015-05-29 05:05:04");
   EXPECT_EQ(day_of_week(ts), 4);  // Friday (Monday = 0)
-  EXPECT_EQ(hour_of_day(ts), 5);
+  EXPECT_EQ(to_civil(ts).hour, 5);
 }
 
 TEST(CivilTimeConversion, LeapDayRoundTrip) {
