@@ -364,5 +364,55 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   EXPECT_EQ(digest.value(), 11490220996100638224ULL);
 }
 
+// The training plane, pinned by the model blobs it produces: every cell of a
+// warm-started fit_path sweep (cells 2..n start from the previous solution)
+// and a single-cell train(), for both model kinds and every paper-shaped
+// kernel, on DecisionDigest's training matrices.  A refactor of the solver
+// set-up or of the model classes must reproduce these bytes exactly.
+TEST(TrainingDigest, FitPathBlobsArePinned) {
+  synthetic::ScaleConfig scale;
+  scale.seed = 5;
+  scale.users = 24;
+  const synthetic::ScalePopulation population{scale};
+  const std::size_t dim = population.schema().dimension();
+  // Descending, as in the paper's Tab. III column; 0.01 < 1/l clamps SVDD's C.
+  const std::vector<double> regularizers{0.9, 0.5, 0.1, 0.05, 0.01};
+
+  DecisionDigest digest;
+  std::vector<std::byte> blob;
+  const auto add_blob = [&](const auto& model) {
+    blob.clear();
+    (void)svm::append_model_blob(blob, model);
+    for (const std::byte b : blob) digest.add(std::to_integer<std::uint64_t>(b));
+  };
+  for (std::size_t u = 0; u < 4; ++u) {
+    std::vector<util::SparseVector> rows;
+    for (std::uint64_t salt = 0; salt < 40; ++salt) {
+      rows.push_back(population.sample_window(u, salt));
+    }
+    const auto train = util::FeatureMatrix::from_rows(rows, dim);
+    for (const auto& kernel : paper_shaped_kernels()) {
+      svm::OneClassSvmConfig oc;
+      oc.kernel = kernel;
+      oc.nu = 0.3;
+      for (const auto& model :
+           svm::OneClassSvmModel::fit_path(train, oc, regularizers, dim)) {
+        add_blob(model);
+      }
+      add_blob(svm::OneClassSvmModel::train(train, oc, dim));
+      svm::SvddConfig sv;
+      sv.kernel = kernel;
+      sv.c = 0.1;
+      for (const auto& model :
+           svm::SvddModel::fit_path(train, sv, regularizers, dim)) {
+        add_blob(model);
+      }
+      add_blob(svm::SvddModel::train(train, sv, dim));
+    }
+  }
+
+  EXPECT_EQ(digest.value(), 6718890952948798573ULL);
+}
+
 }  // namespace
 }  // namespace wtp
