@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     }
     const double n = static_cast<double>(users);
     mean_aucs[row++] = auc_sum / n;
-    table.add_row({std::string{core::to_string(type)},
+    table.add_row({std::string{svm::to_string(type)},
                    util::format_double(auc_sum / n, 3),
                    util::format_double(100.0 * tpr0_sum / n, 1),
                    util::format_double(100.0 * fpr0_sum / n, 1),

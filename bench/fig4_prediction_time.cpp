@@ -29,12 +29,13 @@ struct Fixture {
   std::vector<util::SparseVector> probes;
   std::size_t dimension = 0;
 
+  /// The trace flags (--weeks/--scale/--seed/--full), parsed in main once
+  /// google-benchmark has taken its own flags out of argv.
+  inline static bench::BenchOptions options;
+
   static const Fixture& get() {
     static const Fixture fixture = [] {
       Fixture f;
-      bench::BenchOptions options;
-      options.weeks = 4;
-      options.scale = 0.3;
       const auto trace = bench::make_trace(options);
       const auto dataset = bench::make_dataset(options, trace);
       const std::string user = dataset.user_ids().front();
@@ -89,7 +90,7 @@ BENCHMARK(BM_SvddPrediction);
 bool report_box_plot(core::ClassifierType type) {
   const auto& fixture = Fixture::get();
   const auto profile = train_profile(type);
-  const obs::Label label{"model", std::string{core::to_string(type)}};
+  const obs::Label label{"model", std::string{svm::to_string(type)}};
   obs::Timer& timer =
       obs::Registry::global().timer("fig4.prediction", {&label, 1});
   std::vector<double> micros;
@@ -103,7 +104,7 @@ bool report_box_plot(core::ClassifierType type) {
   const util::BoxPlot box = util::box_plot(micros);
   std::printf("%s prediction time (us): median=%.2f q1=%.2f q3=%.2f "
               "whiskers=[%.2f, %.2f] outliers=%zu SVs=%zu\n",
-              std::string{core::to_string(type)}.c_str(), box.median, box.q1,
+              std::string{svm::to_string(type)}.c_str(), box.median, box.q1,
               box.q3, box.whisker_low, box.whisker_high, box.outliers,
               profile.support_vector_count());
   // One measurement path: the registry histogram must agree bit-for-bit
@@ -123,6 +124,7 @@ bool report_box_plot(core::ClassifierType type) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
+  Fixture::options = bench::BenchOptions::parse(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -158,8 +158,7 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
     const core::ProfileParams params{core::ClassifierType::kOcSvm,
                                      config.kernel, 0.5};
     for (std::size_t u = 0; u < users; ++u) {
-      writer.add(population.user_id(u), params,
-                 svm::AnySvmModel{population.make_model(u)});
+      writer.add(population.user_id(u), params, population.make_model(u));
     }
     writer.finish();
   }
@@ -241,14 +240,15 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
   std::size_t identity_checks = 0, identity_failures = 0;
   for (const std::size_t u :
        {std::size_t{0}, users / 2, users - 1}) {
-    const svm::OneClassSvmModel heap_model = population.make_model(u);
+    const svm::SvmModel heap_model = population.make_model(u);
     const core::UserProfile round_trip = store.materialize_profile(u);
     for (std::size_t probe = 0; probe < 4; ++probe) {
       const util::SparseVector x =
           population.sample_window(u, 0xfeed00 + probe);
-      const double from_heap = heap_model.decision_value(x);
-      const double from_view = store.model(u).decision_value(
-          svm::KernelQueries::row(x, x.squared_norm()));
+      const double sqnorm = x.squared_norm();
+      const double from_heap = heap_model.decision_value(x, sqnorm);
+      const double from_view =
+          store.model(u).decision_value(svm::KernelQueries::row(x, sqnorm));
       const double from_round_trip = round_trip.decision_value(x);
       ++identity_checks;
       if (from_heap != from_view || from_heap != from_round_trip) {

@@ -23,7 +23,7 @@
 
 #include "bench_json.h"
 #include "svm/kernel.h"
-#include "svm/one_class_svm.h"
+#include "svm/svm_model.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
@@ -455,7 +455,7 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
   constexpr std::size_t kModels = 25;
   constexpr std::size_t kSvPerModel = 16;
   util::Rng rng{4242};
-  std::vector<svm::OneClassSvmModel> models;
+  std::vector<svm::SvmModel> models;
   const auto& all_rows = f.matrix;
   for (std::size_t m = 0; m < kModels; ++m) {
     util::FeatureMatrixBuilder svs;
@@ -464,8 +464,9 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
       svs.add_row(all_rows, (m * kSvPerModel + k) % all_rows.rows());
       coeffs.push_back(rng.uniform(0.05, 1.0));
     }
-    models.push_back(svm::OneClassSvmModel::from_parts(
-        params, svs.build(), std::move(coeffs), rng.uniform(0.1, 0.9)));
+    models.push_back(svm::SvmModel::from_parts(svm::SvmKind::kOcSvm, params,
+                                               svs.build(), std::move(coeffs),
+                                               rng.uniform(0.1, 0.9)));
   }
   std::size_t argmax_flips = 0;
   for (std::size_t q = 0; q < kQueries; ++q) {

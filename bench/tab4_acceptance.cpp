@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
         headline_other[index] = evaluation.mean_ratios.acc_other;
       }
     }
-    table.add_row({std::string{core::to_string(type)}});
+    table.add_row({std::string{svm::to_string(type)}});
     table.add_row(rows.self);
     table.add_row(rows.other);
     table.add_row(rows.acc);
     std::printf("# %s sweep time: %.1fs\n",
-                std::string{core::to_string(type)}.c_str(),
+                std::string{svm::to_string(type)}.c_str(),
                 stopwatch.elapsed_seconds());
   }
 

@@ -53,8 +53,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "svm/kernel_cache.h"
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 #include "synthetic/generator.h"
 #include "synthetic/pools.h"
 #include "synthetic/trace_reference.h"
@@ -110,14 +109,13 @@ std::vector<svm::KernelParams> kernel_grid() {
 /// nu column for OC-SVM (Tab. III values); the SVDD column follows the
 /// paper's C = 1/(nu*l) mapping, which at l = 400 lands near 1/l — the
 /// regime real stage-2 sweeps operate in.
-std::vector<double> regularizer_grid(bool svdd) {
-  if (svdd) return {0.1, 0.05, 0.02, 0.01, 0.005, 0.0025};
+std::vector<double> regularizer_grid(svm::SvmKind kind) {
+  if (kind == svm::SvmKind::kSvdd) return {0.1, 0.05, 0.02, 0.01, 0.005, 0.0025};
   return {0.999, 0.9, 0.5, 0.1, 0.05, 0.01};
 }
 
 /// ACC = ACC_self - ACC_other, percent, with the grid's acceptance slack.
-template <typename Model>
-double acc_score(const Model& model, const util::FeatureMatrix& self,
+double acc_score(const svm::SvmModel& model, const util::FeatureMatrix& self,
                  const util::FeatureMatrix& other) {
   std::vector<double> values(self.rows());
   const auto count = [&](const util::FeatureMatrix& windows) {
@@ -145,21 +143,19 @@ struct SweepResult {
 
 // Only training is timed; scoring (identical work in both paths) happens
 // outside the stopwatch so the comparison isolates the training plane.
-template <typename Config, typename Model>
-SweepResult cold_sweep(const util::FeatureMatrix& train,
-                       const util::FeatureMatrix& other,
-                       double Config::* regularizer, bool svdd) {
+SweepResult cold_sweep(svm::SvmKind kind, const util::FeatureMatrix& train,
+                       const util::FeatureMatrix& other) {
   SweepResult result;
-  std::vector<Model> models;
+  std::vector<svm::SvmModel> models;
   const util::Stopwatch watch;
   for (const auto& kernel : kernel_grid()) {
-    for (const double reg : regularizer_grid(svdd)) {
-      Config config;
+    for (const double reg : regularizer_grid(kind)) {
+      svm::SvmConfig config;
+      config.regularizer = reg;
       config.kernel = kernel;
       config.eps = kEps;
       config.shrinking = false;
-      config.*regularizer = reg;
-      models.push_back(Model::train(train, config, kDim));
+      models.push_back(svm::SvmModel::train(kind, train, config, kDim));
       result.iterations += models.back().solver_stats().iterations;
       result.cache_hits += models.back().solver_stats().cache_hits;
       result.cache_misses += models.back().solver_stats().cache_misses;
@@ -172,17 +168,16 @@ SweepResult cold_sweep(const util::FeatureMatrix& train,
   return result;
 }
 
-template <typename Config, typename Model>
-SweepResult fast_sweep(const util::FeatureMatrix& train,
-                       const util::FeatureMatrix& other, bool svdd) {
+SweepResult fast_sweep(svm::SvmKind kind, const util::FeatureMatrix& train,
+                       const util::FeatureMatrix& other) {
   SweepResult result;
-  const auto regs = regularizer_grid(svdd);
-  std::vector<Model> models;
+  const auto regs = regularizer_grid(kind);
+  std::vector<svm::SvmModel> models;
   const util::Stopwatch watch;
   // All four kernels transform the same Gram rows: share the dot products.
   const auto gram = std::make_shared<svm::GramCache>(train);
   for (const auto& kernel : kernel_grid()) {
-    Config config;
+    svm::SvmConfig config;
     config.kernel = kernel;
     config.eps = kEps;
     config.shrinking = true;
@@ -191,7 +186,7 @@ SweepResult fast_sweep(const util::FeatureMatrix& train,
     config.shrink_interval = 8;
     config.gram_cache = gram;
     svm::PathStats stats;
-    auto column = Model::fit_path(train, config, regs, kDim, &stats);
+    auto column = svm::SvmModel::fit_path(kind, train, config, regs, kDim, &stats);
     std::move(column.begin(), column.end(), std::back_inserter(models));
     for (const auto& cell : stats.cells) result.iterations += cell.iterations;
     result.cache_hits += stats.cache_hits;
@@ -237,7 +232,7 @@ void report(const char* name, const SweepResult& cold, const SweepResult& fast) 
                  name);
     std::exit(1);
   }
-  const std::size_t regs = regularizer_grid(false).size();
+  const std::size_t regs = regularizer_grid(svm::SvmKind::kOcSvm).size();
   const double hit_rate =
       static_cast<double>(fast.cache_hits) /
       static_cast<double>(fast.cache_hits + fast.cache_misses);
@@ -279,9 +274,7 @@ int run_overhead_mode(const util::FeatureMatrix& self,
                       const util::FeatureMatrix& other) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   const auto sweep_seconds = [&] {
-    return fast_sweep<svm::OneClassSvmConfig, svm::OneClassSvmModel>(
-               self, other, false)
-        .seconds;
+    return fast_sweep(svm::SvmKind::kOcSvm, self, other).seconds;
   };
   sweep_seconds();  // warmup, untimed
   double off = std::numeric_limits<double>::infinity();
@@ -369,11 +362,12 @@ Grids oracle_grids(const core::MatrixByUser& windows,
   util::parallel_for(pool, users.size() * kernels.size(), [&](std::size_t index) {
     const std::size_t u = index / kernels.size();
     const std::size_t k = index % kernels.size();
-    svm::OneClassSvmConfig config;
+    svm::SvmConfig config;
     config.kernel = kernels[k];
     config.eps = core::kGridCellEps;
-    auto models = svm::OneClassSvmModel::fit_path(*windows.at(users[u]), config,
-                                                  regs, kGridDim);
+    auto models = svm::SvmModel::fit_path(svm::SvmKind::kOcSvm,
+                                          *windows.at(users[u]), config, regs,
+                                          kGridDim);
     for (std::size_t r = 0; r < regs.size(); ++r) {
       core::ParamGridEntry& entry = grids[u][k * regs.size() + r];
       entry.params = {core::ClassifierType::kOcSvm, kernels[k], regs[r]};
@@ -701,25 +695,18 @@ int main(int argc, char** argv) {
               "%zu kernels x %zu regularizers, %zu timed passes (identical "
               "winners + ACC enforced)\n",
               kWindows, kDim, kMeanNnz, kernel_grid().size(),
-              regularizer_grid(false).size(), kPasses);
+              regularizer_grid(svm::SvmKind::kOcSvm).size(), kPasses);
 
-  const auto oc_cold = repeat([&] {
-    return cold_sweep<svm::OneClassSvmConfig, svm::OneClassSvmModel>(
-        self, other, &svm::OneClassSvmConfig::nu, false);
-  });
-  const auto oc_fast = repeat([&] {
-    return fast_sweep<svm::OneClassSvmConfig, svm::OneClassSvmModel>(
-        self, other, false);
-  });
+  const auto oc_cold =
+      repeat([&] { return cold_sweep(svm::SvmKind::kOcSvm, self, other); });
+  const auto oc_fast =
+      repeat([&] { return fast_sweep(svm::SvmKind::kOcSvm, self, other); });
   report("oc-svm", oc_cold, oc_fast);
 
-  const auto svdd_cold = repeat([&] {
-    return cold_sweep<svm::SvddConfig, svm::SvddModel>(
-        self, other, &svm::SvddConfig::c, true);
-  });
-  const auto svdd_fast = repeat([&] {
-    return fast_sweep<svm::SvddConfig, svm::SvddModel>(self, other, true);
-  });
+  const auto svdd_cold =
+      repeat([&] { return cold_sweep(svm::SvmKind::kSvdd, self, other); });
+  const auto svdd_fast =
+      repeat([&] { return fast_sweep(svm::SvmKind::kSvdd, self, other); });
   report("svdd", svdd_cold, svdd_fast);
 
   const double cold_total = oc_cold.seconds + svdd_cold.seconds;
@@ -740,7 +727,7 @@ int main(int argc, char** argv) {
     json.key("mean_nnz").value(kMeanNnz);
     json.key("passes").value(kPasses);
     json.key("grid_kernels").value(kernel_grid().size());
-    json.key("grid_regularizers").value(regularizer_grid(false).size());
+    json.key("grid_regularizers").value(regularizer_grid(svm::SvmKind::kOcSvm).size());
     const auto emit = [&json](const char* name, const SweepResult& cold,
                               const SweepResult& fast) {
       const std::size_t winner = argmax(cold.scores);

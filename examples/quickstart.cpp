@@ -51,7 +51,7 @@ int main() {
   const core::UserProfile profile = core::UserProfile::train(
       user, *train_windows, dataset.schema().dimension(), params);
   std::printf("trained %s profile for %s on %zu windows (%zu support vectors)\n",
-              std::string{core::to_string(params.type)}.c_str(), user.c_str(),
+              std::string{svm::to_string(params.type)}.c_str(), user.c_str(),
               train_windows->rows(), profile.support_vector_count());
 
   // 4. Classify held-out windows.

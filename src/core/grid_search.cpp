@@ -108,21 +108,13 @@ AcceptanceRatios grid_cell_ratios(const std::string& user,
     return untrainable_ratios();
   }
   try {
-    const auto train = [&]() -> svm::AnySvmModel {
-      if (params.type == ClassifierType::kOcSvm) {
-        svm::OneClassSvmConfig config;
-        config.nu = params.regularizer;
-        config.kernel = params.kernel;
-        config.eps = kGridCellEps;
-        return svm::OneClassSvmModel::train(own_windows, config, dimension);
-      }
-      svm::SvddConfig config;
-      config.c = params.regularizer;
-      config.kernel = params.kernel;
-      config.eps = kGridCellEps;
-      return svm::SvddModel::train(own_windows, config, dimension);
-    };
-    const UserProfile profile = UserProfile::from_model(user, params, train());
+    svm::SvmConfig config;
+    config.regularizer = params.regularizer;
+    config.kernel = params.kernel;
+    config.eps = kGridCellEps;
+    const UserProfile profile = UserProfile::from_model(
+        user, params,
+        svm::SvmModel::train(params.type, own_windows, config, dimension));
     return profile_acceptance(profile, train_windows, kGridAcceptSlack);
   } catch (const std::invalid_argument&) {
     metrics.untrainable_cells.add(1);
@@ -150,8 +142,8 @@ struct GridCell {
 /// column is untrainable (no own windows, or a failed fit).
 using GridColumn = std::vector<GridCell>;
 
-template <class Model>
-GridColumn take_cells(const std::vector<Model>& models, svm::PathStats& path) {
+GridColumn take_cells(const std::vector<svm::SvmModel>& models,
+                      svm::PathStats& path) {
   GridColumn cells(models.size());
   for (std::size_t r = 0; r < models.size(); ++r) {
     cells[r].rows = std::move(path.support_rows[r]);
@@ -174,22 +166,13 @@ GridColumn fit_column(const util::FeatureMatrix& own, ClassifierType type,
                             static_cast<std::uint64_t>(regularizers.size())};
   if (own.empty()) return {};
   try {
-    svm::PathStats path;
-    if (type == ClassifierType::kOcSvm) {
-      svm::OneClassSvmConfig config;
-      config.kernel = kernel;
-      config.eps = kGridCellEps;
-      config.gram_cache = gram;
-      return take_cells(svm::OneClassSvmModel::fit_path(own, config, regularizers,
-                                                        dimension, &path),
-                        path);
-    }
-    svm::SvddConfig config;
+    svm::SvmConfig config;
     config.kernel = kernel;
     config.eps = kGridCellEps;
     config.gram_cache = gram;
+    svm::PathStats path;
     return take_cells(
-        svm::SvddModel::fit_path(own, config, regularizers, dimension, &path),
+        svm::SvmModel::fit_path(type, own, config, regularizers, dimension, &path),
         path);
   } catch (const std::invalid_argument&) {
     return {};

@@ -8,29 +8,14 @@
 
 namespace wtp::core {
 
-std::string_view to_string(ClassifierType type) noexcept {
-  switch (type) {
-    case ClassifierType::kOcSvm: return "oc-svm";
-    case ClassifierType::kSvdd: return "svdd";
-  }
-  return "?";
-}
-
 UserProfile UserProfile::train(std::string user_id,
                                const util::FeatureMatrix& windows,
                                std::size_t dimension, const ProfileParams& params) {
-  if (params.type == ClassifierType::kOcSvm) {
-    svm::OneClassSvmConfig config;
-    config.nu = params.regularizer;
-    config.kernel = params.kernel;
-    return UserProfile{std::move(user_id), params,
-                       svm::OneClassSvmModel::train(windows, config, dimension)};
-  }
-  svm::SvddConfig config;
-  config.c = params.regularizer;
+  svm::SvmConfig config;
+  config.regularizer = params.regularizer;
   config.kernel = params.kernel;
   return UserProfile{std::move(user_id), params,
-                     svm::SvddModel::train(windows, config, dimension)};
+                     svm::SvmModel::train(params.type, windows, config, dimension)};
 }
 
 double UserProfile::decision_value(const util::SparseVector& window) const {
@@ -40,19 +25,13 @@ double UserProfile::decision_value(const util::SparseVector& window) const {
 double UserProfile::decision_value(const util::SparseVector& window,
                                    double window_sqnorm,
                                    svm::TransformMode tier) const {
-  return std::visit(
-      [&](const auto& model) {
-        return model.decision_value(window, window_sqnorm, tier);
-      },
-      model_);
+  return model_.decision_value(window, window_sqnorm, tier);
 }
 
 void UserProfile::decision_values(const util::FeatureMatrix& windows,
                                   std::span<double> out,
                                   svm::TransformMode tier) const {
-  std::visit(
-      [&](const auto& model) { model.decision_values(windows, out, tier); },
-      model_);
+  model_.decision_values(windows, out, tier);
 }
 
 double UserProfile::acceptance_ratio(const util::FeatureMatrix& windows,
@@ -108,8 +87,7 @@ void score_windows(std::span<const UserProfile> profiles,
 }
 
 std::size_t UserProfile::support_vector_count() const {
-  return std::visit(
-      [](const auto& model) { return model.support_vectors().rows(); }, model_);
+  return model_.support_vectors().rows();
 }
 
 }  // namespace wtp::core

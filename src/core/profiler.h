@@ -7,17 +7,16 @@
 #include <vector>
 
 #include "svm/model_io.h"
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 #include "util/feature_matrix.h"
 #include "util/sparse_vector.h"
 #include "util/thread_pool.h"
 
 namespace wtp::core {
 
-enum class ClassifierType : std::uint8_t { kOcSvm, kSvdd };
-
-[[nodiscard]] std::string_view to_string(ClassifierType type) noexcept;
+/// The profile's model kind: OC-SVM or SVDD (svm::to_string and
+/// svm::parse_svm_kind name them).
+using ClassifierType = svm::SvmKind;
 
 /// The learning parameters of one user profile (the per-user output of the
 /// paper's grid search): classifier family, kernel, and nu (OC-SVM) or C
@@ -47,7 +46,7 @@ class UserProfile {
   /// was trained; no validation against the model is possible here.
   [[nodiscard]] static UserProfile from_model(std::string user_id,
                                               const ProfileParams& params,
-                                              svm::AnySvmModel model) {
+                                              svm::SvmModel model) {
     return UserProfile{std::move(user_id), params, std::move(model)};
   }
 
@@ -84,15 +83,15 @@ class UserProfile {
   [[nodiscard]] std::size_t support_vector_count() const;
 
   /// Access the underlying model (for timing benchmarks).
-  [[nodiscard]] const svm::AnySvmModel& model() const noexcept { return model_; }
+  [[nodiscard]] const svm::SvmModel& model() const noexcept { return model_; }
 
  private:
-  UserProfile(std::string user_id, ProfileParams params, svm::AnySvmModel model)
+  UserProfile(std::string user_id, ProfileParams params, svm::SvmModel model)
       : user_id_{std::move(user_id)}, params_{params}, model_{std::move(model)} {}
 
   std::string user_id_;
   ProfileParams params_;
-  svm::AnySvmModel model_;
+  svm::SvmModel model_;
 };
 
 /// The exhaustive window scorer (paper §V-B: every user model applied to

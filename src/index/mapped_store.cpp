@@ -29,8 +29,7 @@ constexpr std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; 
 core::ProfileParams record_params(const UserRecord& r,
                                   const svm::KernelParams& kernel) {
   core::ProfileParams params;
-  params.type = r.classifier == kClassifierSvdd ? core::ClassifierType::kSvdd
-                                                : core::ClassifierType::kOcSvm;
+  params.type = static_cast<svm::SvmKind>(r.classifier);
   params.kernel = kernel;
   params.regularizer = r.regularizer;
   return params;
@@ -104,7 +103,7 @@ MappedStoreWriter::~MappedStoreWriter() {
 
 void MappedStoreWriter::add(std::string_view user_id,
                             const core::ProfileParams& params,
-                            const svm::AnySvmModel& model) {
+                            const svm::SvmModel& model) {
   if (impl_->finished) {
     throw std::logic_error{"MappedStoreWriter: add() after finish()"};
   }
@@ -112,9 +111,7 @@ void MappedStoreWriter::add(std::string_view user_id,
   UserRecord record{};
   record.name_off = impl_->pool.size();
   record.name_len = static_cast<std::uint32_t>(user_id.size());
-  record.classifier = params.type == core::ClassifierType::kSvdd
-                          ? kClassifierSvdd
-                          : kClassifierOcSvm;
+  record.classifier = static_cast<std::uint32_t>(params.type);
   record.regularizer = params.regularizer;
   record.blob_off = impl_->offset;
   impl_->pool.append(user_id);
@@ -296,7 +293,7 @@ MappedProfileStore MappedProfileStore::open(const std::string& path) {
       store_error(path, "user " + std::to_string(i) + " blob out of bounds",
                   record_off + offsetof(UserRecord, blob_off));
     }
-    if (r.classifier != kClassifierOcSvm && r.classifier != kClassifierSvdd) {
+    if (r.classifier > static_cast<std::uint32_t>(svm::SvmKind::kSvdd)) {
       store_error(path,
                   "user " + std::to_string(i) + " has unknown classifier " +
                       std::to_string(r.classifier),

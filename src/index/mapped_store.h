@@ -87,7 +87,7 @@ class MappedStoreWriter {
 
   /// Appends one user's model blob and table entry.
   void add(std::string_view user_id, const core::ProfileParams& params,
-           const svm::AnySvmModel& model);
+           const svm::SvmModel& model);
   void add(const core::UserProfile& profile) {
     add(profile.user_id(), profile.params(), profile.model());
   }

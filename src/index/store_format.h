@@ -44,13 +44,10 @@ struct StoreHeader {
 };
 static_assert(sizeof(StoreHeader) == 128, "store header layout drifted");
 
-inline constexpr std::uint32_t kClassifierOcSvm = 0;
-inline constexpr std::uint32_t kClassifierSvdd = 1;
-
 struct UserRecord {
   std::uint64_t name_off;  ///< into the string pool (relative to pool_off)
   std::uint32_t name_len;
-  std::uint32_t classifier;  ///< kClassifierOcSvm | kClassifierSvdd
+  std::uint32_t classifier;  ///< svm::SvmKind: 0 = OC-SVM, 1 = SVDD
   double regularizer;        ///< nu (OC-SVM) or C (SVDD)
   std::uint64_t blob_off;    ///< absolute file offset, 8-aligned
   std::uint64_t blob_size;

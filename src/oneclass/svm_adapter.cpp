@@ -11,51 +11,41 @@
 
 namespace wtp::oneclass {
 
-void OcSvmAdapter::fit(const util::FeatureMatrix& data, std::size_t dimension) {
-  model_ = svm::OneClassSvmModel::train(data, config_, dimension);
-}
-
-double OcSvmAdapter::decision_value(const util::SparseVector& x) const {
-  return model().decision_value(x);
-}
-
-const svm::OneClassSvmModel& OcSvmAdapter::model() const {
-  if (!model_) throw std::logic_error{"OcSvmAdapter: decision before fit"};
-  return *model_;
-}
-
-SvddAdapter SvddAdapter::with_nu(double nu, svm::KernelParams kernel) {
+SvmAdapter SvmAdapter::with_nu(svm::SvmKind kind, double nu,
+                               svm::KernelParams kernel) {
   if (nu <= 0.0 || nu > 1.0) {
-    throw std::invalid_argument{"SvddAdapter::with_nu: nu must be in (0, 1]"};
+    throw std::invalid_argument{"SvmAdapter::with_nu: nu must be in (0, 1]"};
   }
-  svm::SvddConfig config;
+  svm::SvmConfig config;
+  config.regularizer = nu;
   config.kernel = kernel;
-  SvddAdapter adapter{config};
-  adapter.nu_coupling_ = nu;
+  SvmAdapter adapter{kind, std::move(config)};
+  if (kind == svm::SvmKind::kSvdd) adapter.nu_coupling_ = nu;
   return adapter;
 }
 
-void SvddAdapter::fit(const util::FeatureMatrix& data, std::size_t dimension) {
+void SvmAdapter::fit(const util::FeatureMatrix& data, std::size_t dimension) {
   if (nu_coupling_) {
     const double l = static_cast<double>(std::max<std::size_t>(1, data.rows()));
-    config_.c = std::clamp(1.0 / (*nu_coupling_ * l), 1.0 / l, 1.0);
+    config_.regularizer = std::clamp(1.0 / (*nu_coupling_ * l), 1.0 / l, 1.0);
   }
-  model_ = svm::SvddModel::train(data, config_, dimension);
+  model_ = svm::SvmModel::train(kind_, data, config_, dimension);
 }
 
-double SvddAdapter::decision_value(const util::SparseVector& x) const {
-  return model().decision_value(x);
+double SvmAdapter::decision_value(const util::SparseVector& x) const {
+  return model().decision_value(x, x.squared_norm());
 }
 
-const svm::SvddModel& SvddAdapter::model() const {
-  if (!model_) throw std::logic_error{"SvddAdapter: decision before fit"};
+const svm::SvmModel& SvmAdapter::model() const {
+  if (!model_) throw std::logic_error{"SvmAdapter: decision before fit"};
   return *model_;
 }
 
 std::string_view to_string(ModelKind kind) noexcept {
   switch (kind) {
-    case ModelKind::kOcSvm: return "oc-svm";
-    case ModelKind::kSvdd: return "svdd";
+    case ModelKind::kOcSvm:
+    case ModelKind::kSvdd:
+      return svm::to_string(static_cast<svm::SvmKind>(kind));
     case ModelKind::kCentroid: return "centroid";
     case ModelKind::kGaussian: return "gaussian";
     case ModelKind::kKde: return "kde";
@@ -68,13 +58,10 @@ std::string_view to_string(ModelKind kind) noexcept {
 
 OneClassModelPtr make_model(ModelKind kind, double nu) {
   switch (kind) {
-    case ModelKind::kOcSvm: {
-      svm::OneClassSvmConfig config;
-      config.nu = nu;
-      return std::make_unique<OcSvmAdapter>(config);
-    }
+    case ModelKind::kOcSvm:
     case ModelKind::kSvdd:
-      return std::make_unique<SvddAdapter>(SvddAdapter::with_nu(nu));
+      return std::make_unique<SvmAdapter>(
+          SvmAdapter::with_nu(static_cast<svm::SvmKind>(kind), nu));
     case ModelKind::kCentroid:
       return std::make_unique<CentroidModel>(nu);
     case ModelKind::kGaussian:

@@ -1,26 +1,34 @@
-// Adapters exposing the SVM substrate's OC-SVM and SVDD through the common
-// OneClassModel interface, plus a factory used by the alternative-models
-// ablation benchmark.
+// The adapter exposing the SVM substrate's OC-SVM and SVDD (one
+// svm::SvmModel) through the common OneClassModel interface, plus a factory
+// used by the alternative-models ablation benchmark.
 #pragma once
 
 #include <optional>
 
 #include "oneclass/autoencoder.h"
 #include "oneclass/model.h"
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 
 namespace wtp::oneclass {
 
-class OcSvmAdapter final : public OneClassModel {
+class SvmAdapter final : public OneClassModel {
  public:
-  explicit OcSvmAdapter(svm::OneClassSvmConfig config = {}) : config_{config} {}
+  explicit SvmAdapter(svm::SvmKind kind, svm::SvmConfig config = {})
+      : kind_{kind}, config_{std::move(config)} {}
+
+  /// Targets a training outlier fraction nu: OC-SVM's nu itself; for SVDD
+  /// the paper's relation C = 1/(nu*l), resolved at fit time when l is
+  /// known.  Throws std::invalid_argument for nu outside (0, 1].
+  [[nodiscard]] static SvmAdapter with_nu(svm::SvmKind kind, double nu,
+                                          svm::KernelParams kernel = {});
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
   [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
-  [[nodiscard]] std::string name() const override { return "oc-svm"; }
+  [[nodiscard]] std::string name() const override {
+    return std::string{svm::to_string(kind_)};
+  }
 
-  [[nodiscard]] const svm::OneClassSvmModel& model() const;
+  [[nodiscard]] const svm::SvmModel& model() const;
   /// SMO instrumentation of the last fit (iterations, shrink events, cache
   /// traffic); throws std::logic_error before fit.
   [[nodiscard]] const svm::SolverStats& solver_stats() const {
@@ -28,38 +36,17 @@ class OcSvmAdapter final : public OneClassModel {
   }
 
  private:
-  svm::OneClassSvmConfig config_;
-  std::optional<svm::OneClassSvmModel> model_;
+  svm::SvmKind kind_;
+  svm::SvmConfig config_;
+  std::optional<double> nu_coupling_;  ///< SVDD's C = 1/(nu*l), set by with_nu
+  std::optional<svm::SvmModel> model_;
 };
 
-class SvddAdapter final : public OneClassModel {
- public:
-  explicit SvddAdapter(svm::SvddConfig config = {}) : config_{config} {}
-
-  /// Couples C to an OC-SVM-style outlier fraction via the paper's relation
-  /// C = 1/(nu*l), resolved at fit time when l is known.
-  [[nodiscard]] static SvddAdapter with_nu(double nu, svm::KernelParams kernel = {});
-
-  void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
-  [[nodiscard]] std::string name() const override { return "svdd"; }
-
-  [[nodiscard]] const svm::SvddModel& model() const;
-  /// SMO instrumentation of the last fit; throws std::logic_error before fit.
-  [[nodiscard]] const svm::SolverStats& solver_stats() const {
-    return model().solver_stats();
-  }
-
- private:
-  svm::SvddConfig config_;
-  std::optional<double> nu_coupling_;
-  std::optional<svm::SvddModel> model_;
-};
-
-/// Known model families for the factory.
+/// Known model families for the factory.  The two SVM kinds carry their
+/// svm::SvmKind values.
 enum class ModelKind : std::uint8_t {
-  kOcSvm,
-  kSvdd,
+  kOcSvm = static_cast<std::uint8_t>(svm::SvmKind::kOcSvm),
+  kSvdd = static_cast<std::uint8_t>(svm::SvmKind::kSvdd),
   kCentroid,
   kGaussian,
   kKde,

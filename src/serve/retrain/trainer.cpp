@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 #include "util/feature_matrix.h"
 #include "util/stopwatch.h"
 
@@ -68,32 +67,21 @@ void RetrainLoop::thread_main() {
 }
 
 core::UserProfile RetrainLoop::refit(const core::UserProfile& current,
-                                     std::span<const util::SparseVector> windows,
+                                     const util::FeatureMatrix& windows,
                                      std::size_t dimension) {
   if (windows.empty()) {
     throw std::invalid_argument{"RetrainLoop::refit: empty window buffer"};
   }
-  const util::FeatureMatrix data =
-      util::FeatureMatrix::from_rows(windows, dimension);
   const core::ProfileParams& params = current.params();
-  const double regularizer = params.regularizer;
+  svm::SvmConfig config;
+  config.kernel = params.kernel;
   // Single-cell fit_path instead of plain train(): identical result, but it
   // exercises the exact solver plane the offline training tools use, which
   // is what the determinism tests pin the swap against.
-  if (params.type == core::ClassifierType::kOcSvm) {
-    svm::OneClassSvmConfig config;
-    config.kernel = params.kernel;
-    auto models = svm::OneClassSvmModel::fit_path(
-        data, config, std::span{&regularizer, 1}, dimension);
-    return core::UserProfile::from_model(
-        current.user_id(), params, svm::AnySvmModel{std::move(models.front())});
-  }
-  svm::SvddConfig config;
-  config.kernel = params.kernel;
-  auto models = svm::SvddModel::fit_path(data, config,
-                                         std::span{&regularizer, 1}, dimension);
-  return core::UserProfile::from_model(
-      current.user_id(), params, svm::AnySvmModel{std::move(models.front())});
+  auto models = svm::SvmModel::fit_path(params.type, windows, config,
+                                        {&params.regularizer, 1}, dimension);
+  return core::UserProfile::from_model(current.user_id(), params,
+                                       std::move(models.front()));
 }
 
 std::size_t RetrainLoop::run_once() {
@@ -129,20 +117,17 @@ std::size_t RetrainLoop::run_once() {
       if (current == nullptr) continue;
 
       const util::Stopwatch stopwatch;
-      core::UserProfile fresh =
-          refit(*current, windows, engine_->store().schema().dimension());
+      const std::size_t dimension = engine_->store().schema().dimension();
+      const util::FeatureMatrix matrix =
+          util::FeatureMatrix::from_rows(windows, dimension);
+      core::UserProfile fresh = refit(*current, matrix, dimension);
       if (fit_ns_ != nullptr) {
         fit_ns_->record_ns(stopwatch.elapsed_micros() * kNanosPerMicro);
       }
 
       // Re-baseline the drift monitor to the fresh profile's acceptance on
       // its own training corpus (its realistic self-acceptance level).
-      std::size_t accepted = 0;
-      for (const auto& window : windows) {
-        if (fresh.accepts(window)) ++accepted;
-      }
-      const double rate =
-          static_cast<double>(accepted) / static_cast<double>(windows.size());
+      const double rate = fresh.acceptance_ratio(matrix);
 
       if (!engine_->publish_profile(user, std::move(fresh))) continue;
       collector_->rearm(user, rate);

@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -26,7 +25,7 @@
 #include "obs/registry.h"
 #include "serve/engine.h"
 #include "serve/retrain/collector.h"
-#include "util/sparse_vector.h"
+#include "util/feature_matrix.h"
 
 namespace wtp::serve::retrain {
 
@@ -73,11 +72,12 @@ class RetrainLoop {
   std::size_t run_once();
 
   /// The retraining primitive: fits a fresh model with `current`'s
-  /// hyper-parameters on `windows` via the fit_path plane.  Pure — tests
-  /// use it as the offline oracle the hot-swapped profile must equal.
-  [[nodiscard]] static core::UserProfile refit(
-      const core::UserProfile& current,
-      std::span<const util::SparseVector> windows, std::size_t dimension);
+  /// hyper-parameters on the window matrix `windows` via the fit_path
+  /// plane.  Pure — tests use it as the offline oracle the hot-swapped
+  /// profile must equal.  Throws std::invalid_argument on an empty matrix.
+  [[nodiscard]] static core::UserProfile refit(const core::UserProfile& current,
+                                               const util::FeatureMatrix& windows,
+                                               std::size_t dimension);
 
  private:
   void thread_main();

@@ -44,6 +44,10 @@ struct BlobHeader {
   std::uint64_t blob_size;
 };
 static_assert(sizeof(BlobHeader) == 96, "blob header layout drifted");
+// The header's model type is the SvmKind value: stored bytes follow from the
+// enum alone.
+static_assert(static_cast<std::uint32_t>(SvmKind::kOcSvm) == 0 &&
+              static_cast<std::uint32_t>(SvmKind::kSvdd) == 1);
 static_assert(offsetof(BlobHeader, gamma) == 24);
 static_assert(offsetof(BlobHeader, scalar0) == 48);
 static_assert(offsetof(BlobHeader, sv_count) == 64);
@@ -132,11 +136,13 @@ void pad_to_8(std::vector<std::byte>& out, std::size_t start) {
   while ((out.size() - start) % 8 != 0) out.push_back(std::byte{0});
 }
 
-std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_type,
-                             const KernelParams& kernel, double scalar0,
-                             double scalar1, const util::FeatureMatrix& svs,
-                             std::span<const double> coefficients,
-                             std::span<const std::uint32_t> numeric_cols) {
+}  // namespace
+
+std::size_t append_model_blob(std::vector<std::byte>& out, const SvmModel& model,
+                              std::span<const std::uint32_t> numeric_cols) {
+  const util::FeatureMatrix& svs = model.support_vectors();
+  const std::span<const double> coefficients = model.coefficients();
+  const KernelParams& kernel = model.kernel();
   pad_to_8(out, 0);
   const std::size_t start = out.size();
   std::optional<util::BitsetStorage> built;
@@ -147,14 +153,14 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   std::memcpy(header.magic, kBlobMagic, sizeof(kBlobMagic));
   header.version = bitset ? kBlobVersionBitset : kBlobVersionCsr;
   header.endian = kEndianGuard;
-  header.model_type = model_type;
+  header.model_type = static_cast<std::uint32_t>(model.kind());
   header.kernel_type = static_cast<std::uint32_t>(kernel.type);
   header.gamma = kernel.gamma;
   header.coef0 = kernel.coef0;
   header.degree = kernel.degree;
   header.value_format = 0;
-  header.scalar0 = scalar0;
-  header.scalar1 = scalar1;
+  header.scalar0 = model.scalar0();
+  header.scalar1 = model.scalar1();
   header.sv_count = svs.rows();
   header.cols = svs.cols();
 
@@ -194,6 +200,8 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   }
   return start;
 }
+
+namespace {
 
 /// Every refusal names the offset, within the blob, of the field at fault.
 [[noreturn]] void blob_error(const std::string& what, std::size_t offset) {
@@ -450,31 +458,6 @@ BlobRows view_bitset_rows(const BlobHeader& header,
            header.sv_count}};
 }
 
-}  // namespace
-
-std::size_t append_model_blob(std::vector<std::byte>& out,
-                              const OneClassSvmModel& model,
-                              std::span<const std::uint32_t> numeric_cols) {
-  return append_blob_impl(out, kBlobModelOneClass, model.kernel(), model.rho(),
-                          0.0, model.support_vectors(), model.coefficients(),
-                          numeric_cols);
-}
-
-std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model,
-                              std::span<const std::uint32_t> numeric_cols) {
-  return append_blob_impl(out, kBlobModelSvdd, model.kernel(), model.r_squared(),
-                          model.alpha_k_alpha(), model.support_vectors(),
-                          model.coefficients(), numeric_cols);
-}
-
-std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model,
-                              std::span<const std::uint32_t> numeric_cols) {
-  return std::visit(
-      [&](const auto& m) { return append_model_blob(out, m, numeric_cols); }, model);
-}
-
-namespace {
-
 /// The header of a blob, after every check that needs only the header.
 BlobHeader checked_header(std::span<const std::byte> blob) {
   if (reinterpret_cast<std::uintptr_t>(blob.data()) % 8 != 0) {
@@ -507,7 +490,7 @@ BlobHeader checked_header(std::span<const std::byte> blob) {
     blob_error("unsupported version " + std::to_string(header.version),
                offsetof(BlobHeader, version));
   }
-  if (header.model_type != kBlobModelOneClass && header.model_type != kBlobModelSvdd) {
+  if (header.model_type > static_cast<std::uint32_t>(SvmKind::kSvdd)) {
     blob_error("unknown model type " + std::to_string(header.model_type),
                offsetof(BlobHeader, model_type));
   }
@@ -541,7 +524,7 @@ ModelView view_blob(std::span<const std::byte> blob, bool check) {
                             : view_csr_rows(header, blob, check);
 
   ModelView view;
-  view.model_type = header.model_type;
+  view.kind = static_cast<SvmKind>(header.model_type);
   view.kernel.type = static_cast<KernelType>(header.kernel_type);
   view.kernel.gamma = header.gamma;
   view.kernel.coef0 = header.coef0;
@@ -601,47 +584,28 @@ void ModelView::decision_values(const util::FeatureMatrix& queries,
   }
 }
 
-ModelView view_of(const OneClassSvmModel& model) {
+ModelView view_of(const SvmModel& model) {
   ModelView view;
-  view.model_type = kBlobModelOneClass;
+  view.kind = model.kind();
   view.kernel = model.kernel();
-  view.scalar0 = model.rho();
+  view.scalar0 = model.scalar0();
+  view.scalar1 = model.scalar1();
   view.support_vectors = kernel_matrix(model.support_vectors());
   view.coefficients = model.coefficients();
   return view;
 }
 
-ModelView view_of(const SvddModel& model) {
-  ModelView view;
-  view.model_type = kBlobModelSvdd;
-  view.kernel = model.kernel();
-  view.scalar0 = model.r_squared();
-  view.scalar1 = model.alpha_k_alpha();
-  view.support_vectors = kernel_matrix(model.support_vectors());
-  view.coefficients = model.coefficients();
-  return view;
-}
-
-ModelView view_of(const AnySvmModel& model) {
-  return std::visit([](const auto& m) { return view_of(m); }, model);
-}
-
-AnySvmModel materialize(const ModelView& view, std::shared_ptr<const void> owner) {
+SvmModel materialize(const ModelView& view, std::shared_ptr<const void> owner) {
   const KernelMatrix& svs = view.support_vectors;
   util::FeatureMatrix matrix =
       svs.has_rows()
           ? util::FeatureMatrix::borrow(svs.csr, std::move(owner))
           : util::FeatureMatrix::borrow(*svs.bitset, svs.csr.sq_norms,
                                         std::move(owner));
-  std::vector<double> coefficients{view.coefficients.begin(),
-                                   view.coefficients.end()};
-  if (view.model_type == kBlobModelOneClass) {
-    return OneClassSvmModel::from_parts(view.kernel, std::move(matrix),
-                                        std::move(coefficients), view.scalar0);
-  }
-  return SvddModel::from_parts(view.kernel, std::move(matrix),
-                               std::move(coefficients), view.scalar0,
-                               view.scalar1);
+  return SvmModel::from_parts(
+      view.kind, view.kernel, std::move(matrix),
+      {view.coefficients.begin(), view.coefficients.end()}, view.scalar0,
+      view.scalar1);
 }
 
 }  // namespace wtp::svm

@@ -1,5 +1,6 @@
-// Persistence for trained one-class models: the binary blob, one per user
-// in the mapped profile store (index/store_format.h).
+// Persistence for trained SvmModels (svm/svm_model.h): the binary blob, one
+// per user in the mapped profile store (index/store_format.h), and the
+// ModelView that scores a model, whoever owns its bytes.
 //
 //    A self-contained little-endian block that can be viewed in place from
 //    a memory-mapped file with zero copies.  All sections sit at their
@@ -10,7 +11,7 @@
 //      0       8     magic "WTPSVMB1"
 //      8       4     u32 version (1 = CSR rows, 3 = bitset rows)
 //      12      4     u32 endianness guard (= 0x01020304 as written)
-//      16      4     u32 model type (0 = one_class_svm, 1 = svdd)
+//      16      4     u32 model type (SvmKind: 0 = oc-svm, 1 = svdd)
 //      20      4     u32 kernel type (KernelType enum value)
 //      24      8     f64 gamma
 //      32      8     f64 coef0
@@ -57,18 +58,14 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <variant>
 #include <vector>
 
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 
 namespace wtp::svm {
 
-using AnySvmModel = std::variant<OneClassSvmModel, SvddModel>;
-
-constexpr std::uint32_t kBlobModelOneClass = 0;
-constexpr std::uint32_t kBlobModelSvdd = 1;
+/// Another name for SvmModel, which the layer ledger (bench/ledger/) uses.
+using AnySvmModel = SvmModel;
 
 /// Non-owning decision-capable view of one model, either over a binary blob
 /// (mmap) or borrowed from a heap model (view_of).  It holds the only copy
@@ -76,10 +73,10 @@ constexpr std::uint32_t kBlobModelSvdd = 1;
 /// forwarding here, so decision values are bit-identical regardless of who
 /// owns the support vectors.
 struct ModelView {
-  std::uint32_t model_type = kBlobModelOneClass;
+  SvmKind kind = SvmKind::kOcSvm;
   KernelParams kernel;
-  double scalar0 = 0.0;  ///< rho (one_class) | r_squared (svdd)
-  double scalar1 = 0.0;  ///< 0               | alpha_k_alpha (svdd)
+  double scalar0 = 0.0;  ///< rho (oc-svm) | r_squared (svdd)
+  double scalar1 = 0.0;  ///< 0            | alpha_k_alpha (svdd)
   /// The SV block as a kernel operand: CSR rows only (blob v1), the bitset
   /// only (blob v3), or both (a heap matrix via view_of).  Scoring routes
   /// dots through the dispatched AND+popcount backend when the bitset is
@@ -93,9 +90,9 @@ struct ModelView {
 
   /// f(x) from the query's kernel values: `k_at(i)` returns k(sv_i, x) for
   /// support vector i, `x_sqnorm` is ||x||^2 (for SVDD's k(x, x)).
-  ///   one_class_svm  f(x) = sum_i alpha_i k(sv_i, x) - rho         (eq. 6)
-  ///   svdd           f(x) = R^2 - (k(x, x) - 2 sum_i alpha_i k(sv_i, x)
-  ///                                + alpha^T K alpha)                (eq. 12)
+  ///   oc-svm  f(x) = sum_i alpha_i k(sv_i, x) - rho                (eq. 6)
+  ///   svdd    f(x) = R^2 - (k(x, x) - 2 sum_i alpha_i k(sv_i, x)
+  ///                         + alpha^T K alpha)                       (eq. 12)
   /// decision_value(s) reduce through it; the grid's pair scorer runs the
   /// same sum chain per query and finishes through decision_from_sum, so
   /// they agree bit for bit given the same kernel values.
@@ -110,9 +107,9 @@ struct ModelView {
   }
 
   /// f(x) from sum = sum_i alpha_i k(sv_i, x), accumulated in SV order
-  /// from 0.0.  Reads only model_type, kernel and the two scalars.
+  /// from 0.0.  Reads only kind, kernel and the two scalars.
   [[nodiscard]] double decision_from_sum(double sum, double x_sqnorm) const {
-    if (model_type == kBlobModelOneClass) return sum - scalar0;
+    if (kind == SvmKind::kOcSvm) return sum - scalar0;
     const double k_xx = kernel_self(kernel, x_sqnorm);
     return scalar0 - (k_xx - 2.0 * sum + scalar1);
   }
@@ -139,12 +136,7 @@ struct ModelView {
 /// from the kernel backend.  Pads `out` to 8-byte alignment first; returns
 /// the offset where the blob starts (its size is out.size() - offset
 /// afterwards, also recorded in the header).
-std::size_t append_model_blob(std::vector<std::byte>& out,
-                              const OneClassSvmModel& model,
-                              std::span<const std::uint32_t> numeric_cols = {});
-std::size_t append_model_blob(std::vector<std::byte>& out, const SvddModel& model,
-                              std::span<const std::uint32_t> numeric_cols = {});
-std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& model,
+std::size_t append_model_blob(std::vector<std::byte>& out, const SvmModel& model,
                               std::span<const std::uint32_t> numeric_cols = {});
 
 /// Validates a blob (magic, version, endianness guard, size/offset
@@ -162,12 +154,10 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 /// bytes that were never accepted.
 [[nodiscard]] ModelView view_checked_model_blob(std::span<const std::byte> blob);
 
-/// Borrowed views of heap models — the bridge that lets one scoring path
+/// Borrowed view of a heap model — the bridge that lets one scoring path
 /// serve both storage backends.  Valid while the model is.  The SV block's
 /// bitset companion is attached through kernel_matrix (built on first use).
-[[nodiscard]] ModelView view_of(const OneClassSvmModel& model);
-[[nodiscard]] ModelView view_of(const SvddModel& model);
-[[nodiscard]] ModelView view_of(const AnySvmModel& model);
+[[nodiscard]] ModelView view_of(const SvmModel& model);
 
 /// Turns a view back into a heap model whose support-vector block borrows
 /// the view's arrays (util::FeatureMatrix::borrow): its CSR rows, or its
@@ -176,7 +166,7 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 /// coefficients are copied.  `owner` must keep the arrays alive and unchanged — the
 /// mapping or the blob buffer the view was taken from — and the model and
 /// its copies hold it for as long as they live.
-[[nodiscard]] AnySvmModel materialize(const ModelView& view,
-                                      std::shared_ptr<const void> owner);
+[[nodiscard]] SvmModel materialize(const ModelView& view,
+                                   std::shared_ptr<const void> owner);
 
 }  // namespace wtp::svm

@@ -37,6 +37,10 @@
 
 namespace wtp::svm {
 
+/// Kernel-row cache budget of the QMatrix behind every model fit
+/// (SvmModel::fit_path).
+inline constexpr std::size_t kKernelCacheBytes = std::size_t{32} << 20;
+
 /// Lazily evaluated, cached kernel/Q matrix over a CSR training set.
 /// `scale` multiplies every entry (1 for OC-SVM's K, 2 for SVDD's 2K).
 /// Row i is a one-query kernel_block of the training matrix against its own

@@ -200,7 +200,7 @@ util::SparseVector ScalePopulation::sample_window(std::size_t u,
   return builder.build(schema_.dimension()).row_vector(0);
 }
 
-svm::OneClassSvmModel ScalePopulation::make_model(std::size_t u) const {
+svm::SvmModel ScalePopulation::make_model(std::size_t u) const {
   const std::size_t m = std::max<std::size_t>(config_.svs_per_user, 1);
   const std::vector<std::uint32_t> identity = footprint(u);
   const Traits traits = user_traits(config_.seed, u);
@@ -238,8 +238,8 @@ svm::OneClassSvmModel ScalePopulation::make_model(std::size_t u) const {
   const auto quantile = static_cast<std::size_t>(
       config_.rho_quantile * static_cast<double>(m - 1));
   const double rho = self_scores[std::min(quantile, m - 1)];
-  return svm::OneClassSvmModel::from_parts(config_.kernel, std::move(svs),
-                                           std::move(coefficients), rho);
+  return svm::SvmModel::from_parts(svm::SvmKind::kOcSvm, config_.kernel,
+                                   std::move(svs), std::move(coefficients), rho);
 }
 
 }  // namespace wtp::synthetic

@@ -28,7 +28,7 @@
 
 #include "features/schema.h"
 #include "features/window.h"
-#include "svm/one_class_svm.h"
+#include "svm/svm_model.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
 
@@ -97,7 +97,7 @@ class ScalePopulation {
                                                  std::uint64_t salt) const;
 
   /// Trained-equivalent profile model for user u (see file comment).
-  [[nodiscard]] svm::OneClassSvmModel make_model(std::size_t u) const;
+  [[nodiscard]] svm::SvmModel make_model(std::size_t u) const;
 
  private:
   ScaleConfig config_;

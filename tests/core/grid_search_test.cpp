@@ -225,10 +225,9 @@ class ColumnScorer : public ::testing::Test {
 };
 
 /// profile_acceptance per cell on fit_path models: the scorer's oracle.
-template <class Model>
 std::vector<AcceptanceRatios> per_cell_ratios(
     const std::string& user, ClassifierType type, std::span<const double> regs,
-    std::vector<Model> models, const MatrixByUser& windows) {
+    std::vector<svm::SvmModel> models, const MatrixByUser& windows) {
   std::vector<AcceptanceRatios> ratios;
   for (std::size_t r = 0; r < models.size(); ++r) {
     ProfileParams params;
@@ -257,27 +256,18 @@ TEST_F(ColumnScorer, RatiosBitwiseEqualPerCellProfileAcceptance) {
       const std::string cell = std::string{to_string(type)} + "/" +
                                std::string{svm::to_string(kernel.type)};
       const auto entries = column(user, type, kernel, regs, windows, dim);
+      svm::SvmConfig config;
+      config.kernel = kernel;
+      config.eps = kGridCellEps;
       svm::PathStats path;
-      std::vector<AcceptanceRatios> expected;
+      const std::vector<AcceptanceRatios> expected = per_cell_ratios(
+          user, type, regs,
+          svm::SvmModel::fit_path(type, own, config, regs, dim, &path), windows);
       if (type == ClassifierType::kOcSvm) {
-        svm::OneClassSvmConfig config;
-        config.kernel = kernel;
-        config.eps = kGridCellEps;
-        expected = per_cell_ratios(
-            user, type, regs,
-            svm::OneClassSvmModel::fit_path(own, config, regs, dim, &path),
-            windows);
         EXPECT_GE(path.support_rows.front().size(),
                   static_cast<std::size_t>(0.999 * static_cast<double>(own.rows())))
             << cell;
         EXPECT_LE(path.support_rows.back().size(), own.rows() / 10) << cell;
-      } else {
-        svm::SvddConfig config;
-        config.kernel = kernel;
-        config.eps = kGridCellEps;
-        expected = per_cell_ratios(
-            user, type, regs,
-            svm::SvddModel::fit_path(own, config, regs, dim, &path), windows);
       }
       ASSERT_EQ(path.support_rows.size(), regs.size()) << cell;
       ASSERT_EQ(entries.size(), regs.size()) << cell;
@@ -380,21 +370,12 @@ class PairScorer : public ::testing::Test {
       std::vector<AcceptanceRatios> ratios;
       try {
         if (own.empty()) throw std::invalid_argument{"no windows"};
-        if (type == ClassifierType::kOcSvm) {
-          svm::OneClassSvmConfig config;
-          config.kernel = kernel;
-          config.eps = kGridCellEps;
-          ratios = per_cell_ratios(
-              user, type, regs,
-              svm::OneClassSvmModel::fit_path(own, config, regs, dim), windows);
-        } else {
-          svm::SvddConfig config;
-          config.kernel = kernel;
-          config.eps = kGridCellEps;
-          ratios = per_cell_ratios(
-              user, type, regs, svm::SvddModel::fit_path(own, config, regs, dim),
-              windows);
-        }
+        svm::SvmConfig config;
+        config.kernel = kernel;
+        config.eps = kGridCellEps;
+        ratios = per_cell_ratios(user, type, regs,
+                                 svm::SvmModel::fit_path(type, own, config, regs, dim),
+                                 windows);
       } catch (const std::invalid_argument&) {
         ratios.assign(regs.size(), {.acc_self = 0.0, .acc_other = 100.0});
       }

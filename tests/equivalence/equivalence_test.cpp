@@ -22,8 +22,6 @@
 #include "svm/kernel.h"
 #include "svm/kernel_cache.h"
 #include "svm/model_io.h"
-#include "svm/one_class_svm.h"
-#include "svm/svdd.h"
 #include "synthetic/scale.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
@@ -118,11 +116,11 @@ TEST(KernelEquivalence, KernelSelfMatchesCachedNormForm) {
 TEST(OneClassSvmEquivalence, DecisionMatchesManualSparseVectorSum) {
   const auto data = synthetic_windows(23, 50, 1.0);
   for (const auto& params : all_kernels()) {
-    svm::OneClassSvmConfig config;
-    config.nu = 0.25;
+    svm::SvmConfig config;
+    config.regularizer = 0.25;
     config.kernel = params;
-    const auto model = svm::OneClassSvmModel::train(
-        util::FeatureMatrix::from_rows(data, kDim), config, kDim);
+    const auto model = svm::SvmModel::train(
+        svm::SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data, kDim), config, kDim);
     const auto& svs = model.support_vectors();
     for (const auto& x : synthetic_windows(24, 15, 1.0)) {
       const double x_sqnorm = x.squared_norm();
@@ -133,7 +131,7 @@ TEST(OneClassSvmEquivalence, DecisionMatchesManualSparseVectorSum) {
                svm::kernel_eval(model.kernel(), x, svs.row_vector(i), x_sqnorm,
                                 svs.sq_norm(i));
       }
-      EXPECT_EQ(model.decision_value(x), sum - model.rho())
+      EXPECT_EQ(model.decision_value(x, x_sqnorm), sum - model.scalar0())
           << svm::describe(params);
     }
   }
@@ -144,16 +142,16 @@ TEST(OneClassSvmEquivalence, DecisionVariantsAgreeExactly) {
   const auto probes = synthetic_windows(26, 12, 1.0);
   const auto probe_matrix = util::FeatureMatrix::from_rows(probes, kDim);
   for (const auto& params : all_kernels()) {
-    svm::OneClassSvmConfig config;
-    config.nu = 0.3;
+    svm::SvmConfig config;
+    config.regularizer = 0.3;
     config.kernel = params;
-    const auto model = svm::OneClassSvmModel::train(
-        util::FeatureMatrix::from_rows(data, kDim), config, kDim);
+    const auto model = svm::SvmModel::train(
+        svm::SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data, kDim), config, kDim);
     std::vector<double> batch(probe_matrix.rows());
     model.decision_values(probe_matrix, batch);
     for (std::size_t i = 0; i < probes.size(); ++i) {
-      const double single = model.decision_value(probes[i]);
-      EXPECT_EQ(single, model.decision_value(probes[i], probes[i].squared_norm()));
+      const double single =
+          model.decision_value(probes[i], probes[i].squared_norm());
       EXPECT_EQ(single, batch[i]) << svm::describe(params) << " probe " << i;
     }
   }
@@ -162,11 +160,11 @@ TEST(OneClassSvmEquivalence, DecisionVariantsAgreeExactly) {
 TEST(SvddEquivalence, DecisionMatchesManualSparseVectorSum) {
   const auto data = synthetic_windows(33, 50, 1.0);
   for (const auto& params : all_kernels()) {
-    svm::SvddConfig config;
-    config.c = 0.1;
+    svm::SvmConfig config;
+    config.regularizer = 0.1;
     config.kernel = params;
-    const auto model = svm::SvddModel::train(
-        util::FeatureMatrix::from_rows(data, kDim), config, kDim);
+    const auto model = svm::SvmModel::train(
+        svm::SvmKind::kSvdd, util::FeatureMatrix::from_rows(data, kDim), config, kDim);
     const auto& svs = model.support_vectors();
     for (const auto& x : synthetic_windows(34, 15, 1.0)) {
       const double x_sqnorm = x.squared_norm();
@@ -178,8 +176,9 @@ TEST(SvddEquivalence, DecisionMatchesManualSparseVectorSum) {
       }
       const double k_xx = svm::kernel_self(model.kernel(), x_sqnorm);
       const double expected =
-          model.r_squared() - (k_xx - 2.0 * cross + model.alpha_k_alpha());
-      EXPECT_EQ(model.decision_value(x), expected) << svm::describe(params);
+          model.scalar0() - (k_xx - 2.0 * cross + model.scalar1());
+      EXPECT_EQ(model.decision_value(x, x_sqnorm), expected)
+          << svm::describe(params);
     }
   }
 }
@@ -188,16 +187,16 @@ TEST(SvddEquivalence, DecisionVariantsAgreeExactly) {
   const auto data = synthetic_windows(35, 50, 1.0);
   const auto probes = synthetic_windows(36, 12, 1.0);
   const auto probe_matrix = util::FeatureMatrix::from_rows(probes, kDim);
-  svm::SvddConfig config;
-  config.c = 0.1;
+  svm::SvmConfig config;
+  config.regularizer = 0.1;
   config.kernel = {svm::KernelType::kRbf, 0.25, 0.0, 3};
-  const auto model = svm::SvddModel::train(
-      util::FeatureMatrix::from_rows(data, kDim), config, kDim);
+  const auto model = svm::SvmModel::train(
+      svm::SvmKind::kSvdd, util::FeatureMatrix::from_rows(data, kDim), config, kDim);
   std::vector<double> batch(probe_matrix.rows());
   model.decision_values(probe_matrix, batch);
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double single = model.decision_value(probes[i]);
-    EXPECT_EQ(single, model.decision_value(probes[i], probes[i].squared_norm()));
+    const double single =
+        model.decision_value(probes[i], probes[i].squared_norm());
     EXPECT_EQ(single, batch[i]);
   }
 }
@@ -288,24 +287,22 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
                         svm::KernelQueries::rows(train_operand, i, 1), row);
       digest.add(row);
     }
-    svm::OneClassSvmConfig oc;
-    oc.nu = 0.3;
+    svm::SvmConfig oc;
+    oc.regularizer = 0.3;
     oc.kernel = kernel;
-    svm::SvddConfig sv;
-    sv.c = 0.1;
+    svm::SvmConfig sv;
+    sv.regularizer = 0.1;
     sv.kernel = kernel;
-    const std::vector<svm::AnySvmModel> models{
-        svm::OneClassSvmModel::train(train, oc, dim),
-        svm::SvddModel::train(train, sv, dim)};
-    for (const auto& any : models) {
-      std::visit(
-          [&](const auto& model) {
-            for (const auto& x : probes) digest.add(model.decision_value(x));
-            model.decision_values(probe_matrix, batch);
-            digest.add(batch);
-          },
-          any);
-      const std::size_t offset = svm::append_model_blob(blobs, any);
+    const std::vector<svm::SvmModel> models{
+        svm::SvmModel::train(svm::SvmKind::kOcSvm, train, oc, dim),
+        svm::SvmModel::train(svm::SvmKind::kSvdd, train, sv, dim)};
+    for (const auto& model : models) {
+      for (const auto& x : probes) {
+        digest.add(model.decision_value(x, x.squared_norm()));
+      }
+      model.decision_values(probe_matrix, batch);
+      digest.add(batch);
+      const std::size_t offset = svm::append_model_blob(blobs, model);
       const svm::ModelView view =
           svm::view_model_blob(std::span{blobs}.subspan(offset));
       for (std::size_t q = 0; q < probe_matrix.rows(); ++q) {
@@ -342,9 +339,8 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   const core::ProfileParams params{core::ClassifierType::kOcSvm,
                                    population.config().kernel, 0.5};
   for (std::size_t u = 0; u < population.size(); ++u) {
-    profiles.push_back(core::UserProfile::from_model(
-        population.user_id(u), params,
-        svm::AnySvmModel{population.make_model(u)}));
+    profiles.push_back(core::UserProfile::from_model(population.user_id(u), params,
+                                                     population.make_model(u)));
   }
   const core::ProfileStore store{population.window(), population.schema(),
                                  std::move(profiles)};
@@ -380,7 +376,7 @@ TEST(TrainingDigest, FitPathBlobsArePinned) {
 
   DecisionDigest digest;
   std::vector<std::byte> blob;
-  const auto add_blob = [&](const auto& model) {
+  const auto add_blob = [&](const svm::SvmModel& model) {
     blob.clear();
     (void)svm::append_model_blob(blob, model);
     for (const std::byte b : blob) digest.add(std::to_integer<std::uint64_t>(b));
@@ -392,22 +388,16 @@ TEST(TrainingDigest, FitPathBlobsArePinned) {
     }
     const auto train = util::FeatureMatrix::from_rows(rows, dim);
     for (const auto& kernel : paper_shaped_kernels()) {
-      svm::OneClassSvmConfig oc;
-      oc.kernel = kernel;
-      oc.nu = 0.3;
-      for (const auto& model :
-           svm::OneClassSvmModel::fit_path(train, oc, regularizers, dim)) {
-        add_blob(model);
+      for (const auto kind : {svm::SvmKind::kOcSvm, svm::SvmKind::kSvdd}) {
+        svm::SvmConfig config;
+        config.kernel = kernel;
+        config.regularizer = kind == svm::SvmKind::kOcSvm ? 0.3 : 0.1;
+        for (const auto& model :
+             svm::SvmModel::fit_path(kind, train, config, regularizers, dim)) {
+          add_blob(model);
+        }
+        add_blob(svm::SvmModel::train(kind, train, config, dim));
       }
-      add_blob(svm::OneClassSvmModel::train(train, oc, dim));
-      svm::SvddConfig sv;
-      sv.kernel = kernel;
-      sv.c = 0.1;
-      for (const auto& model :
-           svm::SvddModel::fit_path(train, sv, regularizers, dim)) {
-        add_blob(model);
-      }
-      add_blob(svm::SvddModel::train(train, sv, dim));
     }
   }
 

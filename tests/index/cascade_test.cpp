@@ -32,9 +32,8 @@ core::ProfileStore heap_store(const synthetic::ScalePopulation& population) {
   const core::ProfileParams params{core::ClassifierType::kOcSvm,
                                    population.config().kernel, 0.5};
   for (std::size_t u = 0; u < population.size(); ++u) {
-    profiles.push_back(core::UserProfile::from_model(
-        population.user_id(u), params,
-        svm::AnySvmModel{population.make_model(u)}));
+    profiles.push_back(core::UserProfile::from_model(population.user_id(u), params,
+                                                     population.make_model(u)));
   }
   return core::ProfileStore{population.window(), population.schema(),
                             std::move(profiles)};

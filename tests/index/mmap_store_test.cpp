@@ -15,7 +15,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "core/profiler.h"
@@ -23,6 +22,7 @@
 #include "index/store_format.h"
 #include "svm/kernel.h"
 #include "svm/model_io.h"
+#include "svm/svm_test_util.h"
 #include "synthetic/scale.h"
 
 #if defined(__GLIBC__)
@@ -49,8 +49,7 @@ std::string write_population(const synthetic::ScalePopulation& population,
   MappedStoreWriter writer{path, population.window(), population.schema()};
   const core::ProfileParams params = population_params(population.config());
   for (std::size_t u = 0; u < population.size(); ++u) {
-    writer.add(population.user_id(u), params,
-               svm::AnySvmModel{population.make_model(u)});
+    writer.add(population.user_id(u), params, population.make_model(u));
   }
   writer.finish();
   return path;
@@ -94,12 +93,12 @@ TEST(MappedStore, MappedDecisionsBitIdenticalToHeap) {
   const MappedProfileStore store = MappedProfileStore::open(path);
 
   for (std::size_t u = 0; u < store.size(); u += 5) {
-    const svm::OneClassSvmModel heap_model = population.make_model(u);
+    const svm::SvmModel heap_model = population.make_model(u);
     const core::UserProfile materialized = store.materialize_profile(u);
     EXPECT_EQ(materialized.user_id(), population.user_id(u));
     for (std::uint64_t salt = 0; salt < 6; ++salt) {
       const util::SparseVector x = population.sample_window(u, 0xabc0 + salt);
-      const double from_heap = heap_model.decision_value(x);
+      const double from_heap = svm::testing::decide(heap_model, x);
       ASSERT_EQ(store.model(u).decision_value(
                     svm::KernelQueries::row(x, x.squared_norm())),
                 from_heap);
@@ -121,14 +120,14 @@ TEST(MappedStore, MaterializedProfileOutlivesStore) {
   ASSERT_EQ(std::remove(path.c_str()), 0);
 
   for (std::size_t u = 0; u < profiles.size(); ++u) {
-    const svm::OneClassSvmModel heap_model = population.make_model(u);
-    const auto& model = std::get<svm::OneClassSvmModel>(profiles[u].model());
+    const svm::SvmModel heap_model = population.make_model(u);
+    const auto& model = profiles[u].model();
     EXPECT_EQ(model.support_vectors(), heap_model.support_vectors());
     EXPECT_EQ(model.coefficients(), heap_model.coefficients());
-    EXPECT_EQ(model.rho(), heap_model.rho());
+    EXPECT_EQ(model.scalar0(), heap_model.scalar0());
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
       const util::SparseVector x = population.sample_window(u, 0xd00d + salt);
-      ASSERT_EQ(profiles[u].decision_value(x), heap_model.decision_value(x));
+      ASSERT_EQ(profiles[u].decision_value(x), svm::testing::decide(heap_model, x));
     }
   }
 }
@@ -147,7 +146,7 @@ TEST(MappedStore, MaterializedProfileBorrowsMapping) {
   for (std::size_t u = 0; u < store.size(); ++u) {
     const core::UserProfile profile = store.materialize_profile(u);
     const util::FeatureMatrix& svs =
-        std::get<svm::OneClassSvmModel>(profile.model()).support_vectors();
+        profile.model().support_vectors();
     const svm::KernelMatrix mapped = store.model(u).support_vectors;
     ASSERT_TRUE(mapped.bitset) << "population blobs are bitset-stored (v3)";
     ASSERT_TRUE(svs.bitset_stored());
@@ -205,7 +204,7 @@ TEST(MappedStore, MaterializingAndScoringGrowsHeapByCoefficientsOnly) {
   std::size_t coefficient_bytes = 0;
   std::size_t word_bytes = 0;
   for (const auto& profile : profiles) {
-    const auto& model = std::get<svm::OneClassSvmModel>(profile.model());
+    const auto& model = profile.model();
     coefficient_bytes += model.coefficients().size() * sizeof(double);
     word_bytes += model.support_vectors().bitset()->words.size_bytes();
   }
@@ -284,13 +283,13 @@ TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {
   ASSERT_EQ(write_population(second, "rewrite.wtpstore"), path);
 
   for (std::size_t u = 0; u < profiles.size(); ++u) {
-    const svm::OneClassSvmModel heap_model = first.make_model(u);
+    const svm::SvmModel heap_model = first.make_model(u);
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
       const util::SparseVector x = first.sample_window(u, 0xbeef + salt);
-      ASSERT_EQ(profiles[u].decision_value(x), heap_model.decision_value(x));
+      ASSERT_EQ(profiles[u].decision_value(x), svm::testing::decide(heap_model, x));
       ASSERT_EQ(store.model(u).decision_value(
                     svm::KernelQueries::row(x, x.squared_norm())),
-                heap_model.decision_value(x));
+                svm::testing::decide(heap_model, x));
     }
   }
   const MappedProfileStore rewritten = MappedProfileStore::open(path);
@@ -305,7 +304,7 @@ TEST(MappedStore, FailedFinishLeavesPathUntouched) {
   std::filesystem::create_directories(path);
   MappedStoreWriter writer{path, population.window(), population.schema()};
   writer.add(population.user_id(0), population_params(population.config()),
-             svm::AnySvmModel{population.make_model(0)});
+             population.make_model(0));
   EXPECT_THROW(writer.finish(), std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_TRUE(std::filesystem::is_directory(path));
@@ -318,7 +317,7 @@ TEST(MappedStore, AbandonedWriterLeavesPathUntouched) {
   {
     MappedStoreWriter writer{path, population.window(), population.schema()};
     writer.add(population.user_id(1), population_params(population.config()),
-               svm::AnySvmModel{population.make_model(1)});
+               population.make_model(1));
   }
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_EQ(read_bytes(path), before);
@@ -329,9 +328,8 @@ TEST(MappedStore, WriteMappedStoreMirrorsHeapStore) {
   std::vector<core::UserProfile> profiles;
   const core::ProfileParams params = population_params(population.config());
   for (std::size_t u = 0; u < population.size(); ++u) {
-    profiles.push_back(core::UserProfile::from_model(
-        population.user_id(u), params,
-        svm::AnySvmModel{population.make_model(u)}));
+    profiles.push_back(core::UserProfile::from_model(population.user_id(u), params,
+                                                     population.make_model(u)));
   }
   const core::ProfileStore heap_store{population.window(), population.schema(),
                                       std::move(profiles)};
@@ -498,7 +496,7 @@ TEST(MappedStore, RejectsCorruptBlobInsideValidStore) {
 void expect_same_view(const svm::ModelView& got, const svm::ModelView& want,
                       std::size_t user) {
   const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
-  EXPECT_EQ(got.model_type, want.model_type) << "user " << user;
+  EXPECT_EQ(got.kind, want.kind) << "user " << user;
   EXPECT_EQ(got.kernel, want.kernel) << "user " << user;
   EXPECT_EQ(got.scalar0, want.scalar0) << "user " << user;
   EXPECT_EQ(got.scalar1, want.scalar1) << "user " << user;
@@ -592,8 +590,7 @@ TEST(MappedStore, FinishIsIdempotentAndCountsUsers) {
   MappedStoreWriter writer{path, population.window(), population.schema()};
   const core::ProfileParams params = population_params(population.config());
   for (std::size_t u = 0; u < population.size(); ++u) {
-    writer.add(population.user_id(u), params,
-               svm::AnySvmModel{population.make_model(u)});
+    writer.add(population.user_id(u), params, population.make_model(u));
   }
   EXPECT_EQ(writer.user_count(), 3u);
   writer.finish();

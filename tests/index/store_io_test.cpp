@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/profile_store.h"
@@ -50,18 +49,13 @@ void write_bytes(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-svm::KernelParams model_kernel(const UserProfile& profile) {
-  return std::visit([](const auto& model) { return model.kernel(); },
-                    profile.model());
-}
-
 /// User id, classifier, regularizer, kernel and every decision on the
 /// user's held-out windows, compared exactly.
 void expect_same_profile(const UserProfile& loaded, const UserProfile& original) {
   EXPECT_EQ(loaded.user_id(), original.user_id());
   EXPECT_EQ(loaded.params().type, original.params().type);
   EXPECT_EQ(loaded.params().regularizer, original.params().regularizer);
-  EXPECT_EQ(loaded.params().kernel, model_kernel(original));
+  EXPECT_EQ(loaded.params().kernel, original.model().kernel());
   const ProfilingDataset& dataset = testing::tiny_dataset();
   for (const auto& w : dataset.test_windows(dataset.user_ids().front(), kWindow)) {
     ASSERT_EQ(loaded.decision_value(w), original.decision_value(w));
@@ -190,9 +184,7 @@ TEST(ProfileStore, RejectsModelWiderThanSchema) {
   // blob wider than the store's schema is refused.
   const features::FeatureSchema narrow{{"news"}, {"text"}, {"html"}, {"web"}};
   const UserProfile profile = make_store().profiles().front();
-  ASSERT_GT(std::visit([](const auto& m) { return m.support_vectors().cols(); },
-                       profile.model()),
-            narrow.dimension());
+  ASSERT_GT(profile.model().support_vectors().cols(), narrow.dimension());
   const std::string path = temp_path("wide_model_store.wtpstore");
   index::write_mapped_store(ProfileStore{kWindow, narrow, {profile}}, path);
   expect_runtime_error_naming(path);

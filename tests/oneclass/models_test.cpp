@@ -173,27 +173,36 @@ TEST(KdeModelTest, AutoBandwidthResolvesFromDimension) {
 TEST(SvmAdapters, ExposeUnderlyingModels) {
   util::Rng rng{41};
   const auto train = blob(rng, 50, 0.0, 0.5);
-  OcSvmAdapter oc;
-  oc.fit(util::FeatureMatrix::from_rows(train), kDim);
+  const auto data = util::FeatureMatrix::from_rows(train);
+  SvmAdapter oc{svm::SvmKind::kOcSvm};
+  oc.fit(data, kDim);
   EXPECT_FALSE(oc.model().support_vectors().empty());
+  EXPECT_EQ(oc.name(), "oc-svm");
 
-  SvddAdapter svdd = SvddAdapter::with_nu(0.2);
-  svdd.fit(util::FeatureMatrix::from_rows(train), kDim);
+  SvmAdapter svdd = SvmAdapter::with_nu(svm::SvmKind::kSvdd, 0.2);
+  svdd.fit(data, kDim);
   EXPECT_FALSE(svdd.model().support_vectors().empty());
-  // C = 1/(nu*l) = 1/(0.2*50) = 0.1
-  EXPECT_NEAR(svdd.model().effective_c(), 0.1, 1e-12);
+  EXPECT_EQ(svdd.name(), "svdd");
+  // C = 1/(nu*l) = 1/(0.2*50) = 0.1: the model trained at C = 0.1 directly.
+  svm::SvmConfig config;
+  config.regularizer = 0.1;
+  EXPECT_EQ(svdd.model().coefficients(),
+            svm::SvmModel::train(svm::SvmKind::kSvdd, data, config, kDim)
+                .coefficients());
 }
 
 TEST(SvmAdapters, DecisionBeforeFitThrows) {
-  const OcSvmAdapter oc;
+  const SvmAdapter oc{svm::SvmKind::kOcSvm};
   EXPECT_THROW((void)oc.decision_value(util::SparseVector{}), std::logic_error);
-  const SvddAdapter svdd;
+  const SvmAdapter svdd{svm::SvmKind::kSvdd};
   EXPECT_THROW((void)svdd.decision_value(util::SparseVector{}), std::logic_error);
 }
 
 TEST(SvmAdapters, WithNuValidatesRange) {
-  EXPECT_THROW((void)SvddAdapter::with_nu(0.0), std::invalid_argument);
-  EXPECT_THROW((void)SvddAdapter::with_nu(1.5), std::invalid_argument);
+  for (const svm::SvmKind kind : {svm::SvmKind::kOcSvm, svm::SvmKind::kSvdd}) {
+    EXPECT_THROW((void)SvmAdapter::with_nu(kind, 0.0), std::invalid_argument);
+    EXPECT_THROW((void)SvmAdapter::with_nu(kind, 1.5), std::invalid_argument);
+  }
 }
 
 TEST(ModelFactory, ToStringCoversAllKinds) {

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "core/identification.h"
@@ -199,10 +198,11 @@ TEST(ScoringEngine, TwoEnginesKeepTheirOwnTier) {
   const auto trained = core::UserProfile::train(
       user, *dataset.train_matrix(user, window), dataset.schema().dimension(),
       params);
-  const auto& model = std::get<svm::OneClassSvmModel>(trained.model());
+  const auto& model = trained.model();
   const auto with_rho = [&model](double rho) {
-    return svm::OneClassSvmModel::from_parts(
-        model.kernel(), model.support_vectors(), model.coefficients(), rho);
+    return svm::SvmModel::from_parts(svm::SvmKind::kOcSvm, model.kernel(),
+                                     model.support_vectors(),
+                                     model.coefficients(), rho);
   };
   // With rho = 0 a decision is the tier's raw kernel sum.
   const auto unbiased = with_rho(0.0);

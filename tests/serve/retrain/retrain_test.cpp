@@ -86,8 +86,8 @@ TEST(Retrain, DriftRetrainMatchesOfflineFitPathOracle) {
   ASSERT_NE(original, nullptr);
   const std::size_t dimension =
       core::testing::tiny_dataset().schema().dimension();
-  const core::UserProfile oracle =
-      RetrainLoop::refit(*original, corpus, dimension);
+  const core::UserProfile oracle = RetrainLoop::refit(
+      *original, util::FeatureMatrix::from_rows(corpus, dimension), dimension);
 
   EXPECT_EQ(loop.run_once(), 1u);
 

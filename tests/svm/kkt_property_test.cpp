@@ -10,11 +10,12 @@
 // OC-SVM and SVDD instantiations, across randomized problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "svm/one_class_svm.h"
 #include "svm/smo_solver.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
+#include "svm/svm_test_util.h"
 #include "util/rng.h"
 
 namespace wtp::svm {
@@ -156,18 +157,19 @@ TEST(OneClassKkt, TrainedModelsSatisfyKktAcrossNu) {
   util::Rng rng{99};
   const auto data = random_points(rng, 80, 10);
   for (const double nu : {0.05, 0.2, 0.5, 0.8}) {
-    OneClassSvmConfig config;
-    config.nu = nu;
+    SvmConfig config;
+    config.regularizer = nu;
     config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
     config.eps = 1e-4;
-    const auto model = OneClassSvmModel::train(
-        util::FeatureMatrix::from_rows(data), config, 10);
+    const auto model = SvmModel::train(
+        SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data), config, 10);
     // Every free SV must sit on the decision boundary.
     for (std::size_t i = 0; i < model.support_vectors().rows(); ++i) {
       const double alpha = model.coefficients()[i];
       if (alpha > 1e-8 && alpha < 1.0 - 1e-8) {
-        EXPECT_NEAR(model.decision_value(model.support_vectors().row_vector(i)),
-                    0.0, 5e-3)
+        EXPECT_NEAR(
+            testing::decide(model, model.support_vectors().row_vector(i)), 0.0,
+            5e-3)
             << "nu=" << nu;
       }
     }
@@ -178,19 +180,22 @@ TEST(SvddKkt, FreeSupportVectorsSitOnTheSphere) {
   util::Rng rng{101};
   const auto data = random_points(rng, 70, 8);
   for (const double c : {0.05, 0.2, 1.0}) {
-    SvddConfig config;
-    config.c = c;
+    SvmConfig config;
+    config.regularizer = c;
     config.kernel = {KernelType::kRbf, 0.4, 0.0, 3};
     config.eps = 1e-6;
-    const auto model = SvddModel::train(
-        util::FeatureMatrix::from_rows(data), config, 8);
+    const auto model = SvmModel::train(
+        SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 8);
+    // The box is [0, max(C, 1/l)]; the squared distance to the center is
+    // R^2 - f(x).
+    const double upper = std::max(c, 1.0 / static_cast<double>(data.size()));
     for (std::size_t i = 0; i < model.support_vectors().rows(); ++i) {
       const double alpha = model.coefficients()[i];
-      if (alpha > 1e-8 && alpha < model.effective_c() - 1e-8) {
-        EXPECT_NEAR(model.squared_distance_to_center(
-                        model.support_vectors().row_vector(i)),
-                    model.r_squared(), 5e-3)
-            << "C=" << c;
+      if (alpha > 1e-8 && alpha < upper - 1e-8) {
+        const double squared_distance =
+            model.scalar0() -
+            testing::decide(model, model.support_vectors().row_vector(i));
+        EXPECT_NEAR(squared_distance, model.scalar0(), 5e-3) << "C=" << c;
       }
     }
   }

@@ -14,10 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "svm/svm_test_util.h"
 #include "util/rng.h"
 
 namespace wtp::svm {
 namespace {
+
+using testing::decide;
 
 std::vector<util::SparseVector> training_blob(std::uint64_t seed) {
   util::Rng rng{seed};
@@ -41,25 +44,25 @@ std::vector<util::SparseVector> probes(std::uint64_t seed) {
   return points;
 }
 
-OneClassSvmModel make_one_class(std::uint64_t seed) {
-  OneClassSvmConfig config;
-  config.nu = 0.25;
+SvmModel make_one_class(std::uint64_t seed) {
+  SvmConfig config;
+  config.regularizer = 0.25;
   config.kernel = {KernelType::kRbf, 0.6, 0.0, 3};
-  return OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
+  return SvmModel::train(
+      SvmKind::kOcSvm, util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
 }
 
-SvddModel make_svdd(std::uint64_t seed) {
-  SvddConfig config;
-  config.c = 0.2;
+SvmModel make_svdd(std::uint64_t seed) {
+  SvmConfig config;
+  config.regularizer = 0.2;
   config.kernel = {KernelType::kPolynomial, 0.3, 1.0, 4};
-  return SvddModel::train(
-      util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
+  return SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(training_blob(seed)), config, 7);
 }
 
 /// Rows over 20 columns of random values: more than BitsetStorage's 16
 /// numeric columns, so the blob holds CSR rows (v1).
-OneClassSvmModel make_csr_one_class(std::uint64_t seed) {
+SvmModel make_csr_one_class(std::uint64_t seed) {
   util::Rng rng{seed};
   std::vector<util::SparseVector> points;
   for (int i = 0; i < 40; ++i) {
@@ -67,11 +70,11 @@ OneClassSvmModel make_csr_one_class(std::uint64_t seed) {
     for (int k = 0; k < 12; ++k) dense[rng.uniform_index(20)] = rng.uniform(0.1, 0.9);
     points.push_back(util::SparseVector::from_dense(dense));
   }
-  OneClassSvmConfig config;
-  config.nu = 0.25;
+  SvmConfig config;
+  config.regularizer = 0.25;
   config.kernel = {KernelType::kRbf, 0.3, 0.0, 3};
-  return OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(points), config, 20);
+  return SvmModel::train(
+      SvmKind::kOcSvm, util::FeatureMatrix::from_rows(points), config, 20);
 }
 
 /// The paper's row shape over 100 columns: numeric values at columns 2, 3
@@ -93,12 +96,13 @@ std::vector<util::SparseVector> mixed_rows(std::uint64_t seed, int count) {
   return points;
 }
 
-OneClassSvmModel make_bitset_one_class(std::uint64_t seed) {
-  OneClassSvmConfig config;
-  config.nu = 0.3;
+SvmModel make_bitset_one_class(std::uint64_t seed) {
+  SvmConfig config;
+  config.regularizer = 0.3;
   config.kernel = {KernelType::kRbf, 0.2, 0.0, 3};
-  return OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(mixed_rows(seed, 40)), config, 100);
+  return SvmModel::train(SvmKind::kOcSvm,
+                         util::FeatureMatrix::from_rows(mixed_rows(seed, 40)),
+                         config, 100);
 }
 
 /// Section offsets of a v3 blob, read back from its header.
@@ -164,14 +168,14 @@ TEST(ModelBlob, OneClassViewIsBitIdentical) {
   EXPECT_EQ(blob.size() % 8, 0u);
 
   const ModelView view = view_model_blob(blob);
-  EXPECT_EQ(view.model_type, kBlobModelOneClass);
+  EXPECT_EQ(view.kind, SvmKind::kOcSvm);
   EXPECT_EQ(view.kernel, model.kernel());
-  EXPECT_EQ(view.scalar0, model.rho());
+  EXPECT_EQ(view.scalar0, model.scalar0());
   EXPECT_EQ(view.sv_count(), model.support_vectors().rows());
   for (const auto& x : probes(12)) {
     // EXPECT_EQ, not DOUBLE_EQ: the contract is bit-identity, not closeness.
     ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
-              model.decision_value(x));
+              decide(model, x));
   }
 }
 
@@ -181,12 +185,12 @@ TEST(ModelBlob, SvddViewIsBitIdentical) {
   append_model_blob(blob, model);
 
   const ModelView view = view_model_blob(blob);
-  EXPECT_EQ(view.model_type, kBlobModelSvdd);
-  EXPECT_EQ(view.scalar0, model.r_squared());
-  EXPECT_EQ(view.scalar1, model.alpha_k_alpha());
+  EXPECT_EQ(view.kind, SvmKind::kSvdd);
+  EXPECT_EQ(view.scalar0, model.scalar0());
+  EXPECT_EQ(view.scalar1, model.scalar1());
   for (const auto& x : probes(14)) {
     ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
-              model.decision_value(x));
+              decide(model, x));
   }
 }
 
@@ -206,13 +210,12 @@ TEST(ModelBlob, MaterializedRoundTripIsBitIdentical) {
   const auto model = make_svdd(17);
   auto blob = std::make_shared<std::vector<std::byte>>();
   append_model_blob(*blob, model);
-  const AnySvmModel round_trip = materialize(view_model_blob(*blob), blob);
-  ASSERT_TRUE(std::holds_alternative<SvddModel>(round_trip));
-  const auto& typed = std::get<SvddModel>(round_trip);
-  EXPECT_EQ(typed.r_squared(), model.r_squared());
-  EXPECT_EQ(typed.alpha_k_alpha(), model.alpha_k_alpha());
+  const SvmModel round_trip = materialize(view_model_blob(*blob), blob);
+  ASSERT_EQ(round_trip.kind(), SvmKind::kSvdd);
+  EXPECT_EQ(round_trip.scalar0(), model.scalar0());
+  EXPECT_EQ(round_trip.scalar1(), model.scalar1());
   for (const auto& x : probes(18)) {
-    ASSERT_EQ(typed.decision_value(x), model.decision_value(x));
+    ASSERT_EQ(decide(round_trip, x), decide(model, x));
   }
 }
 
@@ -229,9 +232,9 @@ TEST(ModelBlob, SecondBlobInOneBufferViewsCleanly) {
   const ModelView v2 = view_model_blob(std::span{buffer}.subspan(second_off));
   const auto x = probes(21).front();
   EXPECT_EQ(v1.decision_value(KernelQueries::row(x, x.squared_norm())),
-            first.decision_value(x));
+            decide(first, x));
   EXPECT_EQ(v2.decision_value(KernelQueries::row(x, x.squared_norm())),
-            second.decision_value(x));
+            decide(second, x));
 }
 
 TEST(ModelBlob, RejectsWrongMagic) {
@@ -421,7 +424,7 @@ TEST(ModelBlob, BitsetBlobTakesHintedLayoutWhenRowsConform) {
   auto queries = mixed_rows(39, 20);
   queries.push_back(query);
   for (const auto& x : queries) {
-    const double expected = model.decision_value(x);
+    const double expected = decide(model, x);
     const auto row = KernelQueries::row(x, x.squared_norm());
     ASSERT_EQ(hinted_view.decision_value(row), expected);
     ASSERT_EQ(detected_view.decision_value(row), expected);
@@ -457,16 +460,15 @@ TEST(ModelBlob, BitsetBlobStoresRowsOnce) {
     ASSERT_EQ(rows.sq_norm(r), svs.sq_norm(r)) << r;
   }
 
-  const AnySvmModel round_trip = materialize(view, blob);
-  const auto& typed = std::get<OneClassSvmModel>(round_trip);
-  EXPECT_TRUE(typed.support_vectors().bitset_stored());
+  const SvmModel round_trip = materialize(view, blob);
+  EXPECT_TRUE(round_trip.support_vectors().bitset_stored());
   for (const auto& x : mixed_rows(32, 30)) {
-    const double expected = model.decision_value(x);
+    const double expected = decide(model, x);
     ASSERT_EQ(view.decision_value(KernelQueries::row(x, x.squared_norm())),
               expected);
-    ASSERT_EQ(typed.decision_value(x), expected);
+    ASSERT_EQ(decide(round_trip, x), expected);
   }
-  EXPECT_EQ(typed.support_vectors(), svs);  // decodes: the rows round-trip
+  EXPECT_EQ(round_trip.support_vectors(), svs);  // decodes: the rows round-trip
 }
 
 TEST(ModelBlob, RejectsVersion2) {

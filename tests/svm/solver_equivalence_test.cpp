@@ -14,9 +14,8 @@
 #include <cmath>
 #include <vector>
 
-#include "svm/one_class_svm.h"
 #include "svm/smo_solver.h"
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 
@@ -140,26 +139,26 @@ TEST_P(ShrinkEquivalenceTest, TrainedModelsMatchAcrossShrinking) {
   const auto queries = util::FeatureMatrix::from_rows(random_points(rng, 40, 14));
 
   for (const double reg : {0.9, 0.5, 0.1}) {
-    OneClassSvmConfig oc;
-    oc.nu = reg;
+    SvmConfig oc;
+    oc.regularizer = reg;
     oc.kernel = kernel;
     oc.eps = 1e-8;
     oc.shrinking = false;
-    const auto oc_off = OneClassSvmModel::train(train, oc, 14);
+    const auto oc_off = SvmModel::train(SvmKind::kOcSvm, train, oc, 14);
     oc.shrinking = true;
-    const auto oc_on = OneClassSvmModel::train(train, oc, 14);
-    EXPECT_NEAR(oc_on.rho(), oc_off.rho(), 1e-8) << "nu=" << reg;
+    const auto oc_on = SvmModel::train(SvmKind::kOcSvm, train, oc, 14);
+    EXPECT_NEAR(oc_on.scalar0(), oc_off.scalar0(), 1e-8) << "nu=" << reg;
     ASSERT_EQ(oc_on.support_vectors().rows(), oc_off.support_vectors().rows());
 
-    SvddConfig sv;
-    sv.c = reg;
+    SvmConfig sv;
+    sv.regularizer = reg;
     sv.kernel = kernel;
     sv.eps = 1e-8;
     sv.shrinking = false;
-    const auto sv_off = SvddModel::train(train, sv, 14);
+    const auto sv_off = SvmModel::train(SvmKind::kSvdd, train, sv, 14);
     sv.shrinking = true;
-    const auto sv_on = SvddModel::train(train, sv, 14);
-    EXPECT_NEAR(sv_on.r_squared(), sv_off.r_squared(), 1e-8) << "C=" << reg;
+    const auto sv_on = SvmModel::train(SvmKind::kSvdd, train, sv, 14);
+    EXPECT_NEAR(sv_on.scalar0(), sv_off.scalar0(), 1e-8) << "C=" << reg;
     ASSERT_EQ(sv_on.support_vectors().rows(), sv_off.support_vectors().rows());
 
     std::vector<double> d_off(queries.rows());
@@ -187,11 +186,12 @@ TEST_P(ShrinkEquivalenceTest, WarmPathMatchesColdFitsOcSvm) {
   const auto queries = util::FeatureMatrix::from_rows(random_points(rng, 48, 14));
   const auto nus = regularizer_column();
 
-  OneClassSvmConfig config;
+  SvmConfig config;
   config.kernel = kernel;
   config.eps = 1e-8;
   PathStats stats;
-  const auto path = OneClassSvmModel::fit_path(train, config, nus, 14, &stats);
+  const auto path =
+      SvmModel::fit_path(SvmKind::kOcSvm, train, config, nus, 14, &stats);
   ASSERT_EQ(path.size(), nus.size());
   ASSERT_EQ(stats.cells.size(), nus.size());
   EXPECT_GT(stats.cache_hits, 0u)
@@ -200,9 +200,9 @@ TEST_P(ShrinkEquivalenceTest, WarmPathMatchesColdFitsOcSvm) {
   std::vector<double> d_path(queries.rows());
   std::vector<double> d_cold(queries.rows());
   for (std::size_t n = 0; n < nus.size(); ++n) {
-    config.nu = nus[n];
-    const auto cold = OneClassSvmModel::train(train, config, 14);
-    EXPECT_NEAR(path[n].rho(), cold.rho(), 1e-6) << "nu=" << nus[n];
+    config.regularizer = nus[n];
+    const auto cold = SvmModel::train(SvmKind::kOcSvm, train, config, 14);
+    EXPECT_NEAR(path[n].scalar0(), cold.scalar0(), 1e-6) << "nu=" << nus[n];
     path[n].decision_values(queries, d_path);
     cold.decision_values(queries, d_cold);
     for (std::size_t i = 0; i < queries.rows(); ++i) {
@@ -219,11 +219,12 @@ TEST_P(ShrinkEquivalenceTest, WarmPathMatchesColdFitsSvdd) {
   const auto queries = util::FeatureMatrix::from_rows(random_points(rng, 48, 14));
   const auto cs = regularizer_column();
 
-  SvddConfig config;
+  SvmConfig config;
   config.kernel = kernel;
   config.eps = 1e-8;
   PathStats stats;
-  const auto path = SvddModel::fit_path(train, config, cs, 14, &stats);
+  const auto path =
+      SvmModel::fit_path(SvmKind::kSvdd, train, config, cs, 14, &stats);
   ASSERT_EQ(path.size(), cs.size());
   ASSERT_EQ(stats.cells.size(), cs.size());
   EXPECT_GT(stats.cache_hits, 0u)
@@ -232,9 +233,9 @@ TEST_P(ShrinkEquivalenceTest, WarmPathMatchesColdFitsSvdd) {
   std::vector<double> d_path(queries.rows());
   std::vector<double> d_cold(queries.rows());
   for (std::size_t n = 0; n < cs.size(); ++n) {
-    config.c = cs[n];
-    const auto cold = SvddModel::train(train, config, 14);
-    EXPECT_NEAR(path[n].r_squared(), cold.r_squared(), 1e-6) << "C=" << cs[n];
+    config.regularizer = cs[n];
+    const auto cold = SvmModel::train(SvmKind::kSvdd, train, config, 14);
+    EXPECT_NEAR(path[n].scalar0(), cold.scalar0(), 1e-6) << "C=" << cs[n];
     path[n].decision_values(queries, d_path);
     cold.decision_values(queries, d_cold);
     for (std::size_t i = 0; i < queries.rows(); ++i) {

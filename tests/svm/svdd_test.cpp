@@ -1,14 +1,17 @@
-#include "svm/svdd.h"
+#include "svm/svm_model.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "svm/one_class_svm.h"
+#include "svm/svm_test_util.h"
 #include "util/rng.h"
 
 namespace wtp::svm {
 namespace {
+
+using testing::accepts;
+using testing::decide;
 
 std::vector<util::SparseVector> blob(util::Rng& rng, std::size_t count,
                                      std::size_t dim, double center,
@@ -27,15 +30,15 @@ std::vector<util::SparseVector> blob(util::Rng& rng, std::size_t count,
 TEST(Svdd, AcceptsBlobCenterRejectsFarPoint) {
   util::Rng rng{1};
   const auto data = blob(rng, 100, 4, 1.0, 0.1);
-  SvddConfig config;
-  config.c = 0.1;
+  SvmConfig config;
+  config.regularizer = 0.1;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 4);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 4);
   const util::SparseVector center{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}};
   const util::SparseVector far{{0, 6.0}, {1, 6.0}, {2, 6.0}, {3, 6.0}};
-  EXPECT_TRUE(model.accepts(center));
-  EXPECT_FALSE(model.accepts(far));
+  EXPECT_TRUE(accepts(model, center));
+  EXPECT_FALSE(accepts(model, far));
 }
 
 TEST(Svdd, HardSphereContainsAllTrainingPoints) {
@@ -43,26 +46,26 @@ TEST(Svdd, HardSphereContainsAllTrainingPoints) {
   // ||Phi(x) - a||^2 <= R^2 (up to solver tolerance).
   util::Rng rng{2};
   const auto data = blob(rng, 60, 3, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 1.0;
+  SvmConfig config;
+  config.regularizer = 1.0;
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
   config.eps = 1e-6;
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 3);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 3);
   for (const auto& x : data) {
-    ASSERT_GE(model.decision_value(x), -1e-3);
+    ASSERT_GE(decide(model, x), -1e-3);
   }
 }
 
 TEST(Svdd, RadiusIsPositiveForSpreadData) {
   util::Rng rng{3};
   const auto data = blob(rng, 50, 3, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 0.5;
+  SvmConfig config;
+  config.regularizer = 0.5;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 3);
-  EXPECT_GT(model.r_squared(), 0.0);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 3);
+  EXPECT_GT(model.scalar0(), 0.0);
 }
 
 TEST(Svdd, SmallCAllowsOutliers) {
@@ -72,14 +75,14 @@ TEST(Svdd, SmallCAllowsOutliers) {
   for (int i = 0; i < 5; ++i) {
     data.push_back(util::SparseVector{{0, 20.0 + i}, {1, -20.0}});
   }
-  SvddConfig config;
-  config.c = 0.02;  // ~1/(0.5 * 105): allows many bounded alphas
+  SvmConfig config;
+  config.regularizer = 0.02;  // ~1/(0.5 * 105): allows many bounded alphas
   config.kernel = {KernelType::kRbf, 0.1, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 2);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 2);
   std::size_t rejected_outliers = 0;
   for (std::size_t i = 100; i < 105; ++i) {
-    if (!model.accepts(data[i])) ++rejected_outliers;
+    if (!accepts(model, data[i])) ++rejected_outliers;
   }
   EXPECT_EQ(rejected_outliers, 5u);
 }
@@ -87,11 +90,11 @@ TEST(Svdd, SmallCAllowsOutliers) {
 TEST(Svdd, CoefficientsSumToOne) {
   util::Rng rng{5};
   const auto data = blob(rng, 40, 3, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 0.2;
+  SvmConfig config;
+  config.regularizer = 0.2;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 3);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 3);
   double sum = 0.0;
   for (const double a : model.coefficients()) sum += a;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -100,26 +103,39 @@ TEST(Svdd, CoefficientsSumToOne) {
 TEST(Svdd, InfeasibleCIsClampedUp) {
   util::Rng rng{6};
   const auto data = blob(rng, 10, 2, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 0.001;  // C*l = 0.01 < 1: clamp to 1/l = 0.1
+  SvmConfig config;
+  config.regularizer = 0.001;  // C*l = 0.01 < 1: clamp to 1/l = 0.1
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 2);
-  EXPECT_DOUBLE_EQ(model.effective_c(), 0.1);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 2);
+  // At C = 1/l = 0.1, sum(alpha) = 1 leaves every alpha at the bound.
+  ASSERT_EQ(model.coefficients().size(), 10u);
+  for (const double alpha : model.coefficients()) EXPECT_DOUBLE_EQ(alpha, 0.1);
 }
 
 TEST(Svdd, SquaredDistanceIsConsistentWithDecision) {
   util::Rng rng{7};
   const auto data = blob(rng, 30, 3, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 0.3;
+  SvmConfig config;
+  config.regularizer = 0.3;
   config.kernel = {KernelType::kRbf, 0.5, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 3);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 3);
+  const auto& svs = model.support_vectors();
   for (const auto& x : blob(rng, 10, 3, 0.0, 2.0)) {
-    ASSERT_NEAR(model.decision_value(x),
-                model.r_squared() - model.squared_distance_to_center(x), 1e-12);
-    ASSERT_GE(model.squared_distance_to_center(x), -1e-9);
+    // ||Phi(x) - a||^2 = k(x, x) - 2 sum_i alpha_i k(sv_i, x) + aKa, with the
+    // center a = sum_i alpha_i Phi(sv_i).
+    const double x_sqnorm = x.squared_norm();
+    double cross = 0.0;
+    for (std::size_t i = 0; i < svs.rows(); ++i) {
+      cross += model.coefficients()[i] *
+               kernel_eval(model.kernel(), x, svs.row_vector(i), x_sqnorm,
+                           svs.sq_norm(i));
+    }
+    const double squared_distance =
+        kernel_self(model.kernel(), x_sqnorm) - 2.0 * cross + model.scalar1();
+    ASSERT_NEAR(decide(model, x), model.scalar0() - squared_distance, 1e-12);
+    ASSERT_GE(squared_distance, -1e-9);
   }
 }
 
@@ -129,14 +145,17 @@ TEST(Svdd, LinearKernelCenterMatchesMeanForHardSphere) {
   std::vector<util::SparseVector> data{
       util::SparseVector{{0, 1.0}}, util::SparseVector{{0, -1.0}},
       util::SparseVector{{0, 0.5}}, util::SparseVector{{0, -0.5}}};
-  SvddConfig config;
-  config.c = 1.0;
+  SvmConfig config;
+  config.regularizer = 1.0;
   config.kernel = {KernelType::kLinear, 1.0, 0.0, 3};
   config.eps = 1e-8;
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 1);
-  const double d_pos = model.squared_distance_to_center(util::SparseVector{{0, 0.8}});
-  const double d_neg = model.squared_distance_to_center(util::SparseVector{{0, -0.8}});
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 1);
+  // Squared distances to the center: R^2 - f(x).
+  const double d_pos =
+      model.scalar0() - decide(model, util::SparseVector{{0, 0.8}});
+  const double d_neg =
+      model.scalar0() - decide(model, util::SparseVector{{0, -0.8}});
   EXPECT_NEAR(d_pos, d_neg, 1e-4);
 }
 
@@ -149,59 +168,62 @@ TEST(Svdd, EquivalentToOneClassSvmForRbfKernel) {
   const double nu = 0.2;
   const KernelParams kernel{KernelType::kRbf, 0.5, 0.0, 3};
 
-  OneClassSvmConfig oc_config;
-  oc_config.nu = nu;
+  SvmConfig oc_config;
+  oc_config.regularizer = nu;
   oc_config.kernel = kernel;
   oc_config.eps = 1e-6;
-  const auto oc_model = OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(data), oc_config, 3);
+  const auto oc_model = SvmModel::train(
+      SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data), oc_config, 3);
 
-  SvddConfig svdd_config;
-  svdd_config.c = 1.0 / (nu * static_cast<double>(data.size()));
+  SvmConfig svdd_config;
+  svdd_config.regularizer = 1.0 / (nu * static_cast<double>(data.size()));
   svdd_config.kernel = kernel;
   svdd_config.eps = 1e-8;
-  const auto svdd_model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), svdd_config, 3);
+  const auto svdd_model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), svdd_config, 3);
 
   std::size_t agreements = 0;
   std::size_t total = 0;
   for (const auto& x : blob(rng, 200, 3, 0.0, 1.5)) {
     // Skip points very close to either boundary (tolerance-dependent).
-    if (std::abs(oc_model.decision_value(x)) < 1e-3) continue;
-    if (std::abs(svdd_model.decision_value(x)) < 1e-4) continue;
+    if (std::abs(decide(oc_model, x)) < 1e-3) continue;
+    if (std::abs(decide(svdd_model, x)) < 1e-4) continue;
     ++total;
-    if (oc_model.accepts(x) == svdd_model.accepts(x)) ++agreements;
+    if (accepts(oc_model, x) == accepts(svdd_model, x)) ++agreements;
   }
   ASSERT_GT(total, 100u);
   EXPECT_GE(static_cast<double>(agreements) / static_cast<double>(total), 0.97);
 }
 
 TEST(Svdd, RejectsInvalidInput) {
-  SvddConfig config;
-  EXPECT_THROW((void)SvddModel::train(util::FeatureMatrix{}, config, 2),
-               std::invalid_argument);
+  SvmConfig config;
+  EXPECT_THROW(
+      (void)SvmModel::train(SvmKind::kSvdd, util::FeatureMatrix{}, config, 2),
+      std::invalid_argument);
   util::Rng rng{9};
   const auto data = util::FeatureMatrix::from_rows(blob(rng, 10, 2, 0.0, 1.0));
-  config.c = 0.0;
-  EXPECT_THROW((void)SvddModel::train(data, config, 2), std::invalid_argument);
-  config.c = 1.2;
-  EXPECT_THROW((void)SvddModel::train(data, config, 2), std::invalid_argument);
+  config.regularizer = 0.0;
+  EXPECT_THROW((void)SvmModel::train(SvmKind::kSvdd, data, config, 2),
+               std::invalid_argument);
+  config.regularizer = 1.2;
+  EXPECT_THROW((void)SvmModel::train(SvmKind::kSvdd, data, config, 2),
+               std::invalid_argument);
 }
 
 TEST(Svdd, FromPartsReproducesDecisions) {
   util::Rng rng{10};
   const auto data = blob(rng, 30, 3, 0.0, 1.0);
-  SvddConfig config;
-  config.c = 0.25;
+  SvmConfig config;
+  config.regularizer = 0.25;
   config.kernel = {KernelType::kRbf, 0.4, 0.0, 3};
-  const auto model = SvddModel::train(
-      util::FeatureMatrix::from_rows(data), config, 3);
+  const auto model = SvmModel::train(
+      SvmKind::kSvdd, util::FeatureMatrix::from_rows(data), config, 3);
   const auto rebuilt =
-      SvddModel::from_parts(model.kernel(), model.support_vectors(),
-                            model.coefficients(), model.r_squared(),
-                            model.alpha_k_alpha());
+      SvmModel::from_parts(SvmKind::kSvdd, model.kernel(), model.support_vectors(),
+                           model.coefficients(), model.scalar0(),
+                           model.scalar1());
   for (const auto& x : blob(rng, 20, 3, 0.0, 2.0)) {
-    ASSERT_DOUBLE_EQ(model.decision_value(x), rebuilt.decision_value(x));
+    ASSERT_DOUBLE_EQ(decide(model, x), decide(rebuilt, x));
   }
 }
 

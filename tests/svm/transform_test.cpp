@@ -24,8 +24,8 @@
 
 #include "svm/kernel.h"
 #include "svm/kernel_scalar_body.h"
-#include "svm/one_class_svm.h"
 #include "svm/relaxed_math.h"
+#include "svm/svm_model.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
@@ -433,21 +433,21 @@ TEST(Transform, TrainingPinnedToExactTier) {
               [](const auto& a, const auto& b) { return a.index < b.index; });
     data.emplace_back(std::move(entries));
   }
-  OneClassSvmConfig config;
-  config.nu = 0.3;
+  SvmConfig config;
+  config.regularizer = 0.3;
   config.kernel = {KernelType::kRbf, 0.1, 0.0, 3};
-  const auto exact = OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(data), config, 22);
+  const auto exact = SvmModel::train(
+      SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data), config, 22);
   const auto under_env = [&] {
     const RelaxedEnv env;
-    return OneClassSvmModel::train(
-        util::FeatureMatrix::from_rows(data), config, 22);
+    return SvmModel::train(
+        SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data), config, 22);
   }();
   ASSERT_EQ(exact.coefficients().size(), under_env.coefficients().size());
   for (std::size_t i = 0; i < exact.coefficients().size(); ++i) {
     EXPECT_EQ(bits(exact.coefficients()[i]), bits(under_env.coefficients()[i]));
   }
-  EXPECT_EQ(bits(exact.rho()), bits(under_env.rho()));
+  EXPECT_EQ(bits(exact.scalar0()), bits(under_env.scalar0()));
   EXPECT_EQ(exact.support_vectors().rows(), under_env.support_vectors().rows());
 }
 
@@ -466,11 +466,11 @@ TEST(Transform, RelaxedDecisionValuesStayClose) {
               [](const auto& a, const auto& b) { return a.index < b.index; });
     data.emplace_back(std::move(entries));
   }
-  OneClassSvmConfig config;
-  config.nu = 0.25;
+  SvmConfig config;
+  config.regularizer = 0.25;
   config.kernel = {KernelType::kRbf, 0.2, 0.0, 3};
-  const auto model = OneClassSvmModel::train(
-      util::FeatureMatrix::from_rows(data), config, 31);
+  const auto model = SvmModel::train(
+      SvmKind::kOcSvm, util::FeatureMatrix::from_rows(data), config, 31);
   auto queries = util::FeatureMatrix::from_rows(
       std::span<const util::SparseVector>{data}, 31);
   std::vector<double> exact_out(data.size());

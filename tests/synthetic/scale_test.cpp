@@ -29,14 +29,14 @@ class Digest {
   }
   void add(double value) { add_bytes(&value, sizeof value); }
 
-  void add(const svm::OneClassSvmModel& model) {
+  void add(const svm::SvmModel& model) {
     const util::CsrView svs = model.support_vectors().view();
     add(svs.indices);
     add(svs.values);
     add(svs.row_offsets);
     add(svs.sq_norms);
     add(std::span<const double>{model.coefficients()});
-    add(model.rho());
+    add(model.scalar0());
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
@@ -60,7 +60,7 @@ TEST(ScalePopulation, MakeModelDigestIsPinned) {
   Digest digest;
   std::size_t nnz = 0;
   for (std::size_t u = 0; u < population.size(); ++u) {
-    const svm::OneClassSvmModel model = population.make_model(u);
+    const svm::SvmModel model = population.make_model(u);
     nnz += model.support_vectors().nnz();
     digest.add(model);
   }
@@ -84,7 +84,7 @@ TEST(ScalePopulation, ModelsAreRebuiltIdentically) {
 TEST(ScalePopulation, SampleWindowMatchesModelRows) {
   const ScalePopulation population = small_population();
   for (std::size_t u = 0; u < population.size(); ++u) {
-    const svm::OneClassSvmModel model = population.make_model(u);
+    const svm::SvmModel model = population.make_model(u);
     const util::FeatureMatrix& svs = model.support_vectors();
     ASSERT_EQ(svs.rows(), population.config().svs_per_user);
     for (std::size_t i = 0; i < svs.rows(); ++i) {
@@ -109,7 +109,7 @@ TEST(ScalePopulation, ModelCarriesSchemaBitsetLayout) {
   const ScalePopulation population = small_population();
   const std::vector<std::uint32_t> numeric = population.schema().numeric_columns();
   for (const std::size_t u : {std::size_t{0}, std::size_t{17}, std::size_t{39}}) {
-    const svm::OneClassSvmModel model = population.make_model(u);
+    const svm::SvmModel model = population.make_model(u);
     const std::optional<util::BitsetView> bits = model.support_vectors().bitset();
     ASSERT_TRUE(bits.has_value()) << "user " << u;
     EXPECT_TRUE(std::ranges::equal(bits->numeric_cols, numeric)) << "user " << u;

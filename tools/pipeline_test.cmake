@@ -27,20 +27,42 @@ if(NOT EXISTS ${store})
   message(FATAL_ERROR "wtp_train produced no profile store")
 endif()
 
-run_step(${CLASSIFY} --log ${trace} --store ${store})
-string(FIND "${last_output}" "acceptance matrix" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "wtp_classify printed no acceptance matrix:\n${last_output}")
-endif()
-# The diagonal must dominate: the summary line reports both means.
-string(REGEX MATCH "diagonal mean ([0-9.]+)%, off-diagonal mean ([0-9.]+)%"
-       summary "${last_output}")
-if(NOT summary)
-  message(FATAL_ERROR "wtp_classify printed no summary line:\n${last_output}")
-endif()
-if(NOT CMAKE_MATCH_1 GREATER CMAKE_MATCH_2)
-  message(FATAL_ERROR
-          "diagonal (${CMAKE_MATCH_1}) must exceed off-diagonal (${CMAKE_MATCH_2})")
+# wtp_classify on `store` must print the acceptance matrix, and its diagonal
+# must dominate: the summary line reports both means.
+function(expect_dominant_diagonal store)
+  run_step(${CLASSIFY} --log ${trace} --store ${store})
+  string(FIND "${last_output}" "acceptance matrix" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "wtp_classify printed no acceptance matrix:\n${last_output}")
+  endif()
+  string(REGEX MATCH "diagonal mean ([0-9.]+)%, off-diagonal mean ([0-9.]+)%"
+         summary "${last_output}")
+  if(NOT summary)
+    message(FATAL_ERROR "wtp_classify printed no summary line:\n${last_output}")
+  endif()
+  if(NOT CMAKE_MATCH_1 GREATER CMAKE_MATCH_2)
+    message(FATAL_ERROR
+            "${store}: diagonal (${CMAKE_MATCH_1}) must exceed off-diagonal "
+            "(${CMAKE_MATCH_2})")
+  endif()
+endfunction()
+expect_dominant_diagonal(${store})
+
+# The SVDD profile path end to end, and an unknown --classifier is a usage
+# error (exit 2, naming the value) before any training.
+set(svdd_store "${WORK}/pipeline_profiles_svdd.wtpstore")
+run_step(${TRAIN} --log ${trace} --out ${svdd_store} --min-transactions 200
+         --classifier svdd)
+expect_dominant_diagonal(${svdd_store})
+execute_process(COMMAND ${TRAIN} --log ${trace} --out ${WORK}/bogus.wtpstore
+                        --classifier bogus
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE output
+                ERROR_VARIABLE output)
+string(FIND "${output}" "'bogus'" named_value)
+if(NOT status EQUAL 2 OR named_value EQUAL -1 OR EXISTS ${WORK}/bogus.wtpstore)
+  message(FATAL_ERROR "wtp_train --classifier bogus: exit ${status}, want 2 "
+                      "and a message naming the value:\n${output}")
 endif()
 
 run_step(${IDENTIFY} --log ${trace} --store ${store} --smooth 3)

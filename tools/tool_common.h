@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/telemetry.h"
 #include "svm/kernel.h"
 
 namespace wtp::tools {
@@ -97,6 +99,54 @@ inline svm::TransformMode scoring_tier(const Args& args) {
              "' (want exact|relaxed)");
   }
 }
+
+/// A tool's telemetry plane, from its --metrics-out FILE
+/// [--metrics-interval S] and --trace-out FILE flags: the global registry
+/// with the common and per-kernel metrics registered, a JSON snapshot of it
+/// written every S seconds (default 1) and once at finish(), and tracing
+/// on while the tool runs.
+class Telemetry {
+ public:
+  explicit Telemetry(const Args& args) : args_{&args} {
+    obs::register_common_metrics(registry());
+    svm::set_kernel_metrics(&registry());
+    if (args.has("metrics-out")) {
+      writer_ = std::make_unique<obs::MetricsFileWriter>(
+          registry(), args.require("metrics-out"),
+          args.get_double("metrics-interval", 1.0));
+    }
+    if (args.has("trace-out")) obs::TraceRecorder::global().enable();
+  }
+
+  [[nodiscard]] static obs::Registry& registry() {
+    return obs::Registry::global();
+  }
+
+  /// The tool's exit: stops the snapshot writer, writes the trace, and
+  /// prints the run summary table to stderr when either flag was given.
+  /// Returns `code`, or 1 in place of 0 when the trace could not be written.
+  [[nodiscard]] int finish(int code) {
+    if (writer_ != nullptr) writer_->stop();
+    const bool tracing = args_->has("trace-out");
+    if (tracing) {
+      obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+      recorder.disable();
+      if (!obs::write_trace_file(recorder, args_->require("trace-out")) &&
+          code == 0) {
+        code = 1;
+      }
+    }
+    if (writer_ != nullptr || tracing) {
+      std::fprintf(stderr, "%s",
+                   obs::summary_table(registry().snapshot(false)).c_str());
+    }
+    return code;
+  }
+
+ private:
+  const Args* args_;
+  std::unique_ptr<obs::MetricsFileWriter> writer_;
+};
 
 /// Runs a tool's body and turns a library exception into `<tool>: <message>`
 /// on stderr and exit 1, instead of std::terminate.

@@ -23,7 +23,6 @@
 #include "features/window.h"
 #include "index/mapped_store.h"
 #include "log/log_io.h"
-#include "obs/telemetry.h"
 #include "tool_common.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -38,32 +37,7 @@ int run(int argc, char** argv) {
                          "[--metrics-out FILE] [--metrics-interval S] "
                          "[--trace-out FILE]"};
   const svm::TransformMode tier = tools::scoring_tier(args);
-  obs::Registry& registry = obs::Registry::global();
-  obs::register_common_metrics(registry);
-  svm::set_kernel_metrics(&registry);
-  const bool telemetry = args.has("metrics-out") || args.has("trace-out");
-  std::unique_ptr<obs::MetricsFileWriter> metrics_writer;
-  if (args.has("metrics-out")) {
-    metrics_writer = std::make_unique<obs::MetricsFileWriter>(
-        registry, args.require("metrics-out"),
-        args.get_double("metrics-interval", 1.0));
-  }
-  if (args.has("trace-out")) obs::TraceRecorder::global().enable();
-  const auto finish = [&](int code) {
-    if (metrics_writer != nullptr) metrics_writer->stop();
-    if (args.has("trace-out")) {
-      obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-      recorder.disable();
-      if (!obs::write_trace_file(recorder, args.require("trace-out"))) {
-        code = code == 0 ? 1 : code;
-      }
-    }
-    if (telemetry) {
-      std::fprintf(stderr, "%s",
-                   obs::summary_table(registry.snapshot(false)).c_str());
-    }
-    return code;
-  };
+  tools::Telemetry telemetry{args};
   const auto store = index::read_mapped_store(args.require("store"));
   const auto transactions = log::read_log_file(args.require("log"));
   std::printf("store: %zu profiles, window D=%lds S=%lds; log: %zu transactions\n",
@@ -96,7 +70,7 @@ int run(int argc, char** argv) {
                      util::format_double(100.0 * ratio, 1) + "%"});
     }
     std::printf("%s", table.render().c_str());
-    return finish(0);
+    return telemetry.finish(0);
   }
 
   const auto confusion = core::compute_confusion(store.profiles(), windows, tier);
@@ -114,7 +88,7 @@ int run(int argc, char** argv) {
   std::printf("%s", table.render("acceptance matrix (%)").c_str());
   std::printf("diagonal mean %.1f%%, off-diagonal mean %.1f%%\n",
               confusion.diagonal_mean(), confusion.off_diagonal_mean());
-  return finish(0);
+  return telemetry.finish(0);
 }
 
 }  // namespace

@@ -18,13 +18,11 @@
 // exact when unset) and WTP_KERNEL_BACKEND pins the kernel backend; an
 // unknown value of either exits 2.
 #include <cstdio>
-#include <memory>
 
 #include "core/identification.h"
 #include "features/split.h"
 #include "index/mapped_store.h"
 #include "log/log_io.h"
-#include "obs/telemetry.h"
 #include "tool_common.h"
 #include "util/strings.h"
 #include "util/time.h"
@@ -39,17 +37,7 @@ int run(int argc, char** argv) {
                          "[--metrics-out FILE] [--metrics-interval S] "
                          "[--trace-out FILE]"};
   const svm::TransformMode tier = tools::scoring_tier(args);
-  obs::Registry& registry = obs::Registry::global();
-  obs::register_common_metrics(registry);
-  svm::set_kernel_metrics(&registry);
-  const bool telemetry = args.has("metrics-out") || args.has("trace-out");
-  std::unique_ptr<obs::MetricsFileWriter> metrics_writer;
-  if (args.has("metrics-out")) {
-    metrics_writer = std::make_unique<obs::MetricsFileWriter>(
-        registry, args.require("metrics-out"),
-        args.get_double("metrics-interval", 1.0));
-  }
-  if (args.has("trace-out")) obs::TraceRecorder::global().enable();
+  tools::Telemetry telemetry{args};
   const auto store = index::read_mapped_store(args.require("store"));
   const auto transactions = log::read_log_file(args.require("log"));
   const auto by_device = features::group_by_device(transactions);
@@ -107,17 +95,7 @@ int run(int argc, char** argv) {
   } else {
     std::printf("\nno identity decisions at smoothing level %zu\n", smooth);
   }
-  if (metrics_writer != nullptr) metrics_writer->stop();
-  if (args.has("trace-out")) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    recorder.disable();
-    if (!obs::write_trace_file(recorder, args.require("trace-out"))) return 1;
-  }
-  if (telemetry) {
-    std::fprintf(stderr, "%s",
-                 obs::summary_table(registry.snapshot(false)).c_str());
-  }
-  return 0;
+  return telemetry.finish(0);
 }
 
 }  // namespace

@@ -66,7 +66,6 @@
 
 #include "index/mapped_store.h"
 #include "log/log_io.h"
-#include "obs/telemetry.h"
 #include "serve/engine.h"
 #include "serve/net/server.h"
 #include "serve/retrain/collector.h"
@@ -125,20 +124,11 @@ int run(int argc, char** argv) {
 
   // Telemetry plane: publish the engine into the global registry, start the
   // periodic snapshot writer, and turn on tracing when an export is wanted.
-  obs::Registry& registry = obs::Registry::global();
-  obs::register_common_metrics(registry);
+  // The per-kernel dot/transform split (DESIGN §14) is visible on /metrics
+  // and in --metrics-out snapshots; the engine adds its relaxed-tier gauge.
+  tools::Telemetry telemetry{args};
+  obs::Registry& registry = telemetry.registry();
   config.registry = &registry;
-  // Per-kernel dot/transform split (DESIGN §14), visible on /metrics and in
-  // --metrics-out snapshots; the engine adds its relaxed-tier gauge.
-  svm::set_kernel_metrics(&registry);
-  const bool telemetry = args.has("metrics-out") || args.has("trace-out");
-  std::unique_ptr<obs::MetricsFileWriter> metrics_writer;
-  if (args.has("metrics-out")) {
-    metrics_writer = std::make_unique<obs::MetricsFileWriter>(
-        registry, args.require("metrics-out"),
-        args.get_double("metrics-interval", 1.0));
-  }
-  if (args.has("trace-out")) obs::TraceRecorder::global().enable();
 
   // Slow-decision attribution: decisions over the threshold keep a
   // per-stage breakdown, worst-first, dumped as JSON lines at exit.
@@ -194,16 +184,7 @@ int run(int argc, char** argv) {
                  metrics.decisions_emitted, metrics.correct_decisions,
                  metrics.sessions_created, metrics.sessions_evicted,
                  metrics.profile_swaps);
-    if (metrics_writer != nullptr) metrics_writer->stop();
-    if (args.has("trace-out")) {
-      obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-      recorder.disable();
-      if (!obs::write_trace_file(recorder, args.require("trace-out"))) return 1;
-    }
-    if (telemetry) {
-      std::fprintf(stderr, "%s",
-                   obs::summary_table(registry.snapshot(false)).c_str());
-    }
+    if (const int code = telemetry.finish(0); code != 0) return code;
     if (slow_log != nullptr) {
       const std::string path = args.require("slow-log");
       if (!slow_log->write_file(path)) {

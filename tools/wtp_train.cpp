@@ -15,12 +15,11 @@
 // --trace-out captures per-solve and per-grid-cell trace spans as Chrome
 // trace_event JSON.  Either flag also prints a run summary table to stderr.
 #include <cstdio>
-#include <memory>
+#include <stdexcept>
 
 #include "core/grid_search.h"
 #include "index/mapped_store.h"
 #include "log/log_io.h"
-#include "obs/telemetry.h"
 #include "tool_common.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -40,18 +39,15 @@ int run(int argc, char** argv) {
   tools::check_kernel_backend(args);
   const std::string log_path = args.require("log");
   const std::string out_path = args.require("out");
-
-  obs::Registry& registry = obs::Registry::global();
-  obs::register_common_metrics(registry);
-  svm::set_kernel_metrics(&registry);
-  const bool telemetry = args.has("metrics-out") || args.has("trace-out");
-  std::unique_ptr<obs::MetricsFileWriter> metrics_writer;
-  if (args.has("metrics-out")) {
-    metrics_writer = std::make_unique<obs::MetricsFileWriter>(
-        registry, args.require("metrics-out"),
-        args.get_double("metrics-interval", 1.0));
+  const std::string classifier = args.get("classifier", "oc-svm");
+  core::ClassifierType type{};
+  try {
+    type = svm::parse_svm_kind(classifier);
+  } catch (const std::runtime_error&) {
+    args.die("unknown --classifier '" + classifier + "'");
   }
-  if (args.has("trace-out")) obs::TraceRecorder::global().enable();
+
+  tools::Telemetry telemetry{args};
 
   util::Stopwatch stopwatch;
   auto transactions = log::read_log_file(log_path);
@@ -69,15 +65,6 @@ int run(int argc, char** argv) {
 
   const features::WindowConfig window{args.get_int("duration", 60),
                                       args.get_int("shift", 30)};
-  const std::string classifier = args.get("classifier", "oc-svm");
-  core::ClassifierType type;
-  if (classifier == "oc-svm") {
-    type = core::ClassifierType::kOcSvm;
-  } else if (classifier == "svdd") {
-    type = core::ClassifierType::kSvdd;
-  } else {
-    args.die("unknown --classifier '" + classifier + "'");
-  }
 
   util::ThreadPool pool{static_cast<std::size_t>(args.get_int("threads", 0))};
   std::vector<core::ProfileParams> params;
@@ -103,7 +90,7 @@ int run(int argc, char** argv) {
   for (const auto& profile : profiles) {
     std::printf("  %-10s %-7s kernel=%-10s reg=%.3f SVs=%zu\n",
                 profile.user_id().c_str(),
-                std::string{core::to_string(profile.params().type)}.c_str(),
+                std::string{svm::to_string(profile.params().type)}.c_str(),
                 svm::describe(profile.params().kernel).c_str(),
                 profile.params().regularizer, profile.support_vector_count());
   }
@@ -112,17 +99,7 @@ int run(int argc, char** argv) {
       core::ProfileStore{window, dataset.schema(), std::move(profiles)}, out_path);
   std::printf("profile store written to %s\n", out_path.c_str());
 
-  if (metrics_writer != nullptr) metrics_writer->stop();
-  if (args.has("trace-out")) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    recorder.disable();
-    if (!obs::write_trace_file(recorder, args.require("trace-out"))) return 1;
-  }
-  if (telemetry) {
-    std::fprintf(stderr, "%s",
-                 obs::summary_table(registry.snapshot(false)).c_str());
-  }
-  return 0;
+  return telemetry.finish(0);
 }
 
 }  // namespace
