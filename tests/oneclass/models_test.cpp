@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "core/test_trace.h"
 #include "oneclass/centroid.h"
 #include "oneclass/gaussian.h"
 #include "oneclass/kde.h"
@@ -214,6 +218,38 @@ TEST(ModelFactory, ToStringCoversAllKinds) {
   EXPECT_EQ(to_string(ModelKind::kAutoencoder), "autoencoder");
   EXPECT_EQ(to_string(ModelKind::kIsolationForest), "isolation-forest");
   EXPECT_EQ(to_string(ModelKind::kKnn), "knn");
+}
+
+// Every model family's decisions, pinned by one FNV-1a digest over their
+// bits: each kind is fitted at nu = 0.1 on one tiny-dataset user and scores
+// every user's test windows.  A refactor of a scorer or of its threshold
+// calibration must reproduce these bits exactly.
+TEST(OneClassDigest, DecisionValuesArePinned) {
+  const auto& dataset = core::testing::tiny_dataset();
+  const features::WindowConfig window{60, 30};
+  const std::size_t dimension = dataset.schema().dimension();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const std::string& trained = dataset.user_ids().front();
+  for (const ModelKind kind :
+       {ModelKind::kOcSvm, ModelKind::kSvdd, ModelKind::kCentroid,
+        ModelKind::kGaussian, ModelKind::kKde, ModelKind::kAutoencoder,
+        ModelKind::kIsolationForest, ModelKind::kKnn}) {
+    auto model = make_model(kind, 0.1);
+    model->fit(*dataset.train_matrix(trained, window), dimension);
+    for (const auto& user : dataset.user_ids()) {
+      for (const auto& x : dataset.test_windows(user, window)) {
+        add(model->decision_value(x));
+      }
+    }
+  }
+  EXPECT_EQ(hash, 8319458906135094749ULL);
 }
 
 }  // namespace
