@@ -3,6 +3,7 @@
 // model families on the same windows/protocol: per-user fit on training
 // windows, ACC_self/ACC_other on held-out test windows, plus fit and
 // prediction timing.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -24,15 +25,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> users = dataset.user_ids();
   if (!options.full && users.size() > 10) users.resize(10);
 
+  // Training windows capped at 400 per user below paper scale (0 = no cap).
+  const std::size_t cap = options.full ? 0 : 400;
   std::map<std::string, util::FeatureMatrix> train;
-  std::map<std::string, std::vector<util::SparseVector>> test;
+  std::map<std::string, util::FeatureMatrix> test;
   for (const auto& user : users) {
-    auto tw = dataset.train_windows(user, window);
-    if (!options.full && tw.size() > 400) {
-      tw = core::ProfilingDataset::subsample(std::move(tw), 400);
-    }
-    train.emplace(user, util::FeatureMatrix::from_rows(tw));
-    test.emplace(user, dataset.test_windows(user, window));
+    train.emplace(user, core::ProfilingDataset::subsample(
+                            *dataset.train_matrix(user, window), cap));
+    test.emplace(user, *dataset.test_matrix(user, window));
   }
 
   const double nu = 0.1;
@@ -64,18 +64,19 @@ int main(int argc, char** argv) {
 
       double other_acc = 0.0;
       std::size_t other_users = 0;
+      std::vector<double> decisions;
       for (const auto& [other_user, windows] : test) {
-        std::size_t accepted = 0;
+        decisions.resize(windows.rows());
         util::Stopwatch predict_watch;
-        for (const auto& w : windows) {
-          if (model->accepts(w)) ++accepted;
-        }
+        model->decision_values(windows, decisions);
+        const auto accepted = std::ranges::count_if(
+            decisions, [](double value) { return value >= 0.0; });
         predict_seconds += predict_watch.elapsed_seconds();
-        predictions += windows.size();
+        predictions += windows.rows();
         const double ratio =
             windows.empty() ? 0.0
                             : 100.0 * static_cast<double>(accepted) /
-                                  static_cast<double>(windows.size());
+                                  static_cast<double>(windows.rows());
         if (other_user == user) {
           self_sum += ratio;
         } else {

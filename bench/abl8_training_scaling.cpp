@@ -29,14 +29,12 @@ int main(int argc, char** argv) {
   // Use the most active user (largest window count).
   std::string user;
   std::size_t most_windows = 0;
-  std::map<std::string, std::vector<util::SparseVector>> all_train;
   for (const auto& candidate : dataset.user_ids()) {
-    auto windows_of = dataset.train_windows(candidate, window);
-    if (windows_of.size() > most_windows) {
-      most_windows = windows_of.size();
+    const std::size_t windows_of = dataset.train_matrix(candidate, window)->rows();
+    if (windows_of > most_windows) {
+      most_windows = windows_of;
       user = candidate;
     }
-    all_train.emplace(candidate, std::move(windows_of));
   }
   std::printf("# sweep user: %s (%zu available training windows)\n\n",
               user.c_str(), most_windows);
@@ -52,8 +50,8 @@ int main(int argc, char** argv) {
   for (const std::size_t cap : {100u, 200u, 400u, 800u, 1600u, 3200u}) {
     if (cap > most_windows) break;
     const auto capped =
-        core::ProfilingDataset::subsample(all_train.at(user), cap);
-    std::vector<std::string> row{std::to_string(capped.size())};
+        core::ProfilingDataset::subsample(*dataset.train_matrix(user, window), cap);
+    std::vector<std::string> row{std::to_string(capped.rows())};
     for (const auto type :
          {core::ClassifierType::kOcSvm, core::ClassifierType::kSvdd}) {
       core::ProfileParams params;
@@ -62,11 +60,10 @@ int main(int argc, char** argv) {
       params.regularizer = type == core::ClassifierType::kOcSvm ? 0.1 : 0.02;
       util::Stopwatch stopwatch;
       const auto profile = core::UserProfile::train(
-          user, util::FeatureMatrix::from_rows(capped),
-          dataset.schema().dimension(), params);
+          user, capped, dataset.schema().dimension(), params);
       const double seconds = stopwatch.elapsed_seconds();
       if (type == core::ClassifierType::kOcSvm) {
-        sizes.push_back(static_cast<double>(capped.size()));
+        sizes.push_back(static_cast<double>(capped.rows()));
         times.push_back(seconds);
       }
       row.push_back(util::format_double(seconds, 3) + "s");

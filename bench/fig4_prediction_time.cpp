@@ -40,16 +40,26 @@ struct Fixture {
       const auto dataset = bench::make_dataset(options, trace);
       const std::string user = dataset.user_ids().front();
       f.train = *dataset.train_matrix(user, f.window);
-      f.probes = dataset.test_windows(user, f.window);
-      // Mix in other users' windows so probes cover accept and reject paths.
-      const auto other = dataset.test_windows(dataset.user_ids()[1], f.window);
-      f.probes.insert(f.probes.end(), other.begin(), other.end());
+      // The user's test windows, then another user's so probes cover accept
+      // and reject paths.
+      for (const auto& probe_user : {user, dataset.user_ids()[1]}) {
+        const auto& windows = *dataset.test_matrix(probe_user, f.window);
+        for (std::size_t r = 0; r < windows.rows(); ++r) {
+          f.probes.push_back(windows.row_vector(r));
+        }
+      }
       f.dimension = dataset.schema().dimension();
       return f;
     }();
     return fixture;
   }
 };
+
+/// One window's decision, its squared norm included: the per-window cost a
+/// caller pays.
+double decide(const core::UserProfile& profile, const util::SparseVector& probe) {
+  return profile.decision_value(probe, probe.squared_norm());
+}
 
 core::UserProfile train_profile(core::ClassifierType type) {
   const auto& fixture = Fixture::get();
@@ -67,7 +77,7 @@ void classify_benchmark(benchmark::State& state, core::ClassifierType type) {
   std::size_t index = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        profile.decision_value(fixture.probes[index % fixture.probes.size()]));
+        decide(profile, fixture.probes[index % fixture.probes.size()]));
     ++index;
   }
   state.counters["support_vectors"] =
@@ -97,7 +107,7 @@ bool report_box_plot(core::ClassifierType type) {
   micros.reserve(fixture.probes.size());
   for (const auto& probe : fixture.probes) {
     util::Stopwatch stopwatch;
-    benchmark::DoNotOptimize(profile.decision_value(probe));
+    benchmark::DoNotOptimize(decide(profile, probe));
     micros.push_back(stopwatch.elapsed_micros());
     timer.record_ns(micros.back() * 1e3);
   }

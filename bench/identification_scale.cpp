@@ -249,7 +249,7 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
       const double from_heap = heap_model.decision_value(x, sqnorm);
       const double from_view =
           store.model(u).decision_value(svm::KernelQueries::row(x, sqnorm));
-      const double from_round_trip = round_trip.decision_value(x);
+      const double from_round_trip = round_trip.decision_value(x, sqnorm);
       ++identity_checks;
       if (from_heap != from_view || from_heap != from_round_trip) {
         ++identity_failures;

@@ -87,7 +87,8 @@ int main() {
   bool logged_out = false;
   std::printf("time  verdict  (window-by-window decisions)\n");
   for (const auto& w : windows) {
-    const bool ok = profile.accepts(w.features);
+    const bool ok =
+        profile.decision_value(w.features, w.features.squared_norm()) >= 0.0;
     consecutive_rejections = ok ? 0 : consecutive_rejections + 1;
     const double minute =
         static_cast<double>(w.start - start) / util::kSecondsPerMinute;

@@ -47,12 +47,12 @@ int main() {
   params.type = core::ClassifierType::kOcSvm;
   params.kernel = {svm::KernelType::kRbf, /*gamma=*/0.0 /*auto*/, 0.0, 3};
   params.regularizer = 0.1;  // nu
-  const auto train_windows = dataset.train_matrix(user, window);
+  const auto own_train = dataset.train_matrix(user, window);
   const core::UserProfile profile = core::UserProfile::train(
-      user, *train_windows, dataset.schema().dimension(), params);
+      user, *own_train, dataset.schema().dimension(), params);
   std::printf("trained %s profile for %s on %zu windows (%zu support vectors)\n",
               std::string{svm::to_string(params.type)}.c_str(), user.c_str(),
-              train_windows->rows(), profile.support_vector_count());
+              own_train->rows(), profile.support_vector_count());
 
   // 4. Classify held-out windows.
   const auto own_test = *dataset.test_matrix(user, window);

@@ -116,19 +116,7 @@ void for_each_kept_window(std::span<const log::WebTransaction> txns,
   });
 }
 
-/// The kept windows as vectors (train_windows, test_windows).
-std::vector<util::SparseVector> kept_window_vectors(
-    std::span<const log::WebTransaction> txns, const features::FeatureSchema& schema,
-    const features::WindowConfig& window, std::size_t max_windows) {
-  std::vector<util::SparseVector> vectors;
-  for_each_kept_window(txns, schema, window, max_windows,
-                       [&](std::span<const features::EncodedTransaction> encoded) {
-                         vectors.push_back(features::merge_window(encoded, schema));
-                       });
-  return vectors;
-}
-
-/// The same windows as CSR rows, written straight into the builder.
+/// The kept windows as CSR rows, written straight into the builder.
 util::FeatureMatrix kept_window_matrix(std::span<const log::WebTransaction> txns,
                                        const features::FeatureSchema& schema,
                                        const features::WindowConfig& window,
@@ -247,6 +235,16 @@ std::span<const log::WebTransaction> ProfilingDataset::all_transactions(
   return user_data(user).rows;
 }
 
+util::FeatureMatrix ProfilingDataset::subsample(const util::FeatureMatrix& rows,
+                                                std::size_t max_count) {
+  if (max_count == 0 || rows.rows() <= max_count) return rows;
+  util::FeatureMatrixBuilder builder;
+  for (const std::size_t i : subsample_indices(rows.rows(), max_count)) {
+    builder.add_row(rows, i);
+  }
+  return builder.build(rows.cols());
+}
+
 std::vector<util::SparseVector> ProfilingDataset::subsample(
     std::vector<util::SparseVector> vectors, std::size_t max_count) {
   if (max_count == 0 || vectors.size() <= max_count) return vectors;
@@ -256,17 +254,6 @@ std::vector<util::SparseVector> ProfilingDataset::subsample(
     sampled.push_back(std::move(vectors[i]));
   }
   return sampled;
-}
-
-std::vector<util::SparseVector> ProfilingDataset::train_windows(
-    const std::string& user, const features::WindowConfig& window) const {
-  return kept_window_vectors(train_transactions(user), schema_, window,
-                             config_.max_training_windows);
-}
-
-std::vector<util::SparseVector> ProfilingDataset::test_windows(
-    const std::string& user, const features::WindowConfig& window) const {
-  return kept_window_vectors(test_transactions(user), schema_, window, 0);
 }
 
 std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::cached_matrix(
@@ -280,7 +267,6 @@ std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::cached_matrix(
   }
   // Window outside the lock: concurrent misses on the same key may both
   // compute, but they produce identical matrices and the first insert wins.
-  // The rows are train_windows / test_windows, built straight into CSR.
   auto built = train ? kept_window_matrix(train_transactions(user), schema_, window,
                                           config_.max_training_windows)
                      : kept_window_matrix(test_transactions(user), schema_, window, 0);
@@ -300,14 +286,6 @@ std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::train_matrix(
 std::shared_ptr<const util::FeatureMatrix> ProfilingDataset::test_matrix(
     const std::string& user, const features::WindowConfig& window) const {
   return cached_matrix(user, window, /*train=*/false);
-}
-
-std::map<std::string, std::size_t> ProfilingDataset::transaction_counts() const {
-  std::map<std::string, std::size_t> counts;
-  for (std::size_t u = 0; u < user_ids_.size(); ++u) {
-    counts.emplace(user_ids_[u], users_[u].rows.size());
-  }
-  return counts;
 }
 
 }  // namespace wtp::core

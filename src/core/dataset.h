@@ -69,23 +69,14 @@ class ProfilingDataset {
   [[nodiscard]] std::span<const log::WebTransaction> all_transactions(
       const std::string& user) const;
 
-  /// Training windows for a user under a window configuration, subsampled
-  /// to config.max_training_windows: features::WindowAggregator::aggregate's
-  /// windows, through ProfilingDataset::subsample, bit for bit.  Only the
-  /// windows kept are merged.
-  [[nodiscard]] std::vector<util::SparseVector> train_windows(
-      const std::string& user, const features::WindowConfig& window) const;
-
-  /// Test windows (never subsampled).
-  [[nodiscard]] std::vector<util::SparseVector> test_windows(
-      const std::string& user, const features::WindowConfig& window) const;
-
-  /// Training windows as a CSR FeatureMatrix (rows = train_windows output,
-  /// bit for bit; cols = schema dimension).  Each (window config, user)
-  /// pair is windowed exactly once and cached, so a grid search sweeping
-  /// kernels and nu over the same window configuration reuses one matrix.
-  /// The rows are written straight into CSR, and only the windows that
-  /// subsampling keeps are merged.  Thread-safe.
+  /// Training windows for a user under a window configuration, as a CSR
+  /// FeatureMatrix (cols = schema dimension), subsampled to
+  /// config.max_training_windows: features::WindowAggregator::aggregate's
+  /// windows, through ProfilingDataset::subsample, bit for bit.  Each
+  /// (window config, user) pair is windowed exactly once and cached, so a
+  /// grid search sweeping kernels and nu over the same window configuration
+  /// reuses one matrix.  The rows are written straight into CSR, and only
+  /// the windows that subsampling keeps are merged.  Thread-safe.
   [[nodiscard]] std::shared_ptr<const util::FeatureMatrix> train_matrix(
       const std::string& user, const features::WindowConfig& window) const;
 
@@ -93,12 +84,16 @@ class ProfilingDataset {
   [[nodiscard]] std::shared_ptr<const util::FeatureMatrix> test_matrix(
       const std::string& user, const features::WindowConfig& window) const;
 
-  /// Per-user transaction counts of the *kept* users.
-  [[nodiscard]] std::map<std::string, std::size_t> transaction_counts() const;
-
   [[nodiscard]] const DatasetConfig& config() const noexcept { return config_; }
 
-  /// Deterministic uniform subsampling helper (stride-based, keeps order).
+  /// Deterministic uniform subsampling (stride-based, keeps order): at most
+  /// `max_count` rows (0 = all), the ones train_matrix keeps out of all of
+  /// a user's windows.
+  [[nodiscard]] static util::FeatureMatrix subsample(const util::FeatureMatrix& rows,
+                                                     std::size_t max_count);
+  /// The same choice over vectors.  Kept only for bench/ledger's cascade10k
+  /// set-up (ledger.cpp), which windows the trace users under the decoys'
+  /// schema through features::window_vectors.
   [[nodiscard]] static std::vector<util::SparseVector> subsample(
       std::vector<util::SparseVector> vectors, std::size_t max_count);
 

@@ -66,15 +66,15 @@ struct GridMetrics {
 /// returns the paper's stage-1 ratios for one (user, config) cell.
 AcceptanceRatios training_set_ratios(
     const std::string& user, const ProfileParams& params,
-    const MatrixByUser& train_windows, std::size_t dimension) {
+    const MatrixByUser& train_matrices, std::size_t dimension) {
   const obs::TraceSpan span{"grid.window_cell", "grid"};
   GridMetrics::get().window_cells.add(1);
-  const auto& own_windows = *train_windows.at(user);
+  const auto& own_windows = *train_matrices.at(user);
   if (own_windows.empty()) return {.acc_self = 0.0, .acc_other = 100.0};
   try {
     const UserProfile profile =
         UserProfile::train(user, own_windows, dimension, params);
-    return profile_acceptance(profile, train_windows);
+    return profile_acceptance(profile, train_matrices);
   } catch (const std::invalid_argument&) {
     // Infeasible configuration (e.g. SVDD with C*l < 1 after clamping, or a
     // degenerate training set): maximally bad score, keeps the sweep going.
@@ -97,12 +97,12 @@ bool is_trainable(const AcceptanceRatios& ratios) {
 /// only in how the solution is reached.
 AcceptanceRatios grid_cell_ratios(const std::string& user,
                                   const ProfileParams& params,
-                                  const MatrixByUser& train_windows,
+                                  const MatrixByUser& train_matrices,
                                   std::size_t dimension) {
   const obs::TraceSpan span{"grid.cell", "grid"};
   const GridMetrics& metrics = GridMetrics::get();
   metrics.cold_cells.add(1);
-  const auto& own_windows = *train_windows.at(user);
+  const auto& own_windows = *train_matrices.at(user);
   if (own_windows.empty()) {
     metrics.untrainable_cells.add(1);
     return untrainable_ratios();
@@ -115,7 +115,7 @@ AcceptanceRatios grid_cell_ratios(const std::string& user,
     const UserProfile profile = UserProfile::from_model(
         user, params,
         svm::SvmModel::train(params.type, own_windows, config, dimension));
-    return profile_acceptance(profile, train_windows, kGridAcceptSlack);
+    return profile_acceptance(profile, train_matrices, kGridAcceptSlack);
   } catch (const std::invalid_argument&) {
     metrics.untrainable_cells.add(1);
     return untrainable_ratios();
@@ -212,7 +212,7 @@ void accumulate_support_rows(std::span<const std::uint32_t> rows,
 }
 
 std::vector<std::vector<ParamGridEntry>> score_param_grid(
-    const MatrixByUser& train_windows, std::span<const std::string> column_users,
+    const MatrixByUser& train_matrices, std::span<const std::string> column_users,
     ClassifierType type, std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, std::size_t dimension,
     util::ThreadPool& pool) {
@@ -223,19 +223,19 @@ std::vector<std::vector<ParamGridEntry>> score_param_grid(
   // Users in map order, the order the ratios average them in.
   std::vector<const util::FeatureMatrix*> matrices;
   std::vector<std::size_t> slot_of;
-  for (const auto& entry : train_windows) {
+  for (const auto& entry : train_matrices) {
     matrices.push_back(entry.second.get());
     slot_of.push_back(kNoSlot);
   }
   std::vector<std::size_t> user_of(columns_n);
   for (std::size_t c = 0; c < columns_n; ++c) {
-    const auto found = train_windows.find(column_users[c]);
-    if (found == train_windows.end()) {
+    const auto found = train_matrices.find(column_users[c]);
+    if (found == train_matrices.end()) {
       throw std::out_of_range{"grid search: no windows for user '" +
                               column_users[c] + "'"};
     }
     user_of[c] = static_cast<std::size_t>(
-        std::distance(train_windows.begin(), found));
+        std::distance(train_matrices.begin(), found));
     slot_of[user_of[c]] = c;
   }
   // The kernel columns of one user transform the same Gram rows, so they
@@ -428,10 +428,10 @@ std::vector<WindowGridEntry> window_grid_search(
   const auto& users = dataset.user_ids();
   if (users.empty()) throw std::invalid_argument{"window_grid_search: no users"};
   for (const auto& window : window_grid) {
-    const MatrixByUser train_windows = all_train_matrices(dataset, window, pool);
+    const MatrixByUser train_matrices = all_train_matrices(dataset, window, pool);
     std::vector<AcceptanceRatios> per_user(users.size());
     util::parallel_for(pool, users.size(), [&](std::size_t u) {
-      per_user[u] = training_set_ratios(users[u], base_params, train_windows,
+      per_user[u] = training_set_ratios(users[u], base_params, train_matrices,
                                         dataset.schema().dimension());
     });
     WindowGridEntry entry;
@@ -469,9 +469,9 @@ std::vector<ParamGridEntry> param_grid_search(
     std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, util::ThreadPool& pool,
     GridSearchMode mode) {
-  const MatrixByUser train_windows = all_train_matrices(dataset, window, pool);
+  const MatrixByUser train_matrices = all_train_matrices(dataset, window, pool);
   if (mode == GridSearchMode::kWarmPath) {
-    return std::move(score_param_grid(train_windows, {&user, 1}, type, kernels,
+    return std::move(score_param_grid(train_matrices, {&user, 1}, type, kernels,
                                       regularizers, dataset.schema().dimension(),
                                       pool)
                          .front());
@@ -484,7 +484,7 @@ std::vector<ParamGridEntry> param_grid_search(
     entry.params.type = type;
     entry.params.kernel = kernels[k];
     entry.params.regularizer = regularizers[r];
-    entry.ratios = grid_cell_ratios(user, entry.params, train_windows,
+    entry.ratios = grid_cell_ratios(user, entry.params, train_matrices,
                                     dataset.schema().dimension());
     entry.trainable = is_trainable(entry.ratios);
   });
@@ -508,13 +508,13 @@ std::vector<ProfileParams> optimize_all_users(
     ClassifierType type, std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, util::ThreadPool& pool,
     GridSearchMode mode) {
-  const MatrixByUser train_windows = all_train_matrices(dataset, window, pool);
+  const MatrixByUser train_matrices = all_train_matrices(dataset, window, pool);
   const auto& users = dataset.user_ids();
   std::vector<std::vector<ParamGridEntry>> grids;
   if (mode == GridSearchMode::kWarmPath) {
     // Results land in fixed slots, so the selection below is independent
     // of scheduling and pool size.
-    grids = score_param_grid(train_windows, users, type, kernels, regularizers,
+    grids = score_param_grid(train_matrices, users, type, kernels, regularizers,
                              dataset.schema().dimension(), pool);
   } else {
     const std::size_t grid_size = kernels.size() * regularizers.size();
@@ -528,7 +528,7 @@ std::vector<ProfileParams> optimize_all_users(
       entry.params.type = type;
       entry.params.kernel = kernels[k];
       entry.params.regularizer = regularizers[r];
-      entry.ratios = grid_cell_ratios(users[u], entry.params, train_windows,
+      entry.ratios = grid_cell_ratios(users[u], entry.params, train_matrices,
                                       dataset.schema().dimension());
       entry.trainable = is_trainable(entry.ratios);
     });
@@ -578,13 +578,13 @@ TestEvaluation evaluate_on_test(const ProfilingDataset& dataset,
   util::parallel_for(pool, users.size(), [&](std::size_t u) {
     per_user[u] = dataset.test_matrix(users[u], window);
   });
-  MatrixByUser test_windows;
+  MatrixByUser test_matrices;
   for (std::size_t u = 0; u < users.size(); ++u) {
-    test_windows.emplace(users[u], std::move(per_user[u]));
+    test_matrices.emplace(users[u], std::move(per_user[u]));
   }
   TestEvaluation evaluation;
-  evaluation.mean_ratios = mean_acceptance(profiles, test_windows);
-  evaluation.confusion = compute_confusion(profiles, test_windows);
+  evaluation.mean_ratios = mean_acceptance(profiles, test_matrices);
+  evaluation.confusion = compute_confusion(profiles, test_matrices);
   return evaluation;
 }
 

@@ -87,7 +87,7 @@ inline constexpr double kGridCellEps = 1e-6;
 inline constexpr double kGridAcceptSlack = 1e-4;
 
 /// The kWarmPath grid of every user in `column_users` (each a key of
-/// `train_windows`), scored on every user's windows: the one stage-2 scorer.
+/// `train_matrices`), scored on every user's windows: the one stage-2 scorer.
 /// Three phases:
 ///   1. Fit: one fit_path sweep per (column user, kernel) at kGridCellEps,
 ///      in parallel.  Each cell keeps only its support rows
@@ -107,14 +107,14 @@ inline constexpr double kGridAcceptSlack = 1e-4;
 ///   3. Ratios from the accept counts, users in map order.
 /// Each entry's ratios are bitwise equal to
 /// profile_acceptance(UserProfile::from_model(user, ..., model_r),
-/// train_windows, kGridAcceptSlack) on the same fit_path models.  An empty
+/// train_matrices, kGridAcceptSlack) on the same fit_path models.  An empty
 /// own-window matrix or a failed fit marks a (user, kernel) column
 /// untrainable ({0, 100}).  Per-thread scratch: a few kColumnTile x l
 /// blocks (l = m's rows) plus the transposed direction's chains, one per
 /// (cell, row of m).  The result does not depend on the pool's width.
 /// Returns one grid per column user, kernel-major, regularizer-minor.
 [[nodiscard]] std::vector<std::vector<ParamGridEntry>> score_param_grid(
-    const MatrixByUser& train_windows, std::span<const std::string> column_users,
+    const MatrixByUser& train_matrices, std::span<const std::string> column_users,
     ClassifierType type, std::span<const svm::KernelParams> kernels,
     std::span<const double> regularizers, std::size_t dimension,
     util::ThreadPool& pool);

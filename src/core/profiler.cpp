@@ -18,10 +18,6 @@ UserProfile UserProfile::train(std::string user_id,
                      svm::SvmModel::train(params.type, windows, config, dimension)};
 }
 
-double UserProfile::decision_value(const util::SparseVector& window) const {
-  return decision_value(window, window.squared_norm());
-}
-
 double UserProfile::decision_value(const util::SparseVector& window,
                                    double window_sqnorm,
                                    svm::TransformMode tier) const {

@@ -50,16 +50,12 @@ class UserProfile {
     return UserProfile{std::move(user_id), params, std::move(model)};
   }
 
-  [[nodiscard]] double decision_value(const util::SparseVector& window) const;
-  /// Same, with the query's squared norm precomputed by the caller (serving:
-  /// one norm per scored window shared across all profiles), in transform
-  /// tier `tier` (svm/kernel.h).
+  /// Decision value of one window (>= 0 accepts), whose squared norm the
+  /// caller computes (serving: one norm per scored window shared across all
+  /// profiles), in transform tier `tier` (svm/kernel.h).
   [[nodiscard]] double decision_value(
       const util::SparseVector& window, double window_sqnorm,
       svm::TransformMode tier = svm::TransformMode::kExact) const;
-  [[nodiscard]] bool accepts(const util::SparseVector& window) const {
-    return decision_value(window) >= 0.0;
-  }
 
   /// Batched decisions over every row of `windows` (the kernel_block path),
   /// bit-identical to per-row decision_value.  `out` needs windows.rows()

@@ -152,41 +152,37 @@ void AutoencoderModel::fit(const util::FeatureMatrix& data, std::size_t dimensio
   }
   fitted_ = true;
 
-  std::vector<double> scores;
-  scores.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    scores.push_back(-reconstruction_error_dense(dense_row(r)));
-  }
+  std::vector<double> scores(n);
+  reconstruction_errors(data, scores);
+  for (double& score : scores) score = -score;
   threshold_ = -quantile_threshold(scores, config_.outlier_fraction);
 }
 
-double AutoencoderModel::reconstruction_error_dense(
-    std::span<const double> input) const {
-  thread_local std::vector<double> hidden, output;
-  forward(input, hidden, output);
-  double sum = 0.0;
-  for (std::size_t d = 0; d < dimension_; ++d) {
-    const double err = output[d] - input[d];
-    sum += err * err;
-  }
-  return sum / static_cast<double>(dimension_);
-}
-
-double AutoencoderModel::reconstruction_error(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"AutoencoderModel: error before fit"};
-  thread_local std::vector<double> input;
-  input.assign(dimension_, 0.0);
-  for (const auto& entry : x.entries()) {
-    if (entry.index >= dimension_) {
+void AutoencoderModel::reconstruction_errors(const util::FeatureMatrix& rows,
+                                             std::span<double> out) const {
+  std::vector<double> input(std::max(rows.cols(), dimension_));
+  std::vector<double> hidden, output;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    const auto indices = rows.row_indices(r);
+    if (!indices.empty() && indices.back() >= dimension_) {
       throw std::out_of_range{"AutoencoderModel: feature index out of range"};
     }
-    input[entry.index] = entry.value;
+    rows.copy_row_dense(r, input);
+    forward(input, hidden, output);
+    double sum = 0.0;
+    for (std::size_t d = 0; d < dimension_; ++d) {
+      const double err = output[d] - input[d];
+      sum += err * err;
+    }
+    out[r] = sum / static_cast<double>(dimension_);
   }
-  return reconstruction_error_dense(input);
 }
 
-double AutoencoderModel::decision_value(const util::SparseVector& x) const {
-  return threshold_ - reconstruction_error(x);
+void AutoencoderModel::decision_values(const util::FeatureMatrix& windows,
+                                       std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  reconstruction_errors(windows, out);
+  for (double& value : out) value = threshold_ - value;
 }
 
 }  // namespace wtp::oneclass

@@ -29,11 +29,13 @@ class AutoencoderModel final : public OneClassModel {
   explicit AutoencoderModel(AutoencoderConfig config = {});
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  /// threshold() minus each window's mean squared reconstruction error.
+  /// Throws std::out_of_range for a window with a feature index at or past
+  /// the fitted dimension.
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "autoencoder"; }
 
-  /// Mean squared reconstruction error of x (lower = more "inside").
-  [[nodiscard]] double reconstruction_error(const util::SparseVector& x) const;
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
   /// Training loss after the final epoch (for convergence tests).
   [[nodiscard]] double final_loss() const noexcept { return final_loss_; }
@@ -43,7 +45,10 @@ class AutoencoderModel final : public OneClassModel {
   /// stay allocation-light.
   void forward(std::span<const double> input, std::vector<double>& hidden,
                std::vector<double>& output) const;
-  [[nodiscard]] double reconstruction_error_dense(std::span<const double> input) const;
+  /// out[r] = the mean squared reconstruction error of row r of `rows`
+  /// (lower = more "inside"), from a dense copy of the row.
+  void reconstruction_errors(const util::FeatureMatrix& rows,
+                             std::span<double> out) const;
 
   AutoencoderConfig config_;
   std::size_t dimension_ = 0;

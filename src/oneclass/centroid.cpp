@@ -44,44 +44,35 @@ void CentroidModel::fit(const util::FeatureMatrix& data, std::size_t dimension) 
   }
   fitted_ = true;
 
-  std::vector<double> distances;
-  distances.reserve(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    distances.push_back(
-        distance_to_mean(data.row_indices(r), data.row_values(r), data.sq_norm(r)));
-  }
   // Radius covering all but the outlier fraction: negate so that "higher is
   // better" for the shared quantile helper.
   std::vector<double> scores;
-  scores.reserve(distances.size());
-  for (const double d : distances) scores.push_back(-d);
+  scores.reserve(data.rows());
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    scores.push_back(-distance_to_mean(data, r));
+  }
   radius_ = -quantile_threshold(scores, outlier_fraction_);
 }
 
-double CentroidModel::distance_to_mean(const util::SparseVector& x) const {
+double CentroidModel::distance_to_mean(const util::FeatureMatrix& rows,
+                                       std::size_t r) const {
   // ||x - m||^2 = ||x||^2 - 2 x.m + ||m||^2, exploiting x's sparsity.
-  double cross = 0.0;
-  for (const auto& entry : x.entries()) {
-    if (entry.index < mean_.size()) cross += entry.value * mean_[entry.index];
-  }
-  const double sq = x.squared_norm() - 2.0 * cross + mean_sqnorm_;
-  return std::sqrt(std::max(0.0, sq));
-}
-
-double CentroidModel::distance_to_mean(std::span<const std::uint32_t> indices,
-                                       std::span<const double> values,
-                                       double sq_norm) const {
+  const auto indices = rows.row_indices(r);
+  const auto values = rows.row_values(r);
   double cross = 0.0;
   for (std::size_t k = 0; k < indices.size(); ++k) {
     if (indices[k] < mean_.size()) cross += values[k] * mean_[indices[k]];
   }
-  const double sq = sq_norm - 2.0 * cross + mean_sqnorm_;
+  const double sq = rows.sq_norm(r) - 2.0 * cross + mean_sqnorm_;
   return std::sqrt(std::max(0.0, sq));
 }
 
-double CentroidModel::decision_value(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"CentroidModel: decision before fit"};
-  return radius_ - distance_to_mean(x);
+void CentroidModel::decision_values(const util::FeatureMatrix& windows,
+                                    std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  for (std::size_t r = 0; r < windows.rows(); ++r) {
+    out[r] = radius_ - distance_to_mean(windows, r);
+  }
 }
 
 }  // namespace wtp::oneclass

@@ -15,16 +15,16 @@ class CentroidModel final : public OneClassModel {
   explicit CentroidModel(double outlier_fraction = 0.1);
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "centroid"; }
 
   [[nodiscard]] double radius() const noexcept { return radius_; }
 
  private:
-  [[nodiscard]] double distance_to_mean(const util::SparseVector& x) const;
-  [[nodiscard]] double distance_to_mean(std::span<const std::uint32_t> indices,
-                                        std::span<const double> values,
-                                        double sq_norm) const;
+  /// Euclidean distance from row `r` of `rows` to the training mean.
+  [[nodiscard]] double distance_to_mean(const util::FeatureMatrix& rows,
+                                        std::size_t r) const;
 
   double outlier_fraction_;
   std::vector<double> mean_;

@@ -45,27 +45,17 @@ void GaussianModel::fit(const util::FeatureMatrix& data, std::size_t dimension) 
   std::vector<double> scores;
   scores.reserve(data.rows());
   for (std::size_t r = 0; r < data.rows(); ++r) {
-    scores.push_back(-mahalanobis(data.row_indices(r), data.row_values(r)));
+    scores.push_back(-mahalanobis(data, r));
   }
   threshold_ = -quantile_threshold(scores, outlier_fraction_);
 }
 
-double GaussianModel::mahalanobis(const util::SparseVector& x) const {
+double GaussianModel::mahalanobis(const util::FeatureMatrix& rows,
+                                  std::size_t r) const {
   // sum_d (x_d - m_d)^2 / v_d computed sparsely: start from the zero-vector
   // distance and correct the coordinates where x is non-zero.
-  double sq = base_distance_;
-  for (const auto& entry : x.entries()) {
-    if (entry.index >= mean_.size()) continue;  // out-of-schema: ignore
-    const double m = mean_[entry.index];
-    const double iv = inv_variance_[entry.index];
-    const double diff = entry.value - m;
-    sq += diff * diff * iv - m * m * iv;
-  }
-  return std::sqrt(std::max(0.0, sq));
-}
-
-double GaussianModel::mahalanobis(std::span<const std::uint32_t> indices,
-                                  std::span<const double> values) const {
+  const auto indices = rows.row_indices(r);
+  const auto values = rows.row_values(r);
   double sq = base_distance_;
   for (std::size_t k = 0; k < indices.size(); ++k) {
     if (indices[k] >= mean_.size()) continue;  // out-of-schema: ignore
@@ -77,9 +67,12 @@ double GaussianModel::mahalanobis(std::span<const std::uint32_t> indices,
   return std::sqrt(std::max(0.0, sq));
 }
 
-double GaussianModel::decision_value(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"GaussianModel: decision before fit"};
-  return threshold_ - mahalanobis(x);
+void GaussianModel::decision_values(const util::FeatureMatrix& windows,
+                                    std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  for (std::size_t r = 0; r < windows.rows(); ++r) {
+    out[r] = threshold_ - mahalanobis(windows, r);
+  }
 }
 
 }  // namespace wtp::oneclass

@@ -17,15 +17,16 @@ class GaussianModel final : public OneClassModel {
                          double variance_floor = 1e-4);
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "gaussian"; }
 
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
  private:
-  [[nodiscard]] double mahalanobis(const util::SparseVector& x) const;
-  [[nodiscard]] double mahalanobis(std::span<const std::uint32_t> indices,
-                                   std::span<const double> values) const;
+  /// Mahalanobis distance of row `r` of `rows` to the training distribution.
+  [[nodiscard]] double mahalanobis(const util::FeatureMatrix& rows,
+                                   std::size_t r) const;
 
   double outlier_fraction_;
   double variance_floor_;

@@ -38,6 +38,7 @@ void IsolationForestModel::fit(const util::FeatureMatrix& data,
   if (data.empty()) {
     throw std::invalid_argument{"IsolationForestModel::fit: empty data"};
   }
+  dimension_ = dimension;
   util::Rng rng{config_.seed};
   const std::size_t sample_size = std::min(config_.subsample, data.rows());
   normalizer_ = std::max(1e-9, average_path_length(static_cast<double>(sample_size)));
@@ -137,28 +138,10 @@ void IsolationForestModel::fit(const util::FeatureMatrix& data,
   }
   fitted_ = true;
 
-  std::vector<double> scores;
-  scores.reserve(data.rows());
-  std::vector<double> query(dimension);
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    data.copy_row_dense(r, query);
-    scores.push_back(-anomaly_score_dense(query));
-  }
+  std::vector<double> scores(data.rows());
+  anomaly_scores(data, scores);
+  for (double& score : scores) score = -score;
   threshold_ = -quantile_threshold(scores, config_.outlier_fraction);
-}
-
-double IsolationForestModel::path_length(const Tree& tree,
-                                         const util::SparseVector& x) const {
-  double depth = 0.0;
-  std::int32_t node_index = 0;
-  while (true) {
-    const Node& node = tree.nodes[static_cast<std::size_t>(node_index)];
-    if (node.left < 0) {
-      return depth + average_path_length(static_cast<double>(node.leaf_size));
-    }
-    node_index = x.at(node.feature) < node.threshold ? node.left : node.right;
-    ++depth;
-  }
 }
 
 double IsolationForestModel::path_length(const Tree& tree,
@@ -175,24 +158,23 @@ double IsolationForestModel::path_length(const Tree& tree,
   }
 }
 
-double IsolationForestModel::anomaly_score(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"IsolationForestModel: score before fit"};
-  double total = 0.0;
-  for (const auto& tree : trees_) total += path_length(tree, x);
-  const double mean_path = total / static_cast<double>(trees_.size());
-  return std::pow(2.0, -mean_path / normalizer_);
+void IsolationForestModel::anomaly_scores(const util::FeatureMatrix& rows,
+                                          std::span<double> out) const {
+  std::vector<double> dense(std::max(rows.cols(), dimension_));
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    rows.copy_row_dense(r, dense);
+    double total = 0.0;
+    for (const auto& tree : trees_) total += path_length(tree, dense);
+    const double mean_path = total / static_cast<double>(trees_.size());
+    out[r] = std::pow(2.0, -mean_path / normalizer_);
+  }
 }
 
-double IsolationForestModel::anomaly_score_dense(std::span<const double> x) const {
-  if (!fitted_) throw std::logic_error{"IsolationForestModel: score before fit"};
-  double total = 0.0;
-  for (const auto& tree : trees_) total += path_length(tree, x);
-  const double mean_path = total / static_cast<double>(trees_.size());
-  return std::pow(2.0, -mean_path / normalizer_);
-}
-
-double IsolationForestModel::decision_value(const util::SparseVector& x) const {
-  return threshold_ - anomaly_score(x);
+void IsolationForestModel::decision_values(const util::FeatureMatrix& windows,
+                                           std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  anomaly_scores(windows, out);
+  for (double& value : out) value = threshold_ - value;
 }
 
 }  // namespace wtp::oneclass

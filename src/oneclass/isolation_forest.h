@@ -27,11 +27,11 @@ class IsolationForestModel final : public OneClassModel {
   explicit IsolationForestModel(IsolationForestConfig config = {});
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  /// threshold() minus each window's anomaly score.
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "isolation-forest"; }
 
-  /// Anomaly score in (0, 1): ~0.5 for average points, -> 1 for anomalies.
-  [[nodiscard]] double anomaly_score(const util::SparseVector& x) const;
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
  private:
@@ -50,12 +50,13 @@ class IsolationForestModel final : public OneClassModel {
   };
 
   [[nodiscard]] double path_length(const Tree& tree,
-                                   const util::SparseVector& x) const;
-  [[nodiscard]] double path_length(const Tree& tree,
                                    std::span<const double> x) const;
-  [[nodiscard]] double anomaly_score_dense(std::span<const double> x) const;
+  /// out[r] = the anomaly score of row r of `rows`, in (0, 1): ~0.5 for
+  /// average points, -> 1 for anomalies.  Scores a dense copy of each row.
+  void anomaly_scores(const util::FeatureMatrix& rows, std::span<double> out) const;
 
   IsolationForestConfig config_;
+  std::size_t dimension_ = 0;
   std::vector<Tree> trees_;
   double normalizer_ = 1.0;  ///< c(subsample)
   double threshold_ = 0.0;

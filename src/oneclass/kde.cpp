@@ -25,40 +25,34 @@ void KdeModel::fit(const util::FeatureMatrix& data, std::size_t dimension) {
 
   // Leave-one-out densities would be ideal; plain densities shift every
   // training score up by 1/n uniformly, which the quantile absorbs.
-  std::vector<double> scores;
-  scores.reserve(points_.rows());
-  std::vector<double> dots(points_.rows());
-  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
-  for (std::size_t i = 0; i < points_.rows(); ++i) {
-    svm::dot_block(matrix, svm::KernelQueries::rows(matrix, i, 1), dots);
-    scores.push_back(density_from_dots(dots, points_.sq_norm(i)));
-  }
+  std::vector<double> scores(points_.rows());
+  densities(points_, scores);
   threshold_ = quantile_threshold(scores, outlier_fraction_);
 }
 
-double KdeModel::density_from_dots(std::span<const double> dots,
-                                   double x_sqnorm) const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < points_.rows(); ++i) {
-    const double sq_dist =
-        std::max(0.0, points_.sq_norm(i) + x_sqnorm - 2.0 * dots[i]);
-    sum += std::exp(-gamma_ * sq_dist);
+void KdeModel::densities(const util::FeatureMatrix& queries,
+                         std::span<double> out) const {
+  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
+  const svm::KernelMatrix source = svm::kernel_matrix(queries);
+  std::vector<double> dots(points_.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    svm::dot_block(matrix, svm::KernelQueries::rows(source, q, 1), dots);
+    const double x_sqnorm = queries.sq_norm(q);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < points_.rows(); ++i) {
+      const double sq_dist =
+          std::max(0.0, points_.sq_norm(i) + x_sqnorm - 2.0 * dots[i]);
+      sum += std::exp(-gamma_ * sq_dist);
+    }
+    out[q] = sum / static_cast<double>(points_.rows());
   }
-  return sum / static_cast<double>(points_.rows());
 }
 
-double KdeModel::density(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"KdeModel: density before fit"};
-  thread_local std::vector<double> dots;
-  dots.resize(points_.rows());
-  const double x_sqnorm = x.squared_norm();
-  svm::dot_block(svm::kernel_matrix(points_), svm::KernelQueries::row(x, x_sqnorm),
-                 dots);
-  return density_from_dots(dots, x_sqnorm);
-}
-
-double KdeModel::decision_value(const util::SparseVector& x) const {
-  return density(x) - threshold_;
+void KdeModel::decision_values(const util::FeatureMatrix& windows,
+                               std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  densities(windows, out);
+  for (double& value : out) value -= threshold_;
 }
 
 }  // namespace wtp::oneclass

@@ -16,16 +16,17 @@ class KdeModel final : public OneClassModel {
   explicit KdeModel(double outlier_fraction = 0.1, double bandwidth_gamma = 0.0);
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  /// Each window's density minus threshold().
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "kde"; }
 
-  [[nodiscard]] double density(const util::SparseVector& x) const;
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
  private:
-  /// Mean RBF kernel over batched dot products (dots[i] = points_[i] . x).
-  [[nodiscard]] double density_from_dots(std::span<const double> dots,
-                                         double x_sqnorm) const;
+  /// out[q] = the mean RBF kernel of row q of `queries` to the training
+  /// windows.
+  void densities(const util::FeatureMatrix& queries, std::span<double> out) const;
 
   double outlier_fraction_;
   double gamma_;

@@ -25,61 +25,46 @@ void KnnModel::fit(const util::FeatureMatrix& data, std::size_t dimension) {
   fitted_ = true;
 
   // Leave-one-out calibration: each training point's k-th neighbour among
-  // the *other* points.  One dot_all pass per point replaces n merge-join
-  // dots; the shared squared norms come cached with the matrix.
-  std::vector<double> scores;
-  scores.reserve(points_.rows());
-  std::vector<double> sq_dists(points_.rows());
-  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
-  for (std::size_t i = 0; i < points_.rows(); ++i) {
-    svm::dot_block(matrix, svm::KernelQueries::rows(matrix, i, 1), sq_dists);
-    const double x_sqnorm = points_.sq_norm(i);
-    for (std::size_t j = 0; j < points_.rows(); ++j) {
-      sq_dists[j] = std::max(0.0, points_.sq_norm(j) + x_sqnorm - 2.0 * sq_dists[j]);
-    }
-    scores.push_back(-kth_from_sq_dists(sq_dists, i));
-  }
+  // the *other* points.
+  std::vector<double> scores(points_.rows());
+  kth_distances(points_, /*leave_one_out=*/true, scores);
+  for (double& score : scores) score = -score;
   threshold_ = -quantile_threshold(scores, outlier_fraction_);
 }
 
-void KnnModel::sq_dists_to_all(const util::SparseVector& x,
-                               std::span<double> out) const {
-  const double x_sqnorm = x.squared_norm();
-  svm::dot_block(svm::kernel_matrix(points_), svm::KernelQueries::row(x, x_sqnorm),
-                 out);
-  for (std::size_t i = 0; i < points_.rows(); ++i) {
-    out[i] = std::max(0.0, points_.sq_norm(i) + x_sqnorm - 2.0 * out[i]);
-  }
-}
-
-double KnnModel::kth_from_sq_dists(std::span<const double> sq_dists,
-                                   std::size_t skip_index) const {
-  // Max-heap of the k smallest squared distances seen so far.
-  std::priority_queue<double> heap;
-  for (std::size_t i = 0; i < sq_dists.size(); ++i) {
-    if (i == skip_index) continue;
-    const double sq = sq_dists[i];
-    if (heap.size() < k_) {
-      heap.push(sq);
-    } else if (sq < heap.top()) {
-      heap.pop();
-      heap.push(sq);
+void KnnModel::kth_distances(const util::FeatureMatrix& queries, bool leave_one_out,
+                             std::span<double> out) const {
+  // One dot_block pass per query replaces n merge-join dots; the squared
+  // norms come cached with both matrices.
+  const svm::KernelMatrix matrix = svm::kernel_matrix(points_);
+  const svm::KernelMatrix source = svm::kernel_matrix(queries);
+  std::vector<double> sq_dists(points_.rows());
+  std::priority_queue<double> heap;  // the k smallest squared distances
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    svm::dot_block(matrix, svm::KernelQueries::rows(source, q, 1), sq_dists);
+    const double x_sqnorm = queries.sq_norm(q);
+    for (std::size_t j = 0; j < points_.rows(); ++j) {
+      sq_dists[j] = std::max(0.0, points_.sq_norm(j) + x_sqnorm - 2.0 * sq_dists[j]);
     }
+    heap = {};
+    for (std::size_t j = 0; j < sq_dists.size(); ++j) {
+      if (leave_one_out && j == q) continue;
+      if (heap.size() < k_) {
+        heap.push(sq_dists[j]);
+      } else if (sq_dists[j] < heap.top()) {
+        heap.pop();
+        heap.push(sq_dists[j]);
+      }
+    }
+    out[q] = heap.empty() ? 0.0 : std::sqrt(heap.top());  // empty: one point
   }
-  if (heap.empty()) return 0.0;  // single-point training set
-  return std::sqrt(heap.top());
 }
 
-double KnnModel::kth_distance(const util::SparseVector& x) const {
-  if (!fitted_) throw std::logic_error{"KnnModel: distance before fit"};
-  thread_local std::vector<double> sq_dists;
-  sq_dists.resize(points_.rows());
-  sq_dists_to_all(x, sq_dists);
-  return kth_from_sq_dists(sq_dists, points_.rows());
-}
-
-double KnnModel::decision_value(const util::SparseVector& x) const {
-  return threshold_ - kth_distance(x);
+void KnnModel::decision_values(const util::FeatureMatrix& windows,
+                               std::span<double> out) const {
+  check_decision_call(fitted_, windows, out);
+  kth_distances(windows, /*leave_one_out=*/false, out);
+  for (double& value : out) value = threshold_ - value;
 }
 
 }  // namespace wtp::oneclass

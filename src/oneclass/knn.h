@@ -15,21 +15,20 @@ class KnnModel final : public OneClassModel {
   explicit KnnModel(std::size_t k = 5, double outlier_fraction = 0.1);
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  /// threshold() minus each window's distance to its k-th nearest training
+  /// window.
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "knn"; }
 
-  /// Distance to the k-th nearest training point (excluding exact self
-  /// matches only via the extra-neighbour trick during calibration).
-  [[nodiscard]] double kth_distance(const util::SparseVector& x) const;
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
  private:
-  /// Selects the k-th smallest of `sq_dists` (skipping `skip_index`) and
-  /// returns its square root.
-  [[nodiscard]] double kth_from_sq_dists(std::span<const double> sq_dists,
-                                         std::size_t skip_index) const;
-  /// Fills `out[i] = ||points_[i] - x||^2` from batched dot products.
-  void sq_dists_to_all(const util::SparseVector& x, std::span<double> out) const;
+  /// out[q] = the distance from row q of `queries` to its k-th nearest
+  /// training window; with `leave_one_out` (calibration, queries ==
+  /// points_) training window q itself is skipped.
+  void kth_distances(const util::FeatureMatrix& queries, bool leave_one_out,
+                     std::span<double> out) const;
 
   std::size_t k_;
   double outlier_fraction_;

@@ -32,8 +32,10 @@ void SvmAdapter::fit(const util::FeatureMatrix& data, std::size_t dimension) {
   model_ = svm::SvmModel::train(kind_, data, config_, dimension);
 }
 
-double SvmAdapter::decision_value(const util::SparseVector& x) const {
-  return model().decision_value(x, x.squared_norm());
+void SvmAdapter::decision_values(const util::FeatureMatrix& windows,
+                                 std::span<double> out) const {
+  check_decision_call(model_.has_value(), windows, out);
+  model_->decision_values(windows, out);
 }
 
 const svm::SvmModel& SvmAdapter::model() const {

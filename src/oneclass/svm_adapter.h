@@ -23,7 +23,9 @@ class SvmAdapter final : public OneClassModel {
                                           svm::KernelParams kernel = {});
 
   void fit(const util::FeatureMatrix& data, std::size_t dimension) override;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const override;
+  /// svm::SvmModel::decision_values, in the exact tier.
+  void decision_values(const util::FeatureMatrix& windows,
+                       std::span<double> out) const override;
   [[nodiscard]] std::string name() const override {
     return std::string{svm::to_string(kind_)};
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -253,13 +254,17 @@ std::vector<std::uint32_t> user_id_ranks(
 /// util::parallel_for's fixed shards of consecutive users left threads idle
 /// (generation 13% slower at the ledger's shape).  A task catches what fn
 /// throws, since an exception escaping a pool task terminates; the first one
-/// is rethrown once every task has finished.
+/// is rethrown once every task has finished.  A per-call latch waits for
+/// these tasks only, so callers sharing one pool do not wait on each other's
+/// tasks.
 template <typename Fn>
 void parallel_each(util::ThreadPool& pool, std::size_t count, const Fn& fn) {
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr error;
-  for (std::size_t w = 0; w < std::min(count, pool.thread_count()); ++w) {
+  const std::size_t tasks = std::min(count, pool.thread_count());
+  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
+  for (std::size_t w = 0; w < tasks; ++w) {
     pool.submit([&] {
       for (std::size_t i; (i = next++) < count;) {
         try {
@@ -269,9 +274,10 @@ void parallel_each(util::ThreadPool& pool, std::size_t count, const Fn& fn) {
           if (!error) error = std::current_exception();
         }
       }
+      done.count_down();
     });
   }
-  pool.wait_idle();
+  done.wait();
   if (error) std::rethrow_exception(error);
 }
 

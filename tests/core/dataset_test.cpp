@@ -125,11 +125,10 @@ TEST(ProfilingDataset, WindowsAreNonEmptyAndCapAtConfiguredMax) {
   const ProfilingDataset& dataset = testing::tiny_dataset();
   const features::WindowConfig window{60, 30};
   for (const auto& user : dataset.user_ids()) {
-    const auto train = dataset.train_windows(user, window);
-    EXPECT_FALSE(train.empty());
-    EXPECT_LE(train.size(), testing::tiny_dataset_config().max_training_windows);
-    const auto test = dataset.test_windows(user, window);
-    EXPECT_FALSE(test.empty());
+    const auto train = dataset.train_matrix(user, window);
+    EXPECT_FALSE(train->empty());
+    EXPECT_LE(train->rows(), testing::tiny_dataset_config().max_training_windows);
+    EXPECT_FALSE(dataset.test_matrix(user, window)->empty());
   }
 }
 
@@ -159,12 +158,23 @@ TEST(ProfilingDataset, SubsampleTakesTheFloorOfEachStrideStep) {
     kept.push_back(v.entries()[0].index);
   }
   EXPECT_EQ(kept, (std::vector<std::size_t>{0, 9, 19, 28, 38, 47, 57, 66, 76, 85}));
+  // The matrix overload keeps the same rows.
+  const auto sampled =
+      ProfilingDataset::subsample(util::FeatureMatrix::from_rows(vectors), 10);
+  EXPECT_EQ(sampled.cols(), 95u);
+  ASSERT_EQ(sampled.rows(), kept.size());
+  for (std::size_t r = 0; r < sampled.rows(); ++r) {
+    EXPECT_EQ(sampled.row_vector(r), vectors[kept[r]]) << "row " << r;
+  }
 }
 
 TEST(ProfilingDataset, SubsampleNoopWhenUnderCap) {
   std::vector<util::SparseVector> vectors{util::SparseVector{{0, 1.0}}};
   EXPECT_EQ(ProfilingDataset::subsample(vectors, 10).size(), 1u);
   EXPECT_EQ(ProfilingDataset::subsample(vectors, 0).size(), 1u);  // 0 = no cap
+  const auto matrix = util::FeatureMatrix::from_rows(vectors);
+  EXPECT_EQ(ProfilingDataset::subsample(matrix, 10), matrix);
+  EXPECT_EQ(ProfilingDataset::subsample(matrix, 0), matrix);
 }
 
 TEST(ProfilingDataset, KeptUsersHoldTheirGroupedRowsInLogOrder) {
@@ -337,17 +347,13 @@ TEST(ProfilingDataset, BatchRowsMatchTheStreamingFoldAtEveryCap) {
                                 features::window_vectors(aggregator.aggregate(test)),
                                 dimension)))
           << user << " test, cap " << cap;
-      // The vector path walks the same windows.
+      // Subsampling the matrix keeps the rows subsampling the vectors does.
+      const auto uncapped = util::FeatureMatrix::from_rows(streamed, dimension);
       EXPECT_TRUE(same_bits(
-          util::FeatureMatrix::from_rows(dataset.train_windows(user, window), dimension),
+          ProfilingDataset::subsample(uncapped, cap),
           util::FeatureMatrix::from_rows(ProfilingDataset::subsample(streamed, cap),
                                          dimension)))
-          << user << " train_windows, cap " << cap;
-      EXPECT_TRUE(same_bits(
-          util::FeatureMatrix::from_rows(dataset.test_windows(user, window), dimension),
-          util::FeatureMatrix::from_rows(features::window_vectors(aggregator.aggregate(test)),
-                                         dimension)))
-          << user << " test_windows, cap " << cap;
+          << user << " subsampled matrix, cap " << cap;
     }
     if (cap > 0) {
       EXPECT_GT(subsampled, 0u) << "cap " << cap;
@@ -363,21 +369,12 @@ TEST(ProfilingDataset, MatricesRefuseRowsOutOfTimeOrder) {
   config.min_transactions = 1;
   const ProfilingDataset dataset{txns, config};
   const features::WindowConfig window{60, 30};
-  EXPECT_THROW((void)dataset.train_windows("u", window), std::invalid_argument);
   try {
     (void)dataset.train_matrix("u", window);
     ADD_FAILURE() << "train_matrix took rows out of time order";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string{e.what()}.find("time-ordered (40 after 50)"), std::string::npos)
         << e.what();
-  }
-}
-
-TEST(ProfilingDataset, TransactionCountsMatchSpans) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  for (const auto& [user, count] : dataset.transaction_counts()) {
-    EXPECT_EQ(count, dataset.all_transactions(user).size());
-    EXPECT_GE(count, testing::tiny_dataset_config().min_transactions);
   }
 }
 

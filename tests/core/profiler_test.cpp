@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "core/profile_test_util.h"
 #include "core/test_trace.h"
 
 namespace wtp::core {
@@ -77,7 +78,7 @@ TEST(UserProfile, AcceptanceRatioMatchesPerWindowDecisions) {
   const std::string user = dataset.user_ids().front();
   std::vector<util::SparseVector> windows;
   for (const auto& other : dataset.user_ids()) {
-    for (auto& x : dataset.test_windows(other, kWindow)) {
+    for (auto& x : testing::rows_of(*dataset.test_matrix(other, kWindow))) {
       windows.push_back(std::move(x));
     }
   }
@@ -103,7 +104,7 @@ TEST(UserProfile, AcceptanceRatioMatchesPerWindowDecisions) {
           user, *dataset.train_matrix(user, kWindow), dim, params);
       std::size_t accepted = 0;
       for (const auto& x : windows) {
-        if (profile.decision_value(x) >= 0.0) ++accepted;
+        if (testing::decide(profile, x) >= 0.0) ++accepted;
       }
       const double expected = static_cast<double>(accepted) /
                               static_cast<double>(windows.size());
@@ -113,17 +114,6 @@ TEST(UserProfile, AcceptanceRatioMatchesPerWindowDecisions) {
       EXPECT_EQ(profile.acceptance_ratio(bitset_rows), expected);
       EXPECT_EQ(profile.acceptance_ratio(empty), 0.0);
     }
-  }
-}
-
-TEST(UserProfile, DecisionValueConsistentWithAccepts) {
-  const ProfilingDataset& dataset = testing::tiny_dataset();
-  const std::string user = dataset.user_ids().front();
-  const UserProfile profile =
-      UserProfile::train(user, *dataset.train_matrix(user, kWindow),
-                         dataset.schema().dimension(), ocsvm_params());
-  for (const auto& w : dataset.test_windows(user, kWindow)) {
-    EXPECT_EQ(profile.accepts(w), profile.decision_value(w) >= 0.0);
   }
 }
 
@@ -147,7 +137,7 @@ TEST(ScoreWindows, BitIdenticalToPerRowDecisionValue) {
   const std::size_t dim = dataset.schema().dimension();
   std::vector<util::SparseVector> queries;
   for (const auto& user : dataset.user_ids()) {
-    for (auto& x : dataset.test_windows(user, kWindow)) {
+    for (auto& x : testing::rows_of(*dataset.test_matrix(user, kWindow))) {
       queries.push_back(std::move(x));
     }
   }

@@ -262,18 +262,18 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   const auto probes = digest_probes(population);
   const auto probe_matrix = util::FeatureMatrix::from_rows(probes, dim);
 
-  core::MatrixByUser train_windows;
+  core::MatrixByUser train_matrices;
   for (std::size_t u = 0; u < 4; ++u) {
     std::vector<util::SparseVector> rows;
     for (std::uint64_t salt = 0; salt < 40; ++salt) {
       rows.push_back(population.sample_window(u, salt));
     }
-    train_windows.emplace(population.user_id(u),
+    train_matrices.emplace(population.user_id(u),
                           std::make_shared<const util::FeatureMatrix>(
                               util::FeatureMatrix::from_rows(rows, dim)));
   }
   const std::string user = population.user_id(0);
-  const util::FeatureMatrix& train = *train_windows.at(user);
+  const util::FeatureMatrix& train = *train_matrices.at(user);
 
   DecisionDigest digest;
   std::vector<double> batch(probe_matrix.rows());
@@ -325,7 +325,7 @@ TEST(DecisionDigest, EveryScoringPathIsPinned) {
   util::ThreadPool grid_pool{1};
   for (const auto type :
        {core::ClassifierType::kOcSvm, core::ClassifierType::kSvdd}) {
-    const auto grid = core::score_param_grid(train_windows, {&user, 1}, type,
+    const auto grid = core::score_param_grid(train_matrices, {&user, 1}, type,
                                              {&polynomial, 1}, regularizers,
                                              dim, grid_pool);
     for (const auto& entry : grid.front()) {

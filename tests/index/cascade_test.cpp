@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/profiler.h"
+#include "core/profile_test_util.h"
 #include "core/test_trace.h"
 #include "index/mapped_store.h"
 #include "obs/registry.h"
@@ -190,16 +191,16 @@ TEST(IdentifyExhaustive, PicksHighestDecisionValueAndKeepsFirstTie) {
         dataset.schema().dimension(), params));
   }
   const auto query =
-      dataset.test_windows(dataset.user_ids().front(), window).front();
+      dataset.test_matrix(dataset.user_ids().front(), window)->row_vector(0);
 
   const core::ProfileStore store{window, dataset.schema(), profiles};
   const HeapProfileCatalog catalog{store};
   const IdentificationPlane plane{catalog};
   const IdentificationResult result = plane.identify_exhaustive(query);
   ASSERT_NE(result.best, IdentificationResult::npos);
-  EXPECT_EQ(result.best_decision, profiles[result.best].decision_value(query));
+  EXPECT_EQ(result.best_decision, core::testing::decide(profiles[result.best], query));
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const double value = profiles[i].decision_value(query);
+    const double value = core::testing::decide(profiles[i], query);
     if (i < result.best) {
       EXPECT_LT(value, result.best_decision) << profiles[i].user_id();
     } else {

@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/profile_test_util.h"
 #include "core/profiler.h"
 #include "core/test_trace.h"
 #include "index/store_format.h"
@@ -102,7 +103,7 @@ TEST(MappedStore, MappedDecisionsBitIdenticalToHeap) {
       ASSERT_EQ(store.model(u).decision_value(
                     svm::KernelQueries::row(x, x.squared_norm())),
                 from_heap);
-      ASSERT_EQ(materialized.decision_value(x), from_heap);
+      ASSERT_EQ(core::testing::decide(materialized, x), from_heap);
     }
   }
 }
@@ -127,7 +128,8 @@ TEST(MappedStore, MaterializedProfileOutlivesStore) {
     EXPECT_EQ(model.scalar0(), heap_model.scalar0());
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
       const util::SparseVector x = population.sample_window(u, 0xd00d + salt);
-      ASSERT_EQ(profiles[u].decision_value(x), svm::testing::decide(heap_model, x));
+      ASSERT_EQ(core::testing::decide(profiles[u], x),
+                svm::testing::decide(heap_model, x));
     }
   }
 }
@@ -189,7 +191,7 @@ TEST(MappedStore, MaterializingAndScoringGrowsHeapByCoefficientsOnly) {
   const MappedProfileStore store = MappedProfileStore::open(path);
   const util::SparseVector x = population.sample_window(0, 0xfeed);
   // Warms the per-thread scoring scratch, which is not per profile.
-  (void)store.materialize_profile(0).decision_value(x);
+  (void)core::testing::decide(store.materialize_profile(0), x);
 
   const std::size_t before = heap_bytes();
   std::vector<core::UserProfile> profiles;
@@ -197,7 +199,7 @@ TEST(MappedStore, MaterializingAndScoringGrowsHeapByCoefficientsOnly) {
   for (std::size_t u = 0; u < store.size(); ++u) {
     profiles.push_back(store.materialize_profile(u));
   }
-  for (const auto& profile : profiles) (void)profile.decision_value(x);
+  for (const auto& profile : profiles) (void)core::testing::decide(profile, x);
   const std::size_t after = heap_bytes();
   const std::size_t grown = after > before ? after - before : 0;
 
@@ -286,7 +288,8 @@ TEST(MappedStore, RewritingMappedPathKeepsBorrowedProfiles) {
     const svm::SvmModel heap_model = first.make_model(u);
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
       const util::SparseVector x = first.sample_window(u, 0xbeef + salt);
-      ASSERT_EQ(profiles[u].decision_value(x), svm::testing::decide(heap_model, x));
+      ASSERT_EQ(core::testing::decide(profiles[u], x),
+                svm::testing::decide(heap_model, x));
       ASSERT_EQ(store.model(u).decision_value(
                     svm::KernelQueries::row(x, x.squared_norm())),
                 svm::testing::decide(heap_model, x));
@@ -343,7 +346,7 @@ TEST(MappedStore, WriteMappedStoreMirrorsHeapStore) {
     const util::SparseVector x = population.sample_window(u, 0x5a17);
     ASSERT_EQ(mapped.model(u).decision_value(
                   svm::KernelQueries::row(x, x.squared_norm())),
-              heap_store.profiles()[u].decision_value(x));
+              core::testing::decide(heap_store.profiles()[u], x));
   }
 }
 

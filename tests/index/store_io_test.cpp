@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/profile_store.h"
+#include "core/profile_test_util.h"
 #include "core/test_trace.h"
 #include "index/mapped_store.h"
 #include "index/store_format.h"
@@ -57,8 +58,9 @@ void expect_same_profile(const UserProfile& loaded, const UserProfile& original)
   EXPECT_EQ(loaded.params().regularizer, original.params().regularizer);
   EXPECT_EQ(loaded.params().kernel, original.model().kernel());
   const ProfilingDataset& dataset = testing::tiny_dataset();
-  for (const auto& w : dataset.test_windows(dataset.user_ids().front(), kWindow)) {
-    ASSERT_EQ(loaded.decision_value(w), original.decision_value(w));
+  for (const auto& w :
+       testing::rows_of(*dataset.test_matrix(dataset.user_ids().front(), kWindow))) {
+    ASSERT_EQ(testing::decide(loaded, w), testing::decide(original, w));
   }
 }
 
@@ -122,8 +124,9 @@ TEST(ProfileStore, UserIdWithSpaceRoundTrips) {
   const ProfileStore loaded = index::read_mapped_store(path);
   ASSERT_NE(loaded.find("user one"), nullptr);
   EXPECT_EQ(loaded.user_ids(), std::vector<std::string>{"user one"});
-  for (const auto& w : dataset.test_windows(dataset.user_ids().front(), kWindow)) {
-    ASSERT_EQ(loaded.find("user one")->decision_value(w), first.decision_value(w));
+  for (const auto& w :
+       testing::rows_of(*dataset.test_matrix(dataset.user_ids().front(), kWindow))) {
+    ASSERT_EQ(testing::decide(*loaded.find("user one"), w), testing::decide(first, w));
   }
 }
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/profile_store.h"
+#include "core/profile_test_util.h"
 #include "core/test_trace.h"
 #include "index/mapped_store.h"
 #include "index/store_format.h"
@@ -94,7 +95,8 @@ const Corpus& corpus() {
       }
       dense.finish_row();
     }
-    auto windows = dataset.train_windows(dataset.user_ids()[1], kWindow);
+    auto windows =
+        core::testing::rows_of(*dataset.train_matrix(dataset.user_ids()[1], kWindow));
     windows.resize(std::min(windows.size(), kTrainingRows));
     std::vector<core::UserProfile> profiles;
     profiles.push_back(core::UserProfile::train(
@@ -125,7 +127,7 @@ const Corpus& corpus() {
     EXPECT_EQ(versions[0], 1u);
     EXPECT_EQ(versions[1], 3u);
     corpus.window =
-        dataset.test_windows(dataset.user_ids().front(), kWindow).front();
+        dataset.test_matrix(dataset.user_ids().front(), kWindow)->row_vector(0);
     return corpus;
   }();
   return built;
@@ -187,7 +189,7 @@ bool names_offset(const std::string& message, const std::string& kind) {
   try {
     const core::ProfileStore store = read_mapped_store(path);
     for (const auto& profile : store.profiles()) {
-      (void)profile.decision_value(c.window);
+      (void)core::testing::decide(profile, c.window);
     }
     return ::testing::AssertionSuccess();
   } catch (const std::runtime_error& e) {

@@ -162,9 +162,9 @@ TEST_F(PipelineTest, ProfilePersistenceSurvivesPipeline) {
       core::ProfileStore{window, dataset_->schema(), {profile}}, path);
   const core::ProfileStore loaded = index::read_mapped_store(path);
   ASSERT_NE(loaded.find(user), nullptr);
-  const auto test_windows = dataset_->test_matrix(user, window);
-  EXPECT_EQ(loaded.find(user)->acceptance_ratio(*test_windows),
-            profile.acceptance_ratio(*test_windows));
+  const auto own_test = dataset_->test_matrix(user, window);
+  EXPECT_EQ(loaded.find(user)->acceptance_ratio(*own_test),
+            profile.acceptance_ratio(*own_test));
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "oneclass/oneclass_test_util.h"
 #include "util/rng.h"
 
 namespace wtp::oneclass {
 namespace {
+
+using testing::accepted;
+using testing::decide;
 
 constexpr std::size_t kDim = 10;
 
@@ -51,12 +55,13 @@ TEST(Autoencoder, ReconstructsInliersBetterThanOutliers) {
   AutoencoderModel model;
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
 
-  const double inlier_error = model.reconstruction_error(data[0]);
+  // The reconstruction error is the threshold minus the decision value.
+  const double inlier_error = model.threshold() - decide(model, data[0]);
   // An anti-pattern: active exactly where the training data never is.
   std::vector<double> anti(kDim, 0.0);
   anti[6] = anti[7] = anti[8] = anti[9] = 1.0;
   const double outlier_error =
-      model.reconstruction_error(util::SparseVector::from_dense(anti));
+      model.threshold() - decide(model, util::SparseVector::from_dense(anti));
   EXPECT_LT(inlier_error, outlier_error);
 }
 
@@ -71,8 +76,7 @@ TEST(Autoencoder, IsDeterministicGivenSeed) {
   a.fit(util::FeatureMatrix::from_rows(data), kDim);
   b.fit(util::FeatureMatrix::from_rows(data), kDim);
   EXPECT_DOUBLE_EQ(a.final_loss(), b.final_loss());
-  EXPECT_DOUBLE_EQ(a.reconstruction_error(data[5]),
-                   b.reconstruction_error(data[5]));
+  EXPECT_EQ(decide(a, data), decide(b, data));
 }
 
 TEST(Autoencoder, ThresholdAcceptsMostTrainingData) {
@@ -82,11 +86,7 @@ TEST(Autoencoder, ThresholdAcceptsMostTrainingData) {
   config.outlier_fraction = 0.15;
   AutoencoderModel model{config};
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
-  std::size_t accepted = 0;
-  for (const auto& x : data) {
-    if (model.accepts(x)) ++accepted;
-  }
-  EXPECT_NEAR(static_cast<double>(accepted) / 120.0, 0.85, 0.08);
+  EXPECT_NEAR(static_cast<double>(accepted(model, data)) / 120.0, 0.85, 0.08);
 }
 
 TEST(Autoencoder, RejectsInvalidConfiguration) {
@@ -110,8 +110,7 @@ TEST(Autoencoder, RejectsEmptyFitAndZeroDimension) {
 
 TEST(Autoencoder, ErrorBeforeFitThrows) {
   const AutoencoderModel model;
-  EXPECT_THROW((void)model.reconstruction_error(util::SparseVector{}),
-               std::logic_error);
+  EXPECT_THROW((void)decide(model, util::SparseVector{}), std::logic_error);
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include "oneclass/isolation_forest.h"
 #include "oneclass/knn.h"
+#include "oneclass/oneclass_test_util.h"
 #include "util/rng.h"
 
 namespace wtp::oneclass {
 namespace {
+
+using testing::accepted;
+using testing::decide;
 
 constexpr std::size_t kDim = 8;
 
@@ -29,8 +33,11 @@ TEST(IsolationForest, AnomalyScoreHigherForOutliers) {
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::vector<double> center_dense(kDim, 0.5);
   std::vector<double> far_dense(kDim, 5.0);
-  const double inlier = model.anomaly_score(util::SparseVector::from_dense(center_dense));
-  const double outlier = model.anomaly_score(util::SparseVector::from_dense(far_dense));
+  // The anomaly score is the threshold minus the decision value.
+  const double inlier =
+      model.threshold() - decide(model, util::SparseVector::from_dense(center_dense));
+  const double outlier =
+      model.threshold() - decide(model, util::SparseVector::from_dense(far_dense));
   EXPECT_LT(inlier, outlier);
   EXPECT_GT(outlier, 0.55);  // clearly anomalous
   EXPECT_GT(inlier, 0.0);
@@ -44,11 +51,7 @@ TEST(IsolationForest, ThresholdCoversConfiguredTrainingFraction) {
   config.outlier_fraction = 0.2;
   IsolationForestModel model{config};
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
-  std::size_t accepted = 0;
-  for (const auto& x : data) {
-    if (model.accepts(x)) ++accepted;
-  }
-  EXPECT_NEAR(static_cast<double>(accepted) / 400.0, 0.8, 0.05);
+  EXPECT_NEAR(static_cast<double>(accepted(model, data)) / 400.0, 0.8, 0.05);
 }
 
 TEST(IsolationForest, IsDeterministicGivenSeed) {
@@ -58,7 +61,7 @@ TEST(IsolationForest, IsDeterministicGivenSeed) {
   IsolationForestModel b;
   a.fit(util::FeatureMatrix::from_rows(data), kDim);
   b.fit(util::FeatureMatrix::from_rows(data), kDim);
-  EXPECT_DOUBLE_EQ(a.anomaly_score(data[7]), b.anomaly_score(data[7]));
+  EXPECT_EQ(decide(a, data), decide(b, data));
 }
 
 TEST(IsolationForest, HandlesSubsampleLargerThanData) {
@@ -66,7 +69,7 @@ TEST(IsolationForest, HandlesSubsampleLargerThanData) {
   const auto data = blob(rng, 20, 0.0, 1.0);  // < default 256 subsample
   IsolationForestModel model;
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
-  EXPECT_NO_THROW((void)model.anomaly_score(data[0]));
+  EXPECT_NO_THROW((void)decide(model, data[0]));
 }
 
 TEST(IsolationForest, RejectsInvalidConfigAndEmptyFit) {
@@ -79,7 +82,7 @@ TEST(IsolationForest, RejectsInvalidConfigAndEmptyFit) {
   IsolationForestModel model;
   EXPECT_THROW(model.fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
-  EXPECT_THROW((void)model.anomaly_score(util::SparseVector{}), std::logic_error);
+  EXPECT_THROW((void)decide(model, util::SparseVector{}), std::logic_error);
 }
 
 TEST(Knn, KthDistanceGrowsWithDistanceFromMass) {
@@ -89,8 +92,9 @@ TEST(Knn, KthDistanceGrowsWithDistanceFromMass) {
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
   std::vector<double> near_dense(kDim, 0.0);
   std::vector<double> far_dense(kDim, 4.0);
-  EXPECT_LT(model.kth_distance(util::SparseVector::from_dense(near_dense)),
-            model.kth_distance(util::SparseVector::from_dense(far_dense)));
+  // The k-th distance is the threshold minus the decision value.
+  EXPECT_GT(decide(model, util::SparseVector::from_dense(near_dense)),
+            decide(model, util::SparseVector::from_dense(far_dense)));
 }
 
 TEST(Knn, LeaveOneOutCalibrationAcceptsTrainingFraction) {
@@ -98,13 +102,9 @@ TEST(Knn, LeaveOneOutCalibrationAcceptsTrainingFraction) {
   const auto data = blob(rng, 300, 0.0, 1.0);
   KnnModel model{3, 0.15};
   model.fit(util::FeatureMatrix::from_rows(data), kDim);
-  std::size_t accepted = 0;
-  for (const auto& x : data) {
-    if (model.accepts(x)) ++accepted;
-  }
   // Training points score slightly better than leave-one-out calibration,
   // so acceptance is at least 1 - outlier_fraction.
-  EXPECT_GE(static_cast<double>(accepted) / 300.0, 0.85 - 0.03);
+  EXPECT_GE(static_cast<double>(accepted(model, data)) / 300.0, 0.85 - 0.03);
 }
 
 TEST(Knn, KthDistanceIsExactOnHandBuiltData) {
@@ -115,15 +115,18 @@ TEST(Knn, KthDistanceIsExactOnHandBuiltData) {
       util::SparseVector{{0, 2.0}}, util::SparseVector{{0, 10.0}}};
   KnnModel model{2, 0.0};
   model.fit(util::FeatureMatrix::from_rows(data), 1);
-  EXPECT_NEAR(model.kth_distance(util::SparseVector{}), 1.0, 1e-12);
-  EXPECT_NEAR(model.kth_distance(util::SparseVector{{0, -3.0}}), 4.0, 1e-12);
+  const auto kth_distance = [&model](const util::SparseVector& x) {
+    return model.threshold() - decide(model, x);
+  };
+  EXPECT_NEAR(kth_distance(util::SparseVector{}), 1.0, 1e-12);
+  EXPECT_NEAR(kth_distance(util::SparseVector{{0, -3.0}}), 4.0, 1e-12);
 }
 
 TEST(Knn, SinglePointTrainingSetWorks) {
   const std::vector<util::SparseVector> data{util::SparseVector{{0, 1.0}}};
   KnnModel model{1, 0.0};
   model.fit(util::FeatureMatrix::from_rows(data), 1);
-  EXPECT_TRUE(model.accepts(data[0]));
+  EXPECT_GE(decide(model, data[0]), 0.0);
 }
 
 TEST(Knn, RejectsInvalidParameters) {
@@ -132,7 +135,7 @@ TEST(Knn, RejectsInvalidParameters) {
   KnnModel model{3, 0.1};
   EXPECT_THROW(model.fit(util::FeatureMatrix{}, kDim),
                std::invalid_argument);
-  EXPECT_THROW((void)model.kth_distance(util::SparseVector{}), std::logic_error);
+  EXPECT_THROW((void)decide(model, util::SparseVector{}), std::logic_error);
 }
 
 }  // namespace

@@ -9,11 +9,15 @@
 #include "oneclass/centroid.h"
 #include "oneclass/gaussian.h"
 #include "oneclass/kde.h"
+#include "oneclass/oneclass_test_util.h"
 #include "oneclass/svm_adapter.h"
 #include "util/rng.h"
 
 namespace wtp::oneclass {
 namespace {
+
+using testing::accepted;
+using testing::decide;
 
 constexpr std::size_t kDim = 6;
 
@@ -51,19 +55,11 @@ TEST_P(OneClassModelTest, AcceptsInliersRejectsFarOutliers) {
 
   // Fresh inliers from the same distribution.
   const auto inliers = blob(rng, 60, 1.0, 0.15);
-  std::size_t accepted = 0;
-  for (const auto& x : inliers) {
-    if (model->accepts(x)) ++accepted;
-  }
-  EXPECT_GE(accepted, 42u) << to_string(GetParam());
+  EXPECT_GE(accepted(*model, inliers), 42u) << to_string(GetParam());
 
   // Far outliers.
   const auto outliers = blob(rng, 60, 8.0, 0.15);
-  std::size_t rejected = 0;
-  for (const auto& x : outliers) {
-    if (!model->accepts(x)) ++rejected;
-  }
-  EXPECT_GT(rejected, 55u) << to_string(GetParam());
+  EXPECT_GT(60u - accepted(*model, outliers), 55u) << to_string(GetParam());
 }
 
 TEST_P(OneClassModelTest, DecisionValueOrdersByTypicality) {
@@ -74,8 +70,25 @@ TEST_P(OneClassModelTest, DecisionValueOrdersByTypicality) {
   const util::SparseVector center;  // all zeros = the blob center
   std::vector<double> far_dense(kDim, 5.0);
   const auto far = util::SparseVector::from_dense(far_dense);
-  EXPECT_GT(model->decision_value(center), model->decision_value(far))
-      << to_string(GetParam());
+  EXPECT_GT(decide(*model, center), decide(*model, far)) << to_string(GetParam());
+}
+
+TEST_P(OneClassModelTest, DecisionValuesCheckFitAndOutputSize) {
+  util::Rng rng{43};
+  const auto train = blob(rng, 40, 0.0, 0.3);
+  const auto data = util::FeatureMatrix::from_rows(train);
+  auto model = make_model(GetParam(), 0.1);
+  std::vector<double> out(data.rows());
+  EXPECT_THROW(model->decision_values(data, out), std::logic_error);
+  model->fit(data, kDim);
+  EXPECT_THROW(model->decision_values(data, std::span{out}.first(data.rows() - 1)),
+               std::invalid_argument);
+  model->decision_values(data, out);
+  // A window scores the same whichever matrix holds it.
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    EXPECT_EQ(out[r], decide(*model, train[r]))
+        << to_string(GetParam()) << " row " << r;
+  }
 }
 
 TEST_P(OneClassModelTest, FitRejectsEmptyData) {
@@ -112,16 +125,12 @@ TEST(CentroidModelTest, RadiusCoversConfiguredFraction) {
   const auto train = blob(rng, 200, 0.0, 1.0);
   CentroidModel model{0.2};
   model.fit(util::FeatureMatrix::from_rows(train), kDim);
-  std::size_t accepted = 0;
-  for (const auto& x : train) {
-    if (model.accepts(x)) ++accepted;
-  }
-  EXPECT_NEAR(static_cast<double>(accepted) / 200.0, 0.8, 0.05);
+  EXPECT_NEAR(static_cast<double>(accepted(model, train)) / 200.0, 0.8, 0.05);
 }
 
 TEST(CentroidModelTest, DecisionBeforeFitThrows) {
   const CentroidModel model{0.1};
-  EXPECT_THROW((void)model.decision_value(util::SparseVector{}), std::logic_error);
+  EXPECT_THROW((void)decide(model, util::SparseVector{}), std::logic_error);
 }
 
 TEST(CentroidModelTest, RejectsBadOutlierFraction) {
@@ -144,7 +153,7 @@ TEST(GaussianModelTest, ScalesPerDimensionVariance) {
   model.fit(util::FeatureMatrix::from_rows(train), 2);
   const auto off_dim0 = util::SparseVector{{0, 2.0}, {1, 1.0}};
   const auto off_dim1 = util::SparseVector{{0, 1.0}, {1, 2.0}};
-  EXPECT_LT(model.decision_value(off_dim0), model.decision_value(off_dim1));
+  EXPECT_LT(decide(model, off_dim0), decide(model, off_dim1));
 }
 
 TEST(GaussianModelTest, RejectsBadParameters) {
@@ -159,8 +168,9 @@ TEST(KdeModelTest, DensityHigherNearTrainingMass) {
   model.fit(util::FeatureMatrix::from_rows(train), kDim);
   const util::SparseVector near;
   std::vector<double> far_dense(kDim, 4.0);
-  EXPECT_GT(model.density(near),
-            model.density(util::SparseVector::from_dense(far_dense)));
+  // The density is the decision value plus the threshold.
+  EXPECT_GT(decide(model, near),
+            decide(model, util::SparseVector::from_dense(far_dense)));
 }
 
 TEST(KdeModelTest, AutoBandwidthResolvesFromDimension) {
@@ -169,7 +179,7 @@ TEST(KdeModelTest, AutoBandwidthResolvesFromDimension) {
   KdeModel model{0.1, 0.0};
   model.fit(util::FeatureMatrix::from_rows(train), kDim);
   // Density of a training point must be positive and <= 1 (RBF kernel mean).
-  const double d = model.density(train[0]);
+  const double d = decide(model, train[0]) + model.threshold();
   EXPECT_GT(d, 0.0);
   EXPECT_LE(d, 1.0);
 }
@@ -197,9 +207,9 @@ TEST(SvmAdapters, ExposeUnderlyingModels) {
 
 TEST(SvmAdapters, DecisionBeforeFitThrows) {
   const SvmAdapter oc{svm::SvmKind::kOcSvm};
-  EXPECT_THROW((void)oc.decision_value(util::SparseVector{}), std::logic_error);
+  EXPECT_THROW((void)decide(oc, util::SparseVector{}), std::logic_error);
   const SvmAdapter svdd{svm::SvmKind::kSvdd};
-  EXPECT_THROW((void)svdd.decision_value(util::SparseVector{}), std::logic_error);
+  EXPECT_THROW((void)decide(svdd, util::SparseVector{}), std::logic_error);
 }
 
 TEST(SvmAdapters, WithNuValidatesRange) {
@@ -244,9 +254,10 @@ TEST(OneClassDigest, DecisionValuesArePinned) {
     auto model = make_model(kind, 0.1);
     model->fit(*dataset.train_matrix(trained, window), dimension);
     for (const auto& user : dataset.user_ids()) {
-      for (const auto& x : dataset.test_windows(user, window)) {
-        add(model->decision_value(x));
-      }
+      const auto& windows = *dataset.test_matrix(user, window);
+      std::vector<double> decisions(windows.rows());
+      model->decision_values(windows, decisions);
+      for (const double value : decisions) add(value);
     }
   }
   EXPECT_EQ(hash, 8319458906135094749ULL);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/profile_store.h"
+#include "core/profile_test_util.h"
 #include "core/test_trace.h"
 #include "obs/registry.h"
 #include "serve/engine.h"
@@ -48,7 +49,7 @@ TrainerConfig eager_trainer_config() {
 void force_drift(WindowCollector& collector, const std::string& user,
                  const std::string& donor) {
   const auto& dataset = core::testing::tiny_dataset();
-  const auto windows = dataset.train_windows(donor, kWindow);
+  const auto windows = core::testing::rows_of(*dataset.train_matrix(donor, kWindow));
   ASSERT_FALSE(windows.empty());
   std::size_t fed = 0;
   while (!collector.drift_detected(user) || collector.buffered(user) < 8) {
@@ -102,17 +103,16 @@ TEST(Retrain, DriftRetrainMatchesOfflineFitPathOracle) {
   // Bit-identical decisions: same solver plane, same corpus, same
   // hyper-parameters.  Probe with both the retraining corpus and the
   // original training windows.
+  using core::testing::decide;
   for (const auto& window : corpus) {
-    EXPECT_EQ(swapped->decision_value(window), oracle.decision_value(window));
+    EXPECT_EQ(decide(*swapped, window), decide(oracle, window));
   }
-  const auto probes =
-      core::testing::tiny_dataset().train_windows(user, kWindow);
+  const auto probes = core::testing::rows_of(
+      *core::testing::tiny_dataset().train_matrix(user, kWindow));
   bool any_changed = false;
   for (const auto& probe : probes) {
-    EXPECT_EQ(swapped->decision_value(probe), oracle.decision_value(probe));
-    if (swapped->decision_value(probe) != original->decision_value(probe)) {
-      any_changed = true;
-    }
+    EXPECT_EQ(decide(*swapped, probe), decide(oracle, probe));
+    if (decide(*swapped, probe) != decide(*original, probe)) any_changed = true;
   }
   EXPECT_TRUE(any_changed) << "retrain on a different corpus was a no-op";
 

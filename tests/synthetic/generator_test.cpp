@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -179,6 +181,32 @@ TEST(TraceGenerator, RejectsInvalidConfig) {
   site.media_weights.resize(256, 1.0);
   util::ThreadPool pool{2};
   refuses([&] { generate_transactions(trace, pool); }, "media");
+}
+
+// Generation shares its pool with other callers: with one worker held by
+// another caller's task, the free worker generates the whole trace and the
+// call returns without waiting for that task.
+TEST(TraceGenerator, WaitsOnlyForItsOwnTasks) {
+  util::ThreadPool pool{2};
+  std::promise<void> blocker_started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.submit([&blocker_started, released] {
+    blocker_started.set_value();
+    released.wait();
+  });
+  blocker_started.get_future().wait();
+
+  auto call = std::async(std::launch::async,
+                         [&pool] { return generate_trace(tiny_config(), pool); });
+  // A generator that waited on the whole pool would not return within the
+  // bound while the other caller's task is blocked.
+  const auto status = call.wait_for(std::chrono::seconds{10});
+  release.set_value();
+  const EnterpriseTrace trace = call.get();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_EQ(trace.transactions, generate_trace(tiny_config()).transactions);
+  pool.wait_idle();
 }
 
 /// FNV-1a over every field of every transaction, in order.  Strings are
